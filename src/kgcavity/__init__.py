@@ -30,7 +30,6 @@ from .causality import (
     outside_cone_mass,
 )
 from .config import (
-    CacheIOError,
     CavityConfig,
     DimensionError,
     DomainError,
@@ -52,6 +51,7 @@ from .modes import (
     evolve_local_mode,
     uniform_grid,
 )
+from .output import VERSION as __version__
 from .quadrature import InnerProduct, QuadratureSpec, kg_inner, overlap_V
 from .quasilocal import (
     OverlapDistribution,
@@ -79,11 +79,8 @@ from .vacuum import (
     wick_moments,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BogoliubovBlock",
-    "CacheIOError",
     "CavityConfig",
     "DimensionError",
     "DivergenceScan",

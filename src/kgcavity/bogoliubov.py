@@ -27,15 +27,12 @@ only.
 from __future__ import annotations
 
 import hashlib
-import json
-import logging
-import os
-import time as _time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CacheIOError, CavityConfig, FrequencyTables, Truncation
+from .config import CavityConfig, FrequencyTables, Truncation
 from .modes import Region
 
 __all__ = [
@@ -50,13 +47,12 @@ __all__ = [
     "clear_memo",
 ]
 
-log = logging.getLogger(__name__)
+# Bound on the alpha + beta bytes the block memo keeps: three default
+# left/right pairs (m_max 1000 x n_max 10^4, 320 MB a pair) fit without
+# eviction.
+_MEMO_BYTES = 2**30
 
-_BLOCK_MEMO: dict = {}
-
-ENV_CACHE_DIR = "CAVITY_CACHE_DIR"
-
-_VERSION = "0.1.0"
+_BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ def closed_overlap(
     return float(alpha[0, 0] / (om + Om)) * cfg.R
 
 
-# ── block construction and caching ──────────────────────────────────────────
+# ── block construction and memo ──────────────────────────────────────────────
 
 def block_digest(region: Region, cfg: CavityConfig, trunc: Truncation) -> str:
     """Digest of everything a block's values depend on (dimensionless controls)."""
@@ -210,73 +206,12 @@ def block_digest(region: Region, cfg: CavityConfig, trunc: Truncation) -> str:
     return hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
 
 
-def _cache_paths(cache_dir: str, digest: str) -> tuple[str, str]:
-    return (
-        os.path.join(cache_dir, f"{digest}.csv"),
-        os.path.join(cache_dir, f"{digest}.json"),
-    )
-
-
-def _read_cached(cache_dir: str, digest: str, trunc: Truncation) -> tuple[np.ndarray, np.ndarray] | None:
-    csv_path, json_path = _cache_paths(cache_dir, digest)
-    if not (os.path.exists(csv_path) and os.path.exists(json_path)):
-        return None
-    try:
-        data = np.loadtxt(csv_path, delimiter=",", comments="#", ndmin=2)
-        expected = (2 * trunc.m_max_local, trunc.n_max_global)
-        if data.shape != expected:
-            raise CacheIOError(f"cache payload shape {data.shape}, expected {expected}")
-        return data[: trunc.m_max_local], data[trunc.m_max_local :]
-    except (OSError, ValueError, CacheIOError) as exc:
-        log.warning("ignoring unreadable cache entry %s: %s", csv_path, exc)
-        return None
-
-
-def _write_cache(
-    cache_dir: str,
-    digest: str,
-    region: Region,
-    cfg: CavityConfig,
-    trunc: Truncation,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-) -> None:
-    csv_path, json_path = _cache_paths(cache_dir, digest)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        header = (
-            f"bogoliubov block, region={region.value}\n"
-            f"rows 1..{trunc.m_max_local} are alpha, rows "
-            f"{trunc.m_max_local + 1}..{2 * trunc.m_max_local} are beta; columns N=1..{trunc.n_max_global}"
-        )
-        np.savetxt(
-            csv_path,
-            np.vstack([alpha, beta]),
-            delimiter=",",
-            fmt="%.17g",
-            header=header,
-        )
-        meta = {
-            "region": region.value,
-            "r_tilde": cfg.r_tilde,
-            "mu_tilde": cfg.mu_tilde,
-            "truncation": {
-                "n_max_global": trunc.n_max_global,
-                "m_max_local": trunc.m_max_local,
-                "resonance_eps": trunc.resonance_eps,
-            },
-            "created": _time.strftime("%Y-%m-%dT%H:%M:%S", _time.gmtime()),
-            "version": _VERSION,
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        log.warning("could not write cache entry %s: %s", csv_path, exc)
+def _nbytes(block: BogoliubovBlock) -> int:
+    return block.alpha.nbytes + block.beta.nbytes
 
 
 def clear_memo() -> None:
-    """Drop the in-process block memo (used by tests; disk cache untouched)."""
+    """Drop the in-process block memo."""
     _BLOCK_MEMO.clear()
 
 
@@ -285,47 +220,42 @@ def build_block(
     cfg: CavityConfig,
     tables: FrequencyTables,
     trunc: Truncation,
-    cache_dir: str | None = None,
 ) -> BogoliubovBlock:
     """Full [m_max_local x n_max_global] coefficient block for one family.
 
-    Consults the in-process memo, then the disk cache (``cache_dir`` argument
-    or the CAVITY_CACHE_DIR environment variable) keyed by the dimensionless
-    digest; recomputes and writes back on miss. Cache IO failures are
-    non-fatal: they log a warning and fall through to recomputation.
+    Memoized in process by the dimensionless digest. The memo is a
+    least-recently-used map bounded by _MEMO_BYTES of alpha + beta payload;
+    a block larger than the bound is returned without being kept.
     """
     digest = block_digest(region, cfg, trunc)
-    memo = _BLOCK_MEMO.get(digest)
-    if memo is not None:
-        return memo
+    block = _BLOCK_MEMO.get(digest)
+    if block is not None:
+        _BLOCK_MEMO.move_to_end(digest)
+        return block
 
-    cache_dir = cache_dir or os.environ.get(ENV_CACHE_DIR) or None
-    alpha = beta = None
-    if cache_dir:
-        cached = _read_cached(cache_dir, digest, trunc)
-        if cached is not None:
-            alpha, beta = cached
-
-    if alpha is None:
-        m_idx = np.arange(1, trunc.m_max_local + 1)
-        N_idx = np.arange(1, trunc.n_max_global + 1)
-        rows_a = []
-        rows_b = []
-        # chunk over m to bound the temporaries on big truncations
-        step = max(1, min(trunc.m_max_local, 8_388_608 // max(trunc.n_max_global, 1)))
-        for lo in range(0, len(m_idx), step):
-            a, b = coeff_grid(region, m_idx[lo : lo + step], N_idx, cfg, trunc.resonance_eps)
-            rows_a.append(a)
-            rows_b.append(b)
-        alpha = np.vstack(rows_a)
-        beta = np.vstack(rows_b)
-        if cache_dir:
-            _write_cache(cache_dir, digest, region, cfg, trunc, alpha, beta)
-
+    m_idx = np.arange(1, trunc.m_max_local + 1)
+    N_idx = np.arange(1, trunc.n_max_global + 1)
+    rows_a = []
+    rows_b = []
+    # chunk over m to bound the temporaries on big truncations
+    step = max(1, min(trunc.m_max_local, 8_388_608 // max(trunc.n_max_global, 1)))
+    for lo in range(0, len(m_idx), step):
+        a, b = coeff_grid(region, m_idx[lo : lo + step], N_idx, cfg, trunc.resonance_eps)
+        rows_a.append(a)
+        rows_b.append(b)
+    alpha = np.vstack(rows_a)
+    beta = np.vstack(rows_b)
     alpha.setflags(write=False)
     beta.setflags(write=False)
     block = BogoliubovBlock(region=region, alpha=alpha, beta=beta, cfg_hash=digest)
-    _BLOCK_MEMO[digest] = block
+
+    size = _nbytes(block)
+    if size <= _MEMO_BYTES:
+        held = sum(_nbytes(b) for b in _BLOCK_MEMO.values())
+        while held + size > _MEMO_BYTES:
+            _, oldest = _BLOCK_MEMO.popitem(last=False)
+            held -= _nbytes(oldest)
+        _BLOCK_MEMO[digest] = block
     return block
 
 

@@ -85,7 +85,6 @@ def commutator_pair(
     tables: FrequencyTables,
     trunc: Truncation,
     spec: QuadratureSpec,
-    cache_dir: str | None = None,
 ) -> tuple[float, float]:
     """(c1, c2) = (|,(u_tilde_n|u_m)|, |(u_tilde_n|u_m*)|) at t = tau.
 
@@ -93,7 +92,7 @@ def commutator_pair(
     with the probe's Cauchy data by KG quadrature on a shared grid.
     """
     grid = uniform_grid(cfg, trunc.grid_points)
-    block = build_block(Region.LEFT, cfg, tables, trunc, cache_dir=cache_dir)
+    block = build_block(Region.LEFT, cfg, tables, trunc)
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, tables, trunc, block)
     probe_mode = eval_probe_initial(probe, grid, cfg)
     c1 = abs(kg_inner(probe_mode, u_m, spec))
@@ -126,7 +125,6 @@ def lightcone_leakage(
     tables: FrequencyTables,
     trunc: Truncation,
     edge_margin: float = 0.0,
-    cache_dir: str | None = None,
 ) -> float:
     """Fraction of the mode's energy-like density outside its light cone.
 
@@ -139,7 +137,7 @@ def lightcone_leakage(
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
     grid = uniform_grid(cfg, trunc.grid_points)
-    block = build_block(region, cfg, tables, trunc, cache_dir=cache_dir)
+    block = build_block(region, cfg, tables, trunc)
     u = evolve_local_mode(region, m, grid, t, cfg, tables, trunc, block)
     om = (tables.omega if region is Region.LEFT else tables.omega_bar)[m - 1]
     if region is Region.LEFT:

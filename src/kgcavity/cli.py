@@ -13,17 +13,18 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
+from decimal import Decimal
 
 import numpy as np
 
 from . import svg as svgmod
-from .bogoliubov import ENV_CACHE_DIR, build_block, identity_residuals
+from .bogoliubov import build_block, identity_residuals
 from .causality import commutator_pair, lightcone_leakage, make_probe
 from .config import (
-    CacheIOError,
     DomainError,
     ThresholdUnreachable,
     Truncation,
@@ -63,10 +64,12 @@ def parse_float_list(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        # exact decimal arithmetic, so 0.1:0.3:0.1 ends on 0.3, not 0.30000000000000004
+        start, stop, step = (Decimal(p) for p in parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
-        return list(np.arange(start, stop + step / 2, step))
+        count = math.floor((stop - start) / step) + 1
+        return [float(start + k * step) for k in range(count)]
     return [float(p) for p in text.split(",") if p.strip()]
 
 
@@ -106,6 +109,16 @@ def _resolve(args) -> tuple:
         resonance_eps=float(pick(args.resonance_eps, "resonance_eps", 1e-8)),
     )
     return cfg, trunc
+
+
+def _check_local(trunc, flag: str, *indices: int) -> None:
+    """DomainError unless every local-mode index lies in 1..m_max_local.
+
+    Runs before ``_Run`` so a refused request leaves no output directory.
+    """
+    for i in indices:
+        if not 1 <= i <= trunc.m_max_local:
+            raise DomainError(f"{flag} {i} outside 1..{trunc.m_max_local} (--mmax)")
 
 
 class _Run:
@@ -164,10 +177,11 @@ def _meta(cfg, trunc) -> list[str]:
 
 def cmd_modes(args) -> int:
     cfg, trunc = _resolve(args)
+    _check_local(trunc, "--m", args.m)
     run = _Run(args, "modes", cfg, trunc)
     region = _REGIONS[args.region]
     tables = frequencies(cfg, trunc)
-    block = build_block(region, cfg, tables, trunc, cache_dir=args.cache_dir)
+    block = build_block(region, cfg, tables, trunc)
     grid = uniform_grid(cfg, trunc.grid_points)
     times = parse_float_list(args.times)
     series = []
@@ -245,10 +259,12 @@ def cmd_rscan(args) -> int:
 
 def cmd_correlations(args) -> int:
     cfg, trunc = _resolve(args)
+    _check_local(trunc, "--mrows", args.mrows)
+    _check_local(trunc, "--nrows", args.nrows)
     run = _Run(args, "correlations", cfg, trunc)
     tables = frequencies(cfg, trunc)
-    left = build_block(Region.LEFT, cfg, tables, trunc, cache_dir=args.cache_dir)
-    right = build_block(Region.RIGHT, cfg, tables, trunc, cache_dir=args.cache_dir)
+    left = build_block(Region.LEFT, cfg, tables, trunc)
+    right = build_block(Region.RIGHT, cfg, tables, trunc)
     m_range = range(1, args.mrows + 1)
     n_range = range(1, args.nrows + 1)
     report = wick_moments(
@@ -279,9 +295,13 @@ def cmd_correlations(args) -> int:
 
 def cmd_quasilocal(args) -> int:
     cfg, trunc = _resolve(args)
+    l_list = parse_int_list(args.l_list)
+    _check_local(trunc, "--l-list", *l_list)
+    _check_local(trunc, "--steer-m", args.steer_m)
+    if args.wavepacket_m is not None:
+        _check_local(trunc, "--wavepacket-m", args.wavepacket_m)
     run = _Run(args, "quasilocal", cfg, trunc)
     tables = frequencies(cfg, trunc)
-    l_list = parse_int_list(args.l_list)
     band_rows = []
     overlap_series = []
     for l in l_list:
@@ -311,7 +331,7 @@ def cmd_quasilocal(args) -> int:
     run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], zip(l_list, shifts_w, shifts_d))
     if args.wavepacket_m:
-        block = build_block(Region.LEFT, cfg, tables, trunc, cache_dir=args.cache_dir)
+        block = build_block(Region.LEFT, cfg, tables, trunc)
         grid = uniform_grid(cfg, trunc.grid_points)
         comp = wavepacket_comparison(args.wavepacket_m, grid, args.t, cfg, tables, trunc, block)
         run.tails["psi_outside_fraction"] = comp.psi_outside_fraction
@@ -332,13 +352,14 @@ def cmd_quasilocal(args) -> int:
 
 def cmd_causality(args) -> int:
     cfg, trunc = _resolve(args)
+    _check_local(trunc, "--m", args.m)
     run = _Run(args, "causality", cfg, trunc)
     tables = frequencies(cfg, trunc)
     times = parse_float_list(args.times)
     leak_rows = []
     for t in times:
         frac = lightcone_leakage(Region.LEFT, args.m, t, cfg, tables, trunc,
-                                 edge_margin=args.edge_margin, cache_dir=args.cache_dir)
+                                 edge_margin=args.edge_margin)
         leak_rows.append((t, min(cfg.r + t + args.edge_margin, cfg.R), frac))
     run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
             ["t", "cone_edge", "outside_fraction"], leak_rows)
@@ -350,7 +371,7 @@ def cmd_causality(args) -> int:
     comm_rows = []
     for tau in taus:
         probe = make_probe(r_tilde, tau, args.probe_n, cfg)
-        c1, c2 = commutator_pair(probe, args.m, cfg, tables, trunc, qspec, cache_dir=args.cache_dir)
+        c1, c2 = commutator_pair(probe, args.m, cfg, tables, trunc, qspec)
         comm_rows.append((tau, r_tilde, c1, c2, int(tau < gap)))
     run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
             ["tau", "r_tilde", "c1", "c2", "spacelike"], comm_rows)
@@ -401,8 +422,8 @@ def cmd_identities(args) -> int:
     for n in sorted(n_list):
         trunc_n = dataclasses.replace(trunc, n_max_global=n, m_max_local=args.upto)
         tables = frequencies(cfg, trunc_n)
-        left = build_block(Region.LEFT, cfg, tables, trunc_n, cache_dir=args.cache_dir)
-        right = build_block(Region.RIGHT, cfg, tables, trunc_n, cache_dir=args.cache_dir)
+        left = build_block(Region.LEFT, cfg, tables, trunc_n)
+        right = build_block(Region.RIGHT, cfg, tables, trunc_n)
         res = identity_residuals(left, right, args.upto)
         rows.append((n, float(res.D1.max()), float(res.D2.max()),
                      float(res.D1_cross.max()), float(res.D2_cross.max()), res.max_residual))
@@ -417,46 +438,6 @@ def cmd_identities(args) -> int:
     return run.finish()
 
 
-def cmd_cache(args) -> int:
-    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
-    if not cache_dir:
-        raise CacheIOError("no cache directory: pass --cache-dir or set " + ENV_CACHE_DIR)
-    if args.action == "list":
-        if not os.path.isdir(cache_dir):
-            print(f"(cache directory {cache_dir} does not exist)")
-            return 0
-        entries = sorted(f for f in os.listdir(cache_dir) if f.endswith(".json"))
-        for name in entries:
-            try:
-                with open(os.path.join(cache_dir, name), encoding="utf-8") as fh:
-                    meta = json.load(fh)
-                csv_name = name[:-5] + ".csv"
-                size = os.path.getsize(os.path.join(cache_dir, csv_name))
-                tr = meta.get("truncation", {})
-                print(
-                    f"{name[:-5]}  region={meta.get('region')}  r_tilde={meta.get('r_tilde'):.6g}  "
-                    f"mu_tilde={meta.get('mu_tilde'):.6g}  n_max={tr.get('n_max_global')}  "
-                    f"m_max={tr.get('m_max_local')}  {size} bytes"
-                )
-            except (OSError, ValueError, TypeError) as exc:
-                print(f"{name[:-5]}  (unreadable: {exc})")
-        if not entries:
-            print("(cache empty)")
-        return 0
-    # purge
-    try:
-        removed = 0
-        if os.path.isdir(cache_dir):
-            for name in sorted(os.listdir(cache_dir)):
-                if name.endswith((".csv", ".json")):
-                    os.remove(os.path.join(cache_dir, name))
-                    removed += 1
-        print(f"removed {removed} cache files from {cache_dir}")
-        return 0
-    except OSError as exc:
-        raise CacheIOError(f"purge failed: {exc}") from exc
-
-
 # ── parser ──────────────────────────────────────────────────────────────────
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,14 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--resonance-eps", type=float, default=None)
     common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--cache-dir", default=None,
-                        help=f"coefficient cache directory (or ${ENV_CACHE_DIR})")
     common.add_argument("--svg", action="store_true", help="also render an SVG view")
 
     # --nmax is the scalar cutoff everywhere except `identities`, where it is
-    # a list; `cache` takes no cutoff at all. Keeping it out of `common` means
-    # no parser ever has to conflict-resolve an inherited action (argparse
-    # shares parent actions by reference, so resolving mutates every sibling).
+    # a list. Keeping it out of `common` means no parser ever has to
+    # conflict-resolve an inherited action (argparse shares parent actions
+    # by reference, so resolving mutates every sibling).
     with_nmax = argparse.ArgumentParser(add_help=False)
     with_nmax.add_argument("--nmax", type=int, default=None,
                            help="global-mode cutoff (default 10000)")
@@ -544,10 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--upto", type=int, default=10)
     sp.set_defaults(func=cmd_identities, nmax=None)
 
-    sp = sub.add_parser("cache", parents=[common], help="coefficient cache maintenance")
-    sp.add_argument("action", choices=["list", "purge"])
-    sp.set_defaults(func=cmd_cache)
-
     return p
 
 
@@ -556,7 +531,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, CacheIOError) as exc:
+    except DomainError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
 

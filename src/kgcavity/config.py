@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "GridMismatch",
-    "CacheIOError",
     "ThresholdUnreachable",
     "DimensionError",
     "CavityConfig",
@@ -38,10 +37,6 @@ class DomainError(ValueError):
 
 class GridMismatch(ValueError):
     """Raised when two sampled modes do not share a grid and a time."""
-
-
-class CacheIOError(OSError):
-    """Raised (or logged, where recovery is possible) on cache read/write failure."""
 
 
 class ThresholdUnreachable(RuntimeError):

@@ -147,6 +147,35 @@ def eval_local_initial(
     return SampledMode(grid=grid, value=value, tderiv=-1j * om * value, time=0.0)
 
 
+def _sine_series(
+    grid: np.ndarray,
+    R: float,
+    cv: np.ndarray,
+    cd: np.ndarray,
+    chunk: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_N c_N sin(pi N x / R) on ``grid`` for the coefficient rows cv and
+    cd (N = 1..len(cv)), exactly zero on the walls.
+
+    The N-sum runs in fixed ascending order with numpy's pairwise reduction
+    along the contiguous axis, so the result is bit-identical for any
+    ``chunk`` (the grid is split, never the N-sum within one point).
+    """
+    n_idx = np.arange(1, len(cv) + 1, dtype=np.float64)
+    value = np.empty(len(grid), dtype=np.complex128)
+    tderiv = np.empty(len(grid), dtype=np.complex128)
+    for lo in range(0, len(grid), chunk):
+        hi = min(lo + chunk, len(grid))
+        # (points, N) layout keeps the N-reduction on the contiguous axis
+        sines = np.sin(np.outer(grid[lo:hi], n_idx) * (np.pi / R))
+        value[lo:hi] = np.sum(sines * cv, axis=1)
+        tderiv[lo:hi] = np.sum(sines * cd, axis=1)
+    wall = (grid <= 0.0) | (grid >= R)
+    value[wall] = 0.0
+    tderiv[wall] = 0.0
+    return value, tderiv
+
+
 def evolve_local_mode(
     region: Region,
     m: int,
@@ -162,10 +191,8 @@ def evolve_local_mode(
     """Local mode u_m at time t from the truncated global series.
 
     value(x) = sum_N (alpha_mN e^{-i Omega_N t} + beta_mN e^{+i Omega_N t}) U_N(x),
-    tderiv the termwise time derivative. The N-sum runs in fixed ascending
-    order with numpy's pairwise reduction along the contiguous axis, so the
-    result is bit-identical for any ``chunk`` (the grid is split, never the
-    N-sum within one point).
+    tderiv the termwise time derivative, both summed by ``_sine_series``
+    (bit-identical for any ``chunk``).
     """
     if block.region is not region:
         raise ValueError(f"block was built for {block.region}, asked to evolve {region}")
@@ -187,22 +214,12 @@ def evolve_local_mode(
     cv = (a_row * phase_neg + b_row * np.conj(phase_neg)) * norm
     cd = (-1j * Om) * (a_row * phase_neg - b_row * np.conj(phase_neg)) * norm
 
-    n_idx = np.arange(1, trunc.n_max_global + 1, dtype=np.float64)
-    value = np.empty(len(grid), dtype=np.complex128)
-    tderiv = np.empty(len(grid), dtype=np.complex128)
-    interior = (grid > 0.0) & (grid < cfg.R)
-    for lo in range(0, len(grid), chunk):
-        hi = min(lo + chunk, len(grid))
-        # (points, N) layout keeps the N-reduction on the contiguous axis
-        sines = np.sin(np.outer(grid[lo:hi], n_idx) * (np.pi / cfg.R))
-        value[lo:hi] = np.sum(sines * cv, axis=1)
-        tderiv[lo:hi] = np.sum(sines * cd, axis=1)
-    value[~interior] = 0.0
-    tderiv[~interior] = 0.0
+    value, tderiv = _sine_series(grid, cfg.R, cv, cd, chunk)
 
     # Tail envelope: |term| <= (|alpha|+|beta|)/sqrt(R Omega) ~ c/N^2; the
     # neglected sum is then ~ c/n_max by the integral test.
     t_env = (np.abs(a_row[-50:]) + np.abs(b_row[-50:])) * norm[-50:]
+    n_idx = np.arange(1, trunc.n_max_global + 1, dtype=np.float64)
     c_env = float(np.max(t_env * n_idx[-50:] ** 2))
     tail_estimate = c_env / trunc.n_max_global
 

@@ -30,7 +30,8 @@ from .config import (
     ThresholdUnreachable,
     Truncation,
 )
-from .modes import Region, SampledMode, evolve_local_mode
+from .modes import Region, SampledMode, _sine_series, evolve_local_mode
+from .vacuum import _energy_tail
 
 __all__ = [
     "OverlapDistribution",
@@ -164,8 +165,8 @@ def quasilocal_wavepacket(
     """psi_m(x, t) = sum_N alpha_mN U_N(x, t) / sqrt(1 + <n_m>).
 
     The positive-frequency content of u_m: same alpha amplitudes, no
-    conjugate branch, renormalized. Summation layout matches
-    ``evolve_local_mode`` (chunked over the grid, pairwise over N).
+    conjugate branch, renormalized, summed by the same ``_sine_series`` as
+    ``evolve_local_mode``.
     """
     grid = np.asarray(grid, dtype=np.float64)
     N_idx = np.arange(1, trunc.n_max_global + 1)
@@ -176,17 +177,7 @@ def quasilocal_wavepacket(
 
     cv = alpha[0] * np.exp(-1j * Om * t) / np.sqrt(cfg.R * Om) / norm
     cd = -1j * Om * cv
-    value = np.empty(len(grid), dtype=np.complex128)
-    tderiv = np.empty(len(grid), dtype=np.complex128)
-    nf = N_idx.astype(np.float64)
-    for lo in range(0, len(grid), chunk):
-        hi = min(lo + chunk, len(grid))
-        sines = np.sin(np.outer(grid[lo:hi], nf) * (np.pi / cfg.R))
-        value[lo:hi] = np.sum(sines * cv, axis=1)
-        tderiv[lo:hi] = np.sum(sines * cd, axis=1)
-    wall = (grid <= 0.0) | (grid >= cfg.R)
-    value[wall] = 0.0
-    tderiv[wall] = 0.0
+    value, tderiv = _sine_series(grid, cfg.R, cv, cd, chunk)
     return SampledMode(grid=grid, value=value, tderiv=tderiv, time=float(t))
 
 
@@ -230,34 +221,18 @@ def quasilocal_energy(
     region: Region = Region.LEFT,
 ) -> QuasilocalEnergy:
     """Vacuum-relative energies of the creator and annihilator states on l."""
-    from scipy import integrate  # local import keeps module load light
-    import math
-
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg, trunc.resonance_eps)
     Om = tables.Omega[: trunc.n_max_global]
     raw = float(np.sum(Om * alpha[0] ** 2))
     ann_raw = float(np.sum(Om * beta[0] ** 2))
     mean_occ = float(np.sum(beta[0] ** 2))
-
-    w = cfg.r if region is Region.LEFT else cfg.r_bar
-    om_l = math.sqrt((math.pi * l / w) ** 2 + cfg.mu**2)
-    pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
-
-    def integrand(N: float) -> float:
-        # Omega * (alpha^2 + beta^2) with sin^2 -> 1/2: the 1/Omega inside
-        # |V|^2 cancels the energy weight, leaving 2 pref (Om^2+om^2)/(Om^2-om^2)^2
-        Om_c = (math.pi * N / cfg.R) ** 2 + cfg.mu**2
-        return pref * 2.0 * (Om_c + om_l**2) / (Om_c - om_l**2) ** 2
-
-    start = max(float(trunc.n_max_global), 2.0 * om_l * cfg.R / np.pi)
-    tail, _ = integrate.quad(lambda x: integrand(start / x) * start / (x * x), 0.0, 1.0)
     return QuasilocalEnergy(
         raw=raw,
         normalized=raw / (1.0 + mean_occ),
         annihilator_raw=ann_raw,
         annihilator_normalized=ann_raw / mean_occ,
-        tail_bound=float(tail),
+        tail_bound=_energy_tail(region, l, cfg, trunc.n_max_global),
     )
 
 

@@ -155,6 +155,23 @@ def _spectrum_tail(region: Region, l: int, cfg: CavityConfig, om_l: float, n_fro
     return _tail_quad(integrand, float(n_from))
 
 
+def _energy_tail(region: Region, l: int, cfg: CavityConfig, n_from: int) -> float:
+    """Integral-test tail of sum_N Omega_N (alpha_lN^2 + beta_lN^2) beyond
+    N = n_from, sin^2 -> 1/2: the 1/Omega inside |V|^2 cancels the energy
+    weight, leaving 2 pref (Om^2 + om^2)/(Om^2 - om^2)^2."""
+    w = _region_width_freq(region, cfg)
+    om_l = math.sqrt((math.pi * l / w) ** 2 + cfg.mu**2)
+    pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
+
+    def integrand(N: float) -> float:
+        Om_c = (math.pi * N / cfg.R) ** 2 + cfg.mu**2
+        return pref * 2.0 * (Om_c + om_l**2) / (Om_c - om_l**2) ** 2
+
+    # keep the integral test on the monotone side of the resonance pole
+    start = max(float(n_from), 2.0 * om_l * cfg.R / np.pi)
+    return _tail_quad(integrand, start)
+
+
 # ── operations ──────────────────────────────────────────────────────────────
 
 def vacuum_spectrum(
@@ -275,19 +292,7 @@ def local_quantum_energy(
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg, trunc.resonance_eps)
     Om = tables.Omega[: trunc.n_max_global]
     eps_l = float(np.sum(Om * (alpha[0] ** 2 + beta[0] ** 2)))
-
-    w = _region_width_freq(region, cfg)
-    om_l = math.sqrt((math.pi * l / w) ** 2 + cfg.mu**2)
-    pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
-
-    def integrand(N: float) -> float:
-        Om_c = (math.pi * N / cfg.R) ** 2 + cfg.mu**2
-        return pref * 2.0 * (Om_c + om_l**2) / (Om_c - om_l**2) ** 2
-
-    # keep the integral test on the monotone side of the resonance pole
-    start = max(float(trunc.n_max_global), 2.0 * om_l * cfg.R / np.pi)
-    tail = _tail_quad(integrand, start)
-    return EnergyResult(epsilon=eps_l, tail_bound=tail)
+    return EnergyResult(epsilon=eps_l, tail_bound=_energy_tail(region, l, cfg, trunc.n_max_global))
 
 
 def _double_sum_cov(qp: np.ndarray, pq: np.ndarray, qq: np.ndarray, pp: np.ndarray) -> float:

@@ -1,5 +1,5 @@
 """Closed-form Bogoliubov coefficients: hand values, oracle agreement,
-completeness identities, and the disk cache.
+completeness identities, and the block memo.
 
 alpha_mN = (Om_N + om_m) V_mN and beta_mN = (Om_N - om_m) V_mN are real for
 this cavity. Hand values at R=1, r=1/2, mu=0:
@@ -16,13 +16,13 @@ the unitary-inequivalence diagnostic, so the tests freeze their calibrated
 sizes rather than asserting zero.
 """
 
-import logging
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import kgcavity as kg
-from kgcavity.bogoliubov import ENV_CACHE_DIR
+from kgcavity import bogoliubov
 
 L = kg.Region.LEFT
 RG = kg.Region.RIGHT
@@ -163,7 +163,7 @@ def test_diagonal_identity_converges_to_one(blocks_half):
     assert s == pytest.approx(1.0, abs=1e-9)
 
 
-# ── digest and disk cache ────────────────────────────────────────────────────
+# ── digest and block memo ────────────────────────────────────────────────────
 
 def test_block_digest_is_stable_and_sensitive(cfg_half, trunc_10k):
     d1 = kg.block_digest(L, cfg_half, trunc_10k)
@@ -172,46 +172,36 @@ def test_block_digest_is_stable_and_sensitive(cfg_half, trunc_10k):
     assert d1 != kg.block_digest(RG, cfg_half, trunc_10k)
     other = kg.validate_config(1.0, 0.3, 0.0)
     assert d1 != kg.block_digest(L, other, trunc_10k)
-    # digest is dimensionless: a rescaled box hits the same cache entry
+    # digest is dimensionless: a rescaled box hits the same memo entry
     scaled = kg.validate_config(2.0, 1.0, 0.0)
     assert d1 == kg.block_digest(L, scaled, trunc_10k)
 
 
-def test_cache_roundtrip_bit_identical(tmp_path, cfg_half):
-    trunc = kg.Truncation(n_max_global=500, m_max_local=6)
-    tabs = kg.frequencies(cfg_half, trunc)
-    fresh = kg.build_block(L, cfg_half, tabs, trunc, cache_dir=str(tmp_path))
-    digest = kg.block_digest(L, cfg_half, trunc)
-    assert (tmp_path / f"{digest}.csv").exists()
-    assert (tmp_path / f"{digest}.json").exists()
-    kg.clear_memo()
-    reread = kg.build_block(L, cfg_half, tabs, trunc, cache_dir=str(tmp_path))
-    assert np.array_equal(fresh.alpha, reread.alpha)
-    assert np.array_equal(fresh.beta, reread.beta)
+def test_memo_is_a_byte_bounded_lru(cfg_half, monkeypatch):
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    monkeypatch.setattr(bogoliubov, "_MEMO_BYTES", 8_000)   # two 3.2 kB blocks
+    trunc = kg.Truncation(n_max_global=100, m_max_local=2)
 
+    def build(r):
+        cfg = kg.validate_config(1.0, r, 0.0)
+        return kg.build_block(L, cfg, kg.frequencies(cfg, trunc), trunc)
 
-def test_corrupt_cache_recomputes_with_warning(tmp_path, cfg_half, caplog):
-    trunc = kg.Truncation(n_max_global=300, m_max_local=4)
-    tabs = kg.frequencies(cfg_half, trunc)
-    good = kg.build_block(L, cfg_half, tabs, trunc, cache_dir=str(tmp_path))
-    digest = kg.block_digest(L, cfg_half, trunc)
-    path = tmp_path / f"{digest}.csv"
-    path.write_text("0.0,0.0\n")  # wrong shape
-    kg.clear_memo()
-    with caplog.at_level(logging.WARNING):
-        rebuilt = kg.build_block(L, cfg_half, tabs, trunc, cache_dir=str(tmp_path))
-    assert np.array_equal(good.alpha, rebuilt.alpha)
-    assert any("cache" in rec.message.lower() for rec in caplog.records)
+    first, second = build(0.3), build(0.4)
+    assert build(0.3) is first                        # the hit makes 0.4 the oldest
+    third = build(0.5)                                # evicts 0.4
+    held = sum(b.alpha.nbytes + b.beta.nbytes for b in bogoliubov._BLOCK_MEMO.values())
+    assert held <= bogoliubov._MEMO_BYTES
+    assert build(0.5) is third
+    assert build(0.3) is first
+    again = build(0.4)
+    assert again is not second
+    assert np.array_equal(again.alpha, second.alpha)
 
-
-def test_cache_dir_env_variable(tmp_path, cfg_half, monkeypatch):
-    trunc = kg.Truncation(n_max_global=200, m_max_local=3)
-    tabs = kg.frequencies(cfg_half, trunc)
-    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
-    kg.clear_memo()
-    kg.build_block(RG, cfg_half, tabs, trunc)
-    digest = kg.block_digest(RG, cfg_half, trunc)
-    assert (tmp_path / f"{digest}.csv").exists()
+    big = kg.Truncation(n_max_global=1000, m_max_local=2)   # 32 kB > cap
+    tabs = kg.frequencies(cfg_half, big)
+    block = kg.build_block(L, cfg_half, tabs, big)
+    assert kg.build_block(L, cfg_half, tabs, big) is not block
+    assert block.cfg_hash not in bogoliubov._BLOCK_MEMO
 
 
 def test_blocks_are_read_only(blocks_half):

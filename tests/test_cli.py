@@ -20,6 +20,7 @@ def test_parse_float_list_forms():
     assert parse_float_list("10:50:10") == [10.0, 20.0, 30.0, 40.0, 50.0]
     assert parse_float_list("1,2.5,3") == [1.0, 2.5, 3.0]
     assert parse_float_list(" 0.1 ") == [0.1]
+    assert parse_float_list("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
     with pytest.raises(argparse.ArgumentTypeError):
         parse_float_list("1:2")
     with pytest.raises(argparse.ArgumentTypeError):
@@ -191,35 +192,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert side["config"]["r"] == 0.3                 # flag beats file
 
 
-# ── cache maintenance and error paths ───────────────────────────────────────
-
-def test_cache_list_and_purge(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    out = str(tmp_path / "o")
-    assert main(["identities", "--nmax", "300", "--upto", "2",
-                 "--cache-dir", cache, "--out-dir", out]) == 0
-    assert main(["cache", "list", "--cache-dir", cache]) == 0
-    listing = capsys.readouterr().out
-    assert "region=" in listing and "n_max=300" in listing
-    assert main(["cache", "purge", "--cache-dir", cache]) == 0
-    assert "removed" in capsys.readouterr().out
-    assert main(["cache", "list", "--cache-dir", cache]) == 0
-    assert "(cache empty)" in capsys.readouterr().out
-
-
-def test_cache_uses_environment_directory(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CAVITY_CACHE_DIR", str(tmp_path / "envcache"))
-    assert main(["cache", "list"]) == 0
-    assert "does not exist" in capsys.readouterr().out
-
-
-def test_cache_without_directory_fails(monkeypatch, capsys):
-    monkeypatch.delenv("CAVITY_CACHE_DIR", raising=False)
-    rc = main(["cache", "list"])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "CacheIOError"
-
+# ── error paths ─────────────────────────────────────────────────────────────
 
 def test_domain_error_reports_json_and_exit_2(tmp_path, capsys):
     rc = main(["spectrum", "--r", "1.5", "--out-dir", str(tmp_path)])
@@ -227,3 +200,19 @@ def test_domain_error_reports_json_and_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
     assert "r" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--m", "5000", "--mmax", "10"],
+    ["correlations", "--mrows", "20", "--mmax", "5"],
+    ["quasilocal", "--l-list", "2000", "--mmax", "10"],
+])
+def test_out_of_range_local_index_is_a_domain_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("{")]
+    assert len(lines) == 1 and "Traceback" not in err
+    doc = json.loads(lines[0])
+    assert set(doc) == {"error", "message"} and doc["error"] == "DomainError"
+    assert not (out / "manifest.json").exists()

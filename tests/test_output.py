@@ -3,6 +3,7 @@ sidecars and manifests."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,3 +71,9 @@ def test_csv_cells_preserve_full_precision(tmp_path):
     write_csv(path, [], ["v"], [(v,) for v in vals])
     lines = open(path).read().splitlines()[1:]
     assert [float(s) for s in lines] == vals
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert kg.__version__ == tomllib.load(fh)["project"]["version"]
