@@ -188,6 +188,11 @@ def cmd_modes(args) -> int:
     for k, t in enumerate(times):
         mode = evolve_local_mode(region, args.m, grid, t, cfg, tables, trunc, block)
         run.tails[f"t={t:.17g}"] = mode.tail_estimate
+        if mode.gibbs_overshoot is not None:
+            run.tails[f"gibbs_overshoot_t={t:.17g}"] = mode.gibbs_overshoot
+        if mode.truncation_warning:
+            log.warning("series tail estimate %.3g at t=%g exceeds the tolerance; "
+                        "raise --nmax", mode.tail_estimate, t)
         rows = zip(grid, mode.value.real, mode.value.imag, mode.tderiv.real, mode.tderiv.imag)
         run.csv(
             f"mode_{args.region}_m{args.m}_t{k}.csv",
@@ -336,6 +341,7 @@ def cmd_quasilocal(args) -> int:
         comp = wavepacket_comparison(args.wavepacket_m, grid, args.t, cfg, tables, trunc, block)
         run.tails["psi_outside_fraction"] = comp.psi_outside_fraction
         run.tails["u_outside_fraction"] = comp.u_outside_fraction
+        run.tails["u_tail_estimate"] = comp.u.tail_estimate
         run.csv(
             f"wavepacket_m{args.wavepacket_m}.csv",
             _meta(cfg, trunc) + [f"t={args.t:.17g} cone_edge={comp.cone_edge:.17g}"],
@@ -353,6 +359,8 @@ def cmd_quasilocal(args) -> int:
 def cmd_causality(args) -> int:
     cfg, trunc = _resolve(args)
     _check_local(trunc, "--m", args.m)
+    if args.probe_n < 1:
+        raise DomainError(f"--probe-n {args.probe_n} must be >= 1")
     run = _Run(args, "causality", cfg, trunc)
     tables = frequencies(cfg, trunc)
     times = parse_float_list(args.times)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.fft
 
 from .config import CavityConfig, FrequencyTables, Truncation
 
@@ -147,25 +148,48 @@ def eval_local_initial(
     return SampledMode(grid=grid, value=value, tderiv=-1j * om * value, time=0.0)
 
 
+# grid points per block of the dense fallback's (points, N) sine table
+_DENSE_CHUNK = 256
+
+
 def _sine_series(
     grid: np.ndarray,
     R: float,
     cv: np.ndarray,
     cd: np.ndarray,
-    chunk: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum_N c_N sin(pi N x / R) on ``grid`` for the coefficient rows cv and
     cd (N = 1..len(cv)), exactly zero on the walls.
 
-    The N-sum runs in fixed ascending order with numpy's pairwise reduction
-    along the contiguous axis, so the result is bit-identical for any
-    ``chunk`` (the grid is split, never the N-sum within one point).
+    On the uniform grid x_j = j R / K (K = G - 1, the exact output of
+    ``uniform_grid``) sin(pi N j / K) has period 2K in N and is odd under
+    N -> 2K - N, so the coefficients fold into the bins n = 1..K-1 (bins 0
+    and K vanish on every grid point) and one DST-I gives every interior
+    value: O(N + G log G). Any other grid takes the dense O(G N) sum.
     """
+    G = len(grid)
+    value = np.zeros(G, dtype=np.complex128)
+    tderiv = np.zeros(G, dtype=np.complex128)
+    if G >= 3 and np.array_equal(grid, np.linspace(0.0, R, G)):
+        K = G - 1
+        n = np.arange(1, len(cv) + 1) % (2 * K)
+        upper = n > K
+        bins = np.where(upper, 2 * K - n, n)
+        sign = np.where(upper, -1.0, 1.0)
+        folded = np.array([
+            np.bincount(bins, weights=w, minlength=K + 1)[1:K]
+            for c in (cv, cd)
+            for w in (sign * c.real, sign * c.imag)
+        ])
+        # DST-I: y_j = 2 sum_n b_n sin(pi n j / K), j = 1..K-1
+        interior = scipy.fft.dst(folded, type=1, axis=1) / 2.0
+        value[1:K] = interior[0] + 1j * interior[1]
+        tderiv[1:K] = interior[2] + 1j * interior[3]
+        return value, tderiv
+
     n_idx = np.arange(1, len(cv) + 1, dtype=np.float64)
-    value = np.empty(len(grid), dtype=np.complex128)
-    tderiv = np.empty(len(grid), dtype=np.complex128)
-    for lo in range(0, len(grid), chunk):
-        hi = min(lo + chunk, len(grid))
+    for lo in range(0, G, _DENSE_CHUNK):
+        hi = min(lo + _DENSE_CHUNK, G)
         # (points, N) layout keeps the N-reduction on the contiguous axis
         sines = np.sin(np.outer(grid[lo:hi], n_idx) * (np.pi / R))
         value[lo:hi] = np.sum(sines * cv, axis=1)
@@ -186,13 +210,11 @@ def evolve_local_mode(
     trunc: Truncation,
     block: "BogoliubovBlock",
     tail_tol: float = 1e-6,
-    chunk: int = 256,
 ) -> SampledMode:
     """Local mode u_m at time t from the truncated global series.
 
     value(x) = sum_N (alpha_mN e^{-i Omega_N t} + beta_mN e^{+i Omega_N t}) U_N(x),
-    tderiv the termwise time derivative, both summed by ``_sine_series``
-    (bit-identical for any ``chunk``).
+    tderiv the termwise time derivative, both summed by ``_sine_series``.
     """
     if block.region is not region:
         raise ValueError(f"block was built for {block.region}, asked to evolve {region}")
@@ -214,7 +236,7 @@ def evolve_local_mode(
     cv = (a_row * phase_neg + b_row * np.conj(phase_neg)) * norm
     cd = (-1j * Om) * (a_row * phase_neg - b_row * np.conj(phase_neg)) * norm
 
-    value, tderiv = _sine_series(grid, cfg.R, cv, cd, chunk)
+    value, tderiv = _sine_series(grid, cfg.R, cv, cd)
 
     # Tail envelope: |term| <= (|alpha|+|beta|)/sqrt(R Omega) ~ c/N^2; the
     # neglected sum is then ~ c/n_max by the integral test.

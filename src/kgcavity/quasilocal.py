@@ -160,7 +160,6 @@ def quasilocal_wavepacket(
     tables: FrequencyTables,
     trunc: Truncation,
     region: Region = Region.LEFT,
-    chunk: int = 256,
 ) -> SampledMode:
     """psi_m(x, t) = sum_N alpha_mN U_N(x, t) / sqrt(1 + <n_m>).
 
@@ -177,7 +176,7 @@ def quasilocal_wavepacket(
 
     cv = alpha[0] * np.exp(-1j * Om * t) / np.sqrt(cfg.R * Om) / norm
     cd = -1j * Om * cv
-    value, tderiv = _sine_series(grid, cfg.R, cv, cd, chunk)
+    value, tderiv = _sine_series(grid, cfg.R, cv, cd)
     return SampledMode(grid=grid, value=value, tderiv=tderiv, time=float(t))
 
 

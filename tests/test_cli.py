@@ -75,15 +75,24 @@ def test_reruns_are_byte_identical(tmp_path):
         assert ma[key] == mb[key]
 
 
-def test_modes_writes_one_csv_per_time(tmp_path):
+def test_modes_writes_one_csv_per_time(tmp_path, caplog):
     out = str(tmp_path / "m")
     rc = main(["modes", "--nmax", "500", "--mmax", "4", "--grid", "257",
                "--times", "0:0.2:0.1", "--m", "2", "--out-dir", out])
     assert rc == 0
-    names = [o["path"] for o in _read_json(os.path.join(out, "manifest.json"))["outputs"]]
+    man = _read_json(os.path.join(out, "manifest.json"))
+    names = [o["path"] for o in man["outputs"]]
     assert names == ["mode_left_m2_t0.csv", "mode_left_m2_t1.csv", "mode_left_m2_t2.csv"]
     header = open(os.path.join(out, names[0])).read().splitlines()
     assert header[3] == "x,re_value,im_value,re_tderiv,im_tderiv"
+    # the evolution's own diagnostics reach the manifest, never the CSVs
+    tails = man["tail_bounds"]
+    assert set(tails) == {"t=0", "t=0.10000000000000001", "t=0.20000000000000001",
+                          "gibbs_overshoot_t=0"}
+    assert all(v > 0 for k, v in tails.items() if k.startswith("t="))
+    # at n_max = 500 the tail estimate exceeds the default tolerance
+    warned = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 3 and "tail estimate" in warned[0].getMessage()
 
 
 def test_correlations_with_verification_columns(tmp_path):
@@ -102,11 +111,14 @@ def test_correlations_with_verification_columns(tmp_path):
 
 def test_quasilocal_products(tmp_path):
     out = str(tmp_path / "q")
-    rc = main(["quasilocal", "--nmax", "1000", "--mmax", "4",
-               "--l-list", "1,2", "--out-dir", out])
+    rc = main(["quasilocal", "--nmax", "1000", "--mmax", "4", "--grid", "257",
+               "--l-list", "1,2", "--wavepacket-m", "1", "--t", "0.1", "--out-dir", out])
     assert rc == 0
-    names = [o["path"] for o in _read_json(os.path.join(out, "manifest.json"))["outputs"]]
-    assert names == ["overlap_l1.csv", "overlap_l2.csv", "bandwidth.csv", "steering.csv"]
+    man = _read_json(os.path.join(out, "manifest.json"))
+    names = [o["path"] for o in man["outputs"]]
+    assert names == ["overlap_l1.csv", "overlap_l2.csv", "bandwidth.csv", "steering.csv",
+                     "wavepacket_m1.csv"]
+    assert man["tail_bounds"]["u_tail_estimate"] > 0
     band = open(os.path.join(out, "bandwidth.csv")).read().splitlines()
     assert band[3].startswith("l,omega_l,delta_Omega")
     steer = open(os.path.join(out, "steering.csv")).read().splitlines()
@@ -206,6 +218,7 @@ def test_domain_error_reports_json_and_exit_2(tmp_path, capsys):
     ["modes", "--m", "5000", "--mmax", "10"],
     ["correlations", "--mrows", "20", "--mmax", "5"],
     ["quasilocal", "--l-list", "2000", "--mmax", "10"],
+    ["causality", "--probe-n", "0"],
 ])
 def test_out_of_range_local_index_is_a_domain_error(tmp_path, capsys, argv):
     out = tmp_path / "o"

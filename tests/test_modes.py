@@ -8,10 +8,15 @@ interior error at n_max = 1e4 is 5.4e-8 (r = 0.21, m = 1), frozen below
 at 5e-7.
 """
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgcavity as kg
+from kgcavity.modes import _sine_series
 
 L = kg.Region.LEFT
 RG = kg.Region.RIGHT
@@ -115,15 +120,82 @@ def test_evolution_preserves_kg_norm(narrow, quad):
     assert abs(kg.kg_inner(uf, uf, quad).real - 1.0) < abs(norm.real - 1.0)
 
 
-def test_evolution_is_chunk_invariant_bitwise(narrow):
-    # The N-reduction happens per grid chunk with a fixed operand layout, so
-    # the chunk size must not change a single bit of the output.
-    cfg, tabs, trunc, block = narrow[1_000]
-    grid = kg.uniform_grid(cfg, 513)
-    a = kg.evolve_local_mode(L, 1, grid, 0.3, cfg, tabs, trunc, block, chunk=256)
-    b = kg.evolve_local_mode(L, 1, grid, 0.3, cfg, tabs, trunc, block, chunk=97)
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(a.tderiv, b.tderiv)
+# ── fold-and-DST fast path against the dense sum ─────────────────────────────
+
+def _dense_reference(grid, R, cv, cd):
+    # the reversed grid is not the output of uniform_grid, so the same points
+    # go through the dense O(G N) fallback
+    value, tderiv = _sine_series(grid[::-1], R, cv, cd)
+    return value[::-1], tderiv[::-1]
+
+
+def _assert_matches_dense(fast, dense, rel=1e-12):
+    for got, want in zip(fast, dense):
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("G, n_max", [
+    (65, 40),         # N < G - 1
+    (65, 64),         # N = K: last term sits on the dropped fold bin K
+    (65, 128),        # N = 2K: wraps onto the dropped bin 0
+    (257, 10_000),    # N >> G: every bin collects ~20 terms
+])
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_fast_series_matches_dense_fallback(G, n_max, t):
+    cfg = kg.validate_config(1.0, 0.21, 0.0)
+    trunc = kg.Truncation(n_max_global=n_max, m_max_local=2, grid_points=G)
+    tabs = kg.frequencies(cfg, trunc)
+    block = kg.build_block(L, cfg, tabs, trunc)
+    grid = kg.uniform_grid(cfg, G)
+    fast = kg.evolve_local_mode(L, 1, grid, t, cfg, tabs, trunc, block)
+    dense = kg.evolve_local_mode(L, 1, grid[::-1], t, cfg, tabs, trunc, block)
+    _assert_matches_dense((fast.value, fast.tderiv),
+                          (dense.value[::-1], dense.tderiv[::-1]))
+    assert fast.value[0] == fast.value[-1] == 0.0
+    assert fast.tderiv[0] == fast.tderiv[-1] == 0.0
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    G=st.integers(3, 40),
+    R=st.floats(0.1, 10.0, **_finite),
+    coeffs=st.integers(1, 200).flatmap(lambda n: st.tuples(
+        *(hnp.arrays(np.complex128, n, elements=st.complex_numbers(max_magnitude=1e3, **_finite))
+          for _ in range(2))
+    )),
+)
+def test_fast_series_equals_dense_sum_property(G, R, coeffs):
+    cv, cd = coeffs
+    grid = np.linspace(0.0, R, G)
+    fast = _sine_series(grid, R, cv, cd)
+    dense = _dense_reference(grid, R, cv, cd)
+    # rounding in either route is bounded by the coefficients' l1 norm
+    for got, want, c in zip(fast, dense, (cv, cd)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(c))
+        assert got[0] == got[-1] == 0.0
+
+
+def test_non_uniform_grid_takes_the_dense_path(monkeypatch):
+    rng = np.random.default_rng(7)
+    cv = rng.normal(size=300) + 1j * rng.normal(size=300)
+    cd = rng.normal(size=300) + 1j * rng.normal(size=300)
+    grid = np.linspace(0.0, 1.0, 129)
+    fast = _sine_series(grid, 1.0, cv, cd)
+    nudged = grid.copy()
+    nudged[40] += 1e-3
+
+    def no_dst(*args, **kwargs):
+        raise AssertionError("scipy.fft.dst called")
+
+    monkeypatch.setattr(scipy.fft, "dst", no_dst)
+    with pytest.raises(AssertionError, match="dst called"):
+        _sine_series(grid, 1.0, cv, cd)         # the uniform grid does take it
+    dense = _sine_series(nudged, 1.0, cv, cd)
+    keep = np.arange(len(grid)) != 40
+    _assert_matches_dense((fast[0][keep], fast[1][keep]), (dense[0][keep], dense[1][keep]))
 
 
 def test_tail_estimate_and_truncation_warning(narrow):
