@@ -269,24 +269,18 @@ def identity_residuals(
     """Residuals of (u_m|u_l) = delta, (u_m|u_l*) = 0, and the cross-region
     pairings (u_m|u_bar_l) = (u_m|u_bar_l*) = 0, for all m, l <= upto.
 
-    Expanded in the (truncated) global basis these are plain coefficient
-    sums; the reductions run index-by-index with numpy's pairwise sum so the
-    report is deterministic.
+    Expanded in the (truncated) global basis these are Gram matrices of the
+    first ``upto`` coefficient rows, P = alpha and Q = beta (primed: right):
+
+        D1 = |P P^T - Q Q^T - I|     D1_cross = |P P'^T - Q Q'^T|
+        D2 = |P Q^T - Q P^T|         D2_cross = |P Q'^T - Q P'^T|
     """
     if upto > left.alpha.shape[0] or upto > right.alpha.shape[0]:
         raise IndexError(f"upto={upto} exceeds the available block rows")
-    D1 = np.empty((upto, upto))
-    D2 = np.empty((upto, upto))
-    D1x = np.empty((upto, upto))
-    D2x = np.empty((upto, upto))
-    for i in range(upto):
-        am, bm = left.alpha[i], left.beta[i]
-        for j in range(upto):
-            al, bl = left.alpha[j], left.beta[j]
-            ar, br = right.alpha[j], right.beta[j]
-            delta = 1.0 if i == j else 0.0
-            D1[i, j] = abs(np.sum(am * al - bm * bl) - delta)
-            D2[i, j] = abs(np.sum(am * bl - bm * al))
-            D1x[i, j] = abs(np.sum(am * ar - bm * br))
-            D2x[i, j] = abs(np.sum(am * br - bm * ar))
+    P, Q = left.alpha[:upto], left.beta[:upto]
+    Pb, Qb = right.alpha[:upto], right.beta[:upto]
+    D1 = np.abs(P @ P.T - Q @ Q.T - np.eye(upto))
+    D2 = np.abs(P @ Q.T - Q @ P.T)
+    D1x = np.abs(P @ Pb.T - Q @ Qb.T)
+    D2x = np.abs(P @ Qb.T - Q @ Pb.T)
     return IdentityResiduals(D1=D1, D2=D2, D1_cross=D1x, D2_cross=D2x)

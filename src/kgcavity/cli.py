@@ -272,13 +272,7 @@ def cmd_correlations(args) -> int:
     right = build_block(Region.RIGHT, cfg, tables, trunc)
     m_range = range(1, args.mrows + 1)
     n_range = range(1, args.nrows + 1)
-    report = wick_moments(
-        m_range, n_range, left, right,
-        verify_double_sum=args.verify_double_sum,
-        paper_norm=args.paper_norm,
-    )
-    if report.double_sum_max_rel_diff is not None:
-        run.tails["double_sum_max_rel_diff"] = report.double_sum_max_rel_diff
+    report = wick_moments(m_range, n_range, left, right, paper_norm=args.paper_norm)
     names = ["m", "n", "cov", "corr"] + (["corr_summed_norm"] if args.paper_norm else [])
     rows = []
     for i, m in enumerate(report.m_range):
@@ -496,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nrows", type=int, default=10)
     sp.add_argument("--paper-norm", action="store_true",
                     help="also emit the summed-spectrum normalization variant")
-    sp.add_argument("--verify-double-sum", action="store_true",
-                    help="re-evaluate cov as the explicit double sum (slow)")
     sp.set_defaults(func=cmd_correlations)
 
     sp = sub.add_parser("quasilocal", parents=[common, with_nmax], help="quasi-local state analysis")

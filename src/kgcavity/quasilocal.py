@@ -31,7 +31,7 @@ from .config import (
     Truncation,
 )
 from .modes import Region, SampledMode, _sine_series, evolve_local_mode
-from .vacuum import _energy_tail
+from .vacuum import _energy_tail, _row_dots
 
 __all__ = [
     "OverlapDistribution",
@@ -254,25 +254,20 @@ def steering_shift(
     completeness identities — keeping both is a live cross-check that the
     truncated dictionary behaves.
     """
-    l_range = tuple(int(l) for l in l_range)
+    if method not in ("wick", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+    l_idx = np.array([int(l) for l in l_range], dtype=np.int64)
     N_idx = np.arange(1, trunc.n_max_global + 1)
     a_m, b_m = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg, trunc.resonance_eps)
     a_m, b_m = a_m[0], b_m[0]
-    B_m = float(np.sum(b_m * b_m))
-    A_m = float(np.sum(a_m * a_m))
+    B_m = float(np.dot(b_m, b_m))
+    a_l, b_l = coeff_grid(Region.RIGHT, l_idx, N_idx, cfg, trunc.resonance_eps)
 
-    shifts = np.empty(len(l_range))
-    for i, l in enumerate(l_range):
-        a_l, b_l = coeff_grid(Region.RIGHT, np.array([l]), N_idx, cfg, trunc.resonance_eps)
-        a_l, b_l = a_l[0], b_l[0]
-        if method == "wick":
-            cov = np.sum(b_m * a_l) * np.sum(a_m * b_l) + np.sum(b_m * b_l) * np.sum(a_m * a_l)
-            shifts[i] = cov / (1.0 + B_m)
-        elif method == "direct":
-            X1 = float(np.sum(a_m * a_l))
-            X2 = float(np.sum(a_m * b_l))
-            B_l = float(np.sum(b_l * b_l))
-            shifts[i] = (X1 * X1 + X2 * X2 + B_l * A_m) / (1.0 + B_m) - B_l
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return shifts
+    if method == "wick":
+        cov = (a_l @ b_m) * (b_l @ a_m) + (b_l @ b_m) * (a_l @ a_m)
+        return cov / (1.0 + B_m)
+    X1 = a_l @ a_m
+    X2 = b_l @ a_m
+    B_l = _row_dots(b_l, b_l)
+    A_m = float(np.dot(a_m, a_m))
+    return (X1 * X1 + X2 * X2 + B_l * A_m) / (1.0 + B_m) - B_l

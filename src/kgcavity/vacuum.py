@@ -9,8 +9,9 @@ and the unitary-inequivalence diagnostics are all plain coefficient sums:
     var(n_m)     = (sum p^2)(sum q^2) + (sum p q)^2          (Wick)
     cov(n_m,n_n) = (sum q p')(sum p q') + (sum q q')(sum p p')
 
-with primes the other region's rows. Every sum here is a fixed-order
-numpy pairwise reduction; tail bounds use the integral test with sin^2
+with primes the other region's rows. Over a set of rows these sums are
+Gram matrices, so the moments are BLAS matrix products, deterministic for
+a fixed BLAS thread count; tail bounds use the integral test with sin^2
 replaced by its mean 1/2, and are reported, never silently applied.
 """
 
@@ -108,7 +109,6 @@ class MomentReport:
     cov: np.ndarray
     corr: np.ndarray
     corr_paper_norm: np.ndarray | None = None
-    double_sum_max_rel_diff: float | None = None
 
 
 @dataclass(frozen=True)
@@ -295,20 +295,20 @@ def local_quantum_energy(
     return EnergyResult(epsilon=eps_l, tail_bound=_energy_tail(region, l, cfg, trunc.n_max_global))
 
 
-def _double_sum_cov(qp: np.ndarray, pq: np.ndarray, qq: np.ndarray, pp: np.ndarray) -> float:
-    """cov via the explicit (N, P) double sum (verification route).
+def _rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) rows m-1 for m in ``rows``: a view when the rows are
+    consecutive, otherwise a copy of the requested rows only."""
+    first = rows[0] if rows else 1
+    if rows == tuple(range(first, first + len(rows))):
+        sel = slice(first - 1, first - 1 + len(rows))
+    else:
+        sel = np.asarray(rows) - 1
+    return block.alpha[sel], block.beta[sel]
 
-    Evaluates sum_{N,P} [ qp[N] pq[P] + qq[N] pp[P] ] term by term in fixed
-    chunks; O(n_max^2) work, kept only as a cross-check of the factored form.
-    """
-    chunk = 1024
-    n = len(qp)
-    partials = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = qp[:, None] * pq[None, lo:hi] + qq[:, None] * pp[None, lo:hi]
-        partials.append(float(np.sum(block)))
-    return math.fsum(partials)
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_N x[i, N] y[i, N] per row i, without an x*y temporary."""
+    return np.einsum("ij,ij->i", x, y)
 
 
 def wick_moments(
@@ -316,14 +316,17 @@ def wick_moments(
     n_range,
     left_block: BogoliubovBlock,
     right_block: BogoliubovBlock,
-    verify_double_sum: bool = False,
     paper_norm: bool = False,
 ) -> MomentReport:
     """Means, variances, covariances and correlations of (n_m, n_bar_n).
 
-    cov factors into products of single sums (Wick), reducing O(N^2) to
-    O(N); ``verify_double_sum`` re-evaluates each cov entry as the explicit
-    (N, P) double sum and reports the worst relative disagreement.
+    With P, Q the selected alpha, beta rows of the left block and P', Q'
+    those of the right block, Wick's theorem turns every moment into a
+    single sum over global modes:
+
+        mean = sum q^2,  var = (sum p^2)(sum q^2) + (sum p q)^2  (row-wise)
+        cov  = (Q P'^T) o (P Q'^T) + (Q Q'^T) o (P P'^T)          (o: entrywise)
+
     ``paper_norm`` adds a second correlation matrix whose denominator is the
     *summed* spectrum over all block rows on each side (a normalization some
     presentations use; it grows with the local cutoff, so it is not the
@@ -340,36 +343,14 @@ def wick_moments(
         if not 1 <= n <= right_block.alpha.shape[0]:
             raise IndexError(f"n={n} outside the right block")
 
-    def side_stats(block: BogoliubovBlock, rows) -> tuple[np.ndarray, np.ndarray]:
-        means = np.empty(len(rows))
-        variances = np.empty(len(rows))
-        for i, m in enumerate(rows):
-            p, q = block.alpha[m - 1], block.beta[m - 1]
-            A = np.sum(p * p)
-            B = np.sum(q * q)
-            C = np.sum(p * q)
-            means[i] = B
-            variances[i] = A * B + C * C
-        return means, variances
+    P, Q = _rows(left_block, m_range)
+    Pb, Qb = _rows(right_block, n_range)
 
-    mean_left, var_left = side_stats(left_block, m_range)
-    mean_right, var_right = side_stats(right_block, n_range)
-
-    cov = np.empty((len(m_range), len(n_range)))
-    worst_rel = 0.0
-    for i, m in enumerate(m_range):
-        p, q = left_block.alpha[m - 1], left_block.beta[m - 1]
-        for j, n in enumerate(n_range):
-            pb, qb = right_block.alpha[n - 1], right_block.beta[n - 1]
-            qp = q * pb
-            pq = p * qb
-            qq = q * qb
-            pp = p * pb
-            cov[i, j] = np.sum(qp) * np.sum(pq) + np.sum(qq) * np.sum(pp)
-            if verify_double_sum:
-                ds = _double_sum_cov(qp, pq, qq, pp)
-                scale = max(abs(cov[i, j]), abs(ds), 1e-300)
-                worst_rel = max(worst_rel, abs(cov[i, j] - ds) / scale)
+    mean_left = _row_dots(Q, Q)
+    var_left = _row_dots(P, P) * mean_left + _row_dots(P, Q) ** 2
+    mean_right = _row_dots(Qb, Qb)
+    var_right = _row_dots(Pb, Pb) * mean_right + _row_dots(Pb, Qb) ** 2
+    cov = (Q @ Pb.T) * (P @ Qb.T) + (Q @ Qb.T) * (P @ Pb.T)
 
     # A vanishing variance forces a vanishing covariance (Cauchy-Schwarz),
     # so the 0/0 rows of a beta-free block are genuinely uncorrelated.
@@ -380,8 +361,8 @@ def wick_moments(
 
     corr_paper = None
     if paper_norm:
-        total_left = float(np.sum(np.sum(left_block.beta**2, axis=1)))
-        total_right = float(np.sum(np.sum(right_block.beta**2, axis=1)))
+        total_left = float(np.sum(_row_dots(left_block.beta, left_block.beta)))
+        total_right = float(np.sum(_row_dots(right_block.beta, right_block.beta)))
         corr_paper = cov / math.sqrt(total_left * total_right)
 
     return MomentReport(
@@ -394,7 +375,6 @@ def wick_moments(
         cov=cov,
         corr=corr,
         corr_paper_norm=corr_paper,
-        double_sum_max_rel_diff=worst_rel if verify_double_sum else None,
     )
 
 

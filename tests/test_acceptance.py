@@ -340,11 +340,18 @@ def test_criterion_14_cli_reruns_byte_identical(tmp_path):
         assert main(["diverge", "--nmax", "400", "--mmax", "2", "--N-list", "1,2",
                      "--M-list", "10,100,1000", "--n-list", "100,200",
                      "--out-dir", str(out)]) == 0
+        # the Wick moments and residuals are BLAS products
+        assert main(["correlations", "--nmax", "600", "--mmax", "12", "--mrows", "6",
+                     "--nrows", "9", "--paper-norm", "--out-dir", str(out)]) == 0
+        assert main(["identities", "--nmax", "400,800", "--upto", "5",
+                     "--out-dir", str(out)]) == 0
         run = {}
-        for name in ("spectrum.csv", "diverge.csv", "converge.csv"):
+        for name in ("spectrum.csv", "diverge.csv", "converge.csv",
+                     "correlations.csv", "moments.csv", "identities.csv"):
             with open(os.path.join(out, name), "rb") as fh:
                 run[name] = hashlib.sha256(fh.read()).hexdigest()
         digests.append(run)
     assert digests[0] == digests[1]
-    _line(14, "PASS", "spectrum + diverge reruns byte-identical: "
+    _line(14, "PASS", "spectrum + diverge + correlations + identities reruns "
+                      "byte-identical: "
           + ", ".join(f"{k} {v[:10]}…" for k, v in digests[0].items()))

@@ -16,6 +16,7 @@ the unitary-inequivalence diagnostic, so the tests freeze their calibrated
 sizes rather than asserting zero.
 """
 
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -154,6 +155,30 @@ def test_identity_residuals_decay_with_truncation(cfg_half):
     assert maxima[1] < maxima[0] / 100.0
     assert maxima[0] < 3e-7
     assert maxima[1] < 3e-10
+
+
+def test_identity_residuals_match_fsum_reference(blocks_half):
+    # per-pair reference: each identity summed exactly over N by math.fsum
+    def fsum_diff(x, y, u, v):
+        return math.fsum(np.concatenate([x * y, -(u * v)]))
+
+    left, right = blocks_half
+    upto = 6
+    res = kg.identity_residuals(left, right, upto=upto)
+    ref = {name: np.empty((upto, upto)) for name in ("D1", "D2", "D1_cross", "D2_cross")}
+    for i in range(upto):
+        am, bm = left.alpha[i], left.beta[i]
+        for j in range(upto):
+            al, bl = left.alpha[j], left.beta[j]
+            ar, br = right.alpha[j], right.beta[j]
+            ref["D1"][i, j] = abs(fsum_diff(am, al, bm, bl) - (1.0 if i == j else 0.0))
+            ref["D2"][i, j] = abs(fsum_diff(am, bl, bm, al))
+            ref["D1_cross"][i, j] = abs(fsum_diff(am, ar, bm, br))
+            ref["D2_cross"][i, j] = abs(fsum_diff(am, br, bm, ar))
+    # the summands are O(1) while the residuals are ~1e-10, so the bound is
+    # absolute: rounding of O(1) sums over 1e4 terms
+    for name, want in ref.items():
+        assert np.max(np.abs(getattr(res, name) - want)) <= 1e-13, name
 
 
 def test_diagonal_identity_converges_to_one(blocks_half):

@@ -98,15 +98,17 @@ def test_modes_writes_one_csv_per_time(tmp_path, caplog):
 def test_correlations_with_verification_columns(tmp_path):
     out = str(tmp_path / "c")
     rc = main(["correlations", "--nmax", "500", "--mmax", "4",
-               "--mrows", "2", "--nrows", "2", "--paper-norm",
-               "--verify-double-sum", "--out-dir", out])
+               "--mrows", "2", "--nrows", "2", "--paper-norm", "--out-dir", out])
     assert rc == 0
     lines = open(os.path.join(out, "correlations.csv")).read().splitlines()
     assert lines[2] == "m,n,cov,corr,corr_summed_norm"
     assert len(lines) == 3 + 4                        # 2x2 entries
-    side = _read_json(os.path.join(out, "correlations.json"))
-    assert side["tail_bounds"]["double_sum_max_rel_diff"] <= 1e-10
     assert os.path.exists(os.path.join(out, "moments.csv"))
+    # the explicit double-sum route is gone; argparse refuses its flag
+    with pytest.raises(SystemExit) as exc:
+        main(["correlations", "--nmax", "500", "--mmax", "4", "--verify-double-sum",
+              "--out-dir", str(tmp_path / "d")])
+    assert exc.value.code == 2
 
 
 def test_quasilocal_products(tmp_path):

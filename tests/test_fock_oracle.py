@@ -5,8 +5,11 @@ populate occupations past 2: the cap-2 oracle is exact, and raising the cap
 must not change a single bit.
 """
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgcavity as kg
 from kgcavity.fock_oracle import TruncatedFock, oracle_moments
@@ -75,6 +78,45 @@ def test_oracle_matches_wick_on_random_rows(rng):
         assert mom.var_m == pytest.approx(var, rel=1e-12, abs=1e-15)
         assert mom.cov == pytest.approx(cov, rel=1e-12, abs=1e-15)
         assert mom.imag_residue <= 1e-14
+
+
+def _random_block(region, n_rows, n_modes):
+    """Strategy: a BogoliubovBlock of n_rows random (alpha, beta) rows.
+
+    Entries stay within 0.4 as in the seeded oracle tests: the oracle forms
+    var and cov as differences of second moments, so its own rounding grows
+    like <n>^2, and rows of squared norm below 1 keep it under the 1e-15
+    absolute floor (entries of 1 put it at 1.8e-15 where Wick is exactly 0).
+    """
+    rows = hnp.arrays(np.float64, (n_rows, n_modes),
+                      elements=st.floats(-0.4, 0.4, allow_nan=False, allow_infinity=False))
+    return st.tuples(rows, rows).map(
+        lambda ab: kg.BogoliubovBlock(region=region, alpha=ab[0], beta=ab[1],
+                                      cfg_hash="random-rows"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.tuples(_random_block(kg.Region.LEFT, shape[1], shape[0]),
+                            _random_block(kg.Region.RIGHT, shape[2], shape[0]))))
+def test_wick_moments_equal_fock_oracle_property(blocks):
+    left, right = blocks
+    (n_left, n_modes), n_right = left.alpha.shape, right.alpha.shape[0]
+    fk = TruncatedFock(n_modes=n_modes)
+    rep = kg.wick_moments(range(1, n_left + 1), range(1, n_right + 1), left, right)
+    close = dict(rel=1e-12, abs=1e-15)
+    for i in range(n_left):
+        row = (left.alpha[i], left.beta[i])
+        for j in range(n_right):
+            far = (right.alpha[j], right.beta[j])
+            mom = oracle_moments(row, far, fk)
+            assert rep.mean_left[i] == pytest.approx(mom.mean_m, **close)
+            assert rep.var_left[i] == pytest.approx(mom.var_m, **close)
+            assert rep.mean_right[j] == pytest.approx(mom.mean_n, **close)
+            assert rep.cov[i, j] == pytest.approx(mom.cov, **close)
+            # the oracle reports only the first row's variance: swap the sides
+            swapped = oracle_moments(far, row, fk)
+            assert rep.var_right[j] == pytest.approx(swapped.var_m, **close)
 
 
 def test_occupation_cap_is_bit_exact(rng):

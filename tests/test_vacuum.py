@@ -13,6 +13,8 @@ The 1e6-1e4 difference is 1.01e-9 — the integral-test tail bound at 1e4
 is tight to three digits.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -132,12 +134,46 @@ def test_local_vacuum_substitute_has_zero_correlations(blocks_half):
     assert np.all(rep.mean_left == 0.0)
 
 
-def test_double_sum_verification_route(blocks_half):
-    left, right = blocks_half
-    rep = kg.wick_moments(range(1, 4), range(1, 4), left, right,
-                          verify_double_sum=True)
-    assert rep.double_sum_max_rel_diff is not None
-    assert rep.double_sum_max_rel_diff <= 1e-10  # calibrated: ~6e-15
+def _fsum_moments(left, right, m_range, n_range):
+    """Per-pair reference: every Wick sum accumulated exactly by math.fsum."""
+    def s(x, y):
+        return math.fsum(x * y)
+
+    def side(block, rows):
+        stats = []
+        for m in rows:
+            p, q = block.alpha[m - 1], block.beta[m - 1]
+            stats.append((s(q, q), s(p, p) * s(q, q) + s(p, q) ** 2))
+        return np.array(stats).T
+
+    cov = np.empty((len(m_range), len(n_range)))
+    for i, m in enumerate(m_range):
+        p, q = left.alpha[m - 1], left.beta[m - 1]
+        for j, n in enumerate(n_range):
+            pb, qb = right.alpha[n - 1], right.beta[n - 1]
+            cov[i, j] = s(q, pb) * s(p, qb) + s(q, qb) * s(p, pb)
+    return side(left, m_range), side(right, n_range), cov
+
+
+@pytest.mark.parametrize("r, mu, m_max, m_range, n_range, bound", [
+    (0.5, 0.0, 60, range(1, 6), range(1, 9), 1e-13),
+    (0.5, 0.0, 60, [4, 1, 3], [7, 2, 2, 5], 1e-13),      # rows copied, not sliced
+    (0.21, 4.7619, 8, range(1, 6), range(1, 9), 1e-13),
+    # criterion 8's heavily cancelling regime: the per-pair loop this
+    # replaced was 1.9e-12 off the reference there, the Gram form 8.8e-13
+    (1 / np.pi, 1000.0, 40, range(1, 11), range(1, 41), 5e-12),
+], ids=["half", "half-scattered-rows", "narrow", "criterion8-mu1000"])
+def test_wick_moments_match_fsum_reference(r, mu, m_max, m_range, n_range, bound):
+    cfg = kg.validate_config(1.0, r, mu)
+    trunc = kg.Truncation(n_max_global=10_000, m_max_local=m_max)
+    tabs = kg.frequencies(cfg, trunc)
+    left = kg.build_block(L, cfg, tabs, trunc)
+    right = kg.build_block(RG, cfg, tabs, trunc)
+    rep = kg.wick_moments(m_range, n_range, left, right)
+    (mean_l, var_l), (mean_r, var_r), cov = _fsum_moments(left, right, m_range, n_range)
+    for got, want in ((rep.mean_left, mean_l), (rep.var_left, var_l),
+                      (rep.mean_right, mean_r), (rep.var_right, var_r), (rep.cov, cov)):
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 def test_paper_norm_variant_is_proportional_to_cov(blocks_half):
