@@ -22,6 +22,8 @@ from .bogoliubov import (
     identity_residuals,
 )
 from .causality import (
+    Commutators,
+    Leakage,
     ProbeSpec,
     commutator_pair,
     eval_probe_initial,
@@ -35,6 +37,7 @@ from .config import (
     DomainError,
     FrequencyTables,
     GridMismatch,
+    KgCavityError,
     ThresholdUnreachable,
     Truncation,
     frequencies,
@@ -82,6 +85,7 @@ from .vacuum import (
 __all__ = [
     "BogoliubovBlock",
     "CavityConfig",
+    "Commutators",
     "DimensionError",
     "DivergenceScan",
     "DomainError",
@@ -90,6 +94,8 @@ __all__ = [
     "GridMismatch",
     "IdentityResiduals",
     "InnerProduct",
+    "KgCavityError",
+    "Leakage",
     "ModeSumConvergence",
     "MomentReport",
     "OracleMoments",

@@ -7,21 +7,35 @@ U_N is
     alpha_mN = (U_N | u_m)  = (omega_m + Omega_N) V_mN ,
     beta_mN  = -(U_N*| u_m) = (Omega_N - omega_m) V_mN ,
 
-all real for this geometry. The textbook closed form for V_mN is a 0/0 at
-resonances Omega_N = omega_m (possible whenever r/R is rational). Writing
-eps = N*width/R - m, the same integral evaluates exactly to
+all real for this geometry. Everything is evaluated in the dimensionless
+reduction (R = 1, width w = r/R or 1 - r/R, mass mu*R), which is exact
+because the coefficients depend on (r/R, mu*R) only. Writing
+eps = N w - m, three exact identities split the closed form into a row
+vector a_m and a column vector b_N:
 
-    V_mN = s * m * width * sinc(eps) / ((2m + eps) * sqrt(R width Omega_N omega_m))
+    sin(pi (N w - m))     = (-1)^m sin(pi N w)
+    Omega_N^2 - omega_m^2 = (pi/w)^2 (N w - m)(N w + m) = (pi/w)^2 eps (2m + eps)
+    sqrt(w Omega omega)   = sqrt(w) sqrt(Omega) sqrt(omega)
 
-with sinc(x) = sin(pi x)/(pi x), s = +1 for the left family and
-s = (-1)^(N+m) for the right family. This form is finite and smooth through
-eps = 0 and reproduces the generic formula identically elsewhere, because
-sin(N pi r / R) = (-1)^m sin(pi eps) and
-Omega_N^2 - omega_m^2 = (pi/width)^2 eps (2m + eps) on the left (mirrored
-on the right). At eps = 0 it gives the resonance limit
-(width/2)/sqrt(R width Omega omega), whose sign is pinned by the quadrature
-oracle. The coefficients are scale invariant: they depend on (r/R, mu*R)
-only.
+With a_m = (-1)^m m sqrt(w) / (pi sqrt(omega_m)) and
+b_N = sin(pi N w) / sqrt(Omega_N),
+
+    V     = a_m b_N / (eps (2m + eps))
+    alpha = (Omega_N + omega_m) V
+    beta  = (pi/w)^2 a_m b_N / (Omega_N + omega_m)
+
+so the 2-D work is one rational pass; the trig, roots and signs live in
+O(m + N) vectors. This beta has no cancellation, where (Omega - omega) V
+loses digits once mu R makes both frequencies large. The right family's
+sign (-1)^(N+m) is folded into a_m and b_N. sin(pi N w) is evaluated on the
+reduced argument sin(pi f) (-1)^k, k = round(N w), f = N w - k, so it is an
+exact 0 in every column where N w is an integer: the Kronecker zeros.
+
+V is a 0/0 at resonances Omega_N = omega_m (eps = 0, possible whenever r/R
+is rational). Inside the window |Omega^2 - omega^2| / (Omega^2 + omega^2)
+<= resonance_eps (Kronecker zeros excluded) alpha takes the analytic limit
+V = (w/2)/sqrt(w Omega omega), whose sign is pinned by the quadrature
+oracle; beta needs no such branch.
 """
 
 from __future__ import annotations
@@ -53,6 +67,10 @@ __all__ = [
 _MEMO_BYTES = 2**30
 
 _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
+
+# Entries per row chunk of ``coeff_grid``: the few chunk-sized temporaries
+# (1 MB each) stay in cache.
+_CHUNK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -112,6 +130,49 @@ def _family_params(region: Region, cfg: CavityConfig) -> tuple[float, float]:
     raise ValueError("coefficients exist for Region.LEFT or Region.RIGHT")
 
 
+def _parity(k: np.ndarray) -> np.ndarray:
+    """(-1)^k for integer-valued float k."""
+    return 1.0 - 2.0 * (k.astype(np.int64) & 1)
+
+
+def _resonances(
+    m: np.ndarray,
+    x: np.ndarray,
+    f: np.ndarray,
+    Om: np.ndarray,
+    om: np.ndarray,
+    mu_w: float,
+    resonance_eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries that take the resonance limit.
+
+    In terms of x = N w the window rel_gap <= eps reads
+    |x^2 - m^2| <= eps (x^2 + m^2) + 2 eps (mu w / pi)^2, which bounds m to
+    an interval around x in every column. The interval, widened by one on
+    each side, supplies the candidates; the exact predicate on Omega and
+    omega decides. eps = 0 always qualifies (the closed form is 0/0 there
+    whatever the threshold); the Kronecker zeros (f == 0, m != x) never do.
+    """
+    e = resonance_eps
+    c = 2.0 * e * (mu_w / np.pi) ** 2
+    lo = np.floor(np.sqrt(np.maximum(x * x * (1.0 - e) - c, 0.0) / (1.0 + e))) - 1.0
+    hi = np.ceil(np.sqrt((x * x * (1.0 + e) + c) / (1.0 - e))) + 1.0
+    order = np.argsort(m, kind="stable")
+    m_sorted = m[order]
+    first = np.searchsorted(m_sorted, lo, side="left")
+    count = np.searchsorted(m_sorted, hi, side="right") - first
+    cols = np.repeat(np.arange(len(x)), count)
+    offset = np.repeat(first - (np.cumsum(count) - count), count)
+    rows = order[np.arange(len(cols)) + offset]
+
+    Om_c, om_r = Om[cols], om[rows]
+    rel_gap = np.abs(Om_c**2 - om_r**2) / (Om_c**2 + om_r**2)
+    eps = x[cols] - m[rows]
+    kronecker = (f[cols] == 0.0) & (eps != 0.0)
+    hit = ((rel_gap <= resonance_eps) | (eps == 0.0)) & ~kronecker
+    return rows[hit], cols[hit]
+
+
 def coeff_grid(
     region: Region,
     m_indices: np.ndarray,
@@ -119,42 +180,57 @@ def coeff_grid(
     cfg: CavityConfig,
     resonance_eps: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) on the outer grid m_indices x N_indices, vectorized.
+    """(alpha, beta) on the outer grid m_indices x N_indices.
 
-    Everything is evaluated in the dimensionless reduction (R = 1), which is
-    exact because alpha/beta depend only on r/R and mu*R.
+    The factored closed form of the module docstring, written into the
+    result row chunk by row chunk (about _CHUNK_ENTRIES entries each, so
+    the temporaries stay cache-sized whatever the grid's shape).
     """
     w, sign_toggle = _family_params(region, cfg)
     mu = cfg.mu_tilde
-    m = np.asarray(m_indices, dtype=np.float64)[:, None]
-    N = np.asarray(N_indices, dtype=np.float64)[None, :]
+    m = np.asarray(m_indices, dtype=np.float64)
+    N = np.asarray(N_indices, dtype=np.float64)
 
     Om = np.sqrt((np.pi * N) ** 2 + mu**2)
     om = np.sqrt((np.pi * m / w) ** 2 + mu**2)
+    x = N * w
+    k = np.rint(x)
+    f = x - k
+    # sin(pi N w) = (-1)^k sin(pi f); a_m carries (-1)^m, which the right
+    # family's (-1)^(N+m) turns into (-1)^N on the columns
+    a = m * np.sqrt(w) / (np.pi * np.sqrt(om))
+    b = np.sin(np.pi * f) * _parity(k + N if sign_toggle else k) / np.sqrt(Om)
+    if not sign_toggle:
+        a *= _parity(m)
+    two_m = 2.0 * m
+    a_beta = (np.pi / w) ** 2 * a
 
-    eps = N * w - m
-    sinc = np.sinc(eps)
-    # sin(pi * integer) in floats is ~1e-16 rather than 0; make the Kronecker
-    # zeros exact so that "sin(N pi r/R) = 0, non-resonant -> V = 0" holds.
-    exact_zero = (eps == np.round(eps)) & (eps != 0.0)
-    sinc = np.where(exact_zero, 0.0, sinc)
+    alpha = np.empty((len(m), len(N)))
+    beta = np.empty_like(alpha)
+    step = max(1, _CHUNK_ENTRIES // max(len(N), 1))
+    eps_buf = np.empty((min(step, len(m)), len(N)))
+    den_buf = np.empty_like(eps_buf)
+    # the resonance entries (eps = 0) divide 0 by 0; they are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(m), step):
+            rows = slice(lo, lo + step)
+            n = min(step, len(m) - lo)
+            eps = np.subtract(x, m[rows, None], out=eps_buf[:n])
+            den = np.add(two_m[rows, None], eps, out=den_buf[:n])
+            den *= eps
+            freq_sum = np.add(om[rows, None], Om, out=eps)   # eps is spent
+            v = np.multiply(a[rows, None], b, out=alpha[rows])
+            v /= den
+            v *= freq_sum
+            beta_rows = np.multiply(a_beta[rows, None], b, out=beta[rows])
+            beta_rows /= freq_sum
 
-    sqrt_norm = np.sqrt(w * Om * om)
-    v = m * w * sinc / ((2.0 * m + eps) * sqrt_norm)
-
-    # Resonance branch: inside the detection window substitute the analytic
-    # limit (w/2)/sqrt(w Omega omega) with the oracle-pinned sign. The
-    # Kronecker zeros are excluded: there Omega != omega exactly, but a large
-    # mu^2 in both frequencies can shrink the *relative* gap arbitrarily.
-    rel_gap = np.abs(Om**2 - om**2) / (Om**2 + om**2)
-    limit = (w / 2.0) / sqrt_norm
-    v = np.where((rel_gap <= resonance_eps) & ~exact_zero, limit, v)
-
+    r_idx, c_idx = _resonances(m, x, f, Om, om, mu * w, resonance_eps)
+    Om_c, om_r = Om[c_idx], om[r_idx]
+    limit = (w / 2.0) / np.sqrt(w * Om_c * om_r)
     if sign_toggle:
-        v = v * np.where((np.asarray(m_indices)[:, None] + np.asarray(N_indices)[None, :]) % 2 == 0, 1.0, -1.0)
-
-    alpha = (om + Om) * v
-    beta = (Om - om) * v
+        limit *= _parity(m[r_idx] + N[c_idx])
+    alpha[r_idx, c_idx] = (om_r + Om_c) * limit
     return alpha, beta
 
 
@@ -233,18 +309,8 @@ def build_block(
         _BLOCK_MEMO.move_to_end(digest)
         return block
 
-    m_idx = np.arange(1, trunc.m_max_local + 1)
-    N_idx = np.arange(1, trunc.n_max_global + 1)
-    rows_a = []
-    rows_b = []
-    # chunk over m to bound the temporaries on big truncations
-    step = max(1, min(trunc.m_max_local, 8_388_608 // max(trunc.n_max_global, 1)))
-    for lo in range(0, len(m_idx), step):
-        a, b = coeff_grid(region, m_idx[lo : lo + step], N_idx, cfg, trunc.resonance_eps)
-        rows_a.append(a)
-        rows_b.append(b)
-    alpha = np.vstack(rows_a)
-    beta = np.vstack(rows_b)
+    alpha, beta = coeff_grid(region, np.arange(1, trunc.m_max_local + 1),
+                             np.arange(1, trunc.n_max_global + 1), cfg, trunc.resonance_eps)
     alpha.setflags(write=False)
     beta.setflags(write=False)
     block = BogoliubovBlock(region=region, alpha=alpha, beta=beta, cfg_hash=digest)

@@ -16,6 +16,7 @@ rather than absolute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .quadrature import QuadratureSpec, kg_inner
 
 __all__ = [
     "ProbeSpec",
+    "Leakage",
+    "Commutators",
     "make_probe",
     "eval_probe_initial",
     "commutator_pair",
@@ -42,6 +45,26 @@ class ProbeSpec:
     tau: float
     n: int
     omega_tilde: float
+
+
+class Leakage(NamedTuple):
+    """Out-of-cone fraction plus the evolved mode's own series diagnostics
+    (see ``SampledMode``)."""
+
+    fraction: float
+    tail_estimate: float
+    truncation_warning: bool
+    gibbs_overshoot: float | None
+
+
+class Commutators(NamedTuple):
+    """(c1, c2) plus the evolved mode's own series diagnostics."""
+
+    c1: float
+    c2: float
+    tail_estimate: float
+    truncation_warning: bool
+    gibbs_overshoot: float | None
 
 
 def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSpec:
@@ -85,8 +108,8 @@ def commutator_pair(
     tables: FrequencyTables,
     trunc: Truncation,
     spec: QuadratureSpec,
-) -> tuple[float, float]:
-    """(c1, c2) = (|,(u_tilde_n|u_m)|, |(u_tilde_n|u_m*)|) at t = tau.
+) -> Commutators:
+    """(c1, c2) = (|(u_tilde_n|u_m)|, |(u_tilde_n|u_m*)|) at t = tau.
 
     u_m is evolved to tau through the truncated global series and paired
     with the probe's Cauchy data by KG quadrature on a shared grid.
@@ -95,9 +118,13 @@ def commutator_pair(
     block = build_block(Region.LEFT, cfg, tables, trunc)
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, tables, trunc, block)
     probe_mode = eval_probe_initial(probe, grid, cfg)
-    c1 = abs(kg_inner(probe_mode, u_m, spec))
-    c2 = abs(kg_inner(probe_mode, conjugate_mode(u_m), spec))
-    return c1, c2
+    return Commutators(
+        c1=abs(kg_inner(probe_mode, u_m, spec)),
+        c2=abs(kg_inner(probe_mode, conjugate_mode(u_m), spec)),
+        tail_estimate=u_m.tail_estimate,
+        truncation_warning=u_m.truncation_warning,
+        gibbs_overshoot=u_m.gibbs_overshoot,
+    )
 
 
 def outside_cone_mass(mode: SampledMode, edge: float, om: float, side: str) -> tuple[float, float]:
@@ -125,7 +152,7 @@ def lightcone_leakage(
     tables: FrequencyTables,
     trunc: Truncation,
     edge_margin: float = 0.0,
-) -> float:
+) -> Leakage:
     """Fraction of the mode's energy-like density outside its light cone.
 
     The cone of the left family after time t is [0, r + t]; of the right
@@ -146,4 +173,9 @@ def lightcone_leakage(
     else:
         edge = max(cfg.r - t - edge_margin, 0.0)
         outside, total = outside_cone_mass(u, edge, om, side="below")
-    return outside / total
+    return Leakage(
+        fraction=outside / total,
+        tail_estimate=u.tail_estimate,
+        truncation_warning=u.truncation_warning,
+        gibbs_overshoot=u.gibbs_overshoot,
+    )

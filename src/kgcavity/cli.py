@@ -26,6 +26,7 @@ from .bogoliubov import build_block, identity_residuals
 from .causality import commutator_pair, lightcone_leakage, make_probe
 from .config import (
     DomainError,
+    KgCavityError,
     ThresholdUnreachable,
     Truncation,
     frequencies,
@@ -173,6 +174,19 @@ def _meta(cfg, trunc) -> list[str]:
     ]
 
 
+def _record_series(run: _Run, label: str, src) -> None:
+    """An evolution's series diagnostics (``tail_estimate``,
+    ``gibbs_overshoot``, ``truncation_warning`` of ``src``) into the manifest
+    and sidecars under ``label``, never into the CSVs; a truncation warning
+    is logged."""
+    run.tails[label] = src.tail_estimate
+    if src.gibbs_overshoot is not None:
+        run.tails[f"gibbs_overshoot_{label}"] = src.gibbs_overshoot
+    if src.truncation_warning:
+        log.warning("series tail estimate %.3g at %s exceeds the tolerance; raise --nmax",
+                    src.tail_estimate, label)
+
+
 # ── subcommands ─────────────────────────────────────────────────────────────
 
 def cmd_modes(args) -> int:
@@ -187,12 +201,7 @@ def cmd_modes(args) -> int:
     series = []
     for k, t in enumerate(times):
         mode = evolve_local_mode(region, args.m, grid, t, cfg, tables, trunc, block)
-        run.tails[f"t={t:.17g}"] = mode.tail_estimate
-        if mode.gibbs_overshoot is not None:
-            run.tails[f"gibbs_overshoot_t={t:.17g}"] = mode.gibbs_overshoot
-        if mode.truncation_warning:
-            log.warning("series tail estimate %.3g at t=%g exceeds the tolerance; "
-                        "raise --nmax", mode.tail_estimate, t)
+        _record_series(run, f"t={t:.17g}", mode)
         rows = zip(grid, mode.value.real, mode.value.imag, mode.tderiv.real, mode.tderiv.imag)
         run.csv(
             f"mode_{args.region}_m{args.m}_t{k}.csv",
@@ -360,9 +369,10 @@ def cmd_causality(args) -> int:
     times = parse_float_list(args.times)
     leak_rows = []
     for t in times:
-        frac = lightcone_leakage(Region.LEFT, args.m, t, cfg, tables, trunc,
+        leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, tables, trunc,
                                  edge_margin=args.edge_margin)
-        leak_rows.append((t, min(cfg.r + t + args.edge_margin, cfg.R), frac))
+        _record_series(run, f"leakage_t={t:.17g}", leak)
+        leak_rows.append((t, min(cfg.r + t + args.edge_margin, cfg.R), leak.fraction))
     run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
             ["t", "cone_edge", "outside_fraction"], leak_rows)
 
@@ -373,8 +383,9 @@ def cmd_causality(args) -> int:
     comm_rows = []
     for tau in taus:
         probe = make_probe(r_tilde, tau, args.probe_n, cfg)
-        c1, c2 = commutator_pair(probe, args.m, cfg, tables, trunc, qspec)
-        comm_rows.append((tau, r_tilde, c1, c2, int(tau < gap)))
+        comm = commutator_pair(probe, args.m, cfg, tables, trunc, qspec)
+        _record_series(run, f"commutator_tau={tau:.17g}", comm)
+        comm_rows.append((tau, r_tilde, comm.c1, comm.c2, int(tau < gap)))
     run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
             ["tau", "r_tilde", "c1", "c2", "spacelike"], comm_rows)
     if args.svg:
@@ -531,7 +542,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except KgCavityError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "KgCavityError",
     "DomainError",
     "GridMismatch",
     "ThresholdUnreachable",
@@ -31,15 +32,20 @@ __all__ = [
 
 # ── errors ──────────────────────────────────────────────────────────────────
 
-class DomainError(ValueError):
+class KgCavityError(Exception):
+    """Base of the library's own errors; the CLI reports any of them as one
+    JSON line on stderr with exit code 2."""
+
+
+class DomainError(KgCavityError, ValueError):
     """Raised when a physical parameter is outside its allowed range."""
 
 
-class GridMismatch(ValueError):
+class GridMismatch(KgCavityError, ValueError):
     """Raised when two sampled modes do not share a grid and a time."""
 
 
-class ThresholdUnreachable(RuntimeError):
+class ThresholdUnreachable(KgCavityError, RuntimeError):
     """Raised when a requested probability mass cannot be captured at this truncation.
 
     Carries the mass that *was* captured in ``args[1]`` / ``.captured``.
@@ -50,7 +56,7 @@ class ThresholdUnreachable(RuntimeError):
         self.captured = captured
 
 
-class DimensionError(ValueError):
+class DimensionError(KgCavityError, ValueError):
     """Raised when a truncated Fock space would exceed the configured memory budget."""
 
 

@@ -99,7 +99,7 @@ class OracleMoments(NamedTuple):
     mean_n: float
     second: float       # <n_m n_bar_n>
     var_m: float
-    cov: float          # second - mean_m * mean_n
+    cov: float          # second - mean_m * mean_n, from the centred vectors
     imag_residue: float # |Im| of the raw second moment (hermiticity check)
 
 
@@ -122,7 +122,10 @@ def oracle_moments(
     """Exact (mean_m, mean_n, <n_m n_bar_n>, var_m) by explicit operator algebra.
 
     With u = a|0>, w = a^dagger a|0> (and barred versions from the right
-    row): mean = <u|u>, <n^2> = <w|w>, <n_m n_bar_n> = <w|w_bar>.
+    row): mean = <u|u> and <n_m n_bar_n> = <w|w_bar>. The variance and the
+    covariance are inner products of the centred vectors d = w - mean|0>,
+    var_m = <d|d> and cov = <d|d_bar>, so var_m >= 0 by construction rather
+    than a difference of two rounded second moments.
     """
     p, q = (np.asarray(c, dtype=np.complex128) for c in left_row)
     pb, qb = (np.asarray(c, dtype=np.complex128) for c in right_row)
@@ -136,12 +139,13 @@ def oracle_moments(
     mean_m = _dot(u, u).real
     mean_n = _dot(ub, ub).real
     second_c = _dot(w, wb)
-    n2 = _dot(w, w).real
+    d = w - mean_m * vac
+    db = wb - mean_n * vac
     return OracleMoments(
         mean_m=mean_m,
         mean_n=mean_n,
         second=second_c.real,
-        var_m=n2 - mean_m * mean_m,
-        cov=second_c.real - mean_m * mean_n,
+        var_m=_dot(d, d).real,
+        cov=_dot(d, db).real,
         imag_residue=abs(second_c.imag),
     )

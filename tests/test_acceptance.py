@@ -220,8 +220,8 @@ def test_criterion_10a_leakage_within_10x_of_residue():
     cfg = kg.validate_config(1.0, 0.21, 0.0)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
     tabs = kg.frequencies(cfg, trunc)
-    t0 = kg.lightcone_leakage(L, 1, 0.0, cfg, tabs, trunc)
-    leaks = {t: kg.lightcone_leakage(L, 1, t, cfg, tabs, trunc)
+    t0 = kg.lightcone_leakage(L, 1, 0.0, cfg, tabs, trunc).fraction
+    leaks = {t: kg.lightcone_leakage(L, 1, t, cfg, tabs, trunc).fraction
              for t in (0.1, 0.2, 0.3, 0.4, 0.5)}
     worst = max(leaks.values())
     _line(10, "FAIL" if worst > 10 * t0 else "PASS",
@@ -237,10 +237,10 @@ def test_criterion_10b_commutator_contrast():
     tabs = kg.frequencies(cfg, trunc)
     quad = kg.QuadratureSpec()
     # r_tilde - r = 0.39: tau = 0.2 is spacelike, tau = 0.6 timelike
-    c_space, _ = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg), 1,
-                                    cfg, tabs, trunc, quad)
-    c_time, _ = kg.commutator_pair(kg.make_probe(0.6, 0.6, 1, cfg), 1,
-                                   cfg, tabs, trunc, quad)
+    c_space = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg), 1,
+                                 cfg, tabs, trunc, quad).c1
+    c_time = kg.commutator_pair(kg.make_probe(0.6, 0.6, 1, cfg), 1,
+                                cfg, tabs, trunc, quad).c1
     assert c_time >= 100 * c_space
     _line(10, "PASS", f"commutator contrast {c_time / c_space:.2e}x >= 100x "
                       f"(spacelike {c_space:.2e}, timelike {c_time:.2e})")

@@ -21,6 +21,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgcavity as kg
 from kgcavity import bogoliubov
@@ -130,6 +132,231 @@ def test_coeff_grid_matches_coeff_pair(cfg_half, tables_half):
             a, b = kg.coeff_pair(L, int(m), int(N), cfg_half, tables_half)
             assert A[i, j] == pytest.approx(a, rel=1e-14, abs=1e-300)
             assert B[i, j] == pytest.approx(b, rel=1e-14, abs=1e-300)
+
+
+# ── factored kernel vs the unfactored sinc closed form ──────────────────────
+
+def _sinc_reference(region, m_idx, N_idx, cfg, resonance_eps=1e-8, dtype=np.float64):
+    """(alpha, beta) from the unfactored sinc closed form on the full 2-D grid.
+
+        V = s m w sinc(eps) / ((2m + eps) sqrt(w Omega omega)),  eps = N w - m,
+        alpha = (Omega + omega) V,  beta = (Omega - omega) V,
+
+    with the Kronecker zeros set where eps is a nonzero integer and the
+    resonance limit (w/2)/sqrt(w Omega omega) inside the rel-gap window.
+    The window, the zero test and N w are float64 as in the kernel; the
+    values are computed in ``dtype``. With np.longdouble the sinc argument
+    and the Omega - omega difference carry 11 more bits, so the reference
+    is accurate where the float64 form is not (sin(pi eps) at |eps| ~ 1e5,
+    Omega - omega at large mu R).
+    """
+    w = cfg.r_tilde if region is L else 1.0 - cfg.r_tilde
+    m = np.asarray(m_idx, dtype=np.float64)[:, None]
+    N = np.asarray(N_idx, dtype=np.float64)[None, :]
+    x = N * w
+    eps = x - m
+    kronecker = (eps == np.round(eps)) & (eps != 0.0)
+    Om = np.sqrt((np.pi * N) ** 2 + cfg.mu_tilde**2)
+    om = np.sqrt((np.pi * m / w) ** 2 + cfg.mu_tilde**2)
+    window = (np.abs(Om**2 - om**2) / (Om**2 + om**2) <= resonance_eps) & ~kronecker
+
+    if dtype is not np.float64:
+        e = x.astype(dtype) - m.astype(dtype)
+        m, N, w, mu = m.astype(dtype), N.astype(dtype), dtype(w), dtype(cfg.mu_tilde)
+        pi = 4 * np.arctan(dtype(1))
+        Om = np.sqrt((pi * N) ** 2 + mu**2)
+        om = np.sqrt((pi * m / w) ** 2 + mu**2)
+    else:
+        e, pi = eps, np.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc = np.where(e == 0, 1.0, np.sin(pi * e) / (pi * e))
+    sinc = np.where(kronecker, 0.0, sinc)
+    sqrt_norm = np.sqrt(w * Om * om)
+    v = np.where(window, (w / 2) / sqrt_norm, m * w * sinc / ((2 * m + e) * sqrt_norm))
+    if region is RG:
+        v = v * np.where((np.asarray(m_idx)[:, None] + np.asarray(N_idx)[None, :]) % 2, -1.0, 1.0)
+    return ((om + Om) * v).astype(np.float64, copy=False), ((Om - om) * v).astype(np.float64, copy=False)
+
+
+def _row_rel(got, want):
+    """Largest |got - want| relative to the max |want| of its row."""
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    return float(np.max(np.abs(got - want) / np.where(scale > 0, scale, 1.0)))
+
+
+@pytest.mark.parametrize("r", [1 / np.pi, 0.21, 0.5, 0.3, 0.5472])
+@pytest.mark.parametrize("mu", [0.0, 4.7619, 1000.0])
+def test_coeff_grid_matches_sinc_reference(r, mu):
+    # measured over all 30 cases: alpha 6.2e-16, beta 1.0e-14 of the row max
+    cfg = kg.validate_config(1.0, r, mu)
+    N_idx = np.arange(1, 1001)
+    for region in (L, RG):
+        for m_idx in (np.arange(1, 41), np.array([4, 1, 3])):
+            A, B = kg.coeff_grid(region, m_idx, N_idx, cfg, 1e-8)
+            A_ref, B_ref = _sinc_reference(region, m_idx, N_idx, cfg, dtype=np.longdouble)
+            assert _row_rel(A, A_ref) <= 1e-12
+            assert _row_rel(B, B_ref) <= 1e-12
+            assert np.array_equal(A == 0.0, A_ref == 0.0)
+            assert np.all(B[A == 0.0] == 0.0)
+
+
+def test_coeff_grid_matches_sinc_reference_wide():
+    # the unfactored form in float64 on a default-size block; measured
+    # alpha 3.3e-15, beta 3.5e-13 of the row max (the float64 reference's
+    # own sinc-argument and Omega - omega rounding)
+    cfg = kg.validate_config(1.0, 0.3, 4.7619)
+    m_idx, N_idx = np.arange(1, 1001), np.arange(1, 10_001)
+    A, B = kg.coeff_grid(RG, m_idx, N_idx, cfg, 1e-8)      # width 0.7
+    A_ref, B_ref = _sinc_reference(RG, m_idx, N_idx, cfg)
+    assert _row_rel(A, A_ref) <= 1e-12
+    assert _row_rel(B, B_ref) <= 1e-12
+    # Known difference: when m > 2 N w the 2-D difference N w - m rounds to
+    # an integer although N w is not one, and the reference's zero test
+    # fires. The kernel tests N w per column and keeps these entries, which
+    # are rounding-sized (measured 1.9e-16 of the row max).
+    differ = (A == 0.0) != (A_ref == 0.0)
+    assert np.count_nonzero(differ) == 4489
+    assert np.all(A_ref[differ] == 0.0)
+    rows, cols = np.nonzero(differ)
+    assert np.all(m_idx[rows] > 2 * N_idx[cols] * 0.7)
+    row_max = np.max(np.abs(A_ref), axis=1)
+    assert np.max(np.abs(A[differ]) / row_max[rows]) <= 1e-15
+
+
+@pytest.mark.parametrize("r", [1 / np.pi, 0.3])
+def test_coeff_grid_matches_sinc_reference_tall(r):
+    # divergence_scan's shape: 1e5 rows, one column. Each row is a single
+    # entry, so the bound is relative per entry; measured 1.4e-13, the
+    # long-double reference's own sin(pi eps) at |eps| ~ 1e5. The float64
+    # sinc form is 3e-10 off there.
+    cfg = kg.validate_config(1.0, r, 0.0)
+    m_idx, N_idx = np.arange(1, 100_001), np.array([3])
+    for region in (L, RG):
+        A, B = kg.coeff_grid(region, m_idx, N_idx, cfg, 1e-8)
+        A_ref, B_ref = _sinc_reference(region, m_idx, N_idx, cfg, dtype=np.longdouble)
+        assert _row_rel(A, A_ref) <= 1e-12
+        assert _row_rel(B, B_ref) <= 1e-12
+
+
+def test_exact_zeros_and_resonances_at_half(cfg_half):
+    # w = 1/2: every even-N column is a Kronecker zero except its resonance
+    # m = N/2, which takes the analytic limit; beta vanishes on the whole column
+    m_idx, N_idx = np.arange(1, 61), np.arange(1, 1001)
+    for region in (L, RG):
+        A, B = kg.coeff_grid(region, m_idx, N_idx, cfg_half, 1e-8)
+        even = N_idx % 2 == 0
+        assert np.all(B[:, even] == 0.0)
+        res_m, res_N = np.arange(1, 61), 2 * np.arange(1, 61)
+        Om = np.sqrt((np.pi * res_N) ** 2)
+        om = np.sqrt((np.pi * res_m / 0.5) ** 2)
+        want = (om + Om) * ((0.5 / 2.0) / np.sqrt(0.5 * Om * om))
+        if region is RG:
+            want = want * np.where((res_m + res_N) % 2, -1.0, 1.0)
+        assert np.array_equal(A[res_m - 1, res_N - 1], want)
+        zeros = np.ones_like(A, dtype=bool)
+        zeros[:, ~even] = False
+        zeros[res_m - 1, res_N - 1] = False
+        assert np.all(A[zeros] == 0.0)
+        assert np.all(A[:, ~even] != 0.0)
+
+
+@pytest.mark.parametrize("r, mu, resonance_eps", [
+    (1 / np.pi, 1000.0, 1e-6),
+    (0.5472, 1000.0, 1e-8),
+    (0.5, 1e5, 1e-8),
+    (0.3, 0.0, 1e-20),
+])
+def test_resonance_entries_follow_the_2d_window(r, mu, resonance_eps):
+    # A large mu R widens the rel-gap window past eps = 0. At r = 1/pi it
+    # holds only near-resonances such as 355/pi = 113.0000096 (and
+    # 1 - 1/pi's 355 -> 242), at r = 0.5472 the exact one 625 * 0.5472 = 342,
+    # and at mu R = 1e5 it also reaches Kronecker zeros next to the
+    # resonances of r = 1/2, which must stay exactly 0. Exact resonances
+    # (eps = 0) take the limit whatever the threshold: at r = 0.3 their
+    # float rel-gap is ~2e-16, above a threshold of 1e-20. The per-column
+    # candidate intervals must find exactly the entries of the 2-D
+    # predicate, and give each the analytic limit.
+    cfg = kg.validate_config(1.0, r, mu)
+    m_idx, N_idx = np.arange(1, 401), np.arange(1, 1001)
+    for region in (L, RG):
+        w = cfg.r_tilde if region is L else 1.0 - cfg.r_tilde
+        A, B = kg.coeff_grid(region, m_idx, N_idx, cfg, resonance_eps)
+        m = m_idx[:, None].astype(float)
+        N = N_idx[None, :].astype(float)
+        Om = np.sqrt((np.pi * N) ** 2 + mu**2)
+        om = np.sqrt((np.pi * m / w) ** 2 + mu**2)
+        x = N * w
+        kronecker = (x == np.rint(x)) & (x - m != 0.0)
+        in_gap = np.abs(Om**2 - om**2) / (Om**2 + om**2) <= resonance_eps
+        window = (in_gap | (x - m == 0.0)) & ~kronecker
+        sign = np.where((m_idx[:, None] + N_idx[None, :]) % 2, -1.0, 1.0) if region is RG else 1.0
+        limit = (om + Om) * ((w / 2.0) / np.sqrt(w * Om * om)) * sign
+        assert np.count_nonzero(window) > 0 and np.all(np.isfinite(A))
+        assert np.array_equal(A[window], np.broadcast_to(limit, A.shape)[window])
+        exact = np.broadcast_to(x - m == 0.0, A.shape)[window]
+        if r == 1 / np.pi:
+            assert not np.any(exact)
+        elif r == 0.5472:
+            assert np.all(exact)
+        elif mu == 1e5:
+            assert np.count_nonzero(in_gap & kronecker) > 0
+            assert np.all(A[kronecker] == 0.0) and np.all(B[kronecker] == 0.0)
+
+
+_fractions = st.floats(0.01, 0.99, allow_nan=False)
+_masses = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.just(1000.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=_fractions, mu=_masses,
+       lam=st.one_of(st.integers(-20, 20).map(lambda k: 2.0**k), st.floats(0.05, 20.0)),
+       n_rows=st.integers(1, 30), n_cols=st.integers(1, 300))
+def test_coeff_grid_scale_invariant_property(r, mu, lam, n_rows, n_cols):
+    # alpha, beta depend on (r/R, mu R) only: R -> lam R, r -> lam r, mu -> mu/lam
+    base = kg.validate_config(1.0, r, mu)
+    scaled = kg.validate_config(lam, lam * r, mu / lam)
+    m_idx, N_idx = np.arange(1, n_rows + 1), np.arange(1, n_cols + 1)
+    for region in (L, RG):
+        A, B = kg.coeff_grid(region, m_idx, N_idx, base, 1e-8)
+        As, Bs = kg.coeff_grid(region, m_idx, N_idx, scaled, 1e-8)
+        if (scaled.r_tilde, scaled.mu_tilde) == (base.r_tilde, base.mu_tilde):
+            assert A.tobytes() == As.tobytes() and B.tobytes() == Bs.tobytes()
+        assert _row_rel(As, A) <= 1e-12
+        assert _row_rel(Bs, B) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(R=st.floats(0.5, 4.0), r=_fractions, mu=_masses,
+       n_rows=st.integers(1, 30), n_cols=st.integers(1, 300))
+def test_left_right_mirror_property(R, r, mu, n_rows, n_cols):
+    # the right family at r is the left family at R - r, up to (-1)^(N+m)
+    left = kg.validate_config(R, r * R, mu)
+    mirror = kg.validate_config(R, R - r * R, mu)
+    m_idx, N_idx = np.arange(1, n_rows + 1), np.arange(1, n_cols + 1)
+    A, B = kg.coeff_grid(L, m_idx, N_idx, left, 1e-8)
+    Ar, Br = kg.coeff_grid(RG, m_idx, N_idx, mirror, 1e-8)
+    sign = np.where((m_idx[:, None] + N_idx[None, :]) % 2, -1.0, 1.0)
+    assert _row_rel(Ar * sign, A) <= 1e-12
+    assert _row_rel(Br * sign, B) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=_fractions, mu=_masses, right=st.booleans(),
+       m_list=st.lists(st.integers(1, 200), min_size=1, max_size=12),
+       n_cols=st.integers(1, 300), chunk=st.integers(1, 2000))
+def test_rows_are_independent_of_chunking_property(r, mu, right, m_list, n_cols, chunk):
+    # every row of a multi-row call equals the single-row call bit for bit,
+    # wherever the row chunk boundaries fall
+    cfg = kg.validate_config(1.0, r, mu)
+    region = RG if right else L
+    m_idx, N_idx = np.array(m_list), np.arange(1, n_cols + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bogoliubov, "_CHUNK_ENTRIES", chunk)
+        A, B = kg.coeff_grid(region, m_idx, N_idx, cfg, 1e-8)
+    for i, m in enumerate(m_list):
+        a, b = kg.coeff_grid(region, np.array([m]), N_idx, cfg, 1e-8)
+        assert a[0].tobytes() == A[i].tobytes()
+        assert b[0].tobytes() == B[i].tobytes()
 
 
 # ── completeness identities ──────────────────────────────────────────────────

@@ -81,7 +81,7 @@ def test_outside_cone_mass_on_exact_initial_data(cfg_half, tables_half):
 # ── cone leakage of the evolved mode ─────────────────────────────────────────
 
 def test_leakage_floor_at_t0(cfg_narrow, tables_narrow, trunc_narrow):
-    leak = kg.lightcone_leakage(L, 1, 0.0, cfg_narrow, tables_narrow, trunc_narrow)
+    leak = kg.lightcone_leakage(L, 1, 0.0, cfg_narrow, tables_narrow, trunc_narrow).fraction
     assert leak <= 5e-11   # measured 4.1e-13: reconstruction residue only
 
 
@@ -92,7 +92,7 @@ def test_leakage_shrinks_with_cutoff(cfg_narrow):
     for n_max in (1_000, 10_000, 100_000):
         trunc = kg.Truncation(n_max_global=n_max, m_max_local=8, grid_points=4097)
         tabs = kg.frequencies(cfg_narrow, trunc)
-        leaks.append(kg.lightcone_leakage(L, 1, 0.3, cfg_narrow, tabs, trunc))
+        leaks.append(kg.lightcone_leakage(L, 1, 0.3, cfg_narrow, tabs, trunc).fraction)
     print("leakage at t=0.3 for n_max 1e3, 1e4, 1e5: "
           + ", ".join(f"{x:.2e}" for x in leaks))
     assert leaks[0] > leaks[1] > leaks[2]
@@ -103,13 +103,13 @@ def test_leakage_with_edge_margin_reaches_residue_scale(cfg_narrow, tables_narro
                                                         trunc_narrow):
     # an O(R/n_max) margin steps over the Gibbs skirt at the cone edge
     leak = kg.lightcone_leakage(L, 1, 0.3, cfg_narrow, tables_narrow,
-                                trunc_narrow, edge_margin=1e-3)
+                                trunc_narrow, edge_margin=1e-3).fraction
     assert leak <= 1e-7     # measured 3.5e-8 vs 1.8e-5 without the margin
 
 
 def test_leakage_mirror_symmetry_at_half(cfg_half, tables_half, trunc_10k):
-    lhs = kg.lightcone_leakage(L, 2, 0.15, cfg_half, tables_half, trunc_10k)
-    rhs = kg.lightcone_leakage(RG, 2, 0.15, cfg_half, tables_half, trunc_10k)
+    lhs = kg.lightcone_leakage(L, 2, 0.15, cfg_half, tables_half, trunc_10k).fraction
+    rhs = kg.lightcone_leakage(RG, 2, 0.15, cfg_half, tables_half, trunc_10k).fraction
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
@@ -126,17 +126,17 @@ def test_commutators_silent_at_spacelike_separation(cfg_narrow, tables_narrow,
     # floor until the cone arrives
     floor = kg.commutator_pair(kg.make_probe(0.6, 0.0, 1, cfg_narrow), 1,
                                cfg_narrow, tables_narrow, trunc_narrow, quad)
-    assert max(floor) <= 1e-12          # measured 1.5e-14
-    c1, c2 = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg_narrow), 1,
-                                cfg_narrow, tables_narrow, trunc_narrow, quad)
+    assert max(floor.c1, floor.c2) <= 1e-12          # measured 1.5e-14
+    c1, c2, *_ = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg_narrow), 1,
+                                    cfg_narrow, tables_narrow, trunc_narrow, quad)
     assert c1 <= 1e-8 and c2 <= 1e-8    # measured 3.0e-10
 
 
 def test_commutators_wake_up_inside_the_cone(cfg_narrow, tables_narrow,
                                              trunc_narrow, quad):
-    c1_in, c2_in = kg.commutator_pair(kg.make_probe(0.6, 0.6, 1, cfg_narrow), 1,
-                                      cfg_narrow, tables_narrow, trunc_narrow, quad)
+    c1_in, c2_in, *_ = kg.commutator_pair(kg.make_probe(0.6, 0.6, 1, cfg_narrow), 1,
+                                          cfg_narrow, tables_narrow, trunc_narrow, quad)
     assert c1_in >= 0.1 and c2_in >= 0.1    # measured 0.334 / 0.245
-    c1_out, _ = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg_narrow), 1,
-                                   cfg_narrow, tables_narrow, trunc_narrow, quad)
+    c1_out = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg_narrow), 1,
+                                cfg_narrow, tables_narrow, trunc_narrow, quad).c1
     assert c1_in / c1_out >= 1e3            # measured contrast ~1.1e9

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+import kgcavity as kg
 from kgcavity.cli import main, parse_float_list, parse_int_list, parse_probes
 
 
@@ -139,6 +140,29 @@ def test_causality_products(tmp_path):
     assert len(leak) == 4 + 2                         # 3 comments, header, 2 rows
 
 
+def test_causality_records_series_diagnostics(tmp_path, caplog):
+    out = str(tmp_path / "cz")
+    rc = main(["causality", "--nmax", "500", "--mmax", "2", "--grid", "257",
+               "--times", "0,0.1", "--taus", "0.1", "--out-dir", out])
+    assert rc == 0
+    # every evolution's diagnostics reach the manifest and the sidecars
+    tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
+    assert set(tails) == {"leakage_t=0", "leakage_t=0.10000000000000001",
+                          "gibbs_overshoot_leakage_t=0", "commutator_tau=0.10000000000000001"}
+    assert all(v > 0 for k, v in tails.items() if not k.startswith("gibbs"))
+    side = _read_json(os.path.join(out, "leakage.json"))
+    assert set(side["tail_bounds"]) == {"leakage_t=0", "leakage_t=0.10000000000000001",
+                                        "gibbs_overshoot_leakage_t=0"}
+    assert _read_json(os.path.join(out, "commutators.json"))["tail_bounds"] == tails
+    # ... and never the CSVs
+    for name in ("leakage.csv", "commutators.csv"):
+        text = open(os.path.join(out, name)).read()
+        assert "leakage_t" not in text and "commutator_tau" not in text
+    # at n_max = 500 each of the three evolutions is past the tolerance
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 3 and all("tail estimate" in w for w in warned)
+
+
 def test_diverge_and_rscan_products(tmp_path):
     out = str(tmp_path / "d")
     assert main(["diverge", "--nmax", "500", "--mmax", "2",
@@ -214,6 +238,21 @@ def test_domain_error_reports_json_and_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
     assert "r" in err["message"]
+
+
+def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
+    for cls in (kg.DomainError, kg.GridMismatch, kg.ThresholdUnreachable, kg.DimensionError):
+        assert issubclass(cls, kg.KgCavityError)
+    # a one-point grid reaches the KG quadrature of the commutator, which
+    # needs two points: GridMismatch, not a traceback
+    rc = main(["causality", "--nmax", "50", "--mmax", "2", "--grid", "1", "--times", "",
+               "--taus", "0.1", "--out-dir", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("{")]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0]) == {"error": "GridMismatch",
+                                    "message": "need at least two grid points"}
 
 
 @pytest.mark.parametrize("argv", [

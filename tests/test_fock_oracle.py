@@ -63,6 +63,22 @@ def test_single_creator_row():
     assert mom.cov == 0.0
 
 
+def test_variance_of_a_number_eigenstate_is_not_negative():
+    # a = sum_N beta_N A_N^dagger makes the vacuum an eigenvector of
+    # a^dagger a, so the variance is exactly 0; a raw second moment minus
+    # the squared mean rounds to -3.6e-15 on this row
+    fk = TruncatedFock(n_modes=4)
+    z = np.zeros(4)
+    row = (z, np.array([1.0, 0.873, 0.873, 0.873]))
+    mom = oracle_moments(row, row, fk)
+    assert mom.mean_m == pytest.approx(1.0 + 3 * 0.873**2, rel=1e-15)
+    assert 0.0 <= mom.var_m <= 1e-30
+    assert mom.cov == pytest.approx(0.0, abs=1e-15)
+    rep = kg.wick_moments([1], [1], kg.BogoliubovBlock(kg.Region.LEFT, z[None], row[1][None], "row"),
+                          kg.BogoliubovBlock(kg.Region.RIGHT, z[None], row[1][None], "row"))
+    assert rep.var_left[0] == pytest.approx(mom.var_m, rel=1e-12, abs=1e-15)
+
+
 def test_oracle_matches_wick_on_random_rows(rng):
     fk = TruncatedFock(n_modes=6)
     for _ in range(5):
@@ -81,15 +97,9 @@ def test_oracle_matches_wick_on_random_rows(rng):
 
 
 def _random_block(region, n_rows, n_modes):
-    """Strategy: a BogoliubovBlock of n_rows random (alpha, beta) rows.
-
-    Entries stay within 0.4 as in the seeded oracle tests: the oracle forms
-    var and cov as differences of second moments, so its own rounding grows
-    like <n>^2, and rows of squared norm below 1 keep it under the 1e-15
-    absolute floor (entries of 1 put it at 1.8e-15 where Wick is exactly 0).
-    """
+    """Strategy: a BogoliubovBlock of n_rows random (alpha, beta) rows, entries in [-1, 1]."""
     rows = hnp.arrays(np.float64, (n_rows, n_modes),
-                      elements=st.floats(-0.4, 0.4, allow_nan=False, allow_infinity=False))
+                      elements=st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False))
     return st.tuples(rows, rows).map(
         lambda ab: kg.BogoliubovBlock(region=region, alpha=ab[0], beta=ab[1],
                                       cfg_hash="random-rows"))
