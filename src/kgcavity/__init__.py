@@ -13,6 +13,7 @@ the evolved local modes.
 from .bogoliubov import (
     BogoliubovBlock,
     IdentityResiduals,
+    beta_sq_sums,
     block_digest,
     build_block,
     clear_memo,
@@ -112,6 +113,7 @@ __all__ = [
     "Truncation",
     "WavepacketComparison",
     "bandwidth",
+    "beta_sq_sums",
     "block_digest",
     "build_block",
     "clear_memo",

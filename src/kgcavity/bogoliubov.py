@@ -36,6 +36,14 @@ is rational). Inside the window |Omega^2 - omega^2| / (Omega^2 + omega^2)
 <= resonance_eps (Kronecker zeros excluded) alpha takes the analytic limit
 V = (w/2)/sqrt(w Omega omega), whose sign is pinned by the quadrature
 oracle; beta needs no such branch.
+
+The paper's two beta-only results are row sums: the local occupations
+<n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
+sum_m beta_mN^2 of the inequivalence argument. ``beta_sq_sums`` computes
+them from the same row and column vectors as ``coeff_grid``. It walks tiles
+of at most _CHUNK_ENTRIES entries over both m and N, forms beta in each and
+adds the row dots, so it never builds alpha, never runs the resonance
+search and never holds a len(m) x len(N) array.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +64,7 @@ __all__ = [
     "coeff_pair",
     "closed_overlap",
     "coeff_grid",
+    "beta_sq_sums",
     "build_block",
     "block_digest",
     "identity_residuals",
@@ -68,8 +78,8 @@ _MEMO_BYTES = 2**30
 
 _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 
-# Entries per row chunk of ``coeff_grid``: the few chunk-sized temporaries
-# (1 MB each) stay in cache.
+# Entries per row chunk of ``coeff_grid`` and per tile of ``beta_sq_sums``:
+# the few chunk-sized temporaries (1 MB each) stay in cache.
 _CHUNK_ENTRIES = 2**17
 
 
@@ -173,19 +183,24 @@ def _resonances(
     return rows[hit], cols[hit]
 
 
-def coeff_grid(
-    region: Region,
-    m_indices: np.ndarray,
-    N_indices: np.ndarray,
-    cfg: CavityConfig,
-    resonance_eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) on the outer grid m_indices x N_indices.
+class _Factors(NamedTuple):
+    """The O(m + N) vectors of the factored closed form on one outer grid."""
 
-    The factored closed form of the module docstring, written into the
-    result row chunk by row chunk (about _CHUNK_ENTRIES entries each, so
-    the temporaries stay cache-sized whatever the grid's shape).
-    """
+    w: float              # dimensionless width of the family's sub-box
+    right: bool           # right family: (-1)^(N+m) folded into a and b
+    m: np.ndarray
+    N: np.ndarray
+    x: np.ndarray         # N w
+    f: np.ndarray         # N w - round(N w), the reduced sine argument
+    Om: np.ndarray        # Omega_N
+    om: np.ndarray        # omega_m
+    a: np.ndarray         # row factor a_m
+    a_beta: np.ndarray    # (pi/w)^2 a_m, beta's row factor
+    b: np.ndarray         # column factor b_N
+
+
+def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factors:
+    """Row and column vectors of the module docstring's factored closed form."""
     w, sign_toggle = _family_params(region, cfg)
     mu = cfg.mu_tilde
     m = np.asarray(m_indices, dtype=np.float64)
@@ -202,8 +217,26 @@ def coeff_grid(
     b = np.sin(np.pi * f) * _parity(k + N if sign_toggle else k) / np.sqrt(Om)
     if not sign_toggle:
         a *= _parity(m)
+    return _Factors(w=w, right=bool(sign_toggle), m=m, N=N, x=x, f=f, Om=Om, om=om,
+                    a=a, a_beta=(np.pi / w) ** 2 * a, b=b)
+
+
+def coeff_grid(
+    region: Region,
+    m_indices: np.ndarray,
+    N_indices: np.ndarray,
+    cfg: CavityConfig,
+    resonance_eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) on the outer grid m_indices x N_indices.
+
+    The factored closed form of the module docstring, written into the
+    result row chunk by row chunk (about _CHUNK_ENTRIES entries each, so
+    the temporaries stay cache-sized whatever the grid's shape).
+    """
+    fac = _factors(region, m_indices, N_indices, cfg)
+    m, N, x, Om, om, a, b = fac.m, fac.N, fac.x, fac.Om, fac.om, fac.a, fac.b
     two_m = 2.0 * m
-    a_beta = (np.pi / w) ** 2 * a
 
     alpha = np.empty((len(m), len(N)))
     beta = np.empty_like(alpha)
@@ -222,16 +255,49 @@ def coeff_grid(
             v = np.multiply(a[rows, None], b, out=alpha[rows])
             v /= den
             v *= freq_sum
-            beta_rows = np.multiply(a_beta[rows, None], b, out=beta[rows])
+            beta_rows = np.multiply(fac.a_beta[rows, None], b, out=beta[rows])
             beta_rows /= freq_sum
 
-    r_idx, c_idx = _resonances(m, x, f, Om, om, mu * w, resonance_eps)
+    w = fac.w
+    r_idx, c_idx = _resonances(m, x, fac.f, Om, om, cfg.mu_tilde * w, resonance_eps)
     Om_c, om_r = Om[c_idx], om[r_idx]
     limit = (w / 2.0) / np.sqrt(w * Om_c * om_r)
-    if sign_toggle:
+    if fac.right:
         limit *= _parity(m[r_idx] + N[c_idx])
     alpha[r_idx, c_idx] = (om_r + Om_c) * limit
     return alpha, beta
+
+
+def beta_sq_sums(
+    region: Region,
+    m_indices: np.ndarray,
+    N_indices: np.ndarray,
+    cfg: CavityConfig,
+) -> np.ndarray:
+    """sum over N in N_indices of beta_mN^2, one value per m in m_indices.
+
+    Walks tiles of at most _CHUNK_ENTRIES entries over both axes, forms
+    beta in each exactly as ``coeff_grid`` does and adds the row dots.
+    Neither alpha, nor the resonance search (beta has no resonance branch),
+    nor a len(m) x len(N) array is ever built.
+    """
+    fac = _factors(region, m_indices, N_indices, cfg)
+    n_rows, n_cols = len(fac.m), len(fac.N)
+    sums = np.zeros(n_rows)
+    width = max(1, min(n_cols, _CHUNK_ENTRIES))
+    step = max(1, _CHUNK_ENTRIES // width)
+    bufs = np.empty((2, min(step, n_rows), width))
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, lo + step)
+        n = min(step, n_rows - lo)
+        for c0 in range(0, n_cols, width):
+            cols = slice(c0, c0 + width)
+            c = min(width, n_cols - c0)
+            freq_sum = np.add(fac.om[rows, None], fac.Om[cols], out=bufs[0, :n, :c])
+            beta = np.multiply(fac.a_beta[rows, None], fac.b[cols], out=bufs[1, :n, :c])
+            beta /= freq_sum
+            sums[rows] += np.einsum("ij,ij->i", beta, beta)
+    return sums
 
 
 def coeff_pair(

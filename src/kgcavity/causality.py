@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bogoliubov import build_block
-from .config import CavityConfig, DomainError, FrequencyTables, Truncation
+from .config import CavityConfig, DomainError, FrequencyTables, GridMismatch, Truncation
 from .modes import Region, SampledMode, conjugate_mode, evolve_local_mode, uniform_grid
 from .quadrature import QuadratureSpec, kg_inner
 
@@ -74,7 +74,7 @@ def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSp
     if tau < 0:
         raise DomainError(f"probe time must be >= 0, got {tau}")
     if n < 1:
-        raise IndexError(f"probe index must be >= 1, got {n}")
+        raise DomainError(f"probe index must be >= 1, got {n}")
     width = cfg.R - r_tilde
     omega_tilde = float(np.sqrt((np.pi * n / width) ** 2 + cfg.mu**2))
     return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=int(n), omega_tilde=omega_tilde)
@@ -144,6 +144,14 @@ def outside_cone_mass(mode: SampledMode, edge: float, om: float, side: str) -> t
     return outside, total
 
 
+def _check_cone_grid(n_points: int) -> None:
+    """GridMismatch unless the grid has an interior point: every mode
+    vanishes on the walls, so on 1 or 2 points the mass of an out-of-cone
+    fraction is 0/0."""
+    if n_points < 3:
+        raise GridMismatch(f"an out-of-cone fraction needs at least 3 grid points, got {n_points}")
+
+
 def lightcone_leakage(
     region: Region,
     m: int,
@@ -163,6 +171,7 @@ def lightcone_leakage(
     """
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
+    _check_cone_grid(trunc.grid_points)
     grid = uniform_grid(cfg, trunc.grid_points)
     block = build_block(region, cfg, tables, trunc)
     u = evolve_local_mode(region, m, grid, t, cfg, tables, trunc, block)

@@ -122,6 +122,14 @@ def _check_local(trunc, flag: str, *indices: int) -> None:
             raise DomainError(f"{flag} {i} outside 1..{trunc.m_max_local} (--mmax)")
 
 
+def _check_positive(flag: str, *indices: int) -> None:
+    """DomainError unless every mode index given to ``flag`` is >= 1; runs
+    before ``_Run``, as ``_check_local`` does."""
+    for i in indices:
+        if i < 1:
+            raise DomainError(f"{flag} {i} must be >= 1")
+
+
 class _Run:
     """Collects output files and writes the manifest at the end."""
 
@@ -246,9 +254,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_rscan(args) -> int:
     cfg, trunc = _resolve(args)
-    run = _Run(args, "rscan", cfg, trunc)
     values = parse_float_list(args.values)
     probes = parse_probes(args.probes)
+    _check_positive("--probes", *(i for pair in probes for i in pair))
+    _check_positive("--M-fixed", args.M_fixed)
+    run = _Run(args, "rscan", cfg, trunc)
     table = limit_scan(args.kind, values, probes, cfg, trunc, M_fixed=args.M_fixed)
     names = ["value"]
     for m, N in probes:
@@ -362,8 +372,7 @@ def cmd_quasilocal(args) -> int:
 def cmd_causality(args) -> int:
     cfg, trunc = _resolve(args)
     _check_local(trunc, "--m", args.m)
-    if args.probe_n < 1:
-        raise DomainError(f"--probe-n {args.probe_n} must be >= 1")
+    _check_positive("--probe-n", args.probe_n)
     run = _Run(args, "causality", cfg, trunc)
     tables = frequencies(cfg, trunc)
     times = parse_float_list(args.times)
@@ -399,22 +408,27 @@ def cmd_causality(args) -> int:
 
 def cmd_diverge(args) -> int:
     cfg, trunc = _resolve(args)
-    run = _Run(args, "diverge", cfg, trunc)
-    tables = frequencies(cfg, trunc)
     N_list = parse_int_list(args.N_list)
     M_list = parse_int_list(args.M_list)
+    n_list = parse_int_list(args.n_list)
+    _check_positive("--N-list", *N_list)
+    _check_positive("--M-list", *M_list)
+    _check_positive("--m", args.m)
+    _check_positive("--n-list", *n_list)
+    run = _Run(args, "diverge", cfg, trunc)
+    tables = frequencies(cfg, trunc)
     rows = []
     series = []
     for N in N_list:
-        scan = divergence_scan(N, cfg, tables, M_list, resonance_eps=trunc.resonance_eps)
+        scan = divergence_scan(N, cfg, tables, M_list)
         run.tails[f"fit_N={N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
         for M, S in zip(scan.M_list, scan.partial_sums):
             rows.append((N, int(M), S, scan.fit_slope, scan.fit_r2))
         series.append((scan.M_list.astype(float), scan.partial_sums, f"N={N}"))
     run.csv("diverge.csv", _meta(cfg, trunc),
             ["N", "M", "partial_sum", "fit_slope", "fit_r2"], rows)
-    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, tables,
-                                parse_int_list(args.n_list), resonance_eps=trunc.resonance_eps)
+    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, tables, n_list,
+                                resonance_eps=trunc.resonance_eps)
     run.tails["alpha2_tail"] = conv.alpha2_tail
     run.tails["beta2_tail"] = conv.beta2_tail
     run.csv("converge.csv", _meta(cfg, trunc) + [f"m={args.m}"],

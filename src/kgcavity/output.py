@@ -9,11 +9,14 @@ the payload digest; a run-level manifest lists all outputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import CavityConfig, Truncation
 
@@ -33,12 +36,39 @@ def fmt17(v) -> str:
     return str(v)
 
 
+# %-conversions that print a value of exactly this type as fmt17 does
+_CELL_FORMATS = {bool: "%d", int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g",
+                 str: "%s"}
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(types: tuple) -> str | None:
+    """One %-template for a row of cells of these types, or None when a
+    cell needs fmt17 itself. str(v) is fmt17(v) for every type that is not
+    a bool, int or float subclass."""
+    parts = []
+    for t in types:
+        fmt = _CELL_FORMATS.get(t)
+        if fmt is None:
+            if issubclass(t, (int, float)):
+                return None
+            fmt = "%s"
+        parts.append(fmt)
+    return ",".join(parts)
+
+
 def write_csv(path: str, comments: list[str], names: list[str], rows) -> str:
-    """Write '#'-commented CSV; returns the sha256 hex digest of the payload."""
+    """Write '#'-commented CSV; returns the sha256 hex digest of the payload.
+
+    Each row is formatted by one %-template chosen by its cells' types,
+    byte for byte what joining ``fmt17`` of every cell gives.
+    """
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(names))
     for row in rows:
-        lines.append(",".join(fmt17(v) for v in row))
+        row = tuple(row)
+        template = _row_template(tuple(map(type, row)))
+        lines.append(template % row if template is not None else ",".join(fmt17(v) for v in row))
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(payload)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovBlock, coeff_grid
-from .causality import outside_cone_mass
+from .causality import _check_cone_grid, outside_cone_mass
 from .config import (
     CavityConfig,
     DomainError,
@@ -196,6 +196,7 @@ def wavepacket_comparison(
     leaves there is pure reconstruction residue. psi_m's out-of-cone mass is
     physical (exponential tails) and sits far above that residue.
     """
+    _check_cone_grid(len(grid))
     psi = quasilocal_wavepacket(m, grid, t, cfg, tables, trunc)
     u = evolve_local_mode(Region.LEFT, m, grid, t, cfg, tables, trunc, block)
     om = tables.omega[m - 1]

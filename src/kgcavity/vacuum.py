@@ -13,6 +13,11 @@ with primes the other region's rows. Over a set of rows these sums are
 Gram matrices, so the moments are BLAS matrix products, deterministic for
 a fixed BLAS thread count; tail bounds use the integral test with sin^2
 replaced by its mean 1/2, and are reported, never silently applied.
+
+The spectrum, the fixed-N divergence scan and the limit scans read beta
+only: they take their sums from ``bogoliubov.beta_sq_sums``, which streams
+N and never forms alpha. The Wick moments, energies and fixed-m
+convergence sums read alpha too and take coefficient rows.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .bogoliubov import BogoliubovBlock, coeff_grid
-from .config import CavityConfig, FrequencyTables, Truncation, validate_config
+from .bogoliubov import BogoliubovBlock, beta_sq_sums, coeff_grid
+from .config import CavityConfig, DomainError, FrequencyTables, Truncation, validate_config
 from .modes import Region
 
 __all__ = [
@@ -143,16 +148,23 @@ def _tail_quad(f, start: float) -> float:
     return float(val)
 
 
-def _spectrum_tail(region: Region, l: int, cfg: CavityConfig, om_l: float, n_from: int) -> float:
-    """Integral-test tail of sum_N beta_lN^2 beyond N = n_from, sin^2 -> 1/2."""
+def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, om_l: float, n_from: int,
+                   sign: float) -> float:
+    """Integral-test tail beyond N = n_from of sum_N beta_lN^2 (sign = +1) or
+    sum_N alpha_lN^2 (sign = -1), sin^2 -> 1/2: the summand is
+    pref / (Om (Om + sign om)^2). The alpha tail starts past its resonance
+    pole, on the monotone side."""
     w = _region_width_freq(region, cfg)
     pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
 
     def integrand(N: float) -> float:
         Om = math.sqrt((math.pi * N / cfg.R) ** 2 + cfg.mu**2)
-        return pref / (Om * (Om + om_l) ** 2)
+        return pref / (Om * (Om + sign * om_l) ** 2)
 
-    return _tail_quad(integrand, float(n_from))
+    start = float(n_from)
+    if sign < 0:
+        start = max(start, 2.0 * om_l * cfg.R / np.pi)
+    return _tail_quad(integrand, start)
 
 
 def _energy_tail(region: Region, l: int, cfg: CavityConfig, n_from: int) -> float:
@@ -180,21 +192,14 @@ def vacuum_spectrum(
     tables: FrequencyTables,
     trunc: Truncation,
 ) -> SpectrumResult:
-    """<n_l> = sum_N beta_lN^2 for l = 1..m_max_local, plus tail estimates.
-
-    Row-chunked so that large n_max_global never materializes a full block.
-    """
+    """<n_l> = sum_N beta_lN^2 for l = 1..m_max_local, plus tail estimates."""
     m_max = trunc.m_max_local
-    n_idx = np.arange(1, trunc.n_max_global + 1)
-    values = np.empty(m_max)
-    step = max(1, 4_194_304 // trunc.n_max_global)
-    for lo in range(0, m_max, step):
-        m_idx = np.arange(lo + 1, min(lo + step, m_max) + 1)
-        _, beta = coeff_grid(region, m_idx, n_idx, cfg, trunc.resonance_eps)
-        values[lo : lo + len(m_idx)] = np.sum(beta * beta, axis=1)
+    values = beta_sq_sums(region, np.arange(1, m_max + 1),
+                          np.arange(1, trunc.n_max_global + 1), cfg)
     om = _omega_of(region, tables)[:m_max]
     tails = np.array(
-        [_spectrum_tail(region, l, cfg, om[l - 1], trunc.n_max_global) for l in range(1, m_max + 1)]
+        [_coeff_sq_tail(region, l, cfg, om[l - 1], trunc.n_max_global, 1.0)
+         for l in range(1, m_max + 1)]
     )
     return SpectrumResult(region=region, values=values, tail_bound=tails, truncation=trunc)
 
@@ -204,23 +209,24 @@ def divergence_scan(
     cfg: CavityConfig,
     tables: FrequencyTables,
     M_list,
-    resonance_eps: float = 1e-8,
 ) -> DivergenceScan:
     """Partial sums over m <= M of |beta_mN|^2 + |beta_bar_mN|^2, fixed N,
     fitted against a + b log M.
 
     The summand falls off like 1/m for large m, so S(M) grows
     logarithmically whenever sin(N pi r / R) != 0 — the numerical face of
-    the inequivalence argument.
+    the inequivalence argument. The summands are ``beta_sq_sums`` over the
+    single column N; beta has no resonance branch, so no resonance_eps.
     """
     M_arr = np.asarray(sorted(int(M) for M in M_list))
-    if M_arr[0] < 1:
-        raise ValueError("M values must be >= 1")
+    if N < 1:
+        raise DomainError(f"global index N must be >= 1, got {N}")
+    if M_arr.size == 0 or M_arr[0] < 1:
+        raise DomainError(f"M_list needs values >= 1, got {M_arr.tolist()}")
     m_idx = np.arange(1, M_arr[-1] + 1)
     N_idx = np.array([N])
-    _, beta_left = coeff_grid(Region.LEFT, m_idx, N_idx, cfg, resonance_eps)
-    _, beta_right = coeff_grid(Region.RIGHT, m_idx, N_idx, cfg, resonance_eps)
-    summand = beta_left[:, 0] ** 2 + beta_right[:, 0] ** 2
+    summand = (beta_sq_sums(Region.LEFT, m_idx, N_idx, cfg)
+               + beta_sq_sums(Region.RIGHT, m_idx, N_idx, cfg))
     running = np.cumsum(summand)
     partial = running[M_arr - 1]
 
@@ -251,6 +257,8 @@ def mode_sum_convergence(
     """Fixed local index m, growing global cutoff: sum_N alpha^2 and
     sum_N beta^2 both converge (the asymmetry opposite the m-scan)."""
     n_arr = np.asarray(sorted(int(n) for n in n_list))
+    if m < 1 or n_arr.size == 0 or n_arr[0] < 1:
+        raise DomainError(f"m and the cutoffs must be >= 1, got m={m}, n_list={n_arr.tolist()}")
     N_idx = np.arange(1, n_arr[-1] + 1)
     alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg, resonance_eps)
     a2 = np.cumsum(alpha[0] ** 2)[n_arr - 1]
@@ -258,15 +266,8 @@ def mode_sum_convergence(
 
     w = _region_width_freq(region, cfg)
     om_m = math.sqrt((math.pi * m / w) ** 2 + cfg.mu**2)
-    pref = m**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_m)
-
-    def a_tail(N: float) -> float:
-        Om = math.sqrt((math.pi * N / cfg.R) ** 2 + cfg.mu**2)
-        return pref / (Om * (Om - om_m) ** 2)
-
-    start = max(float(n_arr[-1]), 2.0 * om_m * cfg.R / np.pi)  # past the resonance pole
-    alpha2_tail = _tail_quad(a_tail, start)
-    beta2_tail = _spectrum_tail(region, m, cfg, om_m, int(n_arr[-1]))
+    alpha2_tail = _coeff_sq_tail(region, m, cfg, om_m, int(n_arr[-1]), -1.0)
+    beta2_tail = _coeff_sq_tail(region, m, cfg, om_m, int(n_arr[-1]), 1.0)
     return ModeSumConvergence(
         region=region,
         m=m,
@@ -399,7 +400,15 @@ def limit_scan(
         raise ValueError(f"unknown scan kind {kind!r}")
     values = np.asarray(list(values), dtype=np.float64)
     probes = tuple((int(m), int(N)) for m, N in probe_indices)
+    for m, N in probes:
+        if m < 1 or N < 1:
+            raise DomainError(f"probe (m, N) = ({m}, {N}) needs m >= 1 and N >= 1")
+    if M_fixed < 1:
+        raise DomainError(f"M_fixed must be >= 1, got {M_fixed}")
     n_idx = np.arange(1, trunc.n_max_global + 1)
+    m_sum = np.arange(1, M_fixed + 1)
+    # probes past M_fixed need their own row sums
+    far = sorted({m for m, _ in probes if m > M_fixed})
 
     n_per = np.empty((len(values), len(probes)))
     a_mag = np.empty_like(n_per)
@@ -412,18 +421,12 @@ def limit_scan(
             cfg_k = validate_config(cfg.R, cfg.r, v / cfg.R)
         else:
             cfg_k = validate_config(cfg.R, v * cfg.R, cfg.mu)
-        m_sum = np.arange(1, M_fixed + 1)
-        _, bl = coeff_grid(Region.LEFT, m_sum, n_idx, cfg_k, trunc.resonance_eps)
-        _, br = coeff_grid(Region.RIGHT, m_sum, n_idx, cfg_k, trunc.resonance_eps)
-        left_modes = np.sum(bl * bl, axis=1)
+        left_modes = beta_sq_sums(Region.LEFT, m_sum, n_idx, cfg_k)
         s_left[k] = float(np.sum(left_modes))
-        s_both[k] = s_left[k] + float(np.sum(np.sum(br * br, axis=1)))
+        s_both[k] = s_left[k] + float(np.sum(beta_sq_sums(Region.RIGHT, m_sum, n_idx, cfg_k)))
+        far_modes = dict(zip(far, beta_sq_sums(Region.LEFT, far, n_idx, cfg_k))) if far else {}
         for ip, (m, N) in enumerate(probes):
-            if m <= M_fixed:
-                n_per[k, ip] = left_modes[m - 1]
-            else:
-                _, brow = coeff_grid(Region.LEFT, np.array([m]), n_idx, cfg_k, trunc.resonance_eps)
-                n_per[k, ip] = float(np.sum(brow[0] ** 2))
+            n_per[k, ip] = left_modes[m - 1] if m <= M_fixed else far_modes[m]
             a, b = coeff_grid(Region.LEFT, np.array([m]), np.array([N]), cfg_k, trunc.resonance_eps)
             a_mag[k, ip] = abs(float(a[0, 0]))
             b_mag[k, ip] = abs(float(b[0, 0]))

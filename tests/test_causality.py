@@ -8,6 +8,8 @@ spacelike gap of 0.39 to the left region, so commutators at tau < 0.39
 must sit on that floor while tau > 0.39 gives O(0.1) overlap.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,8 @@ def test_make_probe_validates_geometry(cfg_narrow):
         kg.make_probe(1.0, 0.2, 1, cfg_narrow)    # zero width
     with pytest.raises(kg.DomainError):
         kg.make_probe(0.6, -0.1, 1, cfg_narrow)   # negative time
-    with pytest.raises(IndexError):
-        kg.make_probe(0.6, 0.2, 0, cfg_narrow)
+    with pytest.raises(kg.DomainError):
+        kg.make_probe(0.6, 0.2, 0, cfg_narrow)    # probe index below 1
 
 
 def test_probe_is_kg_normalized(cfg_narrow):
@@ -116,6 +118,18 @@ def test_leakage_mirror_symmetry_at_half(cfg_half, tables_half, trunc_10k):
 def test_leakage_rejects_negative_time(cfg_half, tables_half, trunc_10k):
     with pytest.raises(kg.DomainError):
         kg.lightcone_leakage(L, 1, -0.1, cfg_half, tables_half, trunc_10k)
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_leakage_refuses_grids_without_interior_points(cfg_half, tables_half, trunc_10k,
+                                                       monkeypatch, points):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the grid check")
+
+    monkeypatch.setattr("kgcavity.causality.build_block", no_compute)
+    trunc = dataclasses.replace(trunc_10k, grid_points=points)
+    with pytest.raises(kg.GridMismatch):
+        kg.lightcone_leakage(L, 1, 0.1, cfg_half, tables_half, trunc)
 
 
 # ── commutators against the later probe ──────────────────────────────────────

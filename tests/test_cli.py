@@ -255,11 +255,26 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
                                     "message": "need at least two grid points"}
 
 
+def test_two_point_grid_is_a_grid_mismatch(tmp_path, capsys):
+    # the out-of-cone fraction of a grid without interior points is 0/0
+    rc = main(["causality", "--nmax", "50", "--mmax", "2", "--grid", "2", "--times", "0",
+               "--taus", "0.1", "--out-dir", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("{")]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"] == "GridMismatch"
+
+
 @pytest.mark.parametrize("argv", [
     ["modes", "--m", "5000", "--mmax", "10"],
     ["correlations", "--mrows", "20", "--mmax", "5"],
     ["quasilocal", "--l-list", "2000", "--mmax", "10"],
     ["causality", "--probe-n", "0"],
+    ["rscan", "--probes", "0:1"],
+    ["rscan", "--probes", "1:1,1:0"],
+    ["rscan", "--M-fixed", "0"],
+    ["diverge", "--M-list", "0,10"],
 ])
 def test_out_of_range_local_index_is_a_domain_error(tmp_path, capsys, argv):
     out = tmp_path / "o"

@@ -65,6 +65,30 @@ def test_manifest_lists_outputs(tmp_path, cfg_half, trunc_10k):
     assert "written" in doc and "wall_time_s" in doc
 
 
+class _Metres(float):
+    """A float subclass: fmt17 prints it as a float, str() as its repr."""
+
+
+def test_write_csv_rows_match_fmt17_join(tmp_path):
+    # one %-template per tuple of cell types, byte for byte the fmt17 join
+    rows = [
+        (True, False, 0, -7, 10**30, np.int64(5), np.int64(-3)),
+        (0.1, 2 / 3, np.float64(np.pi), float("nan"), np.nan, float("inf"), -np.inf),
+        (-0.0, np.float64(-0.0), 1e-300, 5e-324, -1.5e300, 1e16, 123456789012345678.0),
+        ("left", "", "a,b", 3, np.float64(0.25), True, "%d"),
+        (np.int64(2), 1e-300, "right", False, -0.0, np.float64(np.nan), 7),
+        (np.float32(0.1), np.int32(4), np.bool_(True), None, _Metres(0.1), 2.5),
+        (),
+    ]
+    rows += [rows[1], tuple(reversed(rows[0])), list(rows[4])]
+    path = str(tmp_path / "mixed.csv")
+    digest = write_csv(path, ["mixed"], ["c"], rows)
+    want = "# mixed\nc\n" + "".join(",".join(fmt17(v) for v in row) + "\n" for row in rows)
+    raw = open(path, "rb").read()
+    assert raw == want.encode("utf-8")
+    assert digest == hashlib.sha256(raw).hexdigest()
+
+
 def test_csv_cells_preserve_full_precision(tmp_path):
     vals = [0.05396354991407163, 2 / (3 * np.pi**2), 1 / 3]
     path = str(tmp_path / "p.csv")

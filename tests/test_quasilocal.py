@@ -115,6 +115,18 @@ def test_wavepacket_tails_dwarf_series_residue():
     assert comp.abs_diff.shape == grid.shape
 
 
+@pytest.mark.parametrize("points", [1, 2])
+def test_wavepacket_comparison_refuses_grids_without_interior_points(
+        cfg_half, tables_half, trunc_10k, blocks_half, monkeypatch, points):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the grid check")
+
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    grid = kg.uniform_grid(cfg_half, points)
+    with pytest.raises(kg.GridMismatch):
+        kg.wavepacket_comparison(1, grid, 0.1, cfg_half, tables_half, trunc_10k, blocks_half[0])
+
+
 def test_wavepacket_norm_and_shape(cfg_half, tables_half, trunc_10k):
     grid = kg.uniform_grid(cfg_half, 1025)
     psi = kg.quasilocal_wavepacket(1, grid, 0.0, cfg_half, tables_half, trunc_10k)

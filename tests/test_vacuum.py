@@ -13,10 +13,12 @@ The 1e6-1e4 difference is 1.01e-9 — the integral-test tail bound at 1e4
 is tight to three digits.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import kgcavity as kg
 
@@ -79,6 +81,33 @@ def test_divergence_scan_is_logarithmic():
     assert np.all(np.diff(scan.partial_sums) > 0)  # growing without bound
     assert scan.fit_slope > 0
     assert scan.fit_r2 > 0.99
+
+
+def test_divergence_scan_rejects_indices_below_one(cfg_half, tables_half):
+    for N, M_list in ((1, [0, 10]), (0, [10, 100]), (1, [])):
+        with pytest.raises(kg.DomainError):
+            kg.divergence_scan(N, cfg_half, tables_half, M_list)
+    for m, n_list in ((0, [100]), (1, [0, 100]), (1, [])):
+        with pytest.raises(kg.DomainError):
+            kg.mode_sum_convergence(L, m, cfg_half, tables_half, n_list)
+
+
+def test_tails_match_direct_quadrature(cfg_half, tables_half):
+    # the one tail integrand, pref / (Om (Om +- om)^2), against quad on
+    # [start, inf); alpha's starts past its resonance pole at N = 6, at
+    # 2 om R / pi = 12 rather than n_from = 8
+    m, n_from, w = 3, 8, 0.5
+    om = math.sqrt((math.pi * m / w) ** 2)
+    pref = m**2 * math.pi**2 / (2.0 * w**3 * om)
+    conv = kg.mode_sum_convergence(L, m, cfg_half, tables_half, n_list=[n_from])
+    for got, sign, start in ((conv.beta2_tail, 1.0, n_from),
+                             (conv.alpha2_tail, -1.0, max(n_from, 2.0 * om / math.pi))):
+        want, _ = integrate.quad(lambda N: pref / (math.pi * N * (math.pi * N + sign * om) ** 2),
+                                 start, math.inf)
+        assert got == pytest.approx(want, rel=1e-8)
+    spec = kg.vacuum_spectrum(L, cfg_half, tables_half,
+                              kg.Truncation(n_max_global=n_from, m_max_local=m))
+    assert spec.tail_bound[m - 1] == pytest.approx(conv.beta2_tail, rel=1e-14)
 
 
 def test_mode_sum_convergence_is_cauchy(cfg_half, tables_half):
@@ -221,3 +250,26 @@ def test_partition_limit_scan_is_linear_in_r():
 def test_limit_scan_rejects_unknown_kind(cfg_half, trunc_10k):
     with pytest.raises(ValueError):
         kg.limit_scan("volume", [0.1], [(1, 1)], cfg_half, trunc_10k)
+
+
+def test_limit_scan_rejects_indices_below_one(cfg_half, trunc_10k):
+    # m = 0 used to read the last summed row and N = 0 gave zeros
+    for probes, M_fixed in (([(0, 1)], 100), ([(1, 0)], 100), ([(1, 1)], 0)):
+        with pytest.raises(kg.DomainError):
+            kg.limit_scan("mass", [1.0], probes, cfg_half, trunc_10k, M_fixed=M_fixed)
+
+
+def test_limit_scan_occupations_match_spectrum():
+    # probes inside and past M_fixed, against the spectrum at each scan point
+    cfg = kg.validate_config(1.0, 0.37, 2.0)
+    trunc = kg.Truncation(n_max_global=5_000, m_max_local=12)
+    table = kg.limit_scan("mass", [0.5, 8.0], [(2, 1), (12, 3), (9, 2)], cfg, trunc, M_fixed=10)
+    for k, mu_R in enumerate(table.values):
+        cfg_k = kg.validate_config(1.0, 0.37, mu_R)
+        spec = kg.vacuum_spectrum(L, cfg_k, kg.frequencies(cfg_k, trunc), trunc).values
+        want = spec[[1, 11, 8]]
+        assert np.all(np.abs(table.n_per_probe[k] - want) <= 1e-13 * want)
+        right = kg.vacuum_spectrum(RG, cfg_k, kg.frequencies(cfg_k, trunc),
+                                   dataclasses.replace(trunc, m_max_local=10)).values
+        assert table.sum_left[k] == pytest.approx(np.sum(spec[:10]), rel=1e-13)
+        assert table.sum_both[k] == pytest.approx(np.sum(spec[:10]) + np.sum(right), rel=1e-13)
