@@ -411,12 +411,10 @@ def cmd_diverge(args) -> int:
     N_list = parse_int_list(args.N_list)
     M_list = parse_int_list(args.M_list)
     n_list = parse_int_list(args.n_list)
-    _check_positive("--N-list", *N_list)
-    _check_positive("--M-list", *M_list)
-    _check_positive("--m", args.m)
-    _check_positive("--n-list", *n_list)
     run = _Run(args, "diverge", cfg, trunc)
     tables = frequencies(cfg, trunc)
+    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, tables, n_list,
+                                resonance_eps=trunc.resonance_eps)
     rows = []
     series = []
     for N in N_list:
@@ -427,8 +425,6 @@ def cmd_diverge(args) -> int:
         series.append((scan.M_list.astype(float), scan.partial_sums, f"N={N}"))
     run.csv("diverge.csv", _meta(cfg, trunc),
             ["N", "M", "partial_sum", "fit_slope", "fit_r2"], rows)
-    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, tables, n_list,
-                                resonance_eps=trunc.resonance_eps)
     run.tails["alpha2_tail"] = conv.alpha2_tail
     run.tails["beta2_tail"] = conv.beta2_tail
     run.csv("converge.csv", _meta(cfg, trunc) + [f"m={args.m}"],
