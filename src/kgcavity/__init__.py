@@ -56,7 +56,7 @@ from .modes import (
     uniform_grid,
 )
 from .output import VERSION as __version__
-from .quadrature import InnerProduct, QuadratureSpec, kg_inner, overlap_V
+from .quadrature import InnerProduct, kg_inner, overlap_V
 from .quasilocal import (
     OverlapDistribution,
     QuasilocalEnergy,
@@ -102,7 +102,6 @@ __all__ = [
     "OracleMoments",
     "OverlapDistribution",
     "ProbeSpec",
-    "QuadratureSpec",
     "QuasilocalEnergy",
     "Region",
     "SampledMode",

@@ -33,7 +33,7 @@ exact 0 in every column where N w is an integer: the Kronecker zeros.
 
 V is a 0/0 at resonances Omega_N = omega_m (eps = 0, possible whenever r/R
 is rational). Inside the window |Omega^2 - omega^2| / (Omega^2 + omega^2)
-<= resonance_eps (Kronecker zeros excluded) alpha takes the analytic limit
+<= _RESONANCE_EPS (Kronecker zeros excluded) alpha takes the analytic limit
 V = (w/2)/sqrt(w Omega omega), whose sign is pinned by the quadrature
 oracle; beta needs no such branch.
 
@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CavityConfig, FrequencyTables, Truncation
+from .config import CavityConfig, DomainError, FrequencyTables, Truncation
 from .modes import Region
 
 __all__ = [
@@ -82,23 +82,23 @@ _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 # the few chunk-sized temporaries (1 MB each) stay in cache.
 _CHUNK_ENTRIES = 2**17
 
+# Relative gap |Omega^2 - omega^2| / (Omega^2 + omega^2) below which alpha
+# takes the resonance limit instead of the generic closed form.
+_RESONANCE_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class BogoliubovBlock:
     """Truncated alpha/beta matrices for one local family vs the global basis.
 
     alpha[m-1][N-1] = (U_N|u_m), beta[m-1][N-1] = -(U_N*|u_m). Entries are
-    real (phases are +-1); ``as_complex`` restores the complex-valued
-    interface where a caller wants it.
+    real (phases are +-1).
     """
 
     region: Region
     alpha: np.ndarray
     beta: np.ndarray
     cfg_hash: str
-
-    def as_complex(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.alpha.astype(np.complex128), self.beta.astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -226,13 +226,14 @@ def coeff_grid(
     m_indices: np.ndarray,
     N_indices: np.ndarray,
     cfg: CavityConfig,
-    resonance_eps: float,
+    resonance_eps: float = _RESONANCE_EPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) on the outer grid m_indices x N_indices.
 
     The factored closed form of the module docstring, written into the
     result row chunk by row chunk (about _CHUNK_ENTRIES entries each, so
     the temporaries stay cache-sized whatever the grid's shape).
+    ``resonance_eps`` is the resonance window's rel-gap threshold.
     """
     fac = _factors(region, m_indices, N_indices, cfg)
     m, N, x, Om, om, a, b = fac.m, fac.N, fac.x, fac.Om, fac.om, fac.a, fac.b
@@ -300,30 +301,17 @@ def beta_sq_sums(
     return sums
 
 
-def coeff_pair(
-    region: Region,
-    m: int,
-    N: int,
-    cfg: CavityConfig,
-    tables: FrequencyTables,
-    resonance_eps: float = 1e-8,
-) -> tuple[float, float]:
+def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:
     """(alpha_mN, beta_mN) for one index pair (both real)."""
     if m < 1 or N < 1:
         raise IndexError(f"indices must be >= 1, got m={m}, N={N}")
-    alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg, resonance_eps)
+    alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg)
     return float(alpha[0, 0]), float(beta[0, 0])
 
 
-def closed_overlap(
-    m: int,
-    N: int,
-    region: Region,
-    cfg: CavityConfig,
-    resonance_eps: float = 1e-8,
-) -> float:
+def closed_overlap(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
     """Closed-form V_mN in the caller's units (scales as R), for oracle checks."""
-    alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg, resonance_eps)
+    alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg)
     w, _ = _family_params(region, cfg)
     mu = cfg.mu_tilde
     Om = np.sqrt((np.pi * N) ** 2 + mu**2)
@@ -342,7 +330,6 @@ def block_digest(region: Region, cfg: CavityConfig, trunc: Truncation) -> str:
             format(cfg.mu_tilde, ".17g"),
             str(trunc.n_max_global),
             str(trunc.m_max_local),
-            format(trunc.resonance_eps, ".17g"),
         ]
     )
     return hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
@@ -376,7 +363,7 @@ def build_block(
         return block
 
     alpha, beta = coeff_grid(region, np.arange(1, trunc.m_max_local + 1),
-                             np.arange(1, trunc.n_max_global + 1), cfg, trunc.resonance_eps)
+                             np.arange(1, trunc.n_max_global + 1), cfg)
     alpha.setflags(write=False)
     beta.setflags(write=False)
     block = BogoliubovBlock(region=region, alpha=alpha, beta=beta, cfg_hash=digest)
@@ -408,7 +395,7 @@ def identity_residuals(
         D2 = |P Q^T - Q P^T|         D2_cross = |P Q'^T - Q P'^T|
     """
     if upto > left.alpha.shape[0] or upto > right.alpha.shape[0]:
-        raise IndexError(f"upto={upto} exceeds the available block rows")
+        raise DomainError(f"upto={upto} exceeds the available block rows")
     P, Q = left.alpha[:upto], left.beta[:upto]
     Pb, Qb = right.alpha[:upto], right.beta[:upto]
     D1 = np.abs(P @ P.T - Q @ Q.T - np.eye(upto))

@@ -23,7 +23,7 @@ import numpy as np
 from .bogoliubov import build_block
 from .config import CavityConfig, DomainError, FrequencyTables, GridMismatch, Truncation
 from .modes import Region, SampledMode, conjugate_mode, evolve_local_mode, uniform_grid
-from .quadrature import QuadratureSpec, kg_inner
+from .quadrature import kg_inner
 
 __all__ = [
     "ProbeSpec",
@@ -107,7 +107,6 @@ def commutator_pair(
     cfg: CavityConfig,
     tables: FrequencyTables,
     trunc: Truncation,
-    spec: QuadratureSpec,
 ) -> Commutators:
     """(c1, c2) = (|(u_tilde_n|u_m)|, |(u_tilde_n|u_m*)|) at t = tau.
 
@@ -119,8 +118,8 @@ def commutator_pair(
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, tables, trunc, block)
     probe_mode = eval_probe_initial(probe, grid, cfg)
     return Commutators(
-        c1=abs(kg_inner(probe_mode, u_m, spec)),
-        c2=abs(kg_inner(probe_mode, conjugate_mode(u_m), spec)),
+        c1=abs(kg_inner(probe_mode, u_m)),
+        c2=abs(kg_inner(probe_mode, conjugate_mode(u_m))),
         tail_estimate=u_m.tail_estimate,
         truncation_warning=u_m.truncation_warning,
         gibbs_overshoot=u_m.gibbs_overshoot,

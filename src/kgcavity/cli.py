@@ -35,7 +35,6 @@ from .config import (
 )
 from .modes import Region, evolve_local_mode, uniform_grid
 from .output import RunManifest, write_csv, write_manifest, write_sidecar
-from .quadrature import QuadratureSpec
 from .quasilocal import (
     bandwidth,
     overlap_distribution,
@@ -107,7 +106,6 @@ def _resolve(args) -> tuple:
         n_max_global=int(pick(args.nmax, "n_max_global", 10_000)),
         m_max_local=int(pick(args.mmax, "m_max_local", 1_000)),
         grid_points=int(pick(args.grid, "grid_points", 2048)),
-        resonance_eps=float(pick(args.resonance_eps, "resonance_eps", 1e-8)),
     )
     return cfg, trunc
 
@@ -178,7 +176,7 @@ def _meta(cfg, trunc) -> list[str]:
     return [
         f"R={cfg.R:.17g} r={cfg.r:.17g} mu={cfg.mu:.17g}",
         f"n_max_global={trunc.n_max_global} m_max_local={trunc.m_max_local} "
-        f"grid_points={trunc.grid_points} resonance_eps={trunc.resonance_eps:.17g}",
+        f"grid_points={trunc.grid_points}",
     ]
 
 
@@ -344,8 +342,8 @@ def cmd_quasilocal(args) -> int:
     run.csv("bandwidth.csv", _meta(cfg, trunc) + [f"threshold={args.threshold:.17g}"],
             ["l", "omega_l", "delta_Omega", "norm_captured",
              "energy_raw", "energy_normalized", "energy_annihilator"], band_rows)
-    shifts_w = steering_shift(args.steer_m, l_list, cfg, tables, trunc, method="wick")
-    shifts_d = steering_shift(args.steer_m, l_list, cfg, tables, trunc, method="direct")
+    shifts_w = steering_shift(args.steer_m, l_list, cfg, trunc, method="wick")
+    shifts_d = steering_shift(args.steer_m, l_list, cfg, trunc, method="direct")
     run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], zip(l_list, shifts_w, shifts_d))
     if args.wavepacket_m:
@@ -388,11 +386,10 @@ def cmd_causality(args) -> int:
     r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
     gap = r_tilde - cfg.r
     taus = parse_float_list(args.taus) if args.taus else [0.5 * gap, 2.0 * gap]
-    qspec = QuadratureSpec()
     comm_rows = []
     for tau in taus:
         probe = make_probe(r_tilde, tau, args.probe_n, cfg)
-        comm = commutator_pair(probe, args.m, cfg, tables, trunc, qspec)
+        comm = commutator_pair(probe, args.m, cfg, tables, trunc)
         _record_series(run, f"commutator_tau={tau:.17g}", comm)
         comm_rows.append((tau, r_tilde, comm.c1, comm.c2, int(tau < gap)))
     run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
@@ -412,13 +409,11 @@ def cmd_diverge(args) -> int:
     M_list = parse_int_list(args.M_list)
     n_list = parse_int_list(args.n_list)
     run = _Run(args, "diverge", cfg, trunc)
-    tables = frequencies(cfg, trunc)
-    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, tables, n_list,
-                                resonance_eps=trunc.resonance_eps)
+    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, n_list)
     rows = []
     series = []
     for N in N_list:
-        scan = divergence_scan(N, cfg, tables, M_list)
+        scan = divergence_scan(N, cfg, M_list)
         run.tails[f"fit_N={N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
         for M, S in zip(scan.M_list, scan.partial_sums):
             rows.append((N, int(M), S, scan.fit_slope, scan.fit_r2))
@@ -470,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mu", type=float, default=None, help="field mass (default 0)")
     common.add_argument("--mmax", type=int, default=None, help="local-mode cutoff (default 1000)")
     common.add_argument("--grid", type=int, default=None, help="spatial grid points (default 2048)")
-    common.add_argument("--resonance-eps", type=float, default=None)
     common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--svg", action="store_true", help="also render an SVG view")

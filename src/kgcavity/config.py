@@ -84,26 +84,17 @@ class CavityConfig:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Series/grid cutoffs shared by all computations.
-
-    resonance_eps is the relative threshold |Omega_N^2 - omega_m^2| /
-    (Omega_N^2 + omega_m^2) below which the analytic resonance limit of the
-    overlap is used instead of the generic closed form.
-    """
+    """Series/grid cutoffs shared by all computations: global modes N,
+    local modes m per family, and spatial grid points."""
 
     n_max_global: int = 10_000
     m_max_local: int = 1_000
     grid_points: int = 2048
-    resonance_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         for name in ("n_max_global", "m_max_local", "grid_points"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (0.0 < self.resonance_eps <= 1e-6):
-            raise DomainError(
-                f"resonance_eps must lie in (0, 1e-6], got {self.resonance_eps}"
-            )
 
 
 class FrequencyTables(NamedTuple):
@@ -161,7 +152,6 @@ _CONFIG_KEYS = {
     "n_max_global": int,
     "m_max_local": int,
     "grid_points": int,
-    "resonance_eps": float,
 }
 
 
@@ -170,7 +160,7 @@ def load_config_file(path: str) -> dict:
 
     Lines look like ``r = 0.5`` (the ``=`` is optional); ``#`` starts a
     comment. Recognized keys: R, r, mu, n_max_global, m_max_local,
-    grid_points, resonance_eps. CLI flags override these values.
+    grid_points. CLI flags override these values.
     """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.fft
 
-from .config import CavityConfig, FrequencyTables, Truncation
+from .config import CavityConfig, DomainError, FrequencyTables, Truncation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .bogoliubov import BogoliubovBlock
@@ -49,7 +49,6 @@ class Region(enum.Enum):
 
     LEFT = "left"      # [0, r]
     RIGHT = "right"    # [r, R]
-    PROBE = "probe"    # [r_tilde, R] with r < r_tilde < R (see kgcavity.causality)
 
 
 @dataclass
@@ -151,6 +150,9 @@ def eval_local_initial(
 # grid points per block of the dense fallback's (points, N) sine table
 _DENSE_CHUNK = 256
 
+# series tail estimate above which an evolved mode carries a truncation warning
+_TAIL_TOL = 1e-6
+
 
 def _sine_series(
     grid: np.ndarray,
@@ -209,12 +211,12 @@ def evolve_local_mode(
     tables: FrequencyTables,
     trunc: Truncation,
     block: "BogoliubovBlock",
-    tail_tol: float = 1e-6,
 ) -> SampledMode:
     """Local mode u_m at time t from the truncated global series.
 
     value(x) = sum_N (alpha_mN e^{-i Omega_N t} + beta_mN e^{+i Omega_N t}) U_N(x),
     tderiv the termwise time derivative, both summed by ``_sine_series``.
+    A tail estimate above _TAIL_TOL sets ``truncation_warning``.
     """
     if block.region is not region:
         raise ValueError(f"block was built for {block.region}, asked to evolve {region}")
@@ -224,7 +226,7 @@ def evolve_local_mode(
             f"{trunc.n_max_global}"
         )
     if not 1 <= m <= block.alpha.shape[0]:
-        raise IndexError(f"local index m={m} outside block with {block.alpha.shape[0]} rows")
+        raise DomainError(f"local index m={m} outside block with {block.alpha.shape[0]} rows")
 
     grid = np.asarray(grid, dtype=np.float64)
     Om = tables.Omega[: trunc.n_max_global]
@@ -258,6 +260,6 @@ def evolve_local_mode(
         tderiv=tderiv,
         time=float(t),
         tail_estimate=tail_estimate,
-        truncation_warning=bool(tail_estimate > tail_tol),
+        truncation_warning=bool(tail_estimate > _TAIL_TOL),
         gibbs_overshoot=gibbs,
     )

@@ -84,7 +84,6 @@ def _trunc_dict(trunc: Truncation) -> dict:
         "n_max_global": trunc.n_max_global,
         "m_max_local": trunc.m_max_local,
         "grid_points": trunc.grid_points,
-        "resonance_eps": trunc.resonance_eps,
     }
 
 

@@ -5,41 +5,28 @@ The KG product between two solutions sampled at equal time is
     (f|g) = i * integral_0^R ( f* g_dot - f_dot* g ) dx .
 
 It is time independent on exact solutions, conjugate symmetric,
-and flips sign (conjugated) when both arguments are conjugated.
+and flips sign (conjugated) when both arguments are conjugated. ``kg_inner``
+evaluates it by composite Simpson and attaches a Richardson error estimate.
 
 ``overlap_V`` integrates the raw mode-overlap
 
     V_mN = integral_region  U_N(x) chi_m(x) dx ,
 
-by refined composite Simpson with Richardson extrapolation. It is kept
-deliberately independent of the closed forms in ``kgcavity.bogoliubov``:
-this function is the ground truth the closed forms are tested against,
-including at resonances Omega_N = omega_m where the generic closed form
-is 0/0.
+by composite Simpson on a base grid doubled once and twice, Richardson
+extrapolated. It is kept deliberately independent of the closed forms in
+``kgcavity.bogoliubov``: this function is the ground truth the closed
+forms are tested against, including at resonances Omega_N = omega_m where
+the generic closed form is 0/0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import CavityConfig, GridMismatch
 from .modes import Region, SampledMode
 
-__all__ = ["QuadratureSpec", "InnerProduct", "kg_inner", "overlap_V"]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rule: str = "composite-simpson"   # or "trapezoid"
-    refinement_levels: int = 2        # grid doublings for the Richardson check
-
-    def __post_init__(self) -> None:
-        if self.rule not in ("composite-simpson", "trapezoid"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        if self.refinement_levels < 1:
-            raise ValueError("refinement_levels must be >= 1")
+__all__ = ["InnerProduct", "kg_inner", "overlap_V"]
 
 
 class InnerProduct(complex):
@@ -56,6 +43,7 @@ class InnerProduct(complex):
 # ── quadrature rules on uniform samples ─────────────────────────────────────
 
 def _trapezoid(y: np.ndarray, h: float) -> complex:
+    """Composite trapezoid; only the fallback error bracket of ``kg_inner``."""
     return h * (np.sum(y[1:-1]) + 0.5 * (y[0] + y[-1]))
 
 def _simpson(y: np.ndarray, h: float) -> complex:
@@ -75,14 +63,10 @@ def _simpson(y: np.ndarray, h: float) -> complex:
     return head + tail
 
 
-def _integrate(y: np.ndarray, h: float, rule: str) -> complex:
-    return _simpson(y, h) if rule == "composite-simpson" else _trapezoid(y, h)
-
-
 # ── operations ──────────────────────────────────────────────────────────────
 
-def kg_inner(f: SampledMode, g: SampledMode, spec: QuadratureSpec) -> InnerProduct:
-    """(f|g) by the chosen rule, with a Richardson error estimate attached.
+def kg_inner(f: SampledMode, g: SampledMode) -> InnerProduct:
+    """(f|g) by composite Simpson, with a Richardson error estimate attached.
 
     Requires identical grids and snapshot times; raises GridMismatch
     otherwise. The error estimate compares the full grid against its
@@ -99,18 +83,16 @@ def kg_inner(f: SampledMode, g: SampledMode, spec: QuadratureSpec) -> InnerProdu
     h = x[1] - x[0]
     y = 1j * (np.conj(f.value) * g.tderiv - np.conj(f.tderiv) * g.value)
 
-    full = _integrate(y, h, spec.rule)
+    full = _simpson(y, h)
     n = len(y)
     if (n - 1) % 4 == 0 and n >= 5:
-        coarse = _integrate(y[::2], 2.0 * h, spec.rule)
-        order_factor = 15.0 if spec.rule == "composite-simpson" else 3.0
-        est = abs(full - coarse) / order_factor
+        est = abs(full - _simpson(y[::2], 2.0 * h)) / 15.0
     else:
         est = abs(full - _trapezoid(y, h))
     return InnerProduct(full, est)
 
 
-def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig, spec: QuadratureSpec) -> float:
+def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
     """Quadrature oracle for the overlap V_mN = integral U_N(x) chi_m(x) dx.
 
     U_N(x) = sin(pi N x/R)/sqrt(R Omega_N); chi_m is the region-confined
@@ -118,9 +100,8 @@ def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig, spec: Quadratur
     runs only over the support [0, r] (Left) or [r, R] (Right).
 
     Composite Simpson on a base grid resolving ~64 points per half-wave,
-    refined by ``spec.refinement_levels`` doublings; the two finest levels
-    are Richardson-combined, giving ~1e-11 relative accuracy for indices
-    into the hundreds.
+    doubled once and twice; the two refined levels are Richardson-combined,
+    giving ~1e-11 relative accuracy for indices into the hundreds.
     """
     if m < 1 or N < 1:
         raise IndexError(f"indices must be >= 1, got m={m}, N={N}")
@@ -144,6 +125,5 @@ def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig, spec: Quadratur
         y = np.sin(np.pi * N * x / cfg.R) * np.sin(np.pi * m * (x - a) / width)
         return float(np.real(_simpson(y, (b - a) / n_intervals)))
 
-    values = [level(n0 << k) for k in range(spec.refinement_levels + 1)]
-    richardson = (16.0 * values[-1] - values[-2]) / 15.0
+    richardson = (16.0 * level(n0 << 2) - level(n0 << 1)) / 15.0
     return richardson * norm

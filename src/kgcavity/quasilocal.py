@@ -102,7 +102,7 @@ def overlap_distribution(
 ) -> OverlapDistribution:
     """Distribution of psi_l over global one-particle states, and its peak."""
     N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg, trunc.resonance_eps)
+    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
     mean_occ = float(np.sum(beta[0] ** 2))
     p = alpha[0] ** 2 / (1.0 + mean_occ)
     Omega = tables.Omega[: trunc.n_max_global]
@@ -169,7 +169,7 @@ def quasilocal_wavepacket(
     """
     grid = np.asarray(grid, dtype=np.float64)
     N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg, trunc.resonance_eps)
+    alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
     mean_occ = float(np.sum(beta[0] ** 2))
     norm = np.sqrt(1.0 + mean_occ)
     Om = tables.Omega[: trunc.n_max_global]
@@ -222,7 +222,7 @@ def quasilocal_energy(
 ) -> QuasilocalEnergy:
     """Vacuum-relative energies of the creator and annihilator states on l."""
     N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg, trunc.resonance_eps)
+    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
     Om = tables.Omega[: trunc.n_max_global]
     raw = float(np.sum(Om * alpha[0] ** 2))
     ann_raw = float(np.sum(Om * beta[0] ** 2))
@@ -240,7 +240,6 @@ def steering_shift(
     m: int,
     l_range,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     method: str = "wick",
 ) -> np.ndarray:
@@ -259,10 +258,10 @@ def steering_shift(
         raise ValueError(f"unknown method {method!r}")
     l_idx = np.array([int(l) for l in l_range], dtype=np.int64)
     N_idx = np.arange(1, trunc.n_max_global + 1)
-    a_m, b_m = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg, trunc.resonance_eps)
+    a_m, b_m = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg)
     a_m, b_m = a_m[0], b_m[0]
     B_m = float(np.dot(b_m, b_m))
-    a_l, b_l = coeff_grid(Region.RIGHT, l_idx, N_idx, cfg, trunc.resonance_eps)
+    a_l, b_l = coeff_grid(Region.RIGHT, l_idx, N_idx, cfg)
 
     if method == "wick":
         cov = (a_l @ b_m) * (b_l @ a_m) + (b_l @ b_m) * (a_l @ a_m)

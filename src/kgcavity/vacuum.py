@@ -57,7 +57,6 @@ class SpectrumResult:
     region: Region
     values: np.ndarray
     tail_bound: np.ndarray
-    truncation: Truncation
 
 
 @dataclass(frozen=True)
@@ -201,22 +200,17 @@ def vacuum_spectrum(
         [_coeff_sq_tail(region, l, cfg, om[l - 1], trunc.n_max_global, 1.0)
          for l in range(1, m_max + 1)]
     )
-    return SpectrumResult(region=region, values=values, tail_bound=tails, truncation=trunc)
+    return SpectrumResult(region=region, values=values, tail_bound=tails)
 
 
-def divergence_scan(
-    N: int,
-    cfg: CavityConfig,
-    tables: FrequencyTables,
-    M_list,
-) -> DivergenceScan:
+def divergence_scan(N: int, cfg: CavityConfig, M_list) -> DivergenceScan:
     """Partial sums over m <= M of |beta_mN|^2 + |beta_bar_mN|^2, fixed N,
     fitted against a + b log M.
 
     The summand falls off like 1/m for large m, so S(M) grows
     logarithmically whenever sin(N pi r / R) != 0 — the numerical face of
     the inequivalence argument. The summands are ``beta_sq_sums`` over the
-    single column N; beta has no resonance branch, so no resonance_eps.
+    single column N.
     """
     M_arr = np.asarray(sorted(int(M) for M in M_list))
     if N < 1:
@@ -246,21 +240,14 @@ def divergence_scan(
     )
 
 
-def mode_sum_convergence(
-    region: Region,
-    m: int,
-    cfg: CavityConfig,
-    tables: FrequencyTables,
-    n_list,
-    resonance_eps: float = 1e-8,
-) -> ModeSumConvergence:
+def mode_sum_convergence(region: Region, m: int, cfg: CavityConfig, n_list) -> ModeSumConvergence:
     """Fixed local index m, growing global cutoff: sum_N alpha^2 and
     sum_N beta^2 both converge (the asymmetry opposite the m-scan)."""
     n_arr = np.asarray(sorted(int(n) for n in n_list))
     if m < 1 or n_arr.size == 0 or n_arr[0] < 1:
         raise DomainError(f"m and the cutoffs must be >= 1, got m={m}, n_list={n_arr.tolist()}")
     N_idx = np.arange(1, n_arr[-1] + 1)
-    alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg, resonance_eps)
+    alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
     a2 = np.cumsum(alpha[0] ** 2)[n_arr - 1]
     b2 = np.cumsum(beta[0] ** 2)[n_arr - 1]
 
@@ -290,7 +277,7 @@ def local_quantum_energy(
     energy carried by one local quantum. Positive term by term; finite
     because the summand falls off like sin^2(x)/x^2."""
     N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg, trunc.resonance_eps)
+    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
     Om = tables.Omega[: trunc.n_max_global]
     eps_l = float(np.sum(Om * (alpha[0] ** 2 + beta[0] ** 2)))
     return EnergyResult(epsilon=eps_l, tail_bound=_energy_tail(region, l, cfg, trunc.n_max_global))
@@ -339,10 +326,10 @@ def wick_moments(
     n_range = tuple(int(n) for n in n_range)
     for m in m_range:
         if not 1 <= m <= left_block.alpha.shape[0]:
-            raise IndexError(f"m={m} outside the left block")
+            raise DomainError(f"m={m} outside the left block")
     for n in n_range:
         if not 1 <= n <= right_block.alpha.shape[0]:
-            raise IndexError(f"n={n} outside the right block")
+            raise DomainError(f"n={n} outside the right block")
 
     P, Q = _rows(left_block, m_range)
     Pb, Qb = _rows(right_block, n_range)
@@ -427,7 +414,7 @@ def limit_scan(
         far_modes = dict(zip(far, beta_sq_sums(Region.LEFT, far, n_idx, cfg_k))) if far else {}
         for ip, (m, N) in enumerate(probes):
             n_per[k, ip] = left_modes[m - 1] if m <= M_fixed else far_modes[m]
-            a, b = coeff_grid(Region.LEFT, np.array([m]), np.array([N]), cfg_k, trunc.resonance_eps)
+            a, b = coeff_grid(Region.LEFT, np.array([m]), np.array([N]), cfg_k)
             a_mag[k, ip] = abs(float(a[0, 0]))
             b_mag[k, ip] = abs(float(b[0, 0]))
 

@@ -41,8 +41,3 @@ def blocks_half(cfg_half, tables_half, trunc_10k):
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
-
-
-@pytest.fixture
-def quad():
-    return kg.QuadratureSpec()

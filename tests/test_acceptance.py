@@ -39,7 +39,6 @@ def _line(n, status, detail):
 
 def test_criterion_01_closed_form_vs_quadrature_200_samples():
     rng = np.random.default_rng(SEED)
-    quad = kg.QuadratureSpec()
     trunc = kg.Truncation(n_max_global=300, m_max_local=40)
     setups = []
     for r in (1 / np.pi, 0.21, 0.5):
@@ -57,8 +56,8 @@ def test_criterion_01_closed_form_vs_quadrature_200_samples():
         resonant = abs(Om**2 - om**2) / (Om**2 + om**2) <= 1e-8
         tol = 1e-6 if resonant else 1e-8
         vc = kg.closed_overlap(m, N, region, cfg)
-        vq = kg.overlap_V(m, N, region, cfg, quad)
-        ac, bc = kg.coeff_pair(region, m, N, cfg, tables)
+        vq = kg.overlap_V(m, N, region, cfg)
+        ac, bc = kg.coeff_pair(region, m, N, cfg)
         for closed, oracle in ((vc, vq), (ac, (om + Om) * vq), (bc, (Om - om) * vq)):
             if abs(oracle) < 1e-10:
                 assert abs(closed) < 1e-9
@@ -75,10 +74,10 @@ def test_criterion_01_closed_form_vs_quadrature_200_samples():
 
 
 def test_criterion_02_resonance_example(cfg_half, tables_half):
-    a, b = kg.coeff_pair(L, 1, 2, cfg_half, tables_half)
+    a, b = kg.coeff_pair(L, 1, 2, cfg_half)
     assert a == pytest.approx(1 / np.sqrt(2), rel=1e-12)
     assert b == 0.0
-    vq = kg.overlap_V(1, 2, L, cfg_half, kg.QuadratureSpec())
+    vq = kg.overlap_V(1, 2, L, cfg_half)
     om, Om = tables_half.omega[0], tables_half.Omega[1]
     assert (om + Om) * vq == pytest.approx(1 / np.sqrt(2), rel=1e-8)
     assert abs((Om - om) * vq) <= 1e-8
@@ -103,16 +102,14 @@ def test_criterion_03_identity_residuals_decrease(cfg_half):
 
 def test_criterion_04_divergence_log_fit_and_cauchy_converse():
     cfg = kg.validate_config(1.0, 1 / np.pi, 10.0)
-    trunc = kg.Truncation(n_max_global=100, m_max_local=1)
-    tabs = kg.frequencies(cfg, trunc)
     fits = []
     for N in (1, 2, 3):
-        scan = kg.divergence_scan(N, cfg, tabs, [100, 1_000, 10_000, 100_000])
+        scan = kg.divergence_scan(N, cfg, [100, 1_000, 10_000, 100_000])
         assert scan.fit_slope > 0
         assert scan.fit_r2 > 0.99
         fits.append((N, scan.fit_slope, scan.fit_r2))
-    conv = kg.mode_sum_convergence(L, 1, cfg, tabs, n_list=[1_000, 2_000, 4_000])
-    fine = kg.mode_sum_convergence(L, 1, cfg, tabs, n_list=[8_000])
+    conv = kg.mode_sum_convergence(L, 1, cfg, n_list=[1_000, 2_000, 4_000])
+    fine = kg.mode_sum_convergence(L, 1, cfg, n_list=[8_000])
     assert abs(fine.alpha2_partial[-1] - conv.alpha2_partial[-1]) <= conv.alpha2_tail
     assert abs(fine.beta2_partial[-1] - conv.beta2_partial[-1]) <= conv.beta2_tail
     _line(4, "PASS", "; ".join(f"N={N}: slope {s:.3g}, r2 {r2:.5f}" for N, s, r2 in fits)
@@ -235,12 +232,11 @@ def test_criterion_10b_commutator_contrast():
     cfg = kg.validate_config(1.0, 0.21, 0.0)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
     tabs = kg.frequencies(cfg, trunc)
-    quad = kg.QuadratureSpec()
     # r_tilde - r = 0.39: tau = 0.2 is spacelike, tau = 0.6 timelike
     c_space = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg), 1,
-                                 cfg, tabs, trunc, quad).c1
+                                 cfg, tabs, trunc).c1
     c_time = kg.commutator_pair(kg.make_probe(0.6, 0.6, 1, cfg), 1,
-                                cfg, tabs, trunc, quad).c1
+                                cfg, tabs, trunc).c1
     assert c_time >= 100 * c_space
     _line(10, "PASS", f"commutator contrast {c_time / c_space:.2e}x >= 100x "
                       f"(spacelike {c_space:.2e}, timelike {c_time:.2e})")
@@ -296,10 +292,9 @@ def test_criterion_12_energy_positivity_and_tail_honesty():
 
 # ── 13: strict-locality contrast ─────────────────────────────────────────────
 
-def test_criterion_13_steering_contrast(cfg_half, tables_half, trunc_10k,
-                                        blocks_half, monkeypatch):
+def test_criterion_13_steering_contrast(cfg_half, trunc_10k, blocks_half, monkeypatch):
     # (a) local-vacuum analogue: beta == 0 makes both routes exactly zero
-    def one_hot_grid(region, m_idx, N_idx, cfg, eps):
+    def one_hot_grid(region, m_idx, N_idx, cfg, eps=None):
         a = np.zeros((len(m_idx), len(N_idx)))
         for i, m in enumerate(np.asarray(m_idx)):
             col = 2 * int(m) if region is L else 2 * int(m) + 1
@@ -310,12 +305,12 @@ def test_criterion_13_steering_contrast(cfg_half, tables_half, trunc_10k,
         mp.setattr("kgcavity.quasilocal.coeff_grid", one_hot_grid)
         small = kg.Truncation(n_max_global=64, m_max_local=8)
         for method in ("wick", "direct"):
-            assert np.all(kg.steering_shift(1, range(1, 6), cfg_half, tables_half,
+            assert np.all(kg.steering_shift(1, range(1, 6), cfg_half,
                                             small, method=method) == 0.0)
 
     # (b) global vacuum: nonzero, proportional to corr row by row, same argmax
     lr = range(1, 21)
-    shifts = kg.steering_shift(1, lr, cfg_half, tables_half, trunc_10k)
+    shifts = kg.steering_shift(1, lr, cfg_half, trunc_10k)
     assert np.all(shifts > 0)
     left, right = blocks_half
     rep = kg.wick_moments([1], lr, left, right)

@@ -33,14 +33,14 @@ RG = kg.Region.RIGHT
 
 # ── frozen coefficient values ────────────────────────────────────────────────
 
-def test_coeff_pair_hand_values(cfg_half, tables_half):
-    a, b = kg.coeff_pair(L, 1, 1, cfg_half, tables_half)
+def test_coeff_pair_hand_values(cfg_half):
+    a, b = kg.coeff_pair(L, 1, 1, cfg_half)
     assert a == pytest.approx(2.0 / np.pi, rel=1e-14)
     assert b == pytest.approx(-2.0 / (3.0 * np.pi), rel=1e-14)
 
 
-def test_coeff_pair_resonance(cfg_half, tables_half):
-    a, b = kg.coeff_pair(L, 1, 2, cfg_half, tables_half)
+def test_coeff_pair_resonance(cfg_half):
+    a, b = kg.coeff_pair(L, 1, 2, cfg_half)
     assert a == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
     assert b == 0.0
 
@@ -53,11 +53,11 @@ def test_kronecker_zeros_are_exact(cfg_half):
         assert kg.closed_overlap(m, N, RG, cfg_half) == 0.0
 
 
-def test_right_region_sign_toggle(cfg_half, tables_half, quad):
+def test_right_region_sign_toggle(cfg_half):
     # (-1)^(N+m) relative to the left family, fixed by the direct integral.
     v = kg.closed_overlap(2, 1, RG, cfg_half)
     assert v == pytest.approx(4.0 / (15.0 * np.sqrt(2.0) * np.pi**2), rel=1e-12)
-    assert v == pytest.approx(kg.overlap_V(2, 1, RG, cfg_half, quad), rel=1e-10)
+    assert v == pytest.approx(kg.overlap_V(2, 1, RG, cfg_half), rel=1e-10)
 
 
 def test_beta_strictly_smaller_than_alpha(blocks_half):
@@ -70,16 +70,14 @@ def test_beta_strictly_smaller_than_alpha(blocks_half):
         assert np.all(blk.beta[~nonzero] == 0.0)
 
 
-def test_coefficients_scale_invariant_overlap_carries_length(quad):
+def test_coefficients_scale_invariant_overlap_carries_length():
     # alpha, beta depend on (r/R, mu R) only; V itself carries one power of
     # the box size (the frequency prefactors cancel it).
     small = kg.validate_config(1.0, 0.3, 7.0)
     big = kg.validate_config(5.0, 1.5, 1.4)
-    trunc = kg.Truncation(n_max_global=16, m_max_local=8)
-    tab_s, tab_b = kg.frequencies(small, trunc), kg.frequencies(big, trunc)
     for m, N in [(1, 1), (2, 5), (4, 9)]:
-        a_s, b_s = kg.coeff_pair(L, m, N, small, tab_s)
-        a_b, b_b = kg.coeff_pair(L, m, N, big, tab_b)
+        a_s, b_s = kg.coeff_pair(L, m, N, small)
+        a_b, b_b = kg.coeff_pair(L, m, N, big)
         assert a_s == pytest.approx(a_b, rel=1e-13)
         assert b_s == pytest.approx(b_b, rel=1e-13)
         assert kg.closed_overlap(m, N, L, big) == pytest.approx(
@@ -91,10 +89,8 @@ def test_r_to_R_limit_approaches_identity():
     # As r -> R the left modes become the global modes: alpha_mm -> 1,
     # everything else -> 0.
     cfg = kg.validate_config(1.0, 1.0 - 1e-9, 0.0)
-    trunc = kg.Truncation(n_max_global=50, m_max_local=5)
-    tabs = kg.frequencies(cfg, trunc)
-    a33, b33 = kg.coeff_pair(L, 3, 3, cfg, tabs)
-    a35, b35 = kg.coeff_pair(L, 3, 5, cfg, tabs)
+    a33, b33 = kg.coeff_pair(L, 3, 3, cfg)
+    a35, b35 = kg.coeff_pair(L, 3, 5, cfg)
     assert a33 == pytest.approx(1.0, abs=1e-6)
     assert abs(b33) < 1e-6
     assert abs(a35) < 1e-6
@@ -102,7 +98,7 @@ def test_r_to_R_limit_approaches_identity():
 
 # ── closed form vs quadrature oracle (seeded property test) ──────────────────
 
-def test_closed_form_matches_quadrature_on_random_samples(rng, quad):
+def test_closed_form_matches_quadrature_on_random_samples(rng):
     """100-sample mirror of the acceptance sweep, wider index ranges."""
     r_pool = [1 / np.pi, 0.21, 0.5, 0.9]
     mu_pool = [0.0, 1.0, 10.0]
@@ -114,7 +110,7 @@ def test_closed_form_matches_quadrature_on_random_samples(rng, quad):
         m = int(rng.integers(1, 41))
         N = int(rng.integers(1, 301))
         vc = kg.closed_overlap(m, N, region, cfg)
-        vq = kg.overlap_V(m, N, region, cfg, quad)
+        vq = kg.overlap_V(m, N, region, cfg)
         if abs(vq) < 1e-13:
             assert abs(vc) < 1e-12
             continue
@@ -123,13 +119,13 @@ def test_closed_form_matches_quadrature_on_random_samples(rng, quad):
     print(f"worst closed-vs-quadrature rel err over 100 samples: {worst:.2e}")
 
 
-def test_coeff_grid_matches_coeff_pair(cfg_half, tables_half):
+def test_coeff_grid_matches_coeff_pair(cfg_half):
     m_idx = np.arange(1, 7)
     N_idx = np.arange(1, 26)
     A, B = kg.coeff_grid(L, m_idx, N_idx, cfg_half, 1e-8)
     for i, m in enumerate(m_idx):
         for j, N in enumerate(N_idx):
-            a, b = kg.coeff_pair(L, int(m), int(N), cfg_half, tables_half)
+            a, b = kg.coeff_pair(L, int(m), int(N), cfg_half)
             assert A[i, j] == pytest.approx(a, rel=1e-14, abs=1e-300)
             assert B[i, j] == pytest.approx(b, rel=1e-14, abs=1e-300)
 
@@ -462,6 +458,12 @@ def test_identity_residuals_do_not_grow_with_cutoff_heavy_mass():
     cfg = kg.validate_config(1.0, 0.6250056379050883, 1000.0)
     maxima = [_max_residual(cfg, 10, n) for n in (1_000, 2_000, 4_000)]
     assert maxima[1] <= maxima[0] and maxima[2] <= maxima[1]
+
+
+def test_identity_residuals_reject_upto_past_the_rows(blocks_half):
+    left, right = blocks_half
+    with pytest.raises(kg.DomainError, match="exceeds"):
+        kg.identity_residuals(left, right, upto=left.alpha.shape[0] + 1)
 
 
 def test_identity_residuals_match_fsum_reference(blocks_half):

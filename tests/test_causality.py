@@ -57,7 +57,7 @@ def test_probe_is_kg_normalized(cfg_narrow):
     grid = kg.uniform_grid(cfg_narrow, 4097)
     mode = kg.eval_probe_initial(probe, grid, cfg_narrow)
     assert np.all(mode.value[grid <= 0.6] == 0.0)
-    norm = kg.kg_inner(mode, mode, kg.QuadratureSpec())
+    norm = kg.kg_inner(mode, mode)
     assert norm.real == pytest.approx(1.0, abs=5e-7)
 
 
@@ -135,22 +135,22 @@ def test_leakage_refuses_grids_without_interior_points(cfg_half, tables_half, tr
 # ── commutators against the later probe ──────────────────────────────────────
 
 def test_commutators_silent_at_spacelike_separation(cfg_narrow, tables_narrow,
-                                                    trunc_narrow, quad):
+                                                    trunc_narrow):
     # gap = r_tilde - r = 0.39; both commutators stay on the numerical
     # floor until the cone arrives
     floor = kg.commutator_pair(kg.make_probe(0.6, 0.0, 1, cfg_narrow), 1,
-                               cfg_narrow, tables_narrow, trunc_narrow, quad)
+                               cfg_narrow, tables_narrow, trunc_narrow)
     assert max(floor.c1, floor.c2) <= 1e-12          # measured 1.5e-14
     c1, c2, *_ = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg_narrow), 1,
-                                    cfg_narrow, tables_narrow, trunc_narrow, quad)
+                                    cfg_narrow, tables_narrow, trunc_narrow)
     assert c1 <= 1e-8 and c2 <= 1e-8    # measured 3.0e-10
 
 
 def test_commutators_wake_up_inside_the_cone(cfg_narrow, tables_narrow,
-                                             trunc_narrow, quad):
+                                             trunc_narrow):
     c1_in, c2_in, *_ = kg.commutator_pair(kg.make_probe(0.6, 0.6, 1, cfg_narrow), 1,
-                                          cfg_narrow, tables_narrow, trunc_narrow, quad)
+                                          cfg_narrow, tables_narrow, trunc_narrow)
     assert c1_in >= 0.1 and c2_in >= 0.1    # measured 0.334 / 0.245
     c1_out = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg_narrow), 1,
-                                cfg_narrow, tables_narrow, trunc_narrow, quad).c1
+                                cfg_narrow, tables_narrow, trunc_narrow).c1
     assert c1_in / c1_out >= 1e3            # measured contrast ~1.1e9

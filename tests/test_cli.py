@@ -110,6 +110,11 @@ def test_correlations_with_verification_columns(tmp_path):
         main(["correlations", "--nmax", "500", "--mmax", "4", "--verify-double-sum",
               "--out-dir", str(tmp_path / "d")])
     assert exc.value.code == 2
+    # the resonance window is a library constant; argparse refuses a flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["correlations", "--nmax", "500", "--mmax", "4", "--resonance-eps", "1e-8",
+              "--out-dir", str(tmp_path / "e")])
+    assert exc.value.code == 2
 
 
 def test_quasilocal_products(tmp_path):

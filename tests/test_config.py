@@ -36,10 +36,6 @@ def test_truncation_rejects_bad_counts():
         kg.Truncation(n_max_global=0)
     with pytest.raises(kg.DomainError):
         kg.Truncation(grid_points=0)
-    with pytest.raises(kg.DomainError):
-        kg.Truncation(resonance_eps=0.0)
-    with pytest.raises(kg.DomainError):
-        kg.Truncation(resonance_eps=1e-3)  # upper bound 1e-6
 
 
 def test_frequency_tables_shapes_and_monotonicity():
@@ -75,7 +71,6 @@ def test_load_config_file_parses_both_syntaxes(tmp_path):
         "r 0.5        # trailing comment, no equals sign\n"
         "mu = 0\n"
         "n_max_global = 500\n"
-        "resonance_eps = 1e-8\n"
         "\n"
     )
     values = kg.load_config_file(str(p))
@@ -84,16 +79,17 @@ def test_load_config_file_parses_both_syntaxes(tmp_path):
         "r": 0.5,
         "mu": 0.0,
         "n_max_global": 500,
-        "resonance_eps": 1e-8,
     }
     assert isinstance(values["n_max_global"], int)
 
 
 def test_load_config_file_rejects_unknown_key(tmp_path):
-    p = tmp_path / "bad.cfg"
-    p.write_text("partition = 0.5\n")
-    with pytest.raises(kg.DomainError, match="unknown config key"):
-        kg.load_config_file(str(p))
+    # the resonance window is a library constant, not a config key
+    for line in ("partition = 0.5\n", "resonance_eps = 1e-8\n"):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line)
+        with pytest.raises(kg.DomainError, match="unknown config key"):
+            kg.load_config_file(str(p))
 
 
 def test_load_config_file_rejects_bad_value(tmp_path):

@@ -25,24 +25,24 @@ RG = kg.Region.RIGHT
 
 # ── overlap oracle: frozen hand values ───────────────────────────────────────
 
-def test_overlap_left_11_hand_value(cfg_half, quad):
-    v = kg.overlap_V(1, 1, L, cfg_half, quad)
+def test_overlap_left_11_hand_value(cfg_half):
+    v = kg.overlap_V(1, 1, L, cfg_half)
     assert v == pytest.approx(2.0 / (3.0 * np.pi**2), rel=1e-12)
 
 
-def test_overlap_right_21_hand_value_and_sign(cfg_half, quad):
+def test_overlap_right_21_hand_value_and_sign(cfg_half):
     # The raw integral over [1/2, 1] is positive; recording the sign here is
     # the point of the test, not just the magnitude.
-    v = kg.overlap_V(2, 1, RG, cfg_half, quad)
+    v = kg.overlap_V(2, 1, RG, cfg_half)
     expect = 4.0 / (15.0 * np.sqrt(2.0) * np.pi**2)
     assert v == pytest.approx(+expect, rel=1e-12)
 
 
-def test_resonant_overlap_matches_analytic_limit(cfg_half, quad):
+def test_resonant_overlap_matches_analytic_limit(cfg_half):
     # Om_2 = om_1 = 2 pi at r = R/2: the generic closed form is 0/0 here and
     # the analytic limit is sigma * (r/2)/sqrt(R r Om om) -- this run fixes
     # sigma = +1.
-    v = kg.overlap_V(1, 2, L, cfg_half, quad)
+    v = kg.overlap_V(1, 2, L, cfg_half)
     limit = (cfg_half.r / 2.0) / np.sqrt(
         cfg_half.R * cfg_half.r * (2 * np.pi) * (2 * np.pi)
     )
@@ -50,15 +50,15 @@ def test_resonant_overlap_matches_analytic_limit(cfg_half, quad):
     assert v == pytest.approx(limit, rel=1e-10)
 
 
-def test_kronecker_overlap_is_numerically_zero(cfg_half, quad):
+def test_kronecker_overlap_is_numerically_zero(cfg_half):
     # sin(N pi r / R) = 0 with Om_3 != om_2: the integral vanishes exactly.
-    v = kg.overlap_V(3, 2, L, cfg_half, quad)
+    v = kg.overlap_V(3, 2, L, cfg_half)
     assert abs(v) < 1e-13
 
 
-def test_overlap_rejects_nonpositive_indices(cfg_half, quad):
+def test_overlap_rejects_nonpositive_indices(cfg_half):
     with pytest.raises(IndexError):
-        kg.overlap_V(0, 1, L, cfg_half, quad)
+        kg.overlap_V(0, 1, L, cfg_half)
 
 
 # ── KG inner product on sampled modes ────────────────────────────────────────
@@ -68,48 +68,48 @@ def _snapshot(N, cfg, tables, n_pts=4097, t=0.0):
     return kg.eval_global_mode(N, grid, t, cfg, tables)
 
 
-def test_global_modes_are_kg_orthonormal(cfg_half, tables_half, quad):
+def test_global_modes_are_kg_orthonormal(cfg_half, tables_half):
     f1 = _snapshot(1, cfg_half, tables_half)
     f2 = _snapshot(2, cfg_half, tables_half)
-    assert kg.kg_inner(f1, f1, quad) == pytest.approx(1.0, abs=5e-10)
-    assert kg.kg_inner(f2, f2, quad) == pytest.approx(1.0, abs=5e-10)
-    assert abs(kg.kg_inner(f1, f2, quad)) < 5e-10
+    assert kg.kg_inner(f1, f1) == pytest.approx(1.0, abs=5e-10)
+    assert kg.kg_inner(f2, f2) == pytest.approx(1.0, abs=5e-10)
+    assert abs(kg.kg_inner(f1, f2)) < 5e-10
 
 
-def test_local_modes_are_kg_orthonormal(cfg_half, tables_half, quad):
+def test_local_modes_are_kg_orthonormal(cfg_half, tables_half):
     grid = kg.uniform_grid(cfg_half, 4097)
     u1 = kg.eval_local_initial(L, 1, grid, cfg_half, tables_half)
     u2 = kg.eval_local_initial(L, 2, grid, cfg_half, tables_half)
     ub1 = kg.eval_local_initial(RG, 1, grid, cfg_half, tables_half)
-    assert kg.kg_inner(u1, u1, quad) == pytest.approx(1.0, abs=5e-9)
-    assert abs(kg.kg_inner(u1, u2, quad)) < 5e-9
+    assert kg.kg_inner(u1, u1) == pytest.approx(1.0, abs=5e-9)
+    assert abs(kg.kg_inner(u1, u2)) < 5e-9
     # disjoint supports: exactly orthogonal up to quadrature noise
-    assert abs(kg.kg_inner(u1, ub1, quad)) < 5e-9
+    assert abs(kg.kg_inner(u1, ub1)) < 5e-9
 
 
-def test_kg_inner_conjugate_symmetry_and_antisymmetry(cfg_half, tables_half, quad):
+def test_kg_inner_conjugate_symmetry_and_antisymmetry(cfg_half, tables_half):
     f = _snapshot(1, cfg_half, tables_half, t=0.13)
     g = _snapshot(3, cfg_half, tables_half, t=0.13)
-    fg = kg.kg_inner(f, g, quad)
-    gf = kg.kg_inner(g, f, quad)
+    fg = kg.kg_inner(f, g)
+    gf = kg.kg_inner(g, f)
     assert complex(gf) == pytest.approx(np.conj(complex(fg)), abs=1e-12)
     # (f*|g*) = -(f|g)*
     fs = kg.conjugate_mode(f)
     gs = kg.conjugate_mode(g)
-    fsgs = kg.kg_inner(fs, gs, quad)
+    fsgs = kg.kg_inner(fs, gs)
     assert complex(fsgs) == pytest.approx(-np.conj(complex(fg)), abs=1e-12)
     # conjugate pairs have negative norm
-    assert kg.kg_inner(fs, fs, quad).real == pytest.approx(-1.0, abs=5e-10)
+    assert kg.kg_inner(fs, fs).real == pytest.approx(-1.0, abs=5e-10)
 
 
-def test_kg_inner_requires_shared_grid_and_time(cfg_half, tables_half, quad):
+def test_kg_inner_requires_shared_grid_and_time(cfg_half, tables_half):
     f = _snapshot(1, cfg_half, tables_half, n_pts=513)
     g = _snapshot(1, cfg_half, tables_half, n_pts=1025)
     with pytest.raises(kg.GridMismatch):
-        kg.kg_inner(f, g, quad)
+        kg.kg_inner(f, g)
     h = _snapshot(1, cfg_half, tables_half, n_pts=513, t=0.2)
     with pytest.raises(kg.GridMismatch):
-        kg.kg_inner(f, h, quad)
+        kg.kg_inner(f, h)
 
 
 def _exponential_mode(cfg, tables, n_pts):
@@ -121,31 +121,18 @@ def _exponential_mode(cfg, tables, n_pts):
     return dataclasses.replace(f, value=np.exp(x) + 0j, tderiv=1j * np.exp(2 * x))
 
 
-def test_simpson_converges_at_fourth_order(cfg_half, tables_half, quad):
+def test_simpson_converges_at_fourth_order(cfg_half, tables_half):
     # halving h should cut the error by ~16; demand at least 8.
     exact = -2.0 * (np.exp(3.0) - 1.0) / 3.0
     errs = []
     for n_pts in (65, 129):
         f = _exponential_mode(cfg_half, tables_half, n_pts)
-        errs.append(abs(kg.kg_inner(f, f, quad) - exact))
+        errs.append(abs(kg.kg_inner(f, f) - exact))
     assert errs[1] < errs[0] / 8.0
 
 
-def test_error_estimate_is_attached_and_small(cfg_half, tables_half, quad):
+def test_error_estimate_is_attached_and_small(cfg_half, tables_half):
     f = _snapshot(2, cfg_half, tables_half)
-    ip = kg.kg_inner(f, f, quad)
+    ip = kg.kg_inner(f, f)
     assert ip.error_estimate >= 0.0
     assert ip.error_estimate < 1e-6
-
-
-def test_trapezoid_rule_is_available_and_worse(cfg_half, tables_half):
-    exact = -2.0 * (np.exp(3.0) - 1.0) / 3.0
-    f = _exponential_mode(cfg_half, tables_half, 513)
-    simp = kg.kg_inner(f, f, kg.QuadratureSpec())
-    trap = kg.kg_inner(f, f, kg.QuadratureSpec(rule="trapezoid"))
-    assert abs(complex(trap) - exact) > 100.0 * abs(complex(simp) - exact)
-
-
-def test_quadrature_spec_rejects_unknown_rule():
-    with pytest.raises(ValueError):
-        kg.QuadratureSpec(rule="midpoint")

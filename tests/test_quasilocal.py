@@ -132,7 +132,7 @@ def test_wavepacket_norm_and_shape(cfg_half, tables_half, trunc_10k):
     psi = kg.quasilocal_wavepacket(1, grid, 0.0, cfg_half, tables_half, trunc_10k)
     assert psi.value[0] == 0.0 and psi.value[-1] == 0.0
     # KG norm of the normalized state is 1 (up to truncation + quadrature)
-    norm = kg.kg_inner(psi, psi, kg.QuadratureSpec())
+    norm = kg.kg_inner(psi, psi)
     assert norm.real == pytest.approx(1.0, abs=5e-3)
     assert abs(norm.imag) < 1e-9
 
@@ -168,10 +168,10 @@ def test_local_quantum_energy_doubling_within_tail(cfg_half, tables_half):
 
 # ── steering shift ───────────────────────────────────────────────────────────
 
-def test_steering_two_routes_agree(cfg_half, tables_half, trunc_10k):
+def test_steering_two_routes_agree(cfg_half, trunc_10k):
     lr = range(1, 6)
-    wick = kg.steering_shift(1, lr, cfg_half, tables_half, trunc_10k)
-    direct = kg.steering_shift(1, lr, cfg_half, tables_half, trunc_10k,
+    wick = kg.steering_shift(1, lr, cfg_half, trunc_10k)
+    direct = kg.steering_shift(1, lr, cfg_half, trunc_10k,
                                method="direct")
     rel = np.max(np.abs(wick - direct) / np.abs(wick))
     assert rel <= 1e-9   # measured 5.7e-11 at this cutoff, 5.9e-14 at 1e5
@@ -180,11 +180,10 @@ def test_steering_two_routes_agree(cfg_half, tables_half, trunc_10k):
     assert wick[0] == pytest.approx(0.012503323459694, rel=1e-9)
 
 
-def test_steering_matches_covariance_route(cfg_half, tables_half, trunc_10k,
-                                           blocks_half):
+def test_steering_matches_covariance_route(cfg_half, trunc_10k, blocks_half):
     left, right = blocks_half
     lr = range(1, 11)
-    shifts = kg.steering_shift(1, lr, cfg_half, tables_half, trunc_10k)
+    shifts = kg.steering_shift(1, lr, cfg_half, trunc_10k)
     rep = kg.wick_moments([1], lr, left, right)
     expected = rep.cov[0] / (1.0 + rep.mean_left[0])
     assert np.allclose(shifts, expected, rtol=1e-12)
@@ -197,11 +196,10 @@ def test_steering_matches_covariance_route(cfg_half, tables_half, trunc_10k,
     assert int(np.argmax(shifts)) == int(np.argmax(rep.corr[0]))
 
 
-def test_steering_vanishes_for_local_vacuum_analogue(cfg_half, tables_half,
-                                                     monkeypatch):
+def test_steering_vanishes_for_local_vacuum_analogue(cfg_half, monkeypatch):
     # beta == 0 with orthogonal alpha rows: the product-state dictionary.
     # Both evaluation routes must return exactly zero, not merely small.
-    def one_hot_grid(region, m_idx, N_idx, cfg, eps):
+    def one_hot_grid(region, m_idx, N_idx, cfg, eps=None):
         a = np.zeros((len(m_idx), len(N_idx)))
         for i, m in enumerate(np.asarray(m_idx)):
             col = 2 * int(m) if region is kg.Region.LEFT else 2 * int(m) + 1
@@ -211,12 +209,11 @@ def test_steering_vanishes_for_local_vacuum_analogue(cfg_half, tables_half,
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", one_hot_grid)
     trunc = kg.Truncation(n_max_global=64, m_max_local=8)
     for method in ("wick", "direct"):
-        shifts = kg.steering_shift(1, range(1, 6), cfg_half, tables_half,
-                                   trunc, method=method)
+        shifts = kg.steering_shift(1, range(1, 6), cfg_half, trunc, method=method)
         assert np.all(shifts == 0.0)
 
 
-def test_steering_rejects_unknown_method(cfg_half, tables_half, trunc_10k):
+def test_steering_rejects_unknown_method(cfg_half, trunc_10k):
     with pytest.raises(ValueError):
-        kg.steering_shift(1, [1], cfg_half, tables_half, trunc_10k,
+        kg.steering_shift(1, [1], cfg_half, trunc_10k,
                           method="exact")

@@ -75,21 +75,19 @@ def test_spectrum_decreases_with_mass():
 
 def test_divergence_scan_is_logarithmic():
     cfg = kg.validate_config(1.0, 1 / np.pi, 10.0)
-    trunc = kg.Truncation(n_max_global=100, m_max_local=1)
-    tabs = kg.frequencies(cfg, trunc)
-    scan = kg.divergence_scan(1, cfg, tabs, M_list=[100, 1_000, 10_000, 100_000])
+    scan = kg.divergence_scan(1, cfg, M_list=[100, 1_000, 10_000, 100_000])
     assert np.all(np.diff(scan.partial_sums) > 0)  # growing without bound
     assert scan.fit_slope > 0
     assert scan.fit_r2 > 0.99
 
 
-def test_divergence_scan_rejects_indices_below_one(cfg_half, tables_half):
+def test_divergence_scan_rejects_indices_below_one(cfg_half):
     for N, M_list in ((1, [0, 10]), (0, [10, 100]), (1, [])):
         with pytest.raises(kg.DomainError):
-            kg.divergence_scan(N, cfg_half, tables_half, M_list)
+            kg.divergence_scan(N, cfg_half, M_list)
     for m, n_list in ((0, [100]), (1, [0, 100]), (1, [])):
         with pytest.raises(kg.DomainError):
-            kg.mode_sum_convergence(L, m, cfg_half, tables_half, n_list)
+            kg.mode_sum_convergence(L, m, cfg_half, n_list)
 
 
 def test_tails_match_direct_quadrature(cfg_half, tables_half):
@@ -99,7 +97,7 @@ def test_tails_match_direct_quadrature(cfg_half, tables_half):
     m, n_from, w = 3, 8, 0.5
     om = math.sqrt((math.pi * m / w) ** 2)
     pref = m**2 * math.pi**2 / (2.0 * w**3 * om)
-    conv = kg.mode_sum_convergence(L, m, cfg_half, tables_half, n_list=[n_from])
+    conv = kg.mode_sum_convergence(L, m, cfg_half, n_list=[n_from])
     for got, sign, start in ((conv.beta2_tail, 1.0, n_from),
                              (conv.alpha2_tail, -1.0, max(n_from, 2.0 * om / math.pi))):
         want, _ = integrate.quad(lambda N: pref / (math.pi * N * (math.pi * N + sign * om) ** 2),
@@ -110,8 +108,8 @@ def test_tails_match_direct_quadrature(cfg_half, tables_half):
     assert spec.tail_bound[m - 1] == pytest.approx(conv.beta2_tail, rel=1e-14)
 
 
-def test_mode_sum_convergence_is_cauchy(cfg_half, tables_half):
-    conv = kg.mode_sum_convergence(L, 1, cfg_half, tables_half,
+def test_mode_sum_convergence_is_cauchy(cfg_half):
+    conv = kg.mode_sum_convergence(L, 1, cfg_half,
                                    n_list=[1_000, 2_000, 4_000])
     inc_a = np.abs(np.diff(conv.alpha2_partial))
     inc_b = np.abs(np.diff(conv.beta2_partial))
@@ -119,7 +117,7 @@ def test_mode_sum_convergence_is_cauchy(cfg_half, tables_half):
     assert np.all(np.diff(inc_b) < 0)
     # the doubling step 4000 -> 8000 stays inside the integral-test tail
     # quoted at 4000 (tails attach to the last cutoff in n_list)
-    fine = kg.mode_sum_convergence(L, 1, cfg_half, tables_half, n_list=[8_000])
+    fine = kg.mode_sum_convergence(L, 1, cfg_half, n_list=[8_000])
     assert abs(fine.alpha2_partial[-1] - conv.alpha2_partial[-1]) <= conv.alpha2_tail
     assert abs(fine.beta2_partial[-1] - conv.beta2_partial[-1]) <= conv.beta2_tail
     assert conv.alpha2_tail > fine.alpha2_tail > 0
@@ -216,9 +214,9 @@ def test_paper_norm_variant_is_proportional_to_cov(blocks_half):
 
 def test_wick_moments_rejects_out_of_range_rows(blocks_half):
     left, right = blocks_half
-    with pytest.raises(IndexError):
+    with pytest.raises(kg.DomainError):
         kg.wick_moments([0], [1], left, right)
-    with pytest.raises(IndexError):
+    with pytest.raises(kg.DomainError):
         kg.wick_moments([1], [10_000], left, right)
 
 
