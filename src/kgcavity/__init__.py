@@ -42,6 +42,7 @@ from .config import (
     ThresholdUnreachable,
     Truncation,
     frequencies,
+    ladder,
     load_config_file,
     validate_config,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "frequencies",
     "identity_residuals",
     "kg_inner",
+    "ladder",
     "lightcone_leakage",
     "limit_scan",
     "load_config_file",

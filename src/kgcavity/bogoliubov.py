@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, FrequencyTables, Truncation
+from .config import CavityConfig, DomainError, FrequencyTables, Truncation, ladder
 from .modes import Region
 
 __all__ = [
@@ -206,8 +206,8 @@ def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factor
     m = np.asarray(m_indices, dtype=np.float64)
     N = np.asarray(N_indices, dtype=np.float64)
 
-    Om = np.sqrt((np.pi * N) ** 2 + mu**2)
-    om = np.sqrt((np.pi * m / w) ** 2 + mu**2)
+    Om = ladder(N, 1.0, mu)
+    om = ladder(m, w, mu)
     x = N * w
     k = np.rint(x)
     f = x - k
@@ -304,19 +304,16 @@ def beta_sq_sums(
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:
     """(alpha_mN, beta_mN) for one index pair (both real)."""
     if m < 1 or N < 1:
-        raise IndexError(f"indices must be >= 1, got m={m}, N={N}")
+        raise DomainError(f"indices must be >= 1, got m={m}, N={N}")
     alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg)
     return float(alpha[0, 0]), float(beta[0, 0])
 
 
 def closed_overlap(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
     """Closed-form V_mN in the caller's units (scales as R), for oracle checks."""
-    alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg)
-    w, _ = _family_params(region, cfg)
-    mu = cfg.mu_tilde
-    Om = np.sqrt((np.pi * N) ** 2 + mu**2)
-    om = np.sqrt((np.pi * m / w) ** 2 + mu**2)
-    return float(alpha[0, 0] / (om + Om)) * cfg.R
+    alpha, _ = coeff_grid(region, np.array([m]), np.array([N]), cfg)
+    fac = _factors(region, [m], [N], cfg)
+    return float(alpha[0, 0] / (fac.om[0] + fac.Om[0])) * cfg.R
 
 
 # ── block construction and memo ──────────────────────────────────────────────
@@ -347,7 +344,7 @@ def clear_memo() -> None:
 def build_block(
     region: Region,
     cfg: CavityConfig,
-    tables: FrequencyTables,
+    tables: FrequencyTables | None,
     trunc: Truncation,
 ) -> BogoliubovBlock:
     """Full [m_max_local x n_max_global] coefficient block for one family.
@@ -355,6 +352,10 @@ def build_block(
     Memoized in process by the dimensionless digest. The memo is a
     least-recently-used map bounded by _MEMO_BYTES of alpha + beta payload;
     a block larger than the bound is returned without being kept.
+
+    ``tables`` is ignored (pass None): the coefficients take their
+    frequencies from ``cfg``. It stays because ``perfbench/tests`` passes it
+    positionally.
     """
     digest = block_digest(region, cfg, trunc)
     block = _BLOCK_MEMO.get(digest)

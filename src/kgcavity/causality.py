@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bogoliubov import build_block
-from .config import CavityConfig, DomainError, FrequencyTables, GridMismatch, Truncation
+from .config import CavityConfig, DomainError, GridMismatch, Truncation, ladder
 from .modes import Region, SampledMode, conjugate_mode, evolve_local_mode, uniform_grid
 from .quadrature import kg_inner
 
@@ -75,8 +75,7 @@ def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSp
         raise DomainError(f"probe time must be >= 0, got {tau}")
     if n < 1:
         raise DomainError(f"probe index must be >= 1, got {n}")
-    width = cfg.R - r_tilde
-    omega_tilde = float(np.sqrt((np.pi * n / width) ** 2 + cfg.mu**2))
+    omega_tilde = float(ladder(n, cfg.R - r_tilde, cfg.mu))
     return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=int(n), omega_tilde=omega_tilde)
 
 
@@ -105,7 +104,6 @@ def commutator_pair(
     probe: ProbeSpec,
     m: int,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
 ) -> Commutators:
     """(c1, c2) = (|(u_tilde_n|u_m)|, |(u_tilde_n|u_m*)|) at t = tau.
@@ -114,8 +112,8 @@ def commutator_pair(
     with the probe's Cauchy data by KG quadrature on a shared grid.
     """
     grid = uniform_grid(cfg, trunc.grid_points)
-    block = build_block(Region.LEFT, cfg, tables, trunc)
-    u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, tables, trunc, block)
+    block = build_block(Region.LEFT, cfg, None, trunc)
+    u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc, block)
     probe_mode = eval_probe_initial(probe, grid, cfg)
     return Commutators(
         c1=abs(kg_inner(probe_mode, u_m)),
@@ -156,7 +154,6 @@ def lightcone_leakage(
     m: int,
     t: float,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     edge_margin: float = 0.0,
 ) -> Leakage:
@@ -172,9 +169,9 @@ def lightcone_leakage(
         raise DomainError(f"time must be >= 0, got {t}")
     _check_cone_grid(trunc.grid_points)
     grid = uniform_grid(cfg, trunc.grid_points)
-    block = build_block(region, cfg, tables, trunc)
-    u = evolve_local_mode(region, m, grid, t, cfg, tables, trunc, block)
-    om = (tables.omega if region is Region.LEFT else tables.omega_bar)[m - 1]
+    block = build_block(region, cfg, None, trunc)
+    u = evolve_local_mode(region, m, grid, t, cfg, trunc, block)
+    om = region.omega(m, cfg)
     if region is Region.LEFT:
         edge = min(cfg.r + t + edge_margin, cfg.R)
         outside, total = outside_cone_mass(u, edge, om, side="above")

@@ -29,7 +29,6 @@ from .config import (
     KgCavityError,
     ThresholdUnreachable,
     Truncation,
-    frequencies,
     load_config_file,
     validate_config,
 )
@@ -200,13 +199,12 @@ def cmd_modes(args) -> int:
     _check_local(trunc, "--m", args.m)
     run = _Run(args, "modes", cfg, trunc)
     region = _REGIONS[args.region]
-    tables = frequencies(cfg, trunc)
-    block = build_block(region, cfg, tables, trunc)
+    block = build_block(region, cfg, None, trunc)
     grid = uniform_grid(cfg, trunc.grid_points)
     times = parse_float_list(args.times)
     series = []
     for k, t in enumerate(times):
-        mode = evolve_local_mode(region, args.m, grid, t, cfg, tables, trunc, block)
+        mode = evolve_local_mode(region, args.m, grid, t, cfg, trunc, block)
         _record_series(run, f"t={t:.17g}", mode)
         rows = zip(grid, mode.value.real, mode.value.imag, mode.tderiv.real, mode.tderiv.imag)
         run.csv(
@@ -234,13 +232,12 @@ def cmd_spectrum(args) -> int:
     series = []
     for mu in mus:
         cfg_mu = validate_config(cfg.R, cfg.r, mu)
-        tables = frequencies(cfg_mu, trunc_l)
-        spec = vacuum_spectrum(region, cfg_mu, tables, trunc_l)
-        om = tables.omega if region is Region.LEFT else tables.omega_bar
+        spec = vacuum_spectrum(region, cfg_mu, trunc_l)
+        om = region.omega(np.arange(1, lmax + 1), cfg_mu)
         for l in range(1, lmax + 1):
             rows.append((mu, l, om[l - 1], spec.values[l - 1], spec.tail_bound[l - 1]))
         run.tails[f"mu={mu:.17g}"] = float(np.max(spec.tail_bound))
-        series.append((om[:lmax], spec.values, f"mu={mu:g}"))
+        series.append((om, spec.values, f"mu={mu:g}"))
     run.csv("spectrum.csv", _meta(cfg, trunc_l) + [f"region={args.region}"],
             ["mu", "l", "omega_l", "n_l", "tail_bound"], rows)
     if args.svg:
@@ -284,9 +281,8 @@ def cmd_correlations(args) -> int:
     _check_local(trunc, "--mrows", args.mrows)
     _check_local(trunc, "--nrows", args.nrows)
     run = _Run(args, "correlations", cfg, trunc)
-    tables = frequencies(cfg, trunc)
-    left = build_block(Region.LEFT, cfg, tables, trunc)
-    right = build_block(Region.RIGHT, cfg, tables, trunc)
+    left = build_block(Region.LEFT, cfg, None, trunc)
+    right = build_block(Region.RIGHT, cfg, None, trunc)
     m_range = range(1, args.mrows + 1)
     n_range = range(1, args.nrows + 1)
     report = wick_moments(m_range, n_range, left, right, paper_norm=args.paper_norm)
@@ -317,11 +313,10 @@ def cmd_quasilocal(args) -> int:
     if args.wavepacket_m is not None:
         _check_local(trunc, "--wavepacket-m", args.wavepacket_m)
     run = _Run(args, "quasilocal", cfg, trunc)
-    tables = frequencies(cfg, trunc)
     band_rows = []
     overlap_series = []
     for l in l_list:
-        dist = overlap_distribution(l, cfg, tables, trunc)
+        dist = overlap_distribution(l, cfg, trunc)
         keep = dist.p > 0
         run.csv(
             f"overlap_l{l}.csv",
@@ -330,11 +325,11 @@ def cmd_quasilocal(args) -> int:
             zip(np.nonzero(keep)[0] + 1, dist.Omega[keep], dist.p[keep]),
         )
         try:
-            dO = bandwidth(l, cfg, tables, trunc, threshold=args.threshold)
+            dO = bandwidth(l, cfg, trunc, threshold=args.threshold)
         except ThresholdUnreachable as exc:
             log.warning("bandwidth threshold unreachable for l=%d (captured %.6g)", l, exc.captured)
             dO = float("nan")
-        energy = quasilocal_energy(l, cfg, tables, trunc)
+        energy = quasilocal_energy(l, cfg, trunc)
         run.tails[f"energy_tail_l={l}"] = energy.tail_bound
         band_rows.append((l, dist.omega_l, dO, dist.norm_captured,
                           energy.raw, energy.normalized, energy.annihilator_normalized))
@@ -347,9 +342,9 @@ def cmd_quasilocal(args) -> int:
     run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], zip(l_list, shifts_w, shifts_d))
     if args.wavepacket_m:
-        block = build_block(Region.LEFT, cfg, tables, trunc)
+        block = build_block(Region.LEFT, cfg, None, trunc)
         grid = uniform_grid(cfg, trunc.grid_points)
-        comp = wavepacket_comparison(args.wavepacket_m, grid, args.t, cfg, tables, trunc, block)
+        comp = wavepacket_comparison(args.wavepacket_m, grid, args.t, cfg, trunc, block)
         run.tails["psi_outside_fraction"] = comp.psi_outside_fraction
         run.tails["u_outside_fraction"] = comp.u_outside_fraction
         run.tails["u_tail_estimate"] = comp.u.tail_estimate
@@ -372,12 +367,10 @@ def cmd_causality(args) -> int:
     _check_local(trunc, "--m", args.m)
     _check_positive("--probe-n", args.probe_n)
     run = _Run(args, "causality", cfg, trunc)
-    tables = frequencies(cfg, trunc)
     times = parse_float_list(args.times)
     leak_rows = []
     for t in times:
-        leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, tables, trunc,
-                                 edge_margin=args.edge_margin)
+        leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, trunc, edge_margin=args.edge_margin)
         _record_series(run, f"leakage_t={t:.17g}", leak)
         leak_rows.append((t, min(cfg.r + t + args.edge_margin, cfg.R), leak.fraction))
     run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
@@ -389,7 +382,7 @@ def cmd_causality(args) -> int:
     comm_rows = []
     for tau in taus:
         probe = make_probe(r_tilde, tau, args.probe_n, cfg)
-        comm = commutator_pair(probe, args.m, cfg, tables, trunc)
+        comm = commutator_pair(probe, args.m, cfg, trunc)
         _record_series(run, f"commutator_tau={tau:.17g}", comm)
         comm_rows.append((tau, r_tilde, comm.c1, comm.c2, int(tau < gap)))
     run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
@@ -439,9 +432,8 @@ def cmd_identities(args) -> int:
     rows = []
     for n in sorted(n_list):
         trunc_n = dataclasses.replace(trunc, n_max_global=n, m_max_local=args.upto)
-        tables = frequencies(cfg, trunc_n)
-        left = build_block(Region.LEFT, cfg, tables, trunc_n)
-        right = build_block(Region.RIGHT, cfg, tables, trunc_n)
+        left = build_block(Region.LEFT, cfg, None, trunc_n)
+        right = build_block(Region.RIGHT, cfg, None, trunc_n)
         res = identity_residuals(left, right, args.upto)
         rows.append((n, float(res.D1.max()), float(res.D2.max()),
                      float(res.D1_cross.max()), float(res.D2_cross.max()), res.max_residual))

@@ -1,4 +1,4 @@
-"""Validated physical/numerical configuration and frequency tables.
+"""Validated physical/numerical configuration and the frequency ladder.
 
 A cavity run is controlled by three physical numbers — box size R, the
 partition point r splitting it into [0, r] and [r, R], and the field mass
@@ -6,6 +6,10 @@ mu — plus truncation counts for the mode series. Everything downstream is
 scale invariant in the combinations r/R and mu*R, so internally the
 library works at R = 1 and rescales on the way in and out; see
 ``CavityConfig.r_tilde`` / ``CavityConfig.mu_tilde``.
+
+Every frequency comes from ``ladder``: a family's modes are fixed by the
+width of its interval and the mass, so no computation reads a frequency
+table. ``frequencies`` tabulates the three ladders for reporting.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "Truncation",
     "FrequencyTables",
     "validate_config",
+    "ladder",
     "frequencies",
     "load_config_file",
 ]
@@ -98,7 +103,10 @@ class Truncation:
 
 
 class FrequencyTables(NamedTuple):
-    """Frequency ladders of the three mode families.
+    """Frequency ladders of the three mode families, tabulated for reporting.
+
+    No computation reads one: each derives the frequencies it needs from
+    ``ladder`` (``build_block`` accepts and ignores one).
 
     Omega[N-1]     = sqrt(pi^2 N^2 / R^2     + mu^2)   (global, N = 1..n_max_global)
     omega[m-1]     = sqrt(pi^2 m^2 / r^2     + mu^2)   (left local)
@@ -130,6 +138,16 @@ def validate_config(R: float, r: float, mu: float) -> CavityConfig:
     return CavityConfig(R=R, r=r, mu=mu, r_bar=R - r)
 
 
+def ladder(n, width: float, mu: float):
+    """sqrt((pi n / width)^2 + mu^2): the frequency of mode n of a field of
+    mass mu on an interval of the given width, for a scalar or an array of n.
+
+    The square is a product, never ``pow``, so a scalar n gives the same bits
+    as the matching entry of an array.
+    """
+    return np.sqrt(np.square(np.pi * np.asarray(n, dtype=np.float64) / width) + mu**2)
+
+
 def frequencies(cfg: CavityConfig, trunc: Truncation) -> FrequencyTables:
     """Tabulate Omega_N, omega_m, omega_bar_m up to the configured cutoffs.
 
@@ -137,12 +155,10 @@ def frequencies(cfg: CavityConfig, trunc: Truncation) -> FrequencyTables:
     attained (the index starts at 1). Pure arithmetic: recomputation is
     bit-identical for identical inputs.
     """
-    N = np.arange(1, trunc.n_max_global + 1, dtype=np.float64)
-    m = np.arange(1, trunc.m_max_local + 1, dtype=np.float64)
-    Omega = np.sqrt((np.pi * N / cfg.R) ** 2 + cfg.mu**2)
-    omega = np.sqrt((np.pi * m / cfg.r) ** 2 + cfg.mu**2)
-    omega_bar = np.sqrt((np.pi * m / cfg.r_bar) ** 2 + cfg.mu**2)
-    return FrequencyTables(Omega=Omega, omega=omega, omega_bar=omega_bar)
+    N = np.arange(1, trunc.n_max_global + 1)
+    m = np.arange(1, trunc.m_max_local + 1)
+    return FrequencyTables(Omega=ladder(N, cfg.R, cfg.mu), omega=ladder(m, cfg.r, cfg.mu),
+                           omega_bar=ladder(m, cfg.r_bar, cfg.mu))
 
 
 _CONFIG_KEYS = {

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.fft
 
-from .config import CavityConfig, DomainError, FrequencyTables, Truncation
+from .config import CavityConfig, DomainError, Truncation, ladder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .bogoliubov import BogoliubovBlock
@@ -49,6 +49,16 @@ class Region(enum.Enum):
 
     LEFT = "left"      # [0, r]
     RIGHT = "right"    # [r, R]
+
+    def interval(self, cfg: CavityConfig) -> tuple[float, float, float]:
+        """(lo, hi, width) of the family's interval: (0, r, r) or (r, R, r_bar)."""
+        if self is Region.LEFT:
+            return 0.0, cfg.r, cfg.r
+        return cfg.r, cfg.R, cfg.r_bar
+
+    def omega(self, m, cfg: CavityConfig):
+        """omega_m (left) or omega_bar_m (right) for a scalar or an array of m."""
+        return ladder(m, self.interval(cfg)[2], cfg.mu)
 
 
 @dataclass
@@ -100,13 +110,12 @@ def eval_global_mode(
     grid: np.ndarray,
     t: float,
     cfg: CavityConfig,
-    tables: FrequencyTables,
 ) -> SampledMode:
     """U_N sampled on ``grid`` at time ``t``; endpoints exactly zero."""
-    if not 1 <= N <= len(tables.Omega):
-        raise IndexError(f"global index N={N} outside table of length {len(tables.Omega)}")
+    if N < 1:
+        raise DomainError(f"global index N must be >= 1, got {N}")
     grid = np.asarray(grid, dtype=np.float64)
-    Om = tables.Omega[N - 1]
+    Om = ladder(N, cfg.R, cfg.mu)
     s = np.sin(np.pi * N * grid / cfg.R) / np.sqrt(cfg.R * Om)
     # sin(pi N) in floats is ~1e-16, not 0; Dirichlet walls are exact by construction
     s[grid <= 0.0] = 0.0
@@ -120,28 +129,21 @@ def eval_local_initial(
     m: int,
     grid: np.ndarray,
     cfg: CavityConfig,
-    tables: FrequencyTables,
 ) -> SampledMode:
     """Local-mode Cauchy data at t = 0: value = chi_m, tderiv = -i omega_m chi_m.
 
     Zero outside the open region, including at the partition point x = r
     itself (measure-zero convention; the series does not converge there).
     """
+    if m < 1:
+        raise DomainError(f"local index m must be >= 1, got {m}")
     grid = np.asarray(grid, dtype=np.float64)
-    if region is Region.LEFT:
-        width, offset, freq_table = cfg.r, 0.0, tables.omega
-        support = (grid > 0.0) & (grid < cfg.r)
-    elif region is Region.RIGHT:
-        width, offset, freq_table = cfg.r_bar, cfg.r, tables.omega_bar
-        support = (grid > cfg.r) & (grid < cfg.R)
-    else:
-        raise ValueError("eval_local_initial takes Region.LEFT or Region.RIGHT")
-    if not 1 <= m <= len(freq_table):
-        raise IndexError(f"local index m={m} outside table of length {len(freq_table)}")
-    om = freq_table[m - 1]
+    lo, hi, width = region.interval(cfg)
+    support = (grid > lo) & (grid < hi)
+    om = region.omega(m, cfg)
     value = np.where(
         support,
-        np.sin(np.pi * m * (grid - offset) / width) / np.sqrt(width * om),
+        np.sin(np.pi * m * (grid - lo) / width) / np.sqrt(width * om),
         0.0,
     ).astype(np.complex128)
     return SampledMode(grid=grid, value=value, tderiv=-1j * om * value, time=0.0)
@@ -208,7 +210,6 @@ def evolve_local_mode(
     grid: np.ndarray,
     t: float,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     block: "BogoliubovBlock",
 ) -> SampledMode:
@@ -229,7 +230,8 @@ def evolve_local_mode(
         raise DomainError(f"local index m={m} outside block with {block.alpha.shape[0]} rows")
 
     grid = np.asarray(grid, dtype=np.float64)
-    Om = tables.Omega[: trunc.n_max_global]
+    n_idx = np.arange(1, trunc.n_max_global + 1, dtype=np.float64)
+    Om = ladder(n_idx, cfg.R, cfg.mu)
     a_row = block.alpha[m - 1]
     b_row = block.beta[m - 1]
 
@@ -243,15 +245,12 @@ def evolve_local_mode(
     # Tail envelope: |term| <= (|alpha|+|beta|)/sqrt(R Omega) ~ c/N^2; the
     # neglected sum is then ~ c/n_max by the integral test.
     t_env = (np.abs(a_row[-50:]) + np.abs(b_row[-50:])) * norm[-50:]
-    n_idx = np.arange(1, trunc.n_max_global + 1, dtype=np.float64)
     c_env = float(np.max(t_env * n_idx[-50:] ** 2))
     tail_estimate = c_env / trunc.n_max_global
 
     gibbs = None
     if t == 0.0:
-        om = (tables.omega if region is Region.LEFT else tables.omega_bar)[m - 1]
-        width = cfg.r if region is Region.LEFT else cfg.r_bar
-        exact_sup = 1.0 / np.sqrt(width * om)
+        exact_sup = 1.0 / np.sqrt(region.interval(cfg)[2] * region.omega(m, cfg))
         gibbs = float(np.max(np.abs(value)) / exact_sup - 1.0)
 
     return SampledMode(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CavityConfig, GridMismatch
+from .config import CavityConfig, DomainError, GridMismatch
 from .modes import Region, SampledMode
 
 __all__ = ["InnerProduct", "kg_inner", "overlap_V"]
@@ -104,7 +104,7 @@ def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
     giving ~1e-11 relative accuracy for indices into the hundreds.
     """
     if m < 1 or N < 1:
-        raise IndexError(f"indices must be >= 1, got m={m}, N={N}")
+        raise DomainError(f"indices must be >= 1, got m={m}, N={N}")
     if region is Region.LEFT:
         a, b = 0.0, cfg.r
         width = cfg.r

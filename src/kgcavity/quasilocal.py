@@ -23,13 +23,7 @@ import numpy as np
 
 from .bogoliubov import BogoliubovBlock, coeff_grid
 from .causality import _check_cone_grid, outside_cone_mass
-from .config import (
-    CavityConfig,
-    DomainError,
-    FrequencyTables,
-    ThresholdUnreachable,
-    Truncation,
-)
+from .config import CavityConfig, DomainError, ThresholdUnreachable, Truncation, ladder
 from .modes import Region, SampledMode, _sine_series, evolve_local_mode
 from .vacuum import _energy_tail, _row_dots
 
@@ -96,18 +90,19 @@ class WavepacketComparison:
 def overlap_distribution(
     l: int,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     region: Region = Region.LEFT,
 ) -> OverlapDistribution:
     """Distribution of psi_l over global one-particle states, and its peak."""
+    if l < 1:
+        raise DomainError(f"local index l must be >= 1, got {l}")
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
     mean_occ = float(np.sum(beta[0] ** 2))
     p = alpha[0] ** 2 / (1.0 + mean_occ)
-    Omega = tables.Omega[: trunc.n_max_global]
+    Omega = ladder(N_idx, cfg.R, cfg.mu)
     peak = float(Omega[int(np.argmax(p))])
-    om_l = float((tables.omega if region is Region.LEFT else tables.omega_bar)[l - 1])
+    om_l = float(region.omega(l, cfg))
     return OverlapDistribution(
         l=l,
         p=p,
@@ -122,7 +117,6 @@ def overlap_distribution(
 def bandwidth(
     l: int,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     threshold: float = 0.95,
     region: Region = Region.LEFT,
@@ -136,7 +130,7 @@ def bandwidth(
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    dist = overlap_distribution(l, cfg, tables, trunc, region=region)
+    dist = overlap_distribution(l, cfg, trunc, region=region)
     d = np.abs(dist.Omega - dist.omega_l)
     order = np.argsort(d, kind="stable")
     cum = np.cumsum(dist.p[order])
@@ -157,7 +151,6 @@ def quasilocal_wavepacket(
     grid: np.ndarray,
     t: float,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     region: Region = Region.LEFT,
 ) -> SampledMode:
@@ -167,12 +160,14 @@ def quasilocal_wavepacket(
     conjugate branch, renormalized, summed by the same ``_sine_series`` as
     ``evolve_local_mode``.
     """
+    if m < 1:
+        raise DomainError(f"local index m must be >= 1, got {m}")
     grid = np.asarray(grid, dtype=np.float64)
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
     mean_occ = float(np.sum(beta[0] ** 2))
     norm = np.sqrt(1.0 + mean_occ)
-    Om = tables.Omega[: trunc.n_max_global]
+    Om = ladder(N_idx, cfg.R, cfg.mu)
 
     cv = alpha[0] * np.exp(-1j * Om * t) / np.sqrt(cfg.R * Om) / norm
     cd = -1j * Om * cv
@@ -185,7 +180,6 @@ def wavepacket_comparison(
     grid: np.ndarray,
     t: float,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     block: BogoliubovBlock,
 ) -> WavepacketComparison:
@@ -197,9 +191,9 @@ def wavepacket_comparison(
     physical (exponential tails) and sits far above that residue.
     """
     _check_cone_grid(len(grid))
-    psi = quasilocal_wavepacket(m, grid, t, cfg, tables, trunc)
-    u = evolve_local_mode(Region.LEFT, m, grid, t, cfg, tables, trunc, block)
-    om = tables.omega[m - 1]
+    psi = quasilocal_wavepacket(m, grid, t, cfg, trunc)
+    u = evolve_local_mode(Region.LEFT, m, grid, t, cfg, trunc, block)
+    om = Region.LEFT.omega(m, cfg)
     edge = min(cfg.r + t, cfg.R)
     psi_out, psi_tot = outside_cone_mass(psi, edge, om, side="above")
     u_out, u_tot = outside_cone_mass(u, edge, om, side="above")
@@ -216,14 +210,15 @@ def wavepacket_comparison(
 def quasilocal_energy(
     l: int,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
     region: Region = Region.LEFT,
 ) -> QuasilocalEnergy:
     """Vacuum-relative energies of the creator and annihilator states on l."""
+    if l < 1:
+        raise DomainError(f"local index l must be >= 1, got {l}")
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
-    Om = tables.Omega[: trunc.n_max_global]
+    Om = ladder(N_idx, cfg.R, cfg.mu)
     raw = float(np.sum(Om * alpha[0] ** 2))
     ann_raw = float(np.sum(Om * beta[0] ** 2))
     mean_occ = float(np.sum(beta[0] ** 2))
@@ -257,6 +252,8 @@ def steering_shift(
     if method not in ("wick", "direct"):
         raise ValueError(f"unknown method {method!r}")
     l_idx = np.array([int(l) for l in l_range], dtype=np.int64)
+    if m < 1 or np.any(l_idx < 1):
+        raise DomainError(f"local indices must be >= 1, got m={m}, l={l_idx.tolist()}")
     N_idx = np.arange(1, trunc.n_max_global + 1)
     a_m, b_m = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg)
     a_m, b_m = a_m[0], b_m[0]

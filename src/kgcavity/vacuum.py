@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .bogoliubov import BogoliubovBlock, beta_sq_sums, coeff_grid
-from .config import CavityConfig, DomainError, FrequencyTables, Truncation, validate_config
+from .config import CavityConfig, DomainError, Truncation, ladder, validate_config
 from .modes import Region
 
 __all__ = [
@@ -132,14 +132,6 @@ class TrendTable:
 
 # ── helpers ─────────────────────────────────────────────────────────────────
 
-def _region_width_freq(region: Region, cfg: CavityConfig) -> float:
-    return cfg.r if region is Region.LEFT else cfg.r_bar
-
-
-def _omega_of(region: Region, tables: FrequencyTables) -> np.ndarray:
-    return tables.omega if region is Region.LEFT else tables.omega_bar
-
-
 def _tail_quad(f, start: float) -> float:
     """quad of f over [start, inf) via N = start/x, which maps the tail onto
     (0, 1] and keeps the quadrature away from the slow-decay regime."""
@@ -153,7 +145,7 @@ def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, om_l: float, n_fro
     sum_N alpha_lN^2 (sign = -1), sin^2 -> 1/2: the summand is
     pref / (Om (Om + sign om)^2). The alpha tail starts past its resonance
     pole, on the monotone side."""
-    w = _region_width_freq(region, cfg)
+    w = region.interval(cfg)[2]
     pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
 
     def integrand(N: float) -> float:
@@ -170,8 +162,8 @@ def _energy_tail(region: Region, l: int, cfg: CavityConfig, n_from: int) -> floa
     """Integral-test tail of sum_N Omega_N (alpha_lN^2 + beta_lN^2) beyond
     N = n_from, sin^2 -> 1/2: the 1/Omega inside |V|^2 cancels the energy
     weight, leaving 2 pref (Om^2 + om^2)/(Om^2 - om^2)^2."""
-    w = _region_width_freq(region, cfg)
-    om_l = math.sqrt((math.pi * l / w) ** 2 + cfg.mu**2)
+    w = region.interval(cfg)[2]
+    om_l = float(region.omega(l, cfg))
     pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
 
     def integrand(N: float) -> float:
@@ -188,17 +180,15 @@ def _energy_tail(region: Region, l: int, cfg: CavityConfig, n_from: int) -> floa
 def vacuum_spectrum(
     region: Region,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
 ) -> SpectrumResult:
     """<n_l> = sum_N beta_lN^2 for l = 1..m_max_local, plus tail estimates."""
-    m_max = trunc.m_max_local
-    values = beta_sq_sums(region, np.arange(1, m_max + 1),
-                          np.arange(1, trunc.n_max_global + 1), cfg)
-    om = _omega_of(region, tables)[:m_max]
+    l_idx = np.arange(1, trunc.m_max_local + 1)
+    values = beta_sq_sums(region, l_idx, np.arange(1, trunc.n_max_global + 1), cfg)
+    om = region.omega(l_idx, cfg)
     tails = np.array(
         [_coeff_sq_tail(region, l, cfg, om[l - 1], trunc.n_max_global, 1.0)
-         for l in range(1, m_max + 1)]
+         for l in range(1, trunc.m_max_local + 1)]
     )
     return SpectrumResult(region=region, values=values, tail_bound=tails)
 
@@ -251,8 +241,7 @@ def mode_sum_convergence(region: Region, m: int, cfg: CavityConfig, n_list) -> M
     a2 = np.cumsum(alpha[0] ** 2)[n_arr - 1]
     b2 = np.cumsum(beta[0] ** 2)[n_arr - 1]
 
-    w = _region_width_freq(region, cfg)
-    om_m = math.sqrt((math.pi * m / w) ** 2 + cfg.mu**2)
+    om_m = float(region.omega(m, cfg))
     alpha2_tail = _coeff_sq_tail(region, m, cfg, om_m, int(n_arr[-1]), -1.0)
     beta2_tail = _coeff_sq_tail(region, m, cfg, om_m, int(n_arr[-1]), 1.0)
     return ModeSumConvergence(
@@ -270,15 +259,16 @@ def local_quantum_energy(
     region: Region,
     l: int,
     cfg: CavityConfig,
-    tables: FrequencyTables,
     trunc: Truncation,
 ) -> EnergyResult:
     """epsilon_l = sum_N Omega_N (alpha_lN^2 + beta_lN^2): the average global
     energy carried by one local quantum. Positive term by term; finite
     because the summand falls off like sin^2(x)/x^2."""
+    if l < 1:
+        raise DomainError(f"local index l must be >= 1, got {l}")
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
-    Om = tables.Omega[: trunc.n_max_global]
+    Om = ladder(N_idx, cfg.R, cfg.mu)
     eps_l = float(np.sum(Om * (alpha[0] ** 2 + beta[0] ** 2)))
     return EnergyResult(epsilon=eps_l, tail_bound=_energy_tail(region, l, cfg, trunc.n_max_global))
 

@@ -32,9 +32,9 @@ def tables_half(cfg_half, trunc_10k):
 
 
 @pytest.fixture(scope="session")
-def blocks_half(cfg_half, tables_half, trunc_10k):
-    left = kg.build_block(kg.Region.LEFT, cfg_half, tables_half, trunc_10k)
-    right = kg.build_block(kg.Region.RIGHT, cfg_half, tables_half, trunc_10k)
+def blocks_half(cfg_half, trunc_10k):
+    left = kg.build_block(kg.Region.LEFT, cfg_half, None, trunc_10k)
+    right = kg.build_block(kg.Region.RIGHT, cfg_half, None, trunc_10k)
     return left, right
 
 

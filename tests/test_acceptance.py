@@ -91,9 +91,8 @@ def test_criterion_03_identity_residuals_decrease(cfg_half):
     maxr = []
     for n in (1_000, 10_000, 100_000):
         trunc = kg.Truncation(n_max_global=n, m_max_local=10)
-        tabs = kg.frequencies(cfg_half, trunc)
-        left = kg.build_block(L, cfg_half, tabs, trunc)
-        right = kg.build_block(RG, cfg_half, tabs, trunc)
+        left = kg.build_block(L, cfg_half, None, trunc)
+        right = kg.build_block(RG, cfg_half, None, trunc)
         maxr.append(kg.identity_residuals(left, right, 10).max_residual)
     assert maxr[0] > maxr[1] > maxr[2]
     assert maxr[2] <= 5e-13            # frozen: 2.09e-13 measured at 1e5
@@ -123,7 +122,7 @@ def test_criterion_05_spectrum_decreases_with_mass():
     prev = None
     for mu in (10.0, 20.0, 30.0, 40.0, 50.0):
         cfg = kg.validate_config(1.0, 1 / np.pi, mu)
-        vals = kg.vacuum_spectrum(L, cfg, kg.frequencies(cfg, trunc), trunc).values
+        vals = kg.vacuum_spectrum(L, cfg, trunc).values
         if prev is not None:
             assert np.all(vals < prev)
         prev = vals
@@ -135,7 +134,7 @@ def test_criterion_06_vacuum_emptying_as_r_grows():
     spectra = {}
     for r in (0.5, 0.9, 0.99):
         cfg = kg.validate_config(1.0, r, 0.0)
-        spectra[r] = kg.vacuum_spectrum(L, cfg, kg.frequencies(cfg, trunc), trunc).values
+        spectra[r] = kg.vacuum_spectrum(L, cfg, trunc).values
     assert np.all(spectra[0.9] < spectra[0.5])
     assert np.all(spectra[0.99] < spectra[0.9])
     ratio = float(np.max(spectra[0.99] / spectra[0.5]))
@@ -171,8 +170,8 @@ def test_criterion_08_correlation_peak_at_matched_frequency():
     for mu in (0.0, 1000.0):
         cfg = kg.validate_config(1.0, 1 / np.pi, mu)
         tabs = kg.frequencies(cfg, trunc)
-        left = kg.build_block(L, cfg, tabs, trunc)
-        right = kg.build_block(RG, cfg, tabs, trunc)
+        left = kg.build_block(L, cfg, None, trunc)
+        right = kg.build_block(RG, cfg, None, trunc)
         rep = kg.wick_moments(range(1, 11), range(1, 41), left, right)
         for i, m in enumerate(range(1, 11)):
             got = int(np.argmax(rep.corr[i])) + 1
@@ -216,9 +215,8 @@ def test_criterion_09_wick_vs_fock_oracle():
 def test_criterion_10a_leakage_within_10x_of_residue():
     cfg = kg.validate_config(1.0, 0.21, 0.0)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
-    tabs = kg.frequencies(cfg, trunc)
-    t0 = kg.lightcone_leakage(L, 1, 0.0, cfg, tabs, trunc).fraction
-    leaks = {t: kg.lightcone_leakage(L, 1, t, cfg, tabs, trunc).fraction
+    t0 = kg.lightcone_leakage(L, 1, 0.0, cfg, trunc).fraction
+    leaks = {t: kg.lightcone_leakage(L, 1, t, cfg, trunc).fraction
              for t in (0.1, 0.2, 0.3, 0.4, 0.5)}
     worst = max(leaks.values())
     _line(10, "FAIL" if worst > 10 * t0 else "PASS",
@@ -231,12 +229,11 @@ def test_criterion_10a_leakage_within_10x_of_residue():
 def test_criterion_10b_commutator_contrast():
     cfg = kg.validate_config(1.0, 0.21, 0.0)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
-    tabs = kg.frequencies(cfg, trunc)
     # r_tilde - r = 0.39: tau = 0.2 is spacelike, tau = 0.6 timelike
     c_space = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg), 1,
-                                 cfg, tabs, trunc).c1
+                                 cfg, trunc).c1
     c_time = kg.commutator_pair(kg.make_probe(0.6, 0.6, 1, cfg), 1,
-                                cfg, tabs, trunc).c1
+                                cfg, trunc).c1
     assert c_time >= 100 * c_space
     _line(10, "PASS", f"commutator contrast {c_time / c_space:.2e}x >= 100x "
                       f"(spacelike {c_space:.2e}, timelike {c_time:.2e})")
@@ -247,21 +244,20 @@ def test_criterion_10b_commutator_contrast():
 def test_criterion_11_bandwidth_shape():
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=60)
     cfg9 = kg.validate_config(1.0, 1.0 / 9.0, 0.0)
-    tabs9 = kg.frequencies(cfg9, trunc)
-    dist = kg.overlap_distribution(20, cfg9, tabs9, trunc)
+    dist = kg.overlap_distribution(20, cfg9, trunc)
     target = np.pi * 20 / cfg9.r
     nearest = int(np.argmin(np.abs(dist.Omega - target)))
     assert int(np.argmax(dist.p)) == nearest
     bws = []
     for r in (1.0 / 9.0, 1.0 / 3.0, 2.0 / 3.0):
         cfg = kg.validate_config(1.0, r, 0.0)
-        bw = kg.bandwidth(20, cfg, kg.frequencies(cfg, trunc), trunc, threshold=0.95)
+        bw = kg.bandwidth(20, cfg, trunc, threshold=0.95)
         assert np.isfinite(bw) and bw > 0
         bws.append(bw)
     assert bws[0] > bws[1] > bws[2]
     cfg_m = kg.validate_config(1.0, 1.0 / 9.0, 10.0)
-    asym0 = kg.bandwidth(60, cfg9, tabs9, trunc)
-    asym10 = kg.bandwidth(60, cfg_m, kg.frequencies(cfg_m, trunc), trunc)
+    asym0 = kg.bandwidth(60, cfg9, trunc)
+    asym10 = kg.bandwidth(60, cfg_m, trunc)
     assert asym0 == pytest.approx(asym10, rel=0.05)
     _line(11, "PASS", f"peak at Omega_{nearest + 1} = {dist.peak_Omega:.4g} "
                       f"(pi l/r = {target:.4g}); dOmega {bws[0]:.4g} > {bws[1]:.4g} "
@@ -275,16 +271,15 @@ def test_criterion_12_energy_positivity_and_tail_honesty():
             cfg = kg.validate_config(1.0, r, mu)
             t2 = kg.Truncation(n_max_global=2_000, m_max_local=50)
             t4 = kg.Truncation(n_max_global=4_000, m_max_local=50)
-            tabs = kg.frequencies(cfg, t2)
             for l in range(1, 51):
-                eps = kg.local_quantum_energy(L, l, cfg, tabs, t2)
-                qe = kg.quasilocal_energy(l, cfg, tabs, t2)
+                eps = kg.local_quantum_energy(L, l, cfg, t2)
+                qe = kg.quasilocal_energy(l, cfg, t2)
                 assert eps.epsilon > 0
                 assert qe.raw > 0 and qe.normalized > 0
                 assert qe.annihilator_raw > 0 and qe.annihilator_normalized > 0
                 checked += 1
-            e2 = kg.local_quantum_energy(L, 1, cfg, tabs, t2)
-            e4 = kg.local_quantum_energy(L, 1, cfg, kg.frequencies(cfg, t4), t4)
+            e2 = kg.local_quantum_energy(L, 1, cfg, t2)
+            e4 = kg.local_quantum_energy(L, 1, cfg, t4)
             assert abs(e4.epsilon - e2.epsilon) <= e2.tail_bound
     _line(12, "PASS", f"{checked} (r, mu, l) cells positive; doubling the cutoff "
                       f"moves epsilon_1 less than the quoted tail in all 4 configs")

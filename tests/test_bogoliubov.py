@@ -418,9 +418,8 @@ def test_identity_residuals_decay_with_truncation(cfg_half):
     maxima = []
     for n_max in (1_000, 10_000):
         trunc = kg.Truncation(n_max_global=n_max, m_max_local=10)
-        tabs = kg.frequencies(cfg_half, trunc)
-        left = kg.build_block(L, cfg_half, tabs, trunc)
-        right = kg.build_block(RG, cfg_half, tabs, trunc)
+        left = kg.build_block(L, cfg_half, None, trunc)
+        right = kg.build_block(RG, cfg_half, None, trunc)
         maxima.append(_residual_max(kg.identity_residuals(left, right, upto=10)))
     assert maxima[1] < maxima[0] / 100.0
     assert maxima[0] < 3e-7
@@ -518,7 +517,7 @@ def test_memo_is_a_byte_bounded_lru(cfg_half, monkeypatch):
 
     def build(r):
         cfg = kg.validate_config(1.0, r, 0.0)
-        return kg.build_block(L, cfg, kg.frequencies(cfg, trunc), trunc)
+        return kg.build_block(L, cfg, None, trunc)
 
     first, second = build(0.3), build(0.4)
     assert build(0.3) is first                        # the hit makes 0.4 the oldest
@@ -532,9 +531,8 @@ def test_memo_is_a_byte_bounded_lru(cfg_half, monkeypatch):
     assert np.array_equal(again.alpha, second.alpha)
 
     big = kg.Truncation(n_max_global=1000, m_max_local=2)   # 32 kB > cap
-    tabs = kg.frequencies(cfg_half, big)
-    block = kg.build_block(L, cfg_half, tabs, big)
-    assert kg.build_block(L, cfg_half, tabs, big) is not block
+    block = kg.build_block(L, cfg_half, None, big)
+    assert kg.build_block(L, cfg_half, None, big) is not block
     assert block.cfg_hash not in bogoliubov._BLOCK_MEMO
 
 

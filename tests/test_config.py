@@ -61,6 +61,21 @@ def test_frequencies_are_deterministic():
     assert np.array_equal(a.omega_bar, b.omega_bar)
 
 
+def test_ladder_and_region_frequencies_equal_the_tables_bit_for_bit():
+    cfg = kg.validate_config(2.5, 0.9, 1.7)
+    trunc = kg.Truncation(n_max_global=300, m_max_local=40)
+    tabs = kg.frequencies(cfg, trunc)
+    N = np.arange(1, 301)
+    m = np.arange(1, 41)
+    assert np.array_equal(kg.ladder(N, cfg.R, cfg.mu), tabs.Omega)
+    for region, table in ((kg.Region.LEFT, tabs.omega), (kg.Region.RIGHT, tabs.omega_bar)):
+        assert np.array_equal(region.omega(m, cfg), table)
+        assert [region.omega(int(k), cfg) for k in m] == table.tolist()
+    assert [kg.ladder(int(n), cfg.R, cfg.mu) for n in N] == tabs.Omega.tolist()
+    assert kg.Region.LEFT.interval(cfg) == (0.0, cfg.r, cfg.r)
+    assert kg.Region.RIGHT.interval(cfg) == (cfg.r, cfg.R, cfg.r_bar)
+
+
 # ── config file parsing ──────────────────────────────────────────────────────
 
 def test_load_config_file_parses_both_syntaxes(tmp_path):

@@ -24,29 +24,29 @@ RG = kg.Region.RIGHT
 
 # ── snapshots at t = 0 ───────────────────────────────────────────────────────
 
-def test_local_mode_peak_value(cfg_half, tables_half):
+def test_local_mode_peak_value(cfg_half):
     # chi_1(r/2) = sin(pi/2)/sqrt(r om_1) = 1/sqrt(pi) for r = 1/2, mu = 0
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    u = kg.eval_local_initial(L, 1, grid, cfg_half, tables_half)
+    u = kg.eval_local_initial(L, 1, grid, cfg_half)
     assert u.value[1] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14)
     assert u.time == 0.0
 
 
-def test_local_mode_vanishes_at_endpoints_and_outside(cfg_half, tables_half):
+def test_local_mode_vanishes_at_endpoints_and_outside(cfg_half):
     grid = kg.uniform_grid(cfg_half, 1025)
-    u = kg.eval_local_initial(L, 3, grid, cfg_half, tables_half)
+    u = kg.eval_local_initial(L, 3, grid, cfg_half)
     outside = grid > cfg_half.r
     assert np.all(u.value[outside] == 0.0)
     assert np.all(u.tderiv[outside] == 0.0)
     assert u.value[0] == 0.0
-    ub = kg.eval_local_initial(RG, 2, grid, cfg_half, tables_half)
+    ub = kg.eval_local_initial(RG, 2, grid, cfg_half)
     assert np.all(ub.value[grid < cfg_half.r] == 0.0)
     assert ub.value[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_initial_tderiv_is_minus_i_omega_value(cfg_half, tables_half):
     grid = kg.uniform_grid(cfg_half, 257)
-    u = kg.eval_local_initial(L, 2, grid, cfg_half, tables_half)
+    u = kg.eval_local_initial(L, 2, grid, cfg_half)
     om = tables_half.omega[1]
     assert np.allclose(u.tderiv, -1j * om * u.value, rtol=1e-14, atol=0)
 
@@ -54,15 +54,27 @@ def test_initial_tderiv_is_minus_i_omega_value(cfg_half, tables_half):
 def test_global_mode_phase_evolution(cfg_half, tables_half):
     grid = kg.uniform_grid(cfg_half, 257)
     t = 0.37
-    f0 = kg.eval_global_mode(4, grid, 0.0, cfg_half, tables_half)
-    ft = kg.eval_global_mode(4, grid, t, cfg_half, tables_half)
+    f0 = kg.eval_global_mode(4, grid, 0.0, cfg_half)
+    ft = kg.eval_global_mode(4, grid, t, cfg_half)
     phase = np.exp(-1j * tables_half.Omega[3] * t)
     assert np.allclose(ft.value, phase * f0.value, rtol=1e-13, atol=1e-16)
 
 
-def test_conjugate_mode_conjugates_both_fields(cfg_half, tables_half):
+def test_global_mode_beyond_any_table_matches_closed_form():
+    cfg = kg.validate_config(2.0, 0.7, 3.0)
+    grid = kg.uniform_grid(cfg, 257)
+    N, t = 20_001, 0.05
+    f = kg.eval_global_mode(N, grid, t, cfg)
+    Om = np.sqrt((np.pi * N / cfg.R) ** 2 + cfg.mu**2)
+    want = np.sin(np.pi * N * grid / cfg.R) / np.sqrt(cfg.R * Om) * np.exp(-1j * Om * t)
+    want[[0, -1]] = 0.0
+    assert np.allclose(f.value, want, rtol=1e-12, atol=1e-15)
+    assert np.allclose(f.tderiv, -1j * Om * want, rtol=1e-12, atol=1e-12)
+
+
+def test_conjugate_mode_conjugates_both_fields(cfg_half):
     grid = kg.uniform_grid(cfg_half, 129)
-    f = kg.eval_global_mode(2, grid, 0.11, cfg_half, tables_half)
+    f = kg.eval_global_mode(2, grid, 0.11, cfg_half)
     g = kg.conjugate_mode(f)
     assert np.array_equal(g.value, np.conj(f.value))
     assert np.array_equal(g.tderiv, np.conj(f.tderiv))
@@ -84,9 +96,8 @@ def narrow():
     out = {}
     for n_max in (1_000, 10_000):
         trunc = kg.Truncation(n_max_global=n_max, m_max_local=8, grid_points=4097)
-        tabs = kg.frequencies(cfg, trunc)
-        block = kg.build_block(L, cfg, tabs, trunc)
-        out[n_max] = (cfg, tabs, trunc, block)
+        block = kg.build_block(L, cfg, None, trunc)
+        out[n_max] = (cfg, trunc, block)
     return out
 
 
@@ -96,10 +107,10 @@ def test_reconstruction_error_frozen_and_decreasing(narrow):
     Calibrated interior errors: 4.2e-6 (n_max=1e3), 5.4e-8 (1e4).
     """
     errs = {}
-    for n_max, (cfg, tabs, trunc, block) in narrow.items():
+    for n_max, (cfg, trunc, block) in narrow.items():
         grid = kg.uniform_grid(cfg, trunc.grid_points)
-        exact = kg.eval_local_initial(L, 1, grid, cfg, tabs)
-        series = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, tabs, trunc, block)
+        exact = kg.eval_local_initial(L, 1, grid, cfg)
+        series = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
         interior = np.abs(grid - cfg.r) > 0.02
         errs[n_max] = float(np.max(np.abs(series.value - exact.value)[interior]))
     assert errs[10_000] < errs[1_000]
@@ -109,14 +120,14 @@ def test_reconstruction_error_frozen_and_decreasing(narrow):
 def test_evolution_preserves_kg_norm(narrow):
     # The evolved tderiv has a genuine jump at the cone edge x = r + t, so the
     # sampled norm integral converges only ~O(h) there: 1.2e-4 at 4097 points.
-    cfg, tabs, trunc, block = narrow[10_000]
+    cfg, trunc, block = narrow[10_000]
     grid = kg.uniform_grid(cfg, trunc.grid_points)
-    u = kg.evolve_local_mode(L, 1, grid, 0.15, cfg, tabs, trunc, block)
+    u = kg.evolve_local_mode(L, 1, grid, 0.15, cfg, trunc, block)
     norm = kg.kg_inner(u, u)
     assert norm.real == pytest.approx(1.0, abs=1e-3)
     assert abs(norm.imag) < 1e-10
     fine = kg.uniform_grid(cfg, 2 * (len(grid) - 1) + 1)
-    uf = kg.evolve_local_mode(L, 1, fine, 0.15, cfg, tabs, trunc, block)
+    uf = kg.evolve_local_mode(L, 1, fine, 0.15, cfg, trunc, block)
     assert abs(kg.kg_inner(uf, uf).real - 1.0) < abs(norm.real - 1.0)
 
 
@@ -144,11 +155,10 @@ def _assert_matches_dense(fast, dense, rel=1e-12):
 def test_fast_series_matches_dense_fallback(G, n_max, t):
     cfg = kg.validate_config(1.0, 0.21, 0.0)
     trunc = kg.Truncation(n_max_global=n_max, m_max_local=2, grid_points=G)
-    tabs = kg.frequencies(cfg, trunc)
-    block = kg.build_block(L, cfg, tabs, trunc)
+    block = kg.build_block(L, cfg, None, trunc)
     grid = kg.uniform_grid(cfg, G)
-    fast = kg.evolve_local_mode(L, 1, grid, t, cfg, tabs, trunc, block)
-    dense = kg.evolve_local_mode(L, 1, grid[::-1], t, cfg, tabs, trunc, block)
+    fast = kg.evolve_local_mode(L, 1, grid, t, cfg, trunc, block)
+    dense = kg.evolve_local_mode(L, 1, grid[::-1], t, cfg, trunc, block)
     _assert_matches_dense((fast.value, fast.tderiv),
                           (dense.value[::-1], dense.tderiv[::-1]))
     assert fast.value[0] == fast.value[-1] == 0.0
@@ -203,12 +213,12 @@ def test_non_uniform_grid_takes_the_dense_path(monkeypatch):
 
 
 def test_tail_estimate_and_truncation_warning(narrow, monkeypatch):
-    cfg, tabs, trunc, block = narrow[1_000]
+    cfg, trunc, block = narrow[1_000]
     grid = kg.uniform_grid(cfg, 513)
     monkeypatch.setattr("kgcavity.modes._TAIL_TOL", 1e-2)
-    relaxed = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, tabs, trunc, block)
+    relaxed = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
     monkeypatch.setattr("kgcavity.modes._TAIL_TOL", 1e-14)
-    strict = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, tabs, trunc, block)
+    strict = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
     assert relaxed.tail_estimate == strict.tail_estimate
     assert relaxed.tail_estimate > 0
     assert not relaxed.truncation_warning
@@ -216,31 +226,31 @@ def test_tail_estimate_and_truncation_warning(narrow, monkeypatch):
 
 
 def test_evolve_rejects_rows_outside_the_block(narrow):
-    cfg, tabs, trunc, block = narrow[1_000]
+    cfg, trunc, block = narrow[1_000]
     grid = kg.uniform_grid(cfg, 65)
     for m in (0, trunc.m_max_local + 1):
         with pytest.raises(kg.DomainError, match="outside block"):
-            kg.evolve_local_mode(L, m, grid, 0.0, cfg, tabs, trunc, block)
+            kg.evolve_local_mode(L, m, grid, 0.0, cfg, trunc, block)
 
 
 def test_gibbs_overshoot_is_reported(narrow):
     # Reported, not thresholded: at t=0 the series is kink-class, so the
     # edge ripple is tiny and can sit on either side of the exact sup.
-    cfg, tabs, trunc, block = narrow[10_000]
+    cfg, trunc, block = narrow[10_000]
     grid = kg.uniform_grid(cfg, trunc.grid_points)
-    u = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, tabs, trunc, block)
+    u = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
     assert u.gibbs_overshoot is not None
     assert np.isfinite(u.gibbs_overshoot)
     assert abs(u.gibbs_overshoot) < 1e-3
     print(f"gibbs overshoot at support edge (t=0, n_max=1e4): {u.gibbs_overshoot:.3e}")
 
 
-def test_right_region_evolution_mirror(cfg_half, tables_half, trunc_10k):
+def test_right_region_evolution_mirror(cfg_half, trunc_10k):
     # At r = R/2 the two regions are congruent: the right-region series at
     # t=0 is the left one reflected through x = 1/2.
     grid = kg.uniform_grid(cfg_half, 2049)
-    bl = kg.build_block(L, cfg_half, tables_half, trunc_10k)
-    br = kg.build_block(RG, cfg_half, tables_half, trunc_10k)
-    ul = kg.evolve_local_mode(L, 1, grid, 0.0, cfg_half, tables_half, trunc_10k, bl)
-    ur = kg.evolve_local_mode(RG, 1, grid, 0.0, cfg_half, tables_half, trunc_10k, br)
+    bl = kg.build_block(L, cfg_half, None, trunc_10k)
+    br = kg.build_block(RG, cfg_half, None, trunc_10k)
+    ul = kg.evolve_local_mode(L, 1, grid, 0.0, cfg_half, trunc_10k, bl)
+    ur = kg.evolve_local_mode(RG, 1, grid, 0.0, cfg_half, trunc_10k, br)
     assert np.max(np.abs(ul.value - ur.value[::-1])) < 1e-7

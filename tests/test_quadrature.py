@@ -57,39 +57,53 @@ def test_kronecker_overlap_is_numerically_zero(cfg_half):
 
 
 def test_overlap_rejects_nonpositive_indices(cfg_half):
-    with pytest.raises(IndexError):
+    with pytest.raises(kg.DomainError):
         kg.overlap_V(0, 1, L, cfg_half)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: kg.overlap_V(1, 0, RG, cfg),
+    lambda cfg: kg.coeff_pair(L, 0, 1, cfg),
+    lambda cfg: kg.coeff_pair(RG, 1, 0, cfg),
+    lambda cfg: kg.eval_global_mode(0, kg.uniform_grid(cfg, 9), 0.0, cfg),
+    lambda cfg: kg.eval_local_initial(L, 0, kg.uniform_grid(cfg, 9), cfg),
+    lambda cfg: kg.eval_local_initial(RG, -1, kg.uniform_grid(cfg, 9), cfg),
+], ids=["overlap_V-N", "coeff_pair-m", "coeff_pair-N", "eval_global_mode",
+        "eval_local_initial-left", "eval_local_initial-right"])
+def test_mode_indices_below_one_are_domain_errors(cfg_half, call):
+    with pytest.raises(kg.DomainError):
+        call(cfg_half)
 
 
 # ── KG inner product on sampled modes ────────────────────────────────────────
 
-def _snapshot(N, cfg, tables, n_pts=4097, t=0.0):
+def _snapshot(N, cfg, n_pts=4097, t=0.0):
     grid = kg.uniform_grid(cfg, n_pts)
-    return kg.eval_global_mode(N, grid, t, cfg, tables)
+    return kg.eval_global_mode(N, grid, t, cfg)
 
 
-def test_global_modes_are_kg_orthonormal(cfg_half, tables_half):
-    f1 = _snapshot(1, cfg_half, tables_half)
-    f2 = _snapshot(2, cfg_half, tables_half)
+def test_global_modes_are_kg_orthonormal(cfg_half):
+    f1 = _snapshot(1, cfg_half)
+    f2 = _snapshot(2, cfg_half)
     assert kg.kg_inner(f1, f1) == pytest.approx(1.0, abs=5e-10)
     assert kg.kg_inner(f2, f2) == pytest.approx(1.0, abs=5e-10)
     assert abs(kg.kg_inner(f1, f2)) < 5e-10
 
 
-def test_local_modes_are_kg_orthonormal(cfg_half, tables_half):
+def test_local_modes_are_kg_orthonormal(cfg_half):
     grid = kg.uniform_grid(cfg_half, 4097)
-    u1 = kg.eval_local_initial(L, 1, grid, cfg_half, tables_half)
-    u2 = kg.eval_local_initial(L, 2, grid, cfg_half, tables_half)
-    ub1 = kg.eval_local_initial(RG, 1, grid, cfg_half, tables_half)
+    u1 = kg.eval_local_initial(L, 1, grid, cfg_half)
+    u2 = kg.eval_local_initial(L, 2, grid, cfg_half)
+    ub1 = kg.eval_local_initial(RG, 1, grid, cfg_half)
     assert kg.kg_inner(u1, u1) == pytest.approx(1.0, abs=5e-9)
     assert abs(kg.kg_inner(u1, u2)) < 5e-9
     # disjoint supports: exactly orthogonal up to quadrature noise
     assert abs(kg.kg_inner(u1, ub1)) < 5e-9
 
 
-def test_kg_inner_conjugate_symmetry_and_antisymmetry(cfg_half, tables_half):
-    f = _snapshot(1, cfg_half, tables_half, t=0.13)
-    g = _snapshot(3, cfg_half, tables_half, t=0.13)
+def test_kg_inner_conjugate_symmetry_and_antisymmetry(cfg_half):
+    f = _snapshot(1, cfg_half, t=0.13)
+    g = _snapshot(3, cfg_half, t=0.13)
     fg = kg.kg_inner(f, g)
     gf = kg.kg_inner(g, f)
     assert complex(gf) == pytest.approx(np.conj(complex(fg)), abs=1e-12)
@@ -102,37 +116,37 @@ def test_kg_inner_conjugate_symmetry_and_antisymmetry(cfg_half, tables_half):
     assert kg.kg_inner(fs, fs).real == pytest.approx(-1.0, abs=5e-10)
 
 
-def test_kg_inner_requires_shared_grid_and_time(cfg_half, tables_half):
-    f = _snapshot(1, cfg_half, tables_half, n_pts=513)
-    g = _snapshot(1, cfg_half, tables_half, n_pts=1025)
+def test_kg_inner_requires_shared_grid_and_time(cfg_half):
+    f = _snapshot(1, cfg_half, n_pts=513)
+    g = _snapshot(1, cfg_half, n_pts=1025)
     with pytest.raises(kg.GridMismatch):
         kg.kg_inner(f, g)
-    h = _snapshot(1, cfg_half, tables_half, n_pts=513, t=0.2)
+    h = _snapshot(1, cfg_half, n_pts=513, t=0.2)
     with pytest.raises(kg.GridMismatch):
         kg.kg_inner(f, h)
 
 
-def _exponential_mode(cfg, tables, n_pts):
+def _exponential_mode(cfg, n_pts):
     # Pure sines are integrated *exactly* on uniform grids (the aliasing sums
     # vanish for both rules), so rate tests need non-trig data. With
     # value = e^x and tderiv = i e^{2x} the KG product is -2 (e^3 - 1)/3.
-    f = _snapshot(1, cfg, tables, n_pts=n_pts)
+    f = _snapshot(1, cfg, n_pts=n_pts)
     x = f.grid
     return dataclasses.replace(f, value=np.exp(x) + 0j, tderiv=1j * np.exp(2 * x))
 
 
-def test_simpson_converges_at_fourth_order(cfg_half, tables_half):
+def test_simpson_converges_at_fourth_order(cfg_half):
     # halving h should cut the error by ~16; demand at least 8.
     exact = -2.0 * (np.exp(3.0) - 1.0) / 3.0
     errs = []
     for n_pts in (65, 129):
-        f = _exponential_mode(cfg_half, tables_half, n_pts)
+        f = _exponential_mode(cfg_half, n_pts)
         errs.append(abs(kg.kg_inner(f, f) - exact))
     assert errs[1] < errs[0] / 8.0
 
 
-def test_error_estimate_is_attached_and_small(cfg_half, tables_half):
-    f = _snapshot(2, cfg_half, tables_half)
+def test_error_estimate_is_attached_and_small(cfg_half):
+    f = _snapshot(2, cfg_half)
     ip = kg.kg_inner(f, f)
     assert ip.error_estimate >= 0.0
     assert ip.error_estimate < 1e-6

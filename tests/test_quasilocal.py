@@ -18,8 +18,8 @@ L = kg.Region.LEFT
 
 # ── overlap distribution ─────────────────────────────────────────────────────
 
-def test_overlap_distribution_normalization(cfg_half, tables_half, trunc_10k):
-    dist = kg.overlap_distribution(1, cfg_half, tables_half, trunc_10k)
+def test_overlap_distribution_normalization(cfg_half, trunc_10k):
+    dist = kg.overlap_distribution(1, cfg_half, trunc_10k)
     assert np.all(dist.p >= 0)
     deficit = 1.0 - dist.norm_captured
     # the state is pure one-particle: the deficit is the (alpha^2 - beta^2)
@@ -28,9 +28,9 @@ def test_overlap_distribution_normalization(cfg_half, tables_half, trunc_10k):
     assert dist.mean_occupation == pytest.approx(0.05396354991407163, rel=1e-12)
 
 
-def test_overlap_mean_matches_spectrum(cfg_half, tables_half, trunc_10k):
-    dist = kg.overlap_distribution(1, cfg_half, tables_half, trunc_10k)
-    spec = kg.vacuum_spectrum(L, cfg_half, tables_half, trunc_10k)
+def test_overlap_mean_matches_spectrum(cfg_half, trunc_10k):
+    dist = kg.overlap_distribution(1, cfg_half, trunc_10k)
+    spec = kg.vacuum_spectrum(L, cfg_half, trunc_10k)
     assert dist.mean_occupation == pytest.approx(spec.values[0], rel=1e-14)
 
 
@@ -38,8 +38,7 @@ def test_overlap_peaks_at_matching_global_frequency():
     # r = R/9 puts omega_20 = 180 pi exactly on the global ladder
     cfg = kg.validate_config(1.0, 1.0 / 9.0, 0.0)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=20)
-    tabs = kg.frequencies(cfg, trunc)
-    dist = kg.overlap_distribution(20, cfg, tabs, trunc)
+    dist = kg.overlap_distribution(20, cfg, trunc)
     assert int(np.argmax(dist.p)) == 179          # N = 180
     assert dist.peak_Omega == pytest.approx(180.0 * np.pi, rel=1e-12)
     assert dist.peak_Omega == pytest.approx(dist.omega_l, rel=1e-12)
@@ -56,14 +55,14 @@ def test_bandwidth_frozen_value_and_r_trend():
     for r, expected in [(1.0 / 9.0, 46 * np.pi), (1.0 / 3.0, 16 * np.pi),
                         (2.0 / 3.0, 8 * np.pi)]:
         cfg = kg.validate_config(1.0, r, 0.0)
-        bw = kg.bandwidth(20, cfg, kg.frequencies(cfg, trunc), trunc)
+        bw = kg.bandwidth(20, cfg, trunc)
         assert bw == pytest.approx(expected, rel=1e-9)
         got.append(bw)
     assert got[0] > got[1] > got[2]
 
 
-def test_bandwidth_grows_with_threshold(cfg_half, tables_half, trunc_10k):
-    bws = [kg.bandwidth(1, cfg_half, tables_half, trunc_10k, threshold=th)
+def test_bandwidth_grows_with_threshold(cfg_half, trunc_10k):
+    bws = [kg.bandwidth(1, cfg_half, trunc_10k, threshold=th)
            for th in (0.5, 0.9, 0.99)]
     assert bws[0] <= bws[1] <= bws[2]
     assert bws[0] > 0
@@ -74,8 +73,7 @@ def test_bandwidth_plateau_in_l_and_mass():
     plateaus = {}
     for mu in (0.0, 10.0):
         cfg = kg.validate_config(1.0, 1.0 / 9.0, mu)
-        tabs = kg.frequencies(cfg, trunc)
-        plateaus[mu] = [kg.bandwidth(l, cfg, tabs, trunc) for l in (50, 60)]
+        plateaus[mu] = [kg.bandwidth(l, cfg, trunc) for l in (50, 60)]
         # massive dispersion bends the level spacing by ~6e-6 relative; a real
         # plateau step would be one whole 2 pi / R quantum (~5e-2 relative)
         assert plateaus[mu][0] == pytest.approx(plateaus[mu][1], rel=1e-4)
@@ -83,17 +81,16 @@ def test_bandwidth_plateau_in_l_and_mass():
     assert plateaus[0.0][1] == pytest.approx(plateaus[10.0][1], rel=0.05)
 
 
-def test_bandwidth_threshold_validation(cfg_half, tables_half, trunc_10k):
+def test_bandwidth_threshold_validation(cfg_half, trunc_10k):
     for bad in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(kg.DomainError):
-            kg.bandwidth(1, cfg_half, tables_half, trunc_10k, threshold=bad)
+            kg.bandwidth(1, cfg_half, trunc_10k, threshold=bad)
 
 
 def test_bandwidth_threshold_unreachable_reports_captured(cfg_half):
     trunc = kg.Truncation(n_max_global=300, m_max_local=1)
-    tabs = kg.frequencies(cfg_half, trunc)
     with pytest.raises(kg.ThresholdUnreachable) as exc:
-        kg.bandwidth(1, cfg_half, tabs, trunc, threshold=1.0 - 1e-12)
+        kg.bandwidth(1, cfg_half, trunc, threshold=1.0 - 1e-12)
     assert 0.9 < exc.value.captured < 1.0
 
 
@@ -104,10 +101,9 @@ def test_wavepacket_tails_dwarf_series_residue():
     # leaves only reconstruction residue there. Nine decades apart at 1e4.
     cfg = kg.validate_config(1.0, 0.21, 1.0 / 0.21)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8)
-    tabs = kg.frequencies(cfg, trunc)
-    block = kg.build_block(L, cfg, tabs, trunc)
+    block = kg.build_block(L, cfg, None, trunc)
     grid = kg.uniform_grid(cfg, 4097)
-    comp = kg.wavepacket_comparison(1, grid, 0.0, cfg, tabs, trunc, block)
+    comp = kg.wavepacket_comparison(1, grid, 0.0, cfg, trunc, block)
     assert comp.cone_edge == pytest.approx(0.21)
     assert comp.psi_outside_fraction == pytest.approx(0.0267101, rel=5e-2)
     assert comp.u_outside_fraction < 1e-9
@@ -117,19 +113,40 @@ def test_wavepacket_tails_dwarf_series_residue():
 
 @pytest.mark.parametrize("points", [1, 2])
 def test_wavepacket_comparison_refuses_grids_without_interior_points(
-        cfg_half, tables_half, trunc_10k, blocks_half, monkeypatch, points):
+        cfg_half, trunc_10k, blocks_half, monkeypatch, points):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the grid check")
 
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
     grid = kg.uniform_grid(cfg_half, points)
     with pytest.raises(kg.GridMismatch):
-        kg.wavepacket_comparison(1, grid, 0.1, cfg_half, tables_half, trunc_10k, blocks_half[0])
+        kg.wavepacket_comparison(1, grid, 0.1, cfg_half, trunc_10k, blocks_half[0])
 
 
-def test_wavepacket_norm_and_shape(cfg_half, tables_half, trunc_10k):
+@pytest.mark.parametrize("call", [
+    lambda cfg, trunc: kg.overlap_distribution(0, cfg, trunc),
+    lambda cfg, trunc: kg.bandwidth(0, cfg, trunc),
+    lambda cfg, trunc: kg.quasilocal_wavepacket(0, kg.uniform_grid(cfg, 9), 0.0, cfg, trunc),
+    lambda cfg, trunc: kg.quasilocal_energy(0, cfg, trunc, region=kg.Region.RIGHT),
+    lambda cfg, trunc: kg.local_quantum_energy(L, 0, cfg, trunc),
+    lambda cfg, trunc: kg.steering_shift(0, [1, 2], cfg, trunc),
+    lambda cfg, trunc: kg.steering_shift(1, [0, 2], cfg, trunc, method="direct"),
+], ids=["overlap_distribution", "bandwidth", "quasilocal_wavepacket", "quasilocal_energy",
+        "local_quantum_energy", "steering_shift-m", "steering_shift-l"])
+def test_local_indices_below_one_are_refused_before_any_compute(cfg_half, monkeypatch, call):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the index check")
+
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    monkeypatch.setattr("kgcavity.vacuum.coeff_grid", no_compute)
+    trunc = kg.Truncation(n_max_global=50, m_max_local=4)
+    with pytest.raises(kg.DomainError):
+        call(cfg_half, trunc)
+
+
+def test_wavepacket_norm_and_shape(cfg_half, trunc_10k):
     grid = kg.uniform_grid(cfg_half, 1025)
-    psi = kg.quasilocal_wavepacket(1, grid, 0.0, cfg_half, tables_half, trunc_10k)
+    psi = kg.quasilocal_wavepacket(1, grid, 0.0, cfg_half, trunc_10k)
     assert psi.value[0] == 0.0 and psi.value[-1] == 0.0
     # KG norm of the normalized state is 1 (up to truncation + quadrature)
     norm = kg.kg_inner(psi, psi)
@@ -141,7 +158,7 @@ def test_wavepacket_norm_and_shape(cfg_half, tables_half, trunc_10k):
 
 def test_quasilocal_energy_positive_and_ordered(cfg_half, tables_half, trunc_10k):
     for l in (1, 2, 3):
-        e = kg.quasilocal_energy(l, cfg_half, tables_half, trunc_10k)
+        e = kg.quasilocal_energy(l, cfg_half, trunc_10k)
         assert e.raw > 0 and e.annihilator_raw > 0
         assert e.normalized > 0 and e.annihilator_normalized > 0
         assert e.normalized < e.raw          # squared norm 1 + <n_l> > 1
@@ -151,18 +168,18 @@ def test_quasilocal_energy_positive_and_ordered(cfg_half, tables_half, trunc_10k
         assert e.normalized > om_l * 0.9
 
 
-def test_local_quantum_energy_positive_and_linear(cfg_half, tables_half, trunc_10k):
-    e = kg.local_quantum_energy(L, 1, cfg_half, tables_half, trunc_10k)
+def test_local_quantum_energy_positive_and_linear(cfg_half, trunc_10k):
+    e = kg.local_quantum_energy(L, 1, cfg_half, trunc_10k)
     assert e.epsilon > 0
     assert e.n_particle_energy(3) == pytest.approx(3 * e.epsilon, rel=1e-15)
     assert e.tail_bound > 0
 
 
-def test_local_quantum_energy_doubling_within_tail(cfg_half, tables_half):
+def test_local_quantum_energy_doubling_within_tail(cfg_half):
     t1 = kg.Truncation(n_max_global=2_000, m_max_local=1)
     t2 = kg.Truncation(n_max_global=4_000, m_max_local=1)
-    e1 = kg.local_quantum_energy(L, 1, cfg_half, tables_half, t1)
-    e2 = kg.local_quantum_energy(L, 1, cfg_half, tables_half, t2)
+    e1 = kg.local_quantum_energy(L, 1, cfg_half, t1)
+    e2 = kg.local_quantum_energy(L, 1, cfg_half, t2)
     assert abs(e2.epsilon - e1.epsilon) <= e1.tail_bound
 
 

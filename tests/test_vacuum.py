@@ -28,35 +28,35 @@ RG = kg.Region.RIGHT
 
 # ── spectrum ─────────────────────────────────────────────────────────────────
 
-def test_spectrum_frozen_regression_value(cfg_half, tables_half, trunc_10k):
-    res = kg.vacuum_spectrum(L, cfg_half, tables_half, trunc_10k)
+def test_spectrum_frozen_regression_value(cfg_half, trunc_10k):
+    res = kg.vacuum_spectrum(L, cfg_half, trunc_10k)
     assert res.values[0] == pytest.approx(0.05396354991407163, rel=1e-12)
     big = kg.Truncation(n_max_global=1_000_000, m_max_local=1)
-    res_big = kg.vacuum_spectrum(L, cfg_half, kg.frequencies(cfg_half, big), big)
+    res_big = kg.vacuum_spectrum(L, cfg_half, big)
     assert res_big.values[0] == pytest.approx(0.053963550926912032, rel=1e-12)
     # honest tail: the finer value sits within the coarse bound (10% slack
     # because the bound is tight to ~3 digits here)
     assert abs(res_big.values[0] - res.values[0]) <= 1.1 * res.tail_bound[0]
 
 
-def test_spectrum_positive_and_decreasing_in_l(cfg_half, tables_half, trunc_10k):
-    res = kg.vacuum_spectrum(L, cfg_half, tables_half, trunc_10k)
+def test_spectrum_positive_and_decreasing_in_l(cfg_half, trunc_10k):
+    res = kg.vacuum_spectrum(L, cfg_half, trunc_10k)
     assert np.all(res.values > 0)
     assert res.values[0] > res.values[-1]
     assert np.all(res.tail_bound > 0)
 
 
-def test_spectrum_equals_beta_row_sums(cfg_half, tables_half, trunc_10k, blocks_half):
+def test_spectrum_equals_beta_row_sums(cfg_half, trunc_10k, blocks_half):
     left, _ = blocks_half
-    res = kg.vacuum_spectrum(L, cfg_half, tables_half, trunc_10k)
+    res = kg.vacuum_spectrum(L, cfg_half, trunc_10k)
     direct = np.sum(left.beta**2, axis=1)
     assert np.allclose(res.values, direct, rtol=1e-12, atol=0)
 
 
-def test_left_right_spectra_coincide_at_half(cfg_half, tables_half, trunc_10k):
+def test_left_right_spectra_coincide_at_half(cfg_half, trunc_10k):
     # beta_bar differs from beta only by (-1)^(N+m), which squares away.
-    a = kg.vacuum_spectrum(L, cfg_half, tables_half, trunc_10k)
-    b = kg.vacuum_spectrum(RG, cfg_half, tables_half, trunc_10k)
+    a = kg.vacuum_spectrum(L, cfg_half, trunc_10k)
+    b = kg.vacuum_spectrum(RG, cfg_half, trunc_10k)
     assert np.array_equal(a.values, b.values)
 
 
@@ -65,7 +65,7 @@ def test_spectrum_decreases_with_mass():
     prev = None
     for mu in (10.0, 30.0):
         cfg = kg.validate_config(1.0, 1 / np.pi, mu)
-        vals = kg.vacuum_spectrum(L, cfg, kg.frequencies(cfg, trunc), trunc).values
+        vals = kg.vacuum_spectrum(L, cfg, trunc).values
         if prev is not None:
             assert np.all(vals < prev)
         prev = vals
@@ -90,7 +90,7 @@ def test_divergence_scan_rejects_indices_below_one(cfg_half):
             kg.mode_sum_convergence(L, m, cfg_half, n_list)
 
 
-def test_tails_match_direct_quadrature(cfg_half, tables_half):
+def test_tails_match_direct_quadrature(cfg_half):
     # the one tail integrand, pref / (Om (Om +- om)^2), against quad on
     # [start, inf); alpha's starts past its resonance pole at N = 6, at
     # 2 om R / pi = 12 rather than n_from = 8
@@ -103,8 +103,7 @@ def test_tails_match_direct_quadrature(cfg_half, tables_half):
         want, _ = integrate.quad(lambda N: pref / (math.pi * N * (math.pi * N + sign * om) ** 2),
                                  start, math.inf)
         assert got == pytest.approx(want, rel=1e-8)
-    spec = kg.vacuum_spectrum(L, cfg_half, tables_half,
-                              kg.Truncation(n_max_global=n_from, m_max_local=m))
+    spec = kg.vacuum_spectrum(L, cfg_half, kg.Truncation(n_max_global=n_from, m_max_local=m))
     assert spec.tail_bound[m - 1] == pytest.approx(conv.beta2_tail, rel=1e-14)
 
 
@@ -193,9 +192,8 @@ def _fsum_moments(left, right, m_range, n_range):
 def test_wick_moments_match_fsum_reference(r, mu, m_max, m_range, n_range, bound):
     cfg = kg.validate_config(1.0, r, mu)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=m_max)
-    tabs = kg.frequencies(cfg, trunc)
-    left = kg.build_block(L, cfg, tabs, trunc)
-    right = kg.build_block(RG, cfg, tabs, trunc)
+    left = kg.build_block(L, cfg, None, trunc)
+    right = kg.build_block(RG, cfg, None, trunc)
     rep = kg.wick_moments(m_range, n_range, left, right)
     (mean_l, var_l), (mean_r, var_r), cov = _fsum_moments(left, right, m_range, n_range)
     for got, want in ((rep.mean_left, mean_l), (rep.var_left, var_l),
@@ -264,10 +262,9 @@ def test_limit_scan_occupations_match_spectrum():
     table = kg.limit_scan("mass", [0.5, 8.0], [(2, 1), (12, 3), (9, 2)], cfg, trunc, M_fixed=10)
     for k, mu_R in enumerate(table.values):
         cfg_k = kg.validate_config(1.0, 0.37, mu_R)
-        spec = kg.vacuum_spectrum(L, cfg_k, kg.frequencies(cfg_k, trunc), trunc).values
+        spec = kg.vacuum_spectrum(L, cfg_k, trunc).values
         want = spec[[1, 11, 8]]
         assert np.all(np.abs(table.n_per_probe[k] - want) <= 1e-13 * want)
-        right = kg.vacuum_spectrum(RG, cfg_k, kg.frequencies(cfg_k, trunc),
-                                   dataclasses.replace(trunc, m_max_local=10)).values
+        right = kg.vacuum_spectrum(RG, cfg_k, dataclasses.replace(trunc, m_max_local=10)).values
         assert table.sum_left[k] == pytest.approx(np.sum(spec[:10]), rel=1e-13)
         assert table.sum_both[k] == pytest.approx(np.sum(spec[:10]) + np.sum(right), rel=1e-13)
