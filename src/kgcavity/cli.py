@@ -59,21 +59,28 @@ _REGIONS = {"left": Region.LEFT, "right": Region.RIGHT}
 def parse_float_list(text: str) -> list[float]:
     """'10:50:10' -> [10,20,30,40,50] (inclusive range); '1,2,3' -> [1,2,3]."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"range syntax is start:stop:step, got {text!r}")
-        # exact decimal arithmetic, so 0.1:0.3:0.1 ends on 0.3, not 0.30000000000000004
-        start, stop, step = (Decimal(p) for p in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("range step must be positive")
-        count = math.floor((stop - start) / step) + 1
-        return [float(start + k * step) for k in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise argparse.ArgumentTypeError(f"range syntax is start:stop:step, got {text!r}")
+            # exact decimal arithmetic, so 0.1:0.3:0.1 ends on 0.3, not 0.30000000000000004
+            start, stop, step = (Decimal(p) for p in parts)
+            if step <= 0:
+                raise argparse.ArgumentTypeError("range step must be positive")
+            count = math.floor((stop - start) / step) + 1
+            return [float(start + k * step) for k in range(count)]
+        return [float(p) for p in text.split(",") if p.strip()]
+    except (ArithmeticError, ValueError):    # decimal's InvalidOperation is an ArithmeticError
+        raise argparse.ArgumentTypeError(f"not a number list: {text!r}") from None
 
 
 def parse_int_list(text: str) -> list[int]:
-    return [int(round(v)) for v in parse_float_list(text)]
+    """parse_float_list, refusing any value that is not an integer."""
+    values = parse_float_list(text)
+    if not all(v.is_integer() for v in values):
+        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
+    return [int(v) for v in values]
 
 
 def parse_probes(text: str) -> list[tuple[int, int]]:
@@ -81,7 +88,10 @@ def parse_probes(text: str) -> list[tuple[int, int]]:
     out = []
     for item in text.split(","):
         m, _, N = item.partition(":")
-        out.append((int(m), int(N)))
+        try:
+            out.append((int(m), int(N)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"a probe is an m:N integer pair, got {item!r}") from None
     return out
 
 
@@ -110,63 +120,67 @@ def _resolve(args) -> tuple:
 
 
 def _check_local(trunc, flag: str, *indices: int) -> None:
-    """DomainError unless every local-mode index lies in 1..m_max_local.
-
-    Runs before ``_Run`` so a refused request leaves no output directory.
-    """
+    """DomainError unless every local-mode index lies in 1..m_max_local."""
     for i in indices:
         if not 1 <= i <= trunc.m_max_local:
             raise DomainError(f"{flag} {i} outside 1..{trunc.m_max_local} (--mmax)")
 
 
-def _check_positive(flag: str, *indices: int) -> None:
-    """DomainError unless every mode index given to ``flag`` is >= 1; runs
-    before ``_Run``, as ``_check_local`` does."""
-    for i in indices:
-        if i < 1:
-            raise DomainError(f"{flag} {i} must be >= 1")
-
-
 class _Run:
-    """Collects output files and writes the manifest at the end."""
+    """The products of one command, written only after it has returned.
 
-    def __init__(self, args, command: str, cfg, trunc):
+    A command records each CSV with ``csv`` and each SVG with ``svg``, and
+    puts its diagnostics in ``tails``. Each CSV's sidecar gets a snapshot of
+    ``tails`` taken when the CSV is recorded. ``finish`` creates
+    ``out_dir``, writes the CSVs and their sidecars, then the SVGs (only
+    with --svg), each in the order recorded, and then the manifest. A
+    command that raises leaves nothing behind, not even the directory.
+    """
+
+    def __init__(self, args, cfg, trunc):
         self.args = args
-        self.command = command
         self.cfg = cfg
         self.trunc = trunc
-        self.outputs: list = []
         self.tails: dict = {}
+        self.csvs: list = []
+        self.svgs: list = []
         self.t0 = time.perf_counter()
-        os.makedirs(args.out_dir, exist_ok=True)
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.args.out_dir, name)
+    def csv(self, name: str, comments: list[str], names: list[str], rows) -> None:
+        """Record a table; ``rows`` is a list, or a zip over existing arrays."""
+        self.csvs.append((name, comments, names, rows, dict(self.tails)))
 
-    def csv(self, name: str, comments: list[str], names: list[str], rows) -> str:
-        p = self.path(name)
-        digest = write_csv(p, comments, names, rows)
-        write_sidecar(p, self.command, self.cfg, self.trunc, self.tails, digest)
-        self.outputs.append((name, digest))
-        return p
-
-    def svg_output(self, name: str) -> None:
-        with open(self.path(name), "rb") as fh:
-            self.outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
+    def svg(self, name: str, render, *args, **kw) -> None:
+        """Record ``render(path, *args, **kw)`` for ``finish``; nothing without --svg."""
+        if self.args.svg:
+            self.svgs.append((name, render, args, kw))
 
     def finish(self) -> int:
+        out_dir = self.args.out_dir
+        os.makedirs(out_dir, exist_ok=True)
+        outputs = []
+        for name, comments, names, rows, tails in self.csvs:
+            path = os.path.join(out_dir, name)
+            digest = write_csv(path, comments, names, rows)
+            write_sidecar(path, self.args.command, self.cfg, self.trunc, tails, digest)
+            outputs.append((name, digest))
+        for name, render, args, kw in self.svgs:
+            path = os.path.join(out_dir, name)
+            render(path, *args, **kw)
+            with open(path, "rb") as fh:
+                outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
         write_manifest(
-            self.args.out_dir,
+            out_dir,
             RunManifest(
-                command=self.command,
+                command=self.args.command,
                 cfg=self.cfg,
                 trunc=self.trunc,
-                outputs=self.outputs,
+                outputs=outputs,
                 wall_time_s=time.perf_counter() - self.t0,
                 tail_bound_summary=self.tails,
             ),
         )
-        for name, digest in self.outputs:
+        for name, digest in outputs:
             log.info("wrote %s (sha256 %s…)", name, digest[:12])
         return 0
 
@@ -194,16 +208,14 @@ def _record_series(run: _Run, label: str, src) -> None:
 
 # ── subcommands ─────────────────────────────────────────────────────────────
 
-def cmd_modes(args) -> int:
-    cfg, trunc = _resolve(args)
+def cmd_modes(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--m", args.m)
-    run = _Run(args, "modes", cfg, trunc)
     region = _REGIONS[args.region]
     block = build_block(region, cfg, None, trunc)
     grid = uniform_grid(cfg, trunc.grid_points)
-    times = parse_float_list(args.times)
     series = []
-    for k, t in enumerate(times):
+    for k, t in enumerate(args.times):
         mode = evolve_local_mode(region, args.m, grid, t, cfg, trunc, block)
         _record_series(run, f"t={t:.17g}", mode)
         rows = zip(grid, mode.value.real, mode.value.imag, mode.tderiv.real, mode.tderiv.imag)
@@ -214,18 +226,14 @@ def cmd_modes(args) -> int:
             rows,
         )
         series.append((grid, np.abs(mode.value), f"t={t:g}"))
-    if args.svg:
-        svgmod.line_plot(run.path("modes.svg"), series, title=f"|u_{args.m}(x,t)|, {args.region}",
-                         xlabel="x", ylabel="|u|")
-        run.svg_output("modes.svg")
-    return run.finish()
+    run.svg("modes.svg", svgmod.line_plot, series, title=f"|u_{args.m}(x,t)|, {args.region}",
+            xlabel="x", ylabel="|u|")
 
 
-def cmd_spectrum(args) -> int:
-    cfg, trunc = _resolve(args)
-    run = _Run(args, "spectrum", cfg, trunc)
+def cmd_spectrum(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
     region = _REGIONS[args.region]
-    mus = parse_float_list(args.mu_list) if args.mu_list else [cfg.mu]
+    mus = args.mu_list or [cfg.mu]
     lmax = args.lmax
     trunc_l = dataclasses.replace(trunc, m_max_local=lmax)
     rows = []
@@ -240,21 +248,14 @@ def cmd_spectrum(args) -> int:
         series.append((om, spec.values, f"mu={mu:g}"))
     run.csv("spectrum.csv", _meta(cfg, trunc_l) + [f"region={args.region}"],
             ["mu", "l", "omega_l", "n_l", "tail_bound"], rows)
-    if args.svg:
-        svgmod.line_plot(run.path("spectrum.svg"), series, title="local spectrum of the global vacuum",
-                         xlabel="omega_l", ylabel="<n_l>", logy=True)
-        run.svg_output("spectrum.svg")
-    return run.finish()
+    run.svg("spectrum.svg", svgmod.line_plot, series, title="local spectrum of the global vacuum",
+            xlabel="omega_l", ylabel="<n_l>", logy=True)
 
 
-def cmd_rscan(args) -> int:
-    cfg, trunc = _resolve(args)
-    values = parse_float_list(args.values)
-    probes = parse_probes(args.probes)
-    _check_positive("--probes", *(i for pair in probes for i in pair))
-    _check_positive("--M-fixed", args.M_fixed)
-    run = _Run(args, "rscan", cfg, trunc)
-    table = limit_scan(args.kind, values, probes, cfg, trunc, M_fixed=args.M_fixed)
+def cmd_rscan(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
+    probes = args.probes
+    table = limit_scan(args.kind, args.values, probes, cfg, trunc, M_fixed=args.M_fixed)
     names = ["value"]
     for m, N in probes:
         names += [f"n_m{m}", f"alpha_m{m}_N{N}", f"beta_m{m}_N{N}"]
@@ -267,20 +268,16 @@ def cmd_rscan(args) -> int:
         row += [table.sum_left[k], table.sum_both[k]]
         rows.append(row)
     run.csv("rscan.csv", _meta(cfg, trunc) + [f"kind={args.kind}"], names, rows)
-    if args.svg:
-        series = [(table.values, table.n_per_probe[:, ip], f"m={m}")
-                  for ip, (m, N) in enumerate(probes)]
-        svgmod.line_plot(run.path("rscan.svg"), series, title=f"{args.kind} scan",
-                         xlabel=args.kind, ylabel="<n_m>", logy=True)
-        run.svg_output("rscan.svg")
-    return run.finish()
+    series = [(table.values, table.n_per_probe[:, ip], f"m={m}")
+              for ip, (m, N) in enumerate(probes)]
+    run.svg("rscan.svg", svgmod.line_plot, series, title=f"{args.kind} scan",
+            xlabel=args.kind, ylabel="<n_m>", logy=True)
 
 
-def cmd_correlations(args) -> int:
-    cfg, trunc = _resolve(args)
+def cmd_correlations(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--mrows", args.mrows)
     _check_local(trunc, "--nrows", args.nrows)
-    run = _Run(args, "correlations", cfg, trunc)
     left = build_block(Region.LEFT, cfg, None, trunc)
     right = build_block(Region.RIGHT, cfg, None, trunc)
     m_range = range(1, args.mrows + 1)
@@ -298,21 +295,17 @@ def cmd_correlations(args) -> int:
     mrows = [("left", m, report.mean_left[i], report.var_left[i]) for i, m in enumerate(report.m_range)]
     nrows = [("right", n, report.mean_right[j], report.var_right[j]) for j, n in enumerate(report.n_range)]
     run.csv("moments.csv", _meta(cfg, trunc), ["region", "index", "mean", "var"], mrows + nrows)
-    if args.svg:
-        svgmod.heatmap(run.path("correlations.svg"), report.corr,
-                       title="corr(n_m, n_bar_n)", xlabel="n (right)", ylabel="m (left)")
-        run.svg_output("correlations.svg")
-    return run.finish()
+    run.svg("correlations.svg", svgmod.heatmap, report.corr,
+            title="corr(n_m, n_bar_n)", xlabel="n (right)", ylabel="m (left)")
 
 
-def cmd_quasilocal(args) -> int:
-    cfg, trunc = _resolve(args)
-    l_list = parse_int_list(args.l_list)
+def cmd_quasilocal(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
+    l_list = args.l_list
     _check_local(trunc, "--l-list", *l_list)
     _check_local(trunc, "--steer-m", args.steer_m)
     if args.wavepacket_m is not None:
         _check_local(trunc, "--wavepacket-m", args.wavepacket_m)
-    run = _Run(args, "quasilocal", cfg, trunc)
     band_rows = []
     overlap_series = []
     for l in l_list:
@@ -354,22 +347,16 @@ def cmd_quasilocal(args) -> int:
             ["x", "abs_psi", "abs_u", "abs_diff"],
             zip(grid, np.abs(comp.psi.value), np.abs(comp.u.value), comp.abs_diff),
         )
-    if args.svg:
-        svgmod.line_plot(run.path("quasilocal.svg"), overlap_series,
-                         title="overlap distribution of quasi-local states",
-                         xlabel="Omega_N", ylabel="p", logy=True)
-        run.svg_output("quasilocal.svg")
-    return run.finish()
+    run.svg("quasilocal.svg", svgmod.line_plot, overlap_series,
+            title="overlap distribution of quasi-local states",
+            xlabel="Omega_N", ylabel="p", logy=True)
 
 
-def cmd_causality(args) -> int:
-    cfg, trunc = _resolve(args)
+def cmd_causality(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--m", args.m)
-    _check_positive("--probe-n", args.probe_n)
-    run = _Run(args, "causality", cfg, trunc)
-    times = parse_float_list(args.times)
     leak_rows = []
-    for t in times:
+    for t in args.times:
         leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, trunc, edge_margin=args.edge_margin)
         _record_series(run, f"leakage_t={t:.17g}", leak)
         leak_rows.append((t, min(cfg.r + t + args.edge_margin, cfg.R), leak.fraction))
@@ -378,7 +365,7 @@ def cmd_causality(args) -> int:
 
     r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
     gap = r_tilde - cfg.r
-    taus = parse_float_list(args.taus) if args.taus else [0.5 * gap, 2.0 * gap]
+    taus = args.taus or [0.5 * gap, 2.0 * gap]
     comm_rows = []
     for tau in taus:
         probe = make_probe(r_tilde, tau, args.probe_n, cfg)
@@ -387,50 +374,37 @@ def cmd_causality(args) -> int:
         comm_rows.append((tau, r_tilde, comm.c1, comm.c2, int(tau < gap)))
     run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
             ["tau", "r_tilde", "c1", "c2", "spacelike"], comm_rows)
-    if args.svg:
-        lr = np.array(leak_rows)
-        svgmod.line_plot(run.path("causality.svg"), [(lr[:, 0], lr[:, 2], "outside fraction")],
-                         title=f"light-cone leakage of u_{args.m}", xlabel="t",
-                         ylabel="fraction", logy=True)
-        run.svg_output("causality.svg")
-    return run.finish()
+    run.svg("causality.svg", svgmod.line_plot,
+            [(args.times, [row[2] for row in leak_rows], "outside fraction")],
+            title=f"light-cone leakage of u_{args.m}", xlabel="t", ylabel="fraction", logy=True)
 
 
-def cmd_diverge(args) -> int:
-    cfg, trunc = _resolve(args)
-    N_list = parse_int_list(args.N_list)
-    M_list = parse_int_list(args.M_list)
-    n_list = parse_int_list(args.n_list)
-    run = _Run(args, "diverge", cfg, trunc)
-    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, n_list)
+def cmd_diverge(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
     rows = []
     series = []
-    for N in N_list:
-        scan = divergence_scan(N, cfg, M_list)
+    for N in args.N_list:
+        scan = divergence_scan(N, cfg, args.M_list)
         run.tails[f"fit_N={N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
         for M, S in zip(scan.M_list, scan.partial_sums):
             rows.append((N, int(M), S, scan.fit_slope, scan.fit_r2))
         series.append((scan.M_list.astype(float), scan.partial_sums, f"N={N}"))
     run.csv("diverge.csv", _meta(cfg, trunc),
             ["N", "M", "partial_sum", "fit_slope", "fit_r2"], rows)
+    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, args.n_list)
     run.tails["alpha2_tail"] = conv.alpha2_tail
     run.tails["beta2_tail"] = conv.beta2_tail
     run.csv("converge.csv", _meta(cfg, trunc) + [f"m={args.m}"],
             ["n_max", "sum_alpha2", "sum_beta2"],
             zip(conv.n_list, conv.alpha2_partial, conv.beta2_partial))
-    if args.svg:
-        svgmod.line_plot(run.path("diverge.svg"), series, title="divergent m-sums at fixed N",
-                         xlabel="M", ylabel="S(M)", logx=True)
-        run.svg_output("diverge.svg")
-    return run.finish()
+    run.svg("diverge.svg", svgmod.line_plot, series, title="divergent m-sums at fixed N",
+            xlabel="M", ylabel="S(M)", logx=True)
 
 
-def cmd_identities(args) -> int:
-    cfg, trunc = _resolve(args)
-    run = _Run(args, "identities", cfg, trunc)
-    n_list = parse_int_list(args.nmax_list) if args.nmax_list else [trunc.n_max_global]
+def cmd_identities(args, run: _Run) -> None:
+    cfg, trunc = run.cfg, run.trunc
     rows = []
-    for n in sorted(n_list):
+    for n in sorted(args.nmax_list or [trunc.n_max_global]):
         trunc_n = dataclasses.replace(trunc, n_max_global=n, m_max_local=args.upto)
         left = build_block(Region.LEFT, cfg, None, trunc_n)
         right = build_block(Region.RIGHT, cfg, None, trunc_n)
@@ -439,13 +413,10 @@ def cmd_identities(args) -> int:
                      float(res.D1_cross.max()), float(res.D2_cross.max()), res.max_residual))
     run.csv("identities.csv", _meta(cfg, trunc) + [f"upto={args.upto}"],
             ["n_max", "max_D1", "max_D2", "max_D1_cross", "max_D2_cross", "max_residual"], rows)
-    if args.svg:
-        arr = np.array([(r[0], r[5]) for r in rows], dtype=float)
-        svgmod.line_plot(run.path("identities.svg"), [(arr[:, 0], arr[:, 1], "max residual")],
-                         title="completeness residual vs global cutoff", xlabel="n_max",
-                         ylabel="max residual", logx=True, logy=True)
-        run.svg_output("identities.svg")
-    return run.finish()
+    run.svg("identities.svg", svgmod.line_plot,
+            [([row[0] for row in rows], [row[5] for row in rows], "max residual")],
+            title="completeness residual vs global cutoff", xlabel="n_max",
+            ylabel="max residual", logx=True, logy=True)
 
 
 # ── parser ──────────────────────────────────────────────────────────────────
@@ -476,19 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("modes", parents=[common, with_nmax], help="evolved local-mode snapshots")
     sp.add_argument("--region", choices=["left", "right"], default="left")
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--times", default="0", help="comma list or start:stop:step")
+    sp.add_argument("--times", type=parse_float_list, default="0",
+                    help="comma list or start:stop:step")
     sp.set_defaults(func=cmd_modes)
 
     sp = sub.add_parser("spectrum", parents=[common, with_nmax], help="local-particle spectrum of the vacuum")
     sp.add_argument("--region", choices=["left", "right"], default="left")
-    sp.add_argument("--mu-list", default=None, help="mass family, e.g. 10:50:10")
+    sp.add_argument("--mu-list", type=parse_float_list, default=None,
+                    help="mass family, e.g. 10:50:10")
     sp.add_argument("--lmax", type=int, default=20)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("rscan", parents=[common, with_nmax], help="mass / partition-size limit scans")
     sp.add_argument("--kind", choices=["partition-size", "mass"], default="partition-size")
-    sp.add_argument("--values", default="0.5,0.9,0.99")
-    sp.add_argument("--probes", default="1:1,2:3", help="m:N pairs, comma separated")
+    sp.add_argument("--values", type=parse_float_list, default="0.5,0.9,0.99")
+    sp.add_argument("--probes", type=parse_probes, default="1:1,2:3",
+                    help="m:N pairs, comma separated")
     sp.add_argument("--M-fixed", type=int, default=100, dest="M_fixed")
     sp.set_defaults(func=cmd_rscan)
 
@@ -500,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_correlations)
 
     sp = sub.add_parser("quasilocal", parents=[common, with_nmax], help="quasi-local state analysis")
-    sp.add_argument("--l-list", default="20")
+    sp.add_argument("--l-list", type=parse_int_list, default="20")
     sp.add_argument("--threshold", type=float, default=0.95)
     sp.add_argument("--steer-m", type=int, default=1)
     sp.add_argument("--wavepacket-m", type=int, default=None)
@@ -509,23 +483,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("causality", parents=[common, with_nmax], help="light-cone and commutator checks")
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--times", default="0,0.1,0.2,0.3,0.4,0.5")
+    sp.add_argument("--times", type=parse_float_list, default="0,0.1,0.2,0.3,0.4,0.5")
     sp.add_argument("--edge-margin", type=float, default=0.0)
     sp.add_argument("--rtilde", type=float, default=None)
     sp.add_argument("--probe-n", type=int, default=1)
-    sp.add_argument("--taus", default=None, help="probe times (default: 0.5 and 2 gaps)")
+    sp.add_argument("--taus", type=parse_float_list, default=None,
+                    help="probe times (default: 0.5 and 2 gaps)")
     sp.set_defaults(func=cmd_causality)
 
     sp = sub.add_parser("diverge", parents=[common, with_nmax], help="inequivalence divergence scans")
-    sp.add_argument("--N-list", default="1,2,3", dest="N_list")
-    sp.add_argument("--M-list", default="100,316,1000,3162,10000,31623,100000", dest="M_list")
+    sp.add_argument("--N-list", type=parse_int_list, default="1,2,3", dest="N_list")
+    sp.add_argument("--M-list", type=parse_int_list, default="100,316,1000,3162,10000,31623,100000",
+                    dest="M_list")
     sp.add_argument("--m", type=int, default=1, help="fixed m for the convergent N-sums")
-    sp.add_argument("--n-list", default="1000,2000,4000,8000", dest="n_list")
+    sp.add_argument("--n-list", type=parse_int_list, default="1000,2000,4000,8000", dest="n_list")
     sp.set_defaults(func=cmd_diverge)
 
     sp = sub.add_parser("identities", parents=[common], help="completeness residual report")
     # here --nmax takes the list form, e.g. --nmax 1000,2000,4000
-    sp.add_argument("--nmax", "--nmax-list", default="1000,2000,4000", dest="nmax_list",
+    sp.add_argument("--nmax", "--nmax-list", type=parse_int_list, default="1000,2000,4000",
+                    dest="nmax_list",
                     help="global cutoffs, comma list or start:stop:step")
     sp.add_argument("--upto", type=int, default=10)
     sp.set_defaults(func=cmd_identities, nmax=None)
@@ -537,7 +514,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = _Run(args, *_resolve(args))
+        args.func(args, run)
+        return run.finish()
     except KgCavityError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

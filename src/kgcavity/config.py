@@ -176,26 +176,31 @@ def load_config_file(path: str) -> dict:
 
     Lines look like ``r = 0.5`` (the ``=`` is optional); ``#`` starts a
     comment. Recognized keys: R, r, mu, n_max_global, m_max_local,
-    grid_points. CLI flags override these values.
+    grid_points. CLI flags override these values. A file that cannot be
+    read is a DomainError naming the path.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"{path}: cannot read config file ({type(exc).__name__})") from exc
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, rhs = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise DomainError(f"{path}:{lineno}: cannot parse {raw!r}")
-                key, rhs = parts
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](rhs.strip())
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line:
+            key, _, rhs = line.partition("=")
+        else:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise DomainError(f"{path}:{lineno}: cannot parse {raw!r}")
+            key, rhs = parts
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](rhs.strip())
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values

@@ -34,6 +34,29 @@ def test_parse_int_and_probe_lists():
     assert parse_probes("1:1,2:3") == [(1, 1), (2, 3)]
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_float_list, "abc"),
+    (parse_float_list, "1:2:x"),
+    (parse_float_list, "1:2:0"),
+    (parse_int_list, "1:2"),
+    (parse_int_list, "1.5,2.5"),        # not rounded to [2, 2]
+    (parse_int_list, "2.7"),            # not rounded to 3
+    (parse_int_list, "0.5:2.5:1"),
+    (parse_probes, ""),
+    (parse_probes, "1-1"),
+    (parse_probes, "1:1:1"),
+    (parse_probes, "1:1,"),
+])
+def test_malformed_list_text_is_an_argument_type_error(parse, text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse(text)
+
+
+def test_integer_valued_floats_are_integers():
+    assert parse_int_list("1e3,2.0") == [1000, 2]
+    assert all(type(v) is int for v in parse_int_list("1e3,2.0"))
+
+
 # ── happy-path products ─────────────────────────────────────────────────────
 
 def _read_json(path):
@@ -197,6 +220,18 @@ def test_identities_multi_cutoff(tmp_path):
     assert float(rows[1][5]) < float(rows[0][5])      # residual falls with cutoff
 
 
+def test_causality_without_times_writes_header_and_empty_plot(tmp_path):
+    out = tmp_path / "cz"
+    rc = main(["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "",
+               "--taus", "0.1", "--svg", "--out-dir", str(out)])
+    assert rc == 0
+    leak = (out / "leakage.csv").read_text().splitlines()
+    assert leak[3:] == ["t,cone_edge,outside_fraction"]
+    assert "<polyline" not in (out / "causality.svg").read_text()
+    names = [o["path"] for o in _read_json(out / "manifest.json")["outputs"]]
+    assert names == ["leakage.csv", "commutators.csv", "causality.svg"]
+
+
 def test_svg_outputs_land_in_manifest(tmp_path):
     out = str(tmp_path / "s")
     rc = main(["spectrum", "--nmax", "500", "--lmax", "3", "--svg",
@@ -236,6 +271,70 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 # ── error paths ─────────────────────────────────────────────────────────────
+
+def _one_json_error(capsys) -> dict:
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("{")]
+    assert len(lines) == 1 and "Traceback" not in err
+    return json.loads(lines[0])
+
+
+def test_unreadable_config_file_is_a_domain_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    out = tmp_path / "o"
+    for path in (missing, tmp_path):               # no such file; a directory
+        assert main(["spectrum", "--config", str(path), "--out-dir", str(out)]) == 2
+        doc = _one_json_error(capsys)
+        assert doc["error"] == "DomainError" and str(path) in doc["message"]
+        assert not out.exists()
+
+
+_BASE = ["--nmax", "200", "--mmax", "4", "--grid", "65"]
+
+
+@pytest.mark.parametrize("argv", [
+    # refused after earlier products were computed
+    ["causality", "--rtilde", "2.0"],
+    ["causality", "--taus", "0.1,-1"],
+    ["quasilocal", "--l-list", "1", "--threshold", "1.5"],
+    ["quasilocal", "--grid", "2", "--l-list", "1", "--wavepacket-m", "1"],
+    # refused before any product
+    ["spectrum", "--lmax", "0"],
+    ["identities", "--upto", "0"],
+    ["identities", "--nmax", "0,400"],
+    ["diverge", "--m", "0"],
+    ["rscan", "--kind", "mass", "--values", "0.5,-1"],
+    ["causality", "--times", "0.1,-0.1"],
+    ["causality", "--probe-n", "0"],
+])
+def test_refused_request_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    # the later --grid of a case overrides the base one; identities takes --nmax as its list
+    base = _BASE[2:] if argv[0] == "identities" else _BASE
+    assert main([argv[0], *base, *argv[1:], "--out-dir", str(out)]) == 2
+    assert set(_one_json_error(capsys)) == {"error", "message"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rscan", "--probes", ""],
+    ["rscan", "--probes", "1-1"],
+    ["modes", "--times", "1:2"],
+    ["modes", "--times", "abc"],
+    ["spectrum", "--mu-list", "1:2:0"],
+    ["identities", "--nmax", "1:2"],
+    ["quasilocal", "--l-list", "1.5,2.5"],
+    ["diverge", "--N-list", "2.7"],
+])
+def test_malformed_list_flag_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    assert not out.exists()
+
 
 def test_domain_error_reports_json_and_exit_2(tmp_path, capsys):
     rc = main(["spectrum", "--r", "1.5", "--out-dir", str(tmp_path)])
@@ -290,3 +389,4 @@ def test_out_of_range_local_index_is_a_domain_error(tmp_path, capsys, argv):
     doc = json.loads(lines[0])
     assert set(doc) == {"error", "message"} and doc["error"] == "DomainError"
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
