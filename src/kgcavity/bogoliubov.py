@@ -31,11 +31,14 @@ sign (-1)^(N+m) is folded into a_m and b_N. sin(pi N w) is evaluated on the
 reduced argument sin(pi f) (-1)^k, k = round(N w), f = N w - k, so it is an
 exact 0 in every column where N w is an integer: the Kronecker zeros.
 
-V is a 0/0 at resonances Omega_N = omega_m (eps = 0, possible whenever r/R
-is rational). Inside the window |Omega^2 - omega^2| / (Omega^2 + omega^2)
-<= _RESONANCE_EPS (Kronecker zeros excluded) alpha takes the analytic limit
-V = (w/2)/sqrt(w Omega omega), whose sign is pinned by the quadrature
-oracle; beta needs no such branch.
+V is a 0/0 at the exact resonances Omega_N = omega_m, eps = 0, which
+happen only where N w is an integer k (f == 0) and m == k (possible
+whenever r/R is rational). There, and only there, alpha takes the analytic
+limit V = (w/2)/sqrt(w Omega omega), whose sign is pinned by the quadrature
+oracle; beta needs no such branch. Every other entry keeps the closed form,
+however near a resonance: eps = x - m and f = x - k are exact float
+differences, and sin(pi f) has no cancellation, so V is accurate to
+rounding even where eps is tiny.
 
 The paper's two beta-only results are row sums: the local occupations
 <n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
@@ -81,10 +84,6 @@ _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 # Entries per row chunk of ``coeff_grid`` and per tile of ``beta_sq_sums``:
 # the few chunk-sized temporaries (1 MB each) stay in cache.
 _CHUNK_ENTRIES = 2**17
-
-# Relative gap |Omega^2 - omega^2| / (Omega^2 + omega^2) below which alpha
-# takes the resonance limit instead of the generic closed form.
-_RESONANCE_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,42 +144,21 @@ def _parity(k: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (k.astype(np.int64) & 1)
 
 
-def _resonances(
-    m: np.ndarray,
-    x: np.ndarray,
-    f: np.ndarray,
-    Om: np.ndarray,
-    om: np.ndarray,
-    mu_w: float,
-    resonance_eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the entries that take the resonance limit.
+def _resonances(m: np.ndarray, x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the exact resonances eps = N w - m = 0.
 
-    In terms of x = N w the window rel_gap <= eps reads
-    |x^2 - m^2| <= eps (x^2 + m^2) + 2 eps (mu w / pi)^2, which bounds m to
-    an interval around x in every column. The interval, widened by one on
-    each side, supplies the candidates; the exact predicate on Omega and
-    omega decides. eps = 0 always qualifies (the closed form is 0/0 there
-    whatever the threshold); the Kronecker zeros (f == 0, m != x) never do.
+    eps is 0 only where N w is an integer k (f == 0) and m == k, so the
+    columns with f == 0 each look up the rows equal to their x; repeated
+    rows are all found. The Kronecker zeros (f == 0, m != k) are never hit.
     """
-    e = resonance_eps
-    c = 2.0 * e * (mu_w / np.pi) ** 2
-    lo = np.floor(np.sqrt(np.maximum(x * x * (1.0 - e) - c, 0.0) / (1.0 + e))) - 1.0
-    hi = np.ceil(np.sqrt((x * x * (1.0 + e) + c) / (1.0 - e))) + 1.0
+    cols = np.flatnonzero(f == 0.0)
     order = np.argsort(m, kind="stable")
     m_sorted = m[order]
-    first = np.searchsorted(m_sorted, lo, side="left")
-    count = np.searchsorted(m_sorted, hi, side="right") - first
-    cols = np.repeat(np.arange(len(x)), count)
+    first = np.searchsorted(m_sorted, x[cols], side="left")
+    count = np.searchsorted(m_sorted, x[cols], side="right") - first
     offset = np.repeat(first - (np.cumsum(count) - count), count)
-    rows = order[np.arange(len(cols)) + offset]
-
-    Om_c, om_r = Om[cols], om[rows]
-    rel_gap = np.abs(Om_c**2 - om_r**2) / (Om_c**2 + om_r**2)
-    eps = x[cols] - m[rows]
-    kronecker = (f[cols] == 0.0) & (eps != 0.0)
-    hit = ((rel_gap <= resonance_eps) | (eps == 0.0)) & ~kronecker
-    return rows[hit], cols[hit]
+    rows = order[np.arange(len(offset)) + offset]
+    return rows, np.repeat(cols, count)
 
 
 class _Factors(NamedTuple):
@@ -226,14 +204,17 @@ def coeff_grid(
     m_indices: np.ndarray,
     N_indices: np.ndarray,
     cfg: CavityConfig,
-    resonance_eps: float = _RESONANCE_EPS,
+    resonance_eps: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) on the outer grid m_indices x N_indices.
 
     The factored closed form of the module docstring, written into the
     result row chunk by row chunk (about _CHUNK_ENTRIES entries each, so
     the temporaries stay cache-sized whatever the grid's shape).
-    ``resonance_eps`` is the resonance window's rel-gap threshold.
+
+    ``resonance_eps`` is ignored (pass None): only the exact resonances
+    take the limit. It stays because ``perfbench/run.py`` passes it
+    positionally.
     """
     fac = _factors(region, m_indices, N_indices, cfg)
     m, N, x, Om, om, a, b = fac.m, fac.N, fac.x, fac.Om, fac.om, fac.a, fac.b
@@ -260,7 +241,7 @@ def coeff_grid(
             beta_rows /= freq_sum
 
     w = fac.w
-    r_idx, c_idx = _resonances(m, x, fac.f, Om, om, cfg.mu_tilde * w, resonance_eps)
+    r_idx, c_idx = _resonances(m, x, fac.f)
     Om_c, om_r = Om[c_idx], om[r_idx]
     limit = (w / 2.0) / np.sqrt(w * Om_c * om_r)
     if fac.right:

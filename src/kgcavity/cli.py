@@ -76,10 +76,13 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def parse_int_list(text: str) -> list[int]:
-    """parse_float_list, refusing any value that is not an integer."""
+    """parse_float_list, refusing any value that is not an integer or that
+    repeats (an index list names each index once)."""
     values = parse_float_list(text)
     if not all(v.is_integer() for v in values):
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return [int(v) for v in values]
 
 
@@ -355,6 +358,12 @@ def cmd_quasilocal(args, run: _Run) -> None:
 def cmd_causality(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--m", args.m)
+    r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
+    gap = r_tilde - cfg.r
+    taus = args.taus or [0.5 * gap, 2.0 * gap]
+    # make_probe refuses a bad probe before any evolution runs
+    probes = [make_probe(r_tilde, tau, args.probe_n, cfg) for tau in taus]
+
     leak_rows = []
     for t in args.times:
         leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, trunc, edge_margin=args.edge_margin)
@@ -363,12 +372,8 @@ def cmd_causality(args, run: _Run) -> None:
     run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
             ["t", "cone_edge", "outside_fraction"], leak_rows)
 
-    r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
-    gap = r_tilde - cfg.r
-    taus = args.taus or [0.5 * gap, 2.0 * gap]
     comm_rows = []
-    for tau in taus:
-        probe = make_probe(r_tilde, tau, args.probe_n, cfg)
+    for tau, probe in zip(taus, probes):
         comm = commutator_pair(probe, args.m, cfg, trunc)
         _record_series(run, f"commutator_tau={tau:.17g}", comm)
         comm_rows.append((tau, r_tilde, comm.c1, comm.c2, int(tau < gap)))
@@ -381,6 +386,9 @@ def cmd_causality(args, run: _Run) -> None:
 
 def cmd_diverge(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
+    # first, so that mode_sum_convergence refuses a bad --m before any scan;
+    # its tails join run.tails only after diverge.csv, whose sidecar has none
+    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, args.n_list)
     rows = []
     series = []
     for N in args.N_list:
@@ -391,7 +399,6 @@ def cmd_diverge(args, run: _Run) -> None:
         series.append((scan.M_list.astype(float), scan.partial_sums, f"N={N}"))
     run.csv("diverge.csv", _meta(cfg, trunc),
             ["N", "M", "partial_sum", "fit_slope", "fit_r2"], rows)
-    conv = mode_sum_convergence(Region.LEFT, args.m, cfg, args.n_list)
     run.tails["alpha2_tail"] = conv.alpha2_tail
     run.tails["beta2_tail"] = conv.beta2_tail
     run.csv("converge.csv", _meta(cfg, trunc) + [f"m={args.m}"],

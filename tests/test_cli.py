@@ -42,6 +42,9 @@ def test_parse_int_and_probe_lists():
     (parse_int_list, "1.5,2.5"),        # not rounded to [2, 2]
     (parse_int_list, "2.7"),            # not rounded to 3
     (parse_int_list, "0.5:2.5:1"),
+    (parse_int_list, "1,1"),            # an index list names each index once
+    (parse_int_list, "10,10,100"),
+    (parse_int_list, "1e3,1000"),
     (parse_probes, ""),
     (parse_probes, "1-1"),
     (parse_probes, "1:1:1"),
@@ -294,11 +297,11 @@ _BASE = ["--nmax", "200", "--mmax", "4", "--grid", "65"]
 
 @pytest.mark.parametrize("argv", [
     # refused after earlier products were computed
-    ["causality", "--rtilde", "2.0"],
-    ["causality", "--taus", "0.1,-1"],
     ["quasilocal", "--l-list", "1", "--threshold", "1.5"],
     ["quasilocal", "--grid", "2", "--l-list", "1", "--wavepacket-m", "1"],
     # refused before any product
+    ["causality", "--rtilde", "2.0"],
+    ["causality", "--taus", "0.1,-1"],
     ["spectrum", "--lmax", "0"],
     ["identities", "--upto", "0"],
     ["identities", "--nmax", "0,400"],
@@ -325,6 +328,11 @@ def test_refused_request_writes_nothing(tmp_path, capsys, argv):
     ["identities", "--nmax", "1:2"],
     ["quasilocal", "--l-list", "1.5,2.5"],
     ["diverge", "--N-list", "2.7"],
+    ["quasilocal", "--l-list", "1,1"],
+    ["diverge", "--M-list", "10,10,100"],
+    ["diverge", "--N-list", "1,1"],
+    ["diverge", "--n-list", "100,100"],
+    ["identities", "--nmax", "1000,1000"],
 ])
 def test_malformed_list_flag_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -333,6 +341,25 @@ def test_malformed_list_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["causality", "--probe-n", "0"],
+    ["causality", "--rtilde", "2.0"],
+    ["causality", "--taus", "0.1,-1"],
+    ["diverge", "--m", "0"],
+])
+def test_refused_request_computes_nothing(tmp_path, capsys, monkeypatch, argv):
+    # the bad value is refused before the evolutions or scans it follows
+    def refuse(*_args, **_kw):
+        raise AssertionError("computed before the request was refused")
+
+    monkeypatch.setattr("kgcavity.cli.lightcone_leakage", refuse)
+    monkeypatch.setattr("kgcavity.cli.divergence_scan", refuse)
+    out = tmp_path / "o"
+    assert main([argv[0], *_BASE, *argv[1:], "--out-dir", str(out)]) == 2
+    assert _one_json_error(capsys)["error"] == "DomainError"
     assert not out.exists()
 
 
