@@ -87,7 +87,8 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def parse_probes(text: str) -> list[tuple[int, int]]:
-    """'1:1,2:3' -> [(1,1), (2,3)] as (m, N) pairs."""
+    """'1:1,2:3' -> [(1,1), (2,3)] as (m, N) pairs, refusing a pair that
+    repeats (it would repeat its columns)."""
     out = []
     for item in text.split(","):
         m, _, N = item.partition(":")
@@ -95,6 +96,8 @@ def parse_probes(text: str) -> list[tuple[int, int]]:
             out.append((int(m), int(N)))
         except ValueError:
             raise argparse.ArgumentTypeError(f"a probe is an m:N integer pair, got {item!r}") from None
+    if len(set(out)) != len(out):
+        raise argparse.ArgumentTypeError(f"repeated probe in {text!r}")
     return out
 
 
@@ -149,9 +152,9 @@ class _Run:
         self.svgs: list = []
         self.t0 = time.perf_counter()
 
-    def csv(self, name: str, comments: list[str], names: list[str], rows) -> None:
-        """Record a table; ``rows`` is a list, or a zip over existing arrays."""
-        self.csvs.append((name, comments, names, rows, dict(self.tails)))
+    def csv(self, name: str, comments: list[str], names: list[str], columns: list) -> None:
+        """Record a table; ``columns`` parallels ``names``, one array per column."""
+        self.csvs.append((name, comments, names, columns, dict(self.tails)))
 
     def svg(self, name: str, render, *args, **kw) -> None:
         """Record ``render(path, *args, **kw)`` for ``finish``; nothing without --svg."""
@@ -162,9 +165,9 @@ class _Run:
         out_dir = self.args.out_dir
         os.makedirs(out_dir, exist_ok=True)
         outputs = []
-        for name, comments, names, rows, tails in self.csvs:
+        for name, comments, names, columns, tails in self.csvs:
             path = os.path.join(out_dir, name)
-            digest = write_csv(path, comments, names, rows)
+            digest = write_csv(path, comments, names, columns)
             write_sidecar(path, self.args.command, self.cfg, self.trunc, tails, digest)
             outputs.append((name, digest))
         for name, render, args, kw in self.svgs:
@@ -221,12 +224,11 @@ def cmd_modes(args, run: _Run) -> None:
     for k, t in enumerate(args.times):
         mode = evolve_local_mode(region, args.m, grid, t, cfg, trunc, block)
         _record_series(run, f"t={t:.17g}", mode)
-        rows = zip(grid, mode.value.real, mode.value.imag, mode.tderiv.real, mode.tderiv.imag)
         run.csv(
             f"mode_{args.region}_m{args.m}_t{k}.csv",
             _meta(cfg, trunc) + [f"time={t:.17g} region={args.region} m={args.m}"],
             ["x", "re_value", "im_value", "re_tderiv", "im_tderiv"],
-            rows,
+            [grid, mode.value.real, mode.value.imag, mode.tderiv.real, mode.tderiv.imag],
         )
         series.append((grid, np.abs(mode.value), f"t={t:g}"))
     run.svg("modes.svg", svgmod.line_plot, series, title=f"|u_{args.m}(x,t)|, {args.region}",
@@ -239,18 +241,20 @@ def cmd_spectrum(args, run: _Run) -> None:
     mus = args.mu_list or [cfg.mu]
     lmax = args.lmax
     trunc_l = dataclasses.replace(trunc, m_max_local=lmax)
-    rows = []
-    series = []
+    ls = np.arange(1, lmax + 1)
+    oms, specs = [], []
     for mu in mus:
         cfg_mu = validate_config(cfg.R, cfg.r, mu)
         spec = vacuum_spectrum(region, cfg_mu, trunc_l)
-        om = region.omega(np.arange(1, lmax + 1), cfg_mu)
-        for l in range(1, lmax + 1):
-            rows.append((mu, l, om[l - 1], spec.values[l - 1], spec.tail_bound[l - 1]))
+        oms.append(region.omega(ls, cfg_mu))
+        specs.append(spec)
         run.tails[f"mu={mu:.17g}"] = float(np.max(spec.tail_bound))
-        series.append((om, spec.values, f"mu={mu:g}"))
     run.csv("spectrum.csv", _meta(cfg, trunc_l) + [f"region={args.region}"],
-            ["mu", "l", "omega_l", "n_l", "tail_bound"], rows)
+            ["mu", "l", "omega_l", "n_l", "tail_bound"],
+            [np.repeat(mus, lmax), np.tile(ls, len(mus)), np.concatenate(oms),
+             np.concatenate([s.values for s in specs]),
+             np.concatenate([s.tail_bound for s in specs])])
+    series = [(om, spec.values, f"mu={mu:g}") for mu, om, spec in zip(mus, oms, specs)]
     run.svg("spectrum.svg", svgmod.line_plot, series, title="local spectrum of the global vacuum",
             xlabel="omega_l", ylabel="<n_l>", logy=True)
 
@@ -259,18 +263,13 @@ def cmd_rscan(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     probes = args.probes
     table = limit_scan(args.kind, args.values, probes, cfg, trunc, M_fixed=args.M_fixed)
-    names = ["value"]
-    for m, N in probes:
+    names, columns = ["value"], [table.values]
+    for ip, (m, N) in enumerate(probes):
         names += [f"n_m{m}", f"alpha_m{m}_N{N}", f"beta_m{m}_N{N}"]
+        columns += [table.n_per_probe[:, ip], table.alpha_mag[:, ip], table.beta_mag[:, ip]]
     names += [f"sum_left_M{args.M_fixed}", f"sum_both_M{args.M_fixed}"]
-    rows = []
-    for k, v in enumerate(table.values):
-        row = [v]
-        for ip in range(len(probes)):
-            row += [table.n_per_probe[k, ip], table.alpha_mag[k, ip], table.beta_mag[k, ip]]
-        row += [table.sum_left[k], table.sum_both[k]]
-        rows.append(row)
-    run.csv("rscan.csv", _meta(cfg, trunc) + [f"kind={args.kind}"], names, rows)
+    columns += [table.sum_left, table.sum_both]
+    run.csv("rscan.csv", _meta(cfg, trunc) + [f"kind={args.kind}"], names, columns)
     series = [(table.values, table.n_per_probe[:, ip], f"m={m}")
               for ip, (m, N) in enumerate(probes)]
     run.svg("rscan.svg", svgmod.line_plot, series, title=f"{args.kind} scan",
@@ -286,18 +285,20 @@ def cmd_correlations(args, run: _Run) -> None:
     m_range = range(1, args.mrows + 1)
     n_range = range(1, args.nrows + 1)
     report = wick_moments(m_range, n_range, left, right, paper_norm=args.paper_norm)
-    names = ["m", "n", "cov", "corr"] + (["corr_summed_norm"] if args.paper_norm else [])
-    rows = []
-    for i, m in enumerate(report.m_range):
-        for j, n in enumerate(report.n_range):
-            row = [m, n, report.cov[i, j], report.corr[i, j]]
-            if args.paper_norm:
-                row.append(report.corr_paper_norm[i, j])
-            rows.append(row)
-    run.csv("correlations.csv", _meta(cfg, trunc), names, rows)
-    mrows = [("left", m, report.mean_left[i], report.var_left[i]) for i, m in enumerate(report.m_range)]
-    nrows = [("right", n, report.mean_right[j], report.var_right[j]) for j, n in enumerate(report.n_range)]
-    run.csv("moments.csv", _meta(cfg, trunc), ["region", "index", "mean", "var"], mrows + nrows)
+    # m-major: row i * nrows + j holds (m_i, n_j)
+    names = ["m", "n", "cov", "corr"]
+    columns = [np.repeat(report.m_range, len(report.n_range)),
+               np.tile(report.n_range, len(report.m_range)),
+               report.cov.ravel(), report.corr.ravel()]
+    if args.paper_norm:
+        names.append("corr_summed_norm")
+        columns.append(report.corr_paper_norm.ravel())
+    run.csv("correlations.csv", _meta(cfg, trunc), names, columns)
+    run.csv("moments.csv", _meta(cfg, trunc), ["region", "index", "mean", "var"],
+            [["left"] * len(report.m_range) + ["right"] * len(report.n_range),
+             report.m_range + report.n_range,
+             np.concatenate([report.mean_left, report.mean_right]),
+             np.concatenate([report.var_left, report.var_right])])
     run.svg("correlations.svg", svgmod.heatmap, report.corr,
             title="corr(n_m, n_bar_n)", xlabel="n (right)", ylabel="m (left)")
 
@@ -309,7 +310,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
     _check_local(trunc, "--steer-m", args.steer_m)
     if args.wavepacket_m is not None:
         _check_local(trunc, "--wavepacket-m", args.wavepacket_m)
-    band_rows = []
+    dists, widths, energies = [], [], []
     overlap_series = []
     for l in l_list:
         dist = overlap_distribution(l, cfg, trunc)
@@ -318,7 +319,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
             f"overlap_l{l}.csv",
             _meta(cfg, trunc) + [f"l={l} omega_l={dist.omega_l:.17g} peak_Omega={dist.peak_Omega:.17g}"],
             ["N", "Omega_N", "p"],
-            zip(np.nonzero(keep)[0] + 1, dist.Omega[keep], dist.p[keep]),
+            [np.nonzero(keep)[0] + 1, dist.Omega[keep], dist.p[keep]],
         )
         try:
             dO = bandwidth(l, cfg, trunc, threshold=args.threshold)
@@ -327,16 +328,20 @@ def cmd_quasilocal(args, run: _Run) -> None:
             dO = float("nan")
         energy = quasilocal_energy(l, cfg, trunc)
         run.tails[f"energy_tail_l={l}"] = energy.tail_bound
-        band_rows.append((l, dist.omega_l, dO, dist.norm_captured,
-                          energy.raw, energy.normalized, energy.annihilator_normalized))
+        dists.append(dist)
+        widths.append(dO)
+        energies.append(energy)
         overlap_series.append((dist.Omega[keep], dist.p[keep], f"l={l}"))
     run.csv("bandwidth.csv", _meta(cfg, trunc) + [f"threshold={args.threshold:.17g}"],
             ["l", "omega_l", "delta_Omega", "norm_captured",
-             "energy_raw", "energy_normalized", "energy_annihilator"], band_rows)
+             "energy_raw", "energy_normalized", "energy_annihilator"],
+            [l_list, [d.omega_l for d in dists], widths, [d.norm_captured for d in dists],
+             [e.raw for e in energies], [e.normalized for e in energies],
+             [e.annihilator_normalized for e in energies]])
     shifts_w = steering_shift(args.steer_m, l_list, cfg, trunc, method="wick")
     shifts_d = steering_shift(args.steer_m, l_list, cfg, trunc, method="direct")
     run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
-            ["l", "shift_wick", "shift_direct"], zip(l_list, shifts_w, shifts_d))
+            ["l", "shift_wick", "shift_direct"], [l_list, shifts_w, shifts_d])
     if args.wavepacket_m:
         block = build_block(Region.LEFT, cfg, None, trunc)
         grid = uniform_grid(cfg, trunc.grid_points)
@@ -348,7 +353,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
             f"wavepacket_m{args.wavepacket_m}.csv",
             _meta(cfg, trunc) + [f"t={args.t:.17g} cone_edge={comp.cone_edge:.17g}"],
             ["x", "abs_psi", "abs_u", "abs_diff"],
-            zip(grid, np.abs(comp.psi.value), np.abs(comp.u.value), comp.abs_diff),
+            [grid, np.abs(comp.psi.value), np.abs(comp.u.value), comp.abs_diff],
         )
     run.svg("quasilocal.svg", svgmod.line_plot, overlap_series,
             title="overlap distribution of quasi-local states",
@@ -364,23 +369,28 @@ def cmd_causality(args, run: _Run) -> None:
     # make_probe refuses a bad probe before any evolution runs
     probes = [make_probe(r_tilde, tau, args.probe_n, cfg) for tau in taus]
 
-    leak_rows = []
+    fractions = []
     for t in args.times:
         leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, trunc, edge_margin=args.edge_margin)
         _record_series(run, f"leakage_t={t:.17g}", leak)
-        leak_rows.append((t, min(cfg.r + t + args.edge_margin, cfg.R), leak.fraction))
+        fractions.append(leak.fraction)
+    times = np.asarray(args.times, dtype=float)
     run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
-            ["t", "cone_edge", "outside_fraction"], leak_rows)
+            ["t", "cone_edge", "outside_fraction"],
+            [times, np.minimum(cfg.r + times + args.edge_margin, cfg.R), fractions])
 
-    comm_rows = []
+    comms = []
     for tau, probe in zip(taus, probes):
         comm = commutator_pair(probe, args.m, cfg, trunc)
         _record_series(run, f"commutator_tau={tau:.17g}", comm)
-        comm_rows.append((tau, r_tilde, comm.c1, comm.c2, int(tau < gap)))
+        comms.append(comm)
+    taus = np.asarray(taus, dtype=float)
     run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
-            ["tau", "r_tilde", "c1", "c2", "spacelike"], comm_rows)
+            ["tau", "r_tilde", "c1", "c2", "spacelike"],
+            [taus, np.full(len(taus), r_tilde), [c.c1 for c in comms], [c.c2 for c in comms],
+             taus < gap])
     run.svg("causality.svg", svgmod.line_plot,
-            [(args.times, [row[2] for row in leak_rows], "outside fraction")],
+            [(args.times, fractions, "outside fraction")],
             title=f"light-cone leakage of u_{args.m}", xlabel="t", ylabel="fraction", logy=True)
 
 
@@ -389,39 +399,45 @@ def cmd_diverge(args, run: _Run) -> None:
     # first, so that mode_sum_convergence refuses a bad --m before any scan;
     # its tails join run.tails only after diverge.csv, whose sidecar has none
     conv = mode_sum_convergence(Region.LEFT, args.m, cfg, args.n_list)
-    rows = []
-    series = []
+    scans = []
     for N in args.N_list:
         scan = divergence_scan(N, cfg, args.M_list)
         run.tails[f"fit_N={N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
-        for M, S in zip(scan.M_list, scan.partial_sums):
-            rows.append((N, int(M), S, scan.fit_slope, scan.fit_r2))
-        series.append((scan.M_list.astype(float), scan.partial_sums, f"N={N}"))
+        scans.append(scan)
+    counts = [len(s.M_list) for s in scans]
     run.csv("diverge.csv", _meta(cfg, trunc),
-            ["N", "M", "partial_sum", "fit_slope", "fit_r2"], rows)
+            ["N", "M", "partial_sum", "fit_slope", "fit_r2"],
+            [np.repeat(args.N_list, counts), [M for s in scans for M in s.M_list],
+             [S for s in scans for S in s.partial_sums],
+             np.repeat([s.fit_slope for s in scans], counts),
+             np.repeat([s.fit_r2 for s in scans], counts)])
     run.tails["alpha2_tail"] = conv.alpha2_tail
     run.tails["beta2_tail"] = conv.beta2_tail
     run.csv("converge.csv", _meta(cfg, trunc) + [f"m={args.m}"],
             ["n_max", "sum_alpha2", "sum_beta2"],
-            zip(conv.n_list, conv.alpha2_partial, conv.beta2_partial))
+            [conv.n_list, conv.alpha2_partial, conv.beta2_partial])
+    series = [(s.M_list.astype(float), s.partial_sums, f"N={N}") for N, s in zip(args.N_list, scans)]
     run.svg("diverge.svg", svgmod.line_plot, series, title="divergent m-sums at fixed N",
             xlabel="M", ylabel="S(M)", logx=True)
 
 
 def cmd_identities(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
-    rows = []
-    for n in sorted(args.nmax_list or [trunc.n_max_global]):
+    nmaxes = sorted(args.nmax_list or [trunc.n_max_global])
+    reports = []
+    for n in nmaxes:
         trunc_n = dataclasses.replace(trunc, n_max_global=n, m_max_local=args.upto)
         left = build_block(Region.LEFT, cfg, None, trunc_n)
         right = build_block(Region.RIGHT, cfg, None, trunc_n)
-        res = identity_residuals(left, right, args.upto)
-        rows.append((n, float(res.D1.max()), float(res.D2.max()),
-                     float(res.D1_cross.max()), float(res.D2_cross.max()), res.max_residual))
+        reports.append(identity_residuals(left, right, args.upto))
+    residuals = [res.max_residual for res in reports]
     run.csv("identities.csv", _meta(cfg, trunc) + [f"upto={args.upto}"],
-            ["n_max", "max_D1", "max_D2", "max_D1_cross", "max_D2_cross", "max_residual"], rows)
+            ["n_max", "max_D1", "max_D2", "max_D1_cross", "max_D2_cross", "max_residual"],
+            [nmaxes, [res.D1.max() for res in reports], [res.D2.max() for res in reports],
+             [res.D1_cross.max() for res in reports], [res.D2_cross.max() for res in reports],
+             residuals])
     run.svg("identities.svg", svgmod.line_plot,
-            [([row[0] for row in rows], [row[5] for row in rows], "max residual")],
+            [(nmaxes, residuals, "max residual")],
             title="completeness residual vs global cutoff", xlabel="n_max",
             ylabel="max residual", logx=True, logy=True)
 

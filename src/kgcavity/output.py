@@ -1,15 +1,16 @@
 """Deterministic CSV/JSON writers and the per-run manifest.
 
-CSV is the numeric contract: fixed 17-significant-digit decimals, fixed
-column order, fixed '\n' newlines, metadata only in '#'-prefixed header
-lines — identical inputs produce byte-identical payloads. Every CSV gets a
-JSON sidecar carrying the configuration, truncation, tail-bound summary and
-the payload digest; a run-level manifest lists all outputs.
+CSV is the numeric contract: a table is a list of columns, each printed in
+the one format of its dtype (17-significant-digit decimals for floats), in
+fixed column order, with fixed '\n' newlines and metadata only in
+'#'-prefixed header lines — identical inputs produce byte-identical
+payloads. Every CSV gets a JSON sidecar carrying the configuration,
+truncation, tail-bound summary and the payload digest; a run-level manifest
+lists all outputs.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -36,39 +37,25 @@ def fmt17(v) -> str:
     return str(v)
 
 
-# %-conversions that print a value of exactly this type as fmt17 does
-_CELL_FORMATS = {bool: "%d", int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g",
-                 str: "%s"}
+# the %-conversion of a column, by its dtype kind; every other kind is "%s"
+_KIND_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
-@functools.lru_cache(maxsize=256)
-def _row_template(types: tuple) -> str | None:
-    """One %-template for a row of cells of these types, or None when a
-    cell needs fmt17 itself. str(v) is fmt17(v) for every type that is not
-    a bool, int or float subclass."""
-    parts = []
-    for t in types:
-        fmt = _CELL_FORMATS.get(t)
-        if fmt is None:
-            if issubclass(t, (int, float)):
-                return None
-            fmt = "%s"
-        parts.append(fmt)
-    return ",".join(parts)
-
-
-def write_csv(path: str, comments: list[str], names: list[str], rows) -> str:
+def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     """Write '#'-commented CSV; returns the sha256 hex digest of the payload.
 
-    Each row is formatted by one %-template chosen by its cells' types,
-    byte for byte what joining ``fmt17`` of every cell gives.
+    ``columns`` parallels ``names``: one array-like per column, all of one
+    length (a ValueError otherwise). Each column is printed by the one
+    %-conversion of its dtype kind, byte for byte what ``fmt17`` gives
+    each of its cells.
     """
+    if len(names) != len(columns):
+        raise ValueError(f"{len(names)} names for {len(columns)} columns")
+    cols = [np.asarray(c) for c in columns]
+    template = ",".join(_KIND_FORMATS.get(c.dtype.kind, "%s") for c in cols)
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(names))
-    for row in rows:
-        row = tuple(row)
-        template = _row_template(tuple(map(type, row)))
-        lines.append(template % row if template is not None else ",".join(fmt17(v) for v in row))
+    lines.extend(map(template.__mod__, zip(*(c.tolist() for c in cols), strict=True)))
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(payload)

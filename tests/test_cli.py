@@ -32,6 +32,7 @@ def test_parse_int_and_probe_lists():
     assert parse_int_list("100,316,1000") == [100, 316, 1000]
     assert parse_int_list("1:3:1") == [1, 2, 3]
     assert parse_probes("1:1,2:3") == [(1, 1), (2, 3)]
+    assert parse_probes("1:1,1:3") == [(1, 1), (1, 3)]     # one m, two N
 
 
 @pytest.mark.parametrize("parse, text", [
@@ -49,6 +50,7 @@ def test_parse_int_and_probe_lists():
     (parse_probes, "1-1"),
     (parse_probes, "1:1:1"),
     (parse_probes, "1:1,"),
+    (parse_probes, "1:1,1:1,1:3"),      # a repeated pair would repeat its columns
 ])
 def test_malformed_list_text_is_an_argument_type_error(parse, text):
     with pytest.raises(argparse.ArgumentTypeError):
@@ -122,15 +124,37 @@ def test_modes_writes_one_csv_per_time(tmp_path, caplog):
     assert len(warned) == 3 and "tail estimate" in warned[0].getMessage()
 
 
+def _csv_rows(path):
+    """The data rows of a CLI CSV (after two '#' lines and the header), as
+    lists of cells."""
+    lines = open(path).read().splitlines()
+    return lines[2], [line.split(",") for line in lines[3:]]
+
+
 def test_correlations_with_verification_columns(tmp_path):
     out = str(tmp_path / "c")
     rc = main(["correlations", "--nmax", "500", "--mmax", "4",
-               "--mrows", "2", "--nrows", "2", "--paper-norm", "--out-dir", out])
+               "--mrows", "3", "--nrows", "2", "--paper-norm", "--out-dir", out])
     assert rc == 0
-    lines = open(os.path.join(out, "correlations.csv")).read().splitlines()
-    assert lines[2] == "m,n,cov,corr,corr_summed_norm"
-    assert len(lines) == 3 + 4                        # 2x2 entries
-    assert os.path.exists(os.path.join(out, "moments.csv"))
+    cfg = kg.validate_config(1.0, 0.5, 0.0)
+    trunc = kg.Truncation(n_max_global=500, m_max_local=4)
+    left = kg.build_block(kg.Region.LEFT, cfg, None, trunc)
+    right = kg.build_block(kg.Region.RIGHT, cfg, None, trunc)
+    report = kg.wick_moments(range(1, 4), range(1, 3), left, right, paper_norm=True)
+    header, rows = _csv_rows(os.path.join(out, "correlations.csv"))
+    assert header == "m,n,cov,corr,corr_summed_norm"
+    # m-major, every value exact: 17 digits round-trip a double
+    assert [(int(m), int(n)) for m, n, *_ in rows] == [(m, n) for m in (1, 2, 3) for n in (1, 2)]
+    got = [[float(v) for v in row[2:]] for row in rows]
+    assert got == [[report.cov[i, j], report.corr[i, j], report.corr_paper_norm[i, j]]
+                   for i in range(3) for j in range(2)]
+    header, rows = _csv_rows(os.path.join(out, "moments.csv"))
+    assert header == "region,index,mean,var"
+    assert [(region, int(k)) for region, k, *_ in rows] == \
+        [("left", 1), ("left", 2), ("left", 3), ("right", 1), ("right", 2)]
+    assert [[float(v) for v in row[2:]] for row in rows] == \
+        [[report.mean_left[i], report.var_left[i]] for i in range(3)] + \
+        [[report.mean_right[j], report.var_right[j]] for j in range(2)]
     # the explicit double-sum route is gone; argparse refuses its flag
     with pytest.raises(SystemExit) as exc:
         main(["correlations", "--nmax", "500", "--mmax", "4", "--verify-double-sum",
@@ -322,6 +346,7 @@ def test_refused_request_writes_nothing(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["rscan", "--probes", ""],
     ["rscan", "--probes", "1-1"],
+    ["rscan", "--probes", "1:1,1:1,1:3"],
     ["modes", "--times", "1:2"],
     ["modes", "--times", "abc"],
     ["spectrum", "--mu-list", "1:2:0"],

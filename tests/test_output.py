@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import kgcavity as kg
 from kgcavity.output import RunManifest, fmt17, write_csv, write_manifest, write_sidecar
@@ -24,18 +26,18 @@ def test_fmt17_roundtrips_doubles(rng):
 
 def test_write_csv_payload_and_digest(tmp_path):
     path = str(tmp_path / "t.csv")
-    digest = write_csv(path, ["run A"], ["l", "value"], [(1, 0.5), (2, 0.25)])
+    digest = write_csv(path, ["run A"], ["l", "value"], [[1, 2], [0.5, 0.25]])
     raw = open(path, "rb").read()
     assert raw == b"# run A\nl,value\n1,0.5\n2,0.25\n"
     assert digest == hashlib.sha256(raw).hexdigest()
     # byte-identical rewrite
-    digest2 = write_csv(path, ["run A"], ["l", "value"], [(1, 0.5), (2, 0.25)])
+    digest2 = write_csv(path, ["run A"], ["l", "value"], [np.array([1, 2]), np.array([0.5, 0.25])])
     assert digest2 == digest
 
 
 def test_sidecar_schema_and_digest_match(tmp_path, cfg_half, trunc_10k):
     csv_path = str(tmp_path / "spec.csv")
-    digest = write_csv(csv_path, [], ["x"], [(1.0,)])
+    digest = write_csv(csv_path, [], ["x"], [[1.0]])
     side = write_sidecar(csv_path, "spectrum", cfg_half, trunc_10k,
                          {"worst": 1e-9}, digest)
     assert side == str(tmp_path / "spec.json")
@@ -65,34 +67,63 @@ def test_manifest_lists_outputs(tmp_path, cfg_half, trunc_10k):
     assert "written" in doc and "wall_time_s" in doc
 
 
-class _Metres(float):
-    """A float subclass: fmt17 prints it as a float, str() as its repr."""
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 1e16]
+_CELLS = {
+    np.int64: st.integers(-2**63, 2**63 - 1),
+    np.float64: st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+    # numpy drops trailing NULs of a str array, and UTF-8 has no surrogates
+    str: st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6),
+}
 
 
-def test_write_csv_rows_match_fmt17_join(tmp_path):
-    # one %-template per tuple of cell types, byte for byte the fmt17 join
-    rows = [
-        (True, False, 0, -7, 10**30, np.int64(5), np.int64(-3)),
-        (0.1, 2 / 3, np.float64(np.pi), float("nan"), np.nan, float("inf"), -np.inf),
-        (-0.0, np.float64(-0.0), 1e-300, 5e-324, -1.5e300, 1e16, 123456789012345678.0),
-        ("left", "", "a,b", 3, np.float64(0.25), True, "%d"),
-        (np.int64(2), 1e-300, "right", False, -0.0, np.float64(np.nan), 7),
-        (np.float32(0.1), np.int32(4), np.bool_(True), None, _Metres(0.1), 2.5),
-        (),
-    ]
-    rows += [rows[1], tuple(reversed(rows[0])), list(rows[4])]
-    path = str(tmp_path / "mixed.csv")
-    digest = write_csv(path, ["mixed"], ["c"], rows)
-    want = "# mixed\nc\n" + "".join(",".join(fmt17(v) for v in row) + "\n" for row in rows)
+@st.composite
+def _tables(draw):
+    """[(dtype, cells, as_array), ...]: columns of one length, 0 rows included;
+    a column goes to write_csv as a numpy array or as a list of its cells."""
+    n = draw(st.integers(0, 8))
+    dtypes = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5))
+    return [(t, draw(st.lists(_CELLS[t], min_size=n, max_size=n)), draw(st.booleans()))
+            for t in dtypes]
+
+
+@given(table=_tables())
+@example(table=[
+    (np.float64, _SPECIAL_FLOATS, True),
+    (np.int64, [0, -7, 2**63 - 1, -2**63, 10**16, 1, 5], False),
+    (str, ["", "a,b", "%d", "left", "\u00e9", "1e16", "nan"], True),
+])
+def test_write_csv_rows_match_fmt17_join(tmp_path_factory, table):
+    # one %-conversion per column, byte for byte the fmt17 join of every row
+    path = str(tmp_path_factory.getbasetemp() / "prop.csv")
+    columns = [np.array(cells, dtype=t) if as_array else cells for t, cells, as_array in table]
+    names = [f"c{k}" for k in range(len(table))]
+    digest = write_csv(path, ["prop"], names, columns)
+    rows = zip(*(cells for _, cells, _ in table))
+    want = "# prop\n" + ",".join(names) + "\n" + "".join(
+        ",".join(fmt17(v) for v in row) + "\n" for row in rows)
     raw = open(path, "rb").read()
     assert raw == want.encode("utf-8")
     assert digest == hashlib.sha256(raw).hexdigest()
 
 
+def test_write_csv_header_only_and_ragged_tables(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["c"], ["a", "b"], [[], np.array([])])
+    assert path.read_bytes() == b"# c\na,b\n"
+    # a short column, or a header naming more columns than given, is refused,
+    # and nothing is written
+    for names, columns in ((["a", "b"], [np.arange(3), np.arange(2.0)]),
+                           (["a", "b", "c"], [np.arange(3), np.arange(3.0)])):
+        short = tmp_path / "short.csv"
+        with pytest.raises(ValueError):
+            write_csv(str(short), [], names, columns)
+        assert not short.exists()
+
+
 def test_csv_cells_preserve_full_precision(tmp_path):
     vals = [0.05396354991407163, 2 / (3 * np.pi**2), 1 / 3]
     path = str(tmp_path / "p.csv")
-    write_csv(path, [], ["v"], [(v,) for v in vals])
+    write_csv(path, [], ["v"], [vals])
     lines = open(path).read().splitlines()[1:]
     assert [float(s) for s in lines] == vals
 
