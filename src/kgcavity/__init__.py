@@ -61,6 +61,7 @@ from .quadrature import InnerProduct, kg_inner, overlap_V
 from .quasilocal import (
     OverlapDistribution,
     QuasilocalEnergy,
+    Steering,
     WavepacketComparison,
     bandwidth,
     overlap_distribution,
@@ -71,14 +72,12 @@ from .quasilocal import (
 )
 from .vacuum import (
     DivergenceScan,
-    EnergyResult,
     ModeSumConvergence,
     MomentReport,
     SpectrumResult,
     TrendTable,
     divergence_scan,
     limit_scan,
-    local_quantum_energy,
     mode_sum_convergence,
     vacuum_spectrum,
     wick_moments,
@@ -91,7 +90,6 @@ __all__ = [
     "DimensionError",
     "DivergenceScan",
     "DomainError",
-    "EnergyResult",
     "FrequencyTables",
     "GridMismatch",
     "IdentityResiduals",
@@ -107,6 +105,7 @@ __all__ = [
     "Region",
     "SampledMode",
     "SpectrumResult",
+    "Steering",
     "ThresholdUnreachable",
     "TrendTable",
     "TruncatedFock",
@@ -134,7 +133,6 @@ __all__ = [
     "lightcone_leakage",
     "limit_scan",
     "load_config_file",
-    "local_quantum_energy",
     "make_probe",
     "mode_sum_convergence",
     "oracle_moments",

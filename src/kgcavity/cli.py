@@ -238,7 +238,7 @@ def cmd_modes(args, run: _Run) -> None:
 def cmd_spectrum(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     region = _REGIONS[args.region]
-    mus = args.mu_list or [cfg.mu]
+    mus = args.mu_list if args.mu_list is not None else [cfg.mu]
     lmax = args.lmax
     trunc_l = dataclasses.replace(trunc, m_max_local=lmax)
     ls = np.arange(1, lmax + 1)
@@ -251,9 +251,8 @@ def cmd_spectrum(args, run: _Run) -> None:
         run.tails[f"mu={mu:.17g}"] = float(np.max(spec.tail_bound))
     run.csv("spectrum.csv", _meta(cfg, trunc_l) + [f"region={args.region}"],
             ["mu", "l", "omega_l", "n_l", "tail_bound"],
-            [np.repeat(mus, lmax), np.tile(ls, len(mus)), np.concatenate(oms),
-             np.concatenate([s.values for s in specs]),
-             np.concatenate([s.tail_bound for s in specs])])
+            [np.repeat(mus, lmax), np.tile(ls, len(mus)), np.ravel(oms),
+             np.ravel([s.values for s in specs]), np.ravel([s.tail_bound for s in specs])])
     series = [(om, spec.values, f"mu={mu:g}") for mu, om, spec in zip(mus, oms, specs)]
     run.svg("spectrum.svg", svgmod.line_plot, series, title="local spectrum of the global vacuum",
             xlabel="omega_l", ylabel="<n_l>", logy=True)
@@ -322,7 +321,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
             [np.nonzero(keep)[0] + 1, dist.Omega[keep], dist.p[keep]],
         )
         try:
-            dO = bandwidth(l, cfg, trunc, threshold=args.threshold)
+            dO = bandwidth(dist, threshold=args.threshold)
         except ThresholdUnreachable as exc:
             log.warning("bandwidth threshold unreachable for l=%d (captured %.6g)", l, exc.captured)
             dO = float("nan")
@@ -338,10 +337,9 @@ def cmd_quasilocal(args, run: _Run) -> None:
             [l_list, [d.omega_l for d in dists], widths, [d.norm_captured for d in dists],
              [e.raw for e in energies], [e.normalized for e in energies],
              [e.annihilator_normalized for e in energies]])
-    shifts_w = steering_shift(args.steer_m, l_list, cfg, trunc, method="wick")
-    shifts_d = steering_shift(args.steer_m, l_list, cfg, trunc, method="direct")
+    shift = steering_shift(args.steer_m, l_list, cfg, trunc)
     run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
-            ["l", "shift_wick", "shift_direct"], [l_list, shifts_w, shifts_d])
+            ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
     if args.wavepacket_m:
         block = build_block(Region.LEFT, cfg, None, trunc)
         grid = uniform_grid(cfg, trunc.grid_points)
@@ -365,7 +363,7 @@ def cmd_causality(args, run: _Run) -> None:
     _check_local(trunc, "--m", args.m)
     r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
     gap = r_tilde - cfg.r
-    taus = args.taus or [0.5 * gap, 2.0 * gap]
+    taus = args.taus if args.taus is not None else [0.5 * gap, 2.0 * gap]
     # make_probe refuses a bad probe before any evolution runs
     probes = [make_probe(r_tilde, tau, args.probe_n, cfg) for tau in taus]
 
@@ -423,7 +421,7 @@ def cmd_diverge(args, run: _Run) -> None:
 
 def cmd_identities(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
-    nmaxes = sorted(args.nmax_list or [trunc.n_max_global])
+    nmaxes = sorted(args.nmax_list)
     reports = []
     for n in nmaxes:
         trunc_n = dataclasses.replace(trunc, n_max_global=n, m_max_local=args.upto)

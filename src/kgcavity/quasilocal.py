@@ -18,6 +18,7 @@ right region notices it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .vacuum import _energy_tail, _row_dots
 __all__ = [
     "OverlapDistribution",
     "QuasilocalEnergy",
+    "Steering",
     "WavepacketComparison",
     "overlap_distribution",
     "bandwidth",
@@ -64,6 +66,7 @@ class QuasilocalEnergy:
     creator state  a_l^dagger|0>/sqrt(1+<n_l>):  raw = sum Omega alpha^2,
     annihilator state  a_l|0>/sqrt(<n_l>):       raw = sum Omega beta^2;
     ``normalized`` divides by the respective squared norms. All positive.
+    ``tail_bound`` bounds the N-tail of their sum ``epsilon``.
     """
 
     raw: float
@@ -71,6 +74,21 @@ class QuasilocalEnergy:
     annihilator_raw: float
     annihilator_normalized: float
     tail_bound: float
+
+    @property
+    def epsilon(self) -> float:
+        """epsilon_l = sum_N Omega_N (alpha_lN^2 + beta_lN^2): the average
+        global energy carried by one local quantum. Positive term by term;
+        finite because the summand falls off like sin^2(x)/x^2."""
+        return self.raw + self.annihilator_raw
+
+
+class Steering(NamedTuple):
+    """The steering shift per far index l by its two routes (see
+    ``steering_shift``)."""
+
+    wick: np.ndarray
+    direct: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,13 +132,7 @@ def overlap_distribution(
     )
 
 
-def bandwidth(
-    l: int,
-    cfg: CavityConfig,
-    trunc: Truncation,
-    threshold: float = 0.95,
-    region: Region = Region.LEFT,
-) -> float:
+def bandwidth(dist: OverlapDistribution, threshold: float = 0.95) -> float:
     """Smallest symmetric window around omega_l capturing > threshold p-mass.
 
     The window (omega_l - dO/2, omega_l + dO/2) grows over the discrete
@@ -130,14 +142,13 @@ def bandwidth(
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    dist = overlap_distribution(l, cfg, trunc, region=region)
     d = np.abs(dist.Omega - dist.omega_l)
     order = np.argsort(d, kind="stable")
     cum = np.cumsum(dist.p[order])
     hit = np.nonzero(cum > threshold)[0]
     if len(hit) == 0:
         raise ThresholdUnreachable(
-            f"truncation captures only {cum[-1]:.6g} of the overlap mass for l={l}, "
+            f"truncation captures only {cum[-1]:.6g} of the overlap mass for l={dist.l}, "
             f"threshold {threshold} unreachable",
             captured=float(cum[-1]),
         )
@@ -231,26 +242,18 @@ def quasilocal_energy(
     )
 
 
-def steering_shift(
-    m: int,
-    l_range,
-    cfg: CavityConfig,
-    trunc: Truncation,
-    method: str = "wick",
-) -> np.ndarray:
+def steering_shift(m: int, l_range, cfg: CavityConfig, trunc: Truncation) -> Steering:
     """Expectation shift of the far number operators caused by psi_m:
 
         shift[l] = <psi_m| n_bar_l |psi_m> - <0_G| n_bar_l |0_G>
                  = cov(n_m, n_bar_l) / (1 + <n_m>) .
 
-    method="wick" evaluates the covariance route; method="direct" expands
-    the four-operator expectation <0|a_m n_bar_l a_m^dagger|0> explicitly.
-    The two coincide exactly in the untruncated theory and only through the
-    completeness identities — keeping both is a live cross-check that the
-    truncated dictionary behaves.
+    ``wick`` evaluates the covariance route; ``direct`` expands the
+    four-operator expectation <0|a_m n_bar_l a_m^dagger|0> explicitly. Both
+    read the same rows. They coincide exactly in the untruncated theory and
+    only through the completeness identities, so their gap is a live check
+    that the truncated dictionary behaves.
     """
-    if method not in ("wick", "direct"):
-        raise ValueError(f"unknown method {method!r}")
     l_idx = np.array([int(l) for l in l_range], dtype=np.int64)
     if m < 1 or np.any(l_idx < 1):
         raise DomainError(f"local indices must be >= 1, got m={m}, l={l_idx.tolist()}")
@@ -260,11 +263,12 @@ def steering_shift(
     B_m = float(np.dot(b_m, b_m))
     a_l, b_l = coeff_grid(Region.RIGHT, l_idx, N_idx, cfg)
 
-    if method == "wick":
-        cov = (a_l @ b_m) * (b_l @ a_m) + (b_l @ b_m) * (a_l @ a_m)
-        return cov / (1.0 + B_m)
     X1 = a_l @ a_m
     X2 = b_l @ a_m
+    cov = (a_l @ b_m) * X2 + (b_l @ b_m) * X1
     B_l = _row_dots(b_l, b_l)
     A_m = float(np.dot(a_m, a_m))
-    return (X1 * X1 + X2 * X2 + B_l * A_m) / (1.0 + B_m) - B_l
+    return Steering(
+        wick=cov / (1.0 + B_m),
+        direct=(X1 * X1 + X2 * X2 + B_l * A_m) / (1.0 + B_m) - B_l,
+    )

@@ -16,8 +16,8 @@ replaced by its mean 1/2, and are reported, never silently applied.
 
 The spectrum, the fixed-N divergence scan and the limit scans read beta
 only: they take their sums from ``bogoliubov.beta_sq_sums``, which streams
-N and never forms alpha. The Wick moments, energies and fixed-m
-convergence sums read alpha too and take coefficient rows.
+N and never forms alpha. The Wick moments and fixed-m convergence sums
+read alpha too and take coefficient rows.
 """
 
 from __future__ import annotations
@@ -29,20 +29,18 @@ import numpy as np
 from scipy import integrate
 
 from .bogoliubov import BogoliubovBlock, beta_sq_sums, coeff_grid
-from .config import CavityConfig, DomainError, Truncation, ladder, validate_config
+from .config import CavityConfig, DomainError, Truncation, validate_config
 from .modes import Region
 
 __all__ = [
     "SpectrumResult",
     "DivergenceScan",
     "ModeSumConvergence",
-    "EnergyResult",
     "MomentReport",
     "TrendTable",
     "vacuum_spectrum",
     "divergence_scan",
     "mode_sum_convergence",
-    "local_quantum_energy",
     "wick_moments",
     "limit_scan",
 ]
@@ -89,18 +87,6 @@ class ModeSumConvergence:
 
 
 @dataclass(frozen=True)
-class EnergyResult:
-    """Average energy of one local quantum over the global Hamiltonian."""
-
-    epsilon: float
-    tail_bound: float
-
-    def n_particle_energy(self, n: int) -> float:
-        """Energy of the n-quanta state built on this mode: n * epsilon."""
-        return n * self.epsilon
-
-
-@dataclass(frozen=True)
 class MomentReport:
     """Wick-computed number-operator moments across the partition."""
 
@@ -139,13 +125,14 @@ def _tail_quad(f, start: float) -> float:
     return float(val)
 
 
-def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, om_l: float, n_from: int,
+def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
                    sign: float) -> float:
     """Integral-test tail beyond N = n_from of sum_N beta_lN^2 (sign = +1) or
     sum_N alpha_lN^2 (sign = -1), sin^2 -> 1/2: the summand is
     pref / (Om (Om + sign om)^2). The alpha tail starts past its resonance
     pole, on the monotone side."""
     w = region.interval(cfg)[2]
+    om_l = float(region.omega(l, cfg))
     pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
 
     def integrand(N: float) -> float:
@@ -185,9 +172,8 @@ def vacuum_spectrum(
     """<n_l> = sum_N beta_lN^2 for l = 1..m_max_local, plus tail estimates."""
     l_idx = np.arange(1, trunc.m_max_local + 1)
     values = beta_sq_sums(region, l_idx, np.arange(1, trunc.n_max_global + 1), cfg)
-    om = region.omega(l_idx, cfg)
     tails = np.array(
-        [_coeff_sq_tail(region, l, cfg, om[l - 1], trunc.n_max_global, 1.0)
+        [_coeff_sq_tail(region, l, cfg, trunc.n_max_global, 1.0)
          for l in range(1, trunc.m_max_local + 1)]
     )
     return SpectrumResult(region=region, values=values, tail_bound=tails)
@@ -241,36 +227,17 @@ def mode_sum_convergence(region: Region, m: int, cfg: CavityConfig, n_list) -> M
     a2 = np.cumsum(alpha[0] ** 2)[n_arr - 1]
     b2 = np.cumsum(beta[0] ** 2)[n_arr - 1]
 
-    om_m = float(region.omega(m, cfg))
-    alpha2_tail = _coeff_sq_tail(region, m, cfg, om_m, int(n_arr[-1]), -1.0)
-    beta2_tail = _coeff_sq_tail(region, m, cfg, om_m, int(n_arr[-1]), 1.0)
+    alpha2_tail = _coeff_sq_tail(region, m, cfg, int(n_arr[-1]), -1.0)
+    beta2_tail = _coeff_sq_tail(region, m, cfg, int(n_arr[-1]), 1.0)
     return ModeSumConvergence(
         region=region,
         m=m,
         n_list=n_arr,
         alpha2_partial=a2,
         beta2_partial=b2,
-        alpha2_tail=float(alpha2_tail),
+        alpha2_tail=alpha2_tail,
         beta2_tail=beta2_tail,
     )
-
-
-def local_quantum_energy(
-    region: Region,
-    l: int,
-    cfg: CavityConfig,
-    trunc: Truncation,
-) -> EnergyResult:
-    """epsilon_l = sum_N Omega_N (alpha_lN^2 + beta_lN^2): the average global
-    energy carried by one local quantum. Positive term by term; finite
-    because the summand falls off like sin^2(x)/x^2."""
-    if l < 1:
-        raise DomainError(f"local index l must be >= 1, got {l}")
-    N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
-    Om = ladder(N_idx, cfg.R, cfg.mu)
-    eps_l = float(np.sum(Om * (alpha[0] ** 2 + beta[0] ** 2)))
-    return EnergyResult(epsilon=eps_l, tail_bound=_energy_tail(region, l, cfg, trunc.n_max_global))
 
 
 def _rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:

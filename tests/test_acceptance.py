@@ -244,13 +244,13 @@ def test_criterion_11_bandwidth_shape():
     bws = []
     for r in (1.0 / 9.0, 1.0 / 3.0, 2.0 / 3.0):
         cfg = kg.validate_config(1.0, r, 0.0)
-        bw = kg.bandwidth(20, cfg, trunc, threshold=0.95)
+        bw = kg.bandwidth(kg.overlap_distribution(20, cfg, trunc), threshold=0.95)
         assert np.isfinite(bw) and bw > 0
         bws.append(bw)
     assert bws[0] > bws[1] > bws[2]
     cfg_m = kg.validate_config(1.0, 1.0 / 9.0, 10.0)
-    asym0 = kg.bandwidth(60, cfg9, trunc)
-    asym10 = kg.bandwidth(60, cfg_m, trunc)
+    asym0 = kg.bandwidth(kg.overlap_distribution(60, cfg9, trunc))
+    asym10 = kg.bandwidth(kg.overlap_distribution(60, cfg_m, trunc))
     assert asym0 == pytest.approx(asym10, rel=0.05)
     _line(11, "PASS", f"peak at Omega_{nearest + 1} = {dist.peak_Omega:.4g} "
                       f"(pi l/r = {target:.4g}); dOmega {bws[0]:.4g} > {bws[1]:.4g} "
@@ -265,14 +265,13 @@ def test_criterion_12_energy_positivity_and_tail_honesty():
             t2 = kg.Truncation(n_max_global=2_000, m_max_local=50)
             t4 = kg.Truncation(n_max_global=4_000, m_max_local=50)
             for l in range(1, 51):
-                eps = kg.local_quantum_energy(L, l, cfg, t2)
                 qe = kg.quasilocal_energy(l, cfg, t2)
-                assert eps.epsilon > 0
+                assert qe.epsilon > 0
                 assert qe.raw > 0 and qe.normalized > 0
                 assert qe.annihilator_raw > 0 and qe.annihilator_normalized > 0
                 checked += 1
-            e2 = kg.local_quantum_energy(L, 1, cfg, t2)
-            e4 = kg.local_quantum_energy(L, 1, cfg, t4)
+            e2 = kg.quasilocal_energy(1, cfg, t2)
+            e4 = kg.quasilocal_energy(1, cfg, t4)
             assert abs(e4.epsilon - e2.epsilon) <= e2.tail_bound
     _line(12, "PASS", f"{checked} (r, mu, l) cells positive; doubling the cutoff "
                       f"moves epsilon_1 less than the quoted tail in all 4 configs")
@@ -292,13 +291,12 @@ def test_criterion_13_steering_contrast(cfg_half, trunc_10k, blocks_half, monkey
     with monkeypatch.context() as mp:
         mp.setattr("kgcavity.quasilocal.coeff_grid", one_hot_grid)
         small = kg.Truncation(n_max_global=64, m_max_local=8)
-        for method in ("wick", "direct"):
-            assert np.all(kg.steering_shift(1, range(1, 6), cfg_half,
-                                            small, method=method) == 0.0)
+        for shifts in kg.steering_shift(1, range(1, 6), cfg_half, small):
+            assert np.all(shifts == 0.0)
 
     # (b) global vacuum: nonzero, proportional to corr row by row, same argmax
     lr = range(1, 21)
-    shifts = kg.steering_shift(1, lr, cfg_half, trunc_10k)
+    shifts = kg.steering_shift(1, lr, cfg_half, trunc_10k).wick
     assert np.all(shifts > 0)
     left, right = blocks_half
     rep = kg.wick_moments([1], lr, left, right)

@@ -8,6 +8,7 @@ import argparse
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_spectrum_products_and_digests(tmp_path):
     assert [o["path"] for o in man["outputs"]] == ["spectrum.csv"]
     # manifest digests are the actual payload hashes
     for entry in man["outputs"]:
-        payload = open(os.path.join(out, entry["path"]), "rb").read()
+        payload = Path(out, entry["path"]).read_bytes()
         assert hashlib.sha256(payload).hexdigest() == entry["digest"]
     side = _read_json(os.path.join(out, "spectrum.json"))
     assert side["digest"] == man["outputs"][0]["digest"]
@@ -95,8 +96,8 @@ def test_reruns_are_byte_identical(tmp_path):
                      "--mu-list", "10,20", "--out-dir", out]) == 0
         outs.append(out)
     for name in ("spectrum.csv", "spectrum.json"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b
     # manifests agree on everything except wall time / timestamp
     ma, mb = (_read_json(os.path.join(o, "manifest.json")) for o in outs)
@@ -112,7 +113,7 @@ def test_modes_writes_one_csv_per_time(tmp_path, caplog):
     man = _read_json(os.path.join(out, "manifest.json"))
     names = [o["path"] for o in man["outputs"]]
     assert names == ["mode_left_m2_t0.csv", "mode_left_m2_t1.csv", "mode_left_m2_t2.csv"]
-    header = open(os.path.join(out, names[0])).read().splitlines()
+    header = Path(out, names[0]).read_text().splitlines()
     assert header[3] == "x,re_value,im_value,re_tderiv,im_tderiv"
     # the evolution's own diagnostics reach the manifest, never the CSVs
     tails = man["tail_bounds"]
@@ -127,7 +128,7 @@ def test_modes_writes_one_csv_per_time(tmp_path, caplog):
 def _csv_rows(path):
     """The data rows of a CLI CSV (after two '#' lines and the header), as
     lists of cells."""
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     return lines[2], [line.split(",") for line in lines[3:]]
 
 
@@ -177,9 +178,9 @@ def test_quasilocal_products(tmp_path):
     assert names == ["overlap_l1.csv", "overlap_l2.csv", "bandwidth.csv", "steering.csv",
                      "wavepacket_m1.csv"]
     assert man["tail_bounds"]["u_tail_estimate"] > 0
-    band = open(os.path.join(out, "bandwidth.csv")).read().splitlines()
+    band = Path(out, "bandwidth.csv").read_text().splitlines()
     assert band[3].startswith("l,omega_l,delta_Omega")
-    steer = open(os.path.join(out, "steering.csv")).read().splitlines()
+    steer = Path(out, "steering.csv").read_text().splitlines()
     assert steer[-1].count(",") == 2                  # l, wick, direct
 
 
@@ -188,10 +189,10 @@ def test_causality_products(tmp_path):
     rc = main(["causality", "--nmax", "500", "--mmax", "2", "--grid", "513",
                "--times", "0,0.1", "--taus", "0.1", "--out-dir", out])
     assert rc == 0
-    comm = open(os.path.join(out, "commutators.csv")).read().splitlines()
+    comm = Path(out, "commutators.csv").read_text().splitlines()
     assert comm[3] == "tau,r_tilde,c1,c2,spacelike"
     assert comm[4].endswith(",1")                     # tau=0.1 < default gap 0.2
-    leak = open(os.path.join(out, "leakage.csv")).read().splitlines()
+    leak = Path(out, "leakage.csv").read_text().splitlines()
     assert len(leak) == 4 + 2                         # 3 comments, header, 2 rows
 
 
@@ -211,7 +212,7 @@ def test_causality_records_series_diagnostics(tmp_path, caplog):
     assert _read_json(os.path.join(out, "commutators.json"))["tail_bounds"] == tails
     # ... and never the CSVs
     for name in ("leakage.csv", "commutators.csv"):
-        text = open(os.path.join(out, name)).read()
+        text = Path(out, name).read_text()
         assert "leakage_t" not in text and "commutator_tau" not in text
     # at n_max = 500 each of the three evolutions is past the tolerance
     warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
@@ -230,7 +231,7 @@ def test_diverge_and_rscan_products(tmp_path):
     assert main(["rscan", "--nmax", "500", "--mmax", "2", "--kind",
                  "partition-size", "--values", "0.3,0.5", "--probes", "1:1",
                  "--M-fixed", "10", "--out-dir", out2]) == 0
-    lines = open(os.path.join(out2, "rscan.csv")).read().splitlines()
+    lines = Path(out2, "rscan.csv").read_text().splitlines()
     assert lines[3] == "value,n_m1,alpha_m1_N1,beta_m1_N1,sum_left_M10,sum_both_M10"
     assert len(lines) == 4 + 2
 
@@ -240,7 +241,7 @@ def test_identities_multi_cutoff(tmp_path):
     rc = main(["identities", "--nmax", "500,1000", "--upto", "3",
                "--out-dir", out])
     assert rc == 0
-    lines = open(os.path.join(out, "identities.csv")).read().splitlines()
+    lines = Path(out, "identities.csv").read_text().splitlines()
     assert lines[3] == "n_max,max_D1,max_D2,max_D1_cross,max_D2_cross,max_residual"
     rows = [line.split(",") for line in lines[4:]]
     assert [r[0] for r in rows] == ["500", "1000"]
@@ -259,6 +260,20 @@ def test_causality_without_times_writes_header_and_empty_plot(tmp_path):
     assert names == ["leakage.csv", "commutators.csv", "causality.svg"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["identities", "--nmax", "", "--upto", "3"], "identities.csv"),
+    (["spectrum", "--nmax", "200", "--lmax", "2", "--mu-list", ""], "spectrum.csv"),
+    (["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "0",
+      "--taus", ""], "commutators.csv"),
+], ids=["identities", "spectrum", "causality"])
+def test_explicit_empty_list_flag_writes_a_header_only_table(tmp_path, argv, name):
+    # an empty list is a request for no rows, not for the default ones
+    out = tmp_path / "e"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    lines = (out / name).read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == [lines[-1]]
+
+
 def test_svg_outputs_land_in_manifest(tmp_path):
     out = str(tmp_path / "s")
     rc = main(["spectrum", "--nmax", "500", "--lmax", "3", "--svg",
@@ -268,7 +283,7 @@ def test_svg_outputs_land_in_manifest(tmp_path):
     names = [o["path"] for o in man["outputs"]]
     assert "spectrum.svg" in names
     svg_entry = next(o for o in man["outputs"] if o["path"] == "spectrum.svg")
-    payload = open(os.path.join(out, "spectrum.svg"), "rb").read()
+    payload = Path(out, "spectrum.svg").read_bytes()
     assert payload.startswith(b"<?xml") or payload.startswith(b"<svg")
     assert hashlib.sha256(payload).hexdigest() == svg_entry["digest"]
 

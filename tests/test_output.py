@@ -27,7 +27,7 @@ def test_fmt17_roundtrips_doubles(rng):
 def test_write_csv_payload_and_digest(tmp_path):
     path = str(tmp_path / "t.csv")
     digest = write_csv(path, ["run A"], ["l", "value"], [[1, 2], [0.5, 0.25]])
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw == b"# run A\nl,value\n1,0.5\n2,0.25\n"
     assert digest == hashlib.sha256(raw).hexdigest()
     # byte-identical rewrite
@@ -41,7 +41,7 @@ def test_sidecar_schema_and_digest_match(tmp_path, cfg_half, trunc_10k):
     side = write_sidecar(csv_path, "spectrum", cfg_half, trunc_10k,
                          {"worst": 1e-9}, digest)
     assert side == str(tmp_path / "spec.json")
-    doc = json.loads(open(side).read())
+    doc = json.loads(Path(side).read_text())
     assert doc["digest"] == digest
     assert doc["command"] == "spectrum"
     assert doc["config"]["r"] == 0.5 and doc["config"]["r_bar"] == 0.5
@@ -60,7 +60,7 @@ def test_manifest_lists_outputs(tmp_path, cfg_half, trunc_10k):
         tail_bound_summary={"worst": 0.0},
     )
     path = write_manifest(str(tmp_path), man)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["outputs"] == [{"path": "a.csv", "digest": "d1"},
                               {"path": "b.csv", "digest": "d2"}]
     assert doc["command"] == "spectrum"
@@ -101,7 +101,7 @@ def test_write_csv_rows_match_fmt17_join(tmp_path_factory, table):
     rows = zip(*(cells for _, cells, _ in table))
     want = "# prop\n" + ",".join(names) + "\n" + "".join(
         ",".join(fmt17(v) for v in row) + "\n" for row in rows)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw == want.encode("utf-8")
     assert digest == hashlib.sha256(raw).hexdigest()
 
@@ -124,7 +124,7 @@ def test_csv_cells_preserve_full_precision(tmp_path):
     vals = [0.05396354991407163, 2 / (3 * np.pi**2), 1 / 3]
     path = str(tmp_path / "p.csv")
     write_csv(path, [], ["v"], [vals])
-    lines = open(path).read().splitlines()[1:]
+    lines = Path(path).read_text().splitlines()[1:]
     assert [float(s) for s in lines] == vals
 
 
