@@ -39,6 +39,7 @@ from .config import (
     FrequencyTables,
     GridMismatch,
     KgCavityError,
+    Region,
     ThresholdUnreachable,
     Truncation,
     frequencies,
@@ -48,7 +49,6 @@ from .config import (
 )
 from .fock_oracle import OracleMoments, TruncatedFock, oracle_moments
 from .modes import (
-    Region,
     SampledMode,
     conjugate_mode,
     eval_global_mode,

@@ -58,8 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, FrequencyTables, Truncation, ladder
-from .modes import Region
+from .config import CavityConfig, DomainError, FrequencyTables, Region, Truncation, ladder
 
 __all__ = [
     "BogoliubovBlock",
@@ -178,11 +177,16 @@ class _Factors(NamedTuple):
 
 
 def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factors:
-    """Row and column vectors of the module docstring's factored closed form."""
-    w, sign_toggle = _family_params(region, cfg)
-    mu = cfg.mu_tilde
+    """Row and column vectors of the module docstring's factored closed form;
+    DomainError first unless every index is a finite integer >= 1."""
     m = np.asarray(m_indices, dtype=np.float64)
     N = np.asarray(N_indices, dtype=np.float64)
+    for name, idx in (("m", m), ("N", N)):
+        bad = idx[~(np.isfinite(idx) & (idx >= 1) & (idx == np.rint(idx)))]
+        if bad.size:
+            raise DomainError(f"mode indices must be integers >= 1, got {name}={bad[0]:g}")
+    w, sign_toggle = _family_params(region, cfg)
+    mu = cfg.mu_tilde
 
     Om = ladder(N, 1.0, mu)
     om = ladder(m, w, mu)
@@ -284,8 +288,6 @@ def beta_sq_sums(
 
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:
     """(alpha_mN, beta_mN) for one index pair (both real)."""
-    if m < 1 or N < 1:
-        raise DomainError(f"indices must be >= 1, got m={m}, N={N}")
     alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg)
     return float(alpha[0, 0]), float(beta[0, 0])
 

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bogoliubov import build_block
 from .config import CavityConfig, DomainError, GridMismatch, Truncation, ladder
 from .modes import Region, SampledMode, conjugate_mode, evolve_local_mode, uniform_grid
 from .quadrature import kg_inner
@@ -112,8 +111,7 @@ def commutator_pair(
     with the probe's Cauchy data by KG quadrature on a shared grid.
     """
     grid = uniform_grid(cfg, trunc.grid_points)
-    block = build_block(Region.LEFT, cfg, None, trunc)
-    u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc, block)
+    u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc)
     probe_mode = eval_probe_initial(probe, grid, cfg)
     return Commutators(
         c1=abs(kg_inner(probe_mode, u_m)),
@@ -169,8 +167,7 @@ def lightcone_leakage(
         raise DomainError(f"time must be >= 0, got {t}")
     _check_cone_grid(trunc.grid_points)
     grid = uniform_grid(cfg, trunc.grid_points)
-    block = build_block(region, cfg, None, trunc)
-    u = evolve_local_mode(region, m, grid, t, cfg, trunc, block)
+    u = evolve_local_mode(region, m, grid, t, cfg, trunc)
     om = region.omega(m, cfg)
     if region is Region.LEFT:
         edge = min(cfg.r + t + edge_margin, cfg.R)

@@ -42,6 +42,7 @@ from .quasilocal import (
     wavepacket_comparison,
 )
 from .vacuum import (
+    _resonance_cutoff,
     divergence_scan,
     limit_scan,
     mode_sum_convergence,
@@ -212,17 +213,26 @@ def _record_series(run: _Run, label: str, src) -> None:
                     src.tail_estimate, label)
 
 
+def _record_tail(run: _Run, label: str, tail: float, l: int, flag: str) -> None:
+    """A tail bound into the manifest and sidecars under ``label``; when it
+    is inf, because the cutoff ``flag`` sets lies below the resonance side
+    of left mode l, a warning names the cutoff to reach."""
+    run.tails[label] = tail
+    if math.isinf(tail):
+        log.warning("%s is no bound below the resonance side of mode %d; raise %s to at least %d",
+                    label, l, flag, _resonance_cutoff(Region.LEFT, l, run.cfg))
+
+
 # ── subcommands ─────────────────────────────────────────────────────────────
 
 def cmd_modes(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--m", args.m)
     region = _REGIONS[args.region]
-    block = build_block(region, cfg, None, trunc)
     grid = uniform_grid(cfg, trunc.grid_points)
     series = []
     for k, t in enumerate(args.times):
-        mode = evolve_local_mode(region, args.m, grid, t, cfg, trunc, block)
+        mode = evolve_local_mode(region, args.m, grid, t, cfg, trunc)
         _record_series(run, f"t={t:.17g}", mode)
         run.csv(
             f"mode_{args.region}_m{args.m}_t{k}.csv",
@@ -326,7 +336,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
             log.warning("bandwidth threshold unreachable for l=%d (captured %.6g)", l, exc.captured)
             dO = float("nan")
         energy = quasilocal_energy(l, cfg, trunc)
-        run.tails[f"energy_tail_l={l}"] = energy.tail_bound
+        _record_tail(run, f"energy_tail_l={l}", energy.tail_bound, l, "--nmax")
         dists.append(dist)
         widths.append(dO)
         energies.append(energy)
@@ -341,12 +351,12 @@ def cmd_quasilocal(args, run: _Run) -> None:
     run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
     if args.wavepacket_m:
-        block = build_block(Region.LEFT, cfg, None, trunc)
         grid = uniform_grid(cfg, trunc.grid_points)
-        comp = wavepacket_comparison(args.wavepacket_m, grid, args.t, cfg, trunc, block)
+        comp = wavepacket_comparison(args.wavepacket_m, grid, args.t, cfg, trunc)
         run.tails["psi_outside_fraction"] = comp.psi_outside_fraction
         run.tails["u_outside_fraction"] = comp.u_outside_fraction
-        run.tails["u_tail_estimate"] = comp.u.tail_estimate
+        _record_series(run, "u_tail_estimate", comp.u)
+        _record_series(run, "psi_tail_estimate", comp.psi)
         run.csv(
             f"wavepacket_m{args.wavepacket_m}.csv",
             _meta(cfg, trunc) + [f"t={args.t:.17g} cone_edge={comp.cone_edge:.17g}"],
@@ -409,7 +419,7 @@ def cmd_diverge(args, run: _Run) -> None:
              [S for s in scans for S in s.partial_sums],
              np.repeat([s.fit_slope for s in scans], counts),
              np.repeat([s.fit_r2 for s in scans], counts)])
-    run.tails["alpha2_tail"] = conv.alpha2_tail
+    _record_tail(run, "alpha2_tail", conv.alpha2_tail, args.m, "the largest --n-list value")
     run.tails["beta2_tail"] = conv.beta2_tail
     run.csv("converge.csv", _meta(cfg, trunc) + [f"m={args.m}"],
             ["n_max", "sum_alpha2", "sum_beta2"],

@@ -9,11 +9,13 @@ library works at R = 1 and rescales on the way in and out; see
 
 Every frequency comes from ``ladder``: a family's modes are fixed by the
 width of its interval and the mass, so no computation reads a frequency
-table. ``frequencies`` tabulates the three ladders for reporting.
+table. ``Region`` names a local family and gives its interval and ladder.
+``frequencies`` tabulates the three ladders for reporting.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +29,7 @@ __all__ = [
     "DimensionError",
     "CavityConfig",
     "Truncation",
+    "Region",
     "FrequencyTables",
     "validate_config",
     "ladder",
@@ -146,6 +149,23 @@ def ladder(n, width: float, mu: float):
     as the matching entry of an array.
     """
     return np.sqrt(np.square(np.pi * np.asarray(n, dtype=np.float64) / width) + mu**2)
+
+
+class Region(enum.Enum):
+    """Which sub-interval a local mode family lives on."""
+
+    LEFT = "left"      # [0, r]
+    RIGHT = "right"    # [r, R]
+
+    def interval(self, cfg: CavityConfig) -> tuple[float, float, float]:
+        """(lo, hi, width) of the family's interval: (0, r, r) or (r, R, r_bar)."""
+        if self is Region.LEFT:
+            return 0.0, cfg.r, cfg.r
+        return cfg.r, cfg.R, cfg.r_bar
+
+    def omega(self, m, cfg: CavityConfig):
+        """omega_m (left) or omega_bar_m (right) for a scalar or an array of m."""
+        return ladder(m, self.interval(cfg)[2], cfg.mu)
 
 
 def frequencies(cfg: CavityConfig, trunc: Truncation) -> FrequencyTables:

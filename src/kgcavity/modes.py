@@ -21,17 +21,13 @@ Bogoliubov rows of ``kgcavity.bogoliubov``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.fft
 
-from .config import CavityConfig, DomainError, Truncation, ladder
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .bogoliubov import BogoliubovBlock
+from .bogoliubov import build_block
+from .config import CavityConfig, DomainError, Region, Truncation, ladder
 
 __all__ = [
     "Region",
@@ -42,23 +38,6 @@ __all__ = [
     "eval_local_initial",
     "evolve_local_mode",
 ]
-
-
-class Region(enum.Enum):
-    """Which sub-interval a local mode family lives on."""
-
-    LEFT = "left"      # [0, r]
-    RIGHT = "right"    # [r, R]
-
-    def interval(self, cfg: CavityConfig) -> tuple[float, float, float]:
-        """(lo, hi, width) of the family's interval: (0, r, r) or (r, R, r_bar)."""
-        if self is Region.LEFT:
-            return 0.0, cfg.r, cfg.r
-        return cfg.r, cfg.R, cfg.r_bar
-
-    def omega(self, m, cfg: CavityConfig):
-        """omega_m (left) or omega_bar_m (right) for a scalar or an array of m."""
-        return ladder(m, self.interval(cfg)[2], cfg.mu)
 
 
 @dataclass
@@ -204,6 +183,34 @@ def _sine_series(
     return value, tderiv
 
 
+def _row_series(a_row: np.ndarray, b_row: np.ndarray, grid: np.ndarray, t: float,
+                cfg: CavityConfig) -> SampledMode:
+    """The solution sum_N (a_N e^{-i Omega_N t} + b_N e^{+i Omega_N t}) U_N(x)
+    of one coefficient row (N = 1..len(a_row)) at time t, with its termwise
+    time derivative, summed by ``_sine_series``.
+
+    The tail estimate is the c/n_max envelope of the last terms; above
+    _TAIL_TOL it sets ``truncation_warning``.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    n_idx = np.arange(1, len(a_row) + 1, dtype=np.float64)
+    Om = ladder(n_idx, cfg.R, cfg.mu)
+
+    phase_neg = np.exp(-1j * Om * t)
+    norm = 1.0 / np.sqrt(cfg.R * Om)
+    cv = (a_row * phase_neg + b_row * np.conj(phase_neg)) * norm
+    cd = (-1j * Om) * (a_row * phase_neg - b_row * np.conj(phase_neg)) * norm
+    value, tderiv = _sine_series(grid, cfg.R, cv, cd)
+
+    # Tail envelope: |term| <= (|a|+|b|)/sqrt(R Omega) ~ c/N^2; the
+    # neglected sum is then ~ c/n_max by the integral test.
+    t_env = (np.abs(a_row[-50:]) + np.abs(b_row[-50:])) * norm[-50:]
+    tail_estimate = float(np.max(t_env * n_idx[-50:] ** 2)) / len(a_row)
+    return SampledMode(grid=grid, value=value, tderiv=tderiv, time=float(t),
+                       tail_estimate=tail_estimate,
+                       truncation_warning=bool(tail_estimate > _TAIL_TOL))
+
+
 def evolve_local_mode(
     region: Region,
     m: int,
@@ -211,54 +218,19 @@ def evolve_local_mode(
     t: float,
     cfg: CavityConfig,
     trunc: Truncation,
-    block: "BogoliubovBlock",
 ) -> SampledMode:
     """Local mode u_m at time t from the truncated global series.
 
     value(x) = sum_N (alpha_mN e^{-i Omega_N t} + beta_mN e^{+i Omega_N t}) U_N(x),
-    tderiv the termwise time derivative, both summed by ``_sine_series``.
-    A tail estimate above _TAIL_TOL sets ``truncation_warning``.
+    tderiv the termwise time derivative, both from ``_row_series`` on row m
+    of the family's coefficients. At t = 0 the snapshot also reports its
+    Gibbs overshoot against the exact sup of chi_m.
     """
-    if block.region is not region:
-        raise ValueError(f"block was built for {block.region}, asked to evolve {region}")
-    if block.alpha.shape[1] != trunc.n_max_global:
-        raise ValueError(
-            f"block holds {block.alpha.shape[1]} global terms, truncation wants "
-            f"{trunc.n_max_global}"
-        )
-    if not 1 <= m <= block.alpha.shape[0]:
-        raise DomainError(f"local index m={m} outside block with {block.alpha.shape[0]} rows")
-
-    grid = np.asarray(grid, dtype=np.float64)
-    n_idx = np.arange(1, trunc.n_max_global + 1, dtype=np.float64)
-    Om = ladder(n_idx, cfg.R, cfg.mu)
-    a_row = block.alpha[m - 1]
-    b_row = block.beta[m - 1]
-
-    phase_neg = np.exp(-1j * Om * t)
-    norm = 1.0 / np.sqrt(cfg.R * Om)
-    cv = (a_row * phase_neg + b_row * np.conj(phase_neg)) * norm
-    cd = (-1j * Om) * (a_row * phase_neg - b_row * np.conj(phase_neg)) * norm
-
-    value, tderiv = _sine_series(grid, cfg.R, cv, cd)
-
-    # Tail envelope: |term| <= (|alpha|+|beta|)/sqrt(R Omega) ~ c/N^2; the
-    # neglected sum is then ~ c/n_max by the integral test.
-    t_env = (np.abs(a_row[-50:]) + np.abs(b_row[-50:])) * norm[-50:]
-    c_env = float(np.max(t_env * n_idx[-50:] ** 2))
-    tail_estimate = c_env / trunc.n_max_global
-
-    gibbs = None
+    if not 1 <= m <= trunc.m_max_local:
+        raise DomainError(f"local index m={m} outside block with {trunc.m_max_local} rows")
+    block = build_block(region, cfg, None, trunc)
+    mode = _row_series(block.alpha[m - 1], block.beta[m - 1], grid, t, cfg)
     if t == 0.0:
         exact_sup = 1.0 / np.sqrt(region.interval(cfg)[2] * region.omega(m, cfg))
-        gibbs = float(np.max(np.abs(value)) / exact_sup - 1.0)
-
-    return SampledMode(
-        grid=grid,
-        value=value,
-        tderiv=tderiv,
-        time=float(t),
-        tail_estimate=tail_estimate,
-        truncation_warning=bool(tail_estimate > _TAIL_TOL),
-        gibbs_overshoot=gibbs,
-    )
+        mode.gibbs_overshoot = float(np.max(np.abs(mode.value)) / exact_sup - 1.0)
+    return mode

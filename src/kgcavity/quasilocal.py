@@ -22,11 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bogoliubov import BogoliubovBlock, coeff_grid
+from .bogoliubov import coeff_grid
 from .causality import _check_cone_grid, outside_cone_mass
 from .config import CavityConfig, DomainError, ThresholdUnreachable, Truncation, ladder
-from .modes import Region, SampledMode, _sine_series, evolve_local_mode
-from .vacuum import _energy_tail, _row_dots
+from .modes import Region, SampledMode, _row_series, evolve_local_mode
+from .vacuum import _coeff_sq_tail, _row_dots
 
 __all__ = [
     "OverlapDistribution",
@@ -66,7 +66,8 @@ class QuasilocalEnergy:
     creator state  a_l^dagger|0>/sqrt(1+<n_l>):  raw = sum Omega alpha^2,
     annihilator state  a_l|0>/sqrt(<n_l>):       raw = sum Omega beta^2;
     ``normalized`` divides by the respective squared norms. All positive.
-    ``tail_bound`` bounds the N-tail of their sum ``epsilon``.
+    ``tail_bound`` bounds the N-tail of their sum ``epsilon``; it is inf
+    when the cutoff lies below l's resonance side.
     """
 
     raw: float
@@ -168,22 +169,15 @@ def quasilocal_wavepacket(
     """psi_m(x, t) = sum_N alpha_mN U_N(x, t) / sqrt(1 + <n_m>).
 
     The positive-frequency content of u_m: same alpha amplitudes, no
-    conjugate branch, renormalized, summed by the same ``_sine_series`` as
-    ``evolve_local_mode``.
+    conjugate branch, renormalized, summed by the same ``_row_series`` as
+    ``evolve_local_mode``, which also gives its tail estimate.
     """
     if m < 1:
         raise DomainError(f"local index m must be >= 1, got {m}")
-    grid = np.asarray(grid, dtype=np.float64)
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
-    mean_occ = float(np.sum(beta[0] ** 2))
-    norm = np.sqrt(1.0 + mean_occ)
-    Om = ladder(N_idx, cfg.R, cfg.mu)
-
-    cv = alpha[0] * np.exp(-1j * Om * t) / np.sqrt(cfg.R * Om) / norm
-    cd = -1j * Om * cv
-    value, tderiv = _sine_series(grid, cfg.R, cv, cd)
-    return SampledMode(grid=grid, value=value, tderiv=tderiv, time=float(t))
+    a_row = alpha[0] / np.sqrt(1.0 + float(np.sum(beta[0] ** 2)))
+    return _row_series(a_row, np.zeros_like(a_row), grid, t, cfg)
 
 
 def wavepacket_comparison(
@@ -192,7 +186,6 @@ def wavepacket_comparison(
     t: float,
     cfg: CavityConfig,
     trunc: Truncation,
-    block: BogoliubovBlock,
 ) -> WavepacketComparison:
     """psi_m against the evolved u_m: pointwise |psi| - |u| and the
     out-of-light-cone mass of each at equal truncation.
@@ -203,7 +196,7 @@ def wavepacket_comparison(
     """
     _check_cone_grid(len(grid))
     psi = quasilocal_wavepacket(m, grid, t, cfg, trunc)
-    u = evolve_local_mode(Region.LEFT, m, grid, t, cfg, trunc, block)
+    u = evolve_local_mode(Region.LEFT, m, grid, t, cfg, trunc)
     om = Region.LEFT.omega(m, cfg)
     edge = min(cfg.r + t, cfg.R)
     psi_out, psi_tot = outside_cone_mass(psi, edge, om, side="above")
@@ -238,7 +231,8 @@ def quasilocal_energy(
         normalized=raw / (1.0 + mean_occ),
         annihilator_raw=ann_raw,
         annihilator_normalized=ann_raw / mean_occ,
-        tail_bound=_energy_tail(region, l, cfg, trunc.n_max_global),
+        tail_bound=sum(_coeff_sq_tail(region, l, cfg, trunc.n_max_global, sign, energy=True)
+                       for sign in (-1.0, 1.0)),
     )
 
 

@@ -29,8 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .bogoliubov import BogoliubovBlock, beta_sq_sums, coeff_grid
-from .config import CavityConfig, DomainError, Truncation, validate_config
-from .modes import Region
+from .config import CavityConfig, DomainError, Region, Truncation, validate_config
 
 __all__ = [
     "SpectrumResult",
@@ -125,41 +124,36 @@ def _tail_quad(f, start: float) -> float:
     return float(val)
 
 
+def _resonance_cutoff(region: Region, l: int, cfg: CavityConfig) -> int:
+    """The index nearest 2 omega_l R / pi, twice the resonance pole Omega_N =
+    omega_l at mu = 0: from it on the alpha^2 summands fall monotonically.
+    Rounding keeps it fixed under r -> R - r, which moves omega_l by ulps."""
+    return round(2.0 * float(region.omega(l, cfg)) * cfg.R / np.pi)
+
+
 def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
-                   sign: float) -> float:
+                   sign: float, energy: bool = False) -> float:
     """Integral-test tail beyond N = n_from of sum_N beta_lN^2 (sign = +1) or
-    sum_N alpha_lN^2 (sign = -1), sin^2 -> 1/2: the summand is
-    pref / (Om (Om + sign om)^2). The alpha tail starts past its resonance
-    pole, on the monotone side."""
+    sum_N alpha_lN^2 (sign = -1), each term weighted by Omega_N with
+    ``energy``; sin^2 -> 1/2 makes the summand pref / (Om (Om + sign om)^2),
+    times Om with ``energy``. The alpha tail is inf below
+    ``_resonance_cutoff``, where it would skip the resonance peak. Squares
+    are products, never ``pow``, so the tail is exactly covariant under
+    R -> 2^k R."""
+    if sign < 0 and n_from < _resonance_cutoff(region, l, cfg):
+        return math.inf
     w = region.interval(cfg)[2]
     om_l = float(region.omega(l, cfg))
-    pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
+    pref = l**2 * np.pi**2 / (2.0 * cfg.R * w * w * w * om_l)
+    mu2 = cfg.mu * cfg.mu
 
     def integrand(N: float) -> float:
-        Om = math.sqrt((math.pi * N / cfg.R) ** 2 + cfg.mu**2)
-        return pref / (Om * (Om + sign * om_l) ** 2)
+        k = math.pi * N / cfg.R
+        Om = math.sqrt(k * k + mu2)
+        d = Om + sign * om_l
+        return pref / (d * d) if energy else pref / (Om * d * d)
 
-    start = float(n_from)
-    if sign < 0:
-        start = max(start, 2.0 * om_l * cfg.R / np.pi)
-    return _tail_quad(integrand, start)
-
-
-def _energy_tail(region: Region, l: int, cfg: CavityConfig, n_from: int) -> float:
-    """Integral-test tail of sum_N Omega_N (alpha_lN^2 + beta_lN^2) beyond
-    N = n_from, sin^2 -> 1/2: the 1/Omega inside |V|^2 cancels the energy
-    weight, leaving 2 pref (Om^2 + om^2)/(Om^2 - om^2)^2."""
-    w = region.interval(cfg)[2]
-    om_l = float(region.omega(l, cfg))
-    pref = l**2 * np.pi**2 / (2.0 * cfg.R * w**3 * om_l)
-
-    def integrand(N: float) -> float:
-        Om_c = (math.pi * N / cfg.R) ** 2 + cfg.mu**2
-        return pref * 2.0 * (Om_c + om_l**2) / (Om_c - om_l**2) ** 2
-
-    # keep the integral test on the monotone side of the resonance pole
-    start = max(float(n_from), 2.0 * om_l * cfg.R / np.pi)
-    return _tail_quad(integrand, start)
+    return _tail_quad(integrand, float(n_from))
 
 
 # ── operations ──────────────────────────────────────────────────────────────

@@ -118,7 +118,7 @@ def test_leakage_refuses_grids_without_interior_points(cfg_half, trunc_10k,
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the grid check")
 
-    monkeypatch.setattr("kgcavity.causality.build_block", no_compute)
+    monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
     trunc = dataclasses.replace(trunc_10k, grid_points=points)
     with pytest.raises(kg.GridMismatch):
         kg.lightcone_leakage(L, 1, 0.1, cfg_half, trunc)

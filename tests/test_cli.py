@@ -184,6 +184,45 @@ def test_quasilocal_products(tmp_path):
     assert steer[-1].count(",") == 2                  # l, wick, direct
 
 
+def test_quasilocal_wavepacket_records_series_diagnostics(tmp_path, caplog):
+    out = str(tmp_path / "q")
+    assert main(["quasilocal", "--nmax", "500", "--mmax", "4", "--grid", "257",
+                 "--l-list", "1", "--wavepacket-m", "1", "--t", "0", "--out-dir", out]) == 0
+    # u's and psi's tail estimates and u's t = 0 Gibbs overshoot reach the
+    # manifest and the wavepacket sidecar, never the CSV
+    tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
+    series = {"u_tail_estimate", "psi_tail_estimate", "gibbs_overshoot_u_tail_estimate"}
+    assert series <= set(tails)
+    assert tails["u_tail_estimate"] > 0 and tails["psi_tail_estimate"] > 0
+    side = _read_json(os.path.join(out, "wavepacket_m1.json"))["tail_bounds"]
+    assert series <= set(side)
+    assert "tail_estimate" not in Path(out, "wavepacket_m1.csv").read_text()
+    # at n_max = 500 both series are past the tolerance
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert sum("tail estimate" in w for w in warned) == 2
+
+
+def test_tails_below_the_resonance_are_unbounded_and_warned(tmp_path, caplog):
+    # alpha^2 and energy tails of mode 300 at r = 0.05 are bounds only from
+    # N = 2 omega R / pi = 12000 on
+    out = str(tmp_path / "d")
+    assert main(["diverge", "--r", "0.05", "--m", "300", "--n-list", "1000",
+                 "--M-list", "10,100", "--out-dir", out]) == 0
+    tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
+    assert tails["alpha2_tail"] == float("inf")
+    assert 0 < tails["beta2_tail"] < float("inf")
+    out = str(tmp_path / "q")
+    assert main(["quasilocal", "--r", "0.05", "--nmax", "1000", "--mmax", "300",
+                 "--l-list", "1,300", "--out-dir", out]) == 0
+    tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
+    assert tails["energy_tail_l=300"] == float("inf")
+    assert 0 < tails["energy_tail_l=1"] < float("inf")
+    warned = [r.getMessage() for r in caplog.records if "no bound" in r.getMessage()]
+    assert len(warned) == 2
+    assert all("12000" in w for w in warned)
+    assert "alpha2_tail" in warned[0] and "energy_tail_l=300" in warned[1]
+
+
 def test_causality_products(tmp_path):
     out = str(tmp_path / "cz")
     rc = main(["causality", "--nmax", "500", "--mmax", "2", "--grid", "513",

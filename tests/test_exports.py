@@ -30,3 +30,11 @@ def test_no_public_callable_takes_a_frequency_table():
                     if callable(obj := getattr(kgcavity, name)) and not isinstance(obj, type)
                     and "tables" in inspect.signature(obj).parameters)
     assert takers == ["build_block"]
+
+
+def test_region_is_one_object_everywhere():
+    """``Region`` lives in ``config``; ``modes`` and the package re-export it."""
+    import kgcavity.config
+    import kgcavity.modes
+
+    assert kgcavity.modes.Region is kgcavity.config.Region is kgcavity.Region

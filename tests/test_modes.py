@@ -96,8 +96,7 @@ def narrow():
     out = {}
     for n_max in (1_000, 10_000):
         trunc = kg.Truncation(n_max_global=n_max, m_max_local=8, grid_points=4097)
-        block = kg.build_block(L, cfg, None, trunc)
-        out[n_max] = (cfg, trunc, block)
+        out[n_max] = (cfg, trunc)
     return out
 
 
@@ -107,10 +106,10 @@ def test_reconstruction_error_frozen_and_decreasing(narrow):
     Calibrated interior errors: 4.2e-6 (n_max=1e3), 5.4e-8 (1e4).
     """
     errs = {}
-    for n_max, (cfg, trunc, block) in narrow.items():
+    for n_max, (cfg, trunc) in narrow.items():
         grid = kg.uniform_grid(cfg, trunc.grid_points)
         exact = kg.eval_local_initial(L, 1, grid, cfg)
-        series = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
+        series = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc)
         interior = np.abs(grid - cfg.r) > 0.02
         errs[n_max] = float(np.max(np.abs(series.value - exact.value)[interior]))
     assert errs[10_000] < errs[1_000]
@@ -120,14 +119,14 @@ def test_reconstruction_error_frozen_and_decreasing(narrow):
 def test_evolution_preserves_kg_norm(narrow):
     # The evolved tderiv has a genuine jump at the cone edge x = r + t, so the
     # sampled norm integral converges only ~O(h) there: 1.2e-4 at 4097 points.
-    cfg, trunc, block = narrow[10_000]
+    cfg, trunc = narrow[10_000]
     grid = kg.uniform_grid(cfg, trunc.grid_points)
-    u = kg.evolve_local_mode(L, 1, grid, 0.15, cfg, trunc, block)
+    u = kg.evolve_local_mode(L, 1, grid, 0.15, cfg, trunc)
     norm = kg.kg_inner(u, u)
     assert norm.real == pytest.approx(1.0, abs=1e-3)
     assert abs(norm.imag) < 1e-10
     fine = kg.uniform_grid(cfg, 2 * (len(grid) - 1) + 1)
-    uf = kg.evolve_local_mode(L, 1, fine, 0.15, cfg, trunc, block)
+    uf = kg.evolve_local_mode(L, 1, fine, 0.15, cfg, trunc)
     assert abs(kg.kg_inner(uf, uf).real - 1.0) < abs(norm.real - 1.0)
 
 
@@ -155,10 +154,9 @@ def _assert_matches_dense(fast, dense, rel=1e-12):
 def test_fast_series_matches_dense_fallback(G, n_max, t):
     cfg = kg.validate_config(1.0, 0.21, 0.0)
     trunc = kg.Truncation(n_max_global=n_max, m_max_local=2, grid_points=G)
-    block = kg.build_block(L, cfg, None, trunc)
     grid = kg.uniform_grid(cfg, G)
-    fast = kg.evolve_local_mode(L, 1, grid, t, cfg, trunc, block)
-    dense = kg.evolve_local_mode(L, 1, grid[::-1], t, cfg, trunc, block)
+    fast = kg.evolve_local_mode(L, 1, grid, t, cfg, trunc)
+    dense = kg.evolve_local_mode(L, 1, grid[::-1], t, cfg, trunc)
     _assert_matches_dense((fast.value, fast.tderiv),
                           (dense.value[::-1], dense.tderiv[::-1]))
     assert fast.value[0] == fast.value[-1] == 0.0
@@ -213,32 +211,36 @@ def test_non_uniform_grid_takes_the_dense_path(monkeypatch):
 
 
 def test_tail_estimate_and_truncation_warning(narrow, monkeypatch):
-    cfg, trunc, block = narrow[1_000]
+    cfg, trunc = narrow[1_000]
     grid = kg.uniform_grid(cfg, 513)
     monkeypatch.setattr("kgcavity.modes._TAIL_TOL", 1e-2)
-    relaxed = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
+    relaxed = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc)
     monkeypatch.setattr("kgcavity.modes._TAIL_TOL", 1e-14)
-    strict = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
+    strict = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc)
     assert relaxed.tail_estimate == strict.tail_estimate
     assert relaxed.tail_estimate > 0
     assert not relaxed.truncation_warning
     assert strict.truncation_warning
 
 
-def test_evolve_rejects_rows_outside_the_block(narrow):
-    cfg, trunc, block = narrow[1_000]
+def test_evolve_rejects_rows_outside_the_block(narrow, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("built a block before the index check")
+
+    monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
+    cfg, trunc = narrow[1_000]
     grid = kg.uniform_grid(cfg, 65)
     for m in (0, trunc.m_max_local + 1):
         with pytest.raises(kg.DomainError, match="outside block"):
-            kg.evolve_local_mode(L, m, grid, 0.0, cfg, trunc, block)
+            kg.evolve_local_mode(L, m, grid, 0.0, cfg, trunc)
 
 
 def test_gibbs_overshoot_is_reported(narrow):
     # Reported, not thresholded: at t=0 the series is kink-class, so the
     # edge ripple is tiny and can sit on either side of the exact sup.
-    cfg, trunc, block = narrow[10_000]
+    cfg, trunc = narrow[10_000]
     grid = kg.uniform_grid(cfg, trunc.grid_points)
-    u = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc, block)
+    u = kg.evolve_local_mode(L, 1, grid, 0.0, cfg, trunc)
     assert u.gibbs_overshoot is not None
     assert np.isfinite(u.gibbs_overshoot)
     assert abs(u.gibbs_overshoot) < 1e-3
@@ -249,8 +251,6 @@ def test_right_region_evolution_mirror(cfg_half, trunc_10k):
     # At r = R/2 the two regions are congruent: the right-region series at
     # t=0 is the left one reflected through x = 1/2.
     grid = kg.uniform_grid(cfg_half, 2049)
-    bl = kg.build_block(L, cfg_half, None, trunc_10k)
-    br = kg.build_block(RG, cfg_half, None, trunc_10k)
-    ul = kg.evolve_local_mode(L, 1, grid, 0.0, cfg_half, trunc_10k, bl)
-    ur = kg.evolve_local_mode(RG, 1, grid, 0.0, cfg_half, trunc_10k, br)
+    ul = kg.evolve_local_mode(L, 1, grid, 0.0, cfg_half, trunc_10k)
+    ur = kg.evolve_local_mode(RG, 1, grid, 0.0, cfg_half, trunc_10k)
     assert np.max(np.abs(ul.value - ur.value[::-1])) < 1e-7

@@ -68,8 +68,16 @@ def test_overlap_rejects_nonpositive_indices(cfg_half):
     lambda cfg: kg.eval_global_mode(0, kg.uniform_grid(cfg, 9), 0.0, cfg),
     lambda cfg: kg.eval_local_initial(L, 0, kg.uniform_grid(cfg, 9), cfg),
     lambda cfg: kg.eval_local_initial(RG, -1, kg.uniform_grid(cfg, 9), cfg),
+    # the kernels themselves refuse, where they used to return NaN or a
+    # number for a non-index
+    lambda cfg: kg.coeff_grid(L, [0], [1], cfg),
+    lambda cfg: kg.coeff_grid(L, [1], [0], cfg),
+    lambda cfg: kg.beta_sq_sums(L, [0, 1], np.arange(1, 101), cfg),
+    lambda cfg: kg.coeff_grid(L, [1.5], [2], cfg),
+    lambda cfg: kg.beta_sq_sums(L, [1], [-3], cfg),
 ], ids=["overlap_V-N", "coeff_pair-m", "coeff_pair-N", "eval_global_mode",
-        "eval_local_initial-left", "eval_local_initial-right"])
+        "eval_local_initial-left", "eval_local_initial-right", "coeff_grid-m0",
+        "coeff_grid-N0", "beta_sq_sums-m0", "coeff_grid-m1.5", "beta_sq_sums-N-3"])
 def test_mode_indices_below_one_are_domain_errors(cfg_half, call):
     with pytest.raises(kg.DomainError):
         call(cfg_half)

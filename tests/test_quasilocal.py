@@ -10,7 +10,7 @@ Frozen regressions (R = 1 throughout):
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgcavity as kg
@@ -104,9 +104,8 @@ def test_wavepacket_tails_dwarf_series_residue():
     # leaves only reconstruction residue there. Nine decades apart at 1e4.
     cfg = kg.validate_config(1.0, 0.21, 1.0 / 0.21)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8)
-    block = kg.build_block(L, cfg, None, trunc)
     grid = kg.uniform_grid(cfg, 4097)
-    comp = kg.wavepacket_comparison(1, grid, 0.0, cfg, trunc, block)
+    comp = kg.wavepacket_comparison(1, grid, 0.0, cfg, trunc)
     assert comp.cone_edge == pytest.approx(0.21)
     assert comp.psi_outside_fraction == pytest.approx(0.0267101, rel=5e-2)
     assert comp.u_outside_fraction < 1e-9
@@ -114,16 +113,28 @@ def test_wavepacket_tails_dwarf_series_residue():
     assert comp.abs_diff.shape == grid.shape
 
 
+def test_wavepacket_carries_its_own_tail_estimate(cfg_half):
+    # psi and u share one series evaluator; psi keeps alpha's tail and drops
+    # beta's, so its c / n_max envelope sits below u's
+    trunc = kg.Truncation(n_max_global=1_000, m_max_local=4)
+    grid = kg.uniform_grid(cfg_half, 257)
+    psi = kg.quasilocal_wavepacket(1, grid, 0.1, cfg_half, trunc)
+    u = kg.evolve_local_mode(L, 1, grid, 0.1, cfg_half, trunc)
+    assert np.isfinite(psi.tail_estimate)
+    assert 0 < psi.tail_estimate < u.tail_estimate
+
+
 @pytest.mark.parametrize("points", [1, 2])
 def test_wavepacket_comparison_refuses_grids_without_interior_points(
-        cfg_half, trunc_10k, blocks_half, monkeypatch, points):
+        cfg_half, trunc_10k, monkeypatch, points):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the grid check")
 
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
     grid = kg.uniform_grid(cfg_half, points)
     with pytest.raises(kg.GridMismatch):
-        kg.wavepacket_comparison(1, grid, 0.1, cfg_half, trunc_10k, blocks_half[0])
+        kg.wavepacket_comparison(1, grid, 0.1, cfg_half, trunc_10k)
 
 
 @pytest.mark.parametrize("call", [
@@ -241,9 +252,8 @@ _R_FRACTION = st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)
 def test_quasilocal_quantities_are_invariant_under_R_to_2k_R(r, muR, n_max, l, k, region):
     # R -> 2^k R with mu -> mu / 2^k rescales every length by a power of two,
     # which floating point does exactly: the dimensionless p and steering
-    # shifts keep their bits, and R times each energy keeps its bits. The
-    # tail quadrature squares with float ** (libm pow), which is not exactly
-    # scale-covariant: about 1 draw in 600 moves tail_bound by <= 3.5e-16.
+    # shifts keep their bits, and R times each energy and its tail bound
+    # keeps its bits (the tail integrand squares by products, not libm pow).
     trunc = kg.Truncation(n_max_global=n_max, m_max_local=30)
     s = 2.0 ** k
     base = kg.validate_config(1.0, r, muR)
@@ -259,14 +269,16 @@ def test_quasilocal_quantities_are_invariant_under_R_to_2k_R(r, muR, n_max, l, k
 
     e = kg.quasilocal_energy(l, base, trunc, region=region)
     e_s = kg.quasilocal_energy(l, scaled, trunc, region=region)
-    for name in ("raw", "annihilator_raw", "normalized"):
+    for name in ("raw", "annihilator_raw", "normalized", "tail_bound"):
         assert s * getattr(e_s, name) == getattr(e, name), name
-    assert s * e_s.tail_bound == pytest.approx(e.tail_bound, rel=1e-15, abs=0.0)
 
 
 @settings(deadline=None)
 @given(r=_R_FRACTION, muR=st.floats(0.0, 50.0), n_max=st.integers(50, 2_000),
        l=st.integers(1, 30), region=_REGIONS)
+# n_max on the energy tail's cutoff 2 omega_l R / pi = 180, which the
+# mirror's widths move by an ulp on either side
+@example(r=1.0 / 3.0, muR=0.0, n_max=180, l=30, region=kg.Region.LEFT)
 def test_quasilocal_quantities_mirror_under_r_to_R_minus_r(r, muR, n_max, l, region):
     # x -> R - x swaps the sub-boxes and flips only signs of the global
     # modes, so one family at r sees what the other sees at R - r

@@ -92,19 +92,23 @@ def test_divergence_scan_rejects_indices_below_one(cfg_half):
 
 def test_tails_match_direct_quadrature(cfg_half):
     # the one tail integrand, pref / (Om (Om +- om)^2), against quad on
-    # [start, inf); alpha's starts past its resonance pole at N = 6, at
-    # 2 om R / pi = 12 rather than n_from = 8
-    m, n_from, w = 3, 8, 0.5
+    # [n_from, inf). alpha's is a bound only from 2 om R / pi = 12 on, past
+    # its resonance pole at N = 6: below that it would skip the peak (at
+    # n_from = 8 it read 0.00518 against a true remainder of 0.0245), so it
+    # is inf there
+    m, w = 3, 0.5
     om = math.sqrt((math.pi * m / w) ** 2)
     pref = m**2 * math.pi**2 / (2.0 * w**3 * om)
-    conv = kg.mode_sum_convergence(L, m, cfg_half, n_list=[n_from])
-    for got, sign, start in ((conv.beta2_tail, 1.0, n_from),
-                             (conv.alpha2_tail, -1.0, max(n_from, 2.0 * om / math.pi))):
+    below = kg.mode_sum_convergence(L, m, cfg_half, n_list=[8])
+    past = kg.mode_sum_convergence(L, m, cfg_half, n_list=[12])
+    assert below.alpha2_tail == math.inf
+    for got, sign, start in ((below.beta2_tail, 1.0, 8), (past.beta2_tail, 1.0, 12),
+                             (past.alpha2_tail, -1.0, 12)):
         want, _ = integrate.quad(lambda N: pref / (math.pi * N * (math.pi * N + sign * om) ** 2),
                                  start, math.inf)
         assert got == pytest.approx(want, rel=1e-8)
-    spec = kg.vacuum_spectrum(L, cfg_half, kg.Truncation(n_max_global=n_from, m_max_local=m))
-    assert spec.tail_bound[m - 1] == pytest.approx(conv.beta2_tail, rel=1e-14)
+    spec = kg.vacuum_spectrum(L, cfg_half, kg.Truncation(n_max_global=8, m_max_local=m))
+    assert spec.tail_bound[m - 1] == pytest.approx(below.beta2_tail, rel=1e-14)
 
 
 def test_mode_sum_convergence_is_cauchy(cfg_half):
