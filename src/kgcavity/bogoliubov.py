@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -302,14 +302,14 @@ def closed_overlap(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
 # ── block construction and memo ──────────────────────────────────────────────
 
 def block_digest(region: Region, cfg: CavityConfig, trunc: Truncation) -> str:
-    """Digest of everything a block's values depend on (dimensionless controls)."""
+    """Digest of a family's memo entry, (family, r/R, mu R, n_max): a row does
+    not depend on the row count, so one entry serves every row count."""
     key = "|".join(
         [
             region.value,
             format(cfg.r_tilde, ".17g"),
             format(cfg.mu_tilde, ".17g"),
             str(trunc.n_max_global),
-            str(trunc.m_max_local),
         ]
     )
     return hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
@@ -330,23 +330,28 @@ def build_block(
     tables: FrequencyTables | None,
     trunc: Truncation,
 ) -> BogoliubovBlock:
-    """Full [m_max_local x n_max_global] coefficient block for one family.
+    """Rows 1..m_max_local of one family's block, against N = 1..n_max_global.
 
-    Memoized in process by the dimensionless digest. The memo is a
-    least-recently-used map bounded by _MEMO_BYTES of alpha + beta payload;
-    a block larger than the bound is returned without being kept.
+    Memoized in process, one entry per ``block_digest``: a stored block with
+    these rows is returned as is, one with more rows as a read-only view of
+    its first rows; otherwise the rows are computed and replace the entry.
+    The memo is a least-recently-used map bounded by _MEMO_BYTES of alpha +
+    beta payload; a block larger than the bound is returned without being kept.
 
     ``tables`` is ignored (pass None): the coefficients take their
     frequencies from ``cfg``. It stays because ``perfbench/tests`` passes it
     positionally.
     """
     digest = block_digest(region, cfg, trunc)
-    block = _BLOCK_MEMO.get(digest)
-    if block is not None:
-        _BLOCK_MEMO.move_to_end(digest)
-        return block
+    rows = trunc.m_max_local
+    block = _BLOCK_MEMO.pop(digest, None)
+    if block is not None and block.alpha.shape[0] >= rows:
+        _BLOCK_MEMO[digest] = block
+        if block.alpha.shape[0] == rows:
+            return block
+        return replace(block, alpha=block.alpha[:rows], beta=block.beta[:rows])
 
-    alpha, beta = coeff_grid(region, np.arange(1, trunc.m_max_local + 1),
+    alpha, beta = coeff_grid(region, np.arange(1, rows + 1),
                              np.arange(1, trunc.n_max_global + 1), cfg)
     alpha.setflags(write=False)
     beta.setflags(write=False)

@@ -22,7 +22,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import svg as svgmod
-from .bogoliubov import build_block, identity_residuals
+from .bogoliubov import beta_sq_sums, build_block, identity_residuals
 from .causality import commutator_pair, lightcone_leakage, make_probe
 from .config import (
     DomainError,
@@ -289,19 +289,21 @@ def cmd_correlations(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--mrows", args.mrows)
     _check_local(trunc, "--nrows", args.nrows)
-    left = build_block(Region.LEFT, cfg, None, trunc)
-    right = build_block(Region.RIGHT, cfg, None, trunc)
-    m_range = range(1, args.mrows + 1)
-    n_range = range(1, args.nrows + 1)
-    report = wick_moments(m_range, n_range, left, right, paper_norm=args.paper_norm)
+    left = build_block(Region.LEFT, cfg, None, dataclasses.replace(trunc, m_max_local=args.mrows))
+    right = build_block(Region.RIGHT, cfg, None, dataclasses.replace(trunc, m_max_local=args.nrows))
+    report = wick_moments(range(1, args.mrows + 1), range(1, args.nrows + 1), left, right)
     # m-major: row i * nrows + j holds (m_i, n_j)
     names = ["m", "n", "cov", "corr"]
     columns = [np.repeat(report.m_range, len(report.n_range)),
                np.tile(report.n_range, len(report.m_range)),
                report.cov.ravel(), report.corr.ravel()]
     if args.paper_norm:
+        # over each side's summed spectrum sum_{l <= m_max} <n_l>, which grows with the cutoff
+        ls, Ns = np.arange(1, trunc.m_max_local + 1), np.arange(1, trunc.n_max_global + 1)
+        left_n, right_n = (float(np.sum(beta_sq_sums(side, ls, Ns, cfg)))
+                           for side in (Region.LEFT, Region.RIGHT))
         names.append("corr_summed_norm")
-        columns.append(report.corr_paper_norm.ravel())
+        columns.append((report.cov / math.sqrt(left_n * right_n)).ravel())
     run.csv("correlations.csv", _meta(cfg, trunc), names, columns)
     run.csv("moments.csv", _meta(cfg, trunc), ["region", "index", "mean", "var"],
             [["left"] * len(report.m_range) + ["right"] * len(report.n_range),
@@ -501,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mrows", type=int, default=10)
     sp.add_argument("--nrows", type=int, default=10)
     sp.add_argument("--paper-norm", action="store_true",
-                    help="also emit the summed-spectrum normalization variant")
+                    help="also emit cov over the summed spectra sum_{l<=m_max} <n_l> of both sides")
     sp.set_defaults(func=cmd_correlations)
 
     sp = sub.add_parser("quasilocal", parents=[common, with_nmax], help="quasi-local state analysis")

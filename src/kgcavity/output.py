@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,12 +66,13 @@ def _config_dict(cfg: CavityConfig) -> dict:
     return {"R": cfg.R, "r": cfg.r, "mu": cfg.mu, "r_bar": cfg.r_bar}
 
 
-def _trunc_dict(trunc: Truncation) -> dict:
-    return {
-        "n_max_global": trunc.n_max_global,
-        "m_max_local": trunc.m_max_local,
-        "grid_points": trunc.grid_points,
-    }
+def _write_json(path: str, doc: dict) -> None:
+    """``doc`` as JSON, which has no inf or NaN: a round trip writes each as
+    the string "inf", "-inf" or "nan", and ``allow_nan=False`` refuses any left."""
+    safe = json.loads(json.dumps(doc), parse_constant=lambda token: str(float(token)))
+    text = json.dumps(safe, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
 def write_sidecar(
@@ -87,14 +88,12 @@ def write_sidecar(
     doc = {
         "command": command,
         "config": _config_dict(cfg),
-        "truncation": _trunc_dict(trunc),
+        "truncation": asdict(trunc),
         "tail_bounds": tail_bounds,
         "version": VERSION,
         "digest": digest,
     }
-    with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(sidecar, doc)
     return sidecar
 
 
@@ -115,14 +114,12 @@ def write_manifest(out_dir: str, manifest: RunManifest) -> str:
     doc = {
         "command": manifest.command,
         "config": _config_dict(manifest.cfg),
-        "truncation": _trunc_dict(manifest.trunc),
+        "truncation": asdict(manifest.trunc),
         "outputs": [{"path": p, "digest": d} for p, d in manifest.outputs],
         "wall_time_s": manifest.wall_time_s,
         "tail_bounds": manifest.tail_bound_summary,
         "version": VERSION,
         "written": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     return path

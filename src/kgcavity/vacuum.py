@@ -97,7 +97,6 @@ class MomentReport:
     var_right: np.ndarray
     cov: np.ndarray
     corr: np.ndarray
-    corr_paper_norm: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,6 @@ def wick_moments(
     n_range,
     left_block: BogoliubovBlock,
     right_block: BogoliubovBlock,
-    paper_norm: bool = False,
 ) -> MomentReport:
     """Means, variances, covariances and correlations of (n_m, n_bar_n).
 
@@ -266,10 +264,9 @@ def wick_moments(
         mean = sum q^2,  var = (sum p^2)(sum q^2) + (sum p q)^2  (row-wise)
         cov  = (Q P'^T) o (P Q'^T) + (Q Q'^T) o (P P'^T)          (o: entrywise)
 
-    ``paper_norm`` adds a second correlation matrix whose denominator is the
-    *summed* spectrum over all block rows on each side (a normalization some
-    presentations use; it grows with the local cutoff, so it is not the
-    statistical correlation coefficient — both are reported).
+    Rows are 1-based: m_range indexes the left block's rows and n_range the
+    right block's, so each block needs only the rows up to the largest index
+    asked for.
     """
     if left_block.alpha.shape[1] != right_block.alpha.shape[1]:
         raise ValueError("left/right blocks disagree on the global cutoff")
@@ -298,12 +295,6 @@ def wick_moments(
     if np.any(np.abs(corr) > 1.0 + 1e-9):
         raise AssertionError("correlation coefficient left (-1, 1) beyond numerical slack")
 
-    corr_paper = None
-    if paper_norm:
-        total_left = float(np.sum(_row_dots(left_block.beta, left_block.beta)))
-        total_right = float(np.sum(_row_dots(right_block.beta, right_block.beta)))
-        corr_paper = cov / math.sqrt(total_left * total_right)
-
     return MomentReport(
         m_range=m_range,
         n_range=n_range,
@@ -313,7 +304,6 @@ def wick_moments(
         var_right=var_right,
         cov=cov,
         corr=corr,
-        corr_paper_norm=corr_paper,
     )
 
 

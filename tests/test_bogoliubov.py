@@ -552,6 +552,52 @@ def test_memo_is_a_byte_bounded_lru(cfg_half, monkeypatch):
     assert block.cfg_hash not in bogoliubov._BLOCK_MEMO
 
 
+def test_fewer_rows_are_a_view_and_more_rows_replace_the_entry(cfg_half, monkeypatch):
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+
+    def trunc(rows):
+        return kg.Truncation(n_max_global=100, m_max_local=rows)
+
+    assert kg.block_digest(L, cfg_half, trunc(4)) == kg.block_digest(L, cfg_half, trunc(2))
+    four = kg.build_block(L, cfg_half, None, trunc(4))
+    two = kg.build_block(L, cfg_half, None, trunc(2))
+    # the first two rows of the stored block, read-only, and no new entry
+    assert two.alpha.shape == two.beta.shape == (2, 100)
+    assert two.alpha.tobytes() == four.alpha[:2].tobytes()
+    assert two.beta.tobytes() == four.beta[:2].tobytes()
+    assert np.shares_memory(two.alpha, four.alpha)
+    with pytest.raises(ValueError):
+        two.beta[0, 0] = 1.0
+    assert list(bogoliubov._BLOCK_MEMO.values()) == [four]
+    assert kg.build_block(L, cfg_half, None, trunc(4)) is four
+    # more rows than stored: computed afresh, replacing the entry
+    six = kg.build_block(L, cfg_half, None, trunc(6))
+    assert six.alpha.shape == (6, 100)
+    assert len(bogoliubov._BLOCK_MEMO) == 1
+    assert next(iter(bogoliubov._BLOCK_MEMO.values())) is six
+    assert six.alpha[:4].tobytes() == four.alpha.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True), mu=st.floats(0.0, 50.0),
+       right=st.booleans(), n_max=st.integers(1, 500),
+       requests=st.lists(st.integers(1, 12), min_size=1, max_size=4))
+def test_every_row_count_of_one_family_is_fresh_property(r, mu, right, n_max, requests):
+    # one memo entry serves every row count of a family: whatever the order
+    # of the requests, a block is never stale or short of rows
+    cfg = kg.validate_config(1.0, r, mu)
+    region = RG if right else L
+    N_idx = np.arange(1, n_max + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+        for rows in requests:
+            block = kg.build_block(region, cfg, None, kg.Truncation(n_max, rows))
+            alpha, beta = kg.coeff_grid(region, np.arange(1, rows + 1), N_idx, cfg)
+            assert block.alpha.tobytes() == alpha.tobytes()
+            assert block.beta.tobytes() == beta.tobytes()
+            assert len(bogoliubov._BLOCK_MEMO) == 1
+
+
 def test_blocks_are_read_only(blocks_half):
     left, _ = blocks_half
     with pytest.raises(ValueError):

@@ -7,12 +7,16 @@ numerics (the library tests own those).
 import argparse
 import hashlib
 import json
+import math
 import os
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kgcavity as kg
+from kgcavity import bogoliubov
 from kgcavity.cli import main, parse_float_list, parse_int_list, parse_probes
 
 
@@ -65,9 +69,15 @@ def test_integer_valued_floats_are_integers():
 
 # ── happy-path products ─────────────────────────────────────────────────────
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def _read_json(path):
+    """A manifest or sidecar, parsed strictly: Infinity, -Infinity and NaN
+    are refused."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_refuse_constant)
 
 
 def test_spectrum_products_and_digests(tmp_path):
@@ -132,23 +142,43 @@ def _csv_rows(path):
     return lines[2], [line.split(",") for line in lines[3:]]
 
 
-def test_correlations_with_verification_columns(tmp_path):
+def test_correlations_with_verification_columns(tmp_path, monkeypatch):
+    # each block holds only the rows asked for: --mrows 3 on the left and
+    # --nrows 2 on the right, never --mmax 4
+    rows_built = []
+    grid = bogoliubov.coeff_grid
+
+    def spy(region, m_indices, *rest):
+        rows_built.append(len(m_indices))
+        return grid(region, m_indices, *rest)
+
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
     out = str(tmp_path / "c")
     rc = main(["correlations", "--nmax", "500", "--mmax", "4",
                "--mrows", "3", "--nrows", "2", "--paper-norm", "--out-dir", out])
     assert rc == 0
+    assert rows_built == [3, 2]
     cfg = kg.validate_config(1.0, 0.5, 0.0)
     trunc = kg.Truncation(n_max_global=500, m_max_local=4)
     left = kg.build_block(kg.Region.LEFT, cfg, None, trunc)
     right = kg.build_block(kg.Region.RIGHT, cfg, None, trunc)
-    report = kg.wick_moments(range(1, 4), range(1, 3), left, right, paper_norm=True)
+    report = kg.wick_moments(range(1, 4), range(1, 3), left, right)
+    # --paper-norm divides by each side's summed spectrum over l <= --mmax
+    ls, Ns = np.arange(1, 5), np.arange(1, 501)
+    total_left = float(np.sum(kg.beta_sq_sums(kg.Region.LEFT, ls, Ns, cfg)))
+    total_right = float(np.sum(kg.beta_sq_sums(kg.Region.RIGHT, ls, Ns, cfg)))
+    summed = report.cov / math.sqrt(total_left * total_right)
     header, rows = _csv_rows(os.path.join(out, "correlations.csv"))
     assert header == "m,n,cov,corr,corr_summed_norm"
     # m-major, every value exact: 17 digits round-trip a double
     assert [(int(m), int(n)) for m, n, *_ in rows] == [(m, n) for m in (1, 2, 3) for n in (1, 2)]
     got = [[float(v) for v in row[2:]] for row in rows]
-    assert got == [[report.cov[i, j], report.corr[i, j], report.corr_paper_norm[i, j]]
+    assert got == [[report.cov[i, j], report.corr[i, j], summed[i, j]]
                    for i in range(3) for j in range(2)]
+    ratio = np.array([norm / cov for cov, _, norm in got])
+    assert np.allclose(ratio, ratio[0], rtol=1e-12)        # one denominator
+    assert ratio[0] > 0
     header, rows = _csv_rows(os.path.join(out, "moments.csv"))
     assert header == "region,index,mean,var"
     assert [(region, int(k)) for region, k, *_ in rows] == \
@@ -204,19 +234,24 @@ def test_quasilocal_wavepacket_records_series_diagnostics(tmp_path, caplog):
 
 def test_tails_below_the_resonance_are_unbounded_and_warned(tmp_path, caplog):
     # alpha^2 and energy tails of mode 300 at r = 0.05 are bounds only from
-    # N = 2 omega R / pi = 12000 on
+    # N = 2 omega R / pi = 12000 on; JSON has no inf, so they are written
+    # as the string "inf", and the manifest and every sidecar parse strictly
     out = str(tmp_path / "d")
     assert main(["diverge", "--r", "0.05", "--m", "300", "--n-list", "1000",
                  "--M-list", "10,100", "--out-dir", out]) == 0
     tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
-    assert tails["alpha2_tail"] == float("inf")
+    assert tails["alpha2_tail"] == "inf"
     assert 0 < tails["beta2_tail"] < float("inf")
+    assert _read_json(os.path.join(out, "converge.json"))["tail_bounds"] == tails
+    _read_json(os.path.join(out, "diverge.json"))
     out = str(tmp_path / "q")
     assert main(["quasilocal", "--r", "0.05", "--nmax", "1000", "--mmax", "300",
                  "--l-list", "1,300", "--out-dir", out]) == 0
     tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
-    assert tails["energy_tail_l=300"] == float("inf")
+    assert tails["energy_tail_l=300"] == "inf"
     assert 0 < tails["energy_tail_l=1"] < float("inf")
+    for side in Path(out).glob("*.json"):
+        _read_json(side)
     warned = [r.getMessage() for r in caplog.records if "no bound" in r.getMessage()]
     assert len(warned) == 2
     assert all("12000" in w for w in warned)

@@ -67,6 +67,28 @@ def test_manifest_lists_outputs(tmp_path, cfg_half, trunc_10k):
     assert "written" in doc and "wall_time_s" in doc
 
 
+def test_json_writes_non_finite_values_as_strings(tmp_path, cfg_half, trunc_10k):
+    # JSON has no inf or NaN: each is written as a string, at any depth, and
+    # both files parse with Infinity, -Infinity and NaN refused
+    tails = {"up": float("inf"), "down": float("-inf"), "bad": float("nan"),
+             "fit": {"slope": np.float64("inf"), "r2": 1.0}, "tiny": 5e-324, "neg": -0.0}
+    want = {"up": "inf", "down": "-inf", "bad": "nan",
+            "fit": {"slope": "inf", "r2": 1.0}, "tiny": 5e-324, "neg": -0.0}
+    csv_path = str(tmp_path / "t.csv")
+    digest = write_csv(csv_path, [], ["x"], [[1.0]])
+    side = write_sidecar(csv_path, "diverge", cfg_half, trunc_10k, tails, digest)
+    man = write_manifest(str(tmp_path), RunManifest("diverge", cfg_half, trunc_10k,
+                                                    [("t.csv", digest)], 0.5, tails))
+
+    def refuse(token):
+        raise ValueError(token)
+
+    for path in (side, man):
+        doc = json.loads(Path(path).read_text(), parse_constant=refuse)
+        assert doc["tail_bounds"] == want
+        assert str(doc["tail_bounds"]["neg"]) == "-0.0"
+
+
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 1e16]
 _CELLS = {
     np.int64: st.integers(-2**63, 2**63 - 1),

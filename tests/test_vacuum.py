@@ -205,15 +205,6 @@ def test_wick_moments_match_fsum_reference(r, mu, m_max, m_range, n_range, bound
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
-def test_paper_norm_variant_is_proportional_to_cov(blocks_half):
-    left, right = blocks_half
-    rep = kg.wick_moments(range(1, 5), range(1, 7), left, right, paper_norm=True)
-    assert rep.corr_paper_norm is not None
-    ratio = rep.corr_paper_norm / rep.cov
-    assert np.allclose(ratio, ratio.flat[0], rtol=1e-12)  # constant denominator
-    assert ratio.flat[0] > 0
-
-
 def test_wick_moments_rejects_out_of_range_rows(blocks_half):
     left, right = blocks_half
     with pytest.raises(kg.DomainError):
