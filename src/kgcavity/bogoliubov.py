@@ -334,7 +334,8 @@ def build_block(
 
     Memoized in process, one entry per ``block_digest``: a stored block with
     these rows is returned as is, one with more rows as a read-only view of
-    its first rows; otherwise the rows are computed and replace the entry.
+    its first rows; one with fewer rows gains only the missing rows, and the
+    longer block replaces the entry.
     The memo is a least-recently-used map bounded by _MEMO_BYTES of alpha +
     beta payload; a block larger than the bound is returned without being kept.
 
@@ -345,14 +346,19 @@ def build_block(
     digest = block_digest(region, cfg, trunc)
     rows = trunc.m_max_local
     block = _BLOCK_MEMO.pop(digest, None)
-    if block is not None and block.alpha.shape[0] >= rows:
+    held_rows = 0 if block is None else block.alpha.shape[0]
+    if held_rows >= rows:
         _BLOCK_MEMO[digest] = block
-        if block.alpha.shape[0] == rows:
+        if held_rows == rows:
             return block
         return replace(block, alpha=block.alpha[:rows], beta=block.beta[:rows])
 
-    alpha, beta = coeff_grid(region, np.arange(1, rows + 1),
+    alpha, beta = coeff_grid(region, np.arange(held_rows + 1, rows + 1),
                              np.arange(1, trunc.n_max_global + 1), cfg)
+    if block is not None:
+        # new arrays: views of the stored rows handed out earlier stay valid
+        alpha = np.concatenate((block.alpha, alpha))
+        beta = np.concatenate((block.beta, beta))
     alpha.setflags(write=False)
     beta.setflags(write=False)
     block = BogoliubovBlock(region=region, alpha=alpha, beta=beta, cfg_hash=digest)
@@ -369,24 +375,24 @@ def build_block(
 
 # ── identity residuals ──────────────────────────────────────────────────────
 
-def identity_residuals(
-    left: BogoliubovBlock,
-    right: BogoliubovBlock,
-    upto: int,
-) -> IdentityResiduals:
+def identity_residuals(cfg: CavityConfig, n_max: int, upto: int) -> IdentityResiduals:
     """Residuals of (u_m|u_l) = delta, (u_m|u_l*) = 0, and the cross-region
-    pairings (u_m|u_bar_l) = (u_m|u_bar_l*) = 0, for all m, l <= upto.
+    pairings (u_m|u_bar_l) = (u_m|u_bar_l*) = 0, for all m, l <= upto,
+    truncated at the global modes N = 1..n_max.
 
     Expanded in the (truncated) global basis these are Gram matrices of the
-    first ``upto`` coefficient rows, P = alpha and Q = beta (primed: right):
+    coefficient rows 1..upto of both families, P = alpha and Q = beta
+    (primed: right):
 
         D1 = |P P^T - Q Q^T - I|     D1_cross = |P P'^T - Q Q'^T|
         D2 = |P Q^T - Q P^T|         D2_cross = |P Q'^T - Q P'^T|
     """
-    if upto > left.alpha.shape[0] or upto > right.alpha.shape[0]:
-        raise DomainError(f"upto={upto} exceeds the available block rows")
-    P, Q = left.alpha[:upto], left.beta[:upto]
-    Pb, Qb = right.alpha[:upto], right.beta[:upto]
+    if upto < 1 or n_max < 1:
+        raise DomainError(
+            f"identity residuals need upto >= 1 and n_max >= 1, got upto={upto}, n_max={n_max}")
+    rows, cols = np.arange(1, upto + 1), np.arange(1, n_max + 1)
+    P, Q = coeff_grid(Region.LEFT, rows, cols, cfg)
+    Pb, Qb = coeff_grid(Region.RIGHT, rows, cols, cfg)
     D1 = np.abs(P @ P.T - Q @ Q.T - np.eye(upto))
     D2 = np.abs(P @ Q.T - Q @ P.T)
     D1x = np.abs(P @ Pb.T - Q @ Qb.T)

@@ -1,7 +1,8 @@
 """Causal-propagation diagnostics: probe-region commutators and cone leakage.
 
-A third mode family is pinned to [r_tilde, R] at a *later* time tau. Its
-KG products against the evolved left modes,
+The probe modes are the right family of the box split at r_tilde, pinned
+to [r_tilde, R] at a *later* time tau. Their KG products against the
+evolved left modes,
 
     c1 = |(u_tilde_n | u_m)| = |[a_tilde_n, a_m^dagger]| ,
     c2 = |(u_tilde_n | u_m*)| = |[a_tilde_n, a_m]| ,
@@ -20,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, GridMismatch, Truncation, ladder
-from .modes import Region, SampledMode, conjugate_mode, evolve_local_mode, uniform_grid
+from .config import CavityConfig, DomainError, GridMismatch, Truncation, validate_config
+from .modes import Region, SampledMode, conjugate_mode, eval_local_initial, evolve_local_mode, uniform_grid
 from .quadrature import kg_inner
 
 __all__ = [
@@ -47,56 +48,44 @@ class ProbeSpec:
 
 
 class Leakage(NamedTuple):
-    """Out-of-cone fraction plus the evolved mode's own series diagnostics
-    (see ``SampledMode``)."""
+    """Out-of-cone fraction and the evolved mode it was measured on, which
+    carries its own series diagnostics (see ``SampledMode``)."""
 
     fraction: float
-    tail_estimate: float
-    truncation_warning: bool
-    gibbs_overshoot: float | None
+    mode: SampledMode
 
 
 class Commutators(NamedTuple):
-    """(c1, c2) plus the evolved mode's own series diagnostics."""
+    """(c1, c2) and the evolved mode u_m they pair with the probe."""
 
     c1: float
     c2: float
-    tail_estimate: float
-    truncation_warning: bool
-    gibbs_overshoot: float | None
+    mode: SampledMode
+
+
+def _probe_config(r_tilde: float, cfg: CavityConfig) -> CavityConfig:
+    """The box split at r_tilde: its right family are the probe modes."""
+    return validate_config(cfg.R, r_tilde, cfg.mu)
 
 
 def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSpec:
-    """Validated ProbeSpec with omega_tilde = sqrt(pi^2 n^2/(R-r_tilde)^2 + mu^2)."""
+    """Validated ProbeSpec; omega_tilde is right mode n's frequency in the box split at r_tilde."""
     if not cfg.r < r_tilde < cfg.R:
         raise DomainError(f"probe needs r < r_tilde < R, got r_tilde={r_tilde}")
     if tau < 0:
         raise DomainError(f"probe time must be >= 0, got {tau}")
     if n < 1:
         raise DomainError(f"probe index must be >= 1, got {n}")
-    omega_tilde = float(ladder(n, cfg.R - r_tilde, cfg.mu))
+    omega_tilde = float(Region.RIGHT.omega(n, _probe_config(r_tilde, cfg)))
     return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=int(n), omega_tilde=omega_tilde)
 
 
 def eval_probe_initial(probe: ProbeSpec, grid: np.ndarray, cfg: CavityConfig) -> SampledMode:
-    """Probe Cauchy data at its own localization time tau.
-
-    value = theta(x - r_tilde) sin(n pi (x - r_tilde)/(R - r_tilde))
-            / sqrt((R - r_tilde) omega_tilde),   tderiv = -i omega_tilde value.
-
-    The 1/sqrt(width * omega) factor makes (u_tilde|u_tilde) = 1, exactly as
-    for the other confined families.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    width = cfg.R - probe.r_tilde
-    support = (grid > probe.r_tilde) & (grid < cfg.R)
-    value = np.where(
-        support,
-        np.sin(np.pi * probe.n * (grid - probe.r_tilde) / width)
-        / np.sqrt(width * probe.omega_tilde),
-        0.0,
-    ).astype(np.complex128)
-    return SampledMode(grid=grid, value=value, tderiv=-1j * probe.omega_tilde * value, time=probe.tau)
+    """Probe Cauchy data at its own localization time tau: the t = 0 data of
+    right mode n of the box split at r_tilde, stamped with time tau."""
+    mode = eval_local_initial(Region.RIGHT, probe.n, grid, _probe_config(probe.r_tilde, cfg))
+    mode.time = probe.tau
+    return mode
 
 
 def commutator_pair(
@@ -116,9 +105,7 @@ def commutator_pair(
     return Commutators(
         c1=abs(kg_inner(probe_mode, u_m)),
         c2=abs(kg_inner(probe_mode, conjugate_mode(u_m))),
-        tail_estimate=u_m.tail_estimate,
-        truncation_warning=u_m.truncation_warning,
-        gibbs_overshoot=u_m.gibbs_overshoot,
+        mode=u_m,
     )
 
 
@@ -175,9 +162,4 @@ def lightcone_leakage(
     else:
         edge = max(cfg.r - t - edge_margin, 0.0)
         outside, total = outside_cone_mass(u, edge, om, side="below")
-    return Leakage(
-        fraction=outside / total,
-        tail_estimate=u.tail_estimate,
-        truncation_warning=u.truncation_warning,
-        gibbs_overshoot=u.gibbs_overshoot,
-    )
+    return Leakage(fraction=outside / total, mode=u)

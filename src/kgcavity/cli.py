@@ -32,7 +32,7 @@ from .config import (
     load_config_file,
     validate_config,
 )
-from .modes import Region, evolve_local_mode, uniform_grid
+from .modes import Region, SampledMode, evolve_local_mode, uniform_grid
 from .output import RunManifest, write_csv, write_manifest, write_sidecar
 from .quasilocal import (
     bandwidth,
@@ -200,17 +200,17 @@ def _meta(cfg, trunc) -> list[str]:
     ]
 
 
-def _record_series(run: _Run, label: str, src) -> None:
-    """An evolution's series diagnostics (``tail_estimate``,
-    ``gibbs_overshoot``, ``truncation_warning`` of ``src``) into the manifest
-    and sidecars under ``label``, never into the CSVs; a truncation warning
-    is logged."""
-    run.tails[label] = src.tail_estimate
-    if src.gibbs_overshoot is not None:
-        run.tails[f"gibbs_overshoot_{label}"] = src.gibbs_overshoot
-    if src.truncation_warning:
+def _record_series(run: _Run, label: str, mode: SampledMode) -> None:
+    """An evolved mode's series diagnostics (``tail_estimate``,
+    ``gibbs_overshoot``, ``truncation_warning``) into the manifest and
+    sidecars under ``label``, never into the CSVs; a truncation warning is
+    logged."""
+    run.tails[label] = mode.tail_estimate
+    if mode.gibbs_overshoot is not None:
+        run.tails[f"gibbs_overshoot_{label}"] = mode.gibbs_overshoot
+    if mode.truncation_warning:
         log.warning("series tail estimate %.3g at %s exceeds the tolerance; raise --nmax",
-                    src.tail_estimate, label)
+                    mode.tail_estimate, label)
 
 
 def _record_tail(run: _Run, label: str, tail: float, l: int, flag: str) -> None:
@@ -382,7 +382,7 @@ def cmd_causality(args, run: _Run) -> None:
     fractions = []
     for t in args.times:
         leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, trunc, edge_margin=args.edge_margin)
-        _record_series(run, f"leakage_t={t:.17g}", leak)
+        _record_series(run, f"leakage_t={t:.17g}", leak.mode)
         fractions.append(leak.fraction)
     times = np.asarray(args.times, dtype=float)
     run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
@@ -392,7 +392,7 @@ def cmd_causality(args, run: _Run) -> None:
     comms = []
     for tau, probe in zip(taus, probes):
         comm = commutator_pair(probe, args.m, cfg, trunc)
-        _record_series(run, f"commutator_tau={tau:.17g}", comm)
+        _record_series(run, f"commutator_tau={tau:.17g}", comm.mode)
         comms.append(comm)
     taus = np.asarray(taus, dtype=float)
     run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
@@ -434,12 +434,7 @@ def cmd_diverge(args, run: _Run) -> None:
 def cmd_identities(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     nmaxes = sorted(args.nmax_list)
-    reports = []
-    for n in nmaxes:
-        trunc_n = dataclasses.replace(trunc, n_max_global=n, m_max_local=args.upto)
-        left = build_block(Region.LEFT, cfg, None, trunc_n)
-        right = build_block(Region.RIGHT, cfg, None, trunc_n)
-        reports.append(identity_residuals(left, right, args.upto))
+    reports = [identity_residuals(cfg, n, args.upto) for n in nmaxes]
     residuals = [res.max_residual for res in reports]
     run.csv("identities.csv", _meta(cfg, trunc) + [f"upto={args.upto}"],
             ["n_max", "max_D1", "max_D2", "max_D1_cross", "max_D2_cross", "max_residual"],
@@ -534,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("identities", parents=[common], help="completeness residual report")
     # here --nmax takes the list form, e.g. --nmax 1000,2000,4000
-    sp.add_argument("--nmax", "--nmax-list", type=parse_int_list, default="1000,2000,4000",
+    sp.add_argument("--nmax", type=parse_int_list, default="1000,2000,4000",
                     dest="nmax_list",
                     help="global cutoffs, comma list or start:stop:step")
     sp.add_argument("--upto", type=int, default=10)

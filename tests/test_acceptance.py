@@ -83,10 +83,7 @@ def test_criterion_02_resonance_example(cfg_half, tables_half):
 def test_criterion_03_identity_residuals_decrease(cfg_half):
     maxr = []
     for n in (1_000, 10_000, 100_000):
-        trunc = kg.Truncation(n_max_global=n, m_max_local=10)
-        left = kg.build_block(L, cfg_half, None, trunc)
-        right = kg.build_block(RG, cfg_half, None, trunc)
-        maxr.append(kg.identity_residuals(left, right, 10).max_residual)
+        maxr.append(kg.identity_residuals(cfg_half, n, 10).max_residual)
     assert maxr[0] > maxr[1] > maxr[2]
     assert maxr[2] <= 5e-13            # frozen: 2.09e-13 measured at 1e5
     _line(3, "PASS", "max residuals " + " > ".join(f"{v:.3e}" for v in maxr))

@@ -437,22 +437,14 @@ def test_identity_residuals_decay_with_truncation(cfg_half):
     """Calibrated: 2.094e-7 (n_max=1e3) -> 2.094e-10 (1e4), ~n_max^-3."""
     maxima = []
     for n_max in (1_000, 10_000):
-        trunc = kg.Truncation(n_max_global=n_max, m_max_local=10)
-        left = kg.build_block(L, cfg_half, None, trunc)
-        right = kg.build_block(RG, cfg_half, None, trunc)
-        maxima.append(_residual_max(kg.identity_residuals(left, right, upto=10)))
+        maxima.append(_residual_max(kg.identity_residuals(cfg_half, n_max, upto=10)))
     assert maxima[1] < maxima[0] / 100.0
     assert maxima[0] < 3e-7
     assert maxima[1] < 3e-10
 
 
 def _max_residual(cfg, upto, n_max):
-    left, right = (
-        kg.BogoliubovBlock(region, *kg.coeff_grid(region, np.arange(1, upto + 1),
-                                                  np.arange(1, n_max + 1), cfg, 1e-8), "")
-        for region in (L, RG)
-    )
-    return kg.identity_residuals(left, right, upto).max_residual
+    return kg.identity_residuals(cfg, n_max, upto).max_residual
 
 
 @settings(max_examples=30, deadline=None)
@@ -475,20 +467,24 @@ def test_identity_residuals_do_not_grow_with_cutoff_heavy_mass():
     assert maxima[1] <= maxima[0] and maxima[2] <= maxima[1]
 
 
-def test_identity_residuals_reject_upto_past_the_rows(blocks_half):
-    left, right = blocks_half
-    with pytest.raises(kg.DomainError, match="exceeds"):
-        kg.identity_residuals(left, right, upto=left.alpha.shape[0] + 1)
+@pytest.mark.parametrize("n_max, upto", [(100, 0), (0, 3), (100, -1)])
+def test_identity_residuals_refuse_cutoffs_below_one(cfg_half, monkeypatch, n_max, upto):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the range check")
+
+    monkeypatch.setattr(bogoliubov, "coeff_grid", no_compute)
+    with pytest.raises(kg.DomainError):
+        kg.identity_residuals(cfg_half, n_max, upto)
 
 
-def test_identity_residuals_match_fsum_reference(blocks_half):
+def test_identity_residuals_match_fsum_reference(cfg_half, trunc_10k, blocks_half):
     # per-pair reference: each identity summed exactly over N by math.fsum
     def fsum_diff(x, y, u, v):
         return math.fsum(np.concatenate([x * y, -(u * v)]))
 
     left, right = blocks_half
     upto = 6
-    res = kg.identity_residuals(left, right, upto=upto)
+    res = kg.identity_residuals(cfg_half, trunc_10k.n_max_global, upto=upto)
     ref = {name: np.empty((upto, upto)) for name in ("D1", "D2", "D1_cross", "D2_cross")}
     for i in range(upto):
         am, bm = left.alpha[i], left.beta[i]
@@ -576,6 +572,31 @@ def test_fewer_rows_are_a_view_and_more_rows_replace_the_entry(cfg_half, monkeyp
     assert len(bogoliubov._BLOCK_MEMO) == 1
     assert next(iter(bogoliubov._BLOCK_MEMO.values())) is six
     assert six.alpha[:4].tobytes() == four.alpha.tobytes()
+
+
+def test_more_rows_compute_only_the_missing_rows(cfg_half, monkeypatch):
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    N_idx = np.arange(1, 101)
+    four = kg.build_block(L, cfg_half, None, kg.Truncation(n_max_global=100, m_max_local=4))
+    two = kg.build_block(L, cfg_half, None, kg.Truncation(n_max_global=100, m_max_local=2))
+    coeff_grid = bogoliubov.coeff_grid
+    asked = []
+
+    def spy(region, m_indices, N_indices, cfg, *rest):
+        asked.append(list(m_indices))
+        return coeff_grid(region, m_indices, N_indices, cfg, *rest)
+
+    monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
+    six = kg.build_block(L, cfg_half, None, kg.Truncation(n_max_global=100, m_max_local=6))
+    assert asked == [[5, 6]]
+    alpha, beta = coeff_grid(L, np.arange(1, 7), N_idx, cfg_half)
+    assert six.alpha.tobytes() == alpha.tobytes()
+    assert six.beta.tobytes() == beta.tobytes()
+    assert not (six.alpha.flags.writeable or six.beta.flags.writeable)
+    assert list(bogoliubov._BLOCK_MEMO.values()) == [six]
+    # blocks and views handed out before the extension still hold their rows
+    assert four.alpha.tobytes() == alpha[:4].tobytes()
+    assert two.beta.tobytes() == beta[:2].tobytes()
 
 
 @settings(max_examples=40, deadline=None)

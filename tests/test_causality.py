@@ -47,6 +47,22 @@ def test_make_probe_validates_geometry(cfg_narrow):
         kg.make_probe(0.6, 0.2, 0, cfg_narrow)    # probe index below 1
 
 
+@pytest.mark.parametrize("r, mu, r_tilde", [(0.21, 4.7619, 0.6), (0.5, 0.0, 0.7),
+                                         (0.35, 3.0, 0.61)])
+def test_probe_is_the_right_family_of_the_split_box(r, mu, r_tilde):
+    cfg = kg.validate_config(1.0, r, mu)
+    split = kg.validate_config(1.0, r_tilde, mu)
+    grid = kg.uniform_grid(cfg, 1025)
+    for n in (1, 3):
+        probe = kg.make_probe(r_tilde, 0.25, n, cfg)
+        assert probe.omega_tilde == RG.omega(n, split)
+        mode = kg.eval_probe_initial(probe, grid, cfg)
+        local = kg.eval_local_initial(RG, n, grid, split)
+        assert mode.time == 0.25
+        assert mode.value.tobytes() == local.value.tobytes()
+        assert mode.tderiv.tobytes() == local.tderiv.tobytes()
+
+
 def test_probe_is_kg_normalized(cfg_narrow):
     probe = kg.make_probe(0.6, 0.0, 2, cfg_narrow)
     grid = kg.uniform_grid(cfg_narrow, 4097)
@@ -122,6 +138,22 @@ def test_leakage_refuses_grids_without_interior_points(cfg_half, trunc_10k,
     trunc = dataclasses.replace(trunc_10k, grid_points=points)
     with pytest.raises(kg.GridMismatch):
         kg.lightcone_leakage(L, 1, 0.1, cfg_half, trunc)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_results_carry_the_evolved_mode(cfg_narrow, t):
+    trunc = kg.Truncation(n_max_global=2_000, m_max_local=4, grid_points=513)
+    want = kg.evolve_local_mode(L, 2, kg.uniform_grid(cfg_narrow, 513), t, cfg_narrow, trunc)
+    leak = kg.lightcone_leakage(L, 2, t, cfg_narrow, trunc)
+    comm = kg.commutator_pair(kg.make_probe(0.6, t, 1, cfg_narrow), 2, cfg_narrow, trunc)
+    for got in (leak.mode, comm.mode):
+        assert got.time == want.time
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.tderiv.tobytes() == want.tderiv.tobytes()
+        assert got.tail_estimate == want.tail_estimate
+        assert got.truncation_warning == want.truncation_warning
+        assert got.gibbs_overshoot == want.gibbs_overshoot
+    assert (want.gibbs_overshoot is None) == (t > 0)
 
 
 # ── commutators against the later probe ──────────────────────────────────────

@@ -322,6 +322,23 @@ def test_identities_multi_cutoff(tmp_path):
     assert float(rows[1][5]) < float(rows[0][5])      # residual falls with cutoff
 
 
+def test_identities_reads_rows_without_blocks(tmp_path, monkeypatch):
+    build_block = bogoliubov.build_block
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build_block(*args, **kwargs)
+
+    for owner in ("bogoliubov", "cli", "modes"):
+        monkeypatch.setattr(f"kgcavity.{owner}.build_block", spy)
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    assert main(["identities", "--nmax", "333,667", "--upto", "4",
+                 "--out-dir", str(tmp_path / "i")]) == 0
+    assert built == []
+    assert len(bogoliubov._BLOCK_MEMO) == 0
+
+
 def test_causality_without_times_writes_header_and_empty_plot(tmp_path):
     out = tmp_path / "cz"
     rc = main(["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "",
