@@ -48,10 +48,12 @@ class ProbeSpec:
 
 
 class Leakage(NamedTuple):
-    """Out-of-cone fraction and the evolved mode it was measured on, which
-    carries its own series diagnostics (see ``SampledMode``)."""
+    """Out-of-cone fraction, the cone edge it was measured against, and the
+    evolved mode it was measured on, which carries its own series
+    diagnostics (see ``SampledMode``)."""
 
     fraction: float
+    edge: float
     mode: SampledMode
 
 
@@ -72,8 +74,8 @@ def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSp
     """Validated ProbeSpec; omega_tilde is right mode n's frequency in the box split at r_tilde."""
     if not cfg.r < r_tilde < cfg.R:
         raise DomainError(f"probe needs r < r_tilde < R, got r_tilde={r_tilde}")
-    if tau < 0:
-        raise DomainError(f"probe time must be >= 0, got {tau}")
+    if not 0 <= tau < np.inf:
+        raise DomainError(f"probe time must be finite and >= 0, got {tau}")
     if n < 1:
         raise DomainError(f"probe index must be >= 1, got {n}")
     omega_tilde = float(Region.RIGHT.omega(n, _probe_config(r_tilde, cfg)))
@@ -149,9 +151,13 @@ def lightcone_leakage(
     reconstruction residue. ``edge_margin`` widens the cone: the truncated
     series rings in an O(R/n_max) skirt around the propagating edge, and a
     small margin separates that ringing from genuine (absent) leakage.
+    This is the one place a cone edge is computed: every other out-of-cone
+    measurement reads ``Leakage.edge``.
     """
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise DomainError(f"time must be finite and >= 0, got {t}")
+    if not np.isfinite(edge_margin):
+        raise DomainError(f"edge margin must be finite, got {edge_margin}")
     _check_cone_grid(trunc.grid_points)
     grid = uniform_grid(cfg, trunc.grid_points)
     u = evolve_local_mode(region, m, grid, t, cfg, trunc)
@@ -162,4 +168,4 @@ def lightcone_leakage(
     else:
         edge = max(cfg.r - t - edge_margin, 0.0)
         outside, total = outside_cone_mass(u, edge, om, side="below")
-    return Leakage(fraction=outside / total, mode=u)
+    return Leakage(fraction=outside / total, edge=edge, mode=u)

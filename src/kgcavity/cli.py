@@ -33,7 +33,7 @@ from .config import (
     validate_config,
 )
 from .modes import Region, SampledMode, evolve_local_mode, uniform_grid
-from .output import RunManifest, write_csv, write_manifest, write_sidecar
+from .output import write_csv, write_manifest, write_sidecar
 from .quasilocal import (
     bandwidth,
     overlap_distribution,
@@ -176,17 +176,8 @@ class _Run:
             render(path, *args, **kw)
             with open(path, "rb") as fh:
                 outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
-        write_manifest(
-            out_dir,
-            RunManifest(
-                command=self.args.command,
-                cfg=self.cfg,
-                trunc=self.trunc,
-                outputs=outputs,
-                wall_time_s=time.perf_counter() - self.t0,
-                tail_bound_summary=self.tails,
-            ),
-        )
+        write_manifest(out_dir, self.args.command, self.cfg, self.trunc, outputs,
+                       time.perf_counter() - self.t0, self.tails)
         for name, digest in outputs:
             log.info("wrote %s (sha256 %s…)", name, digest[:12])
         return 0
@@ -353,17 +344,18 @@ def cmd_quasilocal(args, run: _Run) -> None:
     run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
     if args.wavepacket_m:
-        grid = uniform_grid(cfg, trunc.grid_points)
-        comp = wavepacket_comparison(args.wavepacket_m, grid, args.t, cfg, trunc)
+        comp = wavepacket_comparison(args.wavepacket_m, args.t, cfg, trunc)
+        u = comp.leak.mode
         run.tails["psi_outside_fraction"] = comp.psi_outside_fraction
-        run.tails["u_outside_fraction"] = comp.u_outside_fraction
-        _record_series(run, "u_tail_estimate", comp.u)
+        run.tails["u_outside_fraction"] = comp.leak.fraction
+        _record_series(run, "u_tail_estimate", u)
         _record_series(run, "psi_tail_estimate", comp.psi)
+        abs_psi, abs_u = np.abs(comp.psi.value), np.abs(u.value)
         run.csv(
             f"wavepacket_m{args.wavepacket_m}.csv",
-            _meta(cfg, trunc) + [f"t={args.t:.17g} cone_edge={comp.cone_edge:.17g}"],
+            _meta(cfg, trunc) + [f"t={args.t:.17g} cone_edge={comp.leak.edge:.17g}"],
             ["x", "abs_psi", "abs_u", "abs_diff"],
-            [grid, np.abs(comp.psi.value), np.abs(comp.u.value), comp.abs_diff],
+            [u.grid, abs_psi, abs_u, abs_psi - abs_u],
         )
     run.svg("quasilocal.svg", svgmod.line_plot, overlap_series,
             title="overlap distribution of quasi-local states",
@@ -379,15 +371,15 @@ def cmd_causality(args, run: _Run) -> None:
     # make_probe refuses a bad probe before any evolution runs
     probes = [make_probe(r_tilde, tau, args.probe_n, cfg) for tau in taus]
 
-    fractions = []
+    leaks = []
     for t in args.times:
         leak = lightcone_leakage(Region.LEFT, args.m, t, cfg, trunc, edge_margin=args.edge_margin)
         _record_series(run, f"leakage_t={t:.17g}", leak.mode)
-        fractions.append(leak.fraction)
-    times = np.asarray(args.times, dtype=float)
+        leaks.append(leak)
+    fractions = [leak.fraction for leak in leaks]
     run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
             ["t", "cone_edge", "outside_fraction"],
-            [times, np.minimum(cfg.r + times + args.edge_margin, cfg.R), fractions])
+            [np.asarray(args.times, dtype=float), [leak.edge for leak in leaks], fractions])
 
     comms = []
     for tau, probe in zip(taus, probes):
@@ -432,8 +424,11 @@ def cmd_diverge(args, run: _Run) -> None:
 
 
 def cmd_identities(args, run: _Run) -> None:
-    cfg, trunc = run.cfg, run.trunc
     nmaxes = sorted(args.nmax_list)
+    # the header, sidecar and manifest report the largest cutoff that ran
+    run.trunc = dataclasses.replace(run.trunc,
+                                    n_max_global=max(nmaxes, default=run.trunc.n_max_global))
+    cfg, trunc = run.cfg, run.trunc
     reports = [identity_residuals(cfg, n, args.upto) for n in nmaxes]
     residuals = [res.max_residual for res in reports]
     run.csv("identities.csv", _meta(cfg, trunc) + [f"upto={args.upto}"],

@@ -183,6 +183,13 @@ def _sine_series(
     return value, tderiv
 
 
+def _check_time(t: float) -> None:
+    """DomainError unless t is finite: the series phases at t = +-inf or
+    NaN are NaN on every grid point."""
+    if not np.isfinite(t):
+        raise DomainError(f"time must be finite, got {t}")
+
+
 def _row_series(a_row: np.ndarray, b_row: np.ndarray, grid: np.ndarray, t: float,
                 cfg: CavityConfig) -> SampledMode:
     """The solution sum_N (a_N e^{-i Omega_N t} + b_N e^{+i Omega_N t}) U_N(x)
@@ -228,6 +235,7 @@ def evolve_local_mode(
     """
     if not 1 <= m <= trunc.m_max_local:
         raise DomainError(f"local index m={m} outside block with {trunc.m_max_local} rows")
+    _check_time(t)
     block = build_block(region, cfg, None, trunc)
     mode = _row_series(block.alpha[m - 1], block.beta[m - 1], grid, t, cfg)
     if t == 0.0:

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .config import CavityConfig, Truncation
 
 VERSION = "0.1.0"
 
-__all__ = ["VERSION", "fmt17", "write_csv", "write_sidecar", "RunManifest", "write_manifest"]
+__all__ = ["VERSION", "fmt17", "write_csv", "write_sidecar", "write_manifest"]
 
 
 def fmt17(v) -> str:
@@ -62,10 +62,6 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _config_dict(cfg: CavityConfig) -> dict:
-    return {"R": cfg.R, "r": cfg.r, "mu": cfg.mu, "r_bar": cfg.r_bar}
-
-
 def _write_json(path: str, doc: dict) -> None:
     """``doc`` as JSON, which has no inf or NaN: a round trip writes each as
     the string "inf", "-inf" or "nan", and ``allow_nan=False`` refuses any left."""
@@ -73,6 +69,17 @@ def _write_json(path: str, doc: dict) -> None:
     text = json.dumps(safe, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
+
+
+def _provenance(command: str, cfg: CavityConfig, trunc: Truncation, tail_bounds) -> dict:
+    """The keys a sidecar and the manifest share: what ran, under which knobs."""
+    return {
+        "command": command,
+        "config": asdict(cfg),
+        "truncation": asdict(trunc),
+        "tail_bounds": tail_bounds,
+        "version": VERSION,
+    }
 
 
 def write_sidecar(
@@ -85,41 +92,26 @@ def write_sidecar(
 ) -> str:
     """JSON sidecar next to a CSV; returns the sidecar path."""
     sidecar = os.path.splitext(csv_path)[0] + ".json"
-    doc = {
-        "command": command,
-        "config": _config_dict(cfg),
-        "truncation": asdict(trunc),
-        "tail_bounds": tail_bounds,
-        "version": VERSION,
-        "digest": digest,
-    }
-    _write_json(sidecar, doc)
+    _write_json(sidecar, {**_provenance(command, cfg, trunc, tail_bounds), "digest": digest})
     return sidecar
 
 
-@dataclass
-class RunManifest:
-    """What one CLI invocation produced, and under which knobs."""
-
-    command: str
-    cfg: CavityConfig
-    trunc: Truncation
-    outputs: list        # [(path, digest), ...]
-    wall_time_s: float
-    tail_bound_summary: dict
-
-
-def write_manifest(out_dir: str, manifest: RunManifest) -> str:
+def write_manifest(
+    out_dir: str,
+    command: str,
+    cfg: CavityConfig,
+    trunc: Truncation,
+    outputs,
+    wall_time_s: float,
+    tail_bounds,
+) -> str:
+    """``manifest.json`` in ``out_dir``: what one CLI invocation produced,
+    ``outputs`` as (path, digest) pairs, and under which knobs; returns its path."""
     path = os.path.join(out_dir, "manifest.json")
-    doc = {
-        "command": manifest.command,
-        "config": _config_dict(manifest.cfg),
-        "truncation": asdict(manifest.trunc),
-        "outputs": [{"path": p, "digest": d} for p, d in manifest.outputs],
-        "wall_time_s": manifest.wall_time_s,
-        "tail_bounds": manifest.tail_bound_summary,
-        "version": VERSION,
+    _write_json(path, {
+        **_provenance(command, cfg, trunc, tail_bounds),
+        "outputs": [{"path": p, "digest": d} for p, d in outputs],
+        "wall_time_s": wall_time_s,
         "written": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-    _write_json(path, doc)
+    })
     return path

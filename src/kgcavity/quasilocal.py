@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bogoliubov import coeff_grid
-from .causality import _check_cone_grid, outside_cone_mass
+from .causality import Leakage, lightcone_leakage, outside_cone_mass
 from .config import CavityConfig, DomainError, ThresholdUnreachable, Truncation, ladder
-from .modes import Region, SampledMode, _row_series, evolve_local_mode
+from .modes import Region, SampledMode, _check_time, _row_series
 from .vacuum import _coeff_sq_tail, _row_dots
 
 __all__ = [
@@ -94,14 +94,14 @@ class Steering(NamedTuple):
 
 @dataclass(frozen=True)
 class WavepacketComparison:
-    """psi_m vs the true local mode u_m on a shared grid at one time."""
+    """psi_m against the true local mode u_m at one time, both measured
+    against the left light cone: ``leak`` is u_m's ``Leakage`` (the evolved
+    mode, its out-of-cone fraction and the cone edge), and psi is sampled on
+    ``leak.mode.grid``."""
 
     psi: SampledMode
-    u: SampledMode
-    abs_diff: np.ndarray          # |psi| - |u| per grid point
-    cone_edge: float
-    psi_outside_fraction: float   # out-of-cone mass fraction of psi
-    u_outside_fraction: float     # same for the truncated u (pure series residue)
+    leak: Leakage
+    psi_outside_fraction: float   # out-of-cone mass fraction of psi at leak.edge
 
 
 # ── operations ──────────────────────────────────────────────────────────────
@@ -174,6 +174,7 @@ def quasilocal_wavepacket(
     """
     if m < 1:
         raise DomainError(f"local index m must be >= 1, got {m}")
+    _check_time(t)
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
     a_row = alpha[0] / np.sqrt(1.0 + float(np.sum(beta[0] ** 2)))
@@ -182,33 +183,21 @@ def quasilocal_wavepacket(
 
 def wavepacket_comparison(
     m: int,
-    grid: np.ndarray,
     t: float,
     cfg: CavityConfig,
     trunc: Truncation,
 ) -> WavepacketComparison:
-    """psi_m against the evolved u_m: pointwise |psi| - |u| and the
-    out-of-light-cone mass of each at equal truncation.
+    """psi_m against the evolved u_m: the out-of-light-cone mass of each at
+    equal truncation, on the ``trunc.grid_points`` grid.
 
     u_m is exactly zero outside [0, r + t]; whatever the truncated series
     leaves there is pure reconstruction residue. psi_m's out-of-cone mass is
     physical (exponential tails) and sits far above that residue.
     """
-    _check_cone_grid(len(grid))
-    psi = quasilocal_wavepacket(m, grid, t, cfg, trunc)
-    u = evolve_local_mode(Region.LEFT, m, grid, t, cfg, trunc)
-    om = Region.LEFT.omega(m, cfg)
-    edge = min(cfg.r + t, cfg.R)
-    psi_out, psi_tot = outside_cone_mass(psi, edge, om, side="above")
-    u_out, u_tot = outside_cone_mass(u, edge, om, side="above")
-    return WavepacketComparison(
-        psi=psi,
-        u=u,
-        abs_diff=np.abs(psi.value) - np.abs(u.value),
-        cone_edge=edge,
-        psi_outside_fraction=psi_out / psi_tot,
-        u_outside_fraction=u_out / u_tot,
-    )
+    leak = lightcone_leakage(Region.LEFT, m, t, cfg, trunc)
+    psi = quasilocal_wavepacket(m, leak.mode.grid, t, cfg, trunc)
+    psi_out, psi_tot = outside_cone_mass(psi, leak.edge, Region.LEFT.omega(m, cfg), side="above")
+    return WavepacketComparison(psi=psi, leak=leak, psi_outside_fraction=psi_out / psi_tot)
 
 
 def quasilocal_energy(

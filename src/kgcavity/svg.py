@@ -29,6 +29,32 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     return [float(t) for t in np.linspace(lo, hi, 5)]
 
 
+def _frame(title: str) -> list[str]:
+    """The opening parts of every plot: the <svg> element, its white
+    background and the title."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="15">{_esc(title)}</text>',
+    ]
+
+
+def _axis_labels(xlabel: str, ylabel: str) -> list[str]:
+    """The x label under the plot area and the y label rotated beside it."""
+    return [
+        f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 16}" text-anchor="middle">{_esc(xlabel)}</text>',
+        f'<text x="20" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2:.0f})">{_esc(ylabel)}</text>',
+    ]
+
+
+def _write(path: str, parts: list[str]) -> None:
+    """The parts one per line, each ending in '\\n'."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def line_plot(
     path: str,
     series: list,
@@ -58,8 +84,7 @@ def line_plot(
             xs_all.append(x)
             ys_all.append(y)
     if not clean:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write('<svg xmlns="http://www.w3.org/2000/svg"/>\n')
+        _write(path, ['<svg xmlns="http://www.w3.org/2000/svg"/>'])
         return
     x_lo = min(float(np.min(x)) for x in xs_all)
     x_hi = max(float(np.max(x)) for x in xs_all)
@@ -78,14 +103,9 @@ def line_plot(
         a, b = tx(y_lo, logy), tx(y_hi, logy)
         return _H - _MB - (tx(v, logy) - a) / (b - a) * (_H - _MT - _MB)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="15">{_esc(title)}</text>',
-        f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
-        f'fill="none" stroke="#333"/>',
-    ]
+    parts = _frame(title)
+    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
+                 f'fill="none" stroke="#333"/>')
     for t in _ticks(x_lo, x_hi, logx):
         if not x_lo <= t <= x_hi:
             continue
@@ -96,13 +116,7 @@ def line_plot(
             continue
         parts.append(f'<line x1="{_ML - 5}" y1="{py(t):.2f}" x2="{_ML}" y2="{py(t):.2f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py(t) + 4:.2f}" text-anchor="end">{t:.4g}</text>')
-    parts.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 16}" text-anchor="middle">{_esc(xlabel)}</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2:.0f})">{_esc(ylabel)}</text>'
-    )
+    parts += _axis_labels(xlabel, ylabel)
     for i, (x, y, label) in enumerate(clean):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
@@ -111,9 +125,7 @@ def line_plot(
             ly = _MT + 16 + 16 * i
             parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" x2="{_W - _MR - 120}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{_W - _MR - 114}" y="{ly}">{_esc(str(label))}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, parts + ["</svg>"])
 
 
 _STOPS = [
@@ -142,12 +154,7 @@ def heatmap(path: str, matrix, title: str = "", xlabel: str = "", ylabel: str = 
     rows, cols = M.shape
     cw = (_W - _ML - _MR - 40) / cols
     ch = (_H - _MT - _MB) / rows
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="15">{_esc(title)}</text>',
-    ]
+    parts = _frame(title)
     for i in range(rows):
         for j in range(cols):
             parts.append(
@@ -168,11 +175,4 @@ def heatmap(path: str, matrix, title: str = "", xlabel: str = "", ylabel: str = 
         )
     parts.append(f'<text x="{_W - _MR - 30}" y="{_H - _MB + 4}" text-anchor="end">{lo:.3g}</text>')
     parts.append(f'<text x="{_W - _MR - 30}" y="{_MT + 10}" text-anchor="end">{hi:.3g}</text>')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 16}" text-anchor="middle">{_esc(xlabel)}</text>')
-    parts.append(
-        f'<text x="20" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2:.0f})">{_esc(ylabel)}</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, parts + _axis_labels(xlabel, ylabel) + ["</svg>"])

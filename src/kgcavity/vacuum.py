@@ -335,8 +335,11 @@ def limit_scan(
         raise DomainError(f"M_fixed must be >= 1, got {M_fixed}")
     n_idx = np.arange(1, trunc.n_max_global + 1)
     m_sum = np.arange(1, M_fixed + 1)
-    # probes past M_fixed need their own row sums
-    far = sorted({m for m, _ in probes if m > M_fixed})
+    probe_ms = np.array([m for m, _ in probes], dtype=np.int64)
+    probe_Ns = np.array([N for _, N in probes], dtype=np.int64)
+    # probes past M_fixed read rows of their own, appended after the family's
+    far = np.setdiff1d(probe_ms, m_sum)
+    probe_pos = np.searchsorted(np.concatenate([m_sum, far]), probe_ms)
 
     n_per = np.empty((len(values), len(probes)))
     a_mag = np.empty_like(n_per)
@@ -352,12 +355,16 @@ def limit_scan(
         left_modes = beta_sq_sums(Region.LEFT, m_sum, n_idx, cfg_k)
         s_left[k] = float(np.sum(left_modes))
         s_both[k] = s_left[k] + float(np.sum(beta_sq_sums(Region.RIGHT, m_sum, n_idx, cfg_k)))
-        far_modes = dict(zip(far, beta_sq_sums(Region.LEFT, far, n_idx, cfg_k))) if far else {}
-        for ip, (m, N) in enumerate(probes):
-            n_per[k, ip] = left_modes[m - 1] if m <= M_fixed else far_modes[m]
-            a, b = coeff_grid(Region.LEFT, np.array([m]), np.array([N]), cfg_k)
-            a_mag[k, ip] = abs(float(a[0, 0]))
-            b_mag[k, ip] = abs(float(b[0, 0]))
+        if far.size:
+            # a call of their own: above 8192 columns numpy's buffered
+            # reduction makes a row's sum depend in its last bits on the
+            # row's place in the call, and apart they do not move with M_fixed
+            left_modes = np.concatenate([left_modes, beta_sq_sums(Region.LEFT, far, n_idx, cfg_k)])
+        n_per[k] = left_modes[probe_pos]
+        # probe ip's (m, N) entry is the diagonal of the probes' m x N grid
+        a, b = coeff_grid(Region.LEFT, probe_ms, probe_Ns, cfg_k)
+        a_mag[k] = np.abs(np.diagonal(a))
+        b_mag[k] = np.abs(np.diagonal(b))
 
     return TrendTable(
         kind=kind,

@@ -128,6 +128,36 @@ def test_leakage_rejects_negative_time(cfg_half, trunc_10k):
         kg.lightcone_leakage(L, 1, -0.1, cfg_half, trunc_10k)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cfg, trunc, bad: kg.lightcone_leakage(L, 1, bad, cfg, trunc),
+    lambda cfg, trunc, bad: kg.lightcone_leakage(L, 1, 0.1, cfg, trunc, edge_margin=bad),
+    lambda cfg, trunc, bad: kg.evolve_local_mode(L, 1, kg.uniform_grid(cfg, 9), bad, cfg, trunc),
+    lambda cfg, trunc, bad: kg.quasilocal_wavepacket(1, kg.uniform_grid(cfg, 9), bad, cfg, trunc),
+    lambda cfg, trunc, bad: kg.make_probe(0.7, bad, 1, cfg),
+], ids=["leakage-t", "leakage-margin", "evolve", "wavepacket", "probe-tau"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_refused_before_any_coefficient(cfg_half, trunc_10k, monkeypatch,
+                                                           call, bad):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the time check")
+
+    monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    with pytest.raises(kg.DomainError):
+        call(cfg_half, trunc_10k, bad)
+
+
+@pytest.mark.parametrize("region, t, margin, edge", [
+    (L, 0.1, 0.0, 0.6), (L, 0.3, 0.05, 0.85), (L, 0.7, 0.0, 1.0),
+    (RG, 0.1, 0.0, 0.4), (RG, 0.3, 0.05, 0.15), (RG, 0.7, 0.0, 0.0),
+])
+def test_leakage_reports_its_cone_edge(cfg_half, region, t, margin, edge):
+    # the cone [0, r + t + margin] or [r - t - margin, R], clipped to the box
+    trunc = kg.Truncation(n_max_global=200, m_max_local=2, grid_points=65)
+    leak = kg.lightcone_leakage(region, 1, t, cfg_half, trunc, edge_margin=margin)
+    assert leak.edge == pytest.approx(edge, abs=1e-15)
+
+
 @pytest.mark.parametrize("points", [1, 2])
 def test_leakage_refuses_grids_without_interior_points(cfg_half, trunc_10k,
                                                        monkeypatch, points):

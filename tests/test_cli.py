@@ -320,6 +320,10 @@ def test_identities_multi_cutoff(tmp_path):
     rows = [line.split(",") for line in lines[4:]]
     assert [r[0] for r in rows] == ["500", "1000"]
     assert float(rows[1][5]) < float(rows[0][5])      # residual falls with cutoff
+    # the run reports the largest cutoff it ran at, not the --nmax default
+    assert lines[1].startswith("# n_max_global=1000 ")
+    for doc in (_read_json(Path(out, "identities.json")), _read_json(Path(out, "manifest.json"))):
+        assert doc["truncation"]["n_max_global"] == 1000
 
 
 def test_identities_reads_rows_without_blocks(tmp_path, monkeypatch):
@@ -490,6 +494,24 @@ def test_refused_request_computes_nothing(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("kgcavity.cli.divergence_scan", refuse)
     out = tmp_path / "o"
     assert main([argv[0], *_BASE, *argv[1:], "--out-dir", str(out)]) == 2
+    assert _one_json_error(capsys)["error"] == "DomainError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--times", "nan"],
+    ["modes", "--times", "inf"],
+    ["quasilocal", "--wavepacket-m", "1", "--t", "inf"],
+    ["quasilocal", "--wavepacket-m", "1", "--t", "-0.1"],
+    ["causality", "--edge-margin", "nan", "--times", "0.1"],
+    ["causality", "--taus", "nan"],
+], ids=["modes-nan", "modes-inf", "wavepacket-inf", "wavepacket-negative", "margin-nan", "tau-nan"])
+def test_non_finite_time_or_margin_is_a_domain_error(tmp_path, capsys, argv):
+    # NaN phases would fill the tables with NaN cells; a wavepacket before
+    # t = 0 has no light cone to be measured against
+    out = tmp_path / "o"
+    assert main([argv[0], "--nmax", "300", "--mmax", "30", "--grid", "65", *argv[1:],
+                 "--out-dir", str(out)]) == 2
     assert _one_json_error(capsys)["error"] == "DomainError"
     assert not out.exists()
 

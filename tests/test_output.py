@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kgcavity as kg
-from kgcavity.output import RunManifest, fmt17, write_csv, write_manifest, write_sidecar
+from kgcavity.output import fmt17, write_csv, write_manifest, write_sidecar
 
 
 def test_fmt17_roundtrips_doubles(rng):
@@ -51,15 +51,8 @@ def test_sidecar_schema_and_digest_match(tmp_path, cfg_half, trunc_10k):
 
 
 def test_manifest_lists_outputs(tmp_path, cfg_half, trunc_10k):
-    man = RunManifest(
-        command="spectrum",
-        cfg=cfg_half,
-        trunc=trunc_10k,
-        outputs=[("a.csv", "d1"), ("b.csv", "d2")],
-        wall_time_s=0.5,
-        tail_bound_summary={"worst": 0.0},
-    )
-    path = write_manifest(str(tmp_path), man)
+    path = write_manifest(str(tmp_path), "spectrum", cfg_half, trunc_10k,
+                          [("a.csv", "d1"), ("b.csv", "d2")], 0.5, {"worst": 0.0})
     doc = json.loads(Path(path).read_text())
     assert doc["outputs"] == [{"path": "a.csv", "digest": "d1"},
                               {"path": "b.csv", "digest": "d2"}]
@@ -77,8 +70,7 @@ def test_json_writes_non_finite_values_as_strings(tmp_path, cfg_half, trunc_10k)
     csv_path = str(tmp_path / "t.csv")
     digest = write_csv(csv_path, [], ["x"], [[1.0]])
     side = write_sidecar(csv_path, "diverge", cfg_half, trunc_10k, tails, digest)
-    man = write_manifest(str(tmp_path), RunManifest("diverge", cfg_half, trunc_10k,
-                                                    [("t.csv", digest)], 0.5, tails))
+    man = write_manifest(str(tmp_path), "diverge", cfg_half, trunc_10k, [("t.csv", digest)], 0.5, tails)
 
     def refuse(token):
         raise ValueError(token)

@@ -8,6 +8,8 @@ Frozen regressions (R = 1 throughout):
                                positive and decreasing in l.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -103,14 +105,14 @@ def test_wavepacket_tails_dwarf_series_residue():
     # psi_m has genuine exponential tails outside [0, r]; the truncated u_m
     # leaves only reconstruction residue there. Nine decades apart at 1e4.
     cfg = kg.validate_config(1.0, 0.21, 1.0 / 0.21)
-    trunc = kg.Truncation(n_max_global=10_000, m_max_local=8)
-    grid = kg.uniform_grid(cfg, 4097)
-    comp = kg.wavepacket_comparison(1, grid, 0.0, cfg, trunc)
-    assert comp.cone_edge == pytest.approx(0.21)
+    trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
+    comp = kg.wavepacket_comparison(1, 0.0, cfg, trunc)
+    assert comp.leak.edge == pytest.approx(0.21)
     assert comp.psi_outside_fraction == pytest.approx(0.0267101, rel=5e-2)
-    assert comp.u_outside_fraction < 1e-9
-    assert comp.psi_outside_fraction / comp.u_outside_fraction > 1e6
-    assert comp.abs_diff.shape == grid.shape
+    assert comp.leak.fraction < 1e-9
+    assert comp.psi_outside_fraction / comp.leak.fraction > 1e6
+    assert comp.psi.grid is comp.leak.mode.grid
+    assert comp.psi.grid.shape == (4097,)
 
 
 def test_wavepacket_carries_its_own_tail_estimate(cfg_half):
@@ -132,9 +134,9 @@ def test_wavepacket_comparison_refuses_grids_without_interior_points(
 
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
     monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
-    grid = kg.uniform_grid(cfg_half, points)
+    trunc = dataclasses.replace(trunc_10k, grid_points=points)
     with pytest.raises(kg.GridMismatch):
-        kg.wavepacket_comparison(1, grid, 0.1, cfg_half, trunc_10k)
+        kg.wavepacket_comparison(1, 0.1, cfg_half, trunc)
 
 
 @pytest.mark.parametrize("call", [

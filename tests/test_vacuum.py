@@ -251,15 +251,21 @@ def test_limit_scan_rejects_indices_below_one(cfg_half, trunc_10k):
 
 
 def test_limit_scan_occupations_match_spectrum():
-    # probes inside and past M_fixed, against the spectrum at each scan point
+    # probes inside and past M_fixed, one m twice, against the spectrum at
+    # each scan point; |alpha| and |beta| are each probe's own 1 x 1 entry
     cfg = kg.validate_config(1.0, 0.37, 2.0)
     trunc = kg.Truncation(n_max_global=5_000, m_max_local=12)
-    table = kg.limit_scan("mass", [0.5, 8.0], [(2, 1), (12, 3), (9, 2)], cfg, trunc, M_fixed=10)
+    probes = [(2, 1), (12, 3), (9, 2), (12, 7)]
+    table = kg.limit_scan("mass", [0.5, 8.0], probes, cfg, trunc, M_fixed=10)
     for k, mu_R in enumerate(table.values):
         cfg_k = kg.validate_config(1.0, 0.37, mu_R)
         spec = kg.vacuum_spectrum(L, cfg_k, trunc).values
-        want = spec[[1, 11, 8]]
+        want = spec[[1, 11, 8, 11]]
         assert np.all(np.abs(table.n_per_probe[k] - want) <= 1e-13 * want)
+        for ip, (m, N) in enumerate(probes):
+            a, b = kg.coeff_grid(L, np.array([m]), np.array([N]), cfg_k)
+            assert table.alpha_mag[k, ip] == abs(a[0, 0])
+            assert table.beta_mag[k, ip] == abs(b[0, 0])
         right = kg.vacuum_spectrum(RG, cfg_k, dataclasses.replace(trunc, m_max_local=10)).values
         assert table.sum_left[k] == pytest.approx(np.sum(spec[:10]), rel=1e-13)
         assert table.sum_both[k] == pytest.approx(np.sum(spec[:10]) + np.sum(right), rel=1e-13)
