@@ -44,9 +44,12 @@ The paper's two beta-only results are row sums: the local occupations
 <n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
 sum_m beta_mN^2 of the inequivalence argument. ``beta_sq_sums`` computes
 them from the same row and column vectors as ``coeff_grid``. It walks tiles
-of at most _CHUNK_ENTRIES entries over both m and N, forms beta in each and
-adds the row dots, so it never builds alpha, never runs the resonance
-search and never holds a len(m) x len(N) array.
+of at most _CHUNK_ENTRIES entries over both m and N, forms
+t = b_N / (Omega_N + omega_m) in each and adds the row dots of t, reducing
+each row with ``np.vecdot``; the row factor ((pi/w)^2 a_m)^2 is applied
+after the sum. A row's sum thus has the same bits whichever rows share the
+call, and the kernel never builds alpha, never runs the resonance search
+and never holds a len(m) x len(N) array.
 """
 
 from __future__ import annotations
@@ -262,28 +265,32 @@ def beta_sq_sums(
 ) -> np.ndarray:
     """sum over N in N_indices of beta_mN^2, one value per m in m_indices.
 
-    Walks tiles of at most _CHUNK_ENTRIES entries over both axes, forms
-    beta in each exactly as ``coeff_grid`` does and adds the row dots.
-    Neither alpha, nor the resonance search (beta has no resonance branch),
-    nor a len(m) x len(N) array is ever built.
+    Walks tiles of at most _CHUNK_ENTRIES entries over both axes. With
+    beta_mN = a_beta_m t_mN, t_mN = b_N / (Omega_N + omega_m), each tile
+    forms t in one reused buffer and adds ``np.vecdot(t, t)`` to the row
+    sums; the row factor a_beta_m^2 multiplies each sum once, after the
+    last tile. ``np.vecdot`` reduces every row in its own call and the
+    column tiles do not depend on the rows, so a row's sum has the same
+    bits whichever other rows share the call. Neither alpha, nor the
+    resonance search (beta has no resonance branch), nor a
+    len(m) x len(N) array is ever built.
     """
     fac = _factors(region, m_indices, N_indices, cfg)
     n_rows, n_cols = len(fac.m), len(fac.N)
     sums = np.zeros(n_rows)
     width = max(1, min(n_cols, _CHUNK_ENTRIES))
     step = max(1, _CHUNK_ENTRIES // width)
-    bufs = np.empty((2, min(step, n_rows), width))
+    buf = np.empty((min(step, n_rows), width))
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
         n = min(step, n_rows - lo)
         for c0 in range(0, n_cols, width):
             cols = slice(c0, c0 + width)
             c = min(width, n_cols - c0)
-            freq_sum = np.add(fac.om[rows, None], fac.Om[cols], out=bufs[0, :n, :c])
-            beta = np.multiply(fac.a_beta[rows, None], fac.b[cols], out=bufs[1, :n, :c])
-            beta /= freq_sum
-            sums[rows] += np.einsum("ij,ij->i", beta, beta)
-    return sums
+            t = np.add(fac.om[rows, None], fac.Om[cols], out=buf[:n, :c])
+            np.divide(fac.b[cols], t, out=t)
+            sums[rows] += np.vecdot(t, t)
+    return sums * (fac.a_beta * fac.a_beta)
 
 
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -237,20 +238,21 @@ def cmd_modes(args, run: _Run) -> None:
 
 
 def cmd_spectrum(args, run: _Run) -> None:
+    lmax = args.lmax
+    # the header, sidecar and manifest report the --lmax cutoff that ran
+    run.trunc = dataclasses.replace(run.trunc, m_max_local=lmax)
     cfg, trunc = run.cfg, run.trunc
     region = _REGIONS[args.region]
     mus = args.mu_list if args.mu_list is not None else [cfg.mu]
-    lmax = args.lmax
-    trunc_l = dataclasses.replace(trunc, m_max_local=lmax)
     ls = np.arange(1, lmax + 1)
     oms, specs = [], []
     for mu in mus:
         cfg_mu = validate_config(cfg.R, cfg.r, mu)
-        spec = vacuum_spectrum(region, cfg_mu, trunc_l)
+        spec = vacuum_spectrum(region, cfg_mu, trunc)
         oms.append(region.omega(ls, cfg_mu))
         specs.append(spec)
         run.tails[f"mu={mu:.17g}"] = float(np.max(spec.tail_bound))
-    run.csv("spectrum.csv", _meta(cfg, trunc_l) + [f"region={args.region}"],
+    run.csv("spectrum.csv", _meta(cfg, trunc) + [f"region={args.region}"],
             ["mu", "l", "omega_l", "n_l", "tail_bound"],
             [np.repeat(mus, lmax), np.tile(ls, len(mus)), np.ravel(oms),
              np.ravel([s.values for s in specs]), np.ravel([s.tail_bound for s in specs])])
@@ -444,7 +446,10 @@ def cmd_identities(args, run: _Run) -> None:
 
 # ── parser ──────────────────────────────────────────────────────────────────
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kgcavity parser, built once per process: parsing leaves it
+    unchanged (string defaults are converted anew on every parse)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--R", type=float, default=None, help="box size (default 1)")
     common.add_argument("--r", type=float, default=None, help="partition point (default 0.5)")

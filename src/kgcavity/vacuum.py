@@ -9,10 +9,12 @@ and the unitary-inequivalence diagnostics are all plain coefficient sums:
     var(n_m)     = (sum p^2)(sum q^2) + (sum p q)^2          (Wick)
     cov(n_m,n_n) = (sum q p')(sum p q') + (sum q q')(sum p p')
 
-with primes the other region's rows. Over a set of rows these sums are
-Gram matrices, so the moments are BLAS matrix products, deterministic for
-a fixed BLAS thread count; tail bounds use the integral test with sin^2
-replaced by its mean 1/2, and are reported, never silently applied.
+with primes the other region's rows. Over a set of rows the covariances
+are Gram matrices, so they are BLAS matrix products, deterministic for a
+fixed BLAS thread count; the means and variances are row dots reduced one
+row at a time, so a row's values do not depend on the rows requested with
+it. Tail bounds use the integral test with sin^2 replaced by its mean 1/2,
+and are reported, never silently applied.
 
 The spectrum, the fixed-N divergence scan and the limit scans read beta
 only: they take their sums from ``bogoliubov.beta_sq_sums``, which streams
@@ -245,8 +247,9 @@ def _rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_N x[i, N] y[i, N] per row i, without an x*y temporary."""
-    return np.einsum("ij,ij->i", x, y)
+    """sum_N x[i, N] y[i, N] per row i, without an x*y temporary; each row
+    is reduced in its own call, so its bits do not depend on the other rows."""
+    return np.vecdot(x, y)
 
 
 def wick_moments(
@@ -337,9 +340,9 @@ def limit_scan(
     m_sum = np.arange(1, M_fixed + 1)
     probe_ms = np.array([m for m, _ in probes], dtype=np.int64)
     probe_Ns = np.array([N for _, N in probes], dtype=np.int64)
-    # probes past M_fixed read rows of their own, appended after the family's
-    far = np.setdiff1d(probe_ms, m_sum)
-    probe_pos = np.searchsorted(np.concatenate([m_sum, far]), probe_ms)
+    # one LEFT call reads the summed rows 1..M_fixed and the probes past them
+    left_rows = np.union1d(m_sum, probe_ms)
+    probe_pos = np.searchsorted(left_rows, probe_ms)
 
     n_per = np.empty((len(values), len(probes)))
     a_mag = np.empty_like(n_per)
@@ -352,14 +355,9 @@ def limit_scan(
             cfg_k = validate_config(cfg.R, cfg.r, v / cfg.R)
         else:
             cfg_k = validate_config(cfg.R, v * cfg.R, cfg.mu)
-        left_modes = beta_sq_sums(Region.LEFT, m_sum, n_idx, cfg_k)
-        s_left[k] = float(np.sum(left_modes))
+        left_modes = beta_sq_sums(Region.LEFT, left_rows, n_idx, cfg_k)
+        s_left[k] = float(np.sum(left_modes[:M_fixed]))
         s_both[k] = s_left[k] + float(np.sum(beta_sq_sums(Region.RIGHT, m_sum, n_idx, cfg_k)))
-        if far.size:
-            # a call of their own: above 8192 columns numpy's buffered
-            # reduction makes a row's sum depend in its last bits on the
-            # row's place in the call, and apart they do not move with M_fixed
-            left_modes = np.concatenate([left_modes, beta_sq_sums(Region.LEFT, far, n_idx, cfg_k)])
         n_per[k] = left_modes[probe_pos]
         # probe ip's (m, N) entry is the diagonal of the probes' m x N grid
         a, b = coeff_grid(Region.LEFT, probe_ms, probe_Ns, cfg_k)

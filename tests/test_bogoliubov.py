@@ -390,8 +390,10 @@ def _assert_rel(got, want, bound):
 @pytest.mark.parametrize("r", [1 / np.pi, 0.21, 0.5, 0.5472])
 @pytest.mark.parametrize("mu", [0.0, 4.7619, 1000.0])
 def test_beta_sq_sums_match_coeff_grid_rows(r, mu):
-    # the kernel forms beta as coeff_grid does, so only the order of the
-    # N-sum differs; r = 1/2 holds exact resonances and Kronecker zeros
+    # the kernel sums (b_N / (Om_N + om_m))^2 and applies the row factor
+    # after the sum, so it differs from coeff_grid's beta rows by the
+    # rounding of the factoring and the order of the N-sum; r = 1/2 holds
+    # exact resonances and Kronecker zeros
     cfg = kg.validate_config(1.0, r, mu)
     N_idx = np.arange(1, 10_001)
     scattered = np.array([57, 3, 3, 100, 1, 57])
@@ -400,7 +402,8 @@ def test_beta_sq_sums_match_coeff_grid_rows(r, mu):
             got = kg.beta_sq_sums(region, m_idx, N_idx, cfg)
             _assert_rel(got, _coeff_grid_beta_sq(region, m_idx, N_idx, cfg), 1e-13)
         assert got[1] == got[2] and got[0] == got[5]        # duplicated rows
-        # divergence_scan's tall shape: one entry per row, so exact
+        # divergence_scan's tall shape: one entry per row, so only the
+        # factoring's rounding differs
         tall = np.arange(1, 100_001)
         got = kg.beta_sq_sums(region, tall, [3], cfg)
         _assert_rel(got, _coeff_grid_beta_sq(region, tall, [3], cfg), 1e-13)
@@ -420,6 +423,22 @@ def test_beta_sq_sums_independent_of_tiling_property(r, mu, right, m_list, n_col
         mp.setattr(bogoliubov, "_CHUNK_ENTRIES", chunk)
         got = kg.beta_sq_sums(region, m_idx, N_idx, cfg)
     _assert_rel(got, want, 1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.05, 0.95), mu=st.floats(0.0, 50.0), right=st.booleans(),
+       m_list=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+       n_cols=st.integers(8_000, 20_000))
+def test_beta_sq_sums_rows_independent_of_the_call_property(r, mu, right, m_list, n_cols):
+    # across numpy's 8192-element reduction buffer: a row's sum has the same
+    # bits alone as among other rows, so <n_m> never depends on the request
+    cfg = kg.validate_config(1.0, r, mu)
+    region = RG if right else L
+    N_idx = np.arange(1, n_cols + 1)
+    together = kg.beta_sq_sums(region, np.array(m_list), N_idx, cfg)
+    for i, m in enumerate(m_list):
+        alone = kg.beta_sq_sums(region, np.array([m]), N_idx, cfg)
+        assert alone[0].tobytes() == together[i].tobytes()
 
 
 # ── completeness identities ──────────────────────────────────────────────────

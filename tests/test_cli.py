@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import kgcavity as kg
-from kgcavity import bogoliubov
-from kgcavity.cli import main, parse_float_list, parse_int_list, parse_probes
+from kgcavity import bogoliubov, vacuum
+from kgcavity.cli import build_parser, main, parse_float_list, parse_int_list, parse_probes
 
 
 # ── flag-value parsing ──────────────────────────────────────────────────────
@@ -96,6 +96,28 @@ def test_spectrum_products_and_digests(tmp_path):
     assert side["digest"] == man["outputs"][0]["digest"]
     assert side["config"]["R"] == 1.0 and side["config"]["r"] == 0.5
     assert side["truncation"]["n_max_global"] == 800
+
+
+def test_spectrum_reports_the_lmax_cutoff_it_ran(tmp_path):
+    out = str(tmp_path / "s")
+    assert main(["spectrum", "--mu-list", "0,5", "--out-dir", out]) == 0
+    assert Path(out, "spectrum.csv").read_text().splitlines()[1].startswith(
+        "# n_max_global=10000 m_max_local=20 ")
+    for doc in (_read_json(Path(out, "spectrum.json")), _read_json(Path(out, "manifest.json"))):
+        assert doc["truncation"]["m_max_local"] == 20
+
+
+def test_parser_is_built_once_and_parses_afresh(tmp_path):
+    assert build_parser() is build_parser()
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["modes", "--nmax", "200", "--grid", "65", "--times", "0.1",
+                 "--out-dir", first]) == 0
+    assert main(["modes", "--nmax", "200", "--grid", "65", "--out-dir", second]) == 0
+    man = _read_json(os.path.join(second, "manifest.json"))
+    assert [o["path"] for o in man["outputs"]] == ["mode_left_m1_t0.csv"]
+    assert set(man["tail_bounds"]) == {"t=0", "gibbs_overshoot_t=0"}
+    header = Path(second, "mode_left_m1_t0.csv").read_text().splitlines()
+    assert header[2] == "# time=0 region=left m=1"
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -308,6 +330,32 @@ def test_diverge_and_rscan_products(tmp_path):
     lines = Path(out2, "rscan.csv").read_text().splitlines()
     assert lines[3] == "value,n_m1,alpha_m1_N1,beta_m1_N1,sum_left_M10,sum_both_M10"
     assert len(lines) == 4 + 2
+
+
+def test_rscan_reads_the_left_rows_in_one_call(tmp_path, monkeypatch):
+    # the summed rows 1..M_fixed and the probe past them share one LEFT call
+    # per scan value; at the default n_max = 10^4, above numpy's
+    # 8192-element reduction buffer, the probe's <n_m> still has the bits
+    # of its row alone
+    beta_sq_sums = kg.beta_sq_sums
+    left_calls = []
+
+    def spy(region, m_idx, N_idx, cfg):
+        if region is kg.Region.LEFT:
+            left_calls.append(tuple(int(m) for m in m_idx))
+        return beta_sq_sums(region, m_idx, N_idx, cfg)
+
+    monkeypatch.setattr(vacuum, "beta_sq_sums", spy)
+    out = str(tmp_path / "r")
+    assert main(["rscan", "--probes", "1:1,150:3,2:3", "--out-dir", out]) == 0
+    assert left_calls == [tuple(range(1, 101)) + (150,)] * 3
+    lines = Path(out, "rscan.csv").read_text().splitlines()
+    col = lines[3].split(",").index("n_m150")
+    for line in lines[4:]:
+        cells = line.split(",")
+        cfg = kg.validate_config(1.0, float(cells[0]), 0.0)
+        want = beta_sq_sums(kg.Region.LEFT, [150], np.arange(1, 10_001), cfg)[0]
+        assert float(cells[col]) == want
 
 
 def test_identities_multi_cutoff(tmp_path):
