@@ -269,9 +269,10 @@ def beta_sq_sums(
     beta_mN = a_beta_m t_mN, t_mN = b_N / (Omega_N + omega_m), each tile
     forms t in one reused buffer and adds ``np.vecdot(t, t)`` to the row
     sums; the row factor a_beta_m^2 multiplies each sum once, after the
-    last tile. ``np.vecdot`` reduces every row in its own call and the
-    column tiles do not depend on the rows, so a row's sum has the same
-    bits whichever other rows share the call. Neither alpha, nor the
+    last tile. ``np.vecdot`` reduces every row in its own call (a
+    one-column tile is squared directly: the same bits) and the column
+    tiles do not depend on the rows, so a row's sum has the same bits
+    whichever other rows share the call. Neither alpha, nor the
     resonance search (beta has no resonance branch), nor a
     len(m) x len(N) array is ever built.
     """
@@ -289,7 +290,8 @@ def beta_sq_sums(
             c = min(width, n_cols - c0)
             t = np.add(fac.om[rows, None], fac.Om[cols], out=buf[:n, :c])
             np.divide(fac.b[cols], t, out=t)
-            sums[rows] += np.vecdot(t, t)
+            # a length-1 vecdot per row costs more than the square it computes
+            sums[rows] += t[:, 0] * t[:, 0] if c == 1 else np.vecdot(t, t)
     return sums * (fac.a_beta * fac.a_beta)
 
 

@@ -7,10 +7,35 @@ fixed column order, with fixed '\n' newlines and metadata only in
 payloads. Every CSV gets a JSON sidecar carrying the configuration,
 truncation, tail-bound summary and the payload digest; a run-level manifest
 lists all outputs.
+
+A table of fewer than ``_ENCODE_MIN_CELLS`` cells per dtype kind it holds
+is printed one %-template per row. A larger one whose columns are all 1-D
+bool, integer, float (up to 64 bits) or str goes through the column
+encoder, which prints every cell byte for byte as ``fmt17`` does. A float
+cell x is printed from the correctly rounded 17-digit significand D of
+|x| 10**(16-e), with e the decimal exponent, and that product is computed
+so that its rounding can be certified:
+
+- 10**k comes from a table built on first use as hi + lo, hi the double
+  nearest 10**k and lo the double nearest 10**k - hi. Since
+  |lo| <= 2**-53 hi and lo is rounded once, |hi + lo - 10**k| <= 2**-106 hi.
+- Dekker's two-product gives |x| hi exactly as ph + pl; ph >= 1e16 is an
+  integer, and the fraction is t = pl + |x| lo. With the product p below
+  2**57, |x lo| < 2**4 and |t| < 2**5, so t is off the exact p - ph by at
+  most 2**-49 (the table) + 2**-49 (rounding |x| lo) + 2**-48 (rounding the
+  sum) = 2**-47.
+- D is accepted when the fraction lies more than 2**-30 from a rounding
+  tie, far outside that error, so it rounds as the exact product does.
+  Where lo is 0 (10**k is a double, 0 <= k <= 22) t is exact, and an exact
+  tie rounds half to even, as %.17g does.
+- The fast path takes 1e-280 < |x| < 1e280, where every partial product is
+  a normal double; zeros are exact. Every other cell (nan, inf, a
+  subnormal, a near tie of an inexact product) is printed by ``fmt17``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -40,6 +65,16 @@ def fmt17(v) -> str:
 # the %-conversion of a column, by its dtype kind; every other kind is "%s"
 _KIND_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
+# Tables of at least this many cells per dtype kind they hold go through
+# the column encoder, whose fixed cost is per kind; below it, one
+# %-template per row is faster (break-even near 500-700 on 2 vCPU).
+_ENCODE_MIN_CELLS = 768
+# A chunk of rows holds at most this many cells of one dtype kind, so that
+# the encoder's working arrays (32 KiB each for 8-byte dtypes) stay in
+# cache: at twice as many, a float cell took about 2.4 times as long on
+# 2 vCPU.
+_CHUNK_CELLS = 4096
+
 
 def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     """Write '#'-commented CSV; returns the sha256 hex digest of the payload.
@@ -47,19 +82,323 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     ``columns`` parallels ``names``: one array-like per column, all of one
     length (a ValueError otherwise). Each column is printed by the one
     %-conversion of its dtype kind, byte for byte what ``fmt17`` gives
-    each of its cells.
+    each of its cells. Tables of at least ``_ENCODE_MIN_CELLS`` cells per
+    dtype kind, whose columns are all 1-D bool, integer, float (up to 64
+    bits) or str, are printed by the column encoder, in chunks of rows.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} names for {len(columns)} columns")
     cols = [np.asarray(c) for c in columns]
-    template = ",".join(_KIND_FORMATS.get(c.dtype.kind, "%s") for c in cols)
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(names))
-    lines.extend(map(template.__mod__, zip(*(c.tolist() for c in cols), strict=True)))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    head = ("".join(f"# {c}\n" for c in comments) + ",".join(names) + "\n").encode("utf-8")
+    n_rows = len(cols[0]) if cols and cols[0].ndim == 1 else 0
+    kinds = {c.dtype.kind for c in cols}
+    if (n_rows * len(cols) < _ENCODE_MIN_CELLS * len(kinds)
+            or any(c.shape != (n_rows,) or not _encodable(c) for c in cols)):
+        template = ",".join(_KIND_FORMATS.get(c.dtype.kind, "%s") for c in cols)
+        rows = map(template.__mod__, zip(*(c.tolist() for c in cols), strict=True))
+        payload = head + "".join(row + "\n" for row in rows).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        return hashlib.sha256(payload).hexdigest()
+    # str cells are encoded before the file is opened: a str that is not
+    # UTF-8 raises here and leaves nothing written
+    texts = {j: _packed([v.encode("utf-8") for v in c.tolist()])
+             for j, c in enumerate(cols) if c.dtype.kind == "U"}
+    digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
-        fh.write(payload)
-    return hashlib.sha256(payload).hexdigest()
+        fh.write(head)
+        for chunk in _encoded_rows(cols, texts, n_rows):
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+# ── the column encoder ───────────────────────────────────────────────────────
+#
+# A cell and its separator fill a fixed run of 8-byte words, little-endian,
+# so byte j of a word is bits 8j..8j+7. A slot the cell does not print holds
+# _PAD; one bytes.translate per chunk deletes every pad. The words are built
+# with whole-column integer arithmetic; each cell's bytes are read back from
+# tables only by index (np.take), never formatted one at a time.
+
+_PAD = 0xFF             # UTF-8 never emits 0xFF
+_ONES = 0xFFFF_FFFF_FFFF_FFFF
+_ZEROS = 0x3030_3030_3030_3030     # eight ASCII "0"
+
+
+def _encodable(col: np.ndarray) -> bool:
+    """True for the dtypes the encoder prints: str, and the kinds of
+    _ENCODERS up to 8 bytes (a float of at most 64 bits is exact as a
+    double)."""
+    return col.dtype.kind == "U" or (col.dtype.kind in _ENCODERS and col.dtype.itemsize <= 8)
+
+
+def _encoded_rows(cols: list[np.ndarray], texts: dict, n_rows: int):
+    """The table's rows as bytes, one chunk of rows at a time. The columns
+    of one dtype kind are encoded together, as one flat array a chunk;
+    ``texts`` holds the packed words of each str column by its index. The
+    top byte of a cell's last word is a pad, where its separator goes."""
+    widths = [texts[j].shape[1] if j in texts else _ENCODERS[c.dtype.kind][1]
+              for j, c in enumerate(cols)]
+    ends = np.cumsum(widths)
+    groups: dict[str, list[int]] = {}
+    for j, c in enumerate(cols):
+        if j not in texts:
+            groups.setdefault(c.dtype.kind, []).append(j)
+    seps = np.full(len(cols), (_PAD ^ ord(",")) << 56, np.uint64)
+    seps[-1] = (_PAD ^ ord("\n")) << 56
+    step = max(1, _CHUNK_CELLS // max(map(len, groups.values()), default=1))
+    buf = np.empty((min(step, n_rows), int(ends[-1])), np.uint64)
+    for lo in range(0, n_rows, step):
+        n = min(step, n_rows - lo)
+        for j, words in texts.items():
+            buf[:n, ends[j] - widths[j]:ends[j]] = words[lo:lo + n]
+        for kind, members in groups.items():
+            dtype, width, encode = _ENCODERS[kind]
+            part = np.empty((n, len(members)), dtype)
+            for i, j in enumerate(members):
+                part[:, i] = cols[j][lo:lo + n]
+            cells = encode(part.ravel()).reshape(n, len(members), width)
+            for i, j in enumerate(members):
+                buf[:n, ends[j] - width:ends[j]] = cells[:, i]
+        buf[:n, ends - 1] ^= seps
+        yield buf[:n].tobytes().translate(None, b"\xff")
+
+
+def _packed(cells: list[bytes], width: int = 0) -> np.ndarray:
+    """(len(cells), words) uint64: each cell's bytes, then pads, at least
+    one; ``width`` is the least byte count before the last pad."""
+    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+    width = max(width, int(lengths.max(initial=0)))
+    out = np.full((len(cells), (width + 8) // 8 * 8), _PAD, np.uint8)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(cells), np.uint8)
+    return out.view(np.uint64)
+
+
+def _bool_words(x: np.ndarray) -> np.ndarray:
+    """(n, 1) uint64 ``%d`` cells of a bool array: "0" or "1", then pads."""
+    return (x.view(np.uint8) | np.uint64(_ONES ^ _PAD ^ ord("0")))[:, None]
+
+
+def _ascii8(v: np.ndarray) -> np.ndarray:
+    """uint64 ``v`` < 10**8 as eight ASCII digits, leading zeros included,
+    the first digit in the lowest byte: two 4-digit lanes, each split into
+    two 2-digit lanes and those into tens and ones, with multiply-shift
+    divisions exact in their range."""
+    hi = v // 10_000
+    x = v - hi * 10_000
+    x <<= 32
+    x |= hi
+    y = x * 10_486
+    y >>= 20
+    y &= 0x0000_007F_0000_007F      # lane // 100
+    x -= y * 100
+    x <<= 16
+    x |= y
+    y = x * 103
+    y >>= 10
+    y &= 0x000F_000F_000F_000F      # lane // 10
+    x -= y * 10
+    x <<= 8
+    x |= y
+    x += _ZEROS
+    return x
+
+
+def _nonzero_bytes(word: np.ndarray) -> np.ndarray:
+    """Bit 8j + 7 set where ASCII-digit byte j of ``word`` is not "0"."""
+    return ((word ^ _ZEROS) + 0x7F7F_7F7F_7F7F_7F7F) & 0x8080_8080_8080_8080
+
+
+def _slot_masks(first_slots, pred, n: int, value: int = _PAD) -> list:
+    """Per word, whose byte j holds slot first_slot + j: uint64 masks by
+    v = 0..n-1 holding ``value`` in the bytes of the slots s >= 0 with
+    pred(s, v)."""
+    return [np.array([sum(value << 8 * j for j in range(8) if f + j >= 0 and pred(f + j, v))
+                      for v in range(n)], np.uint64) for f in first_slots]
+
+
+# ── integers: sign, 3 pads, 20 digits (2**64 - 1 has 20), 8 pads ───────────
+
+@functools.cache
+def _int_tables():
+    """10**1 .. 10**19, and the pads over the leading zeros of a 20-digit
+    magnitude by their count: digit j sits in byte j + 4 of the first three
+    words."""
+    pow10 = np.array([10**k for k in range(1, 20)], np.uint64)
+    return pow10, _slot_masks((-4, 4, 12), lambda s, zeros: s < zeros, 20)
+
+
+def _int_words(x: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64 ``%d`` cells of an int64 or uint64 array."""
+    pow10, lead = _int_tables()
+    if x.dtype.kind == "u":
+        mag, neg = x, np.zeros(len(x), np.uint64)
+    else:
+        # |x| as uint64 without overflow, for -2**63 too
+        mag = np.where(x < 0, (~x).astype(np.uint64) + 1, x.astype(np.uint64))
+        neg = (x < 0).astype(np.uint64)
+    top = mag // 10**16
+    rest = mag - top * 10**16
+    mid = rest // 10**8
+    zeros = 19 - np.searchsorted(pow10, mag, side="right")
+    out = np.empty((len(x), 4), np.uint64)
+    out[:, 0] = ((_ascii8(top) | 0xFFFF_FFFF) & ~(neg * 0xD2)) | lead[0].take(zeros)
+    out[:, 1] = _ascii8(mid) | lead[1].take(zeros)
+    out[:, 2] = _ascii8(rest - mid * 10**8) | lead[2].take(zeros)
+    out[:, 3] = _ONES
+    return out
+
+
+# ── floats: sign, "0.000" lead, 18 digit-or-point slots, "e+XXX", 3 pads ───
+
+_X_MIN, _X_MAX = -300, 300          # decimal exponents the layout tables cover
+_K_MIN, _K_MAX = -270, 300          # powers of ten the scale table covers
+_SPLIT = 134217729.0                # 2**27 + 1, Veltkamp's split of a double
+
+
+def _powers_of_ten():
+    """10**k for k in [_K_MIN, _K_MAX] as hi + lo (hi correctly rounded, lo
+    the rounded remainder), with hi's Veltkamp halves."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi.append(num / den)        # an int / int quotient is correctly rounded
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+    hi, lo = np.array(hi), np.array(lo)
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return hi, lo, hh, hi - hh
+
+
+def _layouts():
+    """Per decimal exponent X in [_X_MIN, _X_MAX] of a cell: its first word
+    (pad, then the "0." lead of -4 <= X < 0, bytes 6-7 left 0), its last
+    word (the "e+XX" suffix of X < -4 or X >= 17, pads), the point
+    position q among the 18 digit-or-point slots and kint, the digits
+    %.17g prints whatever their value."""
+    first, last, q, kint = [], [], [], []
+    for X in range(_X_MIN, _X_MAX + 1):
+        fixed = -4 <= X < 17
+        lead = b"0." + b"0" * (-X - 1) if fixed and X < 0 else b""
+        suffix = b"" if fixed else f"e{X:+03d}".encode()
+        first.append(int.from_bytes(b"\xff" + lead.ljust(5, b"\xff") + b"\0\0", "little"))
+        last.append(int.from_bytes(suffix.ljust(8, b"\xff"), "little"))
+        q.append(X + 1 if 0 <= X < 17 else 17 if fixed else 1)
+        kint.append(X + 1 if 0 <= X < 17 else 1)
+    return (np.array(first, np.uint64), np.array(last, np.uint64),
+            np.array(q, np.intp), np.array(kint, np.intp))
+
+
+def _body_masks():
+    """Per word of the 18 body slots (slots 0-1 in bytes 6-7 of word 0,
+    2-9 in word 1, 10-17 in word 2), by the code 19 q + L of the point
+    position q and the printed slot count L: the slots 1..q-1 (a digit
+    moved one slot down), the slots 0 and q+1.. (a digit in place), and
+    the point at q with pads over the slots L..17."""
+    first = (-6, 2, 10)
+
+    def by_code(pred, value=_PAD):
+        return _slot_masks(first, lambda s, c: s < 18 and pred(s, *divmod(c, 19)), 18 * 19, value)
+
+    point = by_code(lambda s, q, L: s == q, ord("."))
+    pads = by_code(lambda s, q, L: s >= L)
+    return list(zip(by_code(lambda s, q, L: 1 <= s < q),
+                    by_code(lambda s, q, L: s == 0 or s > q),
+                    [p | f for p, f in zip(point, pads)]))
+
+
+@functools.cache
+def _float_tables():
+    return _powers_of_ten(), _layouts(), _body_masks()
+
+
+def _significands(w: np.ndarray, e: np.ndarray):
+    """(d, sure, below): the 17-digit round-half-even significand d of
+    p = w * 10**(16 - e), whether d is certain, and whether p < 1e16.
+
+    p is the double ph plus the small double t: Dekker's two-product gives
+    w * hi exactly as ph + pl, and w * lo is added to pl. ph >= 1e16 is an
+    integer, so d rounds t alone. Where lo is 0 (10**k is a double) p is
+    exact and so is a tie; otherwise d is certain only more than 2**-30
+    from a tie.
+    """
+    (hi, lo, hh, hl), _, _ = _float_tables()
+    i = 16 - e - _K_MIN
+    h, l, a, b = hi.take(i), lo.take(i), hh.take(i), hl.take(i)
+    ph = w * h
+    c = _SPLIT * w
+    wh = c - (c - w)
+    wl = w - wh
+    t = (((wh * a - ph) + wh * b + wl * a) + wl * b) + w * l
+    below = (ph - 1e16) + t < 0     # ph - 1e16 is exact, and 0 or >= 2 apart
+    whole = np.floor(t)
+    frac = t - whole
+    d = np.maximum(ph, 1e16).astype(np.int64) + whole.astype(np.int64)
+    d += (frac > 0.5) | ((frac == 0.5) & ((d & 1) == 1))
+    sure = ~below & ((l == 0.0) | (np.abs(frac - 0.5) > 2.0**-30))
+    return d, sure, below
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64 ``%.17g`` cells of a float64 array."""
+    _, (first, last, q_of, kint_of), body_masks = _float_tables()
+    ax = np.abs(x)
+    fast = (ax > 1e-280) & (ax < 1e280)
+    w = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(w)).astype(np.intp)
+    d, sure, below = _significands(w, e)
+    # a first guess of the exponent is off by at most one: scale again
+    redo = np.flatnonzero(below | (d > 10**17))
+    if len(redo):
+        e[redo] += np.where(below[redo], -1, 1)
+        d[redo], sure[redo], below[redo] = _significands(w[redo], e[redo])
+        sure[redo] &= ~below[redo] & (d[redo] <= 10**17)
+    # rounding up to 10**17 carries into the exponent
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    # a zero, and every other cell off the fast path, has e = 0 (w = 1)
+    zero = ax == 0.0
+    d[zero] = 0
+    fallback = np.flatnonzero(~(fast & sure) & ~zero)
+    X = e - _X_MIN
+    # the digits: d0, then A and B, eight each
+    d = d.astype(np.uint64)
+    d0 = d // 10**16
+    rest = d - d0 * 10**16
+    halves = np.empty((2, len(x)), np.uint64)
+    np.floor_divide(rest, 10**8, out=halves[0])
+    np.subtract(rest, halves[0] * 10**8, out=halves[1])
+    A, B = digits = _ascii8(halves)
+    # K digits are printed: through the last nonzero one, and at least kint
+    _, (top_a, top_b) = np.frexp(_nonzero_bytes(digits).astype(np.float64))
+    K = np.maximum(np.maximum(top_a // 8 + 1, (top_b // 8 + 9) * (top_b > 0)), kint_of.take(X))
+    q = q_of.take(X)
+    # slot s < q holds digit s, slot q the point, slot s > q digit s - 1
+    code = 19 * q + K + (K > q)     # a point is printed with a digit after it
+    out = np.empty((len(x), 4), np.uint64)
+    words = ((d0 + ord("0")) << 48, A, B)
+    moved = ((A & 0xFF) << 56, (A >> 8) | (B << 56), B >> 8)
+    for k, (word, shifted, (m_moved, m_kept, m_fixed)) in enumerate(zip(words, moved, body_masks)):
+        out[:, k] = ((shifted & m_moved.take(code)) | (word & m_kept.take(code))
+                     | m_fixed.take(code))
+    out[:, 0] = (out[:, 0] | first.take(X)) & ~(np.signbit(x) * np.uint64(0xD2))
+    out[:, 3] = last.take(X)
+    if len(fallback):
+        out[fallback] = _packed([fmt17(v).encode() for v in x[fallback].tolist()], 31)
+    return out
+
+
+# by dtype kind: the dtype an encoder reads (each cast is exact), its words
+# per cell, and the encoder
+_ENCODERS = {
+    "b": (np.bool_, 1, _bool_words),
+    "i": (np.int64, 4, _int_words),
+    "u": (np.uint64, 4, _int_words),
+    "f": (np.float64, 4, _float_words),
+}
 
 
 def _write_json(path: str, doc: dict) -> None:

@@ -439,6 +439,12 @@ def test_beta_sq_sums_rows_independent_of_the_call_property(r, mu, right, m_list
     for i, m in enumerate(m_list):
         alone = kg.beta_sq_sums(region, np.array([m]), N_idx, cfg)
         assert alone[0].tobytes() == together[i].tobytes()
+    # divergence_scan's one-column shape, where each row is one square
+    one_col = np.array([n_cols])
+    tall = kg.beta_sq_sums(region, np.arange(1, 301), one_col, cfg)
+    for m in m_list:
+        alone = kg.beta_sq_sums(region, np.array([m]), one_col, cfg)
+        assert alone[0].tobytes() == tall[m - 1].tobytes()
 
 
 # ── completeness identities ──────────────────────────────────────────────────

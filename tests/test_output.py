@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kgcavity as kg
+from kgcavity import output
 from kgcavity.output import fmt17, write_csv, write_manifest, write_sidecar
 
 
@@ -82,42 +83,115 @@ def test_json_writes_non_finite_values_as_strings(tmp_path, cfg_half, trunc_10k)
 
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 1e16]
+# numpy drops trailing NULs of a str array, and UTF-8 has no surrogates
+_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6)
 _CELLS = {
     np.int64: st.integers(-2**63, 2**63 - 1),
+    np.uint64: st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
+    np.bool_: st.booleans(),
+    np.float32: st.floats(width=32),
     np.float64: st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
-    # numpy drops trailing NULs of a str array, and UTF-8 has no surrogates
-    str: st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6),
+    # an interior NUL is printed as is
+    str: st.one_of(_TEXT, st.builds(lambda a, b: f"{a}\x00{b}", _TEXT, _TEXT.filter(bool))),
 }
 
 
 @st.composite
 def _tables(draw):
     """[(dtype, cells, as_array), ...]: columns of one length, 0 rows included;
-    a column goes to write_csv as a numpy array or as a list of its cells."""
+    a column goes to write_csv as a numpy array or as a list of its cells.
+    uint64 cells go as an array: np.asarray makes a list of ints above
+    2**63 - 1 and below it float64."""
     n = draw(st.integers(0, 8))
     dtypes = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5))
-    return [(t, draw(st.lists(_CELLS[t], min_size=n, max_size=n)), draw(st.booleans()))
-            for t in dtypes]
+    return [(t, draw(st.lists(_CELLS[t], min_size=n, max_size=n)),
+             t is np.uint64 or draw(st.booleans())) for t in dtypes]
+
+
+def _fmt17_rows(columns) -> bytes:
+    """The oracle: every row as the ',' join of its cells' fmt17."""
+    return "".join(",".join(fmt17(v) for v in row) + "\n" for row in zip(*columns)).encode("utf-8")
 
 
 @given(table=_tables())
 @example(table=[
     (np.float64, _SPECIAL_FLOATS, True),
     (np.int64, [0, -7, 2**63 - 1, -2**63, 10**16, 1, 5], False),
-    (str, ["", "a,b", "%d", "left", "\u00e9", "1e16", "nan"], True),
+    (str, ["", "a,b", "%d", "left", "é", "1e16", "nan"], True),
+])
+@example(table=[
+    (np.uint64, [0, 2**63, 2**64 - 1, 10**19, 9, 10, 2**63 - 1], True),
+    (np.bool_, [True, False, True, True, False, False, True], True),
+    (np.float32, [0.10000000149011612, -3.4028234663852886e38, 1.401298464324817e-45,
+                  -0.0, 1.5, 65504.0, float("nan")], True),
+    (str, ["a\x00b", "\x00c", "", "d", "é\x00é", "x", "y"], False),
 ])
 def test_write_csv_rows_match_fmt17_join(tmp_path_factory, table):
-    # one %-conversion per column, byte for byte the fmt17 join of every row
+    # one %-conversion per column, byte for byte the fmt17 join of every
+    # row, from the row template and, with no size floor, the column encoder
     path = str(tmp_path_factory.getbasetemp() / "prop.csv")
     columns = [np.array(cells, dtype=t) if as_array else cells for t, cells, as_array in table]
     names = [f"c{k}" for k in range(len(table))]
-    digest = write_csv(path, ["prop"], names, columns)
-    rows = zip(*(cells for _, cells, _ in table))
-    want = "# prop\n" + ",".join(names) + "\n" + "".join(
-        ",".join(fmt17(v) for v in row) + "\n" for row in rows)
-    raw = Path(path).read_bytes()
-    assert raw == want.encode("utf-8")
-    assert digest == hashlib.sha256(raw).hexdigest()
+    want = b"# prop\n" + ",".join(names).encode() + b"\n" + _fmt17_rows(
+        [cells for _, cells, _ in table])
+    for floor in (output._ENCODE_MIN_CELLS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(output, "_ENCODE_MIN_CELLS", floor)
+            digest = write_csv(path, ["prop"], names, columns)
+        raw = Path(path).read_bytes()
+        assert raw == want
+        assert digest == hashlib.sha256(raw).hexdigest()
+
+
+def _edge_floats() -> np.ndarray:
+    """Hand-built cells at every rule of %.17g and of the encoder."""
+    switches = [1e-5, 1e-4, 1e16, 1e17]
+    near = [np.nextafter(v, d) for v in switches for d in (0.0, np.inf)]
+    edges = [
+        1234567890123456.75, 1234567890123456.25,   # exact ties: ...456.8, ...456.2
+        1e-14, 1e-79, 1e98,                         # the 17th digit carries to 10**k
+        *switches, *near,
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        float("inf"), float("-inf"), float("nan"),
+        3 * 2.0**-24, 5 * 2.0**-24,                 # ties of an inexact 10**k
+        1e-280, 1e280, -1.7976931348623157e308, 0.5, 1.0, 100.0,
+    ]
+    return np.array(edges + [-v for v in edges])
+
+
+def test_write_csv_encoder_is_exact_across_chunks(tmp_path, rng):
+    # three chunks and a remainder of random bit patterns, normals scaled
+    # over 10**+-30 and the edges, each column against the fmt17 join; a
+    # chunk holds _CHUNK_CELLS cells of the three float columns
+    n = 3 * (output._CHUNK_CELLS // 3) + 123
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    scaled = rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, n)
+    edges = np.resize(_edge_floats(), n)
+    ints = rng.integers(-2**63, 2**63, n, dtype=np.int64)
+    columns = [bits, scaled, edges, ints]
+    path = tmp_path / "t.csv"
+    digest = write_csv(str(path), [], ["bits", "scaled", "edges", "ints"], columns)
+    want = b"bits,scaled,edges,ints\n" + _fmt17_rows([c.tolist() for c in columns])
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+def test_write_csv_fast_path_formats_almost_every_float(tmp_path, rng, monkeypatch):
+    # the encoder certifies its own digits: of 10**5 normals scaled over
+    # 10**+-20, at most 10 cells go to fmt17
+    x = rng.normal(size=100_000) * 10.0 ** rng.uniform(-20, 20, 100_000)
+    want = b"x\n" + _fmt17_rows([x.tolist()])
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return fmt17(v)
+
+    monkeypatch.setattr(output, "fmt17", counted)
+    path = tmp_path / "t.csv"
+    write_csv(str(path), [], ["x"], [x])
+    assert path.read_bytes() == want
+    assert len(calls) <= 10
 
 
 def test_write_csv_header_only_and_ragged_tables(tmp_path):
