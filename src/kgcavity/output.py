@@ -52,7 +52,8 @@ __all__ = ["VERSION", "fmt17", "write_csv", "write_sidecar", "write_manifest"]
 
 
 def fmt17(v) -> str:
-    """One CSV cell: shortest-faithful decimal for floats, plain for the rest."""
+    """One CSV cell: a float as %.17g (17 significant digits, so it reads
+    back exactly), an int or bool as %d, anything else as str."""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, int):
