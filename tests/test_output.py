@@ -117,7 +117,7 @@ def _fmt17_rows(columns) -> bytes:
 @example(table=[
     (np.float64, _SPECIAL_FLOATS, True),
     (np.int64, [0, -7, 2**63 - 1, -2**63, 10**16, 1, 5], False),
-    (str, ["", "a,b", "%d", "left", "é", "1e16", "nan"], True),
+    (str, ["", "a,b", "%d", "left", "\u00e9", "1e16", "nan"], True),
 ])
 @example(table=[
     (np.uint64, [0, 2**63, 2**64 - 1, 10**19, 9, 10, 2**63 - 1], True),
@@ -164,7 +164,7 @@ def test_write_csv_encoder_is_exact_across_chunks(tmp_path, rng):
     # over 10**+-30 and the edges, each column against the fmt17 join; a
     # chunk holds _CHUNK_CELLS cells of the three float columns
     n = 3 * (output._CHUNK_CELLS // 3) + 123
-    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
     scaled = rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, n)
     edges = np.resize(_edge_floats(), n)
     ints = rng.integers(-2**63, 2**63, n, dtype=np.int64)
