@@ -119,8 +119,8 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
 # A cell and its separator fill a fixed run of 8-byte words, little-endian,
 # so byte j of a word is bits 8j..8j+7. A slot the cell does not print holds
 # _PAD; one bytes.translate per chunk deletes every pad. The words are built
-# with whole-column integer arithmetic; each cell's bytes are read back from
-# tables only by index (np.take), never formatted one at a time.
+# with whole-column integer arithmetic and tables read by index (take); only
+# a float cell off the fast path is formatted on its own, by fmt17.
 
 _PAD = 0xFF             # UTF-8 never emits 0xFF
 _ONES = 0xFFFF_FFFF_FFFF_FFFF
