@@ -9,12 +9,13 @@ truncation, tail-bound summary and the payload digest; a run-level manifest
 lists all outputs.
 
 A table of fewer than ``_ENCODE_MIN_CELLS`` cells per dtype kind it holds
-is printed one %-template per row. A larger one whose columns are all 1-D
-bool, integer, float (up to 64 bits) or str goes through the column
-encoder, which prints every cell byte for byte as ``fmt17`` does. A float
-cell x is printed from the correctly rounded 17-digit significand D of
-|x| 10**(16-e), with e the decimal exponent, and that product is computed
-so that its rounding can be certified:
+is printed one %-template per row, and so is every table with a column of
+another dtype (bool, unsigned, str, object). A larger one whose columns are
+all 1-D signed integers or floats of at most 64 bits goes through the
+column encoder, which prints every cell in four 8-byte words, byte for byte
+as ``fmt17`` does. A float cell x is printed from the correctly rounded
+17-digit significand D of |x| 10**(16-e), with e the decimal exponent, and
+that product is computed so that its rounding can be certified:
 
 - 10**k comes from a table built on first use as hi + lo, hi the double
   nearest 10**k and lo the double nearest 10**k - hi. Since
@@ -84,101 +85,85 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     length (a ValueError otherwise). Each column is printed by the one
     %-conversion of its dtype kind, byte for byte what ``fmt17`` gives
     each of its cells. Tables of at least ``_ENCODE_MIN_CELLS`` cells per
-    dtype kind, whose columns are all 1-D bool, integer, float (up to 64
-    bits) or str, are printed by the column encoder, in chunks of rows.
+    dtype kind, whose columns are all 1-D signed integers or floats of at
+    most 64 bits, are printed by the column encoder, in chunks of rows.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} names for {len(columns)} columns")
-    cols = [np.asarray(c) for c in columns]
+    cols = [_column(c) for c in columns]
     head = ("".join(f"# {c}\n" for c in comments) + ",".join(names) + "\n").encode("utf-8")
     n_rows = len(cols[0]) if cols and cols[0].ndim == 1 else 0
     kinds = {c.dtype.kind for c in cols}
-    if (n_rows * len(cols) < _ENCODE_MIN_CELLS * len(kinds)
+    if (not cols or n_rows * len(cols) < _ENCODE_MIN_CELLS * len(kinds)
             or any(c.shape != (n_rows,) or not _encodable(c) for c in cols)):
         template = ",".join(_KIND_FORMATS.get(c.dtype.kind, "%s") for c in cols)
         rows = map(template.__mod__, zip(*(c.tolist() for c in cols), strict=True))
-        payload = head + "".join(row + "\n" for row in rows).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(payload)
-        return hashlib.sha256(payload).hexdigest()
-    # str cells are encoded before the file is opened: a str that is not
-    # UTF-8 raises here and leaves nothing written
-    texts = {j: _packed([v.encode("utf-8") for v in c.tolist()])
-             for j, c in enumerate(cols) if c.dtype.kind == "U"}
+        # formatted before the file opens: a ragged table or a str that is
+        # not UTF-8 raises here and leaves nothing written
+        chunks = ["".join(row + "\n" for row in rows).encode("utf-8")]
+    else:
+        chunks = _encoded_rows(cols, n_rows)
     digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
         fh.write(head)
-        for chunk in _encoded_rows(cols, texts, n_rows):
+        for chunk in chunks:
             fh.write(chunk)
             digest.update(chunk)
     return digest.hexdigest()
 
 
+def _column(c) -> np.ndarray:
+    """``c`` as an array. A list of Python ints that numpy would make
+    float64 (one above 2**63 - 1 among smaller or negative ones) stays a
+    column of ints, as objects, so every cell keeps its own %d."""
+    col = np.asarray(c)
+    if col.dtype.kind == "f" and not isinstance(c, np.ndarray) and all(type(v) is int for v in c):
+        return np.asarray(c, dtype=object)
+    return col
+
+
 # ── the column encoder ───────────────────────────────────────────────────────
 #
-# A cell and its separator fill a fixed run of 8-byte words, little-endian,
-# so byte j of a word is bits 8j..8j+7. A slot the cell does not print holds
-# _PAD; one bytes.translate per chunk deletes every pad. The words are built
-# with whole-column integer arithmetic and tables read by index (take); only
-# a float cell off the fast path is formatted on its own, by fmt17.
+# A cell and its separator fill four 8-byte words, little-endian, so byte j
+# of a word is bits 8j..8j+7. A slot the cell does not print holds _PAD; one
+# bytes.translate per chunk deletes every pad. The words are built with
+# whole-column integer arithmetic and tables read by index (take); only a
+# float cell off the fast path is formatted on its own, by fmt17.
 
-_PAD = 0xFF             # UTF-8 never emits 0xFF
+_PAD = 0xFF             # no ASCII byte is 0xFF
 _ONES = 0xFFFF_FFFF_FFFF_FFFF
 _ZEROS = 0x3030_3030_3030_3030     # eight ASCII "0"
 
 
 def _encodable(col: np.ndarray) -> bool:
-    """True for the dtypes the encoder prints: str, and the kinds of
-    _ENCODERS up to 8 bytes (a float of at most 64 bits is exact as a
-    double)."""
-    return col.dtype.kind == "U" or (col.dtype.kind in _ENCODERS and col.dtype.itemsize <= 8)
+    """True for the dtypes the encoder prints: the kinds of _ENCODERS up to
+    8 bytes (each is exact as an int64 or a double)."""
+    return col.dtype.kind in _ENCODERS and col.dtype.itemsize <= 8
 
 
-def _encoded_rows(cols: list[np.ndarray], texts: dict, n_rows: int):
+def _encoded_rows(cols: list[np.ndarray], n_rows: int):
     """The table's rows as bytes, one chunk of rows at a time. The columns
-    of one dtype kind are encoded together, as one flat array a chunk;
-    ``texts`` holds the packed words of each str column by its index. The
+    of one dtype kind are encoded together, as one flat array a chunk. The
     top byte of a cell's last word is a pad, where its separator goes."""
-    widths = [texts[j].shape[1] if j in texts else _ENCODERS[c.dtype.kind][1]
-              for j, c in enumerate(cols)]
-    ends = np.cumsum(widths)
     groups: dict[str, list[int]] = {}
     for j, c in enumerate(cols):
-        if j not in texts:
-            groups.setdefault(c.dtype.kind, []).append(j)
+        groups.setdefault(c.dtype.kind, []).append(j)
     seps = np.full(len(cols), (_PAD ^ ord(",")) << 56, np.uint64)
     seps[-1] = (_PAD ^ ord("\n")) << 56
-    step = max(1, _CHUNK_CELLS // max(map(len, groups.values()), default=1))
-    buf = np.empty((min(step, n_rows), int(ends[-1])), np.uint64)
+    step = max(1, _CHUNK_CELLS // max(map(len, groups.values())))
+    buf = np.empty((min(step, n_rows), 4 * len(cols)), np.uint64)
     for lo in range(0, n_rows, step):
         n = min(step, n_rows - lo)
-        for j, words in texts.items():
-            buf[:n, ends[j] - widths[j]:ends[j]] = words[lo:lo + n]
         for kind, members in groups.items():
-            dtype, width, encode = _ENCODERS[kind]
+            dtype, encode = _ENCODERS[kind]
             part = np.empty((n, len(members)), dtype)
             for i, j in enumerate(members):
                 part[:, i] = cols[j][lo:lo + n]
-            cells = encode(part.ravel()).reshape(n, len(members), width)
+            cells = encode(part.ravel()).reshape(n, len(members), 4)
             for i, j in enumerate(members):
-                buf[:n, ends[j] - width:ends[j]] = cells[:, i]
-        buf[:n, ends - 1] ^= seps
+                buf[:n, 4 * j:4 * j + 4] = cells[:, i]
+        buf[:n, 3::4] ^= seps
         yield buf[:n].tobytes().translate(None, b"\xff")
-
-
-def _packed(cells: list[bytes], width: int = 0) -> np.ndarray:
-    """(len(cells), words) uint64: each cell's bytes, then pads, at least
-    one; ``width`` is the least byte count before the last pad."""
-    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
-    width = max(width, int(lengths.max(initial=0)))
-    out = np.full((len(cells), (width + 8) // 8 * 8), _PAD, np.uint8)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(cells), np.uint8)
-    return out.view(np.uint64)
-
-
-def _bool_words(x: np.ndarray) -> np.ndarray:
-    """(n, 1) uint64 ``%d`` cells of a bool array: "0" or "1", then pads."""
-    return (x.view(np.uint8) | np.uint64(_ONES ^ _PAD ^ ord("0")))[:, None]
 
 
 def _ascii8(v: np.ndarray) -> np.ndarray:
@@ -219,7 +204,7 @@ def _slot_masks(first_slots, pred, n: int, value: int = _PAD) -> list:
                       for v in range(n)], np.uint64) for f in first_slots]
 
 
-# ── integers: sign, 3 pads, 20 digits (2**64 - 1 has 20), 8 pads ───────────
+# ── integers: sign, 3 pads, 20 digit slots (int64 fills 19), 8 pads ────────
 
 @functools.cache
 def _int_tables():
@@ -231,20 +216,16 @@ def _int_tables():
 
 
 def _int_words(x: np.ndarray) -> np.ndarray:
-    """(n, 4) uint64 ``%d`` cells of an int64 or uint64 array."""
+    """(n, 4) uint64 ``%d`` cells of an int64 array."""
     pow10, lead = _int_tables()
-    if x.dtype.kind == "u":
-        mag, neg = x, np.zeros(len(x), np.uint64)
-    else:
-        # |x| as uint64 without overflow, for -2**63 too
-        mag = np.where(x < 0, (~x).astype(np.uint64) + 1, x.astype(np.uint64))
-        neg = (x < 0).astype(np.uint64)
+    # |x| as uint64: np.abs wraps -2**63 to itself, which reads as 2**63
+    mag = np.abs(x).view(np.uint64)
     top = mag // 10**16
     rest = mag - top * 10**16
     mid = rest // 10**8
     zeros = 19 - np.searchsorted(pow10, mag, side="right")
     out = np.empty((len(x), 4), np.uint64)
-    out[:, 0] = ((_ascii8(top) | 0xFFFF_FFFF) & ~(neg * 0xD2)) | lead[0].take(zeros)
+    out[:, 0] = ((_ascii8(top) | 0xFFFF_FFFF) & ~((x < 0) * np.uint64(0xD2))) | lead[0].take(zeros)
     out[:, 1] = _ascii8(mid) | lead[1].take(zeros)
     out[:, 2] = _ascii8(rest - mid * 10**8) | lead[2].take(zeros)
     out[:, 3] = _ONES
@@ -388,18 +369,15 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     out[:, 0] = (out[:, 0] | first.take(X)) & ~(np.signbit(x) * np.uint64(0xD2))
     out[:, 3] = last.take(X)
     if len(fallback):
-        out[fallback] = _packed([fmt17(v).encode() for v in x[fallback].tolist()], 31)
+        # fmt17's text (at most 24 bytes) NUL-padded to 32, the NULs made pads
+        text = np.array([fmt17(v) for v in x[fallback].tolist()], "S32").view(np.uint8)
+        text[text == 0] = _PAD
+        out[fallback] = text.view(np.uint64).reshape(-1, 4)
     return out
 
 
-# by dtype kind: the dtype an encoder reads (each cast is exact), its words
-# per cell, and the encoder
-_ENCODERS = {
-    "b": (np.bool_, 1, _bool_words),
-    "i": (np.int64, 4, _int_words),
-    "u": (np.uint64, 4, _int_words),
-    "f": (np.float64, 4, _float_words),
-}
+# by dtype kind: the dtype an encoder reads (each cast is exact) and the encoder
+_ENCODERS = {"i": (np.int64, _int_words), "f": (np.float64, _float_words)}
 
 
 def _write_json(path: str, doc: dict) -> None:

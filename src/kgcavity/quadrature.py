@@ -68,10 +68,11 @@ def _simpson(y: np.ndarray, h: float) -> complex:
 def kg_inner(f: SampledMode, g: SampledMode) -> InnerProduct:
     """(f|g) by composite Simpson, with a Richardson error estimate attached.
 
-    Requires identical grids and snapshot times; raises GridMismatch
-    otherwise. The error estimate compares the full grid against its
-    2x-coarsened subsample when the point count allows, falling back to a
-    Simpson-vs-trapezoid bracket.
+    Requires identical grids and snapshot times, and a uniform, increasing
+    grid (every step equal to the first within a relative 1e-9); raises
+    GridMismatch otherwise. The error estimate compares the full grid
+    against its 2x-coarsened subsample when the point count allows, falling
+    back to a Simpson-vs-trapezoid bracket.
     """
     if f.time != g.time:
         raise GridMismatch(f"snapshot times differ: {f.time} vs {g.time}")
@@ -81,6 +82,8 @@ def kg_inner(f: SampledMode, g: SampledMode) -> InnerProduct:
     if len(x) < 2:
         raise GridMismatch("need at least two grid points")
     h = x[1] - x[0]
+    if not (h > 0 and np.all(np.abs(np.diff(x) - h) <= 1e-9 * h)):
+        raise GridMismatch("kg_inner needs a uniform, increasing grid")
     y = 1j * (np.conj(f.value) * g.tderiv - np.conj(f.tderiv) * g.value)
 
     full = _simpson(y, h)

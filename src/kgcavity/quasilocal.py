@@ -26,7 +26,7 @@ from .bogoliubov import coeff_grid
 from .causality import Leakage, lightcone_leakage, outside_cone_mass
 from .config import CavityConfig, DomainError, ThresholdUnreachable, Truncation, ladder
 from .modes import Region, SampledMode, _check_time, _row_series
-from .vacuum import _coeff_sq_tail, _row_dots
+from .vacuum import _coeff_sq_tail
 
 __all__ = [
     "OverlapDistribution",
@@ -164,19 +164,19 @@ def quasilocal_wavepacket(
     t: float,
     cfg: CavityConfig,
     trunc: Truncation,
-    region: Region = Region.LEFT,
 ) -> SampledMode:
     """psi_m(x, t) = sum_N alpha_mN U_N(x, t) / sqrt(1 + <n_m>).
 
-    The positive-frequency content of u_m: same alpha amplitudes, no
-    conjugate branch, renormalized, summed by the same ``_row_series`` as
-    ``evolve_local_mode``, which also gives its tail estimate.
+    The positive-frequency content of the left mode u_m: same alpha
+    amplitudes, no conjugate branch, renormalized, summed by the same
+    ``_row_series`` as ``evolve_local_mode``, which also gives its tail
+    estimate.
     """
     if m < 1:
         raise DomainError(f"local index m must be >= 1, got {m}")
     _check_time(t)
     N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
+    alpha, beta = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg)
     a_row = alpha[0] / np.sqrt(1.0 + float(np.sum(beta[0] ** 2)))
     return _row_series(a_row, np.zeros_like(a_row), grid, t, cfg)
 
@@ -249,7 +249,7 @@ def steering_shift(m: int, l_range, cfg: CavityConfig, trunc: Truncation) -> Ste
     X1 = a_l @ a_m
     X2 = b_l @ a_m
     cov = (a_l @ b_m) * X2 + (b_l @ b_m) * X1
-    B_l = _row_dots(b_l, b_l)
+    B_l = np.vecdot(b_l, b_l)
     A_m = float(np.dot(a_m, a_m))
     return Steering(
         wick=cov / (1.0 + B_m),

@@ -188,6 +188,8 @@ def divergence_scan(N: int, cfg: CavityConfig, M_list) -> DivergenceScan:
         raise DomainError(f"global index N must be >= 1, got {N}")
     if M_arr.size == 0 or M_arr[0] < 1:
         raise DomainError(f"M_list needs values >= 1, got {M_arr.tolist()}")
+    if M_arr[0] == M_arr[-1]:
+        raise DomainError(f"the log M fit needs two distinct M values, got {M_arr.tolist()}")
     m_idx = np.arange(1, M_arr[-1] + 1)
     N_idx = np.array([N])
     summand = (beta_sq_sums(Region.LEFT, m_idx, N_idx, cfg)
@@ -246,12 +248,6 @@ def _rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
     return block.alpha[sel], block.beta[sel]
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_N x[i, N] y[i, N] per row i, without an x*y temporary; each row
-    is reduced in its own call, so its bits do not depend on the other rows."""
-    return np.vecdot(x, y)
-
-
 def wick_moments(
     m_range,
     n_range,
@@ -285,10 +281,10 @@ def wick_moments(
     P, Q = _rows(left_block, m_range)
     Pb, Qb = _rows(right_block, n_range)
 
-    mean_left = _row_dots(Q, Q)
-    var_left = _row_dots(P, P) * mean_left + _row_dots(P, Q) ** 2
-    mean_right = _row_dots(Qb, Qb)
-    var_right = _row_dots(Pb, Pb) * mean_right + _row_dots(Pb, Qb) ** 2
+    mean_left = np.vecdot(Q, Q)
+    var_left = np.vecdot(P, P) * mean_left + np.vecdot(P, Q) ** 2
+    mean_right = np.vecdot(Qb, Qb)
+    var_right = np.vecdot(Pb, Pb) * mean_right + np.vecdot(Pb, Qb) ** 2
     cov = (Q @ Pb.T) * (P @ Qb.T) + (Q @ Qb.T) * (P @ Pb.T)
 
     # A vanishing variance forces a vanishing covariance (Cauchy-Schwarz),

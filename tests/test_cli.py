@@ -546,6 +546,15 @@ def test_refused_request_computes_nothing(tmp_path, capsys, monkeypatch, argv):
     assert not out.exists()
 
 
+def test_diverge_with_one_M_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["diverge", *_BASE, "--M-list", "100", "--n-list", "100",
+                 "--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "DomainError" and "two distinct M" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["modes", "--times", "nan"],
     ["modes", "--times", "inf"],

@@ -99,13 +99,11 @@ _CELLS = {
 @st.composite
 def _tables(draw):
     """[(dtype, cells, as_array), ...]: columns of one length, 0 rows included;
-    a column goes to write_csv as a numpy array or as a list of its cells.
-    uint64 cells go as an array: np.asarray makes a list of ints above
-    2**63 - 1 and below it float64."""
+    a column goes to write_csv as a numpy array or as a list of its cells."""
     n = draw(st.integers(0, 8))
     dtypes = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5))
-    return [(t, draw(st.lists(_CELLS[t], min_size=n, max_size=n)),
-             t is np.uint64 or draw(st.booleans())) for t in dtypes]
+    return [(t, draw(st.lists(_CELLS[t], min_size=n, max_size=n)), draw(st.booleans()))
+            for t in dtypes]
 
 
 def _fmt17_rows(columns) -> bytes:
@@ -141,6 +139,34 @@ def test_write_csv_rows_match_fmt17_join(tmp_path_factory, table):
         raw = Path(path).read_bytes()
         assert raw == want
         assert digest == hashlib.sha256(raw).hexdigest()
+
+
+def test_write_csv_prints_a_list_of_large_ints_as_ints(tmp_path):
+    # np.asarray makes these lists float64; each cell is still its own %d
+    path = tmp_path / "t.csv"
+    write_csv(str(path), [], ["a", "b"], [[2**64 - 1, 1], [-1, 2**63]])
+    assert path.read_bytes() == b"a,b\n18446744073709551615,-1\n1,9223372036854775808\n"
+
+
+def test_write_csv_bool_uint_and_str_tables_keep_the_template(tmp_path, rng, monkeypatch):
+    # above the floor for every kind, but a bool, a uint64 or a str column
+    # sends the whole table to the row template, which prints the fmt17 join
+    n = output._ENCODE_MIN_CELLS + 5
+    columns = [rng.random(n) < 0.5, rng.integers(0, 2**64, n, dtype=np.uint64),
+               np.array([f"s{k},\u00e9" for k in range(n)]), rng.normal(size=n),
+               rng.integers(-2**63, 2**63, n, dtype=np.int64)]
+
+    def refuse(*args):
+        raise AssertionError("the column encoder was called")
+
+    monkeypatch.setattr(output, "_encoded_rows", refuse)
+    path = tmp_path / "t.csv"
+    for k in range(3):
+        table = columns[k:k + 1] + columns[3:]
+        digest = write_csv(str(path), [], ["x", "f", "i"], table)
+        want = b"x,f,i\n" + _fmt17_rows([c.tolist() for c in table])
+        assert path.read_bytes() == want
+        assert digest == hashlib.sha256(want).hexdigest()
 
 
 def _edge_floats() -> np.ndarray:
@@ -198,6 +224,10 @@ def test_write_csv_header_only_and_ragged_tables(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(str(path), ["c"], ["a", "b"], [[], np.array([])])
     assert path.read_bytes() == b"# c\na,b\n"
+    # no columns: an empty header line
+    digest = write_csv(str(path), ["c"], [], [])
+    assert path.read_bytes() == b"# c\n\n"
+    assert digest == hashlib.sha256(b"# c\n\n").hexdigest()
     # a short column, or a header naming more columns than given, is refused,
     # and nothing is written
     for names, columns in ((["a", "b"], [np.arange(3), np.arange(2.0)]),

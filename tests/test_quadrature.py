@@ -134,6 +134,21 @@ def test_kg_inner_requires_shared_grid_and_time(cfg_half):
         kg.kg_inner(f, h)
 
 
+def test_kg_inner_refuses_a_grid_that_is_not_uniform_and_increasing(cfg_half):
+    # Simpson with h = x[1] - x[0] on a stretched grid gave (u|u) = 0.167
+    trunc = kg.Truncation(2000, 4)
+    uniform = kg.uniform_grid(cfg_half, 513)
+    u = kg.evolve_local_mode(L, 1, uniform, 0.0, cfg_half, trunc)
+    assert kg.kg_inner(u, u).real == pytest.approx(1.0, abs=1e-6)
+    for grid in (uniform**1.3, uniform[::-1], np.zeros(5)):
+        u = kg.evolve_local_mode(L, 1, grid, 0.0, cfg_half, trunc)
+        with pytest.raises(kg.GridMismatch, match="uniform, increasing"):
+            kg.kg_inner(u, u)
+    # np.linspace steps agree far inside the tolerance
+    f = _snapshot(1, cfg_half, n_pts=65537)
+    assert kg.kg_inner(f, f) == pytest.approx(1.0, abs=5e-10)
+
+
 def _exponential_mode(cfg, n_pts):
     # Pure sines are integrated *exactly* on uniform grids (the aliasing sums
     # vanish for both rules), so rate tests need non-trig data. With

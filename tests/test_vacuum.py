@@ -90,6 +90,17 @@ def test_divergence_scan_rejects_indices_below_one(cfg_half):
             kg.mode_sum_convergence(L, m, cfg_half, n_list)
 
 
+def test_divergence_scan_refuses_a_fit_through_one_point(cfg_half, monkeypatch):
+    # a line through one M is no fit; refused before any sum is formed
+    def refuse(*_args):
+        raise AssertionError("summed before the request was refused")
+
+    monkeypatch.setattr(kg.vacuum, "beta_sq_sums", refuse)
+    for M_list in ([100], [100, 100]):
+        with pytest.raises(kg.DomainError, match="two distinct M"):
+            kg.divergence_scan(1, cfg_half, M_list)
+
+
 def test_tails_match_direct_quadrature(cfg_half):
     # the one tail integrand, pref / (Om (Om +- om)^2), against quad on
     # [n_from, inf). alpha's is a bound only from 2 om R / pi = 12 on, past
