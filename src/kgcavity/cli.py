@@ -43,6 +43,7 @@ from .quasilocal import (
     wavepacket_comparison,
 )
 from .vacuum import (
+    _divergence_request,
     _resonance_cutoff,
     divergence_scan,
     limit_scan,
@@ -400,8 +401,11 @@ def cmd_causality(args, run: _Run) -> None:
 
 def cmd_diverge(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
-    # first, so that mode_sum_convergence refuses a bad --m before any scan;
-    # its tails join run.tails only after diverge.csv, whose sidecar has none
+    # every refusal comes before any sum: the scan requests here, a bad --m
+    # in mode_sum_convergence before its sums. The convergence tails join
+    # run.tails only after diverge.csv, whose sidecar has none
+    for N in args.N_list:
+        _divergence_request(N, args.M_list)
     conv = mode_sum_convergence(Region.LEFT, args.m, cfg, args.n_list)
     scans = []
     for N in args.N_list:

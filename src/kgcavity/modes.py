@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .bogoliubov import build_block
 from .config import CavityConfig, DomainError, Region, Truncation, ladder
@@ -148,7 +147,9 @@ def _sine_series(
     ``uniform_grid``) sin(pi N j / K) has period 2K in N and is odd under
     N -> 2K - N, so the coefficients fold into the bins n = 1..K-1 (bins 0
     and K vanish on every grid point) and one DST-I gives every interior
-    value: O(N + G log G). Any other grid takes the dense O(G N) sum.
+    value: O(N + G log G). The DST-I is the real FFT of the odd extension
+    (0, b, 0, -b reversed) of length 2K, whose bin j is -2i sum_n b_n
+    sin(pi n j / K). Any other grid takes the dense O(G N) sum.
     """
     G = len(grid)
     value = np.zeros(G, dtype=np.complex128)
@@ -164,8 +165,10 @@ def _sine_series(
             for c in (cv, cd)
             for w in (sign * c.real, sign * c.imag)
         ])
-        # DST-I: y_j = 2 sum_n b_n sin(pi n j / K), j = 1..K-1
-        interior = scipy.fft.dst(folded, type=1, axis=1) / 2.0
+        odd = np.zeros((4, 2 * K))
+        odd[:, 1:K] = folded
+        odd[:, K + 1:] = -folded[:, ::-1]
+        interior = np.fft.rfft(odd, axis=1).imag[:, 1:K] / -2.0
         value[1:K] = interior[0] + 1j * interior[1]
         tderiv[1:K] = interior[2] + 1j * interior[3]
         return value, tderiv

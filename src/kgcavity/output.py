@@ -10,7 +10,8 @@ lists all outputs.
 
 A table of fewer than ``_ENCODE_MIN_CELLS`` cells per dtype kind it holds
 is printed one %-template per row, and so is every table with a column of
-another dtype (bool, unsigned, str, object). A larger one whose columns are
+another dtype (bool, unsigned, str, object; an object column's cells go
+through ``fmt17`` one by one). A larger one whose columns are
 all 1-D signed integers or floats of at most 64 bits goes through the
 column encoder, which prints every cell in four 8-byte words, byte for byte
 as ``fmt17`` does. A float cell x is printed from the correctly rounded
@@ -84,7 +85,8 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     ``columns`` parallels ``names``: one array-like per column, all of one
     length (a ValueError otherwise). Each column is printed by the one
     %-conversion of its dtype kind, byte for byte what ``fmt17`` gives
-    each of its cells. Tables of at least ``_ENCODE_MIN_CELLS`` cells per
+    each of its cells; an object column is printed by ``fmt17`` itself,
+    cell by cell. Tables of at least ``_ENCODE_MIN_CELLS`` cells per
     dtype kind, whose columns are all 1-D signed integers or floats of at
     most 64 bits, are printed by the column encoder, in chunks of rows.
     """
@@ -97,7 +99,9 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     if (not cols or n_rows * len(cols) < _ENCODE_MIN_CELLS * len(kinds)
             or any(c.shape != (n_rows,) or not _encodable(c) for c in cols)):
         template = ",".join(_KIND_FORMATS.get(c.dtype.kind, "%s") for c in cols)
-        rows = map(template.__mod__, zip(*(c.tolist() for c in cols), strict=True))
+        cells = [list(map(fmt17, c.tolist())) if c.dtype.kind == "O" else c.tolist()
+                 for c in cols]
+        rows = map(template.__mod__, zip(*cells, strict=True))
         # formatted before the file opens: a ragged table or a str that is
         # not UTF-8 raises here and leaves nothing written
         chunks = ["".join(row + "\n" for row in rows).encode("utf-8")]
@@ -113,11 +117,12 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
 
 
 def _column(c) -> np.ndarray:
-    """``c`` as an array. A list of Python ints that numpy would make
-    float64 (one above 2**63 - 1 among smaller or negative ones) stays a
-    column of ints, as objects, so every cell keeps its own %d."""
+    """``c`` as an array. A list holding a Python int that numpy would make
+    float64 or object (an int above 2**63 - 1, or an int among floats)
+    becomes an object column, so every cell keeps its own ``fmt17``: %d
+    for the ints, %.17g for the floats."""
     col = np.asarray(c)
-    if col.dtype.kind == "f" and not isinstance(c, np.ndarray) and all(type(v) is int for v in c):
+    if col.dtype.kind in "fO" and not isinstance(c, np.ndarray) and any(type(v) is int for v in c):
         return np.asarray(c, dtype=object)
     return col
 

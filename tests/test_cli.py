@@ -9,6 +9,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import OrderedDict
 from pathlib import Path
 
@@ -546,13 +548,18 @@ def test_refused_request_computes_nothing(tmp_path, capsys, monkeypatch, argv):
     assert not out.exists()
 
 
-def test_diverge_with_one_M_is_a_domain_error(tmp_path, capsys):
+def test_diverge_with_one_M_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    # refused before the convergence sums, which the scans follow
+    calls = []
+    monkeypatch.setattr("kgcavity.cli.mode_sum_convergence",
+                        lambda *args: calls.append(args) or vacuum.mode_sum_convergence(*args))
     out = tmp_path / "o"
     assert main(["diverge", *_BASE, "--M-list", "100", "--n-list", "100",
                  "--out-dir", str(out)]) == 2
     err = _one_json_error(capsys)
     assert err["error"] == "DomainError" and "two distinct M" in err["message"]
     assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -627,3 +634,16 @@ def test_out_of_range_local_index_is_a_domain_error(tmp_path, capsys, argv):
     assert set(doc) == {"error", "message"} and doc["error"] == "DomainError"
     assert not (out / "manifest.json").exists()
     assert not out.exists()
+
+
+# ── start-up ────────────────────────────────────────────────────────────────
+
+def test_cli_starts_without_scipy():
+    # scipy is a test dependency only; the package and its parser load on numpy
+    probe = ("import sys, kgcavity.cli as c; c.build_parser(); "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(kg.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -142,10 +142,14 @@ def test_write_csv_rows_match_fmt17_join(tmp_path_factory, table):
 
 
 def test_write_csv_prints_a_list_of_large_ints_as_ints(tmp_path):
-    # np.asarray makes these lists float64; each cell is still its own %d
+    # np.asarray makes these lists float64 or object; each int cell is
+    # still its own %d, and a float among them its own %.17g
     path = tmp_path / "t.csv"
     write_csv(str(path), [], ["a", "b"], [[2**64 - 1, 1], [-1, 2**63]])
     assert path.read_bytes() == b"a,b\n18446744073709551615,-1\n1,9223372036854775808\n"
+    write_csv(str(path), [], ["a", "b"], [[2**64 - 1, 0.5], [2**70, 0.1]])
+    assert path.read_bytes() == (b"a,b\n18446744073709551615,1180591620717411303424\n"
+                                 b"0.5,0.10000000000000001\n")
 
 
 def test_write_csv_bool_uint_and_str_tables_keep_the_template(tmp_path, rng, monkeypatch):

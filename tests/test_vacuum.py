@@ -14,13 +14,18 @@ is tight to three digits.
 """
 
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import kgcavity as kg
+from kgcavity.vacuum import _coeff_sq_tail, _resonance_cutoff
 
 L = kg.Region.LEFT
 RG = kg.Region.RIGHT
@@ -120,6 +125,76 @@ def test_tails_match_direct_quadrature(cfg_half):
         assert got == pytest.approx(want, rel=1e-8)
     spec = kg.vacuum_spectrum(L, cfg_half, kg.Truncation(n_max_global=8, m_max_local=m))
     assert spec.tail_bound[m - 1] == pytest.approx(below.beta2_tail, rel=1e-14)
+
+
+_REGIONS = st.sampled_from([L, RG])
+_SIGNS = st.sampled_from([1.0, -1.0])
+
+
+@settings(deadline=None)
+@given(r=st.floats(0.02, 0.98), region=_REGIONS, l=st.integers(1, 80),
+       n_from=st.integers(1, 10**7), sign=_SIGNS, energy=st.booleans())
+def test_tails_match_the_massless_closed_form(r, region, l, n_from, sign, energy):
+    # at mu = 0 and R = 1 (k = pi N, om = pi l / w) the tails are elementary:
+    #   pref/pi int_k0^inf dk / (k (k + s om)^2)
+    #     = pref / (pi om^2) [log(1 + s om / k0) - s om / (k0 + s om)],
+    #   pref/pi int_k0^inf dk / (k + s om)^2 = pref / (pi (k0 + s om)),
+    # the second with the energy weight; evaluated in 60-digit decimals
+    # with pi the double math.pi, which the tails use
+    cfg = kg.validate_config(1.0, r, 0.0)
+    if sign < 0:
+        n_from = max(n_from, _resonance_cutoff(region, l, cfg))
+    got = _coeff_sq_tail(region, l, cfg, n_from, sign, energy)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        pi, w, s = Decimal(math.pi), Decimal(region.interval(cfg)[2]), Decimal(int(sign))
+        om = pi * l / w
+        k0 = pi * n_from
+        pref = l * l * pi * pi / (2 * w * w * w * om)
+        if energy:
+            want = pref / (pi * (k0 + s * om))
+        else:
+            want = pref / (pi * om * om) * ((1 + s * om / k0).ln() - s * om / (k0 + s * om))
+    assert abs(got - float(want)) <= 1e-13 * float(want)
+
+
+# 30-digit references of <n_1>'s tail at r = R/2, rounded to 16 digits:
+#   python -c "import mpmath as mp; mp.mp.dps = 30
+#   def tail(mu, n, w=0.5, l=1):
+#       om = mp.sqrt((mp.pi * l / w) ** 2 + mu ** 2)
+#       Om = lambda N: mp.sqrt((mp.pi * N) ** 2 + mu ** 2)
+#       f = lambda N: l**2 * mp.pi**2 / (2 * w**3 * om) / (Om(N) * (Om(N) + om) ** 2)
+#       return mp.quad(f, [n, mu / mp.pi, om / mp.pi, mp.inf])
+#   print([mp.nstr(tail(mu, n), 16) for mu, n in ((10**4, 10), (10**4, 200), (10**5, 10))])"
+# scipy's adaptive quad on the tail mapped onto (0, 1] read 4.269968e-12,
+# 3.991651e-12 and 2.528075e-15 for these, and raised no error
+@pytest.mark.parametrize("muR, n_max, want", [
+    (1e4, 10, 4.178919148450410e-12),
+    (1e4, 200, 3.991655888532380e-12),
+    (1e5, 10, 4.187803229499635e-15),
+])
+def test_heavy_mass_tails_match_30_digit_references(muR, n_max, want):
+    cfg = kg.validate_config(1.0, 0.5, muR)
+    trunc = kg.Truncation(n_max_global=n_max, m_max_local=1)
+    got = kg.vacuum_spectrum(L, cfg, trunc).tail_bound[0]
+    assert abs(got - want) <= 1e-13 * want
+
+
+@settings(deadline=None)
+@given(r=st.floats(0.02, 0.98), muR=st.floats(0.0, 1e6), region=_REGIONS,
+       l=st.integers(1, 80), n_from=st.integers(1, 10**6), k=st.integers(-8, 8),
+       sign=_SIGNS, energy=st.booleans())
+def test_tails_are_exactly_covariant_under_R_to_2k_R(r, muR, region, l, n_from, k, sign,
+                                                     energy):
+    # R -> 2^k R with mu -> mu / 2^k: the rule's cuts mu R / pi and
+    # omega_l R / pi keep their bits and the integrand scales by a power of
+    # two, so the tail keeps its bits (times R with the energy weight)
+    s = 2.0 ** k
+    base = kg.validate_config(1.0, r, muR)
+    scaled = kg.validate_config(s, s * r, muR / s)
+    want = _coeff_sq_tail(region, l, base, n_from, sign, energy)
+    got = _coeff_sq_tail(region, l, scaled, n_from, sign, energy)
+    assert (s * got if energy else got) == want
 
 
 def test_mode_sum_convergence_is_cauchy(cfg_half):
