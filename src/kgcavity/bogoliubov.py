@@ -395,6 +395,8 @@ def identity_residuals(cfg: CavityConfig, n_max: int, upto: int) -> IdentityResi
 
         D1 = |P P^T - Q Q^T - I|     D1_cross = |P P'^T - Q Q'^T|
         D2 = |P Q^T - Q P^T|         D2_cross = |P Q'^T - Q P'^T|
+
+    D2 reads Q P^T as the transpose of G = P Q^T, so the four take seven GEMMs.
     """
     if upto < 1 or n_max < 1:
         raise DomainError(
@@ -403,7 +405,8 @@ def identity_residuals(cfg: CavityConfig, n_max: int, upto: int) -> IdentityResi
     P, Q = coeff_grid(Region.LEFT, rows, cols, cfg)
     Pb, Qb = coeff_grid(Region.RIGHT, rows, cols, cfg)
     D1 = np.abs(P @ P.T - Q @ Q.T - np.eye(upto))
-    D2 = np.abs(P @ Q.T - Q @ P.T)
+    G = P @ Q.T
+    D2 = np.abs(G - G.T)
     D1x = np.abs(P @ Pb.T - Q @ Qb.T)
     D2x = np.abs(P @ Qb.T - Q @ Pb.T)
     return IdentityResiduals(D1=D1, D2=D2, D1_cross=D1x, D2_cross=D2x)

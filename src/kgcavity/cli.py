@@ -120,11 +120,10 @@ def _resolve(args) -> tuple:
         pick(args.r, "r", 0.5),
         pick(args.mu, "mu", 0.0),
     )
-    trunc = Truncation(
-        n_max_global=int(pick(args.nmax, "n_max_global", 10_000)),
-        m_max_local=int(pick(args.mmax, "m_max_local", 1_000)),
-        grid_points=int(pick(args.grid, "grid_points", 2048)),
-    )
+    # a cutoff flag the command does not declare reads as unset
+    flags = {"n_max_global": "nmax", "m_max_local": "mmax", "grid_points": "grid"}
+    trunc = Truncation(**{key: int(pick(getattr(args, flag, None), key, getattr(Truncation, key)))
+                          for key, flag in flags.items()})
     return cfg, trunc
 
 
@@ -458,39 +457,41 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--R", type=float, default=None, help="box size (default 1)")
     common.add_argument("--r", type=float, default=None, help="partition point (default 0.5)")
     common.add_argument("--mu", type=float, default=None, help="field mass (default 0)")
-    common.add_argument("--mmax", type=int, default=None, help="local-mode cutoff (default 1000)")
-    common.add_argument("--grid", type=int, default=None, help="spatial grid points (default 2048)")
     common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--svg", action="store_true", help="also render an SVG view")
 
-    # --nmax is the scalar cutoff everywhere except `identities`, where it is
-    # a list. Keeping it out of `common` means no parser ever has to
-    # conflict-resolve an inherited action (argparse shares parent actions
-    # by reference, so resolving mutates every sibling).
-    with_nmax = argparse.ArgumentParser(add_help=False)
-    with_nmax.add_argument("--nmax", type=int, default=None,
-                           help="global-mode cutoff (default 10000)")
+    # one parent per cutoff, so that a command declares only the cutoffs it
+    # reads. `identities` takes --nmax as a list of its own; with no shared
+    # --nmax no parser has to conflict-resolve an inherited action (argparse
+    # shares parent actions by reference, so resolving mutates every sibling)
+    nmax, mmax, grid = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    nmax.add_argument("--nmax", type=int, default=None,
+                      help=f"global-mode cutoff (default {Truncation.n_max_global})")
+    mmax.add_argument("--mmax", type=int, default=None,
+                      help=f"local-mode cutoff (default {Truncation.m_max_local})")
+    grid.add_argument("--grid", type=int, default=None,
+                      help=f"spatial grid points (default {Truncation.grid_points})")
 
     p = argparse.ArgumentParser(prog="kgcavity",
                                 description="local quantization of a Klein-Gordon field in a box")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("modes", parents=[common, with_nmax], help="evolved local-mode snapshots")
+    sp = sub.add_parser("modes", parents=[common, nmax, mmax, grid], help="evolved local-mode snapshots")
     sp.add_argument("--region", choices=["left", "right"], default="left")
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--times", type=parse_float_list, default="0",
                     help="comma list or start:stop:step")
     sp.set_defaults(func=cmd_modes)
 
-    sp = sub.add_parser("spectrum", parents=[common, with_nmax], help="local-particle spectrum of the vacuum")
+    sp = sub.add_parser("spectrum", parents=[common, nmax], help="local-particle spectrum of the vacuum")
     sp.add_argument("--region", choices=["left", "right"], default="left")
     sp.add_argument("--mu-list", type=parse_float_list, default=None,
                     help="mass family, e.g. 10:50:10")
     sp.add_argument("--lmax", type=int, default=20)
     sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("rscan", parents=[common, with_nmax], help="mass / partition-size limit scans")
+    sp = sub.add_parser("rscan", parents=[common, nmax], help="mass / partition-size limit scans")
     sp.add_argument("--kind", choices=["partition-size", "mass"], default="partition-size")
     sp.add_argument("--values", type=parse_float_list, default="0.5,0.9,0.99")
     sp.add_argument("--probes", type=parse_probes, default="1:1,2:3",
@@ -498,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M-fixed", type=int, default=100, dest="M_fixed")
     sp.set_defaults(func=cmd_rscan)
 
-    sp = sub.add_parser("correlations", parents=[common, with_nmax], help="cross-partition number correlations")
+    sp = sub.add_parser("correlations", parents=[common, nmax, mmax], help="cross-partition number correlations")
     sp.add_argument("--mrows", type=int, default=10)
     sp.add_argument("--nrows", type=int, default=10)
     sp.add_argument("--paper-norm", action="store_true",
                     help="also emit cov over the summed spectra sum_{l<=m_max} <n_l> of both sides")
     sp.set_defaults(func=cmd_correlations)
 
-    sp = sub.add_parser("quasilocal", parents=[common, with_nmax], help="quasi-local state analysis")
+    sp = sub.add_parser("quasilocal", parents=[common, nmax, mmax, grid], help="quasi-local state analysis")
     sp.add_argument("--l-list", type=parse_int_list, default="20")
     sp.add_argument("--threshold", type=float, default=0.95)
     sp.add_argument("--steer-m", type=int, default=1)
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=0.0)
     sp.set_defaults(func=cmd_quasilocal)
 
-    sp = sub.add_parser("causality", parents=[common, with_nmax], help="light-cone and commutator checks")
+    sp = sub.add_parser("causality", parents=[common, nmax, mmax, grid], help="light-cone and commutator checks")
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--times", type=parse_float_list, default="0,0.1,0.2,0.3,0.4,0.5")
     sp.add_argument("--edge-margin", type=float, default=0.0)
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="probe times (default: 0.5 and 2 gaps)")
     sp.set_defaults(func=cmd_causality)
 
-    sp = sub.add_parser("diverge", parents=[common, with_nmax], help="inequivalence divergence scans")
+    sp = sub.add_parser("diverge", parents=[common], help="inequivalence divergence scans")
     sp.add_argument("--N-list", type=parse_int_list, default="1,2,3", dest="N_list")
     sp.add_argument("--M-list", type=parse_int_list, default="100,316,1000,3162,10000,31623,100000",
                     dest="M_list")
@@ -537,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="nmax_list",
                     help="global cutoffs, comma list or start:stop:step")
     sp.add_argument("--upto", type=int, default=10)
-    sp.set_defaults(func=cmd_identities, nmax=None)
+    sp.set_defaults(func=cmd_identities)
 
     return p
 

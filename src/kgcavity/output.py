@@ -117,12 +117,12 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
 
 
 def _column(c) -> np.ndarray:
-    """``c`` as an array. A list holding a Python int that numpy would make
-    float64 or object (an int above 2**63 - 1, or an int among floats)
-    becomes an object column, so every cell keeps its own ``fmt17``: %d
-    for the ints, %.17g for the floats."""
+    """``c`` as an array. A list that numpy would store in a dtype kind
+    other than its cells' own (cells of mixed types, made one str, float64
+    or object column; ints on both sides of int64's range, made float64)
+    becomes an object column, so every cell keeps its own ``fmt17``."""
     col = np.asarray(c)
-    if col.dtype.kind in "fO" and not isinstance(c, np.ndarray) and any(type(v) is int for v in c):
+    if not isinstance(c, np.ndarray) and {np.asarray(v).dtype.kind for v in c} - {col.dtype.kind}:
         return np.asarray(c, dtype=object)
     return col
 

@@ -68,11 +68,11 @@ def test_criterion_01_closed_form_vs_quadrature_200_samples():
 
 def test_criterion_02_resonance_example(cfg_half, tables_half):
     a, b = kg.coeff_pair(L, 1, 2, cfg_half)
-    assert a == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+    assert a == pytest.approx(1 / np.sqrt(2), rel=1e-12, abs=0)
     assert b == 0.0
     vq = kg.overlap_V(1, 2, L, cfg_half)
     om, Om = tables_half.omega[0], tables_half.Omega[1]
-    assert (om + Om) * vq == pytest.approx(1 / np.sqrt(2), rel=1e-8)
+    assert (om + Om) * vq == pytest.approx(1 / np.sqrt(2), rel=1e-8, abs=0)
     assert abs((Om - om) * vq) <= 1e-8
     _line(2, "PASS", f"alpha_12 = 1/sqrt(2) (quadrature off by "
                      f"{abs((om + Om) * vq - 1 / np.sqrt(2)):.2e}), beta_12 = 0")
@@ -248,7 +248,7 @@ def test_criterion_11_bandwidth_shape():
     cfg_m = kg.validate_config(1.0, 1.0 / 9.0, 10.0)
     asym0 = kg.bandwidth(kg.overlap_distribution(60, cfg9, trunc))
     asym10 = kg.bandwidth(kg.overlap_distribution(60, cfg_m, trunc))
-    assert asym0 == pytest.approx(asym10, rel=0.05)
+    assert asym0 == pytest.approx(asym10, rel=0.05, abs=0)
     _line(11, "PASS", f"peak at Omega_{nearest + 1} = {dist.peak_Omega:.4g} "
                       f"(pi l/r = {target:.4g}); dOmega {bws[0]:.4g} > {bws[1]:.4g} "
                       f"> {bws[2]:.4g}; l=60 asymptote {asym0:.6g} vs {asym10:.6g}")
@@ -315,7 +315,7 @@ def test_criterion_14_cli_reruns_byte_identical(tmp_path):
         out = tmp_path / tag
         assert main(["spectrum", "--nmax", "600", "--lmax", "3",
                      "--out-dir", str(out)]) == 0
-        assert main(["diverge", "--nmax", "400", "--mmax", "2", "--N-list", "1,2",
+        assert main(["diverge", "--N-list", "1,2",
                      "--M-list", "10,100,1000", "--n-list", "100,200",
                      "--out-dir", str(out)]) == 0
         # the Wick moments and residuals are BLAS products

@@ -35,13 +35,13 @@ RG = kg.Region.RIGHT
 
 def test_coeff_pair_hand_values(cfg_half):
     a, b = kg.coeff_pair(L, 1, 1, cfg_half)
-    assert a == pytest.approx(2.0 / np.pi, rel=1e-14)
-    assert b == pytest.approx(-2.0 / (3.0 * np.pi), rel=1e-14)
+    assert a == pytest.approx(2.0 / np.pi, rel=1e-14, abs=0)
+    assert b == pytest.approx(-2.0 / (3.0 * np.pi), rel=1e-14, abs=0)
 
 
 def test_coeff_pair_resonance(cfg_half):
     a, b = kg.coeff_pair(L, 1, 2, cfg_half)
-    assert a == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+    assert a == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12, abs=0)
     assert b == 0.0
 
 
@@ -56,8 +56,8 @@ def test_kronecker_zeros_are_exact(cfg_half):
 def test_right_region_sign_toggle(cfg_half):
     # (-1)^(N+m) relative to the left family, fixed by the direct integral.
     v = kg.closed_overlap(2, 1, RG, cfg_half)
-    assert v == pytest.approx(4.0 / (15.0 * np.sqrt(2.0) * np.pi**2), rel=1e-12)
-    assert v == pytest.approx(kg.overlap_V(2, 1, RG, cfg_half), rel=1e-10)
+    assert v == pytest.approx(4.0 / (15.0 * np.sqrt(2.0) * np.pi**2), rel=1e-12, abs=0)
+    assert v == pytest.approx(kg.overlap_V(2, 1, RG, cfg_half), rel=1e-10, abs=0)
 
 
 def test_beta_strictly_smaller_than_alpha(blocks_half):
@@ -78,10 +78,10 @@ def test_coefficients_scale_invariant_overlap_carries_length():
     for m, N in [(1, 1), (2, 5), (4, 9)]:
         a_s, b_s = kg.coeff_pair(L, m, N, small)
         a_b, b_b = kg.coeff_pair(L, m, N, big)
-        assert a_s == pytest.approx(a_b, rel=1e-13)
-        assert b_s == pytest.approx(b_b, rel=1e-13)
+        assert a_s == pytest.approx(a_b, rel=1e-13, abs=0)
+        assert b_s == pytest.approx(b_b, rel=1e-13, abs=0)
         assert kg.closed_overlap(m, N, L, big) == pytest.approx(
-            5.0 * kg.closed_overlap(m, N, L, small), rel=1e-13
+            5.0 * kg.closed_overlap(m, N, L, small), rel=1e-13, abs=0
         )
 
 

@@ -34,7 +34,7 @@ def trunc_narrow():
 def test_make_probe_validates_geometry(cfg_narrow):
     probe = kg.make_probe(0.6, 0.2, 1, cfg_narrow)
     assert probe.omega_tilde == pytest.approx(np.hypot(np.pi / 0.4, 1.0 / 0.21),
-                                              rel=1e-14)
+                                              rel=1e-14, abs=0)
     with pytest.raises(kg.DomainError):
         kg.make_probe(0.21, 0.2, 1, cfg_narrow)   # touches the partition
     with pytest.raises(kg.DomainError):
@@ -86,7 +86,7 @@ def test_outside_cone_mass_on_exact_initial_data(cfg_half, tables_half):
     # widening the cone can only shed mass
     assert out_half >= out_at_edge
     below, _ = kg.outside_cone_mass(u0, cfg_half.r, om, side="below")
-    assert below == pytest.approx(total, rel=1e-12)
+    assert below == pytest.approx(total, rel=1e-12, abs=0)
     empty, tot2 = kg.outside_cone_mass(u0, 2.0, om, side="above")
     assert empty == 0.0 and tot2 == total
 
@@ -120,7 +120,7 @@ def test_leakage_with_edge_margin_reaches_residue_scale(cfg_narrow, trunc_narrow
 def test_leakage_mirror_symmetry_at_half(cfg_half, trunc_10k):
     lhs = kg.lightcone_leakage(L, 2, 0.15, cfg_half, trunc_10k).fraction
     rhs = kg.lightcone_leakage(RG, 2, 0.15, cfg_half, trunc_10k).fraction
-    assert lhs == pytest.approx(rhs, rel=1e-6)
+    assert lhs == pytest.approx(rhs, rel=1e-6, abs=0)
 
 
 def test_leakage_rejects_negative_time(cfg_half, trunc_10k):

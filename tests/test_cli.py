@@ -5,6 +5,7 @@ numerics (the library tests own those).
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,7 +20,14 @@ import pytest
 
 import kgcavity as kg
 from kgcavity import bogoliubov, vacuum
-from kgcavity.cli import build_parser, main, parse_float_list, parse_int_list, parse_probes
+from kgcavity.cli import (
+    _resolve,
+    build_parser,
+    main,
+    parse_float_list,
+    parse_int_list,
+    parse_probes,
+)
 
 
 # ── flag-value parsing ──────────────────────────────────────────────────────
@@ -319,14 +327,13 @@ def test_causality_records_series_diagnostics(tmp_path, caplog):
 
 def test_diverge_and_rscan_products(tmp_path):
     out = str(tmp_path / "d")
-    assert main(["diverge", "--nmax", "500", "--mmax", "2",
-                 "--N-list", "1", "--M-list", "10,100,1000",
+    assert main(["diverge", "--N-list", "1", "--M-list", "10,100,1000",
                  "--n-list", "100,200", "--out-dir", out]) == 0
     assert os.path.exists(os.path.join(out, "diverge.csv"))
     assert os.path.exists(os.path.join(out, "converge.csv"))
 
     out2 = str(tmp_path / "r")
-    assert main(["rscan", "--nmax", "500", "--mmax", "2", "--kind",
+    assert main(["rscan", "--nmax", "500", "--kind",
                  "partition-size", "--values", "0.3,0.5", "--probes", "1:1",
                  "--M-fixed", "10", "--out-dir", out2]) == 0
     lines = Path(out2, "rscan.csv").read_text().splitlines()
@@ -476,7 +483,15 @@ def test_unreadable_config_file_is_a_domain_error(tmp_path, capsys):
         assert not out.exists()
 
 
-_BASE = ["--nmax", "200", "--mmax", "4", "--grid", "65"]
+# the cutoffs each command reads; `identities` takes --nmax as a list of its own
+_DECLARED = {"modes": "nmax mmax grid", "quasilocal": "nmax mmax grid",
+             "causality": "nmax mmax grid", "correlations": "nmax mmax", "spectrum": "nmax",
+             "rscan": "nmax", "diverge": "", "identities": ""}
+_FIELDS = {"nmax": "n_max_global", "mmax": "m_max_local", "grid": "grid_points"}
+# each command's declared cutoffs, small
+_SMALL = {"nmax": "200", "mmax": "4", "grid": "65"}
+_BASE = {command: [arg for flag in flags.split() for arg in (f"--{flag}", _SMALL[flag])]
+         for command, flags in _DECLARED.items()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,9 +511,8 @@ _BASE = ["--nmax", "200", "--mmax", "4", "--grid", "65"]
 ])
 def test_refused_request_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    # the later --grid of a case overrides the base one; identities takes --nmax as its list
-    base = _BASE[2:] if argv[0] == "identities" else _BASE
-    assert main([argv[0], *base, *argv[1:], "--out-dir", str(out)]) == 2
+    # the later --grid of a case overrides the base one
+    assert main([argv[0], *_BASE[argv[0]], *argv[1:], "--out-dir", str(out)]) == 2
     assert set(_one_json_error(capsys)) == {"error", "message"}
     assert not out.exists()
 
@@ -529,6 +543,31 @@ def test_malformed_list_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", "--mmax"), ("spectrum", "--grid"), ("rscan", "--mmax"), ("rscan", "--grid"),
+    ("correlations", "--grid"), ("diverge", "--nmax"), ("diverge", "--mmax"),
+    ("diverge", "--grid"), ("identities", "--mmax"), ("identities", "--grid"),
+])
+def test_unread_cutoff_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    # a cutoff the command does not read would only be copied into its
+    # header, sidecar and manifest
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "7", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _DECLARED.items() for flag in flags.split()])
+def test_declared_cutoff_flag_sets_the_truncation(command, flag):
+    # the flag sets its own field; the others keep the Truncation defaults
+    _, trunc = _resolve(build_parser().parse_args([command, f"--{flag}", "7"]))
+    assert trunc == dataclasses.replace(kg.Truncation(), **{_FIELDS[flag]: 7})
+
+
 @pytest.mark.parametrize("argv", [
     ["causality", "--probe-n", "0"],
     ["causality", "--rtilde", "2.0"],
@@ -543,7 +582,7 @@ def test_refused_request_computes_nothing(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("kgcavity.cli.lightcone_leakage", refuse)
     monkeypatch.setattr("kgcavity.cli.divergence_scan", refuse)
     out = tmp_path / "o"
-    assert main([argv[0], *_BASE, *argv[1:], "--out-dir", str(out)]) == 2
+    assert main([argv[0], *_BASE[argv[0]], *argv[1:], "--out-dir", str(out)]) == 2
     assert _one_json_error(capsys)["error"] == "DomainError"
     assert not out.exists()
 
@@ -554,7 +593,7 @@ def test_diverge_with_one_M_is_a_domain_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("kgcavity.cli.mode_sum_convergence",
                         lambda *args: calls.append(args) or vacuum.mode_sum_convergence(*args))
     out = tmp_path / "o"
-    assert main(["diverge", *_BASE, "--M-list", "100", "--n-list", "100",
+    assert main(["diverge", "--M-list", "100", "--n-list", "100",
                  "--out-dir", str(out)]) == 2
     err = _one_json_error(capsys)
     assert err["error"] == "DomainError" and "two distinct M" in err["message"]

@@ -48,8 +48,8 @@ def test_frequency_tables_shapes_and_monotonicity():
     assert np.all(np.diff(tabs.omega) > 0)
     assert np.all(tabs.Omega > cfg.mu)
     # Omega_N^2 = (pi N / R)^2 + mu^2 exactly
-    assert tabs.Omega[0] == pytest.approx(np.hypot(np.pi, 5.0), rel=1e-15)
-    assert tabs.omega_bar[0] == pytest.approx(np.hypot(np.pi / 0.7, 5.0), rel=1e-15)
+    assert tabs.Omega[0] == pytest.approx(np.hypot(np.pi, 5.0), rel=1e-15, abs=0)
+    assert tabs.omega_bar[0] == pytest.approx(np.hypot(np.pi / 0.7, 5.0), rel=1e-15, abs=0)
 
 
 def test_frequencies_are_deterministic():

@@ -58,7 +58,7 @@ def test_single_creator_row():
     z = np.zeros(3)
     q = np.array([1.0, 0.0, 0.0])
     mom = oracle_moments((z, q), (z, z), fk)
-    assert mom.mean_m == pytest.approx(1.0, rel=1e-15)
+    assert mom.mean_m == pytest.approx(1.0, rel=1e-15, abs=0)
     assert mom.var_m == pytest.approx(0.0, abs=1e-15)
     assert mom.cov == 0.0
 
@@ -71,7 +71,7 @@ def test_variance_of_a_number_eigenstate_is_not_negative():
     z = np.zeros(4)
     row = (z, np.array([1.0, 0.873, 0.873, 0.873]))
     mom = oracle_moments(row, row, fk)
-    assert mom.mean_m == pytest.approx(1.0 + 3 * 0.873**2, rel=1e-15)
+    assert mom.mean_m == pytest.approx(1.0 + 3 * 0.873**2, rel=1e-15, abs=0)
     assert 0.0 <= mom.var_m <= 1e-30
     assert mom.cov == pytest.approx(0.0, abs=1e-15)
     rep = kg.wick_moments([1], [1], kg.BogoliubovBlock(kg.Region.LEFT, z[None], row[1][None], "row"),
@@ -144,5 +144,5 @@ def test_oracle_against_real_dictionary_rows(cfg_half, blocks_half):
     mom = oracle_moments((left.alpha[0, :6], left.beta[0, :6]),
                          (right.alpha[0, :6], right.beta[0, :6]), fk)
     p, q = left.alpha[0, :6], left.beta[0, :6]
-    assert mom.mean_m == pytest.approx(np.sum(q * q), rel=1e-13)
-    assert mom.mean_n == pytest.approx(np.sum(right.beta[0, :6] ** 2), rel=1e-13)
+    assert mom.mean_m == pytest.approx(np.sum(q * q), rel=1e-13, abs=0)
+    assert mom.mean_n == pytest.approx(np.sum(right.beta[0, :6] ** 2), rel=1e-13, abs=0)

@@ -27,7 +27,7 @@ def test_local_mode_peak_value(cfg_half):
     # chi_1(r/2) = sin(pi/2)/sqrt(r om_1) = 1/sqrt(pi) for r = 1/2, mu = 0
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     u = kg.eval_local_initial(L, 1, grid, cfg_half)
-    assert u.value[1] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14)
+    assert u.value[1] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14, abs=0)
     assert u.time == 0.0
 
 

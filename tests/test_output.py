@@ -150,6 +150,9 @@ def test_write_csv_prints_a_list_of_large_ints_as_ints(tmp_path):
     write_csv(str(path), [], ["a", "b"], [[2**64 - 1, 0.5], [2**70, 0.1]])
     assert path.read_bytes() == (b"a,b\n18446744073709551615,1180591620717411303424\n"
                                  b"0.5,0.10000000000000001\n")
+    # numpy makes this list str; each cell is still its own fmt17
+    write_csv(str(path), [], ["a"], [["x", 0.1, True]])
+    assert path.read_bytes() == b"a\nx\n0.10000000000000001\n1\n"
 
 
 def test_write_csv_bool_uint_and_str_tables_keep_the_template(tmp_path, rng, monkeypatch):

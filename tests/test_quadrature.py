@@ -27,7 +27,7 @@ RG = kg.Region.RIGHT
 
 def test_overlap_left_11_hand_value(cfg_half):
     v = kg.overlap_V(1, 1, L, cfg_half)
-    assert v == pytest.approx(2.0 / (3.0 * np.pi**2), rel=1e-12)
+    assert v == pytest.approx(2.0 / (3.0 * np.pi**2), rel=1e-12, abs=0)
 
 
 def test_overlap_right_21_hand_value_and_sign(cfg_half):
@@ -35,7 +35,7 @@ def test_overlap_right_21_hand_value_and_sign(cfg_half):
     # the point of the test, not just the magnitude.
     v = kg.overlap_V(2, 1, RG, cfg_half)
     expect = 4.0 / (15.0 * np.sqrt(2.0) * np.pi**2)
-    assert v == pytest.approx(+expect, rel=1e-12)
+    assert v == pytest.approx(+expect, rel=1e-12, abs=0)
 
 
 def test_resonant_overlap_matches_analytic_limit(cfg_half):
@@ -46,8 +46,8 @@ def test_resonant_overlap_matches_analytic_limit(cfg_half):
     limit = (cfg_half.r / 2.0) / np.sqrt(
         cfg_half.R * cfg_half.r * (2 * np.pi) * (2 * np.pi)
     )
-    assert limit == pytest.approx(0.05626976975981913, rel=1e-15)
-    assert v == pytest.approx(limit, rel=1e-10)
+    assert limit == pytest.approx(0.05626976975981913, rel=1e-15, abs=0)
+    assert v == pytest.approx(limit, rel=1e-10, abs=0)
 
 
 def test_kronecker_overlap_is_numerically_zero(cfg_half):

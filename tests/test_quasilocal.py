@@ -29,13 +29,13 @@ def test_overlap_distribution_normalization(cfg_half, trunc_10k):
     # the state is pure one-particle: the deficit is the (alpha^2 - beta^2)
     # tail, O(N^-4) here, strictly positive
     assert 0 < deficit < 1e-11
-    assert dist.mean_occupation == pytest.approx(0.05396354991407163, rel=1e-12)
+    assert dist.mean_occupation == pytest.approx(0.05396354991407163, rel=1e-12, abs=0)
 
 
 def test_overlap_mean_matches_spectrum(cfg_half, trunc_10k):
     dist = kg.overlap_distribution(1, cfg_half, trunc_10k)
     spec = kg.vacuum_spectrum(L, cfg_half, trunc_10k)
-    assert dist.mean_occupation == pytest.approx(spec.values[0], rel=1e-14)
+    assert dist.mean_occupation == pytest.approx(spec.values[0], rel=1e-14, abs=0)
 
 
 def test_overlap_peaks_at_matching_global_frequency():
@@ -44,8 +44,8 @@ def test_overlap_peaks_at_matching_global_frequency():
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=20)
     dist = kg.overlap_distribution(20, cfg, trunc)
     assert int(np.argmax(dist.p)) == 179          # N = 180
-    assert dist.peak_Omega == pytest.approx(180.0 * np.pi, rel=1e-12)
-    assert dist.peak_Omega == pytest.approx(dist.omega_l, rel=1e-12)
+    assert dist.peak_Omega == pytest.approx(180.0 * np.pi, rel=1e-12, abs=0)
+    assert dist.peak_Omega == pytest.approx(dist.omega_l, rel=1e-12, abs=0)
     assert dist.norm_captured > 1.0 - 1e-6
 
 
@@ -60,7 +60,7 @@ def test_bandwidth_frozen_value_and_r_trend():
                         (2.0 / 3.0, 8 * np.pi)]:
         cfg = kg.validate_config(1.0, r, 0.0)
         bw = kg.bandwidth(kg.overlap_distribution(20, cfg, trunc))
-        assert bw == pytest.approx(expected, rel=1e-9)
+        assert bw == pytest.approx(expected, rel=1e-9, abs=0)
         got.append(bw)
     assert got[0] > got[1] > got[2]
 
@@ -80,9 +80,9 @@ def test_bandwidth_plateau_in_l_and_mass():
         plateaus[mu] = [kg.bandwidth(kg.overlap_distribution(l, cfg, trunc)) for l in (50, 60)]
         # massive dispersion bends the level spacing by ~6e-6 relative; a real
         # plateau step would be one whole 2 pi / R quantum (~5e-2 relative)
-        assert plateaus[mu][0] == pytest.approx(plateaus[mu][1], rel=1e-4)
+        assert plateaus[mu][0] == pytest.approx(plateaus[mu][1], rel=1e-4, abs=0)
     # the high-l asymptote barely notices the mass
-    assert plateaus[0.0][1] == pytest.approx(plateaus[10.0][1], rel=0.05)
+    assert plateaus[0.0][1] == pytest.approx(plateaus[10.0][1], rel=0.05, abs=0)
 
 
 def test_bandwidth_threshold_validation(cfg_half, trunc_10k):
@@ -108,7 +108,7 @@ def test_wavepacket_tails_dwarf_series_residue():
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
     comp = kg.wavepacket_comparison(1, 0.0, cfg, trunc)
     assert comp.leak.edge == pytest.approx(0.21)
-    assert comp.psi_outside_fraction == pytest.approx(0.0267101, rel=5e-2)
+    assert comp.psi_outside_fraction == pytest.approx(0.0267101, rel=5e-2, abs=0)
     assert comp.leak.fraction < 1e-9
     assert comp.psi_outside_fraction / comp.leak.fraction > 1e6
     assert comp.psi.grid is comp.leak.mode.grid
@@ -207,7 +207,7 @@ def test_steering_two_routes_agree(cfg_half, trunc_10k):
     assert rel <= 1e-9   # measured 5.7e-11 at this cutoff, 5.9e-14 at 1e5
     assert np.all(wick > 0)
     assert np.all(np.diff(wick) < 0)
-    assert wick[0] == pytest.approx(0.012503323459694, rel=1e-9)
+    assert wick[0] == pytest.approx(0.012503323459694, rel=1e-9, abs=0)
 
 
 def test_steering_matches_covariance_route(cfg_half, trunc_10k, blocks_half):
@@ -297,4 +297,4 @@ def test_quasilocal_quantities_mirror_under_r_to_R_minus_r(r, muR, n_max, l, reg
     e_m = kg.quasilocal_energy(l, mirror, trunc, region=other)
     for name in ("raw", "annihilator_raw", "normalized", "annihilator_normalized",
                  "tail_bound"):
-        assert getattr(e_m, name) == pytest.approx(getattr(e, name), rel=1e-12), name
+        assert getattr(e_m, name) == pytest.approx(getattr(e, name), rel=1e-12, abs=0), name

@@ -35,10 +35,10 @@ RG = kg.Region.RIGHT
 
 def test_spectrum_frozen_regression_value(cfg_half, trunc_10k):
     res = kg.vacuum_spectrum(L, cfg_half, trunc_10k)
-    assert res.values[0] == pytest.approx(0.05396354991407163, rel=1e-12)
+    assert res.values[0] == pytest.approx(0.05396354991407163, rel=1e-12, abs=0)
     big = kg.Truncation(n_max_global=1_000_000, m_max_local=1)
     res_big = kg.vacuum_spectrum(L, cfg_half, big)
-    assert res_big.values[0] == pytest.approx(0.053963550926912032, rel=1e-12)
+    assert res_big.values[0] == pytest.approx(0.053963550926912032, rel=1e-12, abs=0)
     # honest tail: the finer value sits within the coarse bound (10% slack
     # because the bound is tight to ~3 digits here)
     assert abs(res_big.values[0] - res.values[0]) <= 1.1 * res.tail_bound[0]
@@ -122,9 +122,9 @@ def test_tails_match_direct_quadrature(cfg_half):
                              (past.alpha2_tail, -1.0, 12)):
         want, _ = integrate.quad(lambda N: pref / (math.pi * N * (math.pi * N + sign * om) ** 2),
                                  start, math.inf)
-        assert got == pytest.approx(want, rel=1e-8)
+        assert got == pytest.approx(want, rel=1e-8, abs=0)
     spec = kg.vacuum_spectrum(L, cfg_half, kg.Truncation(n_max_global=8, m_max_local=m))
-    assert spec.tail_bound[m - 1] == pytest.approx(below.beta2_tail, rel=1e-14)
+    assert spec.tail_bound[m - 1] == pytest.approx(below.beta2_tail, rel=1e-14, abs=0)
 
 
 _REGIONS = st.sampled_from([L, RG])
@@ -232,8 +232,8 @@ def test_wick_variance_identity(blocks_half):
     rep = kg.wick_moments([3], [1], left, right)
     p, q = left.alpha[2], left.beta[2]
     A, B, C = np.sum(p * p), np.sum(q * q), np.sum(p * q)
-    assert rep.var_left[0] == pytest.approx(A * B + C * C, rel=1e-14)
-    assert rep.mean_left[0] == pytest.approx(B, rel=1e-14)
+    assert rep.var_left[0] == pytest.approx(A * B + C * C, rel=1e-14, abs=0)
+    assert rep.mean_left[0] == pytest.approx(B, rel=1e-14, abs=0)
 
 
 def test_local_vacuum_substitute_has_zero_correlations(blocks_half):
@@ -368,6 +368,7 @@ def test_limit_scan_occupations_match_spectrum():
             assert table.alpha_mag[k, ip] == abs(a[0, 0])
             assert table.beta_mag[k, ip] == abs(b[0, 0])
         right = kg.vacuum_spectrum(RG, cfg_k, dataclasses.replace(trunc, m_max_local=10)).values
-        assert table.sum_left[k] == pytest.approx(np.sum(spec[:10]), rel=1e-13)
-        assert table.sum_both[k] == pytest.approx(np.sum(spec[:10]) + np.sum(right), rel=1e-13)
+        assert table.sum_left[k] == pytest.approx(np.sum(spec[:10]), rel=1e-13, abs=0)
+        assert table.sum_both[k] == pytest.approx(np.sum(spec[:10]) + np.sum(right),
+                                                  rel=1e-13, abs=0)
 
