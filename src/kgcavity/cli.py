@@ -106,6 +106,10 @@ def parse_probes(text: str) -> list[tuple[int, int]]:
 
 # ── shared setup ────────────────────────────────────────────────────────────
 
+# the Truncation field each cutoff flag sets, in the order a header names them
+_CUTOFFS = {"nmax": "n_max_global", "mmax": "m_max_local", "grid": "grid_points"}
+
+
 def _resolve(args) -> tuple:
     """(cfg, trunc): config-file values first, CLI flags override, defaults last."""
     file_vals = load_config_file(args.config) if args.config else {}
@@ -121,9 +125,8 @@ def _resolve(args) -> tuple:
         pick(args.mu, "mu", 0.0),
     )
     # a cutoff flag the command does not declare reads as unset
-    flags = {"n_max_global": "nmax", "m_max_local": "mmax", "grid_points": "grid"}
     trunc = Truncation(**{key: int(pick(getattr(args, flag, None), key, getattr(Truncation, key)))
-                          for key, flag in flags.items()})
+                          for flag, key in _CUTOFFS.items()})
     return cfg, trunc
 
 
@@ -134,8 +137,23 @@ def _check_local(trunc, flag: str, *indices: int) -> None:
             raise DomainError(f"{flag} {i} outside 1..{trunc.m_max_local} (--mmax)")
 
 
+def _scanned(args) -> tuple:
+    """The configuration keys the rows of the command scan, each already a
+    column: ``spectrum --mu-list`` scans mu, ``rscan`` its --kind."""
+    if args.command == "spectrum" and args.mu_list is not None:
+        return ("mu",)
+    if args.command == "rscan":
+        return {"mass": ("mu",), "partition-size": ("r", "r_bar")}[args.kind]
+    return ()
+
+
 class _Run:
     """The products of one command, written only after it has returned.
+
+    The run's provenance is what every row shares: the configuration less
+    the parameters its rows scan, and the cutoffs the command declares a
+    flag for, at their resolved values. Each CSV header opens with it, and
+    every sidecar and the manifest carry it.
 
     A command records each CSV with ``csv`` and each SVG with ``svg``, and
     puts its diagnostics in ``tails``. Each CSV's sidecar gets a snapshot of
@@ -149,14 +167,21 @@ class _Run:
         self.args = args
         self.cfg = cfg
         self.trunc = trunc
+        config = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in _scanned(args)}
+        truncation = {key: getattr(trunc, key) for flag, key in _CUTOFFS.items() if hasattr(args, flag)}
+        self.record = {"command": args.command, "config": config, "truncation": truncation}
+        lines = (" ".join(f"{k}={config[k]:.17g}" for k in ("R", "r", "mu") if k in config),
+                 " ".join(f"{k}={v}" for k, v in truncation.items()))
+        self.header = [line for line in lines if line]
         self.tails: dict = {}
         self.csvs: list = []
         self.svgs: list = []
         self.t0 = time.perf_counter()
 
     def csv(self, name: str, comments: list[str], names: list[str], columns: list) -> None:
-        """Record a table; ``columns`` parallels ``names``, one array per column."""
-        self.csvs.append((name, comments, names, columns, dict(self.tails)))
+        """Record a table under the provenance lines and ``comments``;
+        ``columns`` parallels ``names``, one array per column."""
+        self.csvs.append((name, self.header + comments, names, columns, dict(self.tails)))
 
     def svg(self, name: str, render, *args, **kw) -> None:
         """Record ``render(path, *args, **kw)`` for ``finish``; nothing without --svg."""
@@ -170,26 +195,18 @@ class _Run:
         for name, comments, names, columns, tails in self.csvs:
             path = os.path.join(out_dir, name)
             digest = write_csv(path, comments, names, columns)
-            write_sidecar(path, self.args.command, self.cfg, self.trunc, tails, digest)
+            write_sidecar(path, {**self.record, "tail_bounds": tails}, digest)
             outputs.append((name, digest))
         for name, render, args, kw in self.svgs:
             path = os.path.join(out_dir, name)
             render(path, *args, **kw)
             with open(path, "rb") as fh:
                 outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
-        write_manifest(out_dir, self.args.command, self.cfg, self.trunc, outputs,
-                       time.perf_counter() - self.t0, self.tails)
+        write_manifest(out_dir, {**self.record, "tail_bounds": self.tails}, outputs,
+                       time.perf_counter() - self.t0)
         for name, digest in outputs:
             log.info("wrote %s (sha256 %s…)", name, digest[:12])
         return 0
-
-
-def _meta(cfg, trunc) -> list[str]:
-    return [
-        f"R={cfg.R:.17g} r={cfg.r:.17g} mu={cfg.mu:.17g}",
-        f"n_max_global={trunc.n_max_global} m_max_local={trunc.m_max_local} "
-        f"grid_points={trunc.grid_points}",
-    ]
 
 
 def _record_series(run: _Run, label: str, mode: SampledMode) -> None:
@@ -228,7 +245,7 @@ def cmd_modes(args, run: _Run) -> None:
         _record_series(run, f"t={t:.17g}", mode)
         run.csv(
             f"mode_{args.region}_m{args.m}_t{k}.csv",
-            _meta(cfg, trunc) + [f"time={t:.17g} region={args.region} m={args.m}"],
+            [f"time={t:.17g} region={args.region} m={args.m}"],
             ["x", "re_value", "im_value", "re_tderiv", "im_tderiv"],
             [grid, mode.value.real, mode.value.imag, mode.tderiv.real, mode.tderiv.imag],
         )
@@ -239,9 +256,10 @@ def cmd_modes(args, run: _Run) -> None:
 
 def cmd_spectrum(args, run: _Run) -> None:
     lmax = args.lmax
-    # the header, sidecar and manifest report the --lmax cutoff that ran
-    run.trunc = dataclasses.replace(run.trunc, m_max_local=lmax)
-    cfg, trunc = run.cfg, run.trunc
+    if lmax < 1:
+        raise DomainError(f"--lmax {lmax} must be >= 1")
+    # the l column carries the local cutoff
+    cfg, trunc = run.cfg, dataclasses.replace(run.trunc, m_max_local=lmax)
     region = _REGIONS[args.region]
     mus = args.mu_list if args.mu_list is not None else [cfg.mu]
     ls = np.arange(1, lmax + 1)
@@ -252,7 +270,7 @@ def cmd_spectrum(args, run: _Run) -> None:
         oms.append(region.omega(ls, cfg_mu))
         specs.append(spec)
         run.tails[f"mu={mu:.17g}"] = float(np.max(spec.tail_bound))
-    run.csv("spectrum.csv", _meta(cfg, trunc) + [f"region={args.region}"],
+    run.csv("spectrum.csv", [f"region={args.region}"],
             ["mu", "l", "omega_l", "n_l", "tail_bound"],
             [np.repeat(mus, lmax), np.tile(ls, len(mus)), np.ravel(oms),
              np.ravel([s.values for s in specs]), np.ravel([s.tail_bound for s in specs])])
@@ -271,7 +289,7 @@ def cmd_rscan(args, run: _Run) -> None:
         columns += [table.n_per_probe[:, ip], table.alpha_mag[:, ip], table.beta_mag[:, ip]]
     names += [f"sum_left_M{args.M_fixed}", f"sum_both_M{args.M_fixed}"]
     columns += [table.sum_left, table.sum_both]
-    run.csv("rscan.csv", _meta(cfg, trunc) + [f"kind={args.kind}"], names, columns)
+    run.csv("rscan.csv", [f"kind={args.kind}"], names, columns)
     series = [(table.values, table.n_per_probe[:, ip], f"m={m}")
               for ip, (m, N) in enumerate(probes)]
     run.svg("rscan.svg", svgmod.line_plot, series, title=f"{args.kind} scan",
@@ -297,8 +315,8 @@ def cmd_correlations(args, run: _Run) -> None:
                            for side in (Region.LEFT, Region.RIGHT))
         names.append("corr_summed_norm")
         columns.append((report.cov / math.sqrt(left_n * right_n)).ravel())
-    run.csv("correlations.csv", _meta(cfg, trunc), names, columns)
-    run.csv("moments.csv", _meta(cfg, trunc), ["region", "index", "mean", "var"],
+    run.csv("correlations.csv", [], names, columns)
+    run.csv("moments.csv", [], ["region", "index", "mean", "var"],
             [["left"] * len(report.m_range) + ["right"] * len(report.n_range),
              report.m_range + report.n_range,
              np.concatenate([report.mean_left, report.mean_right]),
@@ -321,7 +339,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
         keep = dist.p > 0
         run.csv(
             f"overlap_l{l}.csv",
-            _meta(cfg, trunc) + [f"l={l} omega_l={dist.omega_l:.17g} peak_Omega={dist.peak_Omega:.17g}"],
+            [f"l={l} omega_l={dist.omega_l:.17g} peak_Omega={dist.peak_Omega:.17g}"],
             ["N", "Omega_N", "p"],
             [np.nonzero(keep)[0] + 1, dist.Omega[keep], dist.p[keep]],
         )
@@ -336,14 +354,14 @@ def cmd_quasilocal(args, run: _Run) -> None:
         widths.append(dO)
         energies.append(energy)
         overlap_series.append((dist.Omega[keep], dist.p[keep], f"l={l}"))
-    run.csv("bandwidth.csv", _meta(cfg, trunc) + [f"threshold={args.threshold:.17g}"],
+    run.csv("bandwidth.csv", [f"threshold={args.threshold:.17g}"],
             ["l", "omega_l", "delta_Omega", "norm_captured",
              "energy_raw", "energy_normalized", "energy_annihilator"],
             [l_list, [d.omega_l for d in dists], widths, [d.norm_captured for d in dists],
              [e.raw for e in energies], [e.normalized for e in energies],
              [e.annihilator_normalized for e in energies]])
     shift = steering_shift(args.steer_m, l_list, cfg, trunc)
-    run.csv("steering.csv", _meta(cfg, trunc) + [f"m={args.steer_m}"],
+    run.csv("steering.csv", [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
     if args.wavepacket_m:
         comp = wavepacket_comparison(args.wavepacket_m, args.t, cfg, trunc)
@@ -355,7 +373,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
         abs_psi, abs_u = np.abs(comp.psi.value), np.abs(u.value)
         run.csv(
             f"wavepacket_m{args.wavepacket_m}.csv",
-            _meta(cfg, trunc) + [f"t={args.t:.17g} cone_edge={comp.leak.edge:.17g}"],
+            [f"t={args.t:.17g} cone_edge={comp.leak.edge:.17g}"],
             ["x", "abs_psi", "abs_u", "abs_diff"],
             [u.grid, abs_psi, abs_u, abs_psi - abs_u],
         )
@@ -379,7 +397,7 @@ def cmd_causality(args, run: _Run) -> None:
         _record_series(run, f"leakage_t={t:.17g}", leak.mode)
         leaks.append(leak)
     fractions = [leak.fraction for leak in leaks]
-    run.csv("leakage.csv", _meta(cfg, trunc) + [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
+    run.csv("leakage.csv", [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
             ["t", "cone_edge", "outside_fraction"],
             [np.asarray(args.times, dtype=float), [leak.edge for leak in leaks], fractions])
 
@@ -389,7 +407,7 @@ def cmd_causality(args, run: _Run) -> None:
         _record_series(run, f"commutator_tau={tau:.17g}", comm.mode)
         comms.append(comm)
     taus = np.asarray(taus, dtype=float)
-    run.csv("commutators.csv", _meta(cfg, trunc) + [f"m={args.m} probe_n={args.probe_n}"],
+    run.csv("commutators.csv", [f"m={args.m} probe_n={args.probe_n}"],
             ["tau", "r_tilde", "c1", "c2", "spacelike"],
             [taus, np.full(len(taus), r_tilde), [c.c1 for c in comms], [c.c2 for c in comms],
              taus < gap])
@@ -399,7 +417,7 @@ def cmd_causality(args, run: _Run) -> None:
 
 
 def cmd_diverge(args, run: _Run) -> None:
-    cfg, trunc = run.cfg, run.trunc
+    cfg = run.cfg
     # every refusal comes before any sum: the scan requests here, a bad --m
     # in mode_sum_convergence before its sums. The convergence tails join
     # run.tails only after diverge.csv, whose sidecar has none
@@ -412,7 +430,7 @@ def cmd_diverge(args, run: _Run) -> None:
         run.tails[f"fit_N={N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
         scans.append(scan)
     counts = [len(s.M_list) for s in scans]
-    run.csv("diverge.csv", _meta(cfg, trunc),
+    run.csv("diverge.csv", [],
             ["N", "M", "partial_sum", "fit_slope", "fit_r2"],
             [np.repeat(args.N_list, counts), [M for s in scans for M in s.M_list],
              [S for s in scans for S in s.partial_sums],
@@ -420,7 +438,7 @@ def cmd_diverge(args, run: _Run) -> None:
              np.repeat([s.fit_r2 for s in scans], counts)])
     _record_tail(run, "alpha2_tail", conv.alpha2_tail, args.m, "the largest --n-list value")
     run.tails["beta2_tail"] = conv.beta2_tail
-    run.csv("converge.csv", _meta(cfg, trunc) + [f"m={args.m}"],
+    run.csv("converge.csv", [f"m={args.m}"],
             ["n_max", "sum_alpha2", "sum_beta2"],
             [conv.n_list, conv.alpha2_partial, conv.beta2_partial])
     series = [(s.M_list.astype(float), s.partial_sums, f"N={N}") for N, s in zip(args.N_list, scans)]
@@ -429,14 +447,10 @@ def cmd_diverge(args, run: _Run) -> None:
 
 
 def cmd_identities(args, run: _Run) -> None:
-    nmaxes = sorted(args.nmax_list)
-    # the header, sidecar and manifest report the largest cutoff that ran
-    run.trunc = dataclasses.replace(run.trunc,
-                                    n_max_global=max(nmaxes, default=run.trunc.n_max_global))
-    cfg, trunc = run.cfg, run.trunc
+    cfg, nmaxes = run.cfg, sorted(args.nmax_list)
     reports = [identity_residuals(cfg, n, args.upto) for n in nmaxes]
     residuals = [res.max_residual for res in reports]
-    run.csv("identities.csv", _meta(cfg, trunc) + [f"upto={args.upto}"],
+    run.csv("identities.csv", [f"upto={args.upto}"],
             ["n_max", "max_D1", "max_D2", "max_D1_cross", "max_D2_cross", "max_residual"],
             [nmaxes, [res.D1.max() for res in reports], [res.D2.max() for res in reports],
              [res.D1_cross.max() for res in reports], [res.D2_cross.max() for res in reports],

@@ -92,8 +92,8 @@ class CavityConfig:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Series/grid cutoffs shared by all computations: global modes N,
-    local modes m per family, and spatial grid points."""
+    """Series/grid cutoffs: global modes N, local modes m per family, and
+    spatial grid points. A computation reads only the ones it needs."""
 
     n_max_global: int = 10_000
     m_max_local: int = 1_000
@@ -145,10 +145,12 @@ def ladder(n, width: float, mu: float):
     """sqrt((pi n / width)^2 + mu^2): the frequency of mode n of a field of
     mass mu on an interval of the given width, for a scalar or an array of n.
 
-    The square is a product, never ``pow``, so a scalar n gives the same bits
-    as the matching entry of an array.
+    Each square is a product, never ``pow``: a scalar n gives the same bits
+    as the matching entry of an array, and mu -> mu / 2^k with
+    width -> 2^k width scales the result by exactly 2^-k (a libm pow may
+    round mu**2 an ulp off).
     """
-    return np.sqrt(np.square(np.pi * np.asarray(n, dtype=np.float64) / width) + mu**2)
+    return np.sqrt(np.square(np.pi * np.asarray(n, dtype=np.float64) / width) + mu * mu)
 
 
 class Region(enum.Enum):

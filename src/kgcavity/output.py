@@ -4,9 +4,10 @@ CSV is the numeric contract: a table is a list of columns, each printed in
 the one format of its dtype (17-significant-digit decimals for floats), in
 fixed column order, with fixed '\n' newlines and metadata only in
 '#'-prefixed header lines — identical inputs produce byte-identical
-payloads. Every CSV gets a JSON sidecar carrying the configuration,
-truncation, tail-bound summary and the payload digest; a run-level manifest
-lists all outputs.
+payloads. Every CSV gets a JSON sidecar and every run a manifest listing
+all outputs. Both carry the caller's provenance record (what ran, at which
+configuration and cutoffs, with which tail bounds) and the package version;
+a sidecar adds its CSV's payload digest.
 
 A table of fewer than ``_ENCODE_MIN_CELLS`` cells per dtype kind it holds
 is printed one %-template per row, and so is every table with a column of
@@ -42,11 +43,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict
 
 import numpy as np
-
-from .config import CavityConfig, Truncation
 
 VERSION = "0.1.0"
 
@@ -394,46 +392,23 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write(text + "\n")
 
 
-def _provenance(command: str, cfg: CavityConfig, trunc: Truncation, tail_bounds) -> dict:
-    """The keys a sidecar and the manifest share: what ran, under which knobs."""
-    return {
-        "command": command,
-        "config": asdict(cfg),
-        "truncation": asdict(trunc),
-        "tail_bounds": tail_bounds,
-        "version": VERSION,
-    }
-
-
-def write_sidecar(
-    csv_path: str,
-    command: str,
-    cfg: CavityConfig,
-    trunc: Truncation,
-    tail_bounds,
-    digest: str,
-) -> str:
-    """JSON sidecar next to a CSV; returns the sidecar path."""
+def write_sidecar(csv_path: str, provenance: dict, digest: str) -> str:
+    """JSON sidecar next to a CSV: ``provenance``, the package version and
+    the payload digest; returns the sidecar path."""
     sidecar = os.path.splitext(csv_path)[0] + ".json"
-    _write_json(sidecar, {**_provenance(command, cfg, trunc, tail_bounds), "digest": digest})
+    _write_json(sidecar, {**provenance, "digest": digest, "version": VERSION})
     return sidecar
 
 
-def write_manifest(
-    out_dir: str,
-    command: str,
-    cfg: CavityConfig,
-    trunc: Truncation,
-    outputs,
-    wall_time_s: float,
-    tail_bounds,
-) -> str:
+def write_manifest(out_dir: str, provenance: dict, outputs, wall_time_s: float) -> str:
     """``manifest.json`` in ``out_dir``: what one CLI invocation produced,
-    ``outputs`` as (path, digest) pairs, and under which knobs; returns its path."""
+    ``outputs`` as (path, digest) pairs, with ``provenance`` and the
+    package version; returns its path."""
     path = os.path.join(out_dir, "manifest.json")
     _write_json(path, {
-        **_provenance(command, cfg, trunc, tail_bounds),
+        **provenance,
         "outputs": [{"path": p, "digest": d} for p, d in outputs],
+        "version": VERSION,
         "wall_time_s": wall_time_s,
         "written": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     })

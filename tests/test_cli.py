@@ -111,10 +111,21 @@ def test_spectrum_products_and_digests(tmp_path):
 def test_spectrum_reports_the_lmax_cutoff_it_ran(tmp_path):
     out = str(tmp_path / "s")
     assert main(["spectrum", "--mu-list", "0,5", "--out-dir", out]) == 0
-    assert Path(out, "spectrum.csv").read_text().splitlines()[1].startswith(
-        "# n_max_global=10000 m_max_local=20 ")
+    lines = Path(out, "spectrum.csv").read_text().splitlines()
+    # the l column carries the --lmax cutoff; the provenance names only --nmax
+    assert [int(line.split(",")[1]) for line in lines[4:]] == list(range(1, 21)) * 2
+    assert lines[1] == "# n_max_global=10000"
     for doc in (_read_json(Path(out, "spectrum.json")), _read_json(Path(out, "manifest.json"))):
-        assert doc["truncation"]["m_max_local"] == 20
+        assert doc["truncation"] == {"n_max_global": 10_000}
+
+
+@pytest.mark.parametrize("lmax", ["0", "-3"])
+def test_spectrum_lmax_below_one_is_a_domain_error_naming_the_flag(tmp_path, capsys, lmax):
+    out = tmp_path / "s"
+    assert main(["spectrum", "--nmax", "200", "--lmax", lmax, "--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "DomainError" and "--lmax" in err["message"]
+    assert not out.exists()
 
 
 def test_parser_is_built_once_and_parses_afresh(tmp_path):
@@ -373,14 +384,14 @@ def test_identities_multi_cutoff(tmp_path):
                "--out-dir", out])
     assert rc == 0
     lines = Path(out, "identities.csv").read_text().splitlines()
-    assert lines[3] == "n_max,max_D1,max_D2,max_D1_cross,max_D2_cross,max_residual"
-    rows = [line.split(",") for line in lines[4:]]
+    assert lines[2] == "n_max,max_D1,max_D2,max_D1_cross,max_D2_cross,max_residual"
+    rows = [line.split(",") for line in lines[3:]]
     assert [r[0] for r in rows] == ["500", "1000"]
     assert float(rows[1][5]) < float(rows[0][5])      # residual falls with cutoff
-    # the run reports the largest cutoff it ran at, not the --nmax default
-    assert lines[1].startswith("# n_max_global=1000 ")
+    # the n_max column carries the cutoffs that ran; the provenance names none
+    assert lines[:2] == ["# R=1 r=0.5 mu=0", "# upto=3"]
     for doc in (_read_json(Path(out, "identities.json")), _read_json(Path(out, "manifest.json"))):
-        assert doc["truncation"]["n_max_global"] == 1000
+        assert doc["truncation"] == {}
 
 
 def test_identities_reads_rows_without_blocks(tmp_path, monkeypatch):
@@ -566,6 +577,52 @@ def test_declared_cutoff_flag_sets_the_truncation(command, flag):
     # the flag sets its own field; the others keep the Truncation defaults
     _, trunc = _resolve(build_parser().parse_args([command, f"--{flag}", "7"]))
     assert trunc == dataclasses.replace(kg.Truncation(), **{_FIELDS[flag]: 7})
+
+
+# per command, the flags that keep it quick at the _SMALL cutoffs
+_QUICK = {"modes": [], "quasilocal": ["--l-list", "1"], "causality": ["--taus", "0.1"],
+          "correlations": ["--mrows", "2", "--nrows", "2"], "spectrum": ["--lmax", "2"],
+          "rscan": ["--values", "0.5", "--M-fixed", "10"],
+          "diverge": ["--M-list", "10,100", "--n-list", "100,200"],
+          "identities": ["--nmax", "200,400", "--upto", "3"]}
+
+
+@pytest.mark.parametrize("command", _DECLARED)
+def test_provenance_names_exactly_the_declared_cutoffs(tmp_path, command):
+    # the header's cutoff line, every sidecar and the manifest name the
+    # cutoffs the command reads, at their resolved values, and no other;
+    # `diverge` and `identities` name none (their cutoffs are columns)
+    out = tmp_path / command
+    assert main([command, *_BASE[command], *_QUICK[command], "--out-dir", str(out)]) == 0
+    want = {_FIELDS[flag]: int(_SMALL[flag]) for flag in _DECLARED[command].split()}
+    line = "# " + " ".join(f"{key}={value}" for key, value in want.items())
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        comments = [c for c in path.read_text().splitlines() if c.startswith("#")]
+        assert [c for c in comments if any(key in c for key in _FIELDS.values())] == \
+            ([line] if want else [])
+        assert _read_json(path.with_suffix(".json"))["truncation"] == want
+    assert _read_json(out / "manifest.json")["truncation"] == want
+
+
+@pytest.mark.parametrize("argv, head, config, first", [
+    (["spectrum", "--mu", "5", "--mu-list", "0", "--lmax", "2"],
+     "# R=1 r=0.5", {"R": 1.0, "r": 0.5, "r_bar": 0.5}, "0"),
+    (["rscan", "--r", "0.2", "--values", "0.3", "--M-fixed", "10"],
+     "# R=1 mu=0", {"R": 1.0, "mu": 0.0}, "0.29999999999999999"),
+    (["rscan", "--kind", "mass", "--mu", "3", "--values", "0.5", "--M-fixed", "10"],
+     "# R=1 r=0.5", {"R": 1.0, "r": 0.5, "r_bar": 0.5}, "0.5"),
+], ids=["spectrum-mu-list", "rscan-partition-size", "rscan-mass"])
+def test_a_scanned_parameter_is_only_a_column(tmp_path, argv, head, config, first):
+    # no header, sidecar or manifest names a value no row ran at
+    out = tmp_path / "o"
+    assert main([argv[0], "--nmax", "200", *argv[1:], "--out-dir", str(out)]) == 0
+    lines = (out / f"{argv[0]}.csv").read_text().splitlines()
+    assert lines[0] == head
+    assert lines[4].split(",")[0] == first
+    for doc in (_read_json(out / f"{argv[0]}.json"), _read_json(out / "manifest.json")):
+        assert doc["config"] == config
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ sidecars and manifests."""
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,9 @@ def test_write_csv_payload_and_digest(tmp_path):
 def test_sidecar_schema_and_digest_match(tmp_path, cfg_half, trunc_10k):
     csv_path = str(tmp_path / "spec.csv")
     digest = write_csv(csv_path, [], ["x"], [[1.0]])
-    side = write_sidecar(csv_path, "spectrum", cfg_half, trunc_10k,
-                         {"worst": 1e-9}, digest)
+    side = write_sidecar(csv_path, {"command": "spectrum", "config": asdict(cfg_half),
+                                    "truncation": asdict(trunc_10k),
+                                    "tail_bounds": {"worst": 1e-9}}, digest)
     assert side == str(tmp_path / "spec.json")
     doc = json.loads(Path(side).read_text())
     assert doc["digest"] == digest
@@ -52,8 +54,10 @@ def test_sidecar_schema_and_digest_match(tmp_path, cfg_half, trunc_10k):
 
 
 def test_manifest_lists_outputs(tmp_path, cfg_half, trunc_10k):
-    path = write_manifest(str(tmp_path), "spectrum", cfg_half, trunc_10k,
-                          [("a.csv", "d1"), ("b.csv", "d2")], 0.5, {"worst": 0.0})
+    path = write_manifest(str(tmp_path), {"command": "spectrum", "config": asdict(cfg_half),
+                                          "truncation": asdict(trunc_10k),
+                                          "tail_bounds": {"worst": 0.0}},
+                          [("a.csv", "d1"), ("b.csv", "d2")], 0.5)
     doc = json.loads(Path(path).read_text())
     assert doc["outputs"] == [{"path": "a.csv", "digest": "d1"},
                               {"path": "b.csv", "digest": "d2"}]
@@ -70,8 +74,10 @@ def test_json_writes_non_finite_values_as_strings(tmp_path, cfg_half, trunc_10k)
             "fit": {"slope": "inf", "r2": 1.0}, "tiny": 5e-324, "neg": -0.0}
     csv_path = str(tmp_path / "t.csv")
     digest = write_csv(csv_path, [], ["x"], [[1.0]])
-    side = write_sidecar(csv_path, "diverge", cfg_half, trunc_10k, tails, digest)
-    man = write_manifest(str(tmp_path), "diverge", cfg_half, trunc_10k, [("t.csv", digest)], 0.5, tails)
+    provenance = {"command": "diverge", "config": asdict(cfg_half),
+                  "truncation": asdict(trunc_10k), "tail_bounds": tails}
+    side = write_sidecar(csv_path, provenance, digest)
+    man = write_manifest(str(tmp_path), provenance, [("t.csv", digest)], 0.5)
 
     def refuse(token):
         raise ValueError(token)
