@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,9 +76,9 @@ __all__ = [
     "clear_memo",
 ]
 
-# Bound on the alpha + beta bytes the block memo keeps: three default
-# left/right pairs (m_max 1000 x n_max 10^4, 320 MB a pair) fit without
-# eviction.
+# Bound on the alpha + beta bytes the block memo keeps. Commands ask only
+# for the rows they read (at most a few hundred at n_max 10^4, 160 kB a
+# row), so the bound is met only by a caller that loops over configurations.
 _MEMO_BYTES = 2**30
 
 _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
@@ -339,12 +339,12 @@ def build_block(
     tables: FrequencyTables | None,
     trunc: Truncation,
 ) -> BogoliubovBlock:
-    """Rows 1..m_max_local of one family's block, against N = 1..n_max_global.
+    """One family's block against N = 1..n_max_global, holding at least rows
+    1..m_max_local: callers read the rows they need by index.
 
     Memoized in process, one entry per ``block_digest``: a stored block with
-    these rows is returned as is, one with more rows as a read-only view of
-    its first rows; one with fewer rows gains only the missing rows, and the
-    longer block replaces the entry.
+    at least these rows is returned as is; one with fewer rows gains only
+    the missing rows, and the longer block replaces the entry.
     The memo is a least-recently-used map bounded by _MEMO_BYTES of alpha +
     beta payload; a block larger than the bound is returned without being kept.
 
@@ -358,14 +358,12 @@ def build_block(
     held_rows = 0 if block is None else block.alpha.shape[0]
     if held_rows >= rows:
         _BLOCK_MEMO[digest] = block
-        if held_rows == rows:
-            return block
-        return replace(block, alpha=block.alpha[:rows], beta=block.beta[:rows])
+        return block
 
     alpha, beta = coeff_grid(region, np.arange(held_rows + 1, rows + 1),
                              np.arange(1, trunc.n_max_global + 1), cfg)
     if block is not None:
-        # new arrays: views of the stored rows handed out earlier stay valid
+        # new arrays: blocks handed out earlier keep their rows
         alpha = np.concatenate((block.alpha, alpha))
         beta = np.concatenate((block.beta, beta))
     alpha.setflags(write=False)

@@ -124,9 +124,9 @@ def _resolve(args) -> tuple:
         pick(args.r, "r", 0.5),
         pick(args.mu, "mu", 0.0),
     )
-    # a cutoff flag the command does not declare reads as unset
-    trunc = Truncation(**{key: int(pick(getattr(args, flag, None), key, getattr(Truncation, key)))
-                          for flag, key in _CUTOFFS.items()})
+    # a cutoff the command has no flag for keeps its default, whatever the file says
+    trunc = Truncation(**{key: int(pick(getattr(args, flag), key, getattr(Truncation, key)))
+                          for flag, key in _CUTOFFS.items() if hasattr(args, flag)})
     return cfg, trunc
 
 

@@ -21,7 +21,7 @@ Bogoliubov rows of ``kgcavity.bogoliubov``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def evolve_local_mode(
     if not 1 <= m <= trunc.m_max_local:
         raise DomainError(f"local index m={m} outside block with {trunc.m_max_local} rows")
     _check_time(t)
-    block = build_block(region, cfg, None, trunc)
+    block = build_block(region, cfg, None, replace(trunc, m_max_local=m))
     mode = _row_series(block.alpha[m - 1], block.beta[m - 1], grid, t, cfg)
     if t == 0.0:
         exact_sup = 1.0 / np.sqrt(region.interval(cfg)[2] * region.omega(m, cfg))

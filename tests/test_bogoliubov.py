@@ -573,7 +573,7 @@ def test_memo_is_a_byte_bounded_lru(cfg_half, monkeypatch):
     assert block.cfg_hash not in bogoliubov._BLOCK_MEMO
 
 
-def test_fewer_rows_are_a_view_and_more_rows_replace_the_entry(cfg_half, monkeypatch):
+def test_fewer_rows_return_the_held_block_and_more_rows_replace_the_entry(cfg_half, monkeypatch):
     monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
 
     def trunc(rows):
@@ -582,11 +582,10 @@ def test_fewer_rows_are_a_view_and_more_rows_replace_the_entry(cfg_half, monkeyp
     assert kg.block_digest(L, cfg_half, trunc(4)) == kg.block_digest(L, cfg_half, trunc(2))
     four = kg.build_block(L, cfg_half, None, trunc(4))
     two = kg.build_block(L, cfg_half, None, trunc(2))
-    # the first two rows of the stored block, read-only, and no new entry
-    assert two.alpha.shape == two.beta.shape == (2, 100)
-    assert two.alpha.tobytes() == four.alpha[:2].tobytes()
-    assert two.beta.tobytes() == four.beta[:2].tobytes()
-    assert np.shares_memory(two.alpha, four.alpha)
+    # the stored block itself, read-only, holding at least the rows asked for;
+    # no new entry
+    assert two is four
+    assert two.alpha.shape == two.beta.shape == (4, 100)
     with pytest.raises(ValueError):
         two.beta[0, 0] = 1.0
     assert list(bogoliubov._BLOCK_MEMO.values()) == [four]
@@ -597,6 +596,7 @@ def test_fewer_rows_are_a_view_and_more_rows_replace_the_entry(cfg_half, monkeyp
     assert len(bogoliubov._BLOCK_MEMO) == 1
     assert next(iter(bogoliubov._BLOCK_MEMO.values())) is six
     assert six.alpha[:4].tobytes() == four.alpha.tobytes()
+    assert kg.build_block(L, cfg_half, None, trunc(2)) is six
 
 
 def test_more_rows_compute_only_the_missing_rows(cfg_half, monkeypatch):
@@ -604,6 +604,7 @@ def test_more_rows_compute_only_the_missing_rows(cfg_half, monkeypatch):
     N_idx = np.arange(1, 101)
     four = kg.build_block(L, cfg_half, None, kg.Truncation(n_max_global=100, m_max_local=4))
     two = kg.build_block(L, cfg_half, None, kg.Truncation(n_max_global=100, m_max_local=2))
+    assert two is four
     coeff_grid = bogoliubov.coeff_grid
     asked = []
 
@@ -619,9 +620,9 @@ def test_more_rows_compute_only_the_missing_rows(cfg_half, monkeypatch):
     assert six.beta.tobytes() == beta.tobytes()
     assert not (six.alpha.flags.writeable or six.beta.flags.writeable)
     assert list(bogoliubov._BLOCK_MEMO.values()) == [six]
-    # blocks and views handed out before the extension still hold their rows
+    # blocks handed out before the extension still hold their rows
     assert four.alpha.tobytes() == alpha[:4].tobytes()
-    assert two.beta.tobytes() == beta[:2].tobytes()
+    assert two.beta[:2].tobytes() == beta[:2].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -630,17 +631,37 @@ def test_more_rows_compute_only_the_missing_rows(cfg_half, monkeypatch):
        requests=st.lists(st.integers(1, 12), min_size=1, max_size=4))
 def test_every_row_count_of_one_family_is_fresh_property(r, mu, right, n_max, requests):
     # one memo entry serves every row count of a family: whatever the order
-    # of the requests, a block is never stale or short of rows
+    # of the requests, a block is never stale or short of rows, only the
+    # missing rows are computed, and a shorter request gets the held block
     cfg = kg.validate_config(1.0, r, mu)
     region = RG if right else L
     N_idx = np.arange(1, n_max + 1)
+    coeff_grid = bogoliubov.coeff_grid
+    asked = []
+
+    def spy(family, m_indices, *rest):
+        asked.append(list(m_indices))
+        return coeff_grid(family, m_indices, *rest)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+        mp.setattr(bogoliubov, "coeff_grid", spy)
+        held, block = 0, None
         for rows in requests:
+            asked.clear()
+            before = block
             block = kg.build_block(region, cfg, None, kg.Truncation(n_max, rows))
-            alpha, beta = kg.coeff_grid(region, np.arange(1, rows + 1), N_idx, cfg)
-            assert block.alpha.tobytes() == alpha.tobytes()
-            assert block.beta.tobytes() == beta.tobytes()
+            if rows <= held:
+                assert block is before
+                assert asked == []
+            else:
+                assert asked == [list(range(held + 1, rows + 1))]
+                held = rows
+            assert block.alpha.shape == block.beta.shape == (held, n_max)
+            alpha, beta = coeff_grid(region, np.arange(1, rows + 1), N_idx, cfg)
+            assert block.alpha[:rows].tobytes() == alpha.tobytes()
+            assert block.beta[:rows].tobytes() == beta.tobytes()
+            assert not (block.alpha.flags.writeable or block.beta.flags.writeable)
             assert len(bogoliubov._BLOCK_MEMO) == 1
 
 

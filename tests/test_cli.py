@@ -394,6 +394,26 @@ def test_identities_multi_cutoff(tmp_path):
         assert doc["truncation"] == {}
 
 
+@pytest.mark.parametrize("argv, m", [(["modes", "--m", "3"], 3),
+                                     (["causality", "--m", "2"], 2),
+                                     (["quasilocal", "--wavepacket-m", "2"], 2)])
+def test_evolutions_compute_only_the_rows_up_to_the_evolved_mode(argv, m, tmp_path, monkeypatch):
+    # evolving u_m reads row m: from a cold memo the block holds rows 1..m,
+    # never rows 1..--mmax (quasilocal's own coeff_grid binding is not spied)
+    entries = []
+    grid = bogoliubov.coeff_grid
+
+    def spy(region, m_indices, N_indices, *rest):
+        entries.append(len(m_indices) * len(N_indices))
+        return grid(region, m_indices, N_indices, *rest)
+
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
+    assert main(argv + ["--nmax", "300", "--mmax", "50", "--grid", "65",
+                        "--out-dir", str(tmp_path / "o")]) == 0
+    assert sum(entries) == m * 300
+
+
 def test_identities_reads_rows_without_blocks(tmp_path, monkeypatch):
     build_block = bogoliubov.build_block
     built = []
@@ -473,6 +493,24 @@ def test_config_file_with_flag_override(tmp_path):
                  "--lmax", "2", "--out-dir", out]) == 0
     side = _read_json(os.path.join(out, "spectrum.json"))
     assert side["config"]["r"] == 0.3                 # flag beats file
+
+
+def test_a_config_file_sets_only_the_cutoffs_the_command_declares(tmp_path, capsys):
+    cfg_file = tmp_path / "cavity.cfg"
+    cfg_file.write_text("n_max_global = 300\nm_max_local = 0\ngrid_points = 0\n")
+    # diverge reads no cutoff and spectrum only n_max_global: the file's
+    # other cutoffs are not read, so their 0 is no error
+    assert main(["diverge", "--config", str(cfg_file), "--M-list", "10,100",
+                 "--n-list", "100,200", "--out-dir", str(tmp_path / "d")]) == 0
+    assert main(["spectrum", "--config", str(cfg_file), "--lmax", "2",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    assert _read_json(tmp_path / "s" / "manifest.json")["truncation"] == {"n_max_global": 300}
+    # a cutoff the command declares is still taken from the file and checked
+    assert main(["modes", "--config", str(cfg_file), "--grid", "65",
+                 "--out-dir", str(tmp_path / "m")]) == 2
+    assert "m_max_local must be >= 1" in _one_json_error(capsys)["message"]
+    assert main(["modes", "--config", str(cfg_file), "--mmax", "4", "--grid", "65",
+                 "--times", "0", "--out-dir", str(tmp_path / "m")]) == 0
 
 
 # ── error paths ─────────────────────────────────────────────────────────────
@@ -743,3 +781,20 @@ def test_cli_starts_without_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+def test_default_modes_peak_memory(tmp_path):
+    # one evolved row at the default cutoffs: no block of --mmax rows is
+    # built. The peak is VmHWM, the high-water mark of the process's own
+    # memory: ru_maxrss keeps the peak of the test process across exec.
+    probe = ("import re, sys, kgcavity.cli as c; "
+             "rc = c.main(['modes', '--out-dir', sys.argv[1]]); "
+             "print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(kg.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "m")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, peak_kb = done.stdout.split()
+    assert rc == "0"
+    assert int(peak_kb) / 1024 < 100

@@ -8,6 +8,8 @@ interior error at n_max = 1e4 is 5.4e-8 (r = 0.21, m = 1), frozen below
 at 5e-7.
 """
 
+from collections import OrderedDict
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgcavity as kg
+from kgcavity import bogoliubov
 from kgcavity.modes import _sine_series
 
 L = kg.Region.LEFT
@@ -232,6 +235,31 @@ def test_evolve_rejects_rows_outside_the_block(narrow, monkeypatch):
     for m in (0, trunc.m_max_local + 1):
         with pytest.raises(kg.DomainError, match="outside block"):
             kg.evolve_local_mode(L, m, grid, 0.0, cfg, trunc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True), mu=st.floats(0.0, 50.0),
+       right=st.booleans(), n_max=st.integers(1, 400), t=st.floats(0.0, 2.0),
+       m=st.integers(1, 8), fewer=st.integers(0, 7), more=st.integers(1, 4))
+def test_evolution_does_not_depend_on_the_memo_state_property(r, mu, right, n_max, t, m,
+                                                              fewer, more):
+    # u_m has the same bits from a cold memo (held = 0) and from one holding
+    # fewer or more rows of its family than the m rows it asks for
+    cfg = kg.validate_config(1.0, r, mu)
+    region = RG if right else L
+    grid = kg.uniform_grid(cfg, 65)
+    modes = []
+    with pytest.MonkeyPatch.context() as mp:
+        for held in (0, fewer % m, m + more):
+            mp.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+            if held:
+                kg.build_block(region, cfg, None, kg.Truncation(n_max, held))
+            modes.append(kg.evolve_local_mode(region, m, grid, t, cfg, kg.Truncation(n_max, 12)))
+    cold = modes[0]
+    for warm in modes[1:]:
+        assert warm.value.tobytes() == cold.value.tobytes()
+        assert warm.tderiv.tobytes() == cold.tderiv.tobytes()
+        assert warm.tail_estimate == cold.tail_estimate
 
 
 def test_gibbs_overshoot_is_reported(narrow):
