@@ -54,7 +54,6 @@ and never holds a len(m) x len(N) array.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,7 +70,6 @@ __all__ = [
     "coeff_grid",
     "beta_sq_sums",
     "build_block",
-    "block_digest",
     "identity_residuals",
     "clear_memo",
 ]
@@ -310,20 +308,6 @@ def closed_overlap(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
 
 # ── block construction and memo ──────────────────────────────────────────────
 
-def block_digest(region: Region, cfg: CavityConfig, trunc: Truncation) -> str:
-    """Digest of a family's memo entry, (family, r/R, mu R, n_max): a row does
-    not depend on the row count, so one entry serves every row count."""
-    key = "|".join(
-        [
-            region.value,
-            format(cfg.r_tilde, ".17g"),
-            format(cfg.mu_tilde, ".17g"),
-            str(trunc.n_max_global),
-        ]
-    )
-    return hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
-
-
 def _nbytes(block: BogoliubovBlock) -> int:
     return block.alpha.nbytes + block.beta.nbytes
 
@@ -342,9 +326,11 @@ def build_block(
     """One family's block against N = 1..n_max_global, holding at least rows
     1..m_max_local: callers read the rows they need by index.
 
-    Memoized in process, one entry per ``block_digest``: a stored block with
-    at least these rows is returned as is; one with fewer rows gains only
-    the missing rows, and the longer block replaces the entry.
+    Memoized in process, one entry per family, r/R, mu R and n_max, keyed by
+    the text ``family|r/R|mu R|n_max`` (also the block's ``cfg_hash``): a row
+    does not depend on the row count, so one entry serves every row count. A
+    stored block with at least these rows is returned as is; one with fewer
+    rows gains only the missing rows, and the longer block replaces the entry.
     The memo is a least-recently-used map bounded by _MEMO_BYTES of alpha +
     beta payload; a block larger than the bound is returned without being kept.
 
@@ -352,12 +338,12 @@ def build_block(
     frequencies from ``cfg``. It stays because ``perfbench/tests`` passes it
     positionally.
     """
-    digest = block_digest(region, cfg, trunc)
+    key = f"{region.value}|{cfg.r_tilde:.17g}|{cfg.mu_tilde:.17g}|{trunc.n_max_global}"
     rows = trunc.m_max_local
-    block = _BLOCK_MEMO.pop(digest, None)
+    block = _BLOCK_MEMO.pop(key, None)
     held_rows = 0 if block is None else block.alpha.shape[0]
     if held_rows >= rows:
-        _BLOCK_MEMO[digest] = block
+        _BLOCK_MEMO[key] = block
         return block
 
     alpha, beta = coeff_grid(region, np.arange(held_rows + 1, rows + 1),
@@ -368,7 +354,7 @@ def build_block(
         beta = np.concatenate((block.beta, beta))
     alpha.setflags(write=False)
     beta.setflags(write=False)
-    block = BogoliubovBlock(region=region, alpha=alpha, beta=beta, cfg_hash=digest)
+    block = BogoliubovBlock(region=region, alpha=alpha, beta=beta, cfg_hash=key)
 
     size = _nbytes(block)
     if size <= _MEMO_BYTES:
@@ -376,7 +362,7 @@ def build_block(
         while held + size > _MEMO_BYTES:
             _, oldest = _BLOCK_MEMO.popitem(last=False)
             held -= _nbytes(oldest)
-        _BLOCK_MEMO[digest] = block
+        _BLOCK_MEMO[key] = block
     return block
 
 

@@ -58,11 +58,14 @@ class Leakage(NamedTuple):
 
 
 class Commutators(NamedTuple):
-    """(c1, c2) and the evolved mode u_m they pair with the probe."""
+    """(c1, c2), the evolved mode u_m they pair with the probe, and the
+    larger of the two KG quadratures' error estimates: a c1 or c2 at or
+    below it is zero to the quadrature's accuracy."""
 
     c1: float
     c2: float
     mode: SampledMode
+    error_estimate: float
 
 
 def _probe_config(r_tilde: float, cfg: CavityConfig) -> CavityConfig:
@@ -104,11 +107,10 @@ def commutator_pair(
     grid = uniform_grid(cfg, trunc.grid_points)
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc)
     probe_mode = eval_probe_initial(probe, grid, cfg)
-    return Commutators(
-        c1=abs(kg_inner(probe_mode, u_m)),
-        c2=abs(kg_inner(probe_mode, conjugate_mode(u_m))),
-        mode=u_m,
-    )
+    p1 = kg_inner(probe_mode, u_m)
+    p2 = kg_inner(probe_mode, conjugate_mode(u_m))
+    return Commutators(c1=abs(p1), c2=abs(p2), mode=u_m,
+                       error_estimate=max(p1.error_estimate, p2.error_estimate))
 
 
 def outside_cone_mass(mode: SampledMode, edge: float, om: float, side: str) -> tuple[float, float]:
@@ -148,16 +150,17 @@ def lightcone_leakage(
 
     The cone of the left family after time t is [0, r + t]; of the right
     family, [r - t, R]. At t = 0 the fraction is exactly the truncation
-    reconstruction residue. ``edge_margin`` widens the cone: the truncated
-    series rings in an O(R/n_max) skirt around the propagating edge, and a
-    small margin separates that ringing from genuine (absent) leakage.
+    reconstruction residue. ``edge_margin`` >= 0 widens the cone: the
+    truncated series rings in an O(R/n_max) skirt around the propagating
+    edge, and a small margin separates that ringing from genuine (absent)
+    leakage.
     This is the one place a cone edge is computed: every other out-of-cone
     measurement reads ``Leakage.edge``.
     """
     if not 0 <= t < np.inf:
         raise DomainError(f"time must be finite and >= 0, got {t}")
-    if not np.isfinite(edge_margin):
-        raise DomainError(f"edge margin must be finite, got {edge_margin}")
+    if not 0 <= edge_margin < np.inf:
+        raise DomainError(f"edge margin must be finite and >= 0, got {edge_margin}")
     _check_cone_grid(trunc.grid_points)
     grid = uniform_grid(cfg, trunc.grid_points)
     u = evolve_local_mode(region, m, grid, t, cfg, trunc)

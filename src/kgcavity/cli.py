@@ -313,8 +313,12 @@ def cmd_correlations(args, run: _Run) -> None:
         ls, Ns = np.arange(1, trunc.m_max_local + 1), np.arange(1, trunc.n_max_global + 1)
         left_n, right_n = (float(np.sum(beta_sq_sums(side, ls, Ns, cfg)))
                            for side in (Region.LEFT, Region.RIGHT))
+        norm = math.sqrt(left_n * right_n)
+        if norm == 0.0:
+            raise DomainError(f"--paper-norm has a zero normalization: the summed spectra are "
+                              f"{left_n:g} (left) and {right_n:g} (right)")
         names.append("corr_summed_norm")
-        columns.append((report.cov / math.sqrt(left_n * right_n)).ravel())
+        columns.append((report.cov / norm).ravel())
     run.csv("correlations.csv", [], names, columns)
     run.csv("moments.csv", [], ["region", "index", "mean", "var"],
             [["left"] * len(report.m_range) + ["right"] * len(report.n_range),
@@ -348,7 +352,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
         except ThresholdUnreachable as exc:
             log.warning("bandwidth threshold unreachable for l=%d (captured %.6g)", l, exc.captured)
             dO = float("nan")
-        energy = quasilocal_energy(l, cfg, trunc)
+        energy = quasilocal_energy(dist, cfg)
         _record_tail(run, f"energy_tail_l={l}", energy.tail_bound, l, "--nmax")
         dists.append(dist)
         widths.append(dO)
@@ -360,7 +364,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
             [l_list, [d.omega_l for d in dists], widths, [d.norm_captured for d in dists],
              [e.raw for e in energies], [e.normalized for e in energies],
              [e.annihilator_normalized for e in energies]])
-    shift = steering_shift(args.steer_m, l_list, cfg, trunc)
+    shift = steering_shift(overlap_distribution(args.steer_m, cfg, trunc), l_list, cfg)
     run.csv("steering.csv", [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
     if args.wavepacket_m:
@@ -405,6 +409,7 @@ def cmd_causality(args, run: _Run) -> None:
     for tau, probe in zip(taus, probes):
         comm = commutator_pair(probe, args.m, cfg, trunc)
         _record_series(run, f"commutator_tau={tau:.17g}", comm.mode)
+        run.tails[f"commutator_error_tau={tau:.17g}"] = comm.error_estimate
         comms.append(comm)
     taus = np.asarray(taus, dtype=float)
     run.csv("commutators.csv", [f"m={args.m} probe_n={args.probe_n}"],

@@ -123,11 +123,25 @@ class FrequencyTables(NamedTuple):
 
 # ── operations ──────────────────────────────────────────────────────────────
 
+# bounds on the reduced scales; ``validate_config`` derives them
+_MIN_WIDTH = 1e-100
+_MAX_MASS = 1e150
+
+
 def validate_config(R: float, r: float, mu: float) -> CavityConfig:
     """Normalize and range-check (R, r, mu); r = 0 and r = R are excluded.
 
     The endpoints are limit *scans*, not configurations: every coefficient
-    formula divides by r or r_bar.
+    formula divides by r or r_bar. The computations run at R = 1, on the
+    reduced widths w = r/R and 1 - r/R and the reduced mass mu R, and these
+    must keep every reduced quantity in double range:
+
+    - each width w >= 1e-100: the tail prefactor divides by w^3, a normal
+      double only for w > DBL_MIN^(1/3) = 2.8e-103, and the coefficients'
+      factors form (pi / w)^2, finite for w > 2.3e-154;
+    - mu R <= 1e150: the factors and the tail square mu R, and the tail's
+      nodes (up to 1640 times its cut mu R / pi) square their pi N, all
+      finite while (mu R)^2 <= 1e300 leaves them below DBL_MAX = 1.8e308.
     """
     R = float(R)
     r = float(r)
@@ -138,6 +152,13 @@ def validate_config(R: float, r: float, mu: float) -> CavityConfig:
         raise DomainError(f"partition r must satisfy 0 < r < R, got r={r}, R={R}")
     if not np.isfinite(mu) or mu < 0:
         raise DomainError(f"mass mu must be >= 0, got {mu}")
+    for name, w in (("r/R", r / R), ("1 - r/R", 1.0 - r / R)):
+        if not w >= _MIN_WIDTH:
+            raise DomainError(f"{name} = {w:.17g} is below {_MIN_WIDTH:g}: its reduced "
+                              f"scales leave double range")
+    if not mu * R <= _MAX_MASS:
+        raise DomainError(f"mu R = {mu * R:.17g} is above {_MAX_MASS:g}: its reduced "
+                          f"scales leave double range")
     return CavityConfig(R=R, r=r, mu=mu, r_bar=R - r)
 
 

@@ -44,13 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OverlapDistribution:
-    """|<1_N|psi_l>|^2 over the global index N.
+    """|<1_N|psi_l>|^2 over the global index N, and the coefficient row
+    (``alpha``, ``beta`` at N = 1..n_max) of ``region``'s mode l that fixes
+    the state; every other quasi-local quantity reads that row here.
 
     norm_captured = sum of p over the truncation; its deficit from 1 is the
     N-tail of the one-particle amplitudes (the state has no other sector).
     """
 
     l: int
+    region: Region
+    alpha: np.ndarray
+    beta: np.ndarray
     p: np.ndarray
     norm_captured: float
     peak_Omega: float
@@ -112,7 +117,8 @@ def overlap_distribution(
     trunc: Truncation,
     region: Region = Region.LEFT,
 ) -> OverlapDistribution:
-    """Distribution of psi_l over global one-particle states, and its peak."""
+    """Distribution of psi_l over global one-particle states, and its peak:
+    the one reader of the state's coefficient row."""
     if l < 1:
         raise DomainError(f"local index l must be >= 1, got {l}")
     N_idx = np.arange(1, trunc.n_max_global + 1)
@@ -124,6 +130,9 @@ def overlap_distribution(
     om_l = float(region.omega(l, cfg))
     return OverlapDistribution(
         l=l,
+        region=region,
+        alpha=alpha[0],
+        beta=beta[0],
         p=p,
         norm_captured=float(np.sum(p)),
         peak_Omega=peak,
@@ -200,33 +209,32 @@ def wavepacket_comparison(
     return WavepacketComparison(psi=psi, leak=leak, psi_outside_fraction=psi_out / psi_tot)
 
 
-def quasilocal_energy(
-    l: int,
-    cfg: CavityConfig,
-    trunc: Truncation,
-    region: Region = Region.LEFT,
-) -> QuasilocalEnergy:
-    """Vacuum-relative energies of the creator and annihilator states on l."""
-    if l < 1:
-        raise DomainError(f"local index l must be >= 1, got {l}")
-    N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
-    Om = ladder(N_idx, cfg.R, cfg.mu)
-    raw = float(np.sum(Om * alpha[0] ** 2))
-    ann_raw = float(np.sum(Om * beta[0] ** 2))
-    mean_occ = float(np.sum(beta[0] ** 2))
+def quasilocal_energy(dist: OverlapDistribution, cfg: CavityConfig) -> QuasilocalEnergy:
+    """Vacuum-relative energies of the creator and annihilator states on
+    ``dist``'s mode, from its row. A DomainError names a zero normalization:
+    <n_l> = 0, which happens when every beta_lN^2 underflows (mu R above
+    about 1e81), leaves the annihilator state without a norm."""
+    Om, alpha, beta = dist.Omega, dist.alpha, dist.beta
+    mean_occ = dist.mean_occupation
+    if mean_occ == 0.0:
+        raise DomainError(
+            f"the annihilator state of l={dist.l} has zero normalization <n_l> = 0 "
+            f"(every beta_lN^2 underflows at mu R = {cfg.mu_tilde:g})")
+    raw = float(np.sum(Om * alpha ** 2))
+    ann_raw = float(np.sum(Om * beta ** 2))
     return QuasilocalEnergy(
         raw=raw,
         normalized=raw / (1.0 + mean_occ),
         annihilator_raw=ann_raw,
         annihilator_normalized=ann_raw / mean_occ,
-        tail_bound=sum(_coeff_sq_tail(region, l, cfg, trunc.n_max_global, sign, energy=True)
+        tail_bound=sum(_coeff_sq_tail(dist.region, dist.l, cfg, len(Om), sign, energy=True)
                        for sign in (-1.0, 1.0)),
     )
 
 
-def steering_shift(m: int, l_range, cfg: CavityConfig, trunc: Truncation) -> Steering:
-    """Expectation shift of the far number operators caused by psi_m:
+def steering_shift(dist: OverlapDistribution, l_range, cfg: CavityConfig) -> Steering:
+    """Expectation shift of the far number operators caused by psi_m, the
+    state of ``dist`` (m = dist.l), on the far rows l of the other family:
 
         shift[l] = <psi_m| n_bar_l |psi_m> - <0_G| n_bar_l |0_G>
                  = cov(n_m, n_bar_l) / (1 + <n_m>) .
@@ -238,13 +246,12 @@ def steering_shift(m: int, l_range, cfg: CavityConfig, trunc: Truncation) -> Ste
     that the truncated dictionary behaves.
     """
     l_idx = np.array([int(l) for l in l_range], dtype=np.int64)
-    if m < 1 or np.any(l_idx < 1):
-        raise DomainError(f"local indices must be >= 1, got m={m}, l={l_idx.tolist()}")
-    N_idx = np.arange(1, trunc.n_max_global + 1)
-    a_m, b_m = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg)
-    a_m, b_m = a_m[0], b_m[0]
+    if np.any(l_idx < 1):
+        raise DomainError(f"far local indices must be >= 1, got l={l_idx.tolist()}")
+    a_m, b_m = dist.alpha, dist.beta
     B_m = float(np.dot(b_m, b_m))
-    a_l, b_l = coeff_grid(Region.RIGHT, l_idx, N_idx, cfg)
+    far = Region.RIGHT if dist.region is Region.LEFT else Region.LEFT
+    a_l, b_l = coeff_grid(far, l_idx, np.arange(1, len(a_m) + 1), cfg)
 
     X1 = a_l @ a_m
     X2 = b_l @ a_m

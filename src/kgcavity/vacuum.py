@@ -153,11 +153,17 @@ def _tail_quad(f, start: float, scales) -> float:
     return float(np.dot(np.concatenate(weights), f(np.concatenate(nodes))))
 
 
+def _reduced(cfg: CavityConfig) -> CavityConfig:
+    """The configuration at R = 1 with the same r/R and mu R."""
+    return validate_config(1.0, cfg.r_tilde, cfg.mu_tilde)
+
+
 def _resonance_cutoff(region: Region, l: int, cfg: CavityConfig) -> int:
     """The index nearest 2 omega_l R / pi, twice the resonance pole Omega_N =
     omega_l at mu = 0: from it on the alpha^2 summands fall monotonically.
-    Rounding keeps it fixed under r -> R - r, which moves omega_l by ulps."""
-    return round(2.0 * float(region.omega(l, cfg)) * cfg.R / np.pi)
+    Computed at R = 1, where omega_l R is omega_l. Rounding keeps it fixed
+    under r -> R - r, which moves omega_l by ulps."""
+    return round(2.0 * float(region.omega(l, _reduced(cfg))) / np.pi)
 
 
 def _divergence_request(N: int, M_list) -> np.ndarray:
@@ -180,25 +186,37 @@ def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
     sum_N alpha_lN^2 (sign = -1), each term weighted by Omega_N with
     ``energy``; sin^2 -> 1/2 makes the summand pref / (Om (Om + sign om)^2),
     times Om with ``energy``. The alpha tail is inf below
-    ``_resonance_cutoff``, where it would skip the resonance peak. Squares
-    are products, never ``pow``, so the tail is exactly covariant under
-    R -> 2^k R; the rule's cuts, mu R / pi and omega_l R / pi (where k
-    passes mu and omega_l), are dimensionless."""
+    ``_resonance_cutoff``, where it would skip the resonance peak.
+
+    The sum runs at R = 1 (widths r/R, frequencies omega R, mass mu R), so
+    no dimensional prefactor can underflow, and the energy tail is divided
+    by R at the end: a tail is a function of r/R and mu R alone (times 1/R
+    for energy). Squares are products, never ``pow``, so R -> 2^k R keeps
+    every bit. Where the denominator leaves
+    double range (nodes past Omega ~ 1e102, which widths below about 1e-98
+    and mu R above about 1e99 reach), the summand divides factor by factor:
+    taking it as 0 would lose up to 2e-6 of the tail at width 1e-100."""
     if sign < 0 and n_from < _resonance_cutoff(region, l, cfg):
         return math.inf
-    w = region.interval(cfg)[2]
-    om_l = float(region.omega(l, cfg))
-    pref = l**2 * np.pi**2 / (2.0 * cfg.R * w * w * w * om_l)
-    mu2 = cfg.mu * cfg.mu
+    unit = _reduced(cfg)
+    w = region.interval(unit)[2]
+    om_l = float(region.omega(l, unit))
+    pref = l**2 * np.pi**2 / (2.0 * w * w * w * om_l)
+    mu2 = unit.mu * unit.mu
 
     def integrand(N: np.ndarray) -> np.ndarray:
-        k = np.pi * N / cfg.R
+        k = np.pi * N
         Om = np.sqrt(k * k + mu2)
         d = Om + sign * om_l
-        return pref / (d * d) if energy else pref / (Om * d * d)
+        with np.errstate(over="ignore"):
+            den = d * d if energy else Om * d * d
+        f = pref / den
+        far = np.isinf(den)
+        f[far] = (pref / d[far] if energy else pref / Om[far] / d[far]) / d[far]
+        return f
 
-    return _tail_quad(integrand, float(n_from),
-                      (cfg.mu * cfg.R / np.pi, om_l * cfg.R / np.pi))
+    tail = _tail_quad(integrand, float(n_from), (unit.mu / np.pi, om_l / np.pi))
+    return tail / cfg.R if energy else tail
 
 
 # ── operations ──────────────────────────────────────────────────────────────

@@ -262,13 +262,13 @@ def test_criterion_12_energy_positivity_and_tail_honesty():
             t2 = kg.Truncation(n_max_global=2_000, m_max_local=50)
             t4 = kg.Truncation(n_max_global=4_000, m_max_local=50)
             for l in range(1, 51):
-                qe = kg.quasilocal_energy(l, cfg, t2)
+                qe = kg.quasilocal_energy(kg.overlap_distribution(l, cfg, t2), cfg)
                 assert qe.epsilon > 0
                 assert qe.raw > 0 and qe.normalized > 0
                 assert qe.annihilator_raw > 0 and qe.annihilator_normalized > 0
                 checked += 1
-            e2 = kg.quasilocal_energy(1, cfg, t2)
-            e4 = kg.quasilocal_energy(1, cfg, t4)
+            e2 = kg.quasilocal_energy(kg.overlap_distribution(1, cfg, t2), cfg)
+            e4 = kg.quasilocal_energy(kg.overlap_distribution(1, cfg, t4), cfg)
             assert abs(e4.epsilon - e2.epsilon) <= e2.tail_bound
     _line(12, "PASS", f"{checked} (r, mu, l) cells positive; doubling the cutoff "
                       f"moves epsilon_1 less than the quoted tail in all 4 configs")
@@ -288,12 +288,13 @@ def test_criterion_13_steering_contrast(cfg_half, trunc_10k, blocks_half, monkey
     with monkeypatch.context() as mp:
         mp.setattr("kgcavity.quasilocal.coeff_grid", one_hot_grid)
         small = kg.Truncation(n_max_global=64, m_max_local=8)
-        for shifts in kg.steering_shift(1, range(1, 6), cfg_half, small):
+        for shifts in kg.steering_shift(kg.overlap_distribution(1, cfg_half, small),
+                                        range(1, 6), cfg_half):
             assert np.all(shifts == 0.0)
 
     # (b) global vacuum: nonzero, proportional to corr row by row, same argmax
     lr = range(1, 21)
-    shifts = kg.steering_shift(1, lr, cfg_half, trunc_10k).wick
+    shifts = kg.steering_shift(kg.overlap_distribution(1, cfg_half, trunc_10k), lr, cfg_half).wick
     assert np.all(shifts > 0)
     left, right = blocks_half
     rep = kg.wick_moments([1], lr, left, right)

@@ -533,18 +533,29 @@ def test_diagonal_identity_converges_to_one(blocks_half):
     assert s == pytest.approx(1.0, abs=1e-9)
 
 
-# ── digest and block memo ────────────────────────────────────────────────────
+# ── block memo ───────────────────────────────────────────────────────────────
 
-def test_block_digest_is_stable_and_sensitive(cfg_half, trunc_10k):
-    d1 = kg.block_digest(L, cfg_half, trunc_10k)
-    assert d1 == kg.block_digest(L, cfg_half, trunc_10k)
-    assert len(d1) == 16
-    assert d1 != kg.block_digest(RG, cfg_half, trunc_10k)
-    other = kg.validate_config(1.0, 0.3, 0.0)
-    assert d1 != kg.block_digest(L, other, trunc_10k)
-    # digest is dimensionless: a rescaled box hits the same memo entry
-    scaled = kg.validate_config(2.0, 1.0, 0.0)
-    assert d1 == kg.block_digest(L, scaled, trunc_10k)
+def test_memo_key_is_the_family_configuration_and_cutoff(monkeypatch):
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    trunc = kg.Truncation(n_max_global=100, m_max_local=2)
+    cfg = kg.validate_config(1.0, 0.5, 3.0)
+    block = kg.build_block(L, cfg, None, trunc)
+    assert block.cfg_hash == "left|0.5|3|100"
+    assert kg.build_block(L, cfg, None, trunc) is block
+    # the key is dimensionless: a box rescaled by 2^k hits the same entry
+    for k in (-7, -1, 1, 6):
+        s = 2.0 ** k
+        assert kg.build_block(L, kg.validate_config(s, s * 0.5, 3.0 / s), None, trunc) is block
+    # another family, r, mu or n_max is another entry
+    others = [
+        kg.build_block(RG, cfg, None, trunc),
+        kg.build_block(L, kg.validate_config(1.0, 0.3, 3.0), None, trunc),
+        kg.build_block(L, kg.validate_config(1.0, 0.5, 2.0), None, trunc),
+        kg.build_block(L, cfg, None, kg.Truncation(n_max_global=101, m_max_local=2)),
+    ]
+    assert all(other is not block for other in others)
+    assert len({other.cfg_hash for other in others} | {block.cfg_hash}) == 5
+    assert list(bogoliubov._BLOCK_MEMO.values()) == [block, *others]
 
 
 def test_memo_is_a_byte_bounded_lru(cfg_half, monkeypatch):
@@ -579,7 +590,6 @@ def test_fewer_rows_return_the_held_block_and_more_rows_replace_the_entry(cfg_ha
     def trunc(rows):
         return kg.Truncation(n_max_global=100, m_max_local=rows)
 
-    assert kg.block_digest(L, cfg_half, trunc(4)) == kg.block_digest(L, cfg_half, trunc(2))
     four = kg.build_block(L, cfg_half, None, trunc(4))
     two = kg.build_block(L, cfg_half, None, trunc(2))
     # the stored block itself, read-only, holding at least the rows asked for;

@@ -147,6 +147,19 @@ def test_non_finite_time_is_refused_before_any_coefficient(cfg_half, trunc_10k, 
         call(cfg_half, trunc_10k, bad)
 
 
+@pytest.mark.parametrize("region", [L, RG])
+def test_negative_edge_margin_is_refused_before_any_coefficient(cfg_half, trunc_10k, monkeypatch,
+                                                                region):
+    # a negative margin narrows the cone: on the right family its edge
+    # r - t - margin lands beyond R
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the margin check")
+
+    monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
+    with pytest.raises(kg.DomainError, match="edge margin"):
+        kg.lightcone_leakage(region, 1, 0.1, cfg_half, trunc_10k, edge_margin=-5.0)
+
+
 @pytest.mark.parametrize("region, t, margin, edge", [
     (L, 0.1, 0.0, 0.6), (L, 0.3, 0.05, 0.85), (L, 0.7, 0.0, 1.0),
     (RG, 0.1, 0.0, 0.4), (RG, 0.3, 0.05, 0.15), (RG, 0.7, 0.0, 0.0),
@@ -197,6 +210,18 @@ def test_commutators_silent_at_spacelike_separation(cfg_narrow, trunc_narrow):
     c1, c2, *_ = kg.commutator_pair(kg.make_probe(0.6, 0.2, 1, cfg_narrow), 1,
                                     cfg_narrow, trunc_narrow)
     assert c1 <= 1e-8 and c2 <= 1e-8    # measured 3.0e-10
+
+
+def test_commutators_carry_the_larger_quadrature_error(cfg_narrow):
+    trunc = kg.Truncation(n_max_global=2_000, m_max_local=4, grid_points=513)
+    probe = kg.make_probe(0.6, 0.6, 1, cfg_narrow)
+    comm = kg.commutator_pair(probe, 1, cfg_narrow, trunc)
+    probe_mode = kg.eval_probe_initial(probe, comm.mode.grid, cfg_narrow)
+    inner = [kg.kg_inner(probe_mode, comm.mode),
+             kg.kg_inner(probe_mode, kg.conjugate_mode(comm.mode))]
+    assert (comm.c1, comm.c2) == (abs(inner[0]), abs(inner[1]))
+    assert comm.error_estimate == max(p.error_estimate for p in inner)
+    assert 0 < comm.error_estimate < comm.c1
 
 
 def test_commutators_wake_up_inside_the_cone(cfg_narrow, trunc_narrow):

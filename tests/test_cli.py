@@ -257,6 +257,26 @@ def test_quasilocal_products(tmp_path):
     assert steer[-1].count(",") == 2                  # l, wick, direct
 
 
+@pytest.mark.parametrize("argv, calls, entries", [
+    (["--r", "0.3", "--mu", "2.0", "--l-list", "2,5,9", "--steer-m", "2"], 5, 70_000),
+    ([], 3, 30_000),
+], ids=["steering-op", "default"])
+def test_quasilocal_reads_each_state_row_once(argv, calls, entries, tmp_path, monkeypatch):
+    # one row per --l-list state, one for the --steer-m state and the far
+    # rows of the steering, at the default n_max of 10^4; the energies and
+    # the steering read the state's row from its distribution
+    grid = bogoliubov.coeff_grid
+    seen = []
+
+    def spy(region, m_indices, N_indices, *rest):
+        seen.append(len(m_indices) * len(N_indices))
+        return grid(region, m_indices, N_indices, *rest)
+
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", spy)
+    assert main(["quasilocal", *argv, "--out-dir", str(tmp_path / "q")]) == 0
+    assert (len(seen), sum(seen)) == (calls, entries)
+
+
 def test_quasilocal_wavepacket_records_series_diagnostics(tmp_path, caplog):
     out = str(tmp_path / "q")
     assert main(["quasilocal", "--nmax", "500", "--mmax", "4", "--grid", "257",
@@ -321,7 +341,8 @@ def test_causality_records_series_diagnostics(tmp_path, caplog):
     # every evolution's diagnostics reach the manifest and the sidecars
     tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
     assert set(tails) == {"leakage_t=0", "leakage_t=0.10000000000000001",
-                          "gibbs_overshoot_leakage_t=0", "commutator_tau=0.10000000000000001"}
+                          "gibbs_overshoot_leakage_t=0", "commutator_tau=0.10000000000000001",
+                          "commutator_error_tau=0.10000000000000001"}
     assert all(v > 0 for k, v in tails.items() if not k.startswith("gibbs"))
     side = _read_json(os.path.join(out, "leakage.json"))
     assert set(side["tail_bounds"]) == {"leakage_t=0", "leakage_t=0.10000000000000001",
@@ -330,7 +351,7 @@ def test_causality_records_series_diagnostics(tmp_path, caplog):
     # ... and never the CSVs
     for name in ("leakage.csv", "commutators.csv"):
         text = Path(out, name).read_text()
-        assert "leakage_t" not in text and "commutator_tau" not in text
+        assert "leakage_t" not in text and "commutator_" not in text
     # at n_max = 500 each of the three evolutions is past the tolerance
     warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warned) == 3 and all("tail estimate" in w for w in warned)
@@ -702,8 +723,10 @@ def test_diverge_with_one_M_is_a_domain_error(tmp_path, capsys, monkeypatch):
     ["quasilocal", "--wavepacket-m", "1", "--t", "inf"],
     ["quasilocal", "--wavepacket-m", "1", "--t", "-0.1"],
     ["causality", "--edge-margin", "nan", "--times", "0.1"],
+    ["causality", "--edge-margin", "-5", "--times", "0"],
     ["causality", "--taus", "nan"],
-], ids=["modes-nan", "modes-inf", "wavepacket-inf", "wavepacket-negative", "margin-nan", "tau-nan"])
+], ids=["modes-nan", "modes-inf", "wavepacket-inf", "wavepacket-negative", "margin-nan",
+        "margin-negative", "tau-nan"])
 def test_non_finite_time_or_margin_is_a_domain_error(tmp_path, capsys, argv):
     # NaN phases would fill the tables with NaN cells; a wavepacket before
     # t = 0 has no light cone to be measured against
@@ -735,6 +758,38 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0]) == {"error": "GridMismatch",
                                     "message": "need at least two grid points"}
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["modes", "--nmax", "50", "--R", "1e300"], "r/R"),
+    (["diverge", "--M-list", "10,100", "--n-list", "100", "--r", "1e-300"], "r/R"),
+    (["diverge", "--M-list", "10,100", "--n-list", "100", "--mu", "1e300"], "mu R"),
+    (["quasilocal", "--nmax", "50", "--l-list", "1", "--mu", "1e100"], "zero normalization"),
+    (["correlations", "--nmax", "50", "--mmax", "4", "--mrows", "2", "--nrows", "2",
+      "--paper-norm", "--mu", "1e100"], "zero normalization"),
+    (["causality", "--nmax", "200", "--mmax", "4", "--grid", "65", "--times", "0",
+      "--taus", "0.1", "--edge-margin", "-5"], "edge margin"),
+], ids=["modes-R", "diverge-r", "diverge-mu", "quasilocal-norm", "paper-norm", "margin"])
+def test_scales_past_double_range_report_json_and_exit_2(tmp_path, capsys, argv, words):
+    # reduced scales that leave double range, and normalizations that
+    # underflow to 0, are refused before any file is written
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "DomainError" and words in err["message"]
+    assert not out.exists()
+
+
+def test_spectrum_of_a_tiny_box_is_the_default_reduced_problem(tmp_path):
+    # R = 1e-100 with r/R = 1/2 and mu R = 0: the sums and the tails run at
+    # R = 1, so no dimensional prefactor underflows
+    cells = []
+    for extra in (["--R", "1e-100", "--r", "5e-101"], []):
+        out = tmp_path / str(len(cells))
+        assert main(["spectrum", "--nmax", "50", "--lmax", "2", *extra, "--out-dir", str(out)]) == 0
+        rows = (out / "spectrum.csv").read_text().splitlines()[-2:]
+        cells.append([(row.split(",")[1], *row.split(",")[3:]) for row in rows])
+    assert cells[0] == cells[1]
 
 
 def test_two_point_grid_is_a_grid_mismatch(tmp_path, capsys):

@@ -31,6 +31,26 @@ def test_validate_config_rejects_bad_parameters(R, r, mu):
         kg.validate_config(R, r, mu)
 
 
+@pytest.mark.parametrize("R, r, mu, name", [
+    (1e300, 0.5, 0.0, "r/R"),            # the default r in a huge box
+    (1.0, 1e-300, 0.0, "r/R"),
+    (1.0, 9e-101, 0.0, "r/R"),
+    (1.0, 0.5, 1e300, "mu R"),
+    (1.0, 0.5, 1.01e150, "mu R"),
+    (1e10, 5e9, 1e141, "mu R"),
+])
+def test_validate_config_refuses_reduced_scales_past_double_range(R, r, mu, name):
+    with pytest.raises(kg.DomainError, match=name):
+        kg.validate_config(R, r, mu)
+
+
+def test_validate_config_accepts_the_bounds_of_the_reduced_scales():
+    cfg = kg.validate_config(1.0, 1e-100, 1e150)
+    assert (cfg.r_tilde, cfg.mu_tilde) == (1e-100, 1e150)
+    # the box size alone is free: only the reduced scales are bounded
+    assert kg.validate_config(1e-100, 5e-101, 0.0).r_tilde == 0.5
+
+
 def test_truncation_rejects_bad_counts():
     with pytest.raises(kg.DomainError):
         kg.Truncation(n_max_global=0)

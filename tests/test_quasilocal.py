@@ -140,21 +140,19 @@ def test_wavepacket_comparison_refuses_grids_without_interior_points(
 
 
 @pytest.mark.parametrize("call", [
-    lambda cfg, trunc: kg.overlap_distribution(0, cfg, trunc),
-    lambda cfg, trunc: kg.quasilocal_wavepacket(0, kg.uniform_grid(cfg, 9), 0.0, cfg, trunc),
-    lambda cfg, trunc: kg.quasilocal_energy(0, cfg, trunc, region=kg.Region.RIGHT),
-    lambda cfg, trunc: kg.steering_shift(0, [1, 2], cfg, trunc),
-    lambda cfg, trunc: kg.steering_shift(1, [0, 2], cfg, trunc),
-], ids=["overlap_distribution", "quasilocal_wavepacket", "quasilocal_energy",
-        "steering_shift-m", "steering_shift-l"])
+    lambda cfg, trunc, dist: kg.overlap_distribution(0, cfg, trunc),
+    lambda cfg, trunc, dist: kg.quasilocal_wavepacket(0, kg.uniform_grid(cfg, 9), 0.0, cfg, trunc),
+    lambda cfg, trunc, dist: kg.steering_shift(dist, [0, 2], cfg),
+], ids=["overlap_distribution", "quasilocal_wavepacket", "steering_shift-l"])
 def test_local_indices_below_one_are_refused_before_any_compute(cfg_half, monkeypatch, call):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the index check")
 
-    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
     trunc = kg.Truncation(n_max_global=50, m_max_local=4)
+    dist = kg.overlap_distribution(1, cfg_half, trunc)
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
     with pytest.raises(kg.DomainError):
-        call(cfg_half, trunc)
+        call(cfg_half, trunc, dist)
 
 
 def test_wavepacket_norm_and_shape(cfg_half, trunc_10k):
@@ -171,7 +169,7 @@ def test_wavepacket_norm_and_shape(cfg_half, trunc_10k):
 
 def test_quasilocal_energy_positive_and_ordered(cfg_half, tables_half, trunc_10k):
     for l in (1, 2, 3):
-        e = kg.quasilocal_energy(l, cfg_half, trunc_10k)
+        e = kg.quasilocal_energy(kg.overlap_distribution(l, cfg_half, trunc_10k), cfg_half)
         assert e.raw > 0 and e.annihilator_raw > 0
         assert e.normalized > 0 and e.annihilator_normalized > 0
         assert e.normalized < e.raw          # squared norm 1 + <n_l> > 1
@@ -184,7 +182,7 @@ def test_quasilocal_energy_positive_and_ordered(cfg_half, tables_half, trunc_10k
 def test_local_quantum_energy_is_the_positive_sum_of_both_states(cfg_half, trunc_10k):
     # epsilon_l = sum Omega (alpha^2 + beta^2): the creator plus the
     # annihilator state's raw energy
-    e = kg.quasilocal_energy(1, cfg_half, trunc_10k)
+    e = kg.quasilocal_energy(kg.overlap_distribution(1, cfg_half, trunc_10k), cfg_half)
     assert e.epsilon == e.raw + e.annihilator_raw
     assert e.epsilon > 0
     assert e.tail_bound > 0
@@ -193,8 +191,8 @@ def test_local_quantum_energy_is_the_positive_sum_of_both_states(cfg_half, trunc
 def test_local_quantum_energy_doubling_within_tail(cfg_half):
     t1 = kg.Truncation(n_max_global=2_000, m_max_local=1)
     t2 = kg.Truncation(n_max_global=4_000, m_max_local=1)
-    e1 = kg.quasilocal_energy(1, cfg_half, t1)
-    e2 = kg.quasilocal_energy(1, cfg_half, t2)
+    e1 = kg.quasilocal_energy(kg.overlap_distribution(1, cfg_half, t1), cfg_half)
+    e2 = kg.quasilocal_energy(kg.overlap_distribution(1, cfg_half, t2), cfg_half)
     assert abs(e2.epsilon - e1.epsilon) <= e1.tail_bound
 
 
@@ -202,7 +200,7 @@ def test_local_quantum_energy_doubling_within_tail(cfg_half):
 
 def test_steering_two_routes_agree(cfg_half, trunc_10k):
     lr = range(1, 6)
-    wick, direct = kg.steering_shift(1, lr, cfg_half, trunc_10k)
+    wick, direct = kg.steering_shift(kg.overlap_distribution(1, cfg_half, trunc_10k), lr, cfg_half)
     rel = np.max(np.abs(wick - direct) / np.abs(wick))
     assert rel <= 1e-9   # measured 5.7e-11 at this cutoff, 5.9e-14 at 1e5
     assert np.all(wick > 0)
@@ -213,7 +211,7 @@ def test_steering_two_routes_agree(cfg_half, trunc_10k):
 def test_steering_matches_covariance_route(cfg_half, trunc_10k, blocks_half):
     left, right = blocks_half
     lr = range(1, 11)
-    shifts = kg.steering_shift(1, lr, cfg_half, trunc_10k).wick
+    shifts = kg.steering_shift(kg.overlap_distribution(1, cfg_half, trunc_10k), lr, cfg_half).wick
     rep = kg.wick_moments([1], lr, left, right)
     expected = rep.cov[0] / (1.0 + rep.mean_left[0])
     assert np.allclose(shifts, expected, rtol=1e-12)
@@ -238,7 +236,8 @@ def test_steering_vanishes_for_local_vacuum_analogue(cfg_half, monkeypatch):
 
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", one_hot_grid)
     trunc = kg.Truncation(n_max_global=64, m_max_local=8)
-    for shifts in kg.steering_shift(1, range(1, 6), cfg_half, trunc):
+    for shifts in kg.steering_shift(kg.overlap_distribution(1, cfg_half, trunc), range(1, 6),
+                                    cfg_half):
         assert np.all(shifts == 0.0)
 
 
@@ -261,16 +260,18 @@ def test_quasilocal_quantities_are_invariant_under_R_to_2k_R(r, muR, n_max, l, k
     base = kg.validate_config(1.0, r, muR)
     scaled = kg.validate_config(s, s * r, muR / s)
 
-    p = kg.overlap_distribution(l, base, trunc, region=region).p
-    p_s = kg.overlap_distribution(l, scaled, trunc, region=region).p
-    assert np.array_equal(p, p_s)
+    dist = kg.overlap_distribution(l, base, trunc, region=region)
+    dist_s = kg.overlap_distribution(l, scaled, trunc, region=region)
+    assert np.array_equal(dist.p, dist_s.p)
 
-    for got, want in zip(kg.steering_shift(l, range(1, l + 1), scaled, trunc),
-                         kg.steering_shift(l, range(1, l + 1), base, trunc)):
+    for got, want in zip(kg.steering_shift(kg.overlap_distribution(l, scaled, trunc),
+                                           range(1, l + 1), scaled),
+                         kg.steering_shift(kg.overlap_distribution(l, base, trunc),
+                                           range(1, l + 1), base)):
         assert np.array_equal(got, want)
 
-    e = kg.quasilocal_energy(l, base, trunc, region=region)
-    e_s = kg.quasilocal_energy(l, scaled, trunc, region=region)
+    e = kg.quasilocal_energy(dist, base)
+    e_s = kg.quasilocal_energy(dist_s, scaled)
     for name in ("raw", "annihilator_raw", "normalized", "tail_bound"):
         assert s * getattr(e_s, name) == getattr(e, name), name
 
@@ -289,12 +290,24 @@ def test_quasilocal_quantities_mirror_under_r_to_R_minus_r(r, muR, n_max, l, reg
     cfg = kg.validate_config(1.0, r, muR)
     mirror = kg.validate_config(1.0, 1.0 - r, muR)
 
-    p = kg.overlap_distribution(l, cfg, trunc, region=region).p
-    p_m = kg.overlap_distribution(l, mirror, trunc, region=other).p
-    assert np.max(np.abs(p - p_m)) <= 1e-12 * np.max(p)
+    dist = kg.overlap_distribution(l, cfg, trunc, region=region)
+    dist_m = kg.overlap_distribution(l, mirror, trunc, region=other)
+    assert np.max(np.abs(dist.p - dist_m.p)) <= 1e-12 * np.max(dist.p)
 
-    e = kg.quasilocal_energy(l, cfg, trunc, region=region)
-    e_m = kg.quasilocal_energy(l, mirror, trunc, region=other)
+    # the far rows follow the state's family to the other side. The wick
+    # route adds two positive terms; the direct route subtracts <n_bar_l>
+    # from a term of its size, so the ulps the mirror moves r by reach it
+    # scaled by <n_bar_l>. Worst of 3000 random draws: 5.3e-13 of the
+    # largest wick shift, 4.4e-15 of the largest <n_bar_l> (1.5e-12 of the
+    # largest direct shift)
+    shift = kg.steering_shift(dist, range(1, l + 1), cfg)
+    shift_m = kg.steering_shift(dist_m, range(1, l + 1), mirror)
+    far_n = kg.vacuum_spectrum(other, cfg, dataclasses.replace(trunc, m_max_local=l)).values
+    assert np.max(np.abs(shift_m.wick - shift.wick)) <= 1e-12 * np.max(np.abs(shift.wick))
+    assert np.max(np.abs(shift_m.direct - shift.direct)) <= 1e-12 * np.max(far_n)
+
+    e = kg.quasilocal_energy(dist, cfg)
+    e_m = kg.quasilocal_energy(dist_m, mirror)
     for name in ("raw", "annihilator_raw", "normalized", "annihilator_normalized",
                  "tail_bound"):
         assert getattr(e_m, name) == pytest.approx(getattr(e, name), rel=1e-12, abs=0), name

@@ -436,3 +436,34 @@ def test_limit_scan_occupations_match_spectrum():
         assert table.sum_both[k] == pytest.approx(np.sum(spec[:10]) + np.sum(right),
                                                   rel=1e-13, abs=0)
 
+
+
+# ── reduced scales at the bounds of validate_config ──────────────────────────
+
+@settings(max_examples=150, deadline=None)
+@given(log_r=st.floats(-100.0, math.log10(0.999)), region=st.sampled_from([L, RG]),
+       muR=st.one_of(st.just(0.0), st.floats(-10.0, 150.0).map(lambda e: 10.0**e)),
+       n_max=st.integers(1, 50), l=st.integers(1, 5))
+# every beta_lN^2 underflows: <n_l> = 0 normalizes nothing
+@example(log_r=math.log10(0.5), region=L, muR=1e100, n_max=50, l=1)
+# the tail's nodes pass 1e102, where Omega (Omega + omega)^2 leaves double range
+@example(log_r=math.log10(0.5), region=L, muR=1e150, n_max=50, l=1)
+@example(log_r=-100.0, region=L, muR=0.0, n_max=50, l=5)
+def test_reduced_scales_give_an_error_or_no_nan(log_r, region, muR, n_max, l):
+    # every configuration validate_config accepts either raises the
+    # library's own error or returns numbers; an inf tail means "no bound"
+    cfg = kg.validate_config(1.0, 10.0**log_r, muR)
+    trunc = kg.Truncation(n_max_global=n_max, m_max_local=l)
+    calls = [
+        lambda: kg.vacuum_spectrum(region, cfg, trunc),
+        lambda: kg.divergence_scan(n_max, cfg, [1, 10]),
+        lambda: kg.mode_sum_convergence(region, l, cfg, [n_max]),
+        lambda: kg.quasilocal_energy(kg.overlap_distribution(l, cfg, trunc, region=region), cfg),
+    ]
+    for call in calls:
+        try:
+            result = call()
+        except kg.KgCavityError:
+            continue
+        numbers = [v for v in dataclasses.astuple(result) if not isinstance(v, kg.Region)]
+        assert not any(np.isnan(np.asarray(v, dtype=float)).any() for v in numbers)
