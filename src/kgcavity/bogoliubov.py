@@ -130,15 +130,6 @@ class IdentityResiduals:
 
 # ── closed forms ────────────────────────────────────────────────────────────
 
-def _family_params(region: Region, cfg: CavityConfig) -> tuple[float, float]:
-    """(dimensionless width, right-family sign toggle) for a local family."""
-    if region is Region.LEFT:
-        return cfg.r_tilde, 0.0
-    if region is Region.RIGHT:
-        return 1.0 - cfg.r_tilde, 1.0
-    raise ValueError("coefficients exist for Region.LEFT or Region.RIGHT")
-
-
 def _parity(k: np.ndarray) -> np.ndarray:
     """(-1)^k for integer-valued float k."""
     return 1.0 - 2.0 * (k.astype(np.int64) & 1)
@@ -186,7 +177,8 @@ def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factor
         bad = idx[~(np.isfinite(idx) & (idx >= 1) & (idx == np.rint(idx)))]
         if bad.size:
             raise DomainError(f"mode indices must be integers >= 1, got {name}={bad[0]:g}")
-    w, sign_toggle = _family_params(region, cfg)
+    w = region.reduced_width(cfg)
+    right = region is Region.RIGHT
     mu = cfg.mu_tilde
 
     Om = ladder(N, 1.0, mu)
@@ -197,10 +189,10 @@ def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factor
     # sin(pi N w) = (-1)^k sin(pi f); a_m carries (-1)^m, which the right
     # family's (-1)^(N+m) turns into (-1)^N on the columns
     a = m * np.sqrt(w) / (np.pi * np.sqrt(om))
-    b = np.sin(np.pi * f) * _parity(k + N if sign_toggle else k) / np.sqrt(Om)
-    if not sign_toggle:
+    b = np.sin(np.pi * f) * _parity(k + N if right else k) / np.sqrt(Om)
+    if not right:
         a *= _parity(m)
-    return _Factors(w=w, right=bool(sign_toggle), m=m, N=N, x=x, f=f, Om=Om, om=om,
+    return _Factors(w=w, right=right, m=m, N=N, x=x, f=f, Om=Om, om=om,
                     a=a, a_beta=(np.pi / w) ** 2 * a, b=b)
 
 

@@ -44,23 +44,23 @@ class ProbeSpec:
     r_tilde: float
     tau: float
     n: int
-    omega_tilde: float
 
 
 class Leakage(NamedTuple):
-    """Out-of-cone fraction, the cone edge it was measured against, and the
-    evolved mode it was measured on, which carries its own series
+    """Out-of-cone fraction, the cone (lo, hi) it was measured against, and
+    the evolved mode it was measured on, which carries its own series
     diagnostics (see ``SampledMode``)."""
 
     fraction: float
-    edge: float
+    cone: tuple[float, float]
     mode: SampledMode
 
 
 class Commutators(NamedTuple):
     """(c1, c2), the evolved mode u_m they pair with the probe, and the
-    larger of the two KG quadratures' error estimates: a c1 or c2 at or
-    below it is zero to the quadrature's accuracy."""
+    larger of the two KG quadratures' error estimates: an estimate, not a
+    bound (on the default grid a Simpson-vs-trapezoid bracket, which can
+    understate the error)."""
 
     c1: float
     c2: float
@@ -74,15 +74,15 @@ def _probe_config(r_tilde: float, cfg: CavityConfig) -> CavityConfig:
 
 
 def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSpec:
-    """Validated ProbeSpec; omega_tilde is right mode n's frequency in the box split at r_tilde."""
+    """Validated ProbeSpec, refused before any evolution runs."""
     if not cfg.r < r_tilde < cfg.R:
         raise DomainError(f"probe needs r < r_tilde < R, got r_tilde={r_tilde}")
     if not 0 <= tau < np.inf:
         raise DomainError(f"probe time must be finite and >= 0, got {tau}")
     if n < 1:
         raise DomainError(f"probe index must be >= 1, got {n}")
-    omega_tilde = float(Region.RIGHT.omega(n, _probe_config(r_tilde, cfg)))
-    return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=int(n), omega_tilde=omega_tilde)
+    _probe_config(r_tilde, cfg)   # the split box must be a valid configuration
+    return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=int(n))
 
 
 def eval_probe_initial(probe: ProbeSpec, grid: np.ndarray, cfg: CavityConfig) -> SampledMode:
@@ -113,21 +113,29 @@ def commutator_pair(
                        error_estimate=max(p1.error_estimate, p2.error_estimate))
 
 
-def outside_cone_mass(mode: SampledMode, edge: float, om: float, side: str) -> tuple[float, float]:
+def outside_cone_mass(mode: SampledMode, cone: tuple[float, float],
+                      om: float) -> tuple[float, float]:
     """(mass outside the cone, total mass) of |f|^2 + |f_dot|^2 / om^2.
 
-    ``side`` is "above" when the causal region is [0, edge] (left family) and
-    "below" when it is [edge, R]. Plain trapezoid on the nested sub-grid, so
-    enlarging the cone can only shrink the outside mass.
+    Plain trapezoid on the grid points at or below lo plus that on the points
+    at or above hi, each side counting only with at least 2 points: nested
+    sub-grids, so widening the cone can only shrink the outside mass.
     """
     x = mode.grid
     rho = np.abs(mode.value) ** 2 + np.abs(mode.tderiv) ** 2 / om**2
     total = float(np.trapezoid(rho, x))
-    mask = x >= edge if side == "above" else x <= edge
-    if np.count_nonzero(mask) < 2:
-        return 0.0, total
-    outside = float(np.trapezoid(rho[mask], x[mask]))
+    lo, hi = cone
+    outside = 0.0
+    for side in (x <= lo, x >= hi):
+        if np.count_nonzero(side) >= 2:
+            outside += float(np.trapezoid(rho[side], x[side]))
     return outside, total
+
+
+def _check_edge_margin(edge_margin: float) -> None:
+    """DomainError unless the margin is finite and >= 0."""
+    if not 0 <= edge_margin < np.inf:
+        raise DomainError(f"edge margin must be finite and >= 0, got {edge_margin}")
 
 
 def _check_cone_grid(n_points: int) -> None:
@@ -148,27 +156,22 @@ def lightcone_leakage(
 ) -> Leakage:
     """Fraction of the mode's energy-like density outside its light cone.
 
-    The cone of the left family after time t is [0, r + t]; of the right
-    family, [r - t, R]. At t = 0 the fraction is exactly the truncation
-    reconstruction residue. ``edge_margin`` >= 0 widens the cone: the
-    truncated series rings in an O(R/n_max) skirt around the propagating
-    edge, and a small margin separates that ringing from genuine (absent)
-    leakage.
-    This is the one place a cone edge is computed: every other out-of-cone
-    measurement reads ``Leakage.edge``.
+    The cone of the family on [lo, hi] after time t is [lo - t, hi + t]
+    clipped to the box: [0, r + t] on the left, [r - t, R] on the right. At
+    t = 0 the fraction is exactly the truncation reconstruction residue.
+    ``edge_margin`` >= 0 widens the cone: the truncated series rings in an
+    O(R/n_max) skirt around the propagating edge, and a small margin
+    separates that ringing from genuine (absent) leakage.
+    This is the one place a cone is computed: every other out-of-cone
+    measurement reads ``Leakage.cone``.
     """
     if not 0 <= t < np.inf:
         raise DomainError(f"time must be finite and >= 0, got {t}")
-    if not 0 <= edge_margin < np.inf:
-        raise DomainError(f"edge margin must be finite and >= 0, got {edge_margin}")
+    _check_edge_margin(edge_margin)
     _check_cone_grid(trunc.grid_points)
     grid = uniform_grid(cfg, trunc.grid_points)
     u = evolve_local_mode(region, m, grid, t, cfg, trunc)
-    om = region.omega(m, cfg)
-    if region is Region.LEFT:
-        edge = min(cfg.r + t + edge_margin, cfg.R)
-        outside, total = outside_cone_mass(u, edge, om, side="above")
-    else:
-        edge = max(cfg.r - t - edge_margin, 0.0)
-        outside, total = outside_cone_mass(u, edge, om, side="below")
-    return Leakage(fraction=outside / total, edge=edge, mode=u)
+    lo, hi, _ = region.interval(cfg)
+    cone = (max(lo - t - edge_margin, 0.0), min(hi + t + edge_margin, cfg.R))
+    outside, total = outside_cone_mass(u, cone, region.omega(m, cfg))
+    return Leakage(fraction=outside / total, cone=cone, mode=u)

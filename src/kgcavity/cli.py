@@ -24,7 +24,7 @@ import numpy as np
 
 from . import svg as svgmod
 from .bogoliubov import beta_sq_sums, build_block, identity_residuals
-from .causality import commutator_pair, lightcone_leakage, make_probe
+from .causality import _check_edge_margin, commutator_pair, lightcone_leakage, make_probe
 from .config import (
     DomainError,
     KgCavityError,
@@ -53,8 +53,6 @@ from .vacuum import (
 )
 
 log = logging.getLogger("kgcavity")
-
-_REGIONS = {"left": Region.LEFT, "right": Region.RIGHT}
 
 
 # ── flag-value parsing ──────────────────────────────────────────────────────
@@ -237,7 +235,7 @@ def _record_tail(run: _Run, label: str, tail: float, l: int, flag: str) -> None:
 def cmd_modes(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--m", args.m)
-    region = _REGIONS[args.region]
+    region = Region(args.region)
     grid = uniform_grid(cfg, trunc.grid_points)
     series = []
     for k, t in enumerate(args.times):
@@ -260,7 +258,7 @@ def cmd_spectrum(args, run: _Run) -> None:
         raise DomainError(f"--lmax {lmax} must be >= 1")
     # the l column carries the local cutoff
     cfg, trunc = run.cfg, dataclasses.replace(run.trunc, m_max_local=lmax)
-    region = _REGIONS[args.region]
+    region = Region(args.region)
     mus = args.mu_list if args.mu_list is not None else [cfg.mu]
     ls = np.arange(1, lmax + 1)
     oms, specs = [], []
@@ -377,7 +375,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
         abs_psi, abs_u = np.abs(comp.psi.value), np.abs(u.value)
         run.csv(
             f"wavepacket_m{args.wavepacket_m}.csv",
-            [f"t={args.t:.17g} cone_edge={comp.leak.edge:.17g}"],
+            [f"t={args.t:.17g} cone_edge={comp.leak.cone[1]:.17g}"],
             ["x", "abs_psi", "abs_u", "abs_diff"],
             [u.grid, abs_psi, abs_u, abs_psi - abs_u],
         )
@@ -389,6 +387,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
 def cmd_causality(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--m", args.m)
+    _check_edge_margin(args.edge_margin)
     r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
     gap = r_tilde - cfg.r
     taus = args.taus if args.taus is not None else [0.5 * gap, 2.0 * gap]
@@ -403,7 +402,7 @@ def cmd_causality(args, run: _Run) -> None:
     fractions = [leak.fraction for leak in leaks]
     run.csv("leakage.csv", [f"m={args.m} edge_margin={args.edge_margin:.17g}"],
             ["t", "cone_edge", "outside_fraction"],
-            [np.asarray(args.times, dtype=float), [leak.edge for leak in leaks], fractions])
+            [np.asarray(args.times, dtype=float), [leak.cone[1] for leak in leaks], fractions])
 
     comms = []
     for tau, probe in zip(taus, probes):

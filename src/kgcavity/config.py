@@ -9,8 +9,11 @@ library works at R = 1 and rescales on the way in and out; see
 
 Every frequency comes from ``ladder``: a family's modes are fixed by the
 width of its interval and the mass, so no computation reads a frequency
-table. ``Region`` names a local family and gives its interval and ladder.
-``frequencies`` tabulates the three ladders for reporting.
+table. A frequency in the caller's units is the reduced ladder (width in
+units of R, mass mu R) divided by R, so no square leaves double range
+however small the box. ``Region`` names a local family and is the one
+place that knows its geometry: its interval, reduced width, partner family
+and ladder. ``frequencies`` tabulates the three ladders for reporting.
 """
 
 from __future__ import annotations
@@ -174,8 +177,26 @@ def ladder(n, width: float, mu: float):
     return np.sqrt(np.square(np.pi * np.asarray(n, dtype=np.float64) / width) + mu * mu)
 
 
+def _per_R(reduced, cfg: CavityConfig):
+    """A reduced frequency (in units of 1/R) in the caller's units;
+    DomainError where it leaves double range, as it can when R is near the
+    bottom of double range."""
+    with np.errstate(over="ignore"):
+        freq = reduced / cfg.R
+    if not np.isfinite(freq).all():
+        raise DomainError(f"a frequency of {np.max(reduced):.17g} / R leaves double range "
+                          f"at R = {cfg.R:.17g}")
+    return freq
+
+
+def _global_omega(N, cfg: CavityConfig):
+    """Omega_N of the box [0, R] for a scalar or an array of N."""
+    return _per_R(ladder(N, 1.0, cfg.mu_tilde), cfg)
+
+
 class Region(enum.Enum):
-    """Which sub-interval a local mode family lives on."""
+    """A local mode family, and the one place that knows its geometry: the
+    sub-interval it lives on, its width in units of R and its partner."""
 
     LEFT = "left"      # [0, r]
     RIGHT = "right"    # [r, R]
@@ -186,9 +207,19 @@ class Region(enum.Enum):
             return 0.0, cfg.r, cfg.r
         return cfg.r, cfg.R, cfg.r_bar
 
+    def reduced_width(self, cfg: CavityConfig) -> float:
+        """The interval's width in units of R: r/R or 1 - r/R."""
+        return cfg.r_tilde if self is Region.LEFT else 1.0 - cfg.r_tilde
+
+    @property
+    def other(self) -> Region:
+        """The partner family, on the rest of the box."""
+        return Region.RIGHT if self is Region.LEFT else Region.LEFT
+
     def omega(self, m, cfg: CavityConfig):
-        """omega_m (left) or omega_bar_m (right) for a scalar or an array of m."""
-        return ladder(m, self.interval(cfg)[2], cfg.mu)
+        """omega_m (left) or omega_bar_m (right) for a scalar or an array of m:
+        the reduced ladder over R."""
+        return _per_R(ladder(m, self.reduced_width(cfg), cfg.mu_tilde), cfg)
 
 
 def frequencies(cfg: CavityConfig, trunc: Truncation) -> FrequencyTables:
@@ -200,8 +231,8 @@ def frequencies(cfg: CavityConfig, trunc: Truncation) -> FrequencyTables:
     """
     N = np.arange(1, trunc.n_max_global + 1)
     m = np.arange(1, trunc.m_max_local + 1)
-    return FrequencyTables(Omega=ladder(N, cfg.R, cfg.mu), omega=ladder(m, cfg.r, cfg.mu),
-                           omega_bar=ladder(m, cfg.r_bar, cfg.mu))
+    return FrequencyTables(Omega=_global_omega(N, cfg), omega=Region.LEFT.omega(m, cfg),
+                           omega_bar=Region.RIGHT.omega(m, cfg))
 
 
 _CONFIG_KEYS = {

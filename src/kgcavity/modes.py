@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bogoliubov import build_block
-from .config import CavityConfig, DomainError, Region, Truncation, ladder
+from .config import CavityConfig, DomainError, Region, Truncation, _global_omega
 
 __all__ = [
     "Region",
@@ -93,7 +93,7 @@ def eval_global_mode(
     if N < 1:
         raise DomainError(f"global index N must be >= 1, got {N}")
     grid = np.asarray(grid, dtype=np.float64)
-    Om = ladder(N, cfg.R, cfg.mu)
+    Om = _global_omega(N, cfg)
     s = np.sin(np.pi * N * grid / cfg.R) / np.sqrt(cfg.R * Om)
     # sin(pi N) in floats is ~1e-16, not 0; Dirichlet walls are exact by construction
     s[grid <= 0.0] = 0.0
@@ -204,7 +204,7 @@ def _row_series(a_row: np.ndarray, b_row: np.ndarray, grid: np.ndarray, t: float
     """
     grid = np.asarray(grid, dtype=np.float64)
     n_idx = np.arange(1, len(a_row) + 1, dtype=np.float64)
-    Om = ladder(n_idx, cfg.R, cfg.mu)
+    Om = _global_omega(n_idx, cfg)
 
     phase_neg = np.exp(-1j * Om * t)
     norm = 1.0 / np.sqrt(cfg.R * Om)

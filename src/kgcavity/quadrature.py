@@ -108,14 +108,7 @@ def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
     """
     if m < 1 or N < 1:
         raise DomainError(f"indices must be >= 1, got m={m}, N={N}")
-    if region is Region.LEFT:
-        a, b = 0.0, cfg.r
-        width = cfg.r
-    elif region is Region.RIGHT:
-        a, b = cfg.r, cfg.R
-        width = cfg.r_bar
-    else:
-        raise ValueError("overlap_V takes Region.LEFT or Region.RIGHT")
+    a, b, width = region.interval(cfg)
     Om = np.sqrt((np.pi * N / cfg.R) ** 2 + cfg.mu**2)
     om = np.sqrt((np.pi * m / width) ** 2 + cfg.mu**2)
     norm = 1.0 / np.sqrt(cfg.R * Om * width * om)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bogoliubov import coeff_grid
 from .causality import Leakage, lightcone_leakage, outside_cone_mass
-from .config import CavityConfig, DomainError, ThresholdUnreachable, Truncation, ladder
+from .config import CavityConfig, DomainError, ThresholdUnreachable, Truncation, _global_omega
 from .modes import Region, SampledMode, _check_time, _row_series
 from .vacuum import _coeff_sq_tail
 
@@ -101,12 +101,12 @@ class Steering(NamedTuple):
 class WavepacketComparison:
     """psi_m against the true local mode u_m at one time, both measured
     against the left light cone: ``leak`` is u_m's ``Leakage`` (the evolved
-    mode, its out-of-cone fraction and the cone edge), and psi is sampled on
+    mode, its out-of-cone fraction and the cone), and psi is sampled on
     ``leak.mode.grid``."""
 
     psi: SampledMode
     leak: Leakage
-    psi_outside_fraction: float   # out-of-cone mass fraction of psi at leak.edge
+    psi_outside_fraction: float   # out-of-cone mass fraction of psi outside leak.cone
 
 
 # ── operations ──────────────────────────────────────────────────────────────
@@ -125,7 +125,7 @@ def overlap_distribution(
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
     mean_occ = float(np.sum(beta[0] ** 2))
     p = alpha[0] ** 2 / (1.0 + mean_occ)
-    Omega = ladder(N_idx, cfg.R, cfg.mu)
+    Omega = _global_omega(N_idx, cfg)
     peak = float(Omega[int(np.argmax(p))])
     om_l = float(region.omega(l, cfg))
     return OverlapDistribution(
@@ -205,7 +205,7 @@ def wavepacket_comparison(
     """
     leak = lightcone_leakage(Region.LEFT, m, t, cfg, trunc)
     psi = quasilocal_wavepacket(m, leak.mode.grid, t, cfg, trunc)
-    psi_out, psi_tot = outside_cone_mass(psi, leak.edge, Region.LEFT.omega(m, cfg), side="above")
+    psi_out, psi_tot = outside_cone_mass(psi, leak.cone, Region.LEFT.omega(m, cfg))
     return WavepacketComparison(psi=psi, leak=leak, psi_outside_fraction=psi_out / psi_tot)
 
 
@@ -250,8 +250,7 @@ def steering_shift(dist: OverlapDistribution, l_range, cfg: CavityConfig) -> Ste
         raise DomainError(f"far local indices must be >= 1, got l={l_idx.tolist()}")
     a_m, b_m = dist.alpha, dist.beta
     B_m = float(np.dot(b_m, b_m))
-    far = Region.RIGHT if dist.region is Region.LEFT else Region.LEFT
-    a_l, b_l = coeff_grid(far, l_idx, np.arange(1, len(a_m) + 1), cfg)
+    a_l, b_l = coeff_grid(dist.region.other, l_idx, np.arange(1, len(a_m) + 1), cfg)
 
     X1 = a_l @ a_m
     X2 = b_l @ a_m

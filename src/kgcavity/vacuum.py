@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovBlock, beta_sq_sums, coeff_grid
-from .config import CavityConfig, DomainError, Region, Truncation, validate_config
+from .config import CavityConfig, DomainError, Region, Truncation, ladder, validate_config
 
 __all__ = [
     "SpectrumResult",
@@ -153,17 +153,12 @@ def _tail_quad(f, start: float, scales) -> float:
     return float(np.dot(np.concatenate(weights), f(np.concatenate(nodes))))
 
 
-def _reduced(cfg: CavityConfig) -> CavityConfig:
-    """The configuration at R = 1 with the same r/R and mu R."""
-    return validate_config(1.0, cfg.r_tilde, cfg.mu_tilde)
-
-
 def _resonance_cutoff(region: Region, l: int, cfg: CavityConfig) -> int:
     """The index nearest 2 omega_l R / pi, twice the resonance pole Omega_N =
     omega_l at mu = 0: from it on the alpha^2 summands fall monotonically.
     Computed at R = 1, where omega_l R is omega_l. Rounding keeps it fixed
     under r -> R - r, which moves omega_l by ulps."""
-    return round(2.0 * float(region.omega(l, _reduced(cfg))) / np.pi)
+    return round(2.0 * float(ladder(l, region.reduced_width(cfg), cfg.mu_tilde)) / np.pi)
 
 
 def _divergence_request(N: int, M_list) -> np.ndarray:
@@ -198,11 +193,11 @@ def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
     taking it as 0 would lose up to 2e-6 of the tail at width 1e-100."""
     if sign < 0 and n_from < _resonance_cutoff(region, l, cfg):
         return math.inf
-    unit = _reduced(cfg)
-    w = region.interval(unit)[2]
-    om_l = float(region.omega(l, unit))
+    w = region.reduced_width(cfg)
+    mu = cfg.mu_tilde
+    om_l = float(ladder(l, w, mu))
     pref = l**2 * np.pi**2 / (2.0 * w * w * w * om_l)
-    mu2 = unit.mu * unit.mu
+    mu2 = mu * mu
 
     def integrand(N: np.ndarray) -> np.ndarray:
         k = np.pi * N
@@ -215,7 +210,7 @@ def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
         f[far] = (pref / d[far] if energy else pref / Om[far] / d[far]) / d[far]
         return f
 
-    tail = _tail_quad(integrand, float(n_from), (unit.mu / np.pi, om_l / np.pi))
+    tail = _tail_quad(integrand, float(n_from), (mu / np.pi, om_l / np.pi))
     return tail / cfg.R if energy else tail
 
 

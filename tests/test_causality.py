@@ -9,9 +9,12 @@ must sit on that floor while tau > 0.39 gives O(0.1) overlap.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgcavity as kg
 
@@ -33,8 +36,11 @@ def trunc_narrow():
 
 def test_make_probe_validates_geometry(cfg_narrow):
     probe = kg.make_probe(0.6, 0.2, 1, cfg_narrow)
-    assert probe.omega_tilde == pytest.approx(np.hypot(np.pi / 0.4, 1.0 / 0.21),
-                                              rel=1e-14, abs=0)
+    # its Cauchy data oscillate at right mode 1's frequency in the box split at 0.6
+    mode = kg.eval_probe_initial(probe, kg.uniform_grid(cfg_narrow, 65), cfg_narrow)
+    inside = mode.value != 0
+    assert mode.tderiv[inside] / mode.value[inside] == pytest.approx(
+        -1j * np.hypot(np.pi / 0.4, 1.0 / 0.21), rel=1e-14, abs=0)
     with pytest.raises(kg.DomainError):
         kg.make_probe(0.21, 0.2, 1, cfg_narrow)   # touches the partition
     with pytest.raises(kg.DomainError):
@@ -55,7 +61,6 @@ def test_probe_is_the_right_family_of_the_split_box(r, mu, r_tilde):
     grid = kg.uniform_grid(cfg, 1025)
     for n in (1, 3):
         probe = kg.make_probe(r_tilde, 0.25, n, cfg)
-        assert probe.omega_tilde == RG.omega(n, split)
         mode = kg.eval_probe_initial(probe, grid, cfg)
         local = kg.eval_local_initial(RG, n, grid, split)
         assert mode.time == 0.25
@@ -78,17 +83,38 @@ def test_outside_cone_mass_on_exact_initial_data(cfg_half, tables_half):
     grid = kg.uniform_grid(cfg_half, 2049)
     u0 = kg.eval_local_initial(L, 1, grid, cfg_half)
     om = tables_half.omega[0]
-    out_at_edge, total = kg.outside_cone_mass(u0, cfg_half.r, om, side="above")
+    out_at_edge, total = kg.outside_cone_mass(u0, (0.0, cfg_half.r), om)
     assert total > 0
     assert out_at_edge == 0.0                     # exact zeros beyond r
-    out_half, _ = kg.outside_cone_mass(u0, cfg_half.r / 2, om, side="above")
+    out_half, _ = kg.outside_cone_mass(u0, (0.0, cfg_half.r / 2), om)
     assert out_half > 0
     # widening the cone can only shed mass
     assert out_half >= out_at_edge
-    below, _ = kg.outside_cone_mass(u0, cfg_half.r, om, side="below")
+    below, _ = kg.outside_cone_mass(u0, (cfg_half.r, cfg_half.R), om)
     assert below == pytest.approx(total, rel=1e-12, abs=0)
-    empty, tot2 = kg.outside_cone_mass(u0, 2.0, om, side="above")
+    empty, tot2 = kg.outside_cone_mass(u0, (0.0, 2.0), om)
     assert empty == 0.0 and tot2 == total
+
+
+@functools.cache
+def _evolved(region, t):
+    """An evolved mode of a small truncation and its frequency."""
+    cfg = kg.validate_config(1.0, 0.35, 3.0)
+    trunc = kg.Truncation(n_max_global=500, m_max_local=2, grid_points=257)
+    mode = kg.evolve_local_mode(region, 2, kg.uniform_grid(cfg, 257), t, cfg, trunc)
+    return mode, region.omega(2, cfg)
+
+
+@settings(deadline=None, max_examples=200)
+@given(ends=st.lists(st.floats(-0.1, 1.1), min_size=4, max_size=4),
+       region=st.sampled_from([L, RG]), t=st.sampled_from([0.0, 0.2, 0.45]))
+def test_wider_cone_never_holds_more_outside_mass(ends, region, t):
+    # each side is a nested sub-grid of non-negative trapezoid panels
+    lo, lo_in, hi_in, hi = sorted(ends)
+    mode, om = _evolved(region, t)
+    wide, _ = kg.outside_cone_mass(mode, (lo, hi), om)
+    narrow, _ = kg.outside_cone_mass(mode, (lo_in, hi_in), om)
+    assert 0.0 <= wide <= narrow
 
 
 # ── cone leakage of the evolved mode ─────────────────────────────────────────
@@ -168,7 +194,24 @@ def test_leakage_reports_its_cone_edge(cfg_half, region, t, margin, edge):
     # the cone [0, r + t + margin] or [r - t - margin, R], clipped to the box
     trunc = kg.Truncation(n_max_global=200, m_max_local=2, grid_points=65)
     leak = kg.lightcone_leakage(region, 1, t, cfg_half, trunc, edge_margin=margin)
-    assert leak.edge == pytest.approx(edge, abs=1e-15)
+    assert leak.cone[1 if region is L else 0] == pytest.approx(edge, abs=1e-15)
+
+
+@settings(deadline=None)
+@given(R=st.floats(0.5, 4.0), r_over_R=st.floats(0.02, 0.98), t=st.floats(0.0, 2.0),
+       margin=st.floats(0.0, 0.5))
+def test_right_cone_mirrors_the_left_cone(R, r_over_R, t, margin):
+    # the right family at r is the left family at R - r seen from the far
+    # wall; each side rounds R - r, the time and the margin (measured: 1.5 ulps)
+    trunc = kg.Truncation(n_max_global=50, m_max_local=1, grid_points=17)
+    r = r_over_R * R
+    right = kg.lightcone_leakage(RG, 1, t, kg.validate_config(R, r, 0.0), trunc,
+                                 edge_margin=margin).cone
+    left = kg.lightcone_leakage(L, 1, t, kg.validate_config(R, R - r, 0.0), trunc,
+                                edge_margin=margin).cone
+    ulps = 4 * np.spacing(R + t + margin)
+    assert right[0] == pytest.approx(R - left[1], rel=0, abs=ulps)
+    assert right[1] == pytest.approx(R - left[0], rel=0, abs=ulps)
 
 
 @pytest.mark.parametrize("points", [1, 2])

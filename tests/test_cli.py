@@ -724,9 +724,10 @@ def test_diverge_with_one_M_is_a_domain_error(tmp_path, capsys, monkeypatch):
     ["quasilocal", "--wavepacket-m", "1", "--t", "-0.1"],
     ["causality", "--edge-margin", "nan", "--times", "0.1"],
     ["causality", "--edge-margin", "-5", "--times", "0"],
+    ["causality", "--edge-margin", "-5", "--times", ""],
     ["causality", "--taus", "nan"],
 ], ids=["modes-nan", "modes-inf", "wavepacket-inf", "wavepacket-negative", "margin-nan",
-        "margin-negative", "tau-nan"])
+        "margin-negative", "margin-negative-no-times", "tau-nan"])
 def test_non_finite_time_or_margin_is_a_domain_error(tmp_path, capsys, argv):
     # NaN phases would fill the tables with NaN cells; a wavepacket before
     # t = 0 has no light cone to be measured against
@@ -762,6 +763,7 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, words", [
     (["modes", "--nmax", "50", "--R", "1e300"], "r/R"),
+    (["modes", "--nmax", "100", "--R", "1e-306", "--r", "5e-307"], "leaves double range"),
     (["diverge", "--M-list", "10,100", "--n-list", "100", "--r", "1e-300"], "r/R"),
     (["diverge", "--M-list", "10,100", "--n-list", "100", "--mu", "1e300"], "mu R"),
     (["quasilocal", "--nmax", "50", "--l-list", "1", "--mu", "1e100"], "zero normalization"),
@@ -769,7 +771,7 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
       "--paper-norm", "--mu", "1e100"], "zero normalization"),
     (["causality", "--nmax", "200", "--mmax", "4", "--grid", "65", "--times", "0",
       "--taus", "0.1", "--edge-margin", "-5"], "edge margin"),
-], ids=["modes-R", "diverge-r", "diverge-mu", "quasilocal-norm", "paper-norm", "margin"])
+], ids=["modes-R", "modes-omega", "diverge-r", "diverge-mu", "quasilocal-norm", "paper-norm", "margin"])
 def test_scales_past_double_range_report_json_and_exit_2(tmp_path, capsys, argv, words):
     # reduced scales that leave double range, and normalizations that
     # underflow to 0, are refused before any file is written
@@ -781,15 +783,28 @@ def test_scales_past_double_range_report_json_and_exit_2(tmp_path, capsys, argv,
 
 
 def test_spectrum_of_a_tiny_box_is_the_default_reduced_problem(tmp_path):
-    # R = 1e-100 with r/R = 1/2 and mu R = 0: the sums and the tails run at
-    # R = 1, so no dimensional prefactor underflows
-    cells = []
-    for extra in (["--R", "1e-100", "--r", "5e-101"], []):
-        out = tmp_path / str(len(cells))
-        assert main(["spectrum", "--nmax", "50", "--lmax", "2", *extra, "--out-dir", str(out)]) == 0
-        rows = (out / "spectrum.csv").read_text().splitlines()[-2:]
-        cells.append([(row.split(",")[1], *row.split(",")[3:]) for row in rows])
-    assert cells[0] == cells[1]
+    # R = 1e-100 and 1e-200 with r/R = 1/2 and mu R = 0: the sums and the
+    # tails run at R = 1, and every frequency is the reduced ladder over R,
+    # so no dimensional prefactor underflows and no square overflows
+    products = [
+        (["spectrum", "--nmax", "50", "--lmax", "2"], "spectrum.csv", ["l", "n_l", "tail_bound"]),
+        (["modes", "--nmax", "50", "--mmax", "4", "--grid", "9", "--times", "0"],
+         "mode_left_m1_t0.csv", []),
+        (["quasilocal", "--nmax", "50", "--mmax", "4", "--l-list", "1"], "overlap_l1.csv", ["N", "p"]),
+    ]
+    for argv, name, reduced in products:
+        cells = []
+        for R, r in (("1", "0.5"), ("1e-100", "5e-101"), ("1e-200", "5e-201")):
+            out = tmp_path / f"{argv[0]}_{R}"
+            assert main([*argv, "--R", R, "--r", r, "--out-dir", str(out)]) == 0
+            for path in out.glob("*.csv"):
+                rows = [line.split(",") for line in path.read_text().splitlines()
+                        if not line.startswith("#")][1:]
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row), path.name
+            lines = [line for line in (out / name).read_text().splitlines() if not line.startswith("#")]
+            names = lines[0].split(",")
+            cells.append([[row.split(",")[names.index(c)] for c in reduced] for row in lines[1:]])
+        assert cells[1] == cells[0] and cells[2] == cells[0]
 
 
 def test_two_point_grid_is_a_grid_mismatch(tmp_path, capsys):

@@ -87,11 +87,12 @@ def test_ladder_and_region_frequencies_equal_the_tables_bit_for_bit():
     tabs = kg.frequencies(cfg, trunc)
     N = np.arange(1, 301)
     m = np.arange(1, 41)
-    assert np.array_equal(kg.ladder(N, cfg.R, cfg.mu), tabs.Omega)
+    # every dimensional frequency is the reduced ladder over R
+    assert np.array_equal(kg.ladder(N, 1.0, cfg.mu_tilde) / cfg.R, tabs.Omega)
     for region, table in ((kg.Region.LEFT, tabs.omega), (kg.Region.RIGHT, tabs.omega_bar)):
         assert np.array_equal(region.omega(m, cfg), table)
         assert [region.omega(int(k), cfg) for k in m] == table.tolist()
-    assert [kg.ladder(int(n), cfg.R, cfg.mu) for n in N] == tabs.Omega.tolist()
+    assert [kg.ladder(int(n), 1.0, cfg.mu_tilde) / cfg.R for n in N] == tabs.Omega.tolist()
     assert kg.Region.LEFT.interval(cfg) == (0.0, cfg.r, cfg.r)
     assert kg.Region.RIGHT.interval(cfg) == (cfg.r, cfg.R, cfg.r_bar)
 

@@ -107,7 +107,7 @@ def test_wavepacket_tails_dwarf_series_residue():
     cfg = kg.validate_config(1.0, 0.21, 1.0 / 0.21)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
     comp = kg.wavepacket_comparison(1, 0.0, cfg, trunc)
-    assert comp.leak.edge == pytest.approx(0.21)
+    assert comp.leak.cone[1] == pytest.approx(0.21)
     assert comp.psi_outside_fraction == pytest.approx(0.0267101, rel=5e-2, abs=0)
     assert comp.leak.fraction < 1e-9
     assert comp.psi_outside_fraction / comp.leak.fraction > 1e6
