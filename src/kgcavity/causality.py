@@ -115,14 +115,16 @@ def commutator_pair(
 
 def outside_cone_mass(mode: SampledMode, cone: tuple[float, float],
                       om: float) -> tuple[float, float]:
-    """(mass outside the cone, total mass) of |f|^2 + |f_dot|^2 / om^2.
+    """(mass outside the cone, total mass) of |f|^2 + |f_dot / om|^2.
 
     Plain trapezoid on the grid points at or below lo plus that on the points
     at or above hi, each side counting only with at least 2 points: nested
     sub-grids, so widening the cone can only shrink the outside mass.
+    f_dot is divided by om before squaring: both scale as 1/R, so their
+    squares overflow in a tiny box where the ratio does not.
     """
     x = mode.grid
-    rho = np.abs(mode.value) ** 2 + np.abs(mode.tderiv) ** 2 / om**2
+    rho = np.abs(mode.value) ** 2 + (np.abs(mode.tderiv) / om) ** 2
     total = float(np.trapezoid(rho, x))
     lo, hi = cone
     outside = 0.0

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bogoliubov import build_block
-from .config import CavityConfig, DomainError, Region, Truncation, _global_omega
+from .config import CavityConfig, DomainError, GridMismatch, Region, Truncation, _global_omega
 
 __all__ = [
     "Region",
@@ -60,7 +60,7 @@ class SampledMode:
 
     def __post_init__(self) -> None:
         if len(self.value) != len(self.grid) or len(self.tderiv) != len(self.grid):
-            raise ValueError(
+            raise GridMismatch(
                 "value/tderiv must match the grid length: "
                 f"{len(self.grid)} vs {len(self.value)}/{len(self.tderiv)}"
             )

@@ -9,15 +9,18 @@ all outputs. Both carry the caller's provenance record (what ran, at which
 configuration and cutoffs, with which tail bounds) and the package version;
 a sidecar adds its CSV's payload digest.
 
-A table of fewer than ``_ENCODE_MIN_CELLS`` cells per dtype kind it holds
-is printed one %-template per row, and so is every table with a column of
-another dtype (bool, unsigned, str, object; an object column's cells go
-through ``fmt17`` one by one). A larger one whose columns are
-all 1-D signed integers or floats of at most 64 bits goes through the
-column encoder, which prints every cell in four 8-byte words, byte for byte
-as ``fmt17`` does. A float cell x is printed from the correctly rounded
-17-digit significand D of |x| 10**(16-e), with e the decimal exponent, and
-that product is computed so that its rounding can be certified:
+A table of fewer than ``_ENCODE_MIN_CELLS`` cells is printed one
+%-template per row, and so is every table with a column of another dtype
+(bool, unsigned, str, object; an object column's cells go through ``fmt17``
+one by one) or with a signed integer outside [-2**53, 2**53]. A larger one
+whose columns are all 1-D floats of at most 64 bits or signed integers
+within +-2**53 goes through the column encoder, which reads every cell as
+a double (exact for each of them) and prints it in four 8-byte words, byte
+for byte as ``fmt17`` does. An integer of at most 2**53 has at most 16
+digits, so its %.17g text has no point and no exponent: it is its %d text.
+A cell x is printed from the correctly rounded 17-digit significand D of
+|x| 10**(16-e), with e the decimal exponent, and that product is computed
+so that its rounding can be certified:
 
 - 10**k comes from a table built on first use as hi + lo, hi the double
   nearest 10**k and lo the double nearest 10**k - hi. Since
@@ -66,14 +69,13 @@ def fmt17(v) -> str:
 # the %-conversion of a column, by its dtype kind; every other kind is "%s"
 _KIND_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
-# Tables of at least this many cells per dtype kind they hold go through
-# the column encoder, whose fixed cost is per kind; below it, one
-# %-template per row is faster (break-even near 500-700 on 2 vCPU).
+# Tables of at least this many cells go through the column encoder, whose
+# fixed cost is per call; below it, one %-template per row is faster
+# (break-even near 500-700 on 2 vCPU).
 _ENCODE_MIN_CELLS = 768
-# A chunk of rows holds at most this many cells of one dtype kind, so that
-# the encoder's working arrays (32 KiB each for 8-byte dtypes) stay in
-# cache: at twice as many, a float cell took about 2.4 times as long on
-# 2 vCPU.
+# A chunk of rows holds at most this many cells, so that the encoder's
+# working arrays (32 KiB each) stay in cache: at twice as many, a cell took
+# about 2.4 times as long on 2 vCPU.
 _CHUNK_CELLS = 4096
 
 
@@ -84,17 +86,16 @@ def write_csv(path: str, comments: list[str], names: list[str], columns) -> str:
     length (a ValueError otherwise). Each column is printed by the one
     %-conversion of its dtype kind, byte for byte what ``fmt17`` gives
     each of its cells; an object column is printed by ``fmt17`` itself,
-    cell by cell. Tables of at least ``_ENCODE_MIN_CELLS`` cells per
-    dtype kind, whose columns are all 1-D signed integers or floats of at
-    most 64 bits, are printed by the column encoder, in chunks of rows.
+    cell by cell. Tables of at least ``_ENCODE_MIN_CELLS`` cells, whose
+    columns are all 1-D floats of at most 64 bits or signed integers
+    within +-2**53, are printed by the column encoder, in chunks of rows.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} names for {len(columns)} columns")
     cols = [_column(c) for c in columns]
     head = ("".join(f"# {c}\n" for c in comments) + ",".join(names) + "\n").encode("utf-8")
     n_rows = len(cols[0]) if cols and cols[0].ndim == 1 else 0
-    kinds = {c.dtype.kind for c in cols}
-    if (not cols or n_rows * len(cols) < _ENCODE_MIN_CELLS * len(kinds)
+    if (not cols or n_rows * len(cols) < _ENCODE_MIN_CELLS
             or any(c.shape != (n_rows,) or not _encodable(c) for c in cols)):
         template = ",".join(_KIND_FORMATS.get(c.dtype.kind, "%s") for c in cols)
         cells = [list(map(fmt17, c.tolist())) if c.dtype.kind == "O" else c.tolist()
@@ -131,42 +132,35 @@ def _column(c) -> np.ndarray:
 # of a word is bits 8j..8j+7. A slot the cell does not print holds _PAD; one
 # bytes.translate per chunk deletes every pad. The words are built with
 # whole-column integer arithmetic and tables read by index (take); only a
-# float cell off the fast path is formatted on its own, by fmt17.
+# cell off the fast path is formatted on its own, by fmt17.
 
 _PAD = 0xFF             # no ASCII byte is 0xFF
-_ONES = 0xFFFF_FFFF_FFFF_FFFF
 _ZEROS = 0x3030_3030_3030_3030     # eight ASCII "0"
 
 
 def _encodable(col: np.ndarray) -> bool:
-    """True for the dtypes the encoder prints: the kinds of _ENCODERS up to
-    8 bytes (each is exact as an int64 or a double)."""
-    return col.dtype.kind in _ENCODERS and col.dtype.itemsize <= 8
+    """True for the columns the encoder prints, each cell exact as a
+    double: floats of at most 8 bytes, and signed integers within +-2**53."""
+    if col.dtype.kind == "f":
+        return col.dtype.itemsize <= 8
+    return col.dtype.kind == "i" and -2**53 <= col.min(initial=0) and col.max(initial=0) <= 2**53
 
 
 def _encoded_rows(cols: list[np.ndarray], n_rows: int):
-    """The table's rows as bytes, one chunk of rows at a time. The columns
-    of one dtype kind are encoded together, as one flat array a chunk. The
-    top byte of a cell's last word is a pad, where its separator goes."""
-    groups: dict[str, list[int]] = {}
-    for j, c in enumerate(cols):
-        groups.setdefault(c.dtype.kind, []).append(j)
+    """The table's rows as bytes, one chunk of rows at a time, each chunk's
+    cells read as one float64 array. The top byte of a cell's last word is
+    a pad, where its separator goes."""
     seps = np.full(len(cols), (_PAD ^ ord(",")) << 56, np.uint64)
     seps[-1] = (_PAD ^ ord("\n")) << 56
-    step = max(1, _CHUNK_CELLS // max(map(len, groups.values())))
-    buf = np.empty((min(step, n_rows), 4 * len(cols)), np.uint64)
+    step = max(1, _CHUNK_CELLS // len(cols))
+    part = np.empty((min(step, n_rows), len(cols)))
     for lo in range(0, n_rows, step):
         n = min(step, n_rows - lo)
-        for kind, members in groups.items():
-            dtype, encode = _ENCODERS[kind]
-            part = np.empty((n, len(members)), dtype)
-            for i, j in enumerate(members):
-                part[:, i] = cols[j][lo:lo + n]
-            cells = encode(part.ravel()).reshape(n, len(members), 4)
-            for i, j in enumerate(members):
-                buf[:n, 4 * j:4 * j + 4] = cells[:, i]
-        buf[:n, 3::4] ^= seps
-        yield buf[:n].tobytes().translate(None, b"\xff")
+        for j, c in enumerate(cols):
+            part[:n, j] = c[lo:lo + n]
+        words = _float_words(part[:n].ravel()).reshape(n, len(cols), 4)
+        words[:, :, 3] ^= seps
+        yield words.tobytes().translate(None, b"\xff")
 
 
 def _ascii8(v: np.ndarray) -> np.ndarray:
@@ -207,35 +201,7 @@ def _slot_masks(first_slots, pred, n: int, value: int = _PAD) -> list:
                       for v in range(n)], np.uint64) for f in first_slots]
 
 
-# ── integers: sign, 3 pads, 20 digit slots (int64 fills 19), 8 pads ────────
-
-@functools.cache
-def _int_tables():
-    """10**1 .. 10**19, and the pads over the leading zeros of a 20-digit
-    magnitude by their count: digit j sits in byte j + 4 of the first three
-    words."""
-    pow10 = np.array([10**k for k in range(1, 20)], np.uint64)
-    return pow10, _slot_masks((-4, 4, 12), lambda s, zeros: s < zeros, 20)
-
-
-def _int_words(x: np.ndarray) -> np.ndarray:
-    """(n, 4) uint64 ``%d`` cells of an int64 array."""
-    pow10, lead = _int_tables()
-    # |x| as uint64: np.abs wraps -2**63 to itself, which reads as 2**63
-    mag = np.abs(x).view(np.uint64)
-    top = mag // 10**16
-    rest = mag - top * 10**16
-    mid = rest // 10**8
-    zeros = 19 - np.searchsorted(pow10, mag, side="right")
-    out = np.empty((len(x), 4), np.uint64)
-    out[:, 0] = ((_ascii8(top) | 0xFFFF_FFFF) & ~((x < 0) * np.uint64(0xD2))) | lead[0].take(zeros)
-    out[:, 1] = _ascii8(mid) | lead[1].take(zeros)
-    out[:, 2] = _ascii8(rest - mid * 10**8) | lead[2].take(zeros)
-    out[:, 3] = _ONES
-    return out
-
-
-# ── floats: sign, "0.000" lead, 18 digit-or-point slots, "e+XXX", 3 pads ───
+# ── doubles: sign, "0.000" lead, 18 digit-or-point slots, "e+XXX", 3 pads ──
 
 _X_MIN, _X_MAX = -300, 300          # decimal exponents the layout tables cover
 _K_MIN, _K_MAX = -270, 300          # powers of ten the scale table covers
@@ -377,10 +343,6 @@ def _float_words(x: np.ndarray) -> np.ndarray:
         text[text == 0] = _PAD
         out[fallback] = text.view(np.uint64).reshape(-1, 4)
     return out
-
-
-# by dtype kind: the dtype an encoder reads (each cast is exact) and the encoder
-_ENCODERS = {"i": (np.int64, _int_words), "f": (np.float64, _float_words)}
 
 
 def _write_json(path: str, doc: dict) -> None:

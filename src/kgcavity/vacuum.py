@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovBlock, beta_sq_sums, coeff_grid
-from .config import CavityConfig, DomainError, Region, Truncation, ladder, validate_config
+from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
+                     validate_config)
 
 __all__ = [
     "SpectrumResult",
@@ -319,7 +320,7 @@ def wick_moments(
     asked for.
     """
     if left_block.alpha.shape[1] != right_block.alpha.shape[1]:
-        raise ValueError("left/right blocks disagree on the global cutoff")
+        raise GridMismatch("left/right blocks disagree on the global cutoff")
     m_range = tuple(int(m) for m in m_range)
     n_range = tuple(int(n) for n in n_range)
     for m in m_range:
@@ -375,7 +376,7 @@ def limit_scan(
     non-commuting pair of limits visible.
     """
     if kind not in ("mass", "partition-size"):
-        raise ValueError(f"unknown scan kind {kind!r}")
+        raise DomainError(f"unknown scan kind {kind!r}")
     values = np.asarray(list(values), dtype=np.float64)
     probes = tuple((int(m), int(N)) for m, N in probe_indices)
     for m, N in probes:

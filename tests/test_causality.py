@@ -214,6 +214,23 @@ def test_right_cone_mirrors_the_left_cone(R, r_over_R, t, margin):
     assert right[1] == pytest.approx(R - left[0], rel=0, abs=ulps)
 
 
+@pytest.mark.parametrize("region", [L, RG])
+def test_leakage_fraction_is_finite_in_a_tiny_box(region):
+    # f_dot and omega both scale as 1/R, so squared apart they overflow at
+    # R = 1e-200; their ratio keeps the R = 1 fraction (to the rounding of
+    # mu = 3 / R), and its bits under R -> 2^k R
+    trunc = kg.Truncation(n_max_global=50, m_max_local=4, grid_points=9)
+
+    def fraction(R):
+        cfg = kg.validate_config(R, 0.5 * R, 3.0 / R)
+        return kg.lightcone_leakage(region, 1, 0.1 * R, cfg, trunc).fraction
+
+    tiny = fraction(1e-200)
+    assert np.isfinite(tiny)
+    assert tiny == pytest.approx(fraction(1.0), rel=1e-13, abs=0)
+    assert fraction(2.0**-600) == fraction(1.0)
+
+
 @pytest.mark.parametrize("points", [1, 2])
 def test_leakage_refuses_grids_without_interior_points(cfg_half, trunc_10k,
                                                        monkeypatch, points):

@@ -746,6 +746,27 @@ def test_domain_error_reports_json_and_exit_2(tmp_path, capsys):
     assert "r" in err["message"]
 
 
+def _blocks_of_two_cutoffs():
+    cfg = kg.validate_config(1.0, 0.5, 0.0)
+    return [kg.build_block(region, cfg, None, kg.Truncation(n_max_global=n, m_max_local=1))
+            for region, n in ((kg.Region.LEFT, 50), (kg.Region.RIGHT, 60))]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: kg.wick_moments([1], [1], *_blocks_of_two_cutoffs()), kg.GridMismatch),
+    (lambda: kg.limit_scan("volume", [0.1], [(1, 1)], kg.validate_config(1.0, 0.5, 0.0),
+                           kg.Truncation(n_max_global=50, m_max_local=1)), kg.DomainError),
+    (lambda: kg.SampledMode(grid=np.zeros(3), value=np.zeros(2), tderiv=np.zeros(3), time=0.0),
+     kg.GridMismatch),
+], ids=["wick_moments-cutoffs", "limit_scan-kind", "SampledMode-lengths"])
+def test_library_refusals_are_kgcavity_errors(call, error):
+    # the CLI turns a KgCavityError into its JSON error; any other
+    # exception would reach the user as a traceback
+    with pytest.raises(kg.KgCavityError) as exc:
+        call()
+    assert isinstance(exc.value, error)
+
+
 def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
     for cls in (kg.DomainError, kg.GridMismatch, kg.ThresholdUnreachable, kg.DimensionError):
         assert issubclass(cls, kg.KgCavityError)

@@ -130,6 +130,13 @@ def _fmt17_rows(columns) -> bytes:
                   -0.0, 1.5, 65504.0, float("nan")], True),
     (str, ["a\x00b", "\x00c", "", "d", "é\x00é", "x", "y"], False),
 ])
+@example(table=[(np.int64, [2**53, -2**53, 2**53 - 1, 1 - 2**53, 0, -7, 10**15], True),
+                 (np.float64, [0.1, -0.0, 1e16, 2.0**53, 5.0, -1.5, 1e300], True)])
+# one int outside +-2**53 per table: each sends the table to the row template
+@example(table=[(np.int64, [2**53 + 1], True), (np.float64, [2.0**53], True)])
+@example(table=[(np.int64, [-2**53 - 1], True), (np.float64, [-2.0**53], True)])
+@example(table=[(np.int64, [2**63 - 1], True), (np.float64, [0.5], True)])
+@example(table=[(np.int64, [-2**63], True), (np.float64, [0.5], True)])
 def test_write_csv_rows_match_fmt17_join(tmp_path_factory, table):
     # one %-conversion per column, byte for byte the fmt17 join of every
     # row, from the row template and, with no size floor, the column encoder
@@ -162,20 +169,23 @@ def test_write_csv_prints_a_list_of_large_ints_as_ints(tmp_path):
 
 
 def test_write_csv_bool_uint_and_str_tables_keep_the_template(tmp_path, rng, monkeypatch):
-    # above the floor for every kind, but a bool, a uint64 or a str column
-    # sends the whole table to the row template, which prints the fmt17 join
+    # above the floor, but a bool, a uint64 or a str column, or an int64
+    # column with one cell outside +-2**53, sends the whole table to the row
+    # template, which prints the fmt17 join
     n = output._ENCODE_MIN_CELLS + 5
+    wide = rng.integers(-2**53, 2**53 + 1, n, dtype=np.int64)
+    wide[n // 2] = 2**53 + 1
     columns = [rng.random(n) < 0.5, rng.integers(0, 2**64, n, dtype=np.uint64),
-               np.array([f"s{k},\u00e9" for k in range(n)]), rng.normal(size=n),
-               rng.integers(-2**63, 2**63, n, dtype=np.int64)]
+               np.array([f"s{k},\u00e9" for k in range(n)]), wide, rng.normal(size=n),
+               rng.integers(-2**53, 2**53 + 1, n, dtype=np.int64)]
 
     def refuse(*args):
         raise AssertionError("the column encoder was called")
 
     monkeypatch.setattr(output, "_encoded_rows", refuse)
     path = tmp_path / "t.csv"
-    for k in range(3):
-        table = columns[k:k + 1] + columns[3:]
+    for k in range(4):
+        table = columns[k:k + 1] + columns[4:]
         digest = write_csv(str(path), [], ["x", "f", "i"], table)
         want = b"x,f,i\n" + _fmt17_rows([c.tolist() for c in table])
         assert path.read_bytes() == want
@@ -198,19 +208,29 @@ def _edge_floats() -> np.ndarray:
     return np.array(edges + [-v for v in edges])
 
 
-def test_write_csv_encoder_is_exact_across_chunks(tmp_path, rng):
+def test_write_csv_encoder_is_exact_across_chunks(tmp_path, rng, monkeypatch):
     # three chunks and a remainder of random bit patterns, normals scaled
-    # over 10**+-30 and the edges, each column against the fmt17 join; a
-    # chunk holds _CHUNK_CELLS cells of the three float columns
-    n = 3 * (output._CHUNK_CELLS // 3) + 123
+    # over 10**+-30, the edges and ints within +-2**53 (the bounds
+    # included), each column against the fmt17 join; a chunk holds
+    # _CHUNK_CELLS cells of the four columns
+    n = 3 * (output._CHUNK_CELLS // 4) + 123
     bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
     scaled = rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, n)
     edges = np.resize(_edge_floats(), n)
-    ints = rng.integers(-2**63, 2**63, n, dtype=np.int64)
+    ints = rng.integers(-2**53, 2**53 + 1, n, dtype=np.int64)
+    ints[:4] = [2**53, -2**53, 2**53 - 1, 1 - 2**53]
     columns = [bits, scaled, edges, ints]
+    encode, encoded = output._encoded_rows, []
+
+    def spy(cols, n_rows):
+        encoded.append(n_rows)
+        return encode(cols, n_rows)
+
+    monkeypatch.setattr(output, "_encoded_rows", spy)
     path = tmp_path / "t.csv"
     digest = write_csv(str(path), [], ["bits", "scaled", "edges", "ints"], columns)
     want = b"bits,scaled,edges,ints\n" + _fmt17_rows([c.tolist() for c in columns])
+    assert encoded == [n]
     assert path.read_bytes() == want
     assert digest == hashlib.sha256(want).hexdigest()
 

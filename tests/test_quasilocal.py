@@ -115,6 +115,22 @@ def test_wavepacket_tails_dwarf_series_residue():
     assert comp.psi.grid.shape == (4097,)
 
 
+def test_wavepacket_fractions_are_finite_in_a_tiny_box():
+    # both out-of-cone fractions divide the time derivative by omega
+    # before squaring, so they survive R = 1e-200 and keep their bits
+    # under R -> 2^k R
+    trunc = kg.Truncation(n_max_global=50, m_max_local=4, grid_points=9)
+
+    def fractions(R):
+        comp = kg.wavepacket_comparison(1, 0.1 * R, kg.validate_config(R, 0.5 * R, 0.0), trunc)
+        return comp.psi_outside_fraction, comp.leak.fraction
+
+    tiny, base = fractions(1e-200), fractions(1.0)
+    assert np.all(np.isfinite(tiny))
+    assert tiny == pytest.approx(base, rel=1e-13, abs=0)
+    assert fractions(2.0**-600) == base
+
+
 def test_wavepacket_carries_its_own_tail_estimate(cfg_half):
     # psi and u share one series evaluator; psi keeps alpha's tail and drops
     # beta's, so its c / n_max envelope sits below u's
