@@ -23,7 +23,6 @@ from .quadrature import *
 from .quasilocal import *
 from .vacuum import *
 
-# ``Region`` is exported by both config and modes
 __all__ = sorted({name for module in (bogoliubov, causality, config, fock_oracle, modes,
                                       quadrature, quasilocal, vacuum)
                   for name in module.__all__})

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, GridMismatch, Truncation, validate_config
-from .modes import Region, SampledMode, conjugate_mode, eval_local_initial, evolve_local_mode, uniform_grid
+from .config import CavityConfig, DomainError, GridMismatch, Region, Truncation, validate_config
+from .modes import SampledMode, conjugate_mode, eval_local_initial, evolve_local_mode, uniform_grid
 from .quadrature import kg_inner
 
 __all__ = [

@@ -28,12 +28,13 @@ from .causality import _check_edge_margin, commutator_pair, lightcone_leakage, m
 from .config import (
     DomainError,
     KgCavityError,
+    Region,
     ThresholdUnreachable,
     Truncation,
     load_config_file,
     validate_config,
 )
-from .modes import Region, SampledMode, evolve_local_mode, uniform_grid
+from .modes import SampledMode, evolve_local_mode, uniform_grid
 from .output import write_csv, write_manifest, write_sidecar
 from .quasilocal import (
     bandwidth,
@@ -154,11 +155,10 @@ class _Run:
     every sidecar and the manifest carry it.
 
     A command records each CSV with ``csv`` and each SVG with ``svg``, and
-    puts its diagnostics in ``tails``. Each CSV's sidecar gets a snapshot of
-    ``tails`` taken when the CSV is recorded. ``finish`` creates
-    ``out_dir``, writes the CSVs and their sidecars, then the SVGs (only
-    with --svg), each in the order recorded, and then the manifest. A
-    command that raises leaves nothing behind, not even the directory.
+    puts its diagnostics in ``tails``. ``finish`` creates ``out_dir``,
+    writes the CSVs and their sidecars, then the SVGs (only with --svg),
+    each in the order recorded, and then the manifest. A command that
+    raises leaves nothing behind, not even the directory.
     """
 
     def __init__(self, args, cfg, trunc):
@@ -179,7 +179,7 @@ class _Run:
     def csv(self, name: str, comments: list[str], names: list[str], columns: list) -> None:
         """Record a table under the provenance lines and ``comments``;
         ``columns`` parallels ``names``, one array per column."""
-        self.csvs.append((name, self.header + comments, names, columns, dict(self.tails)))
+        self.csvs.append((name, self.header + comments, names, columns))
 
     def svg(self, name: str, render, *args, **kw) -> None:
         """Record ``render(path, *args, **kw)`` for ``finish``; nothing without --svg."""
@@ -189,19 +189,19 @@ class _Run:
     def finish(self) -> int:
         out_dir = self.args.out_dir
         os.makedirs(out_dir, exist_ok=True)
+        record = {**self.record, "tail_bounds": self.tails}
         outputs = []
-        for name, comments, names, columns, tails in self.csvs:
+        for name, comments, names, columns in self.csvs:
             path = os.path.join(out_dir, name)
             digest = write_csv(path, comments, names, columns)
-            write_sidecar(path, {**self.record, "tail_bounds": tails}, digest)
+            write_sidecar(path, record, digest)
             outputs.append((name, digest))
         for name, render, args, kw in self.svgs:
             path = os.path.join(out_dir, name)
             render(path, *args, **kw)
             with open(path, "rb") as fh:
                 outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
-        write_manifest(out_dir, {**self.record, "tail_bounds": self.tails}, outputs,
-                       time.perf_counter() - self.t0)
+        write_manifest(out_dir, record, outputs, time.perf_counter() - self.t0)
         for name, digest in outputs:
             log.info("wrote %s (sha256 %s…)", name, digest[:12])
         return 0
@@ -311,7 +311,7 @@ def cmd_correlations(args, run: _Run) -> None:
         ls, Ns = np.arange(1, trunc.m_max_local + 1), np.arange(1, trunc.n_max_global + 1)
         left_n, right_n = (float(np.sum(beta_sq_sums(side, ls, Ns, cfg)))
                            for side in (Region.LEFT, Region.RIGHT))
-        norm = math.sqrt(left_n * right_n)
+        norm = math.sqrt(left_n) * math.sqrt(right_n)
         if norm == 0.0:
             raise DomainError(f"--paper-norm has a zero normalization: the summed spectra are "
                               f"{left_n:g} (left) and {right_n:g} (right)")
@@ -334,7 +334,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
     _check_local(trunc, "--steer-m", args.steer_m)
     if args.wavepacket_m is not None:
         _check_local(trunc, "--wavepacket-m", args.wavepacket_m)
-    dists, widths, energies = [], [], []
+    dists, widths, energies = {}, [], []
     overlap_series = []
     for l in l_list:
         dist = overlap_distribution(l, cfg, trunc)
@@ -352,17 +352,20 @@ def cmd_quasilocal(args, run: _Run) -> None:
             dO = float("nan")
         energy = quasilocal_energy(dist, cfg)
         _record_tail(run, f"energy_tail_l={l}", energy.tail_bound, l, "--nmax")
-        dists.append(dist)
+        dists[l] = dist
         widths.append(dO)
         energies.append(energy)
         overlap_series.append((dist.Omega[keep], dist.p[keep], f"l={l}"))
     run.csv("bandwidth.csv", [f"threshold={args.threshold:.17g}"],
             ["l", "omega_l", "delta_Omega", "norm_captured",
              "energy_raw", "energy_normalized", "energy_annihilator"],
-            [l_list, [d.omega_l for d in dists], widths, [d.norm_captured for d in dists],
+            [l_list, [d.omega_l for d in dists.values()], widths,
+             [d.norm_captured for d in dists.values()],
              [e.raw for e in energies], [e.normalized for e in energies],
              [e.annihilator_normalized for e in energies]])
-    shift = steering_shift(overlap_distribution(args.steer_m, cfg, trunc), l_list, cfg)
+    # a --steer-m state that is also in --l-list reuses its distribution
+    steer = dists[args.steer_m] if args.steer_m in dists else overlap_distribution(args.steer_m, cfg, trunc)
+    shift = steering_shift(steer, l_list, cfg)
     run.csv("steering.csv", [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
     if args.wavepacket_m:
@@ -423,8 +426,7 @@ def cmd_causality(args, run: _Run) -> None:
 def cmd_diverge(args, run: _Run) -> None:
     cfg = run.cfg
     # every refusal comes before any sum: the scan requests here, a bad --m
-    # in mode_sum_convergence before its sums. The convergence tails join
-    # run.tails only after diverge.csv, whose sidecar has none
+    # in mode_sum_convergence before its sums
     for N in args.N_list:
         _divergence_request(N, args.M_list)
     conv = mode_sum_convergence(Region.LEFT, args.m, cfg, args.n_list)

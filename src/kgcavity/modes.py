@@ -29,7 +29,6 @@ from .bogoliubov import build_block
 from .config import CavityConfig, DomainError, GridMismatch, Region, Truncation, _global_omega
 
 __all__ = [
-    "Region",
     "SampledMode",
     "uniform_grid",
     "conjugate_mode",

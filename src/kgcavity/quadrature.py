@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, GridMismatch
-from .modes import Region, SampledMode
+from .config import CavityConfig, DomainError, GridMismatch, Region
+from .modes import SampledMode
 
 __all__ = ["InnerProduct", "kg_inner", "overlap_V"]
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .bogoliubov import coeff_grid
 from .causality import Leakage, lightcone_leakage, outside_cone_mass
-from .config import CavityConfig, DomainError, ThresholdUnreachable, Truncation, _global_omega
-from .modes import Region, SampledMode, _check_time, _row_series
+from .config import CavityConfig, DomainError, Region, ThresholdUnreachable, Truncation, _global_omega
+from .modes import SampledMode, _check_time, _row_series
 from .vacuum import _coeff_sq_tail
 
 __all__ = [
@@ -119,8 +119,6 @@ def overlap_distribution(
 ) -> OverlapDistribution:
     """Distribution of psi_l over global one-particle states, and its peak:
     the one reader of the state's coefficient row."""
-    if l < 1:
-        raise DomainError(f"local index l must be >= 1, got {l}")
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
     mean_occ = float(np.sum(beta[0] ** 2))
@@ -181,8 +179,6 @@ def quasilocal_wavepacket(
     ``_row_series`` as ``evolve_local_mode``, which also gives its tail
     estimate.
     """
-    if m < 1:
-        raise DomainError(f"local index m must be >= 1, got {m}")
     _check_time(t)
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg)
@@ -246,11 +242,9 @@ def steering_shift(dist: OverlapDistribution, l_range, cfg: CavityConfig) -> Ste
     that the truncated dictionary behaves.
     """
     l_idx = np.array([int(l) for l in l_range], dtype=np.int64)
-    if np.any(l_idx < 1):
-        raise DomainError(f"far local indices must be >= 1, got l={l_idx.tolist()}")
     a_m, b_m = dist.alpha, dist.beta
-    B_m = float(np.dot(b_m, b_m))
     a_l, b_l = coeff_grid(dist.region.other, l_idx, np.arange(1, len(a_m) + 1), cfg)
+    B_m = float(np.dot(b_m, b_m))
 
     X1 = a_l @ a_m
     X2 = b_l @ a_m

@@ -118,6 +118,9 @@ class TrendTable:
 
 # ── helpers ─────────────────────────────────────────────────────────────────
 
+# a row of squared norm below this is scaled to unit size before it enters corr
+_SMALL = np.sqrt(np.finfo(np.float64).tiny)
+
 # 48-point Gauss-Legendre nodes and weights on [0, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
 _GL_X = (_GL_X + 1.0) / 2.0
@@ -269,8 +272,8 @@ def mode_sum_convergence(region: Region, m: int, cfg: CavityConfig, n_list) -> M
     """Fixed local index m, growing global cutoff: sum_N alpha^2 and
     sum_N beta^2 both converge (the asymmetry opposite the m-scan)."""
     n_arr = np.asarray(sorted(int(n) for n in n_list))
-    if m < 1 or n_arr.size == 0 or n_arr[0] < 1:
-        raise DomainError(f"m and the cutoffs must be >= 1, got m={m}, n_list={n_arr.tolist()}")
+    if n_arr.size == 0 or n_arr[0] < 1:
+        raise DomainError(f"the cutoffs must be >= 1, got n_list={n_arr.tolist()}")
     N_idx = np.arange(1, n_arr[-1] + 1)
     alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
     a2 = np.cumsum(alpha[0] ** 2)[n_arr - 1]
@@ -298,6 +301,32 @@ def _rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
     else:
         sel = np.asarray(rows) - 1
     return block.alpha[sel], block.beta[sel]
+
+
+def _row_dots(P: np.ndarray, Q: np.ndarray) -> tuple:
+    """(pp, pq, qq): the dots of each row of P and Q with itself and each other."""
+    return np.vecdot(P, P), np.vecdot(P, Q), np.vecdot(Q, Q)
+
+
+def _cov(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> np.ndarray:
+    """cov(n_m, n_bar_n) of every left row against every right row."""
+    return (Q @ Pb.T) * (P @ Qb.T) + (Q @ Qb.T) * (P @ Pb.T)
+
+
+def _sd(pp: np.ndarray, pq: np.ndarray, qq: np.ndarray) -> np.ndarray:
+    """sqrt(var) = sqrt(pp qq + pq^2) of each row, with nothing squared."""
+    return np.hypot(np.sqrt(pp) * np.sqrt(qq), pq)
+
+
+def _unit_rows(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """X, or a copy of it whose rows of squared norm ``sq`` below
+    sqrt(tiny) are scaled by powers of two to a largest |entry| in [1/2, 1)."""
+    small = np.flatnonzero(sq < _SMALL)
+    if small.size == 0:
+        return X
+    X = X.copy()
+    X[small] = np.ldexp(X[small], -np.frexp(np.max(np.abs(X[small]), axis=1))[1][:, None])
+    return X
 
 
 def wick_moments(
@@ -333,16 +362,26 @@ def wick_moments(
     P, Q = _rows(left_block, m_range)
     Pb, Qb = _rows(right_block, n_range)
 
-    mean_left = np.vecdot(Q, Q)
-    var_left = np.vecdot(P, P) * mean_left + np.vecdot(P, Q) ** 2
-    mean_right = np.vecdot(Qb, Qb)
-    var_right = np.vecdot(Pb, Pb) * mean_right + np.vecdot(Pb, Qb) ** 2
-    cov = (Q @ Pb.T) * (P @ Qb.T) + (Q @ Qb.T) * (P @ Pb.T)
+    left, right = _row_dots(P, Q), _row_dots(Pb, Qb)
+    mean_left, mean_right = left[2], right[2]
+    var_left = left[0] * mean_left + left[1] ** 2
+    var_right = right[0] * mean_right + right[1] ** 2
+    cov = _cov(P, Q, Pb, Qb)
 
-    # A vanishing variance forces a vanishing covariance (Cauchy-Schwarz),
-    # so the 0/0 rows of a beta-free block are genuinely uncorrelated.
-    denom = np.sqrt(np.outer(var_left, var_right))
-    corr = np.where(denom > 0.0, cov / np.where(denom > 0.0, denom, 1.0), 0.0)
+    # corr is unchanged when one row of P, Q, P' or Q' is scaled, so rows of
+    # squared norm below sqrt(tiny) (the beta rows from mu R ~ 1e40 on) are
+    # scaled to unit size, and the standard deviations square nothing: corr
+    # keeps its digits where var_left * var_right underflows (mu R ~ 1e42
+    # on) and where var itself does. A vanishing variance forces a
+    # vanishing covariance (Cauchy-Schwarz), so the 0/0 rows of a beta-free
+    # block are genuinely uncorrelated.
+    rows = (P, Q, Pb, Qb)
+    unit = tuple(_unit_rows(X, sq) for X, sq in zip(rows, (left[0], left[2], right[0], right[2])))
+    cov_unit = cov
+    if any(u is not X for u, X in zip(unit, rows)):
+        cov_unit, left, right = _cov(*unit), _row_dots(*unit[:2]), _row_dots(*unit[2:])
+    denom = np.outer(_sd(*left), _sd(*right))
+    corr = np.where(denom > 0.0, cov_unit / np.where(denom > 0.0, denom, 1.0), 0.0)
     if np.any(np.abs(corr) > 1.0 + 1e-9):
         raise AssertionError("correlation coefficient left (-1, 1) beyond numerical slack")
 

@@ -211,7 +211,7 @@ def test_correlations_with_verification_columns(tmp_path, monkeypatch):
     ls, Ns = np.arange(1, 5), np.arange(1, 501)
     total_left = float(np.sum(kg.beta_sq_sums(kg.Region.LEFT, ls, Ns, cfg)))
     total_right = float(np.sum(kg.beta_sq_sums(kg.Region.RIGHT, ls, Ns, cfg)))
-    summed = report.cov / math.sqrt(total_left * total_right)
+    summed = report.cov / (math.sqrt(total_left) * math.sqrt(total_right))
     header, rows = _csv_rows(os.path.join(out, "correlations.csv"))
     assert header == "m,n,cov,corr,corr_summed_norm"
     # m-major, every value exact: 17 digits round-trip a double
@@ -258,13 +258,14 @@ def test_quasilocal_products(tmp_path):
 
 
 @pytest.mark.parametrize("argv, calls, entries", [
-    (["--r", "0.3", "--mu", "2.0", "--l-list", "2,5,9", "--steer-m", "2"], 5, 70_000),
+    (["--r", "0.3", "--mu", "2.0", "--l-list", "2,5,9", "--steer-m", "2"], 4, 60_000),
     ([], 3, 30_000),
 ], ids=["steering-op", "default"])
 def test_quasilocal_reads_each_state_row_once(argv, calls, entries, tmp_path, monkeypatch):
-    # one row per --l-list state, one for the --steer-m state and the far
-    # rows of the steering, at the default n_max of 10^4; the energies and
-    # the steering read the state's row from its distribution
+    # one row per --l-list state, one for the --steer-m state unless the
+    # list has it, and the far rows of the steering, at the default n_max
+    # of 10^4; the energies and the steering read the state's row from its
+    # distribution
     grid = bogoliubov.coeff_grid
     seen = []
 
@@ -344,9 +345,7 @@ def test_causality_records_series_diagnostics(tmp_path, caplog):
                           "gibbs_overshoot_leakage_t=0", "commutator_tau=0.10000000000000001",
                           "commutator_error_tau=0.10000000000000001"}
     assert all(v > 0 for k, v in tails.items() if not k.startswith("gibbs"))
-    side = _read_json(os.path.join(out, "leakage.json"))
-    assert set(side["tail_bounds"]) == {"leakage_t=0", "leakage_t=0.10000000000000001",
-                                        "gibbs_overshoot_leakage_t=0"}
+    assert _read_json(os.path.join(out, "leakage.json"))["tail_bounds"] == tails
     assert _read_json(os.path.join(out, "commutators.json"))["tail_bounds"] == tails
     # ... and never the CSVs
     for name in ("leakage.csv", "commutators.csv"):
@@ -355,6 +354,30 @@ def test_causality_records_series_diagnostics(tmp_path, caplog):
     # at n_max = 500 each of the three evolutions is past the tolerance
     warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warned) == 3 and all("tail estimate" in w for w in warned)
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "0,0.1"],
+    ["quasilocal", "--nmax", "200", "--mmax", "4", "--grid", "65", "--l-list", "1,2",
+     "--wavepacket-m", "1"],
+    ["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "0,0.1",
+     "--taus", "0.1"],
+    ["diverge", "--M-list", "10,100", "--n-list", "100,200"],
+], ids=lambda argv: argv[0])
+def test_every_sidecar_carries_the_manifest_record(tmp_path, argv):
+    # one record per run: each sidecar holds the manifest's provenance and
+    # diagnostics, whenever the command recorded them, plus its CSV's digest
+    out = tmp_path / "o"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    man = _read_json(out / "manifest.json")
+    digests = {o["path"]: o["digest"] for o in man.pop("outputs")}
+    for key in ("wall_time_s", "written"):
+        del man[key]
+    csvs = sorted(path.name for path in out.glob("*.csv"))
+    assert len(csvs) >= 2 and man["tail_bounds"]
+    for name in csvs:
+        side = _read_json(out / name.replace(".csv", ".json"))
+        assert side == {**man, "digest": digests[name]}
 
 
 def test_diverge_and_rscan_products(tmp_path):
@@ -780,6 +803,18 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0]) == {"error": "GridMismatch",
                                     "message": "need at least two grid points"}
+
+
+def test_paper_norm_survives_large_mass(tmp_path):
+    # each side's summed spectrum is about 5.7e-234 at mu R = 1e60; their
+    # product underflows, the product of their square roots does not
+    out = tmp_path / "c"
+    assert main(["correlations", "--mu", "1e60", "--nmax", "200", "--mmax", "20",
+                 "--mrows", "3", "--nrows", "3", "--paper-norm", "--out-dir", str(out)]) == 0
+    header, rows = _csv_rows(out / "correlations.csv")
+    col = header.split(",").index("corr_summed_norm")
+    cells = [float(row[col]) for row in rows]
+    assert len(cells) == 9 and all(math.isfinite(c) for c in cells) and any(cells)
 
 
 @pytest.mark.parametrize("argv, words", [

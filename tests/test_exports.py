@@ -36,7 +36,7 @@ def test_no_public_callable_takes_a_frequency_table():
 
 
 def test_region_is_one_object_everywhere():
-    """``Region`` lives in ``config``; ``modes`` and the package re-export it."""
+    """``Region`` lives in ``config``, and the package re-exports it."""
     import kgcavity.config
     import kgcavity.modes
 

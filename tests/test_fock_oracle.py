@@ -8,7 +8,7 @@ must not change a single bit.
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgcavity as kg
@@ -109,6 +109,15 @@ def _random_block(region, n_rows, n_modes):
 @given(st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3)).flatmap(
     lambda shape: st.tuples(_random_block(kg.Region.LEFT, shape[1], shape[0]),
                             _random_block(kg.Region.RIGHT, shape[2], shape[0]))))
+# both pairs have correlation 1, which wick_moments must not push past its
+# slack: in the first the right variance is subnormal, in the second the
+# right row's own beta dot underflows to 0
+@example((kg.BogoliubovBlock(kg.Region.LEFT, np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]), "row"),
+          kg.BogoliubovBlock(kg.Region.RIGHT, np.array([[5.03697256e-105, 5.03697256e-105]]),
+                             np.array([[3.63016198e-55, 0.0]]), "row")))
+@example((kg.BogoliubovBlock(kg.Region.LEFT, np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]), "row"),
+          kg.BogoliubovBlock(kg.Region.RIGHT, np.array([[1.0, 1.0]]),
+                             np.array([[4.40549769e-182, 4.40549769e-182]]), "row")))
 def test_wick_moments_equal_fock_oracle_property(blocks):
     left, right = blocks
     (n_left, n_modes), n_right = left.alpha.shape, right.alpha.shape[0]

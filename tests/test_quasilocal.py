@@ -166,7 +166,8 @@ def test_local_indices_below_one_are_refused_before_any_compute(cfg_half, monkey
 
     trunc = kg.Truncation(n_max_global=50, m_max_local=4)
     dist = kg.overlap_distribution(1, cfg_half, trunc)
-    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    # the kernel's index check comes before its first computation
+    monkeypatch.setattr("kgcavity.bogoliubov.ladder", no_compute)
     with pytest.raises(kg.DomainError):
         call(cfg_half, trunc, dist)
 

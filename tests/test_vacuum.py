@@ -290,6 +290,22 @@ def test_local_vacuum_substitute_has_zero_correlations(blocks_half):
     assert np.all(rep.mean_left == 0.0)
 
 
+def test_correlations_survive_large_mass():
+    # each variance is of order (mu R)^-4, so the product of a left and a
+    # right one underflows from mu R ~ 1e42; the correlation's standard
+    # deviations square nothing, so at 1e60 it keeps its value at 1e30
+    trunc = kg.Truncation(n_max_global=200, m_max_local=3)
+
+    def corr(muR):
+        cfg = kg.validate_config(1.0, 0.5, muR)
+        return kg.wick_moments(range(1, 4), range(1, 4), kg.build_block(L, cfg, None, trunc),
+                               kg.build_block(RG, cfg, None, trunc)).corr
+
+    near, far = corr(1e30), corr(1e60)
+    assert np.all(near != 0.0)
+    np.testing.assert_allclose(far, near, rtol=1e-6, atol=0)
+
+
 def _fsum_moments(left, right, m_range, n_range):
     """Per-pair reference: every Wick sum accumulated exactly by math.fsum."""
     def s(x, y):
