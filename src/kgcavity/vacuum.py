@@ -118,8 +118,8 @@ class TrendTable:
 
 # ── helpers ─────────────────────────────────────────────────────────────────
 
-# a row of squared norm below this is scaled to unit size before it enters corr
-_SMALL = np.sqrt(np.finfo(np.float64).tiny)
+# the smallest normal float64: a correlation's dots below it have lost digits
+_TINY = np.finfo(np.float64).tiny
 
 # 48-point Gauss-Legendre nodes and weights on [0, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
@@ -303,30 +303,10 @@ def _rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
     return block.alpha[sel], block.beta[sel]
 
 
-def _row_dots(P: np.ndarray, Q: np.ndarray) -> tuple:
-    """(pp, pq, qq): the dots of each row of P and Q with itself and each other."""
-    return np.vecdot(P, P), np.vecdot(P, Q), np.vecdot(Q, Q)
-
-
-def _cov(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> np.ndarray:
-    """cov(n_m, n_bar_n) of every left row against every right row."""
-    return (Q @ Pb.T) * (P @ Qb.T) + (Q @ Qb.T) * (P @ Pb.T)
-
-
 def _sd(pp: np.ndarray, pq: np.ndarray, qq: np.ndarray) -> np.ndarray:
-    """sqrt(var) = sqrt(pp qq + pq^2) of each row, with nothing squared."""
-    return np.hypot(np.sqrt(pp) * np.sqrt(qq), pq)
-
-
-def _unit_rows(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """X, or a copy of it whose rows of squared norm ``sq`` below
-    sqrt(tiny) are scaled by powers of two to a largest |entry| in [1/2, 1)."""
-    small = np.flatnonzero(sq < _SMALL)
-    if small.size == 0:
-        return X
-    X = X.copy()
-    X[small] = np.ldexp(X[small], -np.frexp(np.max(np.abs(X[small]), axis=1))[1][:, None])
-    return X
+    """sqrt(var) = sqrt(pp qq + pq^2) of each row with nothing squared; 0
+    where pp or qq is below the normal range and has lost its digits."""
+    return np.where(np.minimum(pp, qq) >= _TINY, np.hypot(np.sqrt(pp) * np.sqrt(qq), pq), 0.0)
 
 
 def wick_moments(
@@ -362,26 +342,21 @@ def wick_moments(
     P, Q = _rows(left_block, m_range)
     Pb, Qb = _rows(right_block, n_range)
 
-    left, right = _row_dots(P, Q), _row_dots(Pb, Qb)
-    mean_left, mean_right = left[2], right[2]
-    var_left = left[0] * mean_left + left[1] ** 2
-    var_right = right[0] * mean_right + right[1] ** 2
-    cov = _cov(P, Q, Pb, Qb)
+    pp, pq, mean_left = np.vecdot(P, P), np.vecdot(P, Q), np.vecdot(Q, Q)
+    ppb, pqb, mean_right = np.vecdot(Pb, Pb), np.vecdot(Pb, Qb), np.vecdot(Qb, Qb)
+    var_left = pp * mean_left + pq**2
+    var_right = ppb * mean_right + pqb**2
+    cov = (Q @ Pb.T) * (P @ Qb.T) + (Q @ Qb.T) * (P @ Pb.T)
 
-    # corr is unchanged when one row of P, Q, P' or Q' is scaled, so rows of
-    # squared norm below sqrt(tiny) (the beta rows from mu R ~ 1e40 on) are
-    # scaled to unit size, and the standard deviations square nothing: corr
-    # keeps its digits where var_left * var_right underflows (mu R ~ 1e42
-    # on) and where var itself does. A vanishing variance forces a
-    # vanishing covariance (Cauchy-Schwarz), so the 0/0 rows of a beta-free
-    # block are genuinely uncorrelated.
-    rows = (P, Q, Pb, Qb)
-    unit = tuple(_unit_rows(X, sq) for X, sq in zip(rows, (left[0], left[2], right[0], right[2])))
-    cov_unit = cov
-    if any(u is not X for u, X in zip(unit, rows)):
-        cov_unit, left, right = _cov(*unit), _row_dots(*unit[:2]), _row_dots(*unit[2:])
-    denom = np.outer(_sd(*left), _sd(*right))
-    corr = np.where(denom > 0.0, cov_unit / np.where(denom > 0.0, denom, 1.0), 0.0)
+    # The standard deviations square nothing, so corr keeps its digits
+    # where var_left * var_right underflows (mu R ~ 1e42 on). Where a row's
+    # dots or the product of two standard deviations fall below the normal
+    # range (mu R ~ 1e77 on), the digits are gone and corr reads 0, as for
+    # a vanishing variance, which forces a vanishing covariance
+    # (Cauchy-Schwarz): the 0/0 rows of a beta-free block are genuinely
+    # uncorrelated.
+    denom = np.outer(_sd(pp, pq, mean_left), _sd(ppb, pqb, mean_right))
+    corr = np.where(denom >= _TINY, cov / np.where(denom >= _TINY, denom, 1.0), 0.0)
     if np.any(np.abs(corr) > 1.0 + 1e-9):
         raise AssertionError("correlation coefficient left (-1, 1) beyond numerical slack")
 

@@ -111,7 +111,7 @@ def _random_block(region, n_rows, n_modes):
                             _random_block(kg.Region.RIGHT, shape[2], shape[0]))))
 # both pairs have correlation 1, which wick_moments must not push past its
 # slack: in the first the right variance is subnormal, in the second the
-# right row's own beta dot underflows to 0
+# right row's own beta dot underflows to 0 (and corr reads 0)
 @example((kg.BogoliubovBlock(kg.Region.LEFT, np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]), "row"),
           kg.BogoliubovBlock(kg.Region.RIGHT, np.array([[5.03697256e-105, 5.03697256e-105]]),
                              np.array([[3.63016198e-55, 0.0]]), "row")))

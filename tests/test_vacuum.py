@@ -293,17 +293,37 @@ def test_local_vacuum_substitute_has_zero_correlations(blocks_half):
 def test_correlations_survive_large_mass():
     # each variance is of order (mu R)^-4, so the product of a left and a
     # right one underflows from mu R ~ 1e42; the correlation's standard
-    # deviations square nothing, so at 1e60 it keeps its value at 1e30
+    # deviations square nothing, so it keeps its 1e30 value until the beta
+    # dots leave the normal range (mu R ~ 1e78), and from there reads 0, as
+    # the underflowed moments do
     trunc = kg.Truncation(n_max_global=200, m_max_local=3)
 
-    def corr(muR):
+    def moments(muR):
         cfg = kg.validate_config(1.0, 0.5, muR)
         return kg.wick_moments(range(1, 4), range(1, 4), kg.build_block(L, cfg, None, trunc),
-                               kg.build_block(RG, cfg, None, trunc)).corr
+                               kg.build_block(RG, cfg, None, trunc))
 
-    near, far = corr(1e30), corr(1e60)
-    assert np.all(near != 0.0)
-    np.testing.assert_allclose(far, near, rtol=1e-6, atol=0)
+    near = moments(1e30)
+    assert np.all(near.corr != 0.0)
+    for muR in (1e60, 1e75):
+        np.testing.assert_allclose(moments(muR).corr, near.corr, rtol=1e-6, atol=0)
+    far = moments(1e100)
+    for zero in (far.corr, far.mean_left, far.var_left, far.var_right, far.cov):
+        assert np.all(zero == 0.0)
+
+
+def test_correlation_needs_normal_row_dots():
+    # two pairs of correlation 1: in the first the right variance is
+    # subnormal but every dot is normal, so corr is 1; in the second the
+    # right beta dot underflows to 0, its digits are gone, and corr reads 0
+    left = kg.BogoliubovBlock(L, np.array([[1.0, 1.0], [1.0, 1.0]]),
+                              np.array([[1.0, 0.0], [1.0, 1.0]]), "rows")
+    right = kg.BogoliubovBlock(RG, np.array([[5.03697256e-105, 5.03697256e-105], [1.0, 1.0]]),
+                               np.array([[3.63016198e-55, 0.0], [4.40549769e-182, 4.40549769e-182]]),
+                               "rows")
+    corr = kg.wick_moments([1, 2], [1, 2], left, right).corr
+    assert corr[0, 0] == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert corr[1, 1] == 0.0
 
 
 def _fsum_moments(left, right, m_range, n_range):
