@@ -27,27 +27,32 @@ b_N = sin(pi N w) / sqrt(Omega_N),
 so the 2-D work is one rational pass; the trig, roots and signs live in
 O(m + N) vectors. This beta has no cancellation, where (Omega - omega) V
 loses digits once mu R makes both frequencies large. The right family's
-sign (-1)^(N+m) is folded into a_m and b_N. sin(pi N w) is evaluated on the
-reduced argument sin(pi f) (-1)^k, k = round(N w), f = N w - k, so it is an
-exact 0 in every column where N w is an integer: the Kronecker zeros.
+sign (-1)^(N+m) is folded into a_m and b_N; nothing after ``_factors``
+tells the families apart. sin(pi N w) is evaluated on the reduced argument
+sin(pi f) (-1)^k, k = round(N w), f = N w - k, so it is an exact 0 in
+every column where N w is an integer: the Kronecker zeros.
 
 V is a 0/0 at the exact resonances Omega_N = omega_m, eps = 0, which
 happen only where N w is an integer k (f == 0) and m == k (possible
 whenever r/R is rational). There, and only there, alpha takes the analytic
-limit V = (w/2)/sqrt(w Omega omega), whose sign is pinned by the quadrature
-oracle; beta needs no such branch. Every other entry keeps the closed form,
-however near a resonance: eps = x - m and f = x - k are exact float
-differences, and sin(pi f) has no cancellation, so V is accurate to
-rounding even where eps is tiny.
+limit V = (w/2)/sqrt(w Omega omega) times the sign of a_m and the column
+parity folded into b_N, +1 on the left family and (-1)^(m+N) on the right
+(pinned by the quadrature oracle); beta needs no such branch. Every other
+entry keeps the closed form, however near a resonance: eps = x - m and
+f = x - k are exact float differences, and sin(pi f) has no cancellation,
+so V is accurate to rounding even where eps is tiny.
 
 The paper's two beta-only results are row sums: the local occupations
 <n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
 sum_m beta_mN^2 of the inequivalence argument. ``beta_sq_sums`` computes
-them from the same row and column vectors as ``coeff_grid``. It walks tiles
-of at most _CHUNK_ENTRIES entries over both m and N, forms
-t = b_N / (Omega_N + omega_m) in each and adds the row dots of t, reducing
-each row with ``np.vecdot``; the row factor ((pi/w)^2 a_m)^2 is applied
-after the sum. A row's sum thus has the same bits whichever rows share the
+them from the same row and column vectors as ``coeff_grid``. It walks
+chunks of full rows, about _CHUNK_ENTRIES entries each as in
+``coeff_grid``, forms t = b_N / (Omega_N + omega_m) in each and reduces
+each row with one ``np.vecdot``; the row factor ((pi/w)^2 a_m)^2 is
+applied after the sum. b_N is scaled by a power of two so that the
+largest t is about 1, and the scaling is undone after the row factor:
+exact, and t^2 does not underflow at widths below about 1e-78, where
+t ~ w^2. A row's sum thus has the same bits whichever rows share the
 call, and the kernel never builds alpha, never runs the resonance search
 and never holds a len(m) x len(N) array.
 """
@@ -81,8 +86,9 @@ _MEMO_BYTES = 2**30
 
 _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 
-# Entries per row chunk of ``coeff_grid`` and per tile of ``beta_sq_sums``:
-# the few chunk-sized temporaries (1 MB each) stay in cache.
+# Entries per row chunk of ``coeff_grid`` and ``beta_sq_sums``: the few
+# chunk-sized temporaries (1 MB each) stay in cache; a row longer than
+# this is a chunk of its own.
 _CHUNK_ENTRIES = 2**17
 
 
@@ -156,7 +162,6 @@ class _Factors(NamedTuple):
     """The O(m + N) vectors of the factored closed form on one outer grid."""
 
     w: float              # dimensionless width of the family's sub-box
-    right: bool           # right family: (-1)^(N+m) folded into a and b
     m: np.ndarray
     N: np.ndarray
     x: np.ndarray         # N w
@@ -166,6 +171,7 @@ class _Factors(NamedTuple):
     a: np.ndarray         # row factor a_m
     a_beta: np.ndarray    # (pi/w)^2 a_m, beta's row factor
     b: np.ndarray         # column factor b_N
+    parity: np.ndarray    # the column sign folded into b_N, kept where sin(pi f) is 0
 
 
 def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factors:
@@ -188,12 +194,13 @@ def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factor
     f = x - k
     # sin(pi N w) = (-1)^k sin(pi f); a_m carries (-1)^m, which the right
     # family's (-1)^(N+m) turns into (-1)^N on the columns
+    parity = _parity(k + N if right else k)
     a = m * np.sqrt(w) / (np.pi * np.sqrt(om))
-    b = np.sin(np.pi * f) * _parity(k + N if right else k) / np.sqrt(Om)
+    b = np.sin(np.pi * f) * parity / np.sqrt(Om)
     if not right:
         a *= _parity(m)
-    return _Factors(w=w, right=right, m=m, N=N, x=x, f=f, Om=Om, om=om,
-                    a=a, a_beta=(np.pi / w) ** 2 * a, b=b)
+    return _Factors(w=w, m=m, N=N, x=x, f=f, Om=Om, om=om,
+                    a=a, a_beta=(np.pi / w) ** 2 * a, b=b, parity=parity)
 
 
 def coeff_grid(
@@ -240,9 +247,9 @@ def coeff_grid(
     w = fac.w
     r_idx, c_idx = _resonances(m, x, fac.f)
     Om_c, om_r = Om[c_idx], om[r_idx]
-    limit = (w / 2.0) / np.sqrt(w * Om_c * om_r)
-    if fac.right:
-        limit *= _parity(m[r_idx] + N[c_idx])
+    # the sign of a_m times the column parity: +1 on the left family,
+    # (-1)^(m+N) on the right
+    limit = np.sign(a[r_idx]) * fac.parity[c_idx] * ((w / 2.0) / np.sqrt(w * Om_c * om_r))
     alpha[r_idx, c_idx] = (om_r + Om_c) * limit
     return alpha, beta
 
@@ -255,34 +262,38 @@ def beta_sq_sums(
 ) -> np.ndarray:
     """sum over N in N_indices of beta_mN^2, one value per m in m_indices.
 
-    Walks tiles of at most _CHUNK_ENTRIES entries over both axes. With
-    beta_mN = a_beta_m t_mN, t_mN = b_N / (Omega_N + omega_m), each tile
-    forms t in one reused buffer and adds ``np.vecdot(t, t)`` to the row
-    sums; the row factor a_beta_m^2 multiplies each sum once, after the
-    last tile. ``np.vecdot`` reduces every row in its own call (a
-    one-column tile is squared directly: the same bits) and the column
-    tiles do not depend on the rows, so a row's sum has the same bits
-    whichever other rows share the call. Neither alpha, nor the
+    Walks chunks of full rows, max(1, _CHUNK_ENTRIES // len(N)) rows
+    each, as ``coeff_grid`` does. With beta_mN = a_beta_m t_mN,
+    t_mN = b_N / (Omega_N + omega_m), each chunk forms t in one reused
+    buffer and takes each row's sum as one ``np.vecdot(t, t)``; the row
+    factor a_beta_m^2 multiplies each sum after it. ``np.vecdot`` reduces
+    every row in its own call (a one-column row is squared directly: the
+    same bits), so a row's sum has the same bits whichever other rows
+    share the call and wherever the chunks fall. Neither alpha, nor the
     resonance search (beta has no resonance branch), nor a
     len(m) x len(N) array is ever built.
     """
     fac = _factors(region, m_indices, N_indices, cfg)
     n_rows, n_cols = len(fac.m), len(fac.N)
-    sums = np.zeros(n_rows)
-    width = max(1, min(n_cols, _CHUNK_ENTRIES))
-    step = max(1, _CHUNK_ENTRIES // width)
-    buf = np.empty((min(step, n_rows), width))
+    # max t <= max|b_N| / (min omega_m + min Omega_N) ~ 2^e: b scaled by
+    # 2^-e (in place: this call owns its factors) keeps t^2 from
+    # underflowing where t ~ w^2 (widths below ~1e-78); powers of two are
+    # exact, so a sum keeps its bits wherever t^2 is normal
+    b = fac.b
+    _, e_b = np.frexp(max(b.max(initial=0.0), -b.min(initial=0.0)))
+    _, e_d = np.frexp(np.min(fac.om, initial=np.inf) + np.min(fac.Om, initial=np.inf))
+    e = e_b - e_d
+    np.ldexp(b, -e, out=b)
+    sums = np.empty(n_rows)
+    step = max(1, _CHUNK_ENTRIES // max(n_cols, 1))
+    buf = np.empty((min(step, n_rows), n_cols))
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
-        n = min(step, n_rows - lo)
-        for c0 in range(0, n_cols, width):
-            cols = slice(c0, c0 + width)
-            c = min(width, n_cols - c0)
-            t = np.add(fac.om[rows, None], fac.Om[cols], out=buf[:n, :c])
-            np.divide(fac.b[cols], t, out=t)
-            # a length-1 vecdot per row costs more than the square it computes
-            sums[rows] += t[:, 0] * t[:, 0] if c == 1 else np.vecdot(t, t)
-    return sums * (fac.a_beta * fac.a_beta)
+        t = np.add(fac.om[rows, None], fac.Om, out=buf[:min(step, n_rows - lo)])
+        np.divide(b, t, out=t)
+        # a length-1 vecdot per row costs more than the square it computes
+        sums[rows] = t[:, 0] * t[:, 0] if n_cols == 1 else np.vecdot(t, t)
+    return np.ldexp(sums * (fac.a_beta * fac.a_beta), 2 * e)
 
 
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:

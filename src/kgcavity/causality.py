@@ -102,9 +102,11 @@ def commutator_pair(
     """(c1, c2) = (|(u_tilde_n|u_m)|, |(u_tilde_n|u_m*)|) at t = tau.
 
     u_m is evolved to tau through the truncated global series and paired
-    with the probe's Cauchy data by KG quadrature on a shared grid.
+    with the probe's Cauchy data by KG quadrature on a shared grid;
+    GridMismatch first unless that grid has a point inside (r_tilde, R).
     """
     grid = uniform_grid(cfg, trunc.grid_points)
+    _check_probe_grid(probe.r_tilde, grid, cfg)
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc)
     probe_mode = eval_probe_initial(probe, grid, cfg)
     p1 = kg_inner(probe_mode, u_m)
@@ -138,6 +140,15 @@ def _check_edge_margin(edge_margin: float) -> None:
     """DomainError unless the margin is finite and >= 0."""
     if not 0 <= edge_margin < np.inf:
         raise DomainError(f"edge margin must be finite and >= 0, got {edge_margin}")
+
+
+def _check_probe_grid(r_tilde: float, grid: np.ndarray, cfg: CavityConfig) -> None:
+    """GridMismatch unless a grid point lies inside the probe's support
+    (r_tilde, R): the probe vanishes on every other point, so both
+    commutators would read an exact 0 whatever the evolved mode."""
+    if not np.any((grid > r_tilde) & (grid < cfg.R)):
+        raise GridMismatch(f"no point of the {len(grid)}-point grid lies inside the probe's "
+                           f"support ({r_tilde:.17g}, {cfg.R:.17g})")
 
 
 def _check_cone_grid(n_points: int) -> None:

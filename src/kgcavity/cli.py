@@ -24,7 +24,8 @@ import numpy as np
 
 from . import svg as svgmod
 from .bogoliubov import beta_sq_sums, build_block, identity_residuals
-from .causality import _check_edge_margin, commutator_pair, lightcone_leakage, make_probe
+from .causality import (_check_edge_margin, _check_probe_grid, commutator_pair,
+                        lightcone_leakage, make_probe)
 from .config import (
     DomainError,
     KgCavityError,
@@ -394,8 +395,11 @@ def cmd_causality(args, run: _Run) -> None:
     r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
     gap = r_tilde - cfg.r
     taus = args.taus if args.taus is not None else [0.5 * gap, 2.0 * gap]
-    # make_probe refuses a bad probe before any evolution runs
+    # make_probe refuses a bad probe, and the grid check a grid that misses
+    # the probe's support, before any evolution runs
     probes = [make_probe(r_tilde, tau, args.probe_n, cfg) for tau in taus]
+    if probes:
+        _check_probe_grid(r_tilde, uniform_grid(cfg, trunc.grid_points), cfg)
 
     leaks = []
     for t in args.times:

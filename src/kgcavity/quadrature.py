@@ -6,7 +6,10 @@ The KG product between two solutions sampled at equal time is
 
 It is time independent on exact solutions, conjugate symmetric,
 and flips sign (conjugated) when both arguments are conjugated. ``kg_inner``
-evaluates it by composite Simpson and attaches a Richardson error estimate.
+evaluates it by composite Simpson and attaches an error estimate: a
+Richardson estimate only when (n - 1) % 4 == 0 for n grid points, and
+otherwise, as on the default 2048-point grid, a Simpson-vs-trapezoid
+bracket. Either is an estimate, not a bound.
 
 ``overlap_V`` integrates the raw mode-overlap
 
@@ -66,13 +69,13 @@ def _simpson(y: np.ndarray, h: float) -> complex:
 # ── operations ──────────────────────────────────────────────────────────────
 
 def kg_inner(f: SampledMode, g: SampledMode) -> InnerProduct:
-    """(f|g) by composite Simpson, with a Richardson error estimate attached.
+    """(f|g) by composite Simpson, with an error estimate attached.
 
     Requires identical grids and snapshot times, and a uniform, increasing
     grid (every step equal to the first within a relative 1e-9); raises
     GridMismatch otherwise. The error estimate compares the full grid
-    against its 2x-coarsened subsample when the point count allows, falling
-    back to a Simpson-vs-trapezoid bracket.
+    against its 2x-coarsened subsample (Richardson) when (n - 1) % 4 == 0
+    and n >= 5, and is a Simpson-vs-trapezoid bracket otherwise.
     """
     if f.time != g.time:
         raise GridMismatch(f"snapshot times differ: {f.time} vs {g.time}")

@@ -191,28 +191,21 @@ def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
     no dimensional prefactor can underflow, and the energy tail is divided
     by R at the end: a tail is a function of r/R and mu R alone (times 1/R
     for energy). Squares are products, never ``pow``, so R -> 2^k R keeps
-    every bit. Where the denominator leaves
-    double range (nodes past Omega ~ 1e102, which widths below about 1e-98
-    and mu R above about 1e99 reach), the summand divides factor by factor:
-    taking it as 0 would lose up to 2e-6 of the tail at width 1e-100."""
+    every bit. The summand divides factor by factor and forms no product
+    of frequencies, which would leave double range at the nodes past
+    Omega ~ 1e102 that widths below about 1e-98 and mu R above about 1e99
+    reach."""
     if sign < 0 and n_from < _resonance_cutoff(region, l, cfg):
         return math.inf
     w = region.reduced_width(cfg)
     mu = cfg.mu_tilde
     om_l = float(ladder(l, w, mu))
     pref = l**2 * np.pi**2 / (2.0 * w * w * w * om_l)
-    mu2 = mu * mu
 
     def integrand(N: np.ndarray) -> np.ndarray:
-        k = np.pi * N
-        Om = np.sqrt(k * k + mu2)
+        Om = ladder(N, 1.0, mu)
         d = Om + sign * om_l
-        with np.errstate(over="ignore"):
-            den = d * d if energy else Om * d * d
-        f = pref / den
-        far = np.isinf(den)
-        f[far] = (pref / d[far] if energy else pref / Om[far] / d[far]) / d[far]
-        return f
+        return (pref / d if energy else pref / Om / d) / d
 
     tail = _tail_quad(integrand, float(n_from), (mu / np.pi, om_l / np.pi))
     return tail / cfg.R if energy else tail

@@ -414,7 +414,9 @@ def test_beta_sq_sums_match_coeff_grid_rows(r, mu):
        m_list=st.lists(st.integers(1, 200), min_size=1, max_size=12),
        n_cols=st.integers(1, 300), chunk=st.integers(1, 2000))
 def test_beta_sq_sums_independent_of_tiling_property(r, mu, right, m_list, n_cols, chunk):
-    # tiles of 1..2000 entries split the rows, the columns or both
+    # chunks of 1..2000 entries hold one or more full rows, or a single row
+    # longer than the chunk; each row is one vecdot either way, so the
+    # sums keep their bits
     cfg = kg.validate_config(1.0, r, mu)
     region = RG if right else L
     m_idx, N_idx = np.array(m_list), np.arange(1, n_cols + 1)
@@ -422,7 +424,19 @@ def test_beta_sq_sums_independent_of_tiling_property(r, mu, right, m_list, n_col
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bogoliubov, "_CHUNK_ENTRIES", chunk)
         got = kg.beta_sq_sums(region, m_idx, N_idx, cfg)
-    _assert_rel(got, want, 1e-13)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [1e-80, 1e-90, 1e-100])
+def test_beta_sq_sums_survive_tiny_widths(r):
+    # t = b_N / (Omega_N + omega_m) ~ w^2, so t^2 underflows from widths
+    # near 1e-78 on while sum_N beta^2 ~ w^2 stays normal; the kernel
+    # scales b by a power of two, so it still matches coeff_grid's rows
+    cfg = kg.validate_config(1.0, r, 0.0)
+    m_idx, N_idx = np.arange(1, 4), np.arange(1, 2001)
+    want = _coeff_grid_beta_sq(L, m_idx, N_idx, cfg)
+    assert np.all(want > 0)
+    _assert_rel(kg.beta_sq_sums(L, m_idx, N_idx, cfg), want, 1e-13)
 
 
 @settings(max_examples=30, deadline=None)

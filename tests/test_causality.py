@@ -272,6 +272,20 @@ def test_commutators_silent_at_spacelike_separation(cfg_narrow, trunc_narrow):
     assert c1 <= 1e-8 and c2 <= 1e-8    # measured 3.0e-10
 
 
+@pytest.mark.parametrize("r_tilde, points", [(0.9999, 2048), (0.7, 3)])
+def test_commutators_refuse_a_grid_that_misses_the_probe(cfg_half, monkeypatch, r_tilde,
+                                                         points):
+    # with no grid point inside (r_tilde, R) the sampled probe is 0
+    # everywhere and both commutators would read an exact 0, timelike or not
+    def no_compute(*args, **kwargs):
+        raise AssertionError("evolved before the grid check")
+
+    monkeypatch.setattr("kgcavity.causality.evolve_local_mode", no_compute)
+    trunc = kg.Truncation(n_max_global=2_000, m_max_local=4, grid_points=points)
+    with pytest.raises(kg.GridMismatch):
+        kg.commutator_pair(kg.make_probe(r_tilde, 0.6, 1, cfg_half), 1, cfg_half, trunc)
+
+
 def test_commutators_carry_the_larger_quadrature_error(cfg_narrow):
     trunc = kg.Truncation(n_max_global=2_000, m_max_local=4, grid_points=513)
     probe = kg.make_probe(0.6, 0.6, 1, cfg_narrow)

@@ -781,7 +781,10 @@ def _blocks_of_two_cutoffs():
                            kg.Truncation(n_max_global=50, m_max_local=1)), kg.DomainError),
     (lambda: kg.SampledMode(grid=np.zeros(3), value=np.zeros(2), tderiv=np.zeros(3), time=0.0),
      kg.GridMismatch),
-], ids=["wick_moments-cutoffs", "limit_scan-kind", "SampledMode-lengths"])
+    (lambda: kg.kg_inner(*[kg.SampledMode(grid=np.zeros(1), value=np.zeros(1),
+                                          tderiv=np.zeros(1), time=0.0)] * 2),
+     kg.GridMismatch),
+], ids=["wick_moments-cutoffs", "limit_scan-kind", "SampledMode-lengths", "kg_inner-one-point"])
 def test_library_refusals_are_kgcavity_errors(call, error):
     # the CLI turns a KgCavityError into its JSON error; any other
     # exception would reach the user as a traceback
@@ -793,16 +796,18 @@ def test_library_refusals_are_kgcavity_errors(call, error):
 def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
     for cls in (kg.DomainError, kg.GridMismatch, kg.ThresholdUnreachable, kg.DimensionError):
         assert issubclass(cls, kg.KgCavityError)
-    # a one-point grid reaches the KG quadrature of the commutator, which
-    # needs two points: GridMismatch, not a traceback
+    # a one-point grid has no point inside the probe's support:
+    # GridMismatch, not a traceback
     rc = main(["causality", "--nmax", "50", "--mmax", "2", "--grid", "1", "--times", "",
                "--taus", "0.1", "--out-dir", str(tmp_path / "g")])
     assert rc == 2
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line.startswith("{")]
     assert len(lines) == 1 and "Traceback" not in err
-    assert json.loads(lines[0]) == {"error": "GridMismatch",
-                                    "message": "need at least two grid points"}
+    assert json.loads(lines[0]) == {
+        "error": "GridMismatch",
+        "message": "no point of the 1-point grid lies inside the probe's support "
+                   "(0.69999999999999996, 1)"}
 
 
 def test_paper_norm_survives_large_mass(tmp_path):
@@ -861,6 +866,24 @@ def test_spectrum_of_a_tiny_box_is_the_default_reduced_problem(tmp_path):
             names = lines[0].split(",")
             cells.append([[row.split(",")[names.index(c)] for c in reduced] for row in lines[1:]])
         assert cells[1] == cells[0] and cells[2] == cells[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nmax", "2000", "--rtilde", "0.9999", "--taus", "0.3,0.6", "--times", "0"],
+    ["--nmax", "200", "--mmax", "2", "--grid", "3"],
+], ids=["probe-near-the-wall", "three-points"])
+def test_grid_missing_the_probe_is_a_grid_mismatch(tmp_path, capsys, monkeypatch, argv):
+    # no grid point inside (r_tilde, R): the commutators would be exact
+    # zeros at every tau; refused before any evolution
+    def refuse(*_args, **_kw):
+        raise AssertionError("evolved before the grid was refused")
+
+    monkeypatch.setattr("kgcavity.cli.lightcone_leakage", refuse)
+    monkeypatch.setattr("kgcavity.cli.commutator_pair", refuse)
+    out = tmp_path / "o"
+    assert main(["causality", *argv, "--out-dir", str(out)]) == 2
+    assert _one_json_error(capsys)["error"] == "GridMismatch"
+    assert not out.exists()
 
 
 def test_two_point_grid_is_a_grid_mismatch(tmp_path, capsys):
