@@ -55,6 +55,21 @@ exact, and t^2 does not underflow at widths below about 1e-78, where
 t ~ w^2. A row's sum thus has the same bits whichever rows share the
 call, and the kernel never builds alpha, never runs the resonance search
 and never holds a len(m) x len(N) array.
+
+The paper's summed local occupation sum_{m<=M} <n_m> = sum_N b_N^2 G(Omega_N),
+G(Omega) = sum_m c_m / (Omega + omega_m)^2 with c_m = a_beta_m^2, comes
+from ``beta_sq_total`` without the per-row sums. With W = max omega_m, the
+near columns, Omega_N < 4 W, are summed directly by the same row-chunk
+pass. In the far columns z = W / Omega_N <= 1/4, and with s_m = omega_m / W
+
+    G(Omega) = Omega^-2 sum_k (k + 1) (-z)^k mu_k,   mu_k = sum_m c_m s_m^k,
+
+a series in the row moments mu_k whose terms alternate and at least halve
+from one to the next (s_m <= 1). Kept to k <= 30 (31 terms), its error is
+below the first omitted term, 32 z^31 mu_31 / Omega^2 <= 32 4^-31 (1 + 1/4)^2
+G < 1.1e-17 G, so the far columns cost 31 multiply-adds each instead of
+one division per row; rounding costs a few ulps (measured: within 4.1e-16
+of the exactly rounded sum of ``coeff_grid``'s beta^2).
 """
 
 from __future__ import annotations
@@ -74,6 +89,7 @@ __all__ = [
     "closed_overlap",
     "coeff_grid",
     "beta_sq_sums",
+    "beta_sq_total",
     "build_block",
     "identity_residuals",
     "clear_memo",
@@ -86,10 +102,17 @@ _MEMO_BYTES = 2**30
 
 _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 
-# Entries per row chunk of ``coeff_grid`` and ``beta_sq_sums``: the few
+# Entries per row chunk of ``coeff_grid`` and ``_row_sq_sums``: the few
 # chunk-sized temporaries (1 MB each) stay in cache; a row longer than
 # this is a chunk of its own.
 _CHUNK_ENTRIES = 2**17
+
+# ``beta_sq_total`` sums the columns with Omega_N >= _FAR_FACTOR max omega_m
+# by the far-field series, truncated after _FAR_TERMS terms: the first
+# omitted term bounds the error by 32 (1/4)^31 (1 + 1/4)^2 < 1.1e-17 of
+# the column's weight (module docstring).
+_FAR_FACTOR = 4.0
+_FAR_TERMS = 31
 
 
 @dataclass(frozen=True)
@@ -254,6 +277,47 @@ def coeff_grid(
     return alpha, beta
 
 
+def _scaled_factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> tuple[_Factors, int]:
+    """``_factors`` with b_N scaled in place by 2^-e, and e.
+
+    max t <= max|b_N| / (min omega_m + min Omega_N) ~ 2^e, so the scaled t
+    is at most about 1 and t^2 does not underflow where t ~ w^2 (widths
+    below ~1e-78); powers of two are exact, so a sum keeps its bits
+    wherever t^2 is normal, and the caller undoes the scaling with
+    ``ldexp(..., 2 e)`` after the row factor.
+    """
+    fac = _factors(region, m_indices, N_indices, cfg)
+    b = fac.b
+    _, e_b = np.frexp(max(b.max(initial=0.0), -b.min(initial=0.0)))
+    _, e_d = np.frexp(np.min(fac.om, initial=np.inf) + np.min(fac.Om, initial=np.inf))
+    e = int(e_b - e_d)
+    np.ldexp(b, -e, out=b)
+    return fac, e
+
+
+def _row_sq_sums(om: np.ndarray, Om: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_N t_mN^2, t_mN = b_N / (Omega_N + omega_m), one value per row.
+
+    Walks chunks of full rows, max(1, _CHUNK_ENTRIES // len(Om)) rows each,
+    as ``coeff_grid`` does: each chunk forms t in one reused buffer and
+    takes each row's sum as one ``np.vecdot(t, t)``, which reduces every
+    row in its own call (a one-column row is squared directly: the same
+    bits), so a row's sum has the same bits whichever other rows share the
+    call and wherever the chunks fall.
+    """
+    n_rows, n_cols = len(om), len(Om)
+    sums = np.empty(n_rows)
+    step = max(1, _CHUNK_ENTRIES // max(n_cols, 1))
+    buf = np.empty((min(step, n_rows), n_cols))
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, lo + step)
+        t = np.add(om[rows, None], Om, out=buf[:min(step, n_rows - lo)])
+        np.divide(b, t, out=t)
+        # a length-1 vecdot per row costs more than the square it computes
+        sums[rows] = t[:, 0] * t[:, 0] if n_cols == 1 else np.vecdot(t, t)
+    return sums
+
+
 def beta_sq_sums(
     region: Region,
     m_indices: np.ndarray,
@@ -262,38 +326,59 @@ def beta_sq_sums(
 ) -> np.ndarray:
     """sum over N in N_indices of beta_mN^2, one value per m in m_indices.
 
-    Walks chunks of full rows, max(1, _CHUNK_ENTRIES // len(N)) rows
-    each, as ``coeff_grid`` does. With beta_mN = a_beta_m t_mN,
-    t_mN = b_N / (Omega_N + omega_m), each chunk forms t in one reused
-    buffer and takes each row's sum as one ``np.vecdot(t, t)``; the row
-    factor a_beta_m^2 multiplies each sum after it. ``np.vecdot`` reduces
-    every row in its own call (a one-column row is squared directly: the
-    same bits), so a row's sum has the same bits whichever other rows
-    share the call and wherever the chunks fall. Neither alpha, nor the
-    resonance search (beta has no resonance branch), nor a
-    len(m) x len(N) array is ever built.
+    With beta_mN = a_beta_m t_mN, t_mN = b_N / (Omega_N + omega_m), the
+    row sums of t^2 come from ``_row_sq_sums`` on the power-of-two scaled
+    b_N of ``_scaled_factors``; the row factor a_beta_m^2 multiplies each
+    sum after it. A row's sum therefore has the same bits whichever rows
+    share the call. Neither alpha, nor the resonance search (beta has no
+    resonance branch), nor a len(m) x len(N) array is ever built.
     """
-    fac = _factors(region, m_indices, N_indices, cfg)
-    n_rows, n_cols = len(fac.m), len(fac.N)
-    # max t <= max|b_N| / (min omega_m + min Omega_N) ~ 2^e: b scaled by
-    # 2^-e (in place: this call owns its factors) keeps t^2 from
-    # underflowing where t ~ w^2 (widths below ~1e-78); powers of two are
-    # exact, so a sum keeps its bits wherever t^2 is normal
-    b = fac.b
-    _, e_b = np.frexp(max(b.max(initial=0.0), -b.min(initial=0.0)))
-    _, e_d = np.frexp(np.min(fac.om, initial=np.inf) + np.min(fac.Om, initial=np.inf))
-    e = e_b - e_d
-    np.ldexp(b, -e, out=b)
-    sums = np.empty(n_rows)
-    step = max(1, _CHUNK_ENTRIES // max(n_cols, 1))
-    buf = np.empty((min(step, n_rows), n_cols))
-    for lo in range(0, n_rows, step):
-        rows = slice(lo, lo + step)
-        t = np.add(fac.om[rows, None], fac.Om, out=buf[:min(step, n_rows - lo)])
-        np.divide(b, t, out=t)
-        # a length-1 vecdot per row costs more than the square it computes
-        sums[rows] = t[:, 0] * t[:, 0] if n_cols == 1 else np.vecdot(t, t)
+    fac, e = _scaled_factors(region, m_indices, N_indices, cfg)
+    sums = _row_sq_sums(fac.om, fac.Om, fac.b)
     return np.ldexp(sums * (fac.a_beta * fac.a_beta), 2 * e)
+
+
+def beta_sq_total(
+    region: Region,
+    m_indices: np.ndarray,
+    N_indices: np.ndarray,
+    cfg: CavityConfig,
+) -> float:
+    """sum over m in m_indices and N in N_indices of beta_mN^2, without the
+    per-row sums.
+
+    The columns are put in ascending Omega_N (callers pass ascending N,
+    which already is). With W = max omega_m, the near columns,
+    Omega_N < _FAR_FACTOR W, go through ``_row_sq_sums`` and the row
+    factors c_m = a_beta_m^2. The far columns, a suffix, take the module
+    docstring's series: sum_N (b_N / Omega_N)^2 P(W / Omega_N), with P the
+    polynomial of the row moments, evaluated by Horner. The power-of-two
+    scaling of b_N is shared by both parts and undone at the end. A call
+    with ascending columns and no far column costs and returns what
+    ``np.sum(beta_sq_sums(...))`` does.
+    """
+    fac, e = _scaled_factors(region, m_indices, N_indices, cfg)
+    c = fac.a_beta * fac.a_beta
+    Om, b = fac.Om, fac.b
+    if np.any(Om[1:] < Om[:-1]):
+        order = np.argsort(Om, kind="stable")
+        Om, b = Om[order], b[order]
+    W = np.max(fac.om, initial=0.0)
+    split = int(np.searchsorted(Om, _FAR_FACTOR * W))
+    total = np.sum(_row_sq_sums(fac.om, Om[:split], b[:split]) * c)
+    if split < len(Om):
+        k = np.arange(_FAR_TERMS)
+        # d_k = (k + 1) (-1)^k mu_k, mu_k = sum_m c_m (omega_m / W)^k
+        d = (c @ np.vander(fac.om / W, _FAR_TERMS, increasing=True)) * ((k + 1) * _parity(k))
+        Om_far = Om[split:]
+        z = W / Om_far
+        p = np.full_like(z, d[-1])
+        for d_k in d[-2::-1]:
+            p *= z
+            p += d_k
+        g = b[split:] / Om_far
+        total += np.dot(g * g, p)
+    return float(np.ldexp(total, 2 * e))
 
 
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import svg as svgmod
-from .bogoliubov import beta_sq_sums, build_block, identity_residuals
+from .bogoliubov import beta_sq_total, build_block, identity_residuals
 from .causality import (_check_edge_margin, _check_probe_grid, commutator_pair,
                         lightcone_leakage, make_probe)
 from .config import (
@@ -269,6 +269,14 @@ def cmd_spectrum(args, run: _Run) -> None:
         oms.append(region.omega(ls, cfg_mu))
         specs.append(spec)
         run.tails[f"mu={mu:.17g}"] = float(np.max(spec.tail_bound))
+        # the sum over N <= n_max is truncation-dominated where the tail
+        # beyond it exceeds it: one warning per mass, at the first such row
+        over = np.flatnonzero(spec.tail_bound > spec.values)
+        if over.size:
+            l = over[0]
+            log.warning("at mu=%.17g the tail bound %.3g of mode %d exceeds its n_l %.3g "
+                        "(%d of %d modes); raise --nmax", mu, spec.tail_bound[l], l + 1,
+                        spec.values[l], over.size, lmax)
     run.csv("spectrum.csv", [f"region={args.region}"],
             ["mu", "l", "omega_l", "n_l", "tail_bound"],
             [np.repeat(mus, lmax), np.tile(ls, len(mus)), np.ravel(oms),
@@ -310,8 +318,7 @@ def cmd_correlations(args, run: _Run) -> None:
     if args.paper_norm:
         # over each side's summed spectrum sum_{l <= m_max} <n_l>, which grows with the cutoff
         ls, Ns = np.arange(1, trunc.m_max_local + 1), np.arange(1, trunc.n_max_global + 1)
-        left_n, right_n = (float(np.sum(beta_sq_sums(side, ls, Ns, cfg)))
-                           for side in (Region.LEFT, Region.RIGHT))
+        left_n, right_n = (beta_sq_total(side, ls, Ns, cfg) for side in (Region.LEFT, Region.RIGHT))
         norm = math.sqrt(left_n) * math.sqrt(right_n)
         if norm == 0.0:
             raise DomainError(f"--paper-norm has a zero normalization: the summed spectra are "

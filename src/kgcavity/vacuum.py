@@ -17,9 +17,11 @@ it. Tail bounds use the integral test with sin^2 replaced by its mean 1/2,
 and are reported, never silently applied.
 
 The spectrum, the fixed-N divergence scan and the limit scans read beta
-only: they take their sums from ``bogoliubov.beta_sq_sums``, which streams
-N and never forms alpha. The Wick moments and fixed-m convergence sums
-read alpha too and take coefficient rows.
+only and never form alpha: the per-row sums come from
+``bogoliubov.beta_sq_sums`` and a limit scan's summed columns
+sum_{m<=M} <n_m> from ``bogoliubov.beta_sq_total``, which never builds
+the rows. The Wick moments and fixed-m convergence sums read alpha too
+and take coefficient rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import BogoliubovBlock, beta_sq_sums, coeff_grid
+from .bogoliubov import BogoliubovBlock, beta_sq_sums, beta_sq_total, coeff_grid
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
                      validate_config)
 
@@ -395,9 +397,6 @@ def limit_scan(
     m_sum = np.arange(1, M_fixed + 1)
     probe_ms = np.array([m for m, _ in probes], dtype=np.int64)
     probe_Ns = np.array([N for _, N in probes], dtype=np.int64)
-    # one LEFT call reads the summed rows 1..M_fixed and the probes past them
-    left_rows = np.union1d(m_sum, probe_ms)
-    probe_pos = np.searchsorted(left_rows, probe_ms)
 
     n_per = np.empty((len(values), len(probes)))
     a_mag = np.empty_like(n_per)
@@ -410,10 +409,9 @@ def limit_scan(
             cfg_k = validate_config(cfg.R, cfg.r, v / cfg.R)
         else:
             cfg_k = validate_config(cfg.R, v * cfg.R, cfg.mu)
-        left_modes = beta_sq_sums(Region.LEFT, left_rows, n_idx, cfg_k)
-        s_left[k] = float(np.sum(left_modes[:M_fixed]))
-        s_both[k] = s_left[k] + float(np.sum(beta_sq_sums(Region.RIGHT, m_sum, n_idx, cfg_k)))
-        n_per[k] = left_modes[probe_pos]
+        s_left[k] = beta_sq_total(Region.LEFT, m_sum, n_idx, cfg_k)
+        s_both[k] = s_left[k] + beta_sq_total(Region.RIGHT, m_sum, n_idx, cfg_k)
+        n_per[k] = beta_sq_sums(Region.LEFT, probe_ms, n_idx, cfg_k)
         # probe ip's (m, N) entry is the diagonal of the probes' m x N grid
         a, b = coeff_grid(Region.LEFT, probe_ms, probe_Ns, cfg_k)
         a_mag[k] = np.abs(np.diagonal(a))

@@ -461,6 +461,102 @@ def test_beta_sq_sums_rows_independent_of_the_call_property(r, mu, right, m_list
         assert alone[0].tobytes() == tall[m - 1].tobytes()
 
 
+@st.composite
+def _total_requests(draw):
+    """(kind, cfg, region, m_idx, N_idx) for ``beta_sq_total``, one of:
+    'split', a column exactly at Omega_N = 4 max omega_m (mu = 0 and a
+    width 2^-j make the two products exact); 'near', no far column;
+    'single', one row; 'scrambled', unsorted and repeated N; 'wide', a long
+    ascending range that is mostly far."""
+    kind = draw(st.sampled_from(["split", "near", "single", "scrambled", "wide"]))
+    right = draw(st.booleans())
+    region = RG if right else L
+    if kind == "split":
+        j, M = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+        cfg = kg.validate_config(1.0, 1.0 - 2.0**-j if right else 2.0**-j, 0.0)
+        top = 2 ** (j + 2) * M                       # Omega_top = 4 omega_M
+        return kind, cfg, region, np.arange(1, M + 1), np.arange(1, top + draw(st.integers(1, 500)))
+    cfg = kg.validate_config(1.0, draw(_fractions), draw(_masses))
+    M = 1 if kind == "single" else draw(st.integers(1, 60))
+    if kind == "near":
+        # Omega_N < 4 omega_1 <= 4 max omega_m for every N < 4 / w
+        width = region.reduced_width(cfg)
+        return kind, cfg, region, np.arange(1, M + 1), np.arange(1, math.ceil(4.0 / width))
+    if kind == "scrambled":
+        N_idx = np.array(draw(st.lists(st.integers(1, 3000), min_size=1, max_size=300)))
+        assume(len(N_idx) > 1 and np.any(np.diff(N_idx) <= 0))
+        return kind, cfg, region, np.arange(1, M + 1), N_idx
+    return kind, cfg, region, np.arange(1, M + 1), np.arange(1, draw(st.integers(1, 4000)) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(request=_total_requests())
+def test_beta_sq_total_matches_fsum_property(request):
+    # the near columns summed directly and the far ones by the 31-term
+    # series agree with the exactly rounded sum of coeff_grid's beta^2
+    kind, cfg, region, m_idx, N_idx = request
+    fac = bogoliubov._factors(region, m_idx, N_idx, cfg)
+    far = fac.Om >= bogoliubov._FAR_FACTOR * fac.om.max()
+    if kind == "split":
+        assert np.any(fac.Om == bogoliubov._FAR_FACTOR * fac.om.max())
+    if kind == "near":
+        assert not far.any()
+    _, B = kg.coeff_grid(region, m_idx, N_idx, cfg)
+    want = math.fsum((B * B).ravel())
+    got = kg.beta_sq_total(region, m_idx, N_idx, cfg)
+    assert abs(got - want) <= 1e-14 * want
+    if not far.any() and np.all(np.diff(N_idx) >= 0):
+        # with no far column and no reordering the total is the sum of the
+        # row sums
+        assert got == float(np.sum(kg.beta_sq_sums(region, m_idx, N_idx, cfg)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=_fractions, mu=_masses, k=st.integers(-20, 20), right=st.booleans(),
+       M=st.integers(1, 60), n_cols=st.integers(1, 3000))
+def test_beta_sq_total_scale_covariant_property(r, mu, k, right, M, n_cols):
+    # the total depends on (r/R, mu R) alone, which R -> 2^k R keeps exactly
+    region = RG if right else L
+    m_idx, N_idx = np.arange(1, M + 1), np.arange(1, n_cols + 1)
+    base = kg.validate_config(1.0, r, mu)
+    scaled = kg.validate_config(2.0**k, 2.0**k * r, mu / 2.0**k)
+    # exact unless mu / 2^k leaves the normal range
+    assume((scaled.r_tilde, scaled.mu_tilde) == (base.r_tilde, base.mu_tilde))
+    want = kg.beta_sq_total(region, m_idx, N_idx, base)
+    assert kg.beta_sq_total(region, m_idx, N_idx, scaled).hex() == want.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_fractions, mu=_masses, k=st.integers(-10, 10),
+       M=st.integers(1, 60), n_cols=st.integers(1, 3000))
+def test_beta_sq_total_left_right_mirror_property(x, mu, k, M, n_cols):
+    # the right family at R - r is the left family at r up to signs, which
+    # the squares drop; x = 1 - (1 - x) makes both widths the same double
+    x = 1.0 - (1.0 - x)
+    R = 2.0**k
+    left = kg.validate_config(R, R * x, mu)
+    mirror = kg.validate_config(R, R - R * x, mu)
+    assert L.reduced_width(left) == RG.reduced_width(mirror)
+    m_idx, N_idx = np.arange(1, M + 1), np.arange(1, n_cols + 1)
+    want = kg.beta_sq_total(L, m_idx, N_idx, left)
+    assert kg.beta_sq_total(RG, m_idx, N_idx, mirror).hex() == want.hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.sampled_from([1e-80, 1e-90, 1e-100]), M=st.integers(1, 5),
+       far=st.lists(st.floats(1e82, 1e84).map(round).map(float), max_size=3))
+def test_beta_sq_total_survives_tiny_widths_property(r, M, far):
+    # the squares ~ (r/R)^4 would underflow without the power-of-two scaling
+    # of b_N; columns N ~ 1e82 reach Omega_N >= 4 omega_M, so the far series
+    # runs on scaled squares too
+    cfg = kg.validate_config(1.0, r, 0.0)
+    m_idx = np.arange(1, M + 1)
+    N_idx = np.concatenate([np.arange(1, 2001), np.sort(far)])
+    want = math.fsum(kg.beta_sq_sums(L, m_idx, N_idx, cfg))
+    assert want > 0
+    assert abs(kg.beta_sq_total(L, m_idx, N_idx, cfg) - want) <= 1e-13 * want
+
+
 # ── completeness identities ──────────────────────────────────────────────────
 
 def _residual_max(res):

@@ -119,6 +119,27 @@ def test_spectrum_reports_the_lmax_cutoff_it_ran(tmp_path):
         assert doc["truncation"] == {"n_max_global": 10_000}
 
 
+def test_spectrum_warns_where_the_tail_exceeds_the_sum(tmp_path, caplog):
+    # at mu R = 1e5 beta_1N stays flat up to N ~ mu R / pi, so the sum over
+    # N <= 10^4 (9.56e-16) is below its tail bound (3.23e-15): one warning
+    # per mass names --nmax; the CSV carries both numbers as before
+    out = str(tmp_path / "s")
+    assert main(["spectrum", "--mu", "1e5", "--lmax", "1", "--out-dir", out]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1 and "--nmax" in warned[0] and "mode 1" in warned[0]
+    n_l, tail = (float(v) for v in Path(out, "spectrum.csv").read_text().splitlines()[4].split(",")[3:])
+    assert 0 < n_l < tail
+    caplog.clear()
+    assert main(["spectrum", "--mu-list", "1e5,2e5", "--lmax", "3",
+                 "--out-dir", str(tmp_path / "l")]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 2
+    assert "mu=100000 " in warned[0] and "mu=200000 " in warned[1]
+    caplog.clear()
+    assert main(["spectrum", "--out-dir", str(tmp_path / "d")]) == 0
+    assert [r for r in caplog.records if r.levelname == "WARNING"] == []
+
+
 @pytest.mark.parametrize("lmax", ["0", "-3"])
 def test_spectrum_lmax_below_one_is_a_domain_error_naming_the_flag(tmp_path, capsys, lmax):
     out = tmp_path / "s"
@@ -396,23 +417,30 @@ def test_diverge_and_rscan_products(tmp_path):
     assert len(lines) == 4 + 2
 
 
-def test_rscan_reads_the_left_rows_in_one_call(tmp_path, monkeypatch):
-    # the summed rows 1..M_fixed and the probe past them share one LEFT call
-    # per scan value; at the default n_max = 10^4, above numpy's
-    # 8192-element reduction buffer, the probe's <n_m> still has the bits
-    # of its row alone
-    beta_sq_sums = kg.beta_sq_sums
-    left_calls = []
+def test_rscan_sums_each_family_once_per_scan_value(tmp_path, monkeypatch):
+    # the summed columns take one beta_sq_total call per family and scan
+    # value over the rows 1..M_fixed, never the per-row sums; only the
+    # probes' rows come from beta_sq_sums, so at the default n_max = 10^4,
+    # above numpy's 8192-element reduction buffer, the probe's <n_m> still
+    # has the bits of its row alone
+    beta_sq_sums, beta_sq_total = kg.beta_sq_sums, kg.beta_sq_total
+    total_calls, row_calls = [], []
 
-    def spy(region, m_idx, N_idx, cfg):
-        if region is kg.Region.LEFT:
-            left_calls.append(tuple(int(m) for m in m_idx))
+    def total_spy(region, m_idx, N_idx, cfg):
+        total_calls.append((region, tuple(int(m) for m in m_idx)))
+        return beta_sq_total(region, m_idx, N_idx, cfg)
+
+    def rows_spy(region, m_idx, N_idx, cfg):
+        row_calls.append((region, tuple(int(m) for m in m_idx)))
         return beta_sq_sums(region, m_idx, N_idx, cfg)
 
-    monkeypatch.setattr(vacuum, "beta_sq_sums", spy)
+    monkeypatch.setattr(vacuum, "beta_sq_total", total_spy)
+    monkeypatch.setattr(vacuum, "beta_sq_sums", rows_spy)
     out = str(tmp_path / "r")
     assert main(["rscan", "--probes", "1:1,150:3,2:3", "--out-dir", out]) == 0
-    assert left_calls == [tuple(range(1, 101)) + (150,)] * 3
+    summed = tuple(range(1, 101))
+    assert total_calls == [(kg.Region.LEFT, summed), (kg.Region.RIGHT, summed)] * 3
+    assert row_calls == [(kg.Region.LEFT, (1, 150, 2))] * 3
     lines = Path(out, "rscan.csv").read_text().splitlines()
     col = lines[3].split(",").index("n_m150")
     for line in lines[4:]:
