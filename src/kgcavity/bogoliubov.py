@@ -67,9 +67,34 @@ pass. In the far columns z = W / Omega_N <= 1/4, and with s_m = omega_m / W
 a series in the row moments mu_k whose terms alternate and at least halve
 from one to the next (s_m <= 1). Kept to k <= 30 (31 terms), its error is
 below the first omitted term, 32 z^31 mu_31 / Omega^2 <= 32 4^-31 (1 + 1/4)^2
-G < 1.1e-17 G, so the far columns cost 31 multiply-adds each instead of
-one division per row; rounding costs a few ulps (measured: within 4.1e-16
-of the exactly rounded sum of ``coeff_grid``'s beta^2).
+G < 1.1e-17 G. The far columns then enter only through their column
+moments h_k = sum_N (b_N / Omega_N)^2 z_N^k, and the far part is
+sum_k (k + 1) (-1)^k mu_k h_k: 31 multiply-adds a column instead of one
+division per row; rounding costs a few ulps (measured: within 4.1e-16 of
+the exactly rounded sum of ``coeff_grid``'s beta^2).
+
+The Wick moments of the cross-partition number correlations read alpha
+too. With A_m = a_beta_m, alpha_mN = A_m b_N / (Omega_N - omega_m) and
+beta_mN = A_m b_N / (Omega_N + omega_m), so every Wick sum is a Gram of
+one or both families' rows (P, Q = alpha, beta; primed: right),
+
+    row dots  sum p^2, sum p q, sum q^2          (each family)
+    Grams     Q P'^T, P Q'^T, Q Q'^T, P P'^T     (left rows x right rows)
+
+``wick_sums`` splits the columns as ``beta_sq_total`` does, now with W the
+largest omega over both families' requested rows. The near columns,
+Omega_N < _WICK_FAR_FACTOR W (every resonance, Omega_N = omega_m <= W,
+among them), take ``coeff_grid`` rows on those columns, four GEMMs and six
+row dots. In the far columns z = W / Omega_N <= 1/8, and with s = omega / W
+
+    1 / (Omega -+ omega) = Omega^-1 sum_{j<T} (+-s)^j z^j,
+
+so a far Gram is A_m A'_n (V H V'^T): V is the T-column Vandermonde of
++-s_m (+ for alpha, - for beta), and H the Hankel matrix H_jk = h_{j+k} of
+the 2T - 1 column moments h_p = sum_N b_N b'_N z_N^p / Omega_N^2; a row
+dot takes the same series with b_N^2 of its family. T = 20 terms leave
+each factor within (1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far columns
+thus cost O(T) each instead of O(rows), and no full row is ever built.
 """
 
 from __future__ import annotations
@@ -90,6 +115,8 @@ __all__ = [
     "coeff_grid",
     "beta_sq_sums",
     "beta_sq_total",
+    "WickSums",
+    "wick_sums",
     "build_block",
     "identity_residuals",
     "clear_memo",
@@ -113,6 +140,14 @@ _CHUNK_ENTRIES = 2**17
 # the column's weight (module docstring).
 _FAR_FACTOR = 4.0
 _FAR_TERMS = 31
+
+# ``wick_sums`` splits at a wider factor: its cross alpha Grams cancel
+# (from O(1) to 2e-6 at r/R = 1/pi, mu R = 1000), and at a factor of 4 the
+# rounding of the near GEMM's partial sum alone left 1.1e-11 of the
+# cancelled value, against 8.4e-13 at 8. Each far factor 1/(Omega -+ omega)
+# keeps _WICK_FAR_TERMS terms, within 8^-20 * 8/7 < 1e-18 of itself.
+_WICK_FAR_FACTOR = 8.0
+_WICK_FAR_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -155,6 +190,17 @@ class IdentityResiduals:
     @property
     def max_residual(self) -> float:
         return max(self.max_same, self.max_cross)
+
+
+class WickSums(NamedTuple):
+    """The Wick sums over the global modes of left rows (P, Q = alpha, beta)
+    and right rows (P', Q')."""
+
+    left: tuple     # (sum p^2, sum p q, sum q^2), one value per left row
+    right: tuple    # the same per right row
+    grams: tuple    # (Q P'^T, P Q'^T, Q Q'^T, P P'^T), left rows x right rows
+    near: int       # columns summed directly
+    far: int        # columns summed by the far-field series
 
 
 # ── closed forms ────────────────────────────────────────────────────────────
@@ -351,8 +397,8 @@ def beta_sq_total(
     which already is). With W = max omega_m, the near columns,
     Omega_N < _FAR_FACTOR W, go through ``_row_sq_sums`` and the row
     factors c_m = a_beta_m^2. The far columns, a suffix, take the module
-    docstring's series: sum_N (b_N / Omega_N)^2 P(W / Omega_N), with P the
-    polynomial of the row moments, evaluated by Horner. The power-of-two
+    docstring's series: sum_k d_k h_k, with d_k from the row moments and
+    h_k the column moments of ``_column_moments``. The power-of-two
     scaling of b_N is shared by both parts and undone at the end. A call
     with ascending columns and no far column costs and returns what
     ``np.sum(beta_sq_sums(...))`` does.
@@ -370,15 +416,94 @@ def beta_sq_total(
         k = np.arange(_FAR_TERMS)
         # d_k = (k + 1) (-1)^k mu_k, mu_k = sum_m c_m (omega_m / W)^k
         d = (c @ np.vander(fac.om / W, _FAR_TERMS, increasing=True)) * ((k + 1) * _parity(k))
-        Om_far = Om[split:]
-        z = W / Om_far
-        p = np.full_like(z, d[-1])
-        for d_k in d[-2::-1]:
-            p *= z
-            p += d_k
-        g = b[split:] / Om_far
-        total += np.dot(g * g, p)
+        g = b[split:] / Om[split:]
+        total += np.dot(d, _column_moments(Om[split:], g * g, W, _FAR_TERMS))
     return float(np.ldexp(total, 2 * e))
+
+
+def _column_moments(Om: np.ndarray, g: np.ndarray, W: float, n_terms: int) -> np.ndarray:
+    """h[..., p] = sum_N g[..., N] z_N^p, z_N = W / Omega_N, for p < n_terms:
+    the column moments through which the far columns enter the far-field
+    series, one row per row of ``g``.
+
+    The powers are formed one at a time in one column-sized vector: a table
+    of all of them is a temporary of megabytes, which in a long-running
+    process cost up to 0.2 s a call on fresh pages (measured on a 2-vCPU
+    VM in the ``correlations`` ops of the ``sweep`` benchmark).
+    """
+    z = W / Om
+    z_p = np.ones_like(z)
+    h = np.empty(g.shape[:-1] + (n_terms,))
+    for p in range(n_terms):
+        h[..., p] = g @ z_p
+        z_p *= z
+    return h
+
+
+def _wick_dots(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> tuple:
+    """(left row dots, right row dots, cross Grams) of ``WickSums`` over the
+    columns the rows hold. Each row dot reduces one row in its own call, so
+    it has the same bits whichever rows share the call; the Grams are BLAS
+    matrix products, deterministic for a fixed BLAS thread count."""
+    left = (np.vecdot(P, P), np.vecdot(P, Q), np.vecdot(Q, Q))
+    right = (np.vecdot(Pb, Pb), np.vecdot(Pb, Qb), np.vecdot(Qb, Qb))
+    return left, right, (Q @ Pb.T, P @ Qb.T, Q @ Qb.T, P @ Pb.T)
+
+
+def _far_wick_sums(fac_l: _Factors, fac_r: _Factors, split: int, W: float) -> tuple:
+    """(left row dots, right row dots, cross Grams) of the columns from
+    ``split`` on, all with Omega_N >= _WICK_FAR_FACTOR W, by the module
+    docstring's Hankel series."""
+    Om = fac_l.Om[split:]
+    g_l, g_r = fac_l.b[split:] / Om, fac_r.b[split:] / Om
+    h = _column_moments(Om, np.stack((g_l * g_l, g_r * g_r, g_l * g_r)), W, 2 * _WICK_FAR_TERMS - 1)
+    j = np.arange(_WICK_FAR_TERMS)
+    H_l, H_r, H_x = h[:, np.add.outer(j, j)]
+    # the Vandermonde rows of +-omega / W: the series of 1 / (Omega - omega)
+    # (alpha: V) and of 1 / (Omega + omega) (beta: Vm)
+    V = np.vander(fac_l.om / W, _WICK_FAR_TERMS, increasing=True)
+    Vb = np.vander(fac_r.om / W, _WICK_FAR_TERMS, increasing=True)
+    Vm, Vbm = V * _parity(j), Vb * _parity(j)
+
+    def row_dots(V, Vm, H, a):
+        VH, VmH = V @ H, Vm @ H
+        return tuple(a * a * np.vecdot(x, y) for x, y in ((VH, V), (VH, Vm), (VmH, Vm)))
+
+    VH, VmH = V @ H_x, Vm @ H_x
+    c = np.outer(fac_l.a_beta, fac_r.a_beta)
+    grams = tuple(c * x for x in (VmH @ Vb.T, VH @ Vbm.T, VmH @ Vbm.T, VH @ Vb.T))
+    return row_dots(V, Vm, H_l, fac_l.a_beta), row_dots(Vb, Vbm, H_r, fac_r.a_beta), grams
+
+
+def wick_sums(m_indices, n_indices, cfg: CavityConfig, n_max: int) -> WickSums:
+    """The Wick sums of left rows m_indices and right rows n_indices over the
+    global modes N = 1..n_max, without building a full row.
+
+    The near columns, Omega_N < _WICK_FAR_FACTOR W with W the largest omega
+    of the requested rows of both families, are ``coeff_grid`` rows summed
+    by ``_wick_dots``; the far columns add the module docstring's Hankel
+    series. With no far column the sums are those of ``_wick_dots`` on the
+    full rows, bit for bit. Otherwise a row's sums depend, in their last
+    bits, on the rows requested with it, through W and the split it sets.
+    DomainError unless n_max >= 1 and every index is an integer >= 1.
+    """
+    if n_max < 1:
+        raise DomainError(f"the global cutoff must be >= 1, got n_max={n_max}")
+    N = np.arange(1, n_max + 1)
+    fac_l = _factors(Region.LEFT, m_indices, N, cfg)
+    fac_r = _factors(Region.RIGHT, n_indices, N, cfg)
+    W = max(np.max(fac_l.om, initial=0.0), np.max(fac_r.om, initial=0.0))
+    split = int(np.searchsorted(fac_l.Om, _WICK_FAR_FACTOR * W))
+    P, Q = coeff_grid(Region.LEFT, fac_l.m, N[:split], cfg)
+    Pb, Qb = coeff_grid(Region.RIGHT, fac_r.m, N[:split], cfg)
+    sums = _wick_dots(P, Q, Pb, Qb)
+    if split < n_max:
+        # with no far column the near sums stand as they are, bit for bit
+        # those of the explicit rows
+        sums = [tuple(near + far for near, far in zip(*parts))
+                for parts in zip(sums, _far_wick_sums(fac_l, fac_r, split, W))]
+    left, right, grams = sums
+    return WickSums(left=left, right=right, grams=grams, near=split, far=n_max - split)
 
 
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:

@@ -50,9 +50,13 @@ from .vacuum import (
     divergence_scan,
     limit_scan,
     mode_sum_convergence,
+    vacuum_moments,
     vacuum_spectrum,
-    wick_moments,
 )
+
+# build_block is not called here: perfbench/tests reads it as
+# kgcavity.cli.build_block, a binding the tracing shim rewraps
+__all__ = ["main", "build_parser", "build_block"]
 
 log = logging.getLogger("kgcavity")
 
@@ -156,7 +160,8 @@ class _Run:
     every sidecar and the manifest carry it.
 
     A command records each CSV with ``csv`` and each SVG with ``svg``, and
-    puts its diagnostics in ``tails``. ``finish`` creates ``out_dir``,
+    puts its diagnostics in ``tails`` and its work counts in ``counters``,
+    which only the manifest carries. ``finish`` creates ``out_dir``,
     writes the CSVs and their sidecars, then the SVGs (only with --svg),
     each in the order recorded, and then the manifest. A command that
     raises leaves nothing behind, not even the directory.
@@ -173,6 +178,7 @@ class _Run:
                  " ".join(f"{k}={v}" for k, v in truncation.items()))
         self.header = [line for line in lines if line]
         self.tails: dict = {}
+        self.counters: dict = {}
         self.csvs: list = []
         self.svgs: list = []
         self.t0 = time.perf_counter()
@@ -202,6 +208,8 @@ class _Run:
             render(path, *args, **kw)
             with open(path, "rb") as fh:
                 outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
+        if self.counters:
+            record["counters"] = self.counters
         write_manifest(out_dir, record, outputs, time.perf_counter() - self.t0)
         for name, digest in outputs:
             log.info("wrote %s (sha256 %s…)", name, digest[:12])
@@ -290,6 +298,15 @@ def cmd_rscan(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     probes = args.probes
     table = limit_scan(args.kind, args.values, probes, cfg, trunc, M_fixed=args.M_fixed)
+    for value, n_m, tails in zip(table.values, table.n_per_probe, table.tail_per_probe):
+        run.tails[f"value={value:.17g}"] = {f"n_m{m}": tail for (m, _), tail in zip(probes, tails)}
+        # as in spectrum: one warning per scan value, at the first such probe
+        over = np.flatnonzero(tails > n_m)
+        if over.size:
+            ip = over[0]
+            log.warning("at %s=%.17g the tail bound %.3g of n_m%d exceeds its value %.3g "
+                        "(%d of %d probes); raise --nmax", args.kind, value, tails[ip],
+                        probes[ip][0], n_m[ip], over.size, len(probes))
     names, columns = ["value"], [table.values]
     for ip, (m, N) in enumerate(probes):
         names += [f"n_m{m}", f"alpha_m{m}_N{N}", f"beta_m{m}_N{N}"]
@@ -307,9 +324,10 @@ def cmd_correlations(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     _check_local(trunc, "--mrows", args.mrows)
     _check_local(trunc, "--nrows", args.nrows)
-    left = build_block(Region.LEFT, cfg, None, dataclasses.replace(trunc, m_max_local=args.mrows))
-    right = build_block(Region.RIGHT, cfg, None, dataclasses.replace(trunc, m_max_local=args.nrows))
-    report = wick_moments(range(1, args.mrows + 1), range(1, args.nrows + 1), left, right)
+    report = vacuum_moments(range(1, args.mrows + 1), range(1, args.nrows + 1), cfg,
+                            trunc.n_max_global)
+    run.counters["near_columns"] = report.near_columns
+    run.counters["far_columns"] = report.far_columns
     # m-major: row i * nrows + j holds (m_i, n_j)
     names = ["m", "n", "cov", "corr"]
     columns = [np.repeat(report.m_range, len(report.n_range)),

@@ -11,17 +11,19 @@ and the unitary-inequivalence diagnostics are all plain coefficient sums:
 
 with primes the other region's rows. Over a set of rows the covariances
 are Gram matrices, so they are BLAS matrix products, deterministic for a
-fixed BLAS thread count; the means and variances are row dots reduced one
-row at a time, so a row's values do not depend on the rows requested with
-it. Tail bounds use the integral test with sin^2 replaced by its mean 1/2,
-and are reported, never silently applied.
+fixed BLAS thread count. Tail bounds use the integral test with sin^2
+replaced by its mean 1/2, and are reported, never silently applied.
 
 The spectrum, the fixed-N divergence scan and the limit scans read beta
 only and never form alpha: the per-row sums come from
 ``bogoliubov.beta_sq_sums`` and a limit scan's summed columns
 sum_{m<=M} <n_m> from ``bogoliubov.beta_sq_total``, which never builds
-the rows. The Wick moments and fixed-m convergence sums read alpha too
-and take coefficient rows.
+the rows. ``vacuum_moments`` takes the Wick sums from
+``bogoliubov.wick_sums``, which builds coefficient rows on the near
+columns only and sums the far ones by a series; ``wick_moments`` computes
+the same moments from explicit rows (the reference of the Fock-oracle
+tests), reducing each row dot one row at a time. The fixed-m convergence
+sums take a full coefficient row.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import BogoliubovBlock, beta_sq_sums, beta_sq_total, coeff_grid
+from .bogoliubov import (BogoliubovBlock, WickSums, _wick_dots, beta_sq_sums, beta_sq_total,
+                         coeff_grid, wick_sums)
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
                      validate_config)
 
@@ -45,6 +48,7 @@ __all__ = [
     "divergence_scan",
     "mode_sum_convergence",
     "wick_moments",
+    "vacuum_moments",
     "limit_scan",
 ]
 
@@ -91,7 +95,9 @@ class ModeSumConvergence:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Wick-computed number-operator moments across the partition."""
+    """Wick-computed number-operator moments across the partition, and how
+    many global columns were summed directly (``near_columns``) and by the
+    far-field series (``far_columns``)."""
 
     m_range: tuple
     n_range: tuple
@@ -101,6 +107,8 @@ class MomentReport:
     var_right: np.ndarray
     cov: np.ndarray
     corr: np.ndarray
+    near_columns: int
+    far_columns: int
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,7 @@ class TrendTable:
     probe_indices: tuple
     M_fixed: int
     n_per_probe: np.ndarray      # <n_m> per (scan value, probe)
+    tail_per_probe: np.ndarray   # integral-test tail of <n_m> beyond n_max, same shape
     alpha_mag: np.ndarray        # |alpha_mN| per (scan value, probe)
     beta_mag: np.ndarray         # |beta_mN| per (scan value, probe)
     sum_left: np.ndarray         # sum_{m<=M} <n_m>
@@ -304,44 +313,13 @@ def _sd(pp: np.ndarray, pq: np.ndarray, qq: np.ndarray) -> np.ndarray:
     return np.where(np.minimum(pp, qq) >= _TINY, np.hypot(np.sqrt(pp) * np.sqrt(qq), pq), 0.0)
 
 
-def wick_moments(
-    m_range,
-    n_range,
-    left_block: BogoliubovBlock,
-    right_block: BogoliubovBlock,
-) -> MomentReport:
-    """Means, variances, covariances and correlations of (n_m, n_bar_n).
-
-    With P, Q the selected alpha, beta rows of the left block and P', Q'
-    those of the right block, Wick's theorem turns every moment into a
-    single sum over global modes:
-
-        mean = sum q^2,  var = (sum p^2)(sum q^2) + (sum p q)^2  (row-wise)
-        cov  = (Q P'^T) o (P Q'^T) + (Q Q'^T) o (P P'^T)          (o: entrywise)
-
-    Rows are 1-based: m_range indexes the left block's rows and n_range the
-    right block's, so each block needs only the rows up to the largest index
-    asked for.
-    """
-    if left_block.alpha.shape[1] != right_block.alpha.shape[1]:
-        raise GridMismatch("left/right blocks disagree on the global cutoff")
-    m_range = tuple(int(m) for m in m_range)
-    n_range = tuple(int(n) for n in n_range)
-    for m in m_range:
-        if not 1 <= m <= left_block.alpha.shape[0]:
-            raise DomainError(f"m={m} outside the left block")
-    for n in n_range:
-        if not 1 <= n <= right_block.alpha.shape[0]:
-            raise DomainError(f"n={n} outside the right block")
-
-    P, Q = _rows(left_block, m_range)
-    Pb, Qb = _rows(right_block, n_range)
-
-    pp, pq, mean_left = np.vecdot(P, P), np.vecdot(P, Q), np.vecdot(Q, Q)
-    ppb, pqb, mean_right = np.vecdot(Pb, Pb), np.vecdot(Pb, Qb), np.vecdot(Qb, Qb)
+def _moment_report(m_range: tuple, n_range: tuple, sums: WickSums) -> MomentReport:
+    """Means, variances, covariances and correlations from the Wick sums."""
+    (pp, pq, mean_left), (ppb, pqb, mean_right) = sums.left, sums.right
+    QPb, PQb, QQb, PPb = sums.grams
     var_left = pp * mean_left + pq**2
     var_right = ppb * mean_right + pqb**2
-    cov = (Q @ Pb.T) * (P @ Qb.T) + (Q @ Qb.T) * (P @ Pb.T)
+    cov = QPb * PQb + QQb * PPb
 
     # The standard deviations square nothing, so corr keeps its digits
     # where var_left * var_right underflows (mu R ~ 1e42 on). Where a row's
@@ -364,7 +342,67 @@ def wick_moments(
         var_right=var_right,
         cov=cov,
         corr=corr,
+        near_columns=sums.near,
+        far_columns=sums.far,
     )
+
+
+def wick_moments(
+    m_range,
+    n_range,
+    left_block: BogoliubovBlock,
+    right_block: BogoliubovBlock,
+) -> MomentReport:
+    """Means, variances, covariances and correlations of (n_m, n_bar_n)
+    from explicit coefficient rows.
+
+    With P, Q the selected alpha, beta rows of the left block and P', Q'
+    those of the right block, Wick's theorem turns every moment into a
+    single sum over global modes:
+
+        mean = sum q^2,  var = (sum p^2)(sum q^2) + (sum p q)^2  (row-wise)
+        cov  = (Q P'^T) o (P Q'^T) + (Q Q'^T) o (P P'^T)          (o: entrywise)
+
+    Rows are 1-based: m_range indexes the left block's rows and n_range the
+    right block's, so each block needs only the rows up to the largest index
+    asked for. A row's mean and variance have the same bits whichever rows
+    share the request. This is the reference ``vacuum_moments`` reproduces
+    without building full rows; every column is near.
+    """
+    if left_block.alpha.shape[1] != right_block.alpha.shape[1]:
+        raise GridMismatch("left/right blocks disagree on the global cutoff")
+    m_range = tuple(int(m) for m in m_range)
+    n_range = tuple(int(n) for n in n_range)
+    for m in m_range:
+        if not 1 <= m <= left_block.alpha.shape[0]:
+            raise DomainError(f"m={m} outside the left block")
+    for n in n_range:
+        if not 1 <= n <= right_block.alpha.shape[0]:
+            raise DomainError(f"n={n} outside the right block")
+
+    n_cols = left_block.alpha.shape[1]
+    sums = WickSums(*_wick_dots(*_rows(left_block, m_range), *_rows(right_block, n_range)),
+                    near=n_cols, far=0)
+    return _moment_report(m_range, n_range, sums)
+
+
+def vacuum_moments(m_range, n_range, cfg: CavityConfig, n_max: int) -> MomentReport:
+    """``wick_moments`` of left rows m_range and right rows n_range over the
+    global modes N = 1..n_max, from ``bogoliubov.wick_sums``: no full row is
+    built, and the columns far above the requested frequencies are summed by
+    a series.
+
+    With no far column the report has the bits of ``wick_moments`` on full
+    rows. Otherwise a row's values depend, in their last bits, on the rows
+    requested with it (through the largest requested frequency, which sets
+    the split): row 1 alone and among rows 1..125 differ by at most 1.0e-15
+    of each moment (cov: of sqrt(var_m var_n)) at the benchmark's
+    configurations. DomainError unless n_max >= 1 and every index is an
+    integer >= 1.
+    """
+    m_range, n_range = tuple(m_range), tuple(n_range)
+    sums = wick_sums(m_range, n_range, cfg, n_max)
+    return _moment_report(tuple(int(m) for m in m_range), tuple(int(n) for n in n_range), sums)
 
 
 def limit_scan(
@@ -375,7 +413,8 @@ def limit_scan(
     trunc: Truncation,
     M_fixed: int = 100,
 ) -> TrendTable:
-    """Trends of <n_m>, |alpha_mN|, |beta_mN| and sum_{m<=M} <n_m> along a scan.
+    """Trends of <n_m>, |alpha_mN|, |beta_mN| and sum_{m<=M} <n_m> along a
+    scan, with each probe's <n_m> tail bound beyond n_max.
 
     kind = "mass": values are mu*R, partition fixed at cfg.r.
     kind = "partition-size": values are r/R, mass fixed at cfg.mu.
@@ -399,6 +438,7 @@ def limit_scan(
     probe_Ns = np.array([N for _, N in probes], dtype=np.int64)
 
     n_per = np.empty((len(values), len(probes)))
+    tails = np.empty_like(n_per)
     a_mag = np.empty_like(n_per)
     b_mag = np.empty_like(n_per)
     s_left = np.empty(len(values))
@@ -412,6 +452,8 @@ def limit_scan(
         s_left[k] = beta_sq_total(Region.LEFT, m_sum, n_idx, cfg_k)
         s_both[k] = s_left[k] + beta_sq_total(Region.RIGHT, m_sum, n_idx, cfg_k)
         n_per[k] = beta_sq_sums(Region.LEFT, probe_ms, n_idx, cfg_k)
+        tails[k] = [_coeff_sq_tail(Region.LEFT, m, cfg_k, trunc.n_max_global, 1.0)
+                    for m, _ in probes]
         # probe ip's (m, N) entry is the diagonal of the probes' m x N grid
         a, b = coeff_grid(Region.LEFT, probe_ms, probe_Ns, cfg_k)
         a_mag[k] = np.abs(np.diagonal(a))
@@ -423,6 +465,7 @@ def limit_scan(
         probe_indices=probes,
         M_fixed=M_fixed,
         n_per_probe=n_per,
+        tail_per_probe=tails,
         alpha_mag=a_mag,
         beta_mag=b_mag,
         sum_left=s_left,

@@ -140,6 +140,29 @@ def test_spectrum_warns_where_the_tail_exceeds_the_sum(tmp_path, caplog):
     assert [r for r in caplog.records if r.levelname == "WARNING"] == []
 
 
+def test_rscan_warns_where_a_probe_tail_exceeds_its_cell(tmp_path, caplog):
+    # at mu R = 1e5 the sum over N <= 10^4 of beta_1N^2 is 9.56e-16 against
+    # a tail bound of 3.23e-15: one warning, at that scan value only, names
+    # --nmax; every probe's tail at every value reaches the manifest and
+    # the sidecar, never the CSV
+    out = tmp_path / "r"
+    assert main(["rscan", "--kind", "mass", "--values", "1,1e3,1e5", "--out-dir", str(out)]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1
+    assert "mass=100000 " in warned[0] and "n_m1 " in warned[0] and "--nmax" in warned[0]
+    header, *rows = [line.split(",") for line in (out / "rscan.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    assert ",".join(header) == ("value,n_m1,alpha_m1_N1,beta_m1_N1,n_m2,alpha_m2_N3,beta_m2_N3,"
+                      "sum_left_M100,sum_both_M100")
+    assert float(rows[2][1]) == pytest.approx(9.56e-16, rel=1e-3, abs=0)
+    for doc in (_read_json(out / "manifest.json"), _read_json(out / "rscan.json")):
+        tails = doc["tail_bounds"]
+        assert list(tails) == ["value=1", "value=1000", "value=100000"]
+        assert all(list(probe) == ["n_m1", "n_m2"] for probe in tails.values())
+        assert tails["value=100000"]["n_m1"] > float(rows[2][1])
+        assert tails["value=1000"]["n_m1"] < float(rows[1][1])
+
+
 @pytest.mark.parametrize("lmax", ["0", "-3"])
 def test_spectrum_lmax_below_one_is_a_domain_error_naming_the_flag(tmp_path, capsys, lmax):
     out = tmp_path / "s"
@@ -207,14 +230,16 @@ def _csv_rows(path):
 
 
 def test_correlations_with_verification_columns(tmp_path, monkeypatch):
-    # each block holds only the rows asked for: --mrows 3 on the left and
-    # --nrows 2 on the right, never --mmax 4
-    rows_built = []
+    # coefficient rows are built only for the rows asked for, --mrows 3 on
+    # the left and --nrows 2 on the right, never --mmax 4, and only on the
+    # near columns, N < 48 (Omega_N = pi N below 8 omega_3 = 48 pi); no block
+    # is built
+    built = []
     grid = bogoliubov.coeff_grid
 
-    def spy(region, m_indices, *rest):
-        rows_built.append(len(m_indices))
-        return grid(region, m_indices, *rest)
+    def spy(region, m_indices, N_indices, *rest):
+        built.append((len(m_indices), len(N_indices)))
+        return grid(region, m_indices, N_indices, *rest)
 
     monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
     monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
@@ -222,12 +247,22 @@ def test_correlations_with_verification_columns(tmp_path, monkeypatch):
     rc = main(["correlations", "--nmax", "500", "--mmax", "4",
                "--mrows", "3", "--nrows", "2", "--paper-norm", "--out-dir", out])
     assert rc == 0
-    assert rows_built == [3, 2]
+    assert built == [(3, 47), (2, 47)]
+    assert len(bogoliubov._BLOCK_MEMO) == 0
+    # the column split reaches the manifest only
+    assert _read_json(Path(out, "manifest.json"))["counters"] == {"near_columns": 47,
+                                                                  "far_columns": 453}
+    assert "counters" not in _read_json(Path(out, "correlations.json"))
     cfg = kg.validate_config(1.0, 0.5, 0.0)
+    report = kg.vacuum_moments(range(1, 4), range(1, 3), cfg, 500)
+    # the explicit rows of the blocks give the same moments within rounding
+    # (measured: at most 9.9e-16 of each moment's largest value)
     trunc = kg.Truncation(n_max_global=500, m_max_local=4)
-    left = kg.build_block(kg.Region.LEFT, cfg, None, trunc)
-    right = kg.build_block(kg.Region.RIGHT, cfg, None, trunc)
-    report = kg.wick_moments(range(1, 4), range(1, 3), left, right)
+    rows = kg.wick_moments(range(1, 4), range(1, 3), kg.build_block(kg.Region.LEFT, cfg, None, trunc),
+                           kg.build_block(kg.Region.RIGHT, cfg, None, trunc))
+    for field in ("mean_left", "var_left", "mean_right", "var_right", "cov", "corr"):
+        want = getattr(rows, field)
+        assert np.max(np.abs(getattr(report, field) - want)) <= 1e-14 * np.max(np.abs(want))
     # --paper-norm divides by each side's summed spectrum over l <= --mmax
     ls, Ns = np.arange(1, 5), np.arange(1, 501)
     total_left = float(np.sum(kg.beta_sq_sums(kg.Region.LEFT, ls, Ns, cfg)))

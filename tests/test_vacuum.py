@@ -15,6 +15,7 @@ is tight to three digits.
 
 import dataclasses
 import decimal
+import functools
 import math
 from decimal import Decimal
 
@@ -347,7 +348,7 @@ def _fsum_moments(left, right, m_range, n_range):
     return side(left, m_range), side(right, n_range), cov
 
 
-@pytest.mark.parametrize("r, mu, m_max, m_range, n_range, bound", [
+_FSUM_CASES = pytest.mark.parametrize("r, mu, m_max, m_range, n_range, bound", [
     (0.5, 0.0, 60, range(1, 6), range(1, 9), 1e-13),
     (0.5, 0.0, 60, [4, 1, 3], [7, 2, 2, 5], 1e-13),      # rows copied, not sliced
     (0.21, 4.7619, 8, range(1, 6), range(1, 9), 1e-13),
@@ -355,16 +356,43 @@ def _fsum_moments(left, right, m_range, n_range):
     # replaced was 1.9e-12 off the reference there, the Gram form 8.8e-13
     (1 / np.pi, 1000.0, 40, range(1, 11), range(1, 41), 5e-12),
 ], ids=["half", "half-scattered-rows", "narrow", "criterion8-mu1000"])
+
+
+@functools.cache
+def _fsum_reference(r, mu, m_max, m_range: tuple, n_range: tuple):
+    """``_fsum_moments`` on the rows of one fsum case, computed once for
+    both entries."""
+    cfg = kg.validate_config(1.0, r, mu)
+    trunc = kg.Truncation(n_max_global=10_000, m_max_local=m_max)
+    left = kg.build_block(L, cfg, None, trunc)
+    right = kg.build_block(RG, cfg, None, trunc)
+    return _fsum_moments(left, right, m_range, n_range)
+
+
+def _assert_fsum_moments(rep, case, bound):
+    (mean_l, var_l), (mean_r, var_r), cov = _fsum_reference(*case)
+    for got, want in ((rep.mean_left, mean_l), (rep.var_left, var_l),
+                      (rep.mean_right, mean_r), (rep.var_right, var_r), (rep.cov, cov)):
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+@_FSUM_CASES
 def test_wick_moments_match_fsum_reference(r, mu, m_max, m_range, n_range, bound):
     cfg = kg.validate_config(1.0, r, mu)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=m_max)
     left = kg.build_block(L, cfg, None, trunc)
     right = kg.build_block(RG, cfg, None, trunc)
     rep = kg.wick_moments(m_range, n_range, left, right)
-    (mean_l, var_l), (mean_r, var_r), cov = _fsum_moments(left, right, m_range, n_range)
-    for got, want in ((rep.mean_left, mean_l), (rep.var_left, var_l),
-                      (rep.mean_right, mean_r), (rep.var_right, var_r), (rep.cov, cov)):
-        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+    _assert_fsum_moments(rep, (r, mu, m_max, tuple(m_range), tuple(n_range)), bound)
+
+
+@_FSUM_CASES
+def test_vacuum_moments_match_fsum_reference(r, mu, m_max, m_range, n_range, bound):
+    # the far columns summed by the Hankel series meet the bounds the
+    # explicit rows meet; every case has far columns
+    rep = kg.vacuum_moments(m_range, n_range, kg.validate_config(1.0, r, mu), 10_000)
+    assert rep.far_columns > 0
+    _assert_fsum_moments(rep, (r, mu, m_max, tuple(m_range), tuple(n_range)), bound)
 
 
 def test_wick_moments_rows_independent_of_the_request(blocks_half):
@@ -390,6 +418,14 @@ def test_wick_moments_rejects_out_of_range_rows(blocks_half):
         kg.wick_moments([1], [10_000], left, right)
 
 
+def test_vacuum_moments_refuses_bad_requests(cfg_half):
+    # the kernel refuses a row index below 1 or not an integer, and a
+    # global cutoff below 1, before any sum
+    for m_range, n_range, n_max in (([0], [1], 100), ([1], [1.5], 100), ([1], [1], 0)):
+        with pytest.raises(kg.DomainError):
+            kg.vacuum_moments(m_range, n_range, cfg_half, n_max)
+
+
 @settings(max_examples=40, deadline=None)
 @given(R=st.floats(0.5, 4.0), r=_FRACTIONS, mu=_MASSES, n_max=st.integers(1, 2000),
        m_rows=st.integers(1, 12), n_rows=st.integers(1, 12))
@@ -412,6 +448,119 @@ def test_wick_moments_left_right_mirror_property(R, r, mu, n_max, m_rows, n_rows
     scale = np.sqrt(np.outer(rep.var_left, rep.var_right))
     assert np.all(np.abs(swapped.cov.T - rep.cov) <= 1e-13 * scale)
     assert np.all(np.abs(swapped.corr.T - rep.corr) <= 1e-14)
+
+
+_MOMENTS = ("mean_left", "var_left", "mean_right", "var_right", "cov", "corr")
+
+
+def _assert_moments_close(got, want, bound):
+    """Means and variances within ``bound`` of their largest value, cov
+    within ``bound`` of its Cauchy-Schwarz scale sqrt(var_m var_n) (at
+    mu R = 1000 cov itself cancels to 1e-15 of it), corr within ``bound``."""
+    for field in ("mean_left", "var_left", "mean_right", "var_right"):
+        ref = getattr(want, field)
+        assert np.max(np.abs(getattr(got, field) - ref), initial=0.0) <= \
+            bound * np.max(np.abs(ref), initial=0.0)
+    scale = np.sqrt(np.outer(want.var_left, want.var_right))
+    assert np.all(np.abs(got.cov - want.cov) <= bound * scale)
+    assert np.all(np.abs(got.corr - want.corr) <= bound)
+
+
+@st.composite
+def _moment_requests(draw):
+    """(kind, cfg, m_rows, n_rows, n_max): "near" has no far column; "split"
+    (r = R/2, mu = 0) has a column exactly at Omega_N = 8 W, N = 16 M with M
+    the larger row count; "half" puts r at R/2, where the left and right
+    frequencies coincide; "single" has one left row."""
+    kind = draw(st.sampled_from(["general", "near", "split", "half", "single"]))
+    R = draw(st.floats(0.5, 4.0))
+    r = 0.5 if kind in ("split", "half") else draw(_FRACTIONS)
+    mu = 0.0 if kind == "split" else draw(_MASSES)
+    m_rows = 1 if kind == "single" else draw(st.integers(1, 40))
+    n_rows = draw(st.integers(1, 40))
+    n_max = draw(st.integers(1, 3000))
+    if kind == "near":
+        # Omega_N < 8 omega_M for every N <= 7.9 M / w
+        n_max = max(1, min(n_max, int(7.9 * m_rows / r)))
+    if kind == "split":
+        n_max = max(n_max, 16 * max(m_rows, n_rows))
+    return kind, kg.validate_config(R, r * R, mu), m_rows, n_rows, n_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(request=_moment_requests())
+def test_vacuum_moments_match_the_explicit_rows_property(request):
+    # the Hankel series over the far columns against wick_moments on full
+    # build_block rows. Worst of 3000 random draws over these ranges: 1.7e-15
+    # for means and variances, 2.3e-15 for cov (of sqrt(var_m var_n)) and
+    # corr; the bound 1e-14 leaves a margin of 4
+    kind, cfg, m_rows, n_rows, n_max = request
+    rows_m, rows_n = range(1, m_rows + 1), range(1, n_rows + 1)
+    trunc = kg.Truncation(n_max_global=n_max, m_max_local=max(m_rows, n_rows))
+    want = kg.wick_moments(rows_m, rows_n, kg.build_block(L, cfg, None, trunc),
+                           kg.build_block(RG, cfg, None, trunc))
+    got = kg.vacuum_moments(rows_m, rows_n, cfg, n_max)
+    assert got.near_columns + got.far_columns == n_max
+    if kind == "near":
+        assert got.far_columns == 0
+    if kind == "split":
+        W = float(kg.config.ladder(max(m_rows, n_rows), 0.5, 0.0))
+        assert kg.config.ladder(got.near_columns + 1, 1.0, 0.0) == 8.0 * W
+    if got.far_columns == 0:
+        for field in _MOMENTS:
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    else:
+        _assert_moments_close(got, want, 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(R=st.floats(0.5, 4.0), r=_FRACTIONS, mu=_MASSES, n_max=st.integers(1, 2000),
+       m_rows=st.integers(1, 12), n_rows=st.integers(1, 12))
+def test_vacuum_moments_left_right_mirror_property(R, r, mu, n_max, m_rows, n_rows):
+    # the mirror property of wick_moments, on the factored entry: the split
+    # and the series see the same frequencies after the swap. Worst of 6000
+    # random draws over these ranges: 5.2e-15 for cov and 1.8e-15 for corr,
+    # inside the bounds of the explicit rows' property (margins 19 and 5)
+    cfg = kg.validate_config(R, r * R, mu)
+    mirror = kg.validate_config(R, R - r * R, mu)
+    rep = kg.vacuum_moments(range(1, m_rows + 1), range(1, n_rows + 1), cfg, n_max)
+    swapped = kg.vacuum_moments(range(1, n_rows + 1), range(1, m_rows + 1), mirror, n_max)
+    scale = np.sqrt(np.outer(rep.var_left, rep.var_right))
+    assert np.all(np.abs(swapped.cov.T - rep.cov) <= 1e-13 * scale)
+    assert np.all(np.abs(swapped.corr.T - rep.corr) <= 1e-14)
+
+
+def test_vacuum_moments_survive_large_mass_with_the_block_bits():
+    # at r = R/2 and n_max = 200 every Omega_N lies below 8 omega_1 from
+    # mu R ~ 79 on, so the large-mass moments have no far column and keep
+    # the block path's bits, up to the mu R ~ 1e77 of README and beyond
+    trunc = kg.Truncation(n_max_global=200, m_max_local=3)
+    for muR in (1e30, 1e60, 1e75, 1e100):
+        cfg = kg.validate_config(1.0, 0.5, muR)
+        want = kg.wick_moments(range(1, 4), range(1, 4), kg.build_block(L, cfg, None, trunc),
+                               kg.build_block(RG, cfg, None, trunc))
+        got = kg.vacuum_moments(range(1, 4), range(1, 4), cfg, 200)
+        assert (got.near_columns, got.far_columns) == (200, 0)
+        for field in _MOMENTS:
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("r, mu", [(0.5, 0.0), (0.3, 2.0), (0.42, 1.0), (1 / np.pi, 1000.0)])
+def test_vacuum_moments_row_one_alone_and_among_125(r, mu):
+    # a row's bits depend on the request through W, the largest requested
+    # frequency, which sets the split (15 near columns for row 1 alone at
+    # r = R/2, 1999 among 125 rows). Measured over these configurations and
+    # (0.21, 4.7619), (0.05, 0), (0.95, 30): at most 1.0e-15, so 1e-14
+    cfg = kg.validate_config(1.0, r, mu)
+    alone = kg.vacuum_moments([1], [1], cfg, 10_000)
+    among = kg.vacuum_moments(range(1, 126), range(1, 126), cfg, 10_000)
+    assert alone.near_columns < among.near_columns
+    for field in ("mean_left", "var_left", "mean_right", "var_right"):
+        got, want = getattr(alone, field)[0], getattr(among, field)[0]
+        assert abs(got - want) <= 1e-14 * want
+    scale = math.sqrt(among.var_left[0] * among.var_right[0])
+    assert abs(alone.cov[0, 0] - among.cov[0, 0]) <= 1e-14 * scale
+    assert abs(alone.corr[0, 0] - among.corr[0, 0]) <= 1e-14
 
 
 # ── limit scans ──────────────────────────────────────────────────────────────
