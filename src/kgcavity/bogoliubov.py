@@ -73,28 +73,36 @@ sum_k (k + 1) (-1)^k mu_k h_k: 31 multiply-adds a column instead of one
 division per row; rounding costs a few ulps (measured: within 4.1e-16 of
 the exactly rounded sum of ``coeff_grid``'s beta^2).
 
-The Wick moments of the cross-partition number correlations read alpha
-too. With A_m = a_beta_m, alpha_mN = A_m b_N / (Omega_N - omega_m) and
-beta_mN = A_m b_N / (Omega_N + omega_m), so every Wick sum is a Gram of
-one or both families' rows (P, Q = alpha, beta; primed: right),
+Every other sum over N of products of coefficient rows is a Gram matrix,
+and ``gram`` is its one kernel. With A_m = a_beta_m,
+alpha_mN = A_m b_N / (Omega_N - omega_m) and
+beta_mN = A_m b_N / (Omega_N + omega_m). Each of the two sides a and b is
+a stack of (family, rows) pairs, and with P, Q = alpha, beta rows
+(primed: side b) the kernel returns
 
-    row dots  sum p^2, sum p q, sum q^2          (each family)
-    Grams     Q P'^T, P Q'^T, Q Q'^T, P P'^T     (left rows x right rows)
+    row dots  sum p^2, sum p q, sum q^2          (each row of each side)
+    Grams     P P'^T, P Q'^T, Q P'^T, Q Q'^T     (a rows x b rows)
 
-``wick_sums`` splits the columns as ``beta_sq_total`` does, now with W the
-largest omega over both families' requested rows. The near columns,
-Omega_N < _WICK_FAR_FACTOR W (every resonance, Omega_N = omega_m <= W,
-among them), take ``coeff_grid`` rows on those columns, four GEMMs and six
-row dots. In the far columns z = W / Omega_N <= 1/8, and with s = omega / W
+Its two callers are the Wick moments of the cross-partition number
+correlations (``vacuum.vacuum_moments``: left rows against right rows)
+and the completeness residuals (``identity_residuals``: left rows against
+[left; right] rows). ``gram`` splits the columns as ``beta_sq_total``
+does, with W the largest omega over every requested row. The near
+columns, Omega_N < _WICK_FAR_FACTOR W (every resonance, Omega_N =
+omega_m <= W, among them), take ``coeff_grid`` rows on those columns, one
+call per distinct (family, rows) pair, four GEMMs and six row dots. In the
+far columns z = W / Omega_N <= 1/8, and with s = omega / W
 
     1 / (Omega -+ omega) = Omega^-1 sum_{j<T} (+-s)^j z^j,
 
-so a far Gram is A_m A'_n (V H V'^T): V is the T-column Vandermonde of
-+-s_m (+ for alpha, - for beta), and H the Hankel matrix H_jk = h_{j+k} of
-the 2T - 1 column moments h_p = sum_N b_N b'_N z_N^p / Omega_N^2; a row
-dot takes the same series with b_N^2 of its family. T = 20 terms leave
-each factor within (1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far columns
-thus cost O(T) each instead of O(rows), and no full row is ever built.
+so a far Gram block is A_m A'_n (V H V'^T): V is the T-column Vandermonde
+of +-s_m (+ for alpha, - for beta), and H the Hankel matrix H_jk = h_{j+k}
+of the 2T - 1 column moments h_p = sum_N b_N b'_N z_N^p / Omega_N^2 of the
+block's two families (at most three products: left-left, left-right,
+right-right, all taken in one pass); a row dot takes the same series with
+b_N^2 of its family. T = 20 terms leave each factor within
+(1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far columns thus cost O(T)
+each instead of O(rows), and no full row is ever built.
 """
 
 from __future__ import annotations
@@ -115,8 +123,8 @@ __all__ = [
     "coeff_grid",
     "beta_sq_sums",
     "beta_sq_total",
-    "WickSums",
-    "wick_sums",
+    "Grams",
+    "gram",
     "build_block",
     "identity_residuals",
     "clear_memo",
@@ -141,7 +149,7 @@ _CHUNK_ENTRIES = 2**17
 _FAR_FACTOR = 4.0
 _FAR_TERMS = 31
 
-# ``wick_sums`` splits at a wider factor: its cross alpha Grams cancel
+# ``gram`` splits at a wider factor: the cross alpha Grams cancel
 # (from O(1) to 2e-6 at r/R = 1/pi, mu R = 1000), and at a factor of 4 the
 # rounding of the near GEMM's partial sum alone left 1.1e-11 of the
 # cancelled value, against 8.4e-13 at 8. Each far factor 1/(Omega -+ omega)
@@ -171,13 +179,17 @@ class IdentityResiduals:
     D1[m-1,l-1] = |sum_N (alpha_m alpha_l - beta_m beta_l) - delta_ml|   ((u_m|u_l))
     D2[m-1,l-1] = |sum_N (alpha_m beta_l - beta_m alpha_l)|              ((u_m|u_l*))
     and the cross-region versions pairing a left row with a right row,
-    whose exact values are 0 (disjoint supports at t = 0).
+    whose exact values are 0 (disjoint supports at t = 0); and how many
+    global columns were summed directly (``near_columns``) and by the
+    far-field series (``far_columns``).
     """
 
     D1: np.ndarray
     D2: np.ndarray
     D1_cross: np.ndarray
     D2_cross: np.ndarray
+    near_columns: int
+    far_columns: int
 
     @property
     def max_same(self) -> float:
@@ -192,15 +204,18 @@ class IdentityResiduals:
         return max(self.max_same, self.max_cross)
 
 
-class WickSums(NamedTuple):
-    """The Wick sums over the global modes of left rows (P, Q = alpha, beta)
-    and right rows (P', Q')."""
+class Grams(NamedTuple):
+    """Sums over the global modes of products of the rows of side a
+    (P, Q = alpha, beta) and side b (P', Q')."""
 
-    left: tuple     # (sum p^2, sum p q, sum q^2), one value per left row
-    right: tuple    # the same per right row
-    grams: tuple    # (Q P'^T, P Q'^T, Q Q'^T, P P'^T), left rows x right rows
-    near: int       # columns summed directly
-    far: int        # columns summed by the far-field series
+    a_dots: np.ndarray  # rows sum p^2, sum p q, sum q^2; one column per a row
+    b_dots: np.ndarray  # the same per b row
+    QP: np.ndarray      # Q P'^T, a rows x b rows
+    PQ: np.ndarray      # P Q'^T
+    QQ: np.ndarray      # Q Q'^T
+    PP: np.ndarray      # P P'^T
+    near: int           # columns summed directly
+    far: int            # columns summed by the far-field series
 
 
 # ── closed forms ────────────────────────────────────────────────────────────
@@ -440,70 +455,104 @@ def _column_moments(Om: np.ndarray, g: np.ndarray, W: float, n_terms: int) -> np
     return h
 
 
-def _wick_dots(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> tuple:
-    """(left row dots, right row dots, cross Grams) of ``WickSums`` over the
-    columns the rows hold. Each row dot reduces one row in its own call, so
-    it has the same bits whichever rows share the call; the Grams are BLAS
-    matrix products, deterministic for a fixed BLAS thread count."""
-    left = (np.vecdot(P, P), np.vecdot(P, Q), np.vecdot(Q, Q))
-    right = (np.vecdot(Pb, Pb), np.vecdot(Pb, Qb), np.vecdot(Qb, Qb))
-    return left, right, (Q @ Pb.T, P @ Qb.T, Q @ Qb.T, P @ Pb.T)
+def _row_grams(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> tuple:
+    """The fields of ``Grams`` before its column counts, over the columns
+    the rows hold. Each row dot reduces one row in its own call, so it has
+    the same bits whichever rows share the call; the Grams are BLAS matrix
+    products, deterministic for a fixed BLAS thread count."""
+    dots = [np.stack((np.vecdot(X, X), np.vecdot(X, Y), np.vecdot(Y, Y)))
+            for X, Y in ((P, Q), (Pb, Qb))]
+    return (*dots, Q @ Pb.T, P @ Qb.T, Q @ Qb.T, P @ Pb.T)
 
 
-def _far_wick_sums(fac_l: _Factors, fac_r: _Factors, split: int, W: float) -> tuple:
-    """(left row dots, right row dots, cross Grams) of the columns from
-    ``split`` on, all with Omega_N >= _WICK_FAR_FACTOR W, by the module
-    docstring's Hankel series."""
-    Om = fac_l.Om[split:]
-    g_l, g_r = fac_l.b[split:] / Om, fac_r.b[split:] / Om
-    h = _column_moments(Om, np.stack((g_l * g_l, g_r * g_r, g_l * g_r)), W, 2 * _WICK_FAR_TERMS - 1)
+def _far_grams(a: list, b: list, split: int, W: float) -> tuple:
+    """The fields of ``Grams`` before its column counts, over the columns
+    from ``split`` on, all with Omega_N >= _WICK_FAR_FACTOR W, by the module
+    docstring's Hankel series; ``a`` and ``b`` hold each side's
+    (region, factors) pairs."""
+    Om = a[0][1].Om[split:]
+    g = {region: fac.b[split:] / Om for region, fac in a + b}
+    # one moment pass over the distinct family products: the sides' own
+    # (their row dots), then the cross ones; the family order is immaterial,
+    # as a product of two floats is
+    products = {}
+    for r, s in [(r, r) for r, _ in a + b] + [(r, s) for r, _ in a for s, _ in b]:
+        products.setdefault(frozenset((r, s)), g[r] * g[s])
+    h = _column_moments(Om, np.stack(list(products.values())), W, 2 * _WICK_FAR_TERMS - 1)
     j = np.arange(_WICK_FAR_TERMS)
-    H_l, H_r, H_x = h[:, np.add.outer(j, j)]
-    # the Vandermonde rows of +-omega / W: the series of 1 / (Omega - omega)
-    # (alpha: V) and of 1 / (Omega + omega) (beta: Vm)
-    V = np.vander(fac_l.om / W, _WICK_FAR_TERMS, increasing=True)
-    Vb = np.vander(fac_r.om / W, _WICK_FAR_TERMS, increasing=True)
-    Vm, Vbm = V * _parity(j), Vb * _parity(j)
+    H = dict(zip(products, h[:, np.add.outer(j, j)]))
 
-    def row_dots(V, Vm, H, a):
-        VH, VmH = V @ H, Vm @ H
-        return tuple(a * a * np.vecdot(x, y) for x, y in ((VH, V), (VH, Vm), (VmH, Vm)))
+    def vander(fac):
+        # the Vandermonde rows of +-omega / W: the series of 1 / (Omega - omega)
+        # (alpha: V) and of 1 / (Omega + omega) (beta: Vm)
+        V = np.vander(fac.om / W, _WICK_FAR_TERMS, increasing=True)
+        return V, V * _parity(j)
 
-    VH, VmH = V @ H_x, Vm @ H_x
-    c = np.outer(fac_l.a_beta, fac_r.a_beta)
-    grams = tuple(c * x for x in (VmH @ Vb.T, VH @ Vbm.T, VmH @ Vbm.T, VH @ Vb.T))
-    return row_dots(V, Vm, H_l, fac_l.a_beta), row_dots(Vb, Vbm, H_r, fac_r.a_beta), grams
+    def row_dots(side):
+        parts = []
+        for region, fac in side:
+            V, Vm = vander(fac)
+            H_s = H[frozenset((region,))]
+            VH, VmH = V @ H_s, Vm @ H_s
+            parts.append(fac.a_beta * fac.a_beta
+                         * np.stack((np.vecdot(VH, V), np.vecdot(VH, Vm), np.vecdot(VmH, Vm))))
+        return np.concatenate(parts, axis=1)
+
+    blocks = []
+    for ra, fa in a:
+        V, Vm = vander(fa)
+        row = []
+        for rb, fb in b:
+            Vb, Vbm = vander(fb)
+            H_x = H[frozenset((ra, rb))]
+            VH, VmH = V @ H_x, Vm @ H_x
+            c = np.outer(fa.a_beta, fb.a_beta)
+            row.append([c * x for x in (VmH @ Vb.T, VH @ Vbm.T, VmH @ Vbm.T, VH @ Vb.T)])
+        blocks.append(row)
+    grams = [np.block([[blk[k] for blk in row] for row in blocks]) for k in range(4)]
+    return (row_dots(a), row_dots(b), *grams)
 
 
-def wick_sums(m_indices, n_indices, cfg: CavityConfig, n_max: int) -> WickSums:
-    """The Wick sums of left rows m_indices and right rows n_indices over the
-    global modes N = 1..n_max, without building a full row.
+def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
+    """Row dots and Grams of the rows of side ``a`` against those of side
+    ``b`` over the global modes N = 1..n_max, without building a full row.
 
-    The near columns, Omega_N < _WICK_FAR_FACTOR W with W the largest omega
-    of the requested rows of both families, are ``coeff_grid`` rows summed
-    by ``_wick_dots``; the far columns add the module docstring's Hankel
-    series. With no far column the sums are those of ``_wick_dots`` on the
-    full rows, bit for bit. Otherwise a row's sums depend, in their last
-    bits, on the rows requested with it, through W and the split it sets.
-    DomainError unless n_max >= 1 and every index is an integer >= 1.
+    Each side is a sequence of (region, rows) pairs, its rows stacked in
+    order. The near columns, Omega_N < _WICK_FAR_FACTOR W with W the largest
+    omega of every requested row, are ``coeff_grid`` rows, one call per
+    distinct pair however often it is named, summed by ``_row_grams``; the
+    far columns add the module docstring's Hankel series. With no far
+    column the sums are those of ``_row_grams`` on the full rows, bit for
+    bit. Otherwise a row's sums depend, in their last bits, on the rows
+    requested with it, through W and the split it sets. DomainError unless
+    n_max >= 1 and every index is an integer >= 1.
     """
     if n_max < 1:
         raise DomainError(f"the global cutoff must be >= 1, got n_max={n_max}")
     N = np.arange(1, n_max + 1)
-    fac_l = _factors(Region.LEFT, m_indices, N, cfg)
-    fac_r = _factors(Region.RIGHT, n_indices, N, cfg)
-    W = max(np.max(fac_l.om, initial=0.0), np.max(fac_r.om, initial=0.0))
-    split = int(np.searchsorted(fac_l.Om, _WICK_FAR_FACTOR * W))
-    P, Q = coeff_grid(Region.LEFT, fac_l.m, N[:split], cfg)
-    Pb, Qb = coeff_grid(Region.RIGHT, fac_r.m, N[:split], cfg)
-    sums = _wick_dots(P, Q, Pb, Qb)
+    facs = {}
+    sides = []
+    for side in (a, b):
+        keys = []
+        for region, rows in side:
+            rows = np.asarray(rows, dtype=np.float64)
+            key = (region, rows.tobytes())
+            if key not in facs:
+                facs[key] = _factors(region, rows, N, cfg)
+            keys.append(key)
+        sides.append(keys)
+    W = max(np.max(fac.om, initial=0.0) for fac in facs.values())
+    split = int(np.searchsorted(next(iter(facs.values())).Om, _WICK_FAR_FACTOR * W))
+    near = {key: coeff_grid(key[0], fac.m, N[:split], cfg) for key, fac in facs.items()}
+    # each side's P and Q rows stacked; a lone pair's rows are not copied
+    stacks = [[near[key][i] for key in keys] for keys in sides for i in (0, 1)]
+    sums = _row_grams(*(x[0] if len(x) == 1 else np.concatenate(x) for x in stacks))
     if split < n_max:
         # with no far column the near sums stand as they are, bit for bit
         # those of the explicit rows
-        sums = [tuple(near + far for near, far in zip(*parts))
-                for parts in zip(sums, _far_wick_sums(fac_l, fac_r, split, W))]
-    left, right, grams = sums
-    return WickSums(left=left, right=right, grams=grams, near=split, far=n_max - split)
+        far = _far_grams(*([(key[0], facs[key]) for key in keys] for keys in sides), split, W)
+        sums = [x + y for x, y in zip(sums, far)]
+    return Grams(*sums, near=split, far=n_max - split)
 
 
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:
@@ -593,17 +642,21 @@ def identity_residuals(cfg: CavityConfig, n_max: int, upto: int) -> IdentityResi
         D1 = |P P^T - Q Q^T - I|     D1_cross = |P P'^T - Q Q'^T|
         D2 = |P Q^T - Q P^T|         D2_cross = |P Q'^T - Q P'^T|
 
-    D2 reads Q P^T as the transpose of G = P Q^T, so the four take seven GEMMs.
+    all from one ``gram`` call of the left rows against the stacked left and
+    right rows: the left block of its Grams gives D1 and D2, the right block
+    D1_cross and D2_cross.
     """
     if upto < 1 or n_max < 1:
         raise DomainError(
             f"identity residuals need upto >= 1 and n_max >= 1, got upto={upto}, n_max={n_max}")
-    rows, cols = np.arange(1, upto + 1), np.arange(1, n_max + 1)
-    P, Q = coeff_grid(Region.LEFT, rows, cols, cfg)
-    Pb, Qb = coeff_grid(Region.RIGHT, rows, cols, cfg)
-    D1 = np.abs(P @ P.T - Q @ Q.T - np.eye(upto))
-    G = P @ Q.T
-    D2 = np.abs(G - G.T)
-    D1x = np.abs(P @ Pb.T - Q @ Qb.T)
-    D2x = np.abs(P @ Qb.T - Q @ Pb.T)
-    return IdentityResiduals(D1=D1, D2=D2, D1_cross=D1x, D2_cross=D2x)
+    rows = np.arange(1, upto + 1)
+    g = gram(((Region.LEFT, rows),), ((Region.LEFT, rows), (Region.RIGHT, rows)), cfg, n_max)
+    same, cross = slice(None, upto), slice(upto, None)
+    return IdentityResiduals(
+        D1=np.abs(g.PP[:, same] - g.QQ[:, same] - np.eye(upto)),
+        D2=np.abs(g.PQ[:, same] - g.QP[:, same]),
+        D1_cross=np.abs(g.PP[:, cross] - g.QQ[:, cross]),
+        D2_cross=np.abs(g.PQ[:, cross] - g.QP[:, cross]),
+        near_columns=g.near,
+        far_columns=g.far,
+    )

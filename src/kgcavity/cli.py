@@ -484,6 +484,9 @@ def cmd_diverge(args, run: _Run) -> None:
 def cmd_identities(args, run: _Run) -> None:
     cfg, nmaxes = run.cfg, sorted(args.nmax_list)
     reports = [identity_residuals(cfg, n, args.upto) for n in nmaxes]
+    for n, res in zip(nmaxes, reports):
+        run.counters[f"n_max={n}"] = {"near_columns": res.near_columns,
+                                      "far_columns": res.far_columns}
     residuals = [res.max_residual for res in reports]
     run.csv("identities.csv", [f"upto={args.upto}"],
             ["n_max", "max_D1", "max_D2", "max_D1_cross", "max_D2_cross", "max_residual"],

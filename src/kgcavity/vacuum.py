@@ -18,12 +18,12 @@ The spectrum, the fixed-N divergence scan and the limit scans read beta
 only and never form alpha: the per-row sums come from
 ``bogoliubov.beta_sq_sums`` and a limit scan's summed columns
 sum_{m<=M} <n_m> from ``bogoliubov.beta_sq_total``, which never builds
-the rows. ``vacuum_moments`` takes the Wick sums from
-``bogoliubov.wick_sums``, which builds coefficient rows on the near
-columns only and sums the far ones by a series; ``wick_moments`` computes
-the same moments from explicit rows (the reference of the Fock-oracle
-tests), reducing each row dot one row at a time. The fixed-m convergence
-sums take a full coefficient row.
+the rows. ``vacuum_moments`` takes the Wick sums from one
+``bogoliubov.gram`` call of the left rows against the right rows, which
+builds coefficient rows on the near columns only and sums the far ones by
+a series; ``wick_moments`` computes the same moments from explicit rows
+(the reference of the Fock-oracle tests), reducing each row dot one row at
+a time. The fixed-m convergence sums take a full coefficient row.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import (BogoliubovBlock, WickSums, _wick_dots, beta_sq_sums, beta_sq_total,
-                         coeff_grid, wick_sums)
+from .bogoliubov import (BogoliubovBlock, Grams, _row_grams, beta_sq_sums, beta_sq_total,
+                         coeff_grid, gram)
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
                      validate_config)
 
@@ -313,10 +313,11 @@ def _sd(pp: np.ndarray, pq: np.ndarray, qq: np.ndarray) -> np.ndarray:
     return np.where(np.minimum(pp, qq) >= _TINY, np.hypot(np.sqrt(pp) * np.sqrt(qq), pq), 0.0)
 
 
-def _moment_report(m_range: tuple, n_range: tuple, sums: WickSums) -> MomentReport:
-    """Means, variances, covariances and correlations from the Wick sums."""
-    (pp, pq, mean_left), (ppb, pqb, mean_right) = sums.left, sums.right
-    QPb, PQb, QQb, PPb = sums.grams
+def _moment_report(m_range: tuple, n_range: tuple, sums: Grams) -> MomentReport:
+    """Means, variances, covariances and correlations from the Wick sums
+    of the left rows (side a) against the right rows (side b)."""
+    (pp, pq, mean_left), (ppb, pqb, mean_right) = sums.a_dots, sums.b_dots
+    QPb, PQb, QQb, PPb = sums.QP, sums.PQ, sums.QQ, sums.PP
     var_left = pp * mean_left + pq**2
     var_right = ppb * mean_right + pqb**2
     cov = QPb * PQb + QQb * PPb
@@ -381,16 +382,16 @@ def wick_moments(
             raise DomainError(f"n={n} outside the right block")
 
     n_cols = left_block.alpha.shape[1]
-    sums = WickSums(*_wick_dots(*_rows(left_block, m_range), *_rows(right_block, n_range)),
-                    near=n_cols, far=0)
+    sums = Grams(*_row_grams(*_rows(left_block, m_range), *_rows(right_block, n_range)),
+                 near=n_cols, far=0)
     return _moment_report(m_range, n_range, sums)
 
 
 def vacuum_moments(m_range, n_range, cfg: CavityConfig, n_max: int) -> MomentReport:
     """``wick_moments`` of left rows m_range and right rows n_range over the
-    global modes N = 1..n_max, from ``bogoliubov.wick_sums``: no full row is
-    built, and the columns far above the requested frequencies are summed by
-    a series.
+    global modes N = 1..n_max, from one ``bogoliubov.gram`` call: no full
+    row is built, and the columns far above the requested frequencies are
+    summed by a series.
 
     With no far column the report has the bits of ``wick_moments`` on full
     rows. Otherwise a row's values depend, in their last bits, on the rows
@@ -401,7 +402,7 @@ def vacuum_moments(m_range, n_range, cfg: CavityConfig, n_max: int) -> MomentRep
     integer >= 1.
     """
     m_range, n_range = tuple(m_range), tuple(n_range)
-    sums = wick_sums(m_range, n_range, cfg, n_max)
+    sums = gram(((Region.LEFT, m_range),), ((Region.RIGHT, n_range),), cfg, n_max)
     return _moment_report(tuple(int(m) for m in m_range), tuple(int(n) for n in n_range), sums)
 
 

@@ -612,28 +612,69 @@ def test_identity_residuals_refuse_cutoffs_below_one(cfg_half, monkeypatch, n_ma
         kg.identity_residuals(cfg_half, n_max, upto)
 
 
-def test_identity_residuals_match_fsum_reference(cfg_half, trunc_10k, blocks_half):
+@pytest.mark.parametrize("r, mu, upto, n_max", [
+    (0.5, 0.0, 6, 10_000),
+    (0.05, 0.0, 50, 1_000),
+    (0.95, 3.0, 10, 4_000),
+    (1.0 / math.pi, 1000.0, 10, 10_000),
+], ids=["half", "no-far-column", "right-sets-W", "criterion-8"])
+def test_identity_residuals_match_fsum_reference(r, mu, upto, n_max):
     # per-pair reference: each identity summed exactly over N by math.fsum
+    # from full coeff_grid rows; "no-far-column" sums every column directly,
+    # "right-sets-W" takes the split from the narrow right family, and
+    # "criterion-8" is the cancelling cross alpha Gram of the Wick moments
     def fsum_diff(x, y, u, v):
         return math.fsum(np.concatenate([x * y, -(u * v)]))
 
-    left, right = blocks_half
-    upto = 6
-    res = kg.identity_residuals(cfg_half, trunc_10k.n_max_global, upto=upto)
+    cfg = kg.validate_config(1.0, r, mu)
+    rows, cols = np.arange(1, upto + 1), np.arange(1, n_max + 1)
+    P, Q = kg.coeff_grid(L, rows, cols, cfg)
+    Pb, Qb = kg.coeff_grid(RG, rows, cols, cfg)
+    res = kg.identity_residuals(cfg, n_max, upto=upto)
+    assert (res.far_columns == 0) == (r == 0.05)
     ref = {name: np.empty((upto, upto)) for name in ("D1", "D2", "D1_cross", "D2_cross")}
     for i in range(upto):
-        am, bm = left.alpha[i], left.beta[i]
         for j in range(upto):
-            al, bl = left.alpha[j], left.beta[j]
-            ar, br = right.alpha[j], right.beta[j]
-            ref["D1"][i, j] = abs(fsum_diff(am, al, bm, bl) - (1.0 if i == j else 0.0))
-            ref["D2"][i, j] = abs(fsum_diff(am, bl, bm, al))
-            ref["D1_cross"][i, j] = abs(fsum_diff(am, ar, bm, br))
-            ref["D2_cross"][i, j] = abs(fsum_diff(am, br, bm, ar))
+            ref["D1"][i, j] = abs(fsum_diff(P[i], P[j], Q[i], Q[j]) - (1.0 if i == j else 0.0))
+            ref["D2"][i, j] = abs(fsum_diff(P[i], Q[j], Q[i], P[j]))
+            ref["D1_cross"][i, j] = abs(fsum_diff(P[i], Pb[j], Q[i], Qb[j]))
+            ref["D2_cross"][i, j] = abs(fsum_diff(P[i], Qb[j], Q[i], Pb[j]))
     # the summands are O(1) while the residuals are ~1e-10, so the bound is
     # absolute: rounding of O(1) sums over 1e4 terms
     for name, want in ref.items():
         assert np.max(np.abs(getattr(res, name) - want)) <= 1e-13, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=_fractions, mu=st.floats(0.0, 1000.0), upto=st.integers(1, 10),
+       n_max=st.integers(100, 2000))
+def test_identity_residuals_cross_mirror_property(r, mu, upto, n_max):
+    # reflecting the box about its centre swaps the families: the left rows
+    # at R - r are the right rows at r, so each cross residual is the
+    # transpose of its value at r (the reflection's signs cancel in |.|)
+    here = kg.identity_residuals(kg.validate_config(1.0, r, mu), n_max, upto)
+    there = kg.identity_residuals(kg.validate_config(1.0, 1.0 - r, mu), n_max, upto)
+    assert np.max(np.abs(there.D1_cross - here.D1_cross.T)) <= 1e-13
+    assert np.max(np.abs(there.D2_cross - here.D2_cross.T)) <= 1e-13
+
+
+def test_identity_residuals_read_near_rows_once_per_family(cfg_half, monkeypatch):
+    # one Gram call: each family's rows are built once, on the columns with
+    # Omega_N < 8 omega_10 = 160 pi only, and the 3841 far ones by the series
+    grid = bogoliubov.coeff_grid
+    calls = []
+
+    def spy(region, m_indices, N_indices, *rest):
+        calls.append((region, len(m_indices), N_indices.tolist()))
+        return grid(region, m_indices, N_indices, *rest)
+
+    monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    res = kg.identity_residuals(cfg_half, 4000, 10)
+    near = list(range(1, 160))
+    assert calls == [(L, 10, near), (RG, 10, near)]
+    assert (res.near_columns, res.far_columns) == (159, 3841)
+    assert len(bogoliubov._BLOCK_MEMO) == 0
 
 
 def test_diagonal_identity_converges_to_one(blocks_half):

@@ -499,6 +499,12 @@ def test_identities_multi_cutoff(tmp_path):
     assert lines[:2] == ["# R=1 r=0.5 mu=0", "# upto=3"]
     for doc in (_read_json(Path(out, "identities.json")), _read_json(Path(out, "manifest.json"))):
         assert doc["truncation"] == {}
+    # each cutoff's column split (Omega_N < 8 omega_3 = 48 pi) reaches the
+    # manifest only
+    assert _read_json(Path(out, "manifest.json"))["counters"] == {
+        "n_max=500": {"near_columns": 47, "far_columns": 453},
+        "n_max=1000": {"near_columns": 47, "far_columns": 953}}
+    assert "counters" not in _read_json(Path(out, "identities.json"))
 
 
 @pytest.mark.parametrize("argv, m", [(["modes", "--m", "3"], 3),
