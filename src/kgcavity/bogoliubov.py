@@ -27,10 +27,10 @@ b_N = sin(pi N w) / sqrt(Omega_N),
 so the 2-D work is one rational pass; the trig, roots and signs live in
 O(m + N) vectors. This beta has no cancellation, where (Omega - omega) V
 loses digits once mu R makes both frequencies large. The right family's
-sign (-1)^(N+m) is folded into a_m and b_N; nothing after ``_factors``
-tells the families apart. sin(pi N w) is evaluated on the reduced argument
-sin(pi f) (-1)^k, k = round(N w), f = N w - k, so it is an exact 0 in
-every column where N w is an integer: the Kronecker zeros.
+sign (-1)^(N+m) is folded into a_m and b_N; nothing after the tables
+below tells the families apart. sin(pi N w) is evaluated on the reduced
+argument sin(pi f) (-1)^k, k = round(N w), f = N w - k, so it is an exact
+0 in every column where N w is an integer: the Kronecker zeros.
 
 V is a 0/0 at the exact resonances Omega_N = omega_m, eps = 0, which
 happen only where N w is an integer k (f == 0) and m == k (possible
@@ -41,6 +41,24 @@ parity folded into b_N, +1 on the left family and (-1)^(m+N) on the right
 entry keeps the closed form, however near a resonance: eps = x - m and
 f = x - k are exact float differences, and sin(pi f) has no cancellation,
 so V is accurate to rounding even where eps is tiny.
+
+The vectors live in two read-only tables, built once and shared by every
+kernel that reads them:
+
+    rows     ``_rows(region, m, cfg)``: m, omega_m, a_m, a_beta_m
+    columns  ``_columns(region, N, cfg)``: the geometry x = N w,
+             f, the parity and s = sin(pi f) parity, which depend on
+             (family, r/R, N) only (``_geometry``), and Omega_N with
+             b_N = s / sqrt(Omega_N)
+
+Omega_N = ladder(N, 1, mu R) is the same for both families
+(``_column_ladder``), and the geometry does not depend on the mass: a
+mass scan builds it once per family, then one Omega_N per mass value for
+both (``_column_tables``). Both tables refuse a bad index through one check
+(``_indices``). ``coeff_grid``, ``beta_sq_sums``, ``beta_sq_total`` and
+``gram`` are public wrappers over the table kernels ``_grid``,
+``_beta_sq_sums``, ``_beta_sq_total`` and ``_far_grams``; no kernel
+writes into a table.
 
 The paper's two beta-only results are row sums: the local occupations
 <n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
@@ -242,49 +260,123 @@ def _resonances(m: np.ndarray, x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray
     return rows, np.repeat(cols, count)
 
 
-class _Factors(NamedTuple):
-    """The O(m + N) vectors of the factored closed form on one outer grid."""
+class _Rows(NamedTuple):
+    """The row vectors of the factored closed form: one family's rows m at
+    one mass."""
 
-    w: float              # dimensionless width of the family's sub-box
+    region: Region
     m: np.ndarray
-    N: np.ndarray
-    x: np.ndarray         # N w
-    f: np.ndarray         # N w - round(N w), the reduced sine argument
-    Om: np.ndarray        # Omega_N
     om: np.ndarray        # omega_m
     a: np.ndarray         # row factor a_m
     a_beta: np.ndarray    # (pi/w)^2 a_m, beta's row factor
-    b: np.ndarray         # column factor b_N
+
+
+class _Geometry(NamedTuple):
+    """A family's column vectors that do not depend on the mass: functions
+    of (family, r/R, N) alone."""
+
+    region: Region
+    w: float              # dimensionless width of the family's sub-box
+    N: np.ndarray
+    x: np.ndarray         # N w
+    f: np.ndarray         # N w - round(N w), the reduced sine argument
     parity: np.ndarray    # the column sign folded into b_N, kept where sin(pi f) is 0
+    s: np.ndarray         # sin(pi f) parity: sin(pi N w) with the family's sign
 
 
-def _factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> _Factors:
-    """Row and column vectors of the module docstring's factored closed form;
-    DomainError first unless every index is a finite integer >= 1."""
-    m = np.asarray(m_indices, dtype=np.float64)
-    N = np.asarray(N_indices, dtype=np.float64)
-    for name, idx in (("m", m), ("N", N)):
-        bad = idx[~(np.isfinite(idx) & (idx >= 1) & (idx == np.rint(idx)))]
-        if bad.size:
-            raise DomainError(f"mode indices must be integers >= 1, got {name}={bad[0]:g}")
+class _Columns(NamedTuple):
+    """The column vectors of the factored closed form: a family's geometry
+    and, at one mass, Omega_N and b_N = s_N / sqrt(Omega_N)."""
+
+    region: Region
+    w: float
+    N: np.ndarray
+    x: np.ndarray
+    f: np.ndarray
+    parity: np.ndarray
+    s: np.ndarray
+    Om: np.ndarray        # Omega_N
+    b: np.ndarray         # column factor b_N
+
+
+def _frozen(*arrays: np.ndarray) -> None:
+    """Make table arrays read-only: a table is shared by every kernel that
+    reads it, so none may write into it."""
+    for x in arrays:
+        x.setflags(write=False)
+
+
+def _indices(name: str, values) -> np.ndarray:
+    """The mode indices as a new float64 array; DomainError unless every one
+    is a finite integer >= 1. The one index check of both tables."""
+    idx = np.array(values, dtype=np.float64)
+    bad = idx[~(np.isfinite(idx) & (idx >= 1) & (idx == np.rint(idx)))]
+    if bad.size:
+        raise DomainError(f"mode indices must be integers >= 1, got {name}={bad[0]:g}")
+    return idx
+
+
+def _rows(region: Region, m_indices, cfg: CavityConfig) -> _Rows:
+    """The row table of rows m_indices of ``region`` at cfg's mass."""
+    m = _indices("m", m_indices)
     w = region.reduced_width(cfg)
-    right = region is Region.RIGHT
-    mu = cfg.mu_tilde
+    om = ladder(m, w, cfg.mu_tilde)
+    a = m * np.sqrt(w) / (np.pi * np.sqrt(om))
+    if region is Region.LEFT:
+        # a_m carries (-1)^m, which the right family's (-1)^(N+m) turns into
+        # (-1)^N on the columns
+        a *= _parity(m)
+    a_beta = (np.pi / w) ** 2 * a
+    _frozen(m, om, a, a_beta)
+    return _Rows(region=region, m=m, om=om, a=a, a_beta=a_beta)
 
-    Om = ladder(N, 1.0, mu)
-    om = ladder(m, w, mu)
+
+def _geometry(region: Region, N_indices, cfg: CavityConfig) -> _Geometry:
+    """The mass-independent column vectors of ``region`` on N_indices."""
+    N = _indices("N", N_indices)
+    w = region.reduced_width(cfg)
     x = N * w
     k = np.rint(x)
     f = x - k
-    # sin(pi N w) = (-1)^k sin(pi f); a_m carries (-1)^m, which the right
-    # family's (-1)^(N+m) turns into (-1)^N on the columns
-    parity = _parity(k + N if right else k)
-    a = m * np.sqrt(w) / (np.pi * np.sqrt(om))
-    b = np.sin(np.pi * f) * parity / np.sqrt(Om)
-    if not right:
-        a *= _parity(m)
-    return _Factors(w=w, m=m, N=N, x=x, f=f, Om=Om, om=om,
-                    a=a, a_beta=(np.pi / w) ** 2 * a, b=b, parity=parity)
+    # sin(pi N w) = (-1)^k sin(pi f)
+    parity = _parity(k + N if region is Region.RIGHT else k)
+    s = np.sin(np.pi * f) * parity
+    _frozen(N, x, f, parity, s)
+    return _Geometry(region=region, w=w, N=N, x=x, f=f, parity=parity, s=s)
+
+
+def _column_ladder(N: np.ndarray, cfg: CavityConfig) -> np.ndarray:
+    """Omega_N = ladder(N, 1, mu R), the same for both families."""
+    Om = ladder(N, 1.0, cfg.mu_tilde)
+    _frozen(Om)
+    return Om
+
+
+def _on_ladder(geo: _Geometry, Om: np.ndarray) -> _Columns:
+    """The column table of ``geo`` at the mass whose Omega_N is ``Om``."""
+    b = geo.s / np.sqrt(Om)
+    _frozen(b)
+    return _Columns(*geo, Om=Om, b=b)
+
+
+def _columns(region: Region, N_indices, cfg: CavityConfig) -> _Columns:
+    """The column table of ``region`` on N_indices at cfg's mass."""
+    geo = _geometry(region, N_indices, cfg)
+    return _on_ladder(geo, _column_ladder(geo.N, cfg))
+
+
+def _column_tables(N_indices, cfgs):
+    """(left, right) column tables on N_indices for each config in turn:
+    one Omega_N per config serves both families, and each family's
+    geometry is built again only where r/R changes from the config before
+    (a mass scan builds it once)."""
+    geometry, r = None, None
+    for cfg in cfgs:
+        if cfg.r_tilde != r:
+            geometry = [_geometry(region, N_indices, cfg) for region in (Region.LEFT, Region.RIGHT)]
+            r = cfg.r_tilde
+        Om = _column_ladder(geometry[0].N, cfg)
+        yield tuple(_on_ladder(geo, Om) for geo in geometry)
 
 
 def coeff_grid(
@@ -294,52 +386,57 @@ def coeff_grid(
     cfg: CavityConfig,
     resonance_eps: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) on the outer grid m_indices x N_indices.
-
-    The factored closed form of the module docstring, written into the
-    result row chunk by row chunk (about _CHUNK_ENTRIES entries each, so
-    the temporaries stay cache-sized whatever the grid's shape).
+    """(alpha, beta) on the outer grid m_indices x N_indices: ``_grid`` on
+    fresh row and column tables.
 
     ``resonance_eps`` is ignored (pass None): only the exact resonances
     take the limit. It stays because ``perfbench/run.py`` passes it
     positionally.
     """
-    fac = _factors(region, m_indices, N_indices, cfg)
-    m, N, x, Om, om, a, b = fac.m, fac.N, fac.x, fac.Om, fac.om, fac.a, fac.b
+    return _grid(_rows(region, m_indices, cfg), _columns(region, N_indices, cfg))
+
+
+def _grid(rows: _Rows, cols: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) on rows x cols by the factored closed form of the module
+    docstring, written into the result row chunk by row chunk (about
+    _CHUNK_ENTRIES entries each, so the temporaries stay cache-sized
+    whatever the grid's shape)."""
+    m, om, a = rows.m, rows.om, rows.a
+    x, Om, b = cols.x, cols.Om, cols.b
     two_m = 2.0 * m
 
-    alpha = np.empty((len(m), len(N)))
+    alpha = np.empty((len(m), len(x)))
     beta = np.empty_like(alpha)
-    step = max(1, _CHUNK_ENTRIES // max(len(N), 1))
-    eps_buf = np.empty((min(step, len(m)), len(N)))
+    step = max(1, _CHUNK_ENTRIES // max(len(x), 1))
+    eps_buf = np.empty((min(step, len(m)), len(x)))
     den_buf = np.empty_like(eps_buf)
     # the resonance entries (eps = 0) divide 0 by 0; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, len(m), step):
-            rows = slice(lo, lo + step)
+            chunk = slice(lo, lo + step)
             n = min(step, len(m) - lo)
-            eps = np.subtract(x, m[rows, None], out=eps_buf[:n])
-            den = np.add(two_m[rows, None], eps, out=den_buf[:n])
+            eps = np.subtract(x, m[chunk, None], out=eps_buf[:n])
+            den = np.add(two_m[chunk, None], eps, out=den_buf[:n])
             den *= eps
-            freq_sum = np.add(om[rows, None], Om, out=eps)   # eps is spent
-            v = np.multiply(a[rows, None], b, out=alpha[rows])
+            freq_sum = np.add(om[chunk, None], Om, out=eps)   # eps is spent
+            v = np.multiply(a[chunk, None], b, out=alpha[chunk])
             v /= den
             v *= freq_sum
-            beta_rows = np.multiply(fac.a_beta[rows, None], b, out=beta[rows])
+            beta_rows = np.multiply(rows.a_beta[chunk, None], b, out=beta[chunk])
             beta_rows /= freq_sum
 
-    w = fac.w
-    r_idx, c_idx = _resonances(m, x, fac.f)
+    w = cols.w
+    r_idx, c_idx = _resonances(m, x, cols.f)
     Om_c, om_r = Om[c_idx], om[r_idx]
     # the sign of a_m times the column parity: +1 on the left family,
     # (-1)^(m+N) on the right
-    limit = np.sign(a[r_idx]) * fac.parity[c_idx] * ((w / 2.0) / np.sqrt(w * Om_c * om_r))
+    limit = np.sign(a[r_idx]) * cols.parity[c_idx] * ((w / 2.0) / np.sqrt(w * Om_c * om_r))
     alpha[r_idx, c_idx] = (om_r + Om_c) * limit
     return alpha, beta
 
 
-def _scaled_factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> tuple[_Factors, int]:
-    """``_factors`` with b_N scaled in place by 2^-e, and e.
+def _scaled_b(rows: _Rows, cols: _Columns) -> tuple[np.ndarray, int]:
+    """b_N scaled by 2^-e, as a new array, and e.
 
     max t <= max|b_N| / (min omega_m + min Omega_N) ~ 2^e, so the scaled t
     is at most about 1 and t^2 does not underflow where t ~ w^2 (widths
@@ -347,13 +444,11 @@ def _scaled_factors(region: Region, m_indices, N_indices, cfg: CavityConfig) -> 
     wherever t^2 is normal, and the caller undoes the scaling with
     ``ldexp(..., 2 e)`` after the row factor.
     """
-    fac = _factors(region, m_indices, N_indices, cfg)
-    b = fac.b
+    b = cols.b
     _, e_b = np.frexp(max(b.max(initial=0.0), -b.min(initial=0.0)))
-    _, e_d = np.frexp(np.min(fac.om, initial=np.inf) + np.min(fac.Om, initial=np.inf))
+    _, e_d = np.frexp(np.min(rows.om, initial=np.inf) + np.min(cols.Om, initial=np.inf))
     e = int(e_b - e_d)
-    np.ldexp(b, -e, out=b)
-    return fac, e
+    return np.ldexp(b, -e), e
 
 
 def _row_sq_sums(om: np.ndarray, Om: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -385,18 +480,24 @@ def beta_sq_sums(
     N_indices: np.ndarray,
     cfg: CavityConfig,
 ) -> np.ndarray:
-    """sum over N in N_indices of beta_mN^2, one value per m in m_indices.
+    """sum over N in N_indices of beta_mN^2, one value per m in m_indices:
+    ``_beta_sq_sums`` on fresh row and column tables."""
+    return _beta_sq_sums(_rows(region, m_indices, cfg), _columns(region, N_indices, cfg))
+
+
+def _beta_sq_sums(rows: _Rows, cols: _Columns) -> np.ndarray:
+    """sum_N beta_mN^2 over the columns of ``cols``, one value per row.
 
     With beta_mN = a_beta_m t_mN, t_mN = b_N / (Omega_N + omega_m), the
     row sums of t^2 come from ``_row_sq_sums`` on the power-of-two scaled
-    b_N of ``_scaled_factors``; the row factor a_beta_m^2 multiplies each
-    sum after it. A row's sum therefore has the same bits whichever rows
-    share the call. Neither alpha, nor the resonance search (beta has no
+    b_N of ``_scaled_b``; the row factor a_beta_m^2 multiplies each sum
+    after it. A row's sum therefore has the same bits whichever rows share
+    the call. Neither alpha, nor the resonance search (beta has no
     resonance branch), nor a len(m) x len(N) array is ever built.
     """
-    fac, e = _scaled_factors(region, m_indices, N_indices, cfg)
-    sums = _row_sq_sums(fac.om, fac.Om, fac.b)
-    return np.ldexp(sums * (fac.a_beta * fac.a_beta), 2 * e)
+    b, e = _scaled_b(rows, cols)
+    sums = _row_sq_sums(rows.om, cols.Om, b)
+    return np.ldexp(sums * (rows.a_beta * rows.a_beta), 2 * e)
 
 
 def beta_sq_total(
@@ -406,7 +507,12 @@ def beta_sq_total(
     cfg: CavityConfig,
 ) -> float:
     """sum over m in m_indices and N in N_indices of beta_mN^2, without the
-    per-row sums.
+    per-row sums: ``_beta_sq_total`` on fresh row and column tables."""
+    return _beta_sq_total(_rows(region, m_indices, cfg), _columns(region, N_indices, cfg))
+
+
+def _beta_sq_total(rows: _Rows, cols: _Columns) -> float:
+    """sum_m sum_N beta_mN^2 over the rows and columns of the tables.
 
     The columns are put in ascending Omega_N (callers pass ascending N,
     which already is). With W = max omega_m, the near columns,
@@ -416,21 +522,21 @@ def beta_sq_total(
     h_k the column moments of ``_column_moments``. The power-of-two
     scaling of b_N is shared by both parts and undone at the end. A call
     with ascending columns and no far column costs and returns what
-    ``np.sum(beta_sq_sums(...))`` does.
+    ``np.sum(_beta_sq_sums(...))`` does.
     """
-    fac, e = _scaled_factors(region, m_indices, N_indices, cfg)
-    c = fac.a_beta * fac.a_beta
-    Om, b = fac.Om, fac.b
+    b, e = _scaled_b(rows, cols)
+    om, c = rows.om, rows.a_beta * rows.a_beta
+    Om = cols.Om
     if np.any(Om[1:] < Om[:-1]):
         order = np.argsort(Om, kind="stable")
         Om, b = Om[order], b[order]
-    W = np.max(fac.om, initial=0.0)
+    W = np.max(om, initial=0.0)
     split = int(np.searchsorted(Om, _FAR_FACTOR * W))
-    total = np.sum(_row_sq_sums(fac.om, Om[:split], b[:split]) * c)
+    total = np.sum(_row_sq_sums(om, Om[:split], b[:split]) * c)
     if split < len(Om):
         k = np.arange(_FAR_TERMS)
         # d_k = (k + 1) (-1)^k mu_k, mu_k = sum_m c_m (omega_m / W)^k
-        d = (c @ np.vander(fac.om / W, _FAR_TERMS, increasing=True)) * ((k + 1) * _parity(k))
+        d = (c @ np.vander(om / W, _FAR_TERMS, increasing=True)) * ((k + 1) * _parity(k))
         g = b[split:] / Om[split:]
         total += np.dot(d, _column_moments(Om[split:], g * g, W, _FAR_TERMS))
     return float(np.ldexp(total, 2 * e))
@@ -465,48 +571,49 @@ def _row_grams(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> 
     return (*dots, Q @ Pb.T, P @ Qb.T, Q @ Qb.T, P @ Pb.T)
 
 
-def _far_grams(a: list, b: list, split: int, W: float) -> tuple:
-    """The fields of ``Grams`` before its column counts, over the columns
-    from ``split`` on, all with Omega_N >= _WICK_FAR_FACTOR W, by the module
-    docstring's Hankel series; ``a`` and ``b`` hold each side's
-    (region, factors) pairs."""
-    Om = a[0][1].Om[split:]
-    g = {region: fac.b[split:] / Om for region, fac in a + b}
+def _far_grams(a: list, b: list, cols: dict, W: float) -> tuple:
+    """The fields of ``Grams`` before its column counts, over the far
+    columns, all with Omega_N >= _WICK_FAR_FACTOR W, by the module
+    docstring's Hankel series; ``a`` and ``b`` hold each side's row tables
+    and ``cols`` each family's column table on the far columns."""
+    Om = next(iter(cols.values())).Om
+    g = {region: c.b / Om for region, c in cols.items()}
     # one moment pass over the distinct family products: the sides' own
     # (their row dots), then the cross ones; the family order is immaterial,
     # as a product of two floats is
     products = {}
-    for r, s in [(r, r) for r, _ in a + b] + [(r, s) for r, _ in a for s, _ in b]:
+    for r, s in ([(x.region, x.region) for x in a + b]
+                 + [(x.region, y.region) for x in a for y in b]):
         products.setdefault(frozenset((r, s)), g[r] * g[s])
     h = _column_moments(Om, np.stack(list(products.values())), W, 2 * _WICK_FAR_TERMS - 1)
     j = np.arange(_WICK_FAR_TERMS)
     H = dict(zip(products, h[:, np.add.outer(j, j)]))
 
-    def vander(fac):
+    def vander(rows):
         # the Vandermonde rows of +-omega / W: the series of 1 / (Omega - omega)
         # (alpha: V) and of 1 / (Omega + omega) (beta: Vm)
-        V = np.vander(fac.om / W, _WICK_FAR_TERMS, increasing=True)
+        V = np.vander(rows.om / W, _WICK_FAR_TERMS, increasing=True)
         return V, V * _parity(j)
 
     def row_dots(side):
         parts = []
-        for region, fac in side:
-            V, Vm = vander(fac)
-            H_s = H[frozenset((region,))]
+        for rows in side:
+            V, Vm = vander(rows)
+            H_s = H[frozenset((rows.region,))]
             VH, VmH = V @ H_s, Vm @ H_s
-            parts.append(fac.a_beta * fac.a_beta
+            parts.append(rows.a_beta * rows.a_beta
                          * np.stack((np.vecdot(VH, V), np.vecdot(VH, Vm), np.vecdot(VmH, Vm))))
         return np.concatenate(parts, axis=1)
 
     blocks = []
-    for ra, fa in a:
-        V, Vm = vander(fa)
+    for ra in a:
+        V, Vm = vander(ra)
         row = []
-        for rb, fb in b:
-            Vb, Vbm = vander(fb)
-            H_x = H[frozenset((ra, rb))]
+        for rb in b:
+            Vb, Vbm = vander(rb)
+            H_x = H[frozenset((ra.region, rb.region))]
             VH, VmH = V @ H_x, Vm @ H_x
-            c = np.outer(fa.a_beta, fb.a_beta)
+            c = np.outer(ra.a_beta, rb.a_beta)
             row.append([c * x for x in (VmH @ Vb.T, VH @ Vbm.T, VmH @ Vbm.T, VH @ Vb.T)])
         blocks.append(row)
     grams = [np.block([[blk[k] for blk in row] for row in blocks]) for k in range(4)]
@@ -518,10 +625,12 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     ``b`` over the global modes N = 1..n_max, without building a full row.
 
     Each side is a sequence of (region, rows) pairs, its rows stacked in
-    order. The near columns, Omega_N < _WICK_FAR_FACTOR W with W the largest
-    omega of every requested row, are ``coeff_grid`` rows, one call per
-    distinct pair however often it is named, summed by ``_row_grams``; the
-    far columns add the module docstring's Hankel series. With no far
+    order; each distinct pair gets one row table. Omega_N is computed once
+    for both families. The near columns, Omega_N < _WICK_FAR_FACTOR W with
+    W the largest omega of every requested row, are ``coeff_grid`` rows, one
+    call per distinct pair however often it is named, summed by
+    ``_row_grams``; the far columns add the module docstring's Hankel
+    series from one column table per family on those columns. With no far
     column the sums are those of ``_row_grams`` on the full rows, bit for
     bit. Otherwise a row's sums depend, in their last bits, on the rows
     requested with it, through W and the split it sets. DomainError unless
@@ -530,27 +639,30 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     if n_max < 1:
         raise DomainError(f"the global cutoff must be >= 1, got n_max={n_max}")
     N = np.arange(1, n_max + 1)
-    facs = {}
+    tables = {}
     sides = []
     for side in (a, b):
         keys = []
-        for region, rows in side:
-            rows = np.asarray(rows, dtype=np.float64)
-            key = (region, rows.tobytes())
-            if key not in facs:
-                facs[key] = _factors(region, rows, N, cfg)
+        for region, m in side:
+            m = np.asarray(m, dtype=np.float64)
+            key = (region, m.tobytes())
+            if key not in tables:
+                tables[key] = _rows(region, m, cfg)
             keys.append(key)
         sides.append(keys)
-    W = max(np.max(fac.om, initial=0.0) for fac in facs.values())
-    split = int(np.searchsorted(next(iter(facs.values())).Om, _WICK_FAR_FACTOR * W))
-    near = {key: coeff_grid(key[0], fac.m, N[:split], cfg) for key, fac in facs.items()}
+    Om = _column_ladder(N, cfg)
+    W = max(np.max(rows.om, initial=0.0) for rows in tables.values())
+    split = int(np.searchsorted(Om, _WICK_FAR_FACTOR * W))
+    near = {key: coeff_grid(key[0], rows.m, N[:split], cfg) for key, rows in tables.items()}
     # each side's P and Q rows stacked; a lone pair's rows are not copied
     stacks = [[near[key][i] for key in keys] for keys in sides for i in (0, 1)]
     sums = _row_grams(*(x[0] if len(x) == 1 else np.concatenate(x) for x in stacks))
     if split < n_max:
         # with no far column the near sums stand as they are, bit for bit
         # those of the explicit rows
-        far = _far_grams(*([(key[0], facs[key]) for key in keys] for keys in sides), split, W)
+        cols = {region: _on_ladder(_geometry(region, N[split:], cfg), Om[split:])
+                for region in dict.fromkeys(region for region, _ in tables)}
+        far = _far_grams(*([tables[key] for key in keys] for keys in sides), cols, W)
         sums = [x + y for x, y in zip(sums, far)]
     return Grams(*sums, near=split, far=n_max - split)
 
@@ -563,9 +675,9 @@ def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float
 
 def closed_overlap(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
     """Closed-form V_mN in the caller's units (scales as R), for oracle checks."""
-    alpha, _ = coeff_grid(region, np.array([m]), np.array([N]), cfg)
-    fac = _factors(region, [m], [N], cfg)
-    return float(alpha[0, 0] / (fac.om[0] + fac.Om[0])) * cfg.R
+    rows, cols = _rows(region, [m], cfg), _columns(region, [N], cfg)
+    alpha, _ = _grid(rows, cols)
+    return float(alpha[0, 0] / (rows.om[0] + cols.Om[0])) * cfg.R
 
 
 # ── block construction and memo ──────────────────────────────────────────────

@@ -18,12 +18,15 @@ The spectrum, the fixed-N divergence scan and the limit scans read beta
 only and never form alpha: the per-row sums come from
 ``bogoliubov.beta_sq_sums`` and a limit scan's summed columns
 sum_{m<=M} <n_m> from ``bogoliubov.beta_sq_total``, which never builds
-the rows. ``vacuum_moments`` takes the Wick sums from one
-``bogoliubov.gram`` call of the left rows against the right rows, which
-builds coefficient rows on the near columns only and sums the far ones by
-a series; ``wick_moments`` computes the same moments from explicit rows
-(the reference of the Fock-oracle tests), reducing each row dot one row at
-a time. The fixed-m convergence sums take a full coefficient row.
+the rows. A limit scan calls their table kernels directly, so that per
+scan value one Omega_N serves both families and one column table per
+family serves both of its kernels. ``vacuum_moments`` takes the Wick
+sums from one ``bogoliubov.gram`` call of the left rows against the right
+rows, which builds coefficient rows on the near columns only and sums the
+far ones by a series; ``wick_moments`` computes the same moments from
+explicit rows (the reference of the Fock-oracle tests), reducing each row
+dot one row at a time. The fixed-m convergence sums take a full
+coefficient row.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import (BogoliubovBlock, Grams, _row_grams, beta_sq_sums, beta_sq_total,
-                         coeff_grid, gram)
+from .bogoliubov import (BogoliubovBlock, Grams, _beta_sq_sums, _beta_sq_total, _column_tables,
+                         _row_grams, _rows, beta_sq_sums, coeff_grid, gram)
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
                      validate_config)
 
@@ -296,7 +299,7 @@ def mode_sum_convergence(region: Region, m: int, cfg: CavityConfig, n_list) -> M
     )
 
 
-def _rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _block_rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) rows m-1 for m in ``rows``: a view when the rows are
     consecutive, otherwise a copy of the requested rows only."""
     first = rows[0] if rows else 1
@@ -382,7 +385,7 @@ def wick_moments(
             raise DomainError(f"n={n} outside the right block")
 
     n_cols = left_block.alpha.shape[1]
-    sums = Grams(*_row_grams(*_rows(left_block, m_range), *_rows(right_block, n_range)),
+    sums = Grams(*_row_grams(*_block_rows(left_block, m_range), *_block_rows(right_block, n_range)),
                  near=n_cols, far=0)
     return _moment_report(m_range, n_range, sums)
 
@@ -423,6 +426,13 @@ def limit_scan(
     The per-mode and summed columns move in opposite directions near r -> R:
     each <n_m> dies while the M-sum hangs on — the scan makes the
     non-commuting pair of limits visible.
+
+    Each value's columns have the bits of the public kernels at that
+    value (``beta_sq_total`` per family, ``beta_sq_sums`` on the probe
+    rows, ``coeff_grid`` on the probe diagonal), but the O(n_max) column
+    vectors are built once and shared: each family's geometry once per
+    scan for a mass scan (r/R is fixed) and once per value for a
+    partition-size scan, and Omega_N once per value for both families.
     """
     if kind not in ("mass", "partition-size"):
         raise DomainError(f"unknown scan kind {kind!r}")
@@ -445,14 +455,14 @@ def limit_scan(
     s_left = np.empty(len(values))
     s_both = np.empty(len(values))
 
-    for k, v in enumerate(values):
-        if kind == "mass":
-            cfg_k = validate_config(cfg.R, cfg.r, v / cfg.R)
-        else:
-            cfg_k = validate_config(cfg.R, v * cfg.R, cfg.mu)
-        s_left[k] = beta_sq_total(Region.LEFT, m_sum, n_idx, cfg_k)
-        s_both[k] = s_left[k] + beta_sq_total(Region.RIGHT, m_sum, n_idx, cfg_k)
-        n_per[k] = beta_sq_sums(Region.LEFT, probe_ms, n_idx, cfg_k)
+    if kind == "mass":
+        cfgs = [validate_config(cfg.R, cfg.r, v / cfg.R) for v in values]
+    else:
+        cfgs = [validate_config(cfg.R, v * cfg.R, cfg.mu) for v in values]
+    for k, (cfg_k, (left, right)) in enumerate(zip(cfgs, _column_tables(n_idx, cfgs))):
+        s_left[k] = _beta_sq_total(_rows(Region.LEFT, m_sum, cfg_k), left)
+        s_both[k] = s_left[k] + _beta_sq_total(_rows(Region.RIGHT, m_sum, cfg_k), right)
+        n_per[k] = _beta_sq_sums(_rows(Region.LEFT, probe_ms, cfg_k), left)
         tails[k] = [_coeff_sq_tail(Region.LEFT, m, cfg_k, trunc.n_max_global, 1.0)
                     for m, _ in probes]
         # probe ip's (m, N) entry is the diagonal of the probes' m x N grid

@@ -495,10 +495,11 @@ def test_beta_sq_total_matches_fsum_property(request):
     # the near columns summed directly and the far ones by the 31-term
     # series agree with the exactly rounded sum of coeff_grid's beta^2
     kind, cfg, region, m_idx, N_idx = request
-    fac = bogoliubov._factors(region, m_idx, N_idx, cfg)
-    far = fac.Om >= bogoliubov._FAR_FACTOR * fac.om.max()
+    om = bogoliubov._rows(region, m_idx, cfg).om
+    Om = bogoliubov._columns(region, N_idx, cfg).Om
+    far = Om >= bogoliubov._FAR_FACTOR * om.max()
     if kind == "split":
-        assert np.any(fac.Om == bogoliubov._FAR_FACTOR * fac.om.max())
+        assert np.any(Om == bogoliubov._FAR_FACTOR * om.max())
     if kind == "near":
         assert not far.any()
     _, B = kg.coeff_grid(region, m_idx, N_idx, cfg)
@@ -555,6 +556,36 @@ def test_beta_sq_total_survives_tiny_widths_property(r, M, far):
     want = math.fsum(kg.beta_sq_sums(L, m_idx, N_idx, cfg))
     assert want > 0
     assert abs(kg.beta_sq_total(L, m_idx, N_idx, cfg) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("r, mu", [(0.5, 0.0), (0.37, 3.0), (1e-90, 0.0)])
+def test_shared_tables_give_the_bits_of_fresh_ones(r, mu):
+    # the kernels read one shared pair of tables in turn, twice over; none
+    # writes into them (b_N's power-of-two scaling is a new array), so each
+    # result has the bits of its public wrapper on fresh tables
+    cfg = kg.validate_config(1.0, r, mu)
+    m_idx, N_idx = np.arange(1, 41), np.arange(1, 3001)
+    for region in (L, RG):
+        rows = bogoliubov._rows(region, m_idx, cfg)
+        cols = bogoliubov._columns(region, N_idx, cfg)
+        want_sums = kg.beta_sq_sums(region, m_idx, N_idx, cfg)
+        want_total = kg.beta_sq_total(region, m_idx, N_idx, cfg)
+        want_grid = kg.coeff_grid(region, m_idx, N_idx, cfg)
+        for _ in range(2):
+            assert bogoliubov._beta_sq_sums(rows, cols).tobytes() == want_sums.tobytes()
+            assert bogoliubov._beta_sq_total(rows, cols).hex() == want_total.hex()
+            for got, want in zip(bogoliubov._grid(rows, cols), want_grid):
+                assert got.tobytes() == want.tobytes()
+        for table in (rows, cols):
+            for name, x in table._asdict().items():
+                if isinstance(x, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        x[0] = 1.0
+    # a table holds its own copy of the indices: the caller's array stays
+    # writable
+    m_idx = np.arange(1.0, 4.0)
+    bogoliubov._rows(L, m_idx, cfg)
+    m_idx[0] = 1.0
 
 
 # ── completeness identities ──────────────────────────────────────────────────
@@ -675,6 +706,25 @@ def test_identity_residuals_read_near_rows_once_per_family(cfg_half, monkeypatch
     assert calls == [(L, 10, near), (RG, 10, near)]
     assert (res.near_columns, res.far_columns) == (159, 3841)
     assert len(bogoliubov._BLOCK_MEMO) == 0
+
+
+def test_gram_computes_the_global_ladder_once(cfg_half, monkeypatch):
+    # one Omega_N over the n_max columns sets the split and serves both
+    # families' far columns; each near coeff_grid call still builds its own
+    # on the 159 near columns
+    ladder = bogoliubov._column_ladder
+    lengths = []
+
+    def spy(N, cfg):
+        lengths.append(len(N))
+        return ladder(N, cfg)
+
+    monkeypatch.setattr(bogoliubov, "_column_ladder", spy)
+    kg.identity_residuals(cfg_half, 4000, 10)
+    assert lengths == [4000, 159, 159]
+    lengths.clear()
+    kg.vacuum.vacuum_moments(range(1, 11), range(1, 11), cfg_half, 4000)
+    assert lengths == [4000, 159, 159]
 
 
 def test_diagonal_identity_converges_to_one(blocks_half):

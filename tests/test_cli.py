@@ -453,24 +453,26 @@ def test_diverge_and_rscan_products(tmp_path):
 
 
 def test_rscan_sums_each_family_once_per_scan_value(tmp_path, monkeypatch):
-    # the summed columns take one beta_sq_total call per family and scan
+    # the summed columns take one total-kernel call per family and scan
     # value over the rows 1..M_fixed, never the per-row sums; only the
-    # probes' rows come from beta_sq_sums, so at the default n_max = 10^4,
-    # above numpy's 8192-element reduction buffer, the probe's <n_m> still
-    # has the bits of its row alone
-    beta_sq_sums, beta_sq_total = kg.beta_sq_sums, kg.beta_sq_total
+    # probes' rows go through the row-sum kernel, so at the default
+    # n_max = 10^4, above numpy's 8192-element reduction buffer, the
+    # probe's <n_m> still has the bits of its row alone (beta_sq_sums)
+    beta_sq_sums, total, sums = kg.beta_sq_sums, vacuum._beta_sq_total, vacuum._beta_sq_sums
     total_calls, row_calls = [], []
 
-    def total_spy(region, m_idx, N_idx, cfg):
-        total_calls.append((region, tuple(int(m) for m in m_idx)))
-        return beta_sq_total(region, m_idx, N_idx, cfg)
+    def total_spy(rows, cols):
+        assert cols.region is rows.region and len(cols.N) == 10_000
+        total_calls.append((rows.region, tuple(int(m) for m in rows.m)))
+        return total(rows, cols)
 
-    def rows_spy(region, m_idx, N_idx, cfg):
-        row_calls.append((region, tuple(int(m) for m in m_idx)))
-        return beta_sq_sums(region, m_idx, N_idx, cfg)
+    def rows_spy(rows, cols):
+        assert cols.region is rows.region and len(cols.N) == 10_000
+        row_calls.append((rows.region, tuple(int(m) for m in rows.m)))
+        return sums(rows, cols)
 
-    monkeypatch.setattr(vacuum, "beta_sq_total", total_spy)
-    monkeypatch.setattr(vacuum, "beta_sq_sums", rows_spy)
+    monkeypatch.setattr(vacuum, "_beta_sq_total", total_spy)
+    monkeypatch.setattr(vacuum, "_beta_sq_sums", rows_spy)
     out = str(tmp_path / "r")
     assert main(["rscan", "--probes", "1:1,150:3,2:3", "--out-dir", out]) == 0
     summed = tuple(range(1, 101))

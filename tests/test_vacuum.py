@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import kgcavity as kg
+from kgcavity import bogoliubov
 from kgcavity.vacuum import _coeff_sq_tail, _resonance_cutoff
 
 L = kg.Region.LEFT
@@ -586,6 +587,87 @@ def test_partition_limit_scan_is_linear_in_r():
         assert slope == pytest.approx(1.0, abs=0.05)
     assert np.all(table.sum_left > 0)
     assert np.all(table.sum_both > table.sum_left)
+
+
+_SCAN_VALUES = {
+    "mass": st.lists(st.one_of(st.floats(0.0, 50.0), st.just(1000.0)), min_size=1, max_size=5),
+    "partition-size": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5),
+}
+
+
+@st.composite
+def _scans(draw):
+    """(kind, values, probes, cfg, n_max, M_fixed) for ``limit_scan``."""
+    kind = draw(st.sampled_from(sorted(_SCAN_VALUES)))
+    cfg = kg.validate_config(1.0, draw(st.floats(0.01, 0.99)), draw(st.floats(0.0, 50.0)))
+    probes = draw(st.lists(st.tuples(st.integers(1, 200), st.integers(1, 3000)),
+                           min_size=1, max_size=4))
+    return (kind, draw(_SCAN_VALUES[kind]), probes, cfg, draw(st.integers(1, 3000)),
+            draw(st.integers(1, 120)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan=_scans())
+@example(scan=("mass", [0.5, 1.0, 2.0, 4.0, 8.0], [(1, 1), (150, 3)],
+               kg.validate_config(1.0, 0.37, 1.0), 3000, 100))
+@example(scan=("partition-size", [0.1, 0.5, 0.9], [(2, 3), (2, 3)],
+               kg.validate_config(1.0, 0.5, 0.0), 2000, 100))
+def test_limit_scan_matches_the_public_kernels_property(scan):
+    # the scan shares one Omega_N between both families' column tables and,
+    # in a mass scan, each family's geometry between the values; every
+    # column has the bits of the public kernels on fresh tables, per value
+    kind, values, probes, cfg, n_max, M = scan
+    table = kg.limit_scan(kind, values, probes, cfg,
+                          kg.Truncation(n_max_global=n_max, m_max_local=1), M_fixed=M)
+    ms, Ns = (np.array(x) for x in zip(*probes))
+    rows, cols = np.arange(1, M + 1), np.arange(1, n_max + 1)
+    for k, v in enumerate(values):
+        cfg_k = (kg.validate_config(cfg.R, cfg.r, v / cfg.R) if kind == "mass"
+                 else kg.validate_config(cfg.R, v * cfg.R, cfg.mu))
+        left = kg.beta_sq_total(L, rows, cols, cfg_k)
+        both = left + kg.beta_sq_total(RG, rows, cols, cfg_k)
+        assert (table.sum_left[k].hex(), table.sum_both[k].hex()) == (left.hex(), both.hex())
+        assert table.n_per_probe[k].tobytes() == kg.beta_sq_sums(L, ms, cols, cfg_k).tobytes()
+        a, b = kg.coeff_grid(L, ms, Ns, cfg_k)
+        assert table.alpha_mag[k].tobytes() == np.abs(np.diagonal(a)).tobytes()
+        assert table.beta_mag[k].tobytes() == np.abs(np.diagonal(b)).tobytes()
+
+
+def test_limit_scans_build_the_column_vectors_once(monkeypatch):
+    # a mass scan keeps r/R, so each family's n_max-column geometry is built
+    # once for all five values; a partition-size scan builds it per value;
+    # either computes Omega_N once per value for both families. The probe
+    # diagonal's coeff_grid builds its own on the probes' columns only
+    geometry, ladder = bogoliubov._geometry, bogoliubov._column_ladder
+    built, ladders = [], []
+
+    def geometry_spy(region, N_indices, cfg):
+        built.append((region, cfg.r_tilde, len(N_indices)))
+        return geometry(region, N_indices, cfg)
+
+    def ladder_spy(N, cfg):
+        ladders.append((cfg.mu_tilde, len(N)))
+        return ladder(N, cfg)
+
+    monkeypatch.setattr(bogoliubov, "_geometry", geometry_spy)
+    monkeypatch.setattr(bogoliubov, "_column_ladder", ladder_spy)
+    cfg = kg.validate_config(1.0, 0.37, 1.0)
+    trunc = kg.Truncation(n_max_global=2000, m_max_local=1)
+    probes = [(1, 1), (150, 3)]
+
+    masses = [0.5, 1.0, 2.0, 4.0, 8.0]
+    kg.limit_scan("mass", masses, probes, cfg, trunc)
+    assert [b for b in built if b[2] == 2000] == [(L, 0.37, 2000), (RG, 0.37, 2000)]
+    assert [b[2] for b in built if b[2] != 2000] == [2] * 5
+    assert [x for x in ladders if x[1] == 2000] == [(mu, 2000) for mu in masses]
+
+    built.clear()
+    ladders.clear()
+    widths = [0.1, 0.5, 0.9]
+    kg.limit_scan("partition-size", widths, probes, cfg, trunc)
+    assert [b for b in built if b[2] == 2000] == [(region, r, 2000) for r in widths
+                                                  for region in (L, RG)]
+    assert [x for x in ladders if x[1] == 2000] == [(1.0, 2000)] * 3
 
 
 def test_limit_scan_rejects_unknown_kind(cfg_half, trunc_10k):
