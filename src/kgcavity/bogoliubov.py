@@ -54,11 +54,11 @@ kernel that reads them:
 Omega_N = ladder(N, 1, mu R) is the same for both families
 (``_column_ladder``), and the geometry does not depend on the mass: a
 mass scan builds it once per family, then one Omega_N per mass value for
-both (``_column_tables``). Both tables refuse a bad index through one check
-(``_indices``). ``coeff_grid``, ``beta_sq_sums``, ``beta_sq_total`` and
-``gram`` are public wrappers over the table kernels ``_grid``,
-``_beta_sq_sums``, ``_beta_sq_total`` and ``_far_grams``; no kernel
-writes into a table.
+both (``_column_tables``); ``gram`` builds each once per call. Both
+tables refuse a bad index through one check (``_indices``).
+``coeff_grid``, ``beta_sq_sums``, ``beta_sq_total`` and ``gram`` are
+public wrappers over the table kernels ``_grid``, ``_beta_sq_sums``,
+``_beta_sq_total`` and ``_far_grams``; no kernel writes into a table.
 
 The paper's two beta-only results are row sums: the local occupations
 <n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
@@ -104,12 +104,19 @@ a stack of (family, rows) pairs, and with P, Q = alpha, beta rows
 Its two callers are the Wick moments of the cross-partition number
 correlations (``vacuum.vacuum_moments``: left rows against right rows)
 and the completeness residuals (``identity_residuals``: left rows against
-[left; right] rows). ``gram`` splits the columns as ``beta_sq_total``
-does, with W the largest omega over every requested row. The near
-columns, Omega_N < _WICK_FAR_FACTOR W (every resonance, Omega_N =
-omega_m <= W, among them), take ``coeff_grid`` rows on those columns, one
-call per distinct (family, rows) pair, four GEMMs and six row dots. In the
-far columns z = W / Omega_N <= 1/8, and with s = omega / W
+[left; right] rows). ``gram`` reads one column table per family on
+N = 1..n_max and splits the columns as ``beta_sq_total`` does, with W the
+largest omega over every requested row. The near columns,
+Omega_N < _WICK_FAR_FACTOR W (every resonance, Omega_N = omega_m <= W,
+among them), are walked in chunks of _GRAM_COLUMNS global indices, cut at
+its multiples and at the split, so the chunks do not depend on which rows
+are requested. In each chunk ``_grid`` fills each side's stacked rows
+S = [P; Q] into one reused buffer, each distinct (family, rows) pair once,
+on a slice of its family's table; one GEMM S_a S_b^T adds the chunk's four
+Grams (its blocks) and one ``np.vecdot`` per row its row dots. The
+buffers hold 2 x rows x _GRAM_COLUMNS entries a side, whatever the number
+of near columns. In the far columns z = W / Omega_N <= 1/8, and with
+s = omega / W
 
     1 / (Omega -+ omega) = Omega^-1 sum_{j<T} (+-s)^j z^j,
 
@@ -119,8 +126,9 @@ of the 2T - 1 column moments h_p = sum_N b_N b'_N z_N^p / Omega_N^2 of the
 block's two families (at most three products: left-left, left-right,
 right-right, all taken in one pass); a row dot takes the same series with
 b_N^2 of its family. T = 20 terms leave each factor within
-(1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far columns thus cost O(T)
-each instead of O(rows), and no full row is ever built.
+(1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far columns, slices of the
+same tables, thus cost O(T) each instead of O(rows), and no full row is
+ever built.
 """
 
 from __future__ import annotations
@@ -174,6 +182,11 @@ _FAR_TERMS = 31
 # keeps _WICK_FAR_TERMS terms, within 8^-20 * 8/7 < 1e-18 of itself.
 _WICK_FAR_FACTOR = 8.0
 _WICK_FAR_TERMS = 20
+
+# ``gram`` walks its near columns in chunks of this many global indices, so
+# its buffers hold 2 x rows x _GRAM_COLUMNS entries a side, not the full
+# near rows (17 MB at 156 + 100 rows and 4160 near columns).
+_GRAM_COLUMNS = 512
 
 
 @dataclass(frozen=True)
@@ -365,18 +378,27 @@ def _columns(region: Region, N_indices, cfg: CavityConfig) -> _Columns:
     return _on_ladder(geo, _column_ladder(geo.N, cfg))
 
 
-def _column_tables(N_indices, cfgs):
-    """(left, right) column tables on N_indices for each config in turn:
-    one Omega_N per config serves both families, and each family's
+def _column_tables(cfgs, *groups):
+    """The column tables of each group (N_indices, regions), for each config
+    in turn: one tuple of tables per group, one table per region. One
+    Omega_N per config and group serves all the group's families, and each
     geometry is built again only where r/R changes from the config before
     (a mass scan builds it once)."""
     geometry, r = None, None
     for cfg in cfgs:
         if cfg.r_tilde != r:
-            geometry = [_geometry(region, N_indices, cfg) for region in (Region.LEFT, Region.RIGHT)]
+            geometry = [[_geometry(region, N, cfg) for region in regions] for N, regions in groups]
             r = cfg.r_tilde
-        Om = _column_ladder(geometry[0].N, cfg)
-        yield tuple(_on_ladder(geo, Om) for geo in geometry)
+        tables = []
+        for geos in geometry:
+            Om = _column_ladder(geos[0].N, cfg)
+            tables.append(tuple(_on_ladder(geo, Om) for geo in geos))
+        yield tables
+
+
+def _column_slice(cols: _Columns, lo: int, hi: int) -> _Columns:
+    """Columns lo:hi of a column table, as read-only views."""
+    return _Columns(cols.region, cols.w, *(v[lo:hi] for v in cols[2:]))
 
 
 def coeff_grid(
@@ -396,17 +418,21 @@ def coeff_grid(
     return _grid(_rows(region, m_indices, cfg), _columns(region, N_indices, cfg))
 
 
-def _grid(rows: _Rows, cols: _Columns) -> tuple[np.ndarray, np.ndarray]:
+def _grid(rows: _Rows, cols: _Columns, out=None) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) on rows x cols by the factored closed form of the module
-    docstring, written into the result row chunk by row chunk (about
-    _CHUNK_ENTRIES entries each, so the temporaries stay cache-sized
-    whatever the grid's shape)."""
+    docstring, written row chunk by row chunk (about _CHUNK_ENTRIES entries
+    each, so the temporaries stay cache-sized whatever the grid's shape)
+    into ``out``, a pair of len(m) x len(N) arrays such as rows of a
+    caller's reused buffer, or into new arrays. Every entry is a function
+    of its own row and column alone: ``gram`` reads a table's column chunks
+    and gets the bits of the whole grid."""
     m, om, a = rows.m, rows.om, rows.a
     x, Om, b = cols.x, cols.Om, cols.b
     two_m = 2.0 * m
 
-    alpha = np.empty((len(m), len(x)))
-    beta = np.empty_like(alpha)
+    if out is None:
+        out = np.empty((len(m), len(x))), np.empty((len(m), len(x)))
+    alpha, beta = out
     step = max(1, _CHUNK_ENTRIES // max(len(x), 1))
     eps_buf = np.empty((min(step, len(m)), len(x)))
     den_buf = np.empty_like(eps_buf)
@@ -561,14 +587,48 @@ def _column_moments(Om: np.ndarray, g: np.ndarray, W: float, n_terms: int) -> np
     return h
 
 
+def _chunk_grams(sizes: tuple[int, int], n_cols: int, fill) -> tuple:
+    """The fields of ``Grams`` before its column counts, over the columns
+    0..n_cols-1, walked in chunks of _GRAM_COLUMNS columns whose boundaries
+    fall at its multiples.
+
+    ``sizes`` holds each side's row count k, and fill(lo, hi, stacks) writes
+    each side's rows on columns lo:hi into its stack [P; Q] (2k rows, one
+    buffer per side, reused from chunk to chunk). Each chunk adds one GEMM
+    S_a S_b^T, whose four blocks are P P'^T, P Q'^T, Q P'^T and Q Q'^T, and
+    the row dots, each reducing one row in its own ``np.vecdot`` call: a
+    row's dots have the same bits whichever rows share the call. The GEMMs
+    are BLAS matrix products, deterministic for a fixed BLAS thread count.
+    """
+    ka, kb = sizes
+    bufs = [np.empty((2 * k, min(_GRAM_COLUMNS, n_cols))) for k in sizes]
+    dots = [np.zeros((3, k)) for k in sizes]
+    G = np.zeros((2 * ka, 2 * kb))
+    prod = np.empty_like(G)
+    for lo in range(0, n_cols, _GRAM_COLUMNS):
+        hi = min(lo + _GRAM_COLUMNS, n_cols)
+        stacks = [buf[:, :hi - lo] for buf in bufs]
+        fill(lo, hi, stacks)
+        for d, S, k in zip(dots, stacks, sizes):
+            P, Q = S[:k], S[k:]
+            d[0] += np.vecdot(P, P)
+            d[1] += np.vecdot(P, Q)
+            d[2] += np.vecdot(Q, Q)
+        G += np.matmul(stacks[0], stacks[1].T, out=prod)
+    P, Q, Pb, Qb = slice(ka), slice(ka, None), slice(kb), slice(kb, None)
+    return (*dots, G[Q, Pb], G[P, Qb], G[Q, Qb], G[P, Pb])
+
+
 def _row_grams(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> tuple:
     """The fields of ``Grams`` before its column counts, over the columns
-    the rows hold. Each row dot reduces one row in its own call, so it has
-    the same bits whichever rows share the call; the Grams are BLAS matrix
-    products, deterministic for a fixed BLAS thread count."""
-    dots = [np.stack((np.vecdot(X, X), np.vecdot(X, Y), np.vecdot(Y, Y)))
-            for X, Y in ((P, Q), (Pb, Qb))]
-    return (*dots, Q @ Pb.T, P @ Qb.T, Q @ Qb.T, P @ Pb.T)
+    the explicit rows hold: ``_chunk_grams`` copies each chunk of the rows
+    into its stacks, so ``gram`` with no far column returns these bits."""
+    def fill(lo, hi, stacks):
+        for S, X, Y in zip(stacks, (P, Pb), (Q, Qb)):
+            S[:len(X)] = X[:, lo:hi]
+            S[len(X):] = Y[:, lo:hi]
+
+    return _chunk_grams((len(P), len(Pb)), P.shape[1], fill)
 
 
 def _far_grams(a: list, b: list, cols: dict, W: float) -> tuple:
@@ -625,12 +685,16 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     ``b`` over the global modes N = 1..n_max, without building a full row.
 
     Each side is a sequence of (region, rows) pairs, its rows stacked in
-    order; each distinct pair gets one row table. Omega_N is computed once
-    for both families. The near columns, Omega_N < _WICK_FAR_FACTOR W with
-    W the largest omega of every requested row, are ``coeff_grid`` rows, one
-    call per distinct pair however often it is named, summed by
-    ``_row_grams``; the far columns add the module docstring's Hankel
-    series from one column table per family on those columns. With no far
+    order; each distinct pair gets one row table, and each family one
+    column table on N = 1..n_max (one Omega_N for both). The near columns,
+    Omega_N < _WICK_FAR_FACTOR W with W the largest omega of every
+    requested row, are walked by ``_chunk_grams`` in chunks of
+    _GRAM_COLUMNS columns, cut at multiples of it and at the split, so they
+    do not depend on which rows are requested: per chunk ``_grid`` fills
+    each distinct pair's rows once, on that chunk of its family's table,
+    into the side's stack (a pair named again is copied), and one stacked
+    GEMM takes the chunk's Grams. The far columns add the module
+    docstring's Hankel series on the same tables' far columns. With no far
     column the sums are those of ``_row_grams`` on the full rows, bit for
     bit. Otherwise a row's sums depend, in their last bits, on the rows
     requested with it, through W and the split it sets. DomainError unless
@@ -638,7 +702,6 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     """
     if n_max < 1:
         raise DomainError(f"the global cutoff must be >= 1, got n_max={n_max}")
-    N = np.arange(1, n_max + 1)
     tables = {}
     sides = []
     for side in (a, b):
@@ -650,19 +713,39 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
                 tables[key] = _rows(region, m, cfg)
             keys.append(key)
         sides.append(keys)
-    Om = _column_ladder(N, cfg)
+    regions = tuple(dict.fromkeys(region for region, _ in tables))
+    (columns,) = next(_column_tables([cfg], (np.arange(1, n_max + 1), regions)))
+    cols = dict(zip(regions, columns))
     W = max(np.max(rows.om, initial=0.0) for rows in tables.values())
-    split = int(np.searchsorted(Om, _WICK_FAR_FACTOR * W))
-    near = {key: coeff_grid(key[0], rows.m, N[:split], cfg) for key, rows in tables.items()}
-    # each side's P and Q rows stacked; a lone pair's rows are not copied
-    stacks = [[near[key][i] for key in keys] for keys in sides for i in (0, 1)]
-    sums = _row_grams(*(x[0] if len(x) == 1 else np.concatenate(x) for x in stacks))
+    split = int(np.searchsorted(columns[0].Om, _WICK_FAR_FACTOR * W))
+
+    # each side's pairs with their rows' place in the side's stack
+    layout, sizes = [], []
+    for keys in sides:
+        pairs, k = [], 0
+        for key in keys:
+            pairs.append((key, k, k + len(tables[key].m)))
+            k += len(tables[key].m)
+        layout.append(pairs)
+        sizes.append(k)
+
+    def fill(lo, hi, stacks):
+        filled = {}
+        for S, pairs, k in zip(stacks, layout, sizes):
+            for key, i, j in pairs:
+                P, Q = S[i:j], S[k + i:k + j]
+                if key in filled:
+                    P[...], Q[...] = filled[key]
+                else:
+                    chunk = _column_slice(cols[key[0]], lo, hi)
+                    filled[key] = _grid(tables[key], chunk, out=(P, Q))
+
+    sums = _chunk_grams(tuple(sizes), split, fill)
     if split < n_max:
         # with no far column the near sums stand as they are, bit for bit
         # those of the explicit rows
-        cols = {region: _on_ladder(_geometry(region, N[split:], cfg), Om[split:])
-                for region in dict.fromkeys(region for region, _ in tables)}
-        far = _far_grams(*([tables[key] for key in keys] for keys in sides), cols, W)
+        far_cols = {region: _column_slice(c, split, n_max) for region, c in cols.items()}
+        far = _far_grams(*([tables[key] for key in keys] for keys in sides), far_cols, W)
         sums = [x + y for x, y in zip(sums, far)]
     return Grams(*sums, near=split, far=n_max - split)
 

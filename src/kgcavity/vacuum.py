@@ -22,11 +22,12 @@ the rows. A limit scan calls their table kernels directly, so that per
 scan value one Omega_N serves both families and one column table per
 family serves both of its kernels. ``vacuum_moments`` takes the Wick
 sums from one ``bogoliubov.gram`` call of the left rows against the right
-rows, which builds coefficient rows on the near columns only and sums the
-far ones by a series; ``wick_moments`` computes the same moments from
-explicit rows (the reference of the Fock-oracle tests), reducing each row
-dot one row at a time. The fixed-m convergence sums take a full
-coefficient row.
+rows, which fills coefficient rows on the near columns one 512-column
+chunk at a time and sums the far ones by a series; ``wick_moments``
+computes the same moments from explicit rows (the reference of the
+Fock-oracle tests), walked in the same chunks and reducing each row dot
+one row at a time. The fixed-m convergence sums take a full coefficient
+row.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import (BogoliubovBlock, Grams, _beta_sq_sums, _beta_sq_total, _column_tables,
-                         _row_grams, _rows, beta_sq_sums, coeff_grid, gram)
+                         _grid, _row_grams, _rows, beta_sq_sums, coeff_grid, gram)
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
                      validate_config)
 
@@ -429,10 +430,12 @@ def limit_scan(
 
     Each value's columns have the bits of the public kernels at that
     value (``beta_sq_total`` per family, ``beta_sq_sums`` on the probe
-    rows, ``coeff_grid`` on the probe diagonal), but the O(n_max) column
-    vectors are built once and shared: each family's geometry once per
-    scan for a mass scan (r/R is fixed) and once per value for a
-    partition-size scan, and Omega_N once per value for both families.
+    rows, ``coeff_grid`` on the probe diagonal), but the column vectors are
+    built once and shared: each family's geometry on the n_max columns,
+    and the left family's on the probes' columns, once per scan for a mass
+    scan (r/R is fixed) and once per value for a partition-size scan, and
+    Omega_N once per value for both families. The probe rows' table serves
+    both their sums and their diagonal.
     """
     if kind not in ("mass", "partition-size"):
         raise DomainError(f"unknown scan kind {kind!r}")
@@ -459,14 +462,16 @@ def limit_scan(
         cfgs = [validate_config(cfg.R, cfg.r, v / cfg.R) for v in values]
     else:
         cfgs = [validate_config(cfg.R, v * cfg.R, cfg.mu) for v in values]
-    for k, (cfg_k, (left, right)) in enumerate(zip(cfgs, _column_tables(n_idx, cfgs))):
+    tables = _column_tables(cfgs, (n_idx, (Region.LEFT, Region.RIGHT)), (probe_Ns, (Region.LEFT,)))
+    for k, (cfg_k, ((left, right), (probe_cols,))) in enumerate(zip(cfgs, tables)):
         s_left[k] = _beta_sq_total(_rows(Region.LEFT, m_sum, cfg_k), left)
         s_both[k] = s_left[k] + _beta_sq_total(_rows(Region.RIGHT, m_sum, cfg_k), right)
-        n_per[k] = _beta_sq_sums(_rows(Region.LEFT, probe_ms, cfg_k), left)
+        probe_rows = _rows(Region.LEFT, probe_ms, cfg_k)
+        n_per[k] = _beta_sq_sums(probe_rows, left)
         tails[k] = [_coeff_sq_tail(Region.LEFT, m, cfg_k, trunc.n_max_global, 1.0)
                     for m, _ in probes]
         # probe ip's (m, N) entry is the diagonal of the probes' m x N grid
-        a, b = coeff_grid(Region.LEFT, probe_ms, probe_Ns, cfg_k)
+        a, b = _grid(probe_rows, probe_cols)
         a_mag[k] = np.abs(np.diagonal(a))
         b_mag[k] = np.abs(np.diagonal(b))
 

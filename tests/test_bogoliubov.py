@@ -638,7 +638,7 @@ def test_identity_residuals_refuse_cutoffs_below_one(cfg_half, monkeypatch, n_ma
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the range check")
 
-    monkeypatch.setattr(bogoliubov, "coeff_grid", no_compute)
+    monkeypatch.setattr(bogoliubov, "_grid", no_compute)
     with pytest.raises(kg.DomainError):
         kg.identity_residuals(cfg_half, n_max, upto)
 
@@ -690,28 +690,33 @@ def test_identity_residuals_cross_mirror_property(r, mu, upto, n_max):
 
 
 def test_identity_residuals_read_near_rows_once_per_family(cfg_half, monkeypatch):
-    # one Gram call: each family's rows are built once, on the columns with
-    # Omega_N < 8 omega_10 = 160 pi only, and the 3841 far ones by the series
-    grid = bogoliubov.coeff_grid
+    # one Gram call: the near kernel fills each family's rows once per chunk
+    # of at most 512 columns, chunks ending at multiples of 512 or at the
+    # split (Omega_N < 8 omega_upto: N < 160 for 10 rows, N < 640 for 40),
+    # the left rows serving both sides; the far columns go by the series
+    grid = bogoliubov._grid
     calls = []
 
-    def spy(region, m_indices, N_indices, *rest):
-        calls.append((region, len(m_indices), N_indices.tolist()))
-        return grid(region, m_indices, N_indices, *rest)
+    def spy(rows, cols, *rest, **kwargs):
+        calls.append((rows.region, len(rows.m), int(cols.N[0]), int(cols.N[-1])))
+        return grid(rows, cols, *rest, **kwargs)
 
-    monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
+    monkeypatch.setattr(bogoliubov, "_grid", spy)
     monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
     res = kg.identity_residuals(cfg_half, 4000, 10)
-    near = list(range(1, 160))
-    assert calls == [(L, 10, near), (RG, 10, near)]
+    assert calls == [(L, 10, 1, 159), (RG, 10, 1, 159)]
     assert (res.near_columns, res.far_columns) == (159, 3841)
+    calls.clear()
+    res = kg.identity_residuals(cfg_half, 4000, 40)
+    assert calls == [(region, 40, lo, hi) for lo, hi in ((1, 512), (513, 639))
+                     for region in (L, RG)]
+    assert (res.near_columns, res.far_columns) == (639, 3361)
     assert len(bogoliubov._BLOCK_MEMO) == 0
 
 
 def test_gram_computes_the_global_ladder_once(cfg_half, monkeypatch):
     # one Omega_N over the n_max columns sets the split and serves both
-    # families' far columns; each near coeff_grid call still builds its own
-    # on the 159 near columns
+    # families' near chunks and far columns
     ladder = bogoliubov._column_ladder
     lengths = []
 
@@ -721,10 +726,10 @@ def test_gram_computes_the_global_ladder_once(cfg_half, monkeypatch):
 
     monkeypatch.setattr(bogoliubov, "_column_ladder", spy)
     kg.identity_residuals(cfg_half, 4000, 10)
-    assert lengths == [4000, 159, 159]
+    assert lengths == [4000]
     lengths.clear()
     kg.vacuum.vacuum_moments(range(1, 11), range(1, 11), cfg_half, 4000)
-    assert lengths == [4000, 159, 159]
+    assert lengths == [4000]
 
 
 def test_diagonal_identity_converges_to_one(blocks_half):

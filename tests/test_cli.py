@@ -230,24 +230,24 @@ def _csv_rows(path):
 
 
 def test_correlations_with_verification_columns(tmp_path, monkeypatch):
-    # coefficient rows are built only for the rows asked for, --mrows 3 on
-    # the left and --nrows 2 on the right, never --mmax 4, and only on the
-    # near columns, N < 48 (Omega_N = pi N below 8 omega_3 = 48 pi); no block
-    # is built
+    # the near kernel fills only the rows asked for, --mrows 3 on the left
+    # and --nrows 2 on the right, never --mmax 4, once each, on the one
+    # chunk of near columns, N < 48 (Omega_N = pi N below 8 omega_3 =
+    # 48 pi); no block is built
     built = []
-    grid = bogoliubov.coeff_grid
+    grid = bogoliubov._grid
 
-    def spy(region, m_indices, N_indices, *rest):
-        built.append((len(m_indices), len(N_indices)))
-        return grid(region, m_indices, N_indices, *rest)
+    def spy(rows, cols, *rest, **kwargs):
+        built.append((rows.region.value, len(rows.m), int(cols.N[0]), int(cols.N[-1])))
+        return grid(rows, cols, *rest, **kwargs)
 
     monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
-    monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
+    monkeypatch.setattr(bogoliubov, "_grid", spy)
     out = str(tmp_path / "c")
     rc = main(["correlations", "--nmax", "500", "--mmax", "4",
                "--mrows", "3", "--nrows", "2", "--paper-norm", "--out-dir", out])
     assert rc == 0
-    assert built == [(3, 47), (2, 47)]
+    assert built == [("left", 3, 1, 47), ("right", 2, 1, 47)]
     assert len(bogoliubov._BLOCK_MEMO) == 0
     # the column split reaches the manifest only
     assert _read_json(Path(out, "manifest.json"))["counters"] == {"near_columns": 47,

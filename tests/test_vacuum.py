@@ -17,6 +17,7 @@ import dataclasses
 import decimal
 import functools
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -564,6 +565,47 @@ def test_vacuum_moments_row_one_alone_and_among_125(r, mu):
     assert abs(alone.corr[0, 0] - among.corr[0, 0]) <= 1e-14
 
 
+@settings(max_examples=30, deadline=None)
+@given(r=_FRACTIONS, log_mu=st.floats(30.0, 60.0), n_max=st.integers(1, 1500),
+       m_rows=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       n_rows=st.lists(st.integers(1, 40), min_size=1, max_size=8))
+@example(r=0.5, log_mu=30.0, n_max=200, m_rows=[3, 1, 2], n_rows=[2, 2])
+def test_vacuum_moments_rows_keep_their_bits_in_any_request_property(
+        r, log_mu, n_max, m_rows, n_rows):
+    # from mu R ~ 1e30 on every Omega_N up to n_max lies below 8 omega_1,
+    # so no column is far and the split is n_max whatever the request: the
+    # near chunks fall at the same global indices, and each row's dots are
+    # reduced one row at a time, so a row alone and among others (in any
+    # order, repeated) has the same mean and var, bit for bit
+    cfg = kg.validate_config(1.0, r, 10.0**log_mu)
+    among = kg.vacuum_moments(m_rows, n_rows, cfg, n_max)
+    assert among.far_columns == 0
+    for i, m in enumerate(m_rows):
+        alone = kg.vacuum_moments([m], n_rows[:1], cfg, n_max)
+        assert alone.mean_left[0].hex() == among.mean_left[i].hex()
+        assert alone.var_left[0].hex() == among.var_left[i].hex()
+    for j, n in enumerate(n_rows):
+        alone = kg.vacuum_moments(m_rows[:1], [n], cfg, n_max)
+        assert alone.mean_right[0].hex() == among.mean_right[j].hex()
+        assert alone.var_right[0].hex() == among.var_right[j].hex()
+
+
+def test_vacuum_moments_hold_column_chunks_not_near_rows():
+    # the near pass holds each side's rows on one chunk of 512 columns at a
+    # time, never on all 4160 near columns at once: the traced peak stays
+    # below half of the rows x near-columns payload of alpha and beta
+    # (17.0 MB); with the full near rows it was 19.9 MB, in chunks 5.6 MB
+    cfg = kg.validate_config(1, 0.3, 2)
+    tracemalloc.start()
+    try:
+        rep = kg.vacuum_moments(range(1, 157), range(1, 101), cfg, 10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.near_columns == 4160
+    assert peak < (156 + 100) * rep.near_columns * 2 * 8 / 2
+
+
 # ── limit scans ──────────────────────────────────────────────────────────────
 
 def test_mass_limit_scan_decays_quadratically():
@@ -634,10 +676,10 @@ def test_limit_scan_matches_the_public_kernels_property(scan):
 
 
 def test_limit_scans_build_the_column_vectors_once(monkeypatch):
-    # a mass scan keeps r/R, so each family's n_max-column geometry is built
-    # once for all five values; a partition-size scan builds it per value;
-    # either computes Omega_N once per value for both families. The probe
-    # diagonal's coeff_grid builds its own on the probes' columns only
+    # a mass scan keeps r/R, so each family's n_max-column geometry, and the
+    # left family's on the probes' two columns, is built once for all five
+    # values; a partition-size scan builds them per value; either computes
+    # Omega_N once per value for both families
     geometry, ladder = bogoliubov._geometry, bogoliubov._column_ladder
     built, ladders = [], []
 
@@ -658,7 +700,7 @@ def test_limit_scans_build_the_column_vectors_once(monkeypatch):
     masses = [0.5, 1.0, 2.0, 4.0, 8.0]
     kg.limit_scan("mass", masses, probes, cfg, trunc)
     assert [b for b in built if b[2] == 2000] == [(L, 0.37, 2000), (RG, 0.37, 2000)]
-    assert [b[2] for b in built if b[2] != 2000] == [2] * 5
+    assert [b for b in built if b[2] != 2000] == [(L, 0.37, 2)]
     assert [x for x in ladders if x[1] == 2000] == [(mu, 2000) for mu in masses]
 
     built.clear()
@@ -667,6 +709,7 @@ def test_limit_scans_build_the_column_vectors_once(monkeypatch):
     kg.limit_scan("partition-size", widths, probes, cfg, trunc)
     assert [b for b in built if b[2] == 2000] == [(region, r, 2000) for r in widths
                                                   for region in (L, RG)]
+    assert [b for b in built if b[2] != 2000] == [(L, r, 2) for r in widths]
     assert [x for x in ladders if x[1] == 2000] == [(1.0, 2000)] * 3
 
 
