@@ -58,7 +58,7 @@ both (``_column_tables``); ``gram`` builds each once per call. Both
 tables refuse a bad index through one check (``_indices``).
 ``coeff_grid``, ``beta_sq_sums``, ``beta_sq_total`` and ``gram`` are
 public wrappers over the table kernels ``_grid``, ``_beta_sq_sums``,
-``_beta_sq_total`` and ``_far_grams``; no kernel writes into a table.
+``_beta_sq_total`` and ``_add_grams``; no kernel writes into a table.
 
 The paper's two beta-only results are row sums: the local occupations
 <n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
@@ -106,29 +106,36 @@ correlations (``vacuum.vacuum_moments``: left rows against right rows)
 and the completeness residuals (``identity_residuals``: left rows against
 [left; right] rows). ``gram`` reads one column table per family on
 N = 1..n_max and splits the columns as ``beta_sq_total`` does, with W the
-largest omega over every requested row. The near columns,
-Omega_N < _WICK_FAR_FACTOR W (every resonance, Omega_N = omega_m <= W,
-among them), are walked in chunks of _GRAM_COLUMNS global indices, cut at
-its multiples and at the split, so the chunks do not depend on which rows
-are requested. In each chunk ``_grid`` fills each side's stacked rows
-S = [P; Q] into one reused buffer, each distinct (family, rows) pair once,
-on a slice of its family's table; one GEMM S_a S_b^T adds the chunk's four
-Grams (its blocks) and one ``np.vecdot`` per row its row dots. The
-buffers hold 2 x rows x _GRAM_COLUMNS entries a side, whatever the number
-of near columns. In the far columns z = W / Omega_N <= 1/8, and with
-s = omega / W
+largest omega over every requested row. Both parts go through one
+accumulator, ``_add_grams``: given each side's stack S = [P; Q] on some
+columns and a metric M, it adds G += S_a M S_b^T, whose four blocks are
+the Grams, and each row's p M p, p M q and q M q (one ``np.vecdot`` per
+row), and the Grams are cut from G once, at the end.
+
+The near columns, Omega_N < _WICK_FAR_FACTOR W (every resonance,
+Omega_N = omega_m <= W, among them), are walked in chunks of _GRAM_COLUMNS
+global indices, cut at its multiples and at the split, so the chunks do
+not depend on which rows are requested. In each chunk ``_grid`` fills each
+side's stacked rows into one reused buffer, each distinct (family, rows)
+pair once, on a slice of its family's table, and M is the identity, never
+multiplied. The buffers hold 2 x rows x _GRAM_COLUMNS entries a side,
+whatever the number of near columns. In the far columns
+z = W / Omega_N <= 1/8, and with s = omega / W
 
     1 / (Omega -+ omega) = Omega^-1 sum_{j<T} (+-s)^j z^j,
 
-so a far Gram block is A_m A'_n (V H V'^T): V is the T-column Vandermonde
-of +-s_m (+ for alpha, - for beta), and H the Hankel matrix H_jk = h_{j+k}
-of the 2T - 1 column moments h_p = sum_N b_N b'_N z_N^p / Omega_N^2 of the
-block's two families (at most three products: left-left, left-right,
-right-right, all taken in one pass); a row dot takes the same series with
-b_N^2 of its family. T = 20 terms leave each factor within
-(1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far columns, slices of the
-same tables, thus cost O(T) each instead of O(rows), and no full row is
-ever built.
+so alpha_mN = sum_j A_m s_m^j g_N z_N^j with g_N = b_N / Omega_N, and
+beta_mN the same with (-s_m)^j. The far columns thus enter as T virtual
+columns (f, j) per family f: a row of family f holds A_m (+-s_m)^j in its
+family's T columns and zeros elsewhere, and the metric
+
+    M[(f, j), (g, k)] = h^fg_{j+k},   h^fg_p = sum_N g_N^f g_N^g z_N^p,
+
+takes the 2T - 1 column moments of each family pair present (at most
+three: left-left, left-right, right-right) in one pass. T = 20 terms leave
+each factor within (1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far
+columns, slices of the same tables, thus cost O(T) each instead of
+O(rows), and no full row is ever built.
 """
 
 from __future__ import annotations
@@ -587,97 +594,103 @@ def _column_moments(Om: np.ndarray, g: np.ndarray, W: float, n_terms: int) -> np
     return h
 
 
-def _chunk_grams(sizes: tuple[int, int], n_cols: int, fill) -> tuple:
-    """The fields of ``Grams`` before its column counts, over the columns
-    0..n_cols-1, walked in chunks of _GRAM_COLUMNS columns whose boundaries
-    fall at its multiples.
+def _stack_rows(S: np.ndarray, side: list):
+    """(rows, P, Q) for each row table of ``side`` in turn: views of its
+    alpha and beta rows in the side's stack S = [P; Q]."""
+    cuts = np.cumsum([len(rows.m) for rows in side])[:-1]
+    k = len(S) // 2
+    return zip(side, np.split(S[:k], cuts), np.split(S[k:], cuts))
+
+
+def _add_grams(sums: list, stacks: list, metric: np.ndarray | None = None) -> None:
+    """Add one set of columns to ``sums`` = [a dots, b dots, G, GEMM buffer].
+
+    Each side's stack S = [P; Q] holds its rows on the columns, and with M
+    the metric, G += S_a M S_b^T (whose blocks are P M P'^T, P M Q'^T,
+    Q M P'^T and Q M Q'^T) and each row's dots p M p, p M q and q M q. A
+    row's dots each come from one ``np.vecdot`` call reducing that row
+    alone, so they have the same bits whichever rows share the call. With
+    no metric M is the identity and is never multiplied: the near chunks.
+    """
+    *dots, G, prod = sums
+    weighted = [S if metric is None else S @ metric for S in stacks]
+    for d, S, SM in zip(dots, stacks, weighted):
+        k = len(S) // 2
+        d += np.vecdot(SM[:k], S[:k]), np.vecdot(SM[:k], S[k:]), np.vecdot(SM[k:], S[k:])
+    G += np.matmul(weighted[0], stacks[1].T, out=prod)
+
+
+def _chunk_grams(sizes: tuple[int, int], n_cols: int, fill) -> list:
+    """The sums of ``_add_grams`` over the columns 0..n_cols-1, walked in
+    chunks of _GRAM_COLUMNS columns whose boundaries fall at its multiples.
 
     ``sizes`` holds each side's row count k, and fill(lo, hi, stacks) writes
     each side's rows on columns lo:hi into its stack [P; Q] (2k rows, one
-    buffer per side, reused from chunk to chunk). Each chunk adds one GEMM
-    S_a S_b^T, whose four blocks are P P'^T, P Q'^T, Q P'^T and Q Q'^T, and
-    the row dots, each reducing one row in its own ``np.vecdot`` call: a
-    row's dots have the same bits whichever rows share the call. The GEMMs
-    are BLAS matrix products, deterministic for a fixed BLAS thread count.
+    buffer per side, reused from chunk to chunk, as is the GEMM's output).
+    The GEMMs are BLAS matrix products, deterministic for a fixed BLAS
+    thread count.
     """
     ka, kb = sizes
+    sums = [np.zeros((3, ka)), np.zeros((3, kb)), np.zeros((2 * ka, 2 * kb)),
+            np.empty((2 * ka, 2 * kb))]
     bufs = [np.empty((2 * k, min(_GRAM_COLUMNS, n_cols))) for k in sizes]
-    dots = [np.zeros((3, k)) for k in sizes]
-    G = np.zeros((2 * ka, 2 * kb))
-    prod = np.empty_like(G)
     for lo in range(0, n_cols, _GRAM_COLUMNS):
         hi = min(lo + _GRAM_COLUMNS, n_cols)
         stacks = [buf[:, :hi - lo] for buf in bufs]
         fill(lo, hi, stacks)
-        for d, S, k in zip(dots, stacks, sizes):
-            P, Q = S[:k], S[k:]
-            d[0] += np.vecdot(P, P)
-            d[1] += np.vecdot(P, Q)
-            d[2] += np.vecdot(Q, Q)
-        G += np.matmul(stacks[0], stacks[1].T, out=prod)
-    P, Q, Pb, Qb = slice(ka), slice(ka, None), slice(kb), slice(kb, None)
-    return (*dots, G[Q, Pb], G[P, Qb], G[Q, Qb], G[P, Pb])
+        _add_grams(sums, stacks)
+    return sums
 
 
-def _row_grams(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> tuple:
-    """The fields of ``Grams`` before its column counts, over the columns
-    the explicit rows hold: ``_chunk_grams`` copies each chunk of the rows
-    into its stacks, so ``gram`` with no far column returns these bits."""
+def _grams(sums: list, near: int, far: int) -> Grams:
+    """``Grams`` cut from the sums of ``_add_grams``."""
+    a_dots, b_dots, G, _ = sums
+    ka, kb = len(a_dots[0]), len(b_dots[0])
+    return Grams(a_dots, b_dots, G[ka:, :kb], G[:ka, kb:], G[ka:, kb:], G[:ka, :kb], near, far)
+
+
+def _row_grams(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> Grams:
+    """``Grams`` of the explicit rows over every column they hold:
+    ``_chunk_grams`` copies each chunk of the rows into its stacks, so
+    ``gram`` with no far column returns these bits."""
     def fill(lo, hi, stacks):
         for S, X, Y in zip(stacks, (P, Pb), (Q, Qb)):
             S[:len(X)] = X[:, lo:hi]
             S[len(X):] = Y[:, lo:hi]
 
-    return _chunk_grams((len(P), len(Pb)), P.shape[1], fill)
+    n_cols = P.shape[1]
+    return _grams(_chunk_grams((len(P), len(Pb)), n_cols, fill), n_cols, 0)
 
 
-def _far_grams(a: list, b: list, cols: dict, W: float) -> tuple:
-    """The fields of ``Grams`` before its column counts, over the far
-    columns, all with Omega_N >= _WICK_FAR_FACTOR W, by the module
-    docstring's Hankel series; ``a`` and ``b`` hold each side's row tables
-    and ``cols`` each family's column table on the far columns."""
-    Om = next(iter(cols.values())).Om
-    g = {region: c.b / Om for region, c in cols.items()}
-    # one moment pass over the distinct family products: the sides' own
-    # (their row dots), then the cross ones; the family order is immaterial,
-    # as a product of two floats is
-    products = {}
-    for r, s in ([(x.region, x.region) for x in a + b]
-                 + [(x.region, y.region) for x in a for y in b]):
-        products.setdefault(frozenset((r, s)), g[r] * g[s])
-    h = _column_moments(Om, np.stack(list(products.values())), W, 2 * _WICK_FAR_TERMS - 1)
-    j = np.arange(_WICK_FAR_TERMS)
-    H = dict(zip(products, h[:, np.add.outer(j, j)]))
+def _far_grams(sums: list, sides: list, cols: list, W: float) -> None:
+    """Add the far columns, all with Omega_N >= _WICK_FAR_FACTOR W, to
+    ``sums`` by the module docstring's series: ``sides`` holds each side's
+    row tables and ``cols`` each family's column table on the far columns.
 
-    def vander(rows):
-        # the Vandermonde rows of +-omega / W: the series of 1 / (Omega - omega)
-        # (alpha: V) and of 1 / (Omega + omega) (beta: Vm)
-        V = np.vander(rows.om / W, _WICK_FAR_TERMS, increasing=True)
-        return V, V * _parity(j)
-
-    def row_dots(side):
-        parts = []
-        for rows in side:
-            V, Vm = vander(rows)
-            H_s = H[frozenset((rows.region,))]
-            VH, VmH = V @ H_s, Vm @ H_s
-            parts.append(rows.a_beta * rows.a_beta
-                         * np.stack((np.vecdot(VH, V), np.vecdot(VH, Vm), np.vecdot(VmH, Vm))))
-        return np.concatenate(parts, axis=1)
-
-    blocks = []
-    for ra in a:
-        V, Vm = vander(ra)
-        row = []
-        for rb in b:
-            Vb, Vbm = vander(rb)
-            H_x = H[frozenset((ra.region, rb.region))]
-            VH, VmH = V @ H_x, Vm @ H_x
-            c = np.outer(ra.a_beta, rb.a_beta)
-            row.append([c * x for x in (VmH @ Vb.T, VH @ Vbm.T, VmH @ Vbm.T, VH @ Vb.T)])
-        blocks.append(row)
-    grams = [np.block([[blk[k] for blk in row] for row in blocks]) for k in range(4)]
-    return (row_dots(a), row_dots(b), *grams)
+    Each side's far stack has T = _WICK_FAR_TERMS virtual columns per
+    family, holding A_m (+-omega_m / W)^j (alpha: +, beta: -) in its
+    family's columns and zeros elsewhere; the metric M[(f, j), (g, k)] =
+    h^fg_{j+k} takes one column-moment pass over the family pairs.
+    """
+    T = _WICK_FAR_TERMS
+    regions = [c.region for c in cols]
+    g = [c.b / c.Om for c in cols]
+    pairs = [(f, e) for f in range(len(g)) for e in range(f, len(g))]
+    h = _column_moments(cols[0].Om, np.stack([g[f] * g[e] for f, e in pairs]), W, 2 * T - 1)
+    j = np.arange(T)
+    M = np.empty((len(g), T, len(g), T))
+    for (f, e), h_fe in zip(pairs, h):
+        # a Hankel block is symmetric, and h^fe = h^ef
+        M[f, :, e] = M[e, :, f] = h_fe[np.add.outer(j, j)]
+    stacks = []
+    for side in sides:
+        S = np.zeros((2 * sum(len(rows.m) for rows in side), len(g) * T))
+        for rows, P, Q in _stack_rows(S, side):
+            lo = regions.index(rows.region) * T
+            P[:, lo:lo + T] = rows.a_beta[:, None] * np.vander(rows.om / W, T, increasing=True)
+            Q[:, lo:lo + T] = P[:, lo:lo + T] * _parity(j)
+        stacks.append(S)
+    _add_grams(sums, stacks, M.reshape(len(g) * T, len(g) * T))
 
 
 def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
@@ -691,63 +704,50 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     requested row, are walked by ``_chunk_grams`` in chunks of
     _GRAM_COLUMNS columns, cut at multiples of it and at the split, so they
     do not depend on which rows are requested: per chunk ``_grid`` fills
-    each distinct pair's rows once, on that chunk of its family's table,
-    into the side's stack (a pair named again is copied), and one stacked
-    GEMM takes the chunk's Grams. The far columns add the module
-    docstring's Hankel series on the same tables' far columns. With no far
-    column the sums are those of ``_row_grams`` on the full rows, bit for
-    bit. Otherwise a row's sums depend, in their last bits, on the rows
-    requested with it, through W and the split it sets. DomainError unless
-    n_max >= 1 and every index is an integer >= 1.
+    each row table once, on that chunk of its family's table, into the
+    side's stack (a table named again is copied). ``_far_grams`` adds the
+    far columns through the same accumulator, ``_add_grams``, as T virtual
+    columns per family under the moment metric; the sums are cut into
+    ``Grams`` once, at the end. With no far column the sums are those of
+    ``_row_grams`` on the full rows, bit for bit. Otherwise a row's sums
+    depend, in their last bits, on the rows requested with it, through W
+    and the split it sets. DomainError unless n_max >= 1 and every index
+    is an integer >= 1.
     """
     if n_max < 1:
         raise DomainError(f"the global cutoff must be >= 1, got n_max={n_max}")
     tables = {}
-    sides = []
-    for side in (a, b):
-        keys = []
-        for region, m in side:
-            m = np.asarray(m, dtype=np.float64)
-            key = (region, m.tobytes())
-            if key not in tables:
-                tables[key] = _rows(region, m, cfg)
-            keys.append(key)
-        sides.append(keys)
-    regions = tuple(dict.fromkeys(region for region, _ in tables))
+
+    def table(region, m):
+        m = np.asarray(m, dtype=np.float64)
+        key = (region, m.tobytes())
+        if key not in tables:
+            tables[key] = _rows(region, m, cfg)
+        return tables[key]
+
+    sides = [[table(region, m) for region, m in side] for side in (a, b)]
+    regions = tuple(dict.fromkeys(rows.region for rows in tables.values()))
     (columns,) = next(_column_tables([cfg], (np.arange(1, n_max + 1), regions)))
     cols = dict(zip(regions, columns))
     W = max(np.max(rows.om, initial=0.0) for rows in tables.values())
     split = int(np.searchsorted(columns[0].Om, _WICK_FAR_FACTOR * W))
 
-    # each side's pairs with their rows' place in the side's stack
-    layout, sizes = [], []
-    for keys in sides:
-        pairs, k = [], 0
-        for key in keys:
-            pairs.append((key, k, k + len(tables[key].m)))
-            k += len(tables[key].m)
-        layout.append(pairs)
-        sizes.append(k)
-
     def fill(lo, hi, stacks):
         filled = {}
-        for S, pairs, k in zip(stacks, layout, sizes):
-            for key, i, j in pairs:
-                P, Q = S[i:j], S[k + i:k + j]
-                if key in filled:
-                    P[...], Q[...] = filled[key]
+        for S, side in zip(stacks, sides):
+            for rows, P, Q in _stack_rows(S, side):
+                if id(rows) in filled:
+                    P[...], Q[...] = filled[id(rows)]
                 else:
-                    chunk = _column_slice(cols[key[0]], lo, hi)
-                    filled[key] = _grid(tables[key], chunk, out=(P, Q))
+                    chunk = _column_slice(cols[rows.region], lo, hi)
+                    filled[id(rows)] = _grid(rows, chunk, out=(P, Q))
 
-    sums = _chunk_grams(tuple(sizes), split, fill)
+    sums = _chunk_grams(tuple(sum(len(rows.m) for rows in side) for side in sides), split, fill)
     if split < n_max:
         # with no far column the near sums stand as they are, bit for bit
         # those of the explicit rows
-        far_cols = {region: _column_slice(c, split, n_max) for region, c in cols.items()}
-        far = _far_grams(*([tables[key] for key in keys] for keys in sides), far_cols, W)
-        sums = [x + y for x, y in zip(sums, far)]
-    return Grams(*sums, near=split, far=n_max - split)
+        _far_grams(sums, sides, [_column_slice(c, split, n_max) for c in columns], W)
+    return _grams(sums, split, n_max - split)
 
 
 def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:

@@ -22,10 +22,14 @@ def _esc(s: str) -> str:
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
+    """Tick values on [lo, hi]: the decades of a log axis, and both ends
+    too where fewer than two decades fall inside it, so that a short log
+    axis still has two labels; five even steps on a linear axis."""
     if log:
         lo_d, hi_d = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         step = max(1, (hi_d - lo_d) // 8)
-        return [10.0**d for d in range(lo_d, hi_d + 1, step)]
+        ticks = [10.0**d for d in range(lo_d, hi_d + 1, step) if lo <= 10.0**d <= hi]
+        return ticks if len(ticks) >= 2 else sorted({lo, *ticks, hi})
     return [float(t) for t in np.linspace(lo, hi, 5)]
 
 
@@ -107,13 +111,9 @@ def line_plot(
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
                  f'fill="none" stroke="#333"/>')
     for t in _ticks(x_lo, x_hi, logx):
-        if not x_lo <= t <= x_hi:
-            continue
         parts.append(f'<line x1="{px(t):.2f}" y1="{_H - _MB}" x2="{px(t):.2f}" y2="{_H - _MB + 5}" stroke="#333"/>')
         parts.append(f'<text x="{px(t):.2f}" y="{_H - _MB + 18}" text-anchor="middle">{t:.4g}</text>')
     for t in _ticks(y_lo, y_hi, logy):
-        if not y_lo <= t <= y_hi:
-            continue
         parts.append(f'<line x1="{_ML - 5}" y1="{py(t):.2f}" x2="{_ML}" y2="{py(t):.2f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py(t) + 4:.2f}" text-anchor="end">{t:.4g}</text>')
     parts += _axis_labels(xlabel, ylabel)

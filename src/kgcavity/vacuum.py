@@ -301,13 +301,8 @@ def mode_sum_convergence(region: Region, m: int, cfg: CavityConfig, n_list) -> M
 
 
 def _block_rows(block: BogoliubovBlock, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) rows m-1 for m in ``rows``: a view when the rows are
-    consecutive, otherwise a copy of the requested rows only."""
-    first = rows[0] if rows else 1
-    if rows == tuple(range(first, first + len(rows))):
-        sel = slice(first - 1, first - 1 + len(rows))
-    else:
-        sel = np.asarray(rows) - 1
+    """(alpha, beta) rows m-1 for m in ``rows``, copies of those rows only."""
+    sel = np.asarray(rows, dtype=np.intp) - 1
     return block.alpha[sel], block.beta[sel]
 
 
@@ -385,9 +380,7 @@ def wick_moments(
         if not 1 <= n <= right_block.alpha.shape[0]:
             raise DomainError(f"n={n} outside the right block")
 
-    n_cols = left_block.alpha.shape[1]
-    sums = Grams(*_row_grams(*_block_rows(left_block, m_range), *_block_rows(right_block, n_range)),
-                 near=n_cols, far=0)
+    sums = _row_grams(*_block_rows(left_block, m_range), *_block_rows(right_block, n_range))
     return _moment_report(m_range, n_range, sums)
 
 

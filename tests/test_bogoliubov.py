@@ -21,7 +21,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kgcavity as kg
@@ -730,6 +730,45 @@ def test_gram_computes_the_global_ladder_once(cfg_half, monkeypatch):
     lengths.clear()
     kg.vacuum.vacuum_moments(range(1, 11), range(1, 11), cfg_half, 4000)
     assert lengths == [4000]
+
+
+@st.composite
+def _gram_requests(draw):
+    """(cfg, a, b, n_max): each side 1-3 (family, rows) pairs drawn from a
+    pool of 1-3 pairs, so the families may interleave and a pair may
+    repeat, within a side and across the two; up to 3000 columns, so that
+    many columns are far."""
+    r = draw(_fractions)
+    mu = draw(st.floats(0.0, 10.0))
+    pool = draw(st.lists(st.tuples(st.sampled_from([L, RG]),
+                                   st.lists(st.integers(1, 30), min_size=1, max_size=5)),
+                         min_size=1, max_size=3))
+    sides = [draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)) for _ in "ab"]
+    return kg.validate_config(1.0, r, mu), *sides, draw(st.integers(1, 3000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(request=_gram_requests())
+@example(request=(kg.validate_config(1.0, 0.37, 3.0), [(L, [1, 2, 3]), (RG, [2]), (L, [1, 2, 3])],
+                  [(RG, [2]), (L, [5, 1])], 3000))
+def test_gram_matches_explicit_rows_on_mixed_stacks_property(request):
+    # near chunks and far series on stacks that mix the families and name
+    # a pair again (the explicit example: interleaved, repeated, 2892 far
+    # columns), against _row_grams on coeff_grid rows stacked the same way:
+    # every field within 1e-13 of its largest entry
+    cfg, a, b, n_max = request
+    cols = np.arange(1, n_max + 1)
+
+    def stacked(side):
+        grids = [kg.coeff_grid(region, rows, cols, cfg) for region, rows in side]
+        return np.concatenate([P for P, _ in grids]), np.concatenate([Q for _, Q in grids])
+
+    got = bogoliubov.gram(a, b, cfg, n_max)
+    want = bogoliubov._row_grams(*stacked(a), *stacked(b))
+    assert got.near + got.far == n_max
+    for field in ("a_dots", "b_dots", "QP", "PQ", "QQ", "PP"):
+        ref = getattr(want, field)
+        assert np.max(np.abs(getattr(got, field) - ref)) <= 1e-13 * np.max(np.abs(ref)), field
 
 
 def test_diagonal_identity_converges_to_one(blocks_half):

@@ -586,6 +586,33 @@ def test_svg_outputs_land_in_manifest(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == svg_entry["digest"]
 
 
+def test_short_log_axis_labels_both_ends(tmp_path):
+    # the spectrum's log y axis spans less than a decade at this cutoff; its
+    # ends are labelled, so the axis carries at least two tick labels (the
+    # right-aligned texts left of the plot area)
+    out = tmp_path / "s"
+    assert main(["spectrum", "--nmax", "500", "--lmax", "3", "--svg", "--out-dir", str(out)]) == 0
+    labels = [line for line in (out / "spectrum.svg").read_text().splitlines()
+              if line.startswith('<text x="72"') and 'text-anchor="end"' in line]
+    assert len(labels) >= 2, labels
+
+
+def test_correlations_heatmap_is_listed_and_reproducible(tmp_path):
+    argv = ["correlations", "--nmax", "300", "--mmax", "5", "--mrows", "3", "--nrows", "3",
+            "--svg", "--out-dir"]
+    payloads = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(argv + [str(out)]) == 0
+        payload = (out / "correlations.svg").read_bytes()
+        assert payload.startswith(b"<svg") and payload.count(b"<rect") > 9
+        entry = next(o for o in _read_json(out / "manifest.json")["outputs"]
+                     if o["path"] == "correlations.svg")
+        assert hashlib.sha256(payload).hexdigest() == entry["digest"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 # ── config file and overrides ───────────────────────────────────────────────
 
 def test_config_file_with_flag_override(tmp_path):

@@ -159,17 +159,23 @@ def _exponential_mode(cfg, n_pts):
 
 
 def test_simpson_converges_at_fourth_order(cfg_half):
-    # halving h should cut the error by ~16; demand at least 8.
+    # halving h should cut the error by ~16; demand at least 8. Even
+    # interval counts, then odd ones, which take the three-point end
+    # correction on the last interval (64 -> 128 points: 3.1e-6 -> 1.9e-7)
     exact = -2.0 * (np.exp(3.0) - 1.0) / 3.0
-    errs = []
-    for n_pts in (65, 129):
-        f = _exponential_mode(cfg_half, n_pts)
-        errs.append(abs(kg.kg_inner(f, f) - exact))
-    assert errs[1] < errs[0] / 8.0
+    for pair in ((65, 129), (64, 128)):
+        errs = []
+        for n_pts in pair:
+            f = _exponential_mode(cfg_half, n_pts)
+            errs.append(abs(kg.kg_inner(f, f) - exact))
+        assert errs[1] < errs[0] / 8.0
 
 
 def test_error_estimate_is_attached_and_small(cfg_half):
-    f = _snapshot(2, cfg_half)
-    ip = kg.kg_inner(f, f)
-    assert ip.error_estimate >= 0.0
-    assert ip.error_estimate < 1e-6
+    # 4097 points take the Richardson estimate; the CLI's default 2048-point
+    # grid has an odd interval count and takes the Simpson-vs-trapezoid one
+    for n_pts in (4097, 2048):
+        f = _snapshot(2, cfg_half, n_pts=n_pts)
+        ip = kg.kg_inner(f, f)
+        assert ip.error_estimate >= 0.0
+        assert ip.error_estimate < 1e-6
