@@ -456,14 +456,11 @@ def cmd_diverge(args, run: _Run) -> None:
     cfg = run.cfg
     # every refusal comes before any sum: the scan requests here, a bad --m
     # in mode_sum_convergence before its sums
-    for N in args.N_list:
-        _divergence_request(N, args.M_list)
+    _divergence_request(args.N_list, args.M_list)
     conv = mode_sum_convergence(Region.LEFT, args.m, cfg, args.n_list)
-    scans = []
-    for N in args.N_list:
-        scan = divergence_scan(N, cfg, args.M_list)
-        run.tails[f"fit_N={N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
-        scans.append(scan)
+    scans = divergence_scan(args.N_list, cfg, args.M_list)
+    for scan in scans:
+        run.tails[f"fit_N={scan.N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
     counts = [len(s.M_list) for s in scans]
     run.csv("diverge.csv", [],
             ["N", "M", "partial_sum", "fit_slope", "fit_r2"],

@@ -193,14 +193,6 @@ def _nonzero_bytes(word: np.ndarray) -> np.ndarray:
     return ((word ^ _ZEROS) + 0x7F7F_7F7F_7F7F_7F7F) & 0x8080_8080_8080_8080
 
 
-def _slot_masks(first_slots, pred, n: int, value: int = _PAD) -> list:
-    """Per word, whose byte j holds slot first_slot + j: uint64 masks by
-    v = 0..n-1 holding ``value`` in the bytes of the slots s >= 0 with
-    pred(s, v)."""
-    return [np.array([sum(value << 8 * j for j in range(8) if f + j >= 0 and pred(f + j, v))
-                      for v in range(n)], np.uint64) for f in first_slots]
-
-
 # ── doubles: sign, "0.000" lead, 18 digit-or-point slots, "e+XXX", 3 pads ──
 
 _X_MIN, _X_MAX = -300, 300          # decimal exponents the layout tables cover
@@ -247,17 +239,23 @@ def _body_masks():
     2-9 in word 1, 10-17 in word 2), by the code 19 q + L of the point
     position q and the printed slot count L: the slots 1..q-1 (a digit
     moved one slot down), the slots 0 and q+1.. (a digit in place), and
-    the point at q with pads over the slots L..17."""
-    first = (-6, 2, 10)
+    the point at q with pads over the slots L..17. Each is a uint64 array
+    over the 18 * 19 codes, whose byte j holds its value where byte j's
+    slot s is one of them."""
+    q, L = np.divmod(np.arange(18 * 19)[:, None], 19)
+    shifts = 8 * np.arange(8, dtype=np.uint64)
 
-    def by_code(pred, value=_PAD):
-        return _slot_masks(first, lambda s, c: s < 18 and pred(s, *divmod(c, 19)), 18 * 19, value)
+    def mask(on, value=_PAD):
+        return np.bitwise_or.reduce(np.where(on, np.uint64(value) << shifts, np.uint64(0)), axis=1)
 
-    point = by_code(lambda s, q, L: s == q, ord("."))
-    pads = by_code(lambda s, q, L: s >= L)
-    return list(zip(by_code(lambda s, q, L: 1 <= s < q),
-                    by_code(lambda s, q, L: s == 0 or s > q),
-                    [p | f for p, f in zip(point, pads)]))
+    masks = []
+    for first in (-6, 2, 10):
+        s = first + np.arange(8)
+        slot = (0 <= s) & (s < 18)
+        masks.append((mask(slot & (1 <= s) & (s < q)),
+                      mask(slot & ((s == 0) | (s > q))),
+                      mask(slot & (s == q), ord(".")) | mask(slot & (s >= L))))
+    return masks
 
 
 @functools.cache

@@ -20,7 +20,9 @@ only and never form alpha: the per-row sums come from
 sum_{m<=M} <n_m> from ``bogoliubov.beta_sq_total``, which never builds
 the rows. A limit scan calls their table kernels directly, so that per
 scan value one Omega_N serves both families and one column table per
-family serves both of its kernels. ``vacuum_moments`` takes the Wick
+family serves both of its kernels; a divergence scan walks its rows in
+fixed chunks, one row table per family and chunk for all its N, so its
+memory does not grow with M. ``vacuum_moments`` takes the Wick
 sums from one ``bogoliubov.gram`` call of the left rows against the right
 rows, which fills coefficient rows on the near columns one 512-column
 chunk at a time and sums the far ones by a series; ``wick_moments``
@@ -37,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import (BogoliubovBlock, Grams, _beta_sq_sums, _beta_sq_total, _column_tables,
-                         _grid, _row_grams, _rows, beta_sq_sums, coeff_grid, gram)
+from .bogoliubov import (BogoliubovBlock, Grams, _beta_sq_sums, _beta_sq_total, _column_slice,
+                         _column_tables, _columns, _grid, _indices, _row_grams, _rows, beta_sq_sums,
+                         coeff_grid, gram)
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
                      validate_config)
 
@@ -133,6 +136,11 @@ class TrendTable:
 
 # ── helpers ─────────────────────────────────────────────────────────────────
 
+# Rows per chunk of a divergence scan: each chunk's row tables and summands
+# hold 2^13 entries a family and a column whatever the largest M, so the
+# scan's memory does not grow with M.
+_SCAN_ROWS = 2**13
+
 # the smallest normal float64: a correlation's dots below it have lost digits
 _TINY = np.finfo(np.float64).tiny
 
@@ -180,18 +188,17 @@ def _resonance_cutoff(region: Region, l: int, cfg: CavityConfig) -> int:
     return round(2.0 * float(ladder(l, region.reduced_width(cfg), cfg.mu_tilde)) / np.pi)
 
 
-def _divergence_request(N: int, M_list) -> np.ndarray:
-    """The sorted M values of a divergence scan at N; DomainError unless
-    N >= 1 and M_list holds two distinct values, all >= 1 (a log M fit
-    needs two points)."""
+def _divergence_request(N_list, M_list) -> tuple[np.ndarray, np.ndarray]:
+    """The N values, in order, and the sorted M values of a divergence scan;
+    DomainError unless every N is an integer >= 1 and M_list holds two
+    distinct values, all >= 1 (a log M fit needs two points)."""
+    N_arr = _indices("N", list(N_list))
     M_arr = np.asarray(sorted(int(M) for M in M_list))
-    if N < 1:
-        raise DomainError(f"global index N must be >= 1, got {N}")
     if M_arr.size == 0 or M_arr[0] < 1:
         raise DomainError(f"M_list needs values >= 1, got {M_arr.tolist()}")
     if M_arr[0] == M_arr[-1]:
         raise DomainError(f"the log M fit needs two distinct M values, got {M_arr.tolist()}")
-    return M_arr
+    return N_arr, M_arr
 
 
 def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
@@ -243,23 +250,45 @@ def vacuum_spectrum(
     return SpectrumResult(region=region, values=values, tail_bound=tails)
 
 
-def divergence_scan(N: int, cfg: CavityConfig, M_list) -> DivergenceScan:
-    """Partial sums over m <= M of |beta_mN|^2 + |beta_bar_mN|^2, fixed N,
-    fitted against a + b log M.
+def divergence_scan(N_list, cfg: CavityConfig, M_list) -> tuple[DivergenceScan, ...]:
+    """Partial sums over m <= M of |beta_mN|^2 + |beta_bar_mN|^2, one scan
+    per N in N_list (in order), each fitted against a + b log M.
 
     The summand falls off like 1/m for large m, so S(M) grows
     logarithmically whenever sin(N pi r / R) != 0 — the numerical face of
-    the inequivalence argument. The summands are ``beta_sq_sums`` over the
-    single column N.
-    """
-    M_arr = _divergence_request(N, M_list)
-    m_idx = np.arange(1, M_arr[-1] + 1)
-    N_idx = np.array([N])
-    summand = (beta_sq_sums(Region.LEFT, m_idx, N_idx, cfg)
-               + beta_sq_sums(Region.RIGHT, m_idx, N_idx, cfg))
-    running = np.cumsum(summand)
-    partial = running[M_arr - 1]
+    the inequivalence argument.
 
+    The rows m = 1..max M are walked in chunks of _SCAN_ROWS: per chunk,
+    one row table per family, and per N ``_beta_sq_sums`` on that N's
+    column of a column table built once per family. The running sum of the
+    chunks before is added into a chunk's first summand before its
+    ``np.cumsum``, so every partial sum has the bits of one cumsum over
+    1..M, and only the requested M are kept: memory does not grow with M.
+    """
+    N_arr, M_arr = _divergence_request(N_list, M_list)
+    left, right = (_columns(region, N_arr, cfg) for region in (Region.LEFT, Region.RIGHT))
+    partial = np.empty((len(N_arr), len(M_arr)))
+    running = np.zeros(len(N_arr))
+    stop = int(M_arr[-1]) if len(N_arr) else 0
+    for lo in range(0, stop, _SCAN_ROWS):
+        hi = min(lo + _SCAN_ROWS, stop)
+        m = np.arange(lo + 1, hi + 1)
+        rows_l, rows_r = _rows(Region.LEFT, m, cfg), _rows(Region.RIGHT, m, cfg)
+        # the requested M in (lo, hi], as offsets into this chunk's sums
+        first, last = np.searchsorted(M_arr, (lo, hi), side="right")
+        offsets = M_arr[first:last] - lo - 1
+        for j in range(len(N_arr)):
+            summand = (_beta_sq_sums(rows_l, _column_slice(left, j, j + 1))
+                       + _beta_sq_sums(rows_r, _column_slice(right, j, j + 1)))
+            summand[0] += running[j]
+            sums = np.cumsum(summand)
+            running[j] = sums[-1]
+            partial[j, first:last] = sums[offsets]
+    return tuple(_fit(int(N), M_arr, S) for N, S in zip(N_arr, partial))
+
+
+def _fit(N: int, M_arr: np.ndarray, partial: np.ndarray) -> DivergenceScan:
+    """The scan at N with its a + b log M least-squares fit."""
     logM = np.log(M_arr.astype(np.float64))
     slope, intercept = np.polyfit(logM, partial, 1)
     fitted = slope * logM + intercept

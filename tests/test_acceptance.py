@@ -92,11 +92,10 @@ def test_criterion_03_identity_residuals_decrease(cfg_half):
 def test_criterion_04_divergence_log_fit_and_cauchy_converse():
     cfg = kg.validate_config(1.0, 1 / np.pi, 10.0)
     fits = []
-    for N in (1, 2, 3):
-        scan = kg.divergence_scan(N, cfg, [100, 1_000, 10_000, 100_000])
+    for scan in kg.divergence_scan([1, 2, 3], cfg, [100, 1_000, 10_000, 100_000]):
         assert scan.fit_slope > 0
         assert scan.fit_r2 > 0.99
-        fits.append((N, scan.fit_slope, scan.fit_r2))
+        fits.append((scan.N, scan.fit_slope, scan.fit_r2))
     conv = kg.mode_sum_convergence(L, 1, cfg, n_list=[1_000, 2_000, 4_000])
     fine = kg.mode_sum_convergence(L, 1, cfg, n_list=[8_000])
     assert abs(fine.alpha2_partial[-1] - conv.alpha2_partial[-1]) <= conv.alpha2_tail

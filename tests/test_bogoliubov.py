@@ -236,10 +236,11 @@ def test_coeff_grid_matches_sinc_reference_wide():
 
 @pytest.mark.parametrize("r", [1 / np.pi, 0.3])
 def test_coeff_grid_matches_sinc_reference_tall(r):
-    # divergence_scan's shape: 1e5 rows, one column. Each row is a single
-    # entry, so the bound is relative per entry; measured 1.4e-13, the
-    # long-double reference's own sin(pi eps) at |eps| ~ 1e5. The float64
-    # sinc form is 3e-10 off there.
+    # a tall grid of 1e5 rows and one column: the rows of a fixed-N sum up
+    # to a divergence scan's default largest M (the scan walks them in row
+    # chunks). Each row is a single entry, so the bound is relative per
+    # entry; measured 1.4e-13, the long-double reference's own sin(pi eps)
+    # at |eps| ~ 1e5. The float64 sinc form is 3e-10 off there.
     cfg = kg.validate_config(1.0, r, 0.0)
     m_idx, N_idx = np.arange(1, 100_001), np.array([3])
     for region in (L, RG):
@@ -402,7 +403,7 @@ def test_beta_sq_sums_match_coeff_grid_rows(r, mu):
             got = kg.beta_sq_sums(region, m_idx, N_idx, cfg)
             _assert_rel(got, _coeff_grid_beta_sq(region, m_idx, N_idx, cfg), 1e-13)
         assert got[1] == got[2] and got[0] == got[5]        # duplicated rows
-        # divergence_scan's tall shape: one entry per row, so only the
+        # a tall one-column request, 1e5 rows: one entry per row, so only the
         # factoring's rounding differs
         tall = np.arange(1, 100_001)
         got = kg.beta_sq_sums(region, tall, [3], cfg)
@@ -453,7 +454,8 @@ def test_beta_sq_sums_rows_independent_of_the_call_property(r, mu, right, m_list
     for i, m in enumerate(m_list):
         alone = kg.beta_sq_sums(region, np.array([m]), N_idx, cfg)
         assert alone[0].tobytes() == together[i].tobytes()
-    # divergence_scan's one-column shape, where each row is one square
+    # a one-column request, where each row is one square (a divergence
+    # scan's summands at one N)
     one_col = np.array([n_cols])
     tall = kg.beta_sq_sums(region, np.arange(1, 301), one_col, cfg)
     for m in m_list:

@@ -253,6 +253,28 @@ def test_write_csv_fast_path_formats_almost_every_float(tmp_path, rng, monkeypat
     assert len(calls) <= 10
 
 
+def _slot_mask(first: int, pred, value: int = output._PAD) -> np.ndarray:
+    """A word whose byte j holds slot first + j, by code c = 19 q + L:
+    ``value`` in the bytes of the body slots 0..17 with pred(slot, q, L),
+    built one slot at a time."""
+    return np.array([sum(value << 8 * j for j in range(8)
+                         if 0 <= first + j < 18 and pred(first + j, *divmod(c, 19)))
+                     for c in range(18 * 19)], np.uint64)
+
+
+def test_body_masks_match_a_per_slot_reference():
+    masks = output._body_masks()
+    assert len(masks) == 3
+    for first, (moved, kept, fixed) in zip((-6, 2, 10), masks):
+        want = (_slot_mask(first, lambda s, q, L: 1 <= s < q),
+                _slot_mask(first, lambda s, q, L: s == 0 or s > q),
+                _slot_mask(first, lambda s, q, L: s == q, ord("."))
+                | _slot_mask(first, lambda s, q, L: s >= L))
+        for got, ref in zip((moved, kept, fixed), want):
+            assert got.dtype == np.uint64 and got.shape == (18 * 19,)
+            assert np.array_equal(got, ref)
+
+
 def test_write_csv_header_only_and_ragged_tables(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(str(path), ["c"], ["a", "b"], [[], np.array([])])

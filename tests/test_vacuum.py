@@ -84,7 +84,7 @@ def test_spectrum_decreases_with_mass():
 
 def test_divergence_scan_is_logarithmic():
     cfg = kg.validate_config(1.0, 1 / np.pi, 10.0)
-    scan = kg.divergence_scan(1, cfg, M_list=[100, 1_000, 10_000, 100_000])
+    (scan,) = kg.divergence_scan([1], cfg, M_list=[100, 1_000, 10_000, 100_000])
     assert np.all(np.diff(scan.partial_sums) > 0)  # growing without bound
     assert scan.fit_slope > 0
     assert scan.fit_r2 > 0.99
@@ -93,7 +93,7 @@ def test_divergence_scan_is_logarithmic():
 def test_divergence_scan_rejects_indices_below_one(cfg_half):
     for N, M_list in ((1, [0, 10]), (0, [10, 100]), (1, [])):
         with pytest.raises(kg.DomainError):
-            kg.divergence_scan(N, cfg_half, M_list)
+            kg.divergence_scan([N], cfg_half, M_list)
     for m, n_list in ((0, [100]), (1, [0, 100]), (1, [])):
         with pytest.raises(kg.DomainError):
             kg.mode_sum_convergence(L, m, cfg_half, n_list)
@@ -104,10 +104,49 @@ def test_divergence_scan_refuses_a_fit_through_one_point(cfg_half, monkeypatch):
     def refuse(*_args):
         raise AssertionError("summed before the request was refused")
 
-    monkeypatch.setattr(kg.vacuum, "beta_sq_sums", refuse)
+    monkeypatch.setattr(kg.vacuum, "_rows", refuse)
+    monkeypatch.setattr(kg.vacuum, "_beta_sq_sums", refuse)
     for M_list in ([100], [100, 100]):
         with pytest.raises(kg.DomainError, match="two distinct M"):
-            kg.divergence_scan(1, cfg_half, M_list)
+            kg.divergence_scan([1], cfg_half, M_list)
+    # and a bad N anywhere in the list, ahead of the first chunk's sums
+    for N_list in ([1, 2, 0], [1, 2.5]):
+        with pytest.raises(kg.DomainError, match="integers >= 1"):
+            kg.divergence_scan(N_list, cfg_half, [100, 1_000])
+
+
+_C = kg.vacuum._SCAN_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_r=st.floats(-100.0, math.log10(0.999)),
+       muR=st.one_of(st.just(0.0), st.floats(-10.0, 150.0).map(lambda e: 10.0**e)),
+       N_list=st.lists(st.integers(1, 50), min_size=1, max_size=3),
+       k=st.integers(1, 2), small=st.integers(1, _C - 2))
+@example(log_r=-100.0, muR=0.0, N_list=[1, 7], k=1, small=1)
+@example(log_r=math.log10(0.5), muR=1e150, N_list=[1, 2], k=2, small=100)
+def test_divergence_scan_has_the_bits_of_one_cumsum(log_r, muR, N_list, k, small):
+    # the chunked scan against one cumsum over all rows, at M one below, on
+    # and one above a chunk edge
+    cfg = kg.validate_config(1.0, 10.0**log_r, muR)
+    M_list = [small, k * _C - 1, k * _C, k * _C + 1]
+    m = np.arange(1, M_list[-1] + 1)
+    scans = kg.divergence_scan(N_list, cfg, M_list)
+    assert [scan.N for scan in scans] == N_list
+    for N, scan in zip(N_list, scans):
+        whole = np.cumsum(kg.beta_sq_sums(L, m, [N], cfg) + kg.beta_sq_sums(RG, m, [N], cfg))
+        assert scan.partial_sums.tobytes() == whole[np.array(M_list) - 1].tobytes()
+
+
+def test_divergence_scan_memory_does_not_grow_with_M(cfg_half):
+    # a full-length summand table alone is 8 MB per family at M = 1e6
+    tracemalloc.start()
+    try:
+        kg.divergence_scan([1, 2, 3], cfg_half, [100, 10**6])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_tails_match_direct_quadrature(cfg_half):
@@ -766,7 +805,7 @@ def test_reduced_scales_give_an_error_or_no_nan(log_r, region, muR, n_max, l):
     trunc = kg.Truncation(n_max_global=n_max, m_max_local=l)
     calls = [
         lambda: kg.vacuum_spectrum(region, cfg, trunc),
-        lambda: kg.divergence_scan(n_max, cfg, [1, 10]),
+        lambda: kg.divergence_scan([n_max], cfg, [1, 10])[0],
         lambda: kg.mode_sum_convergence(region, l, cfg, [n_max]),
         lambda: kg.quasilocal_energy(kg.overlap_distribution(l, cfg, trunc, region=region), cfg),
     ]
