@@ -52,10 +52,11 @@ kernel that reads them:
              b_N = s / sqrt(Omega_N)
 
 Omega_N = ladder(N, 1, mu R) is the same for both families
-(``_column_ladder``), and the geometry does not depend on the mass: a
-mass scan builds it once per family, then one Omega_N per mass value for
-both (``_column_tables``); ``gram`` builds each once per call. Both
-tables refuse a bad index through one check (``_indices``).
+(``_column_ladder``), and the geometry does not depend on the mass, so a
+table is built where it is used: ``gram`` builds Omega_N once per call and
+each family's table on it (``_on_ladder``), and a mass scan
+(``vacuum.limit_scan``) builds each family's geometry once for all its
+values. Both tables refuse a bad index through one check (``_indices``).
 ``coeff_grid``, ``beta_sq_sums``, ``beta_sq_total`` and ``gram`` are
 public wrappers over the table kernels ``_grid``, ``_beta_sq_sums``,
 ``_beta_sq_total`` and ``_add_grams``; no kernel writes into a table.
@@ -74,29 +75,52 @@ t ~ w^2. A row's sum thus has the same bits whichever rows share the
 call, and the kernel never builds alpha, never runs the resonance search
 and never holds a len(m) x len(N) array.
 
-The paper's summed local occupation sum_{m<=M} <n_m> = sum_N b_N^2 G(Omega_N),
-G(Omega) = sum_m c_m / (Omega + omega_m)^2 with c_m = a_beta_m^2, comes
-from ``beta_sq_total`` without the per-row sums. With W = max omega_m, the
-near columns, Omega_N < 4 W, are summed directly by the same row-chunk
-pass. In the far columns z = W / Omega_N <= 1/4, and with s_m = omega_m / W
+The two kernels that sum over the global modes N = 1..n_max read the
+columns far above the requested rows by one series. With
+A_m = a_beta_m, alpha_mN = A_m b_N / (Omega_N - omega_m) and
+beta_mN = A_m b_N / (Omega_N + omega_m). Let W be the largest requested
+omega and F a split factor. The near columns, Omega_N < F W (every
+resonance, Omega_N = omega_m <= W, among them), are summed directly. In
+the far ones z_N = W / Omega_N <= 1/F, and with s_m = omega_m / W <= 1
+and g_N = b_N / Omega_N
 
-    G(Omega) = Omega^-2 sum_k (k + 1) (-z)^k mu_k,   mu_k = sum_m c_m s_m^k,
+    1 / (Omega_N -+ omega_m) = Omega_N^-1 sum_j (+-s_m z_N)^j,
 
-a series in the row moments mu_k whose terms alternate and at least halve
-from one to the next (s_m <= 1). Kept to k <= 30 (31 terms), its error is
-below the first omitted term, 32 z^31 mu_31 / Omega^2 <= 32 4^-31 (1 + 1/4)^2
-G < 1.1e-17 G. The far columns then enter only through their column
-moments h_k = sum_N (b_N / Omega_N)^2 z_N^k, and the far part is
-sum_k (k + 1) (-1)^k mu_k h_k: 31 multiply-adds a column instead of one
-division per row; rounding costs a few ulps (measured: within 4.1e-16 of
-the exactly rounded sum of ``coeff_grid``'s beta^2).
+so alpha_mN = sum_j X_mj g_N z_N^j with X_mj = A_m s_m^j, and beta_mN the
+same with X_mj = A_m (-s_m)^j. A product of two rows x, y (of families f,
+f'), summed over the far columns, is then
+
+    sum_N x_mN y_nN = sum_{j,k} X_mj Y_nk h_{j+k},   h_p = sum_N g_N g'_N z_N^p,
+
+a series in the column moments h_p, kept to total order j + k < T. Order
+p holds p + 1 terms, each within z^p of the leading one (|s| <= 1), so
+the dropped orders are within
+
+    tau_T = sum_{p>=T} (p + 1) z^p = z^T (T + 1 - T z) / (1 - z)^2,   z = 1/F,
+
+of |X_m0 Y_n0| sum_N |g_N g'_N|, itself within (1 + 1/F)^2 of a beta
+product's value. Each split takes the smallest T with tau_T <= 2^-56
+(``_series_order``): T = 31 at F = 4 (tau 9.3e-18), T = 21 at F = 8
+(2.7e-18). The far columns thus cost O(T) each instead of O(rows), and
+no full row is ever built.
+
+The paper's summed local occupation sum_{m<=M} <n_m> comes from
+``beta_sq_total`` without the per-row sums, split at F = _FAR_FACTOR = 4:
+the near columns go through the same row-chunk pass as ``beta_sq_sums``,
+and in the far ones the rows are one family's beta rows, each against
+itself. Its terms of order p are X_mj X_mk = A_m^2 (-s_m)^p, p + 1 of
+them, so summed over m the far part is
+
+    sum_{p<T} (p + 1) (-1)^p mu_p h_p,   mu_p = sum_m A_m^2 s_m^p,
+
+T multiply-adds a column (the moments h_p) instead of one division per
+row; rounding costs a few ulps (measured: within 4.1e-16 of the exactly
+rounded sum of ``coeff_grid``'s beta^2).
 
 Every other sum over N of products of coefficient rows is a Gram matrix,
-and ``gram`` is its one kernel. With A_m = a_beta_m,
-alpha_mN = A_m b_N / (Omega_N - omega_m) and
-beta_mN = A_m b_N / (Omega_N + omega_m). Each of the two sides a and b is
-a stack of (family, rows) pairs, and with P, Q = alpha, beta rows
-(primed: side b) the kernel returns
+and ``gram`` is its one kernel. Each of the two sides a and b is a stack
+of (family, rows) pairs, and with P, Q = alpha, beta rows (primed: side
+b) the kernel returns
 
     row dots  sum p^2, sum p q, sum q^2          (each row of each side)
     Grams     P P'^T, P Q'^T, Q P'^T, Q Q'^T     (a rows x b rows)
@@ -105,37 +129,28 @@ Its two callers are the Wick moments of the cross-partition number
 correlations (``vacuum.vacuum_moments``: left rows against right rows)
 and the completeness residuals (``identity_residuals``: left rows against
 [left; right] rows). ``gram`` reads one column table per family on
-N = 1..n_max and splits the columns as ``beta_sq_total`` does, with W the
+N = 1..n_max and splits them at F = _WICK_FAR_FACTOR = 8, with W the
 largest omega over every requested row. Both parts go through one
 accumulator, ``_add_grams``: given each side's stack S = [P; Q] on some
 columns and a metric M, it adds G += S_a M S_b^T, whose four blocks are
 the Grams, and each row's p M p, p M q and q M q (one ``np.vecdot`` per
 row), and the Grams are cut from G once, at the end.
 
-The near columns, Omega_N < _WICK_FAR_FACTOR W (every resonance,
-Omega_N = omega_m <= W, among them), are walked in chunks of _GRAM_COLUMNS
-global indices, cut at its multiples and at the split, so the chunks do
-not depend on which rows are requested. In each chunk ``_grid`` fills each
-side's stacked rows into one reused buffer, each distinct (family, rows)
-pair once, on a slice of its family's table, and M is the identity, never
+The near columns are walked in chunks of _GRAM_COLUMNS global indices,
+cut at its multiples and at the split, so the chunks do not depend on
+which rows are requested. In each chunk ``_grid`` fills each side's
+stacked rows into one reused buffer, each distinct (family, rows) pair
+once, on a slice of its family's table, and M is the identity, never
 multiplied. The buffers hold 2 x rows x _GRAM_COLUMNS entries a side,
-whatever the number of near columns. In the far columns
-z = W / Omega_N <= 1/8, and with s = omega / W
+whatever the number of near columns. The far columns, slices of the same
+tables, enter as T virtual columns (f, j) per family f: a row of family f
+holds X_mj in its family's T columns and zeros elsewhere, and the metric
 
-    1 / (Omega -+ omega) = Omega^-1 sum_{j<T} (+-s)^j z^j,
+    M[(f, j), (f', k)] = h^ff'_{j+k} for j + k < T, 0 otherwise,
 
-so alpha_mN = sum_j A_m s_m^j g_N z_N^j with g_N = b_N / Omega_N, and
-beta_mN the same with (-s_m)^j. The far columns thus enter as T virtual
-columns (f, j) per family f: a row of family f holds A_m (+-s_m)^j in its
-family's T columns and zeros elsewhere, and the metric
-
-    M[(f, j), (g, k)] = h^fg_{j+k},   h^fg_p = sum_N g_N^f g_N^g z_N^p,
-
-takes the 2T - 1 column moments of each family pair present (at most
-three: left-left, left-right, right-right) in one pass. T = 20 terms leave
-each factor within (1/8)^20 / (1 - 1/8) < 1e-18 of itself. The far
-columns, slices of the same tables, thus cost O(T) each instead of
-O(rows), and no full row is ever built.
+takes the T column moments of each family pair present (at most three:
+left-left, left-right, right-right) in one pass. A beta row against
+itself under M is the series of ``beta_sq_total``, term for term.
 """
 
 from __future__ import annotations
@@ -176,19 +191,14 @@ _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 _CHUNK_ENTRIES = 2**17
 
 # ``beta_sq_total`` sums the columns with Omega_N >= _FAR_FACTOR max omega_m
-# by the far-field series, truncated after _FAR_TERMS terms: the first
-# omitted term bounds the error by 32 (1/4)^31 (1 + 1/4)^2 < 1.1e-17 of
-# the column's weight (module docstring).
+# by the far-field series of the module docstring.
 _FAR_FACTOR = 4.0
-_FAR_TERMS = 31
 
 # ``gram`` splits at a wider factor: the cross alpha Grams cancel
 # (from O(1) to 2e-6 at r/R = 1/pi, mu R = 1000), and at a factor of 4 the
 # rounding of the near GEMM's partial sum alone left 1.1e-11 of the
-# cancelled value, against 8.4e-13 at 8. Each far factor 1/(Omega -+ omega)
-# keeps _WICK_FAR_TERMS terms, within 8^-20 * 8/7 < 1e-18 of itself.
+# cancelled value, against 8.4e-13 at 8.
 _WICK_FAR_FACTOR = 8.0
-_WICK_FAR_TERMS = 20
 
 # ``gram`` walks its near columns in chunks of this many global indices, so
 # its buffers hold 2 x rows x _GRAM_COLUMNS entries a side, not the full
@@ -385,24 +395,6 @@ def _columns(region: Region, N_indices, cfg: CavityConfig) -> _Columns:
     return _on_ladder(geo, _column_ladder(geo.N, cfg))
 
 
-def _column_tables(cfgs, *groups):
-    """The column tables of each group (N_indices, regions), for each config
-    in turn: one tuple of tables per group, one table per region. One
-    Omega_N per config and group serves all the group's families, and each
-    geometry is built again only where r/R changes from the config before
-    (a mass scan builds it once)."""
-    geometry, r = None, None
-    for cfg in cfgs:
-        if cfg.r_tilde != r:
-            geometry = [[_geometry(region, N, cfg) for region in regions] for N, regions in groups]
-            r = cfg.r_tilde
-        tables = []
-        for geos in geometry:
-            Om = _column_ladder(geos[0].N, cfg)
-            tables.append(tuple(_on_ladder(geo, Om) for geo in geos))
-        yield tables
-
-
 def _column_slice(cols: _Columns, lo: int, hi: int) -> _Columns:
     """Columns lo:hi of a column table, as read-only views."""
     return _Columns(cols.region, cols.w, *(v[lo:hi] for v in cols[2:]))
@@ -533,45 +525,47 @@ def _beta_sq_sums(rows: _Rows, cols: _Columns) -> np.ndarray:
     return np.ldexp(sums * (rows.a_beta * rows.a_beta), 2 * e)
 
 
-def beta_sq_total(
-    region: Region,
-    m_indices: np.ndarray,
-    N_indices: np.ndarray,
-    cfg: CavityConfig,
-) -> float:
-    """sum over m in m_indices and N in N_indices of beta_mN^2, without the
+def beta_sq_total(region: Region, m_indices: np.ndarray, cfg: CavityConfig, n_max: int) -> float:
+    """sum over m in m_indices and N = 1..n_max of beta_mN^2, without the
     per-row sums: ``_beta_sq_total`` on fresh row and column tables."""
-    return _beta_sq_total(_rows(region, m_indices, cfg), _columns(region, N_indices, cfg))
+    return _beta_sq_total(_rows(region, m_indices, cfg),
+                          _columns(region, np.arange(1, n_max + 1), cfg))
+
+
+def _series_order(factor: float) -> int:
+    """The order T of the far-field series on the columns with
+    Omega_N >= factor W: the smallest whose dropped orders,
+    tau_T = z^T (T + 1 - T z) / (1 - z)^2 at z = 1 / factor, are at most
+    2^-56 of the leading term (module docstring)."""
+    z = 1.0 / factor
+    return next(T for T in range(1, 1000) if z**T * (T + 1 - T * z) / (1.0 - z) ** 2 <= 2.0**-56)
 
 
 def _beta_sq_total(rows: _Rows, cols: _Columns) -> float:
-    """sum_m sum_N beta_mN^2 over the rows and columns of the tables.
+    """sum_m sum_N beta_mN^2 over the rows and columns of the tables, the
+    columns in ascending Omega_N (as ascending N are).
 
-    The columns are put in ascending Omega_N (callers pass ascending N,
-    which already is). With W = max omega_m, the near columns,
-    Omega_N < _FAR_FACTOR W, go through ``_row_sq_sums`` and the row
-    factors c_m = a_beta_m^2. The far columns, a suffix, take the module
-    docstring's series: sum_k d_k h_k, with d_k from the row moments and
-    h_k the column moments of ``_column_moments``. The power-of-two
-    scaling of b_N is shared by both parts and undone at the end. A call
-    with ascending columns and no far column costs and returns what
+    With W = max omega_m, the near columns, Omega_N < _FAR_FACTOR W, go
+    through ``_row_sq_sums`` and the row factors c_m = a_beta_m^2. The far
+    columns, a suffix, take the module docstring's series to order
+    T = ``_series_order(_FAR_FACTOR)``: sum_p d_p h_p, with d_p from the row
+    moments and h_p the column moments of ``_column_moments``. The
+    power-of-two scaling of b_N is shared by both parts and undone at the
+    end. A call with no far column costs and returns what
     ``np.sum(_beta_sq_sums(...))`` does.
     """
     b, e = _scaled_b(rows, cols)
-    om, c = rows.om, rows.a_beta * rows.a_beta
-    Om = cols.Om
-    if np.any(Om[1:] < Om[:-1]):
-        order = np.argsort(Om, kind="stable")
-        Om, b = Om[order], b[order]
+    om, c, Om = rows.om, rows.a_beta * rows.a_beta, cols.Om
     W = np.max(om, initial=0.0)
     split = int(np.searchsorted(Om, _FAR_FACTOR * W))
     total = np.sum(_row_sq_sums(om, Om[:split], b[:split]) * c)
     if split < len(Om):
-        k = np.arange(_FAR_TERMS)
-        # d_k = (k + 1) (-1)^k mu_k, mu_k = sum_m c_m (omega_m / W)^k
-        d = (c @ np.vander(om / W, _FAR_TERMS, increasing=True)) * ((k + 1) * _parity(k))
+        T = _series_order(_FAR_FACTOR)
+        p = np.arange(T)
+        # d_p = (p + 1) (-1)^p mu_p, mu_p = sum_m c_m (omega_m / W)^p
+        d = (c @ np.vander(om / W, T, increasing=True)) * ((p + 1) * _parity(p))
         g = b[split:] / Om[split:]
-        total += np.dot(d, _column_moments(Om[split:], g * g, W, _FAR_TERMS))
+        total += np.dot(d, _column_moments(Om[split:], g * g, W, T))
     return float(np.ldexp(total, 2 * e))
 
 
@@ -667,16 +661,19 @@ def _far_grams(sums: list, sides: list, cols: list, W: float) -> None:
     ``sums`` by the module docstring's series: ``sides`` holds each side's
     row tables and ``cols`` each family's column table on the far columns.
 
-    Each side's far stack has T = _WICK_FAR_TERMS virtual columns per
-    family, holding A_m (+-omega_m / W)^j (alpha: +, beta: -) in its
-    family's columns and zeros elsewhere; the metric M[(f, j), (g, k)] =
-    h^fg_{j+k} takes one column-moment pass over the family pairs.
+    Each side's far stack has T = ``_series_order(_WICK_FAR_FACTOR)``
+    virtual columns per family, holding A_m (+-omega_m / W)^j (alpha: +,
+    beta: -) in its family's columns and zeros elsewhere; the metric
+    M[(f, j), (f', k)] = h^ff'_{j+k}, 0 from total order T on, takes one
+    pass of T column moments over the family pairs.
     """
-    T = _WICK_FAR_TERMS
+    T = _series_order(_WICK_FAR_FACTOR)
     regions = [c.region for c in cols]
     g = [c.b / c.Om for c in cols]
     pairs = [(f, e) for f in range(len(g)) for e in range(f, len(g))]
-    h = _column_moments(cols[0].Om, np.stack([g[f] * g[e] for f, e in pairs]), W, 2 * T - 1)
+    h = _column_moments(cols[0].Om, np.stack([g[f] * g[e] for f, e in pairs]), W, T)
+    # zero moments of the orders T..2T-2, which the series drops
+    h = np.pad(h, ((0, 0), (0, T - 1)))
     j = np.arange(T)
     M = np.empty((len(g), T, len(g), T))
     for (f, e), h_fe in zip(pairs, h):
@@ -699,7 +696,7 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
 
     Each side is a sequence of (region, rows) pairs, its rows stacked in
     order; each distinct pair gets one row table, and each family one
-    column table on N = 1..n_max (one Omega_N for both). The near columns,
+    column table on N = 1..n_max, both on one Omega_N. The near columns,
     Omega_N < _WICK_FAR_FACTOR W with W the largest omega of every
     requested row, are walked by ``_chunk_grams`` in chunks of
     _GRAM_COLUMNS columns, cut at multiples of it and at the split, so they
@@ -726,11 +723,12 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
         return tables[key]
 
     sides = [[table(region, m) for region, m in side] for side in (a, b)]
-    regions = tuple(dict.fromkeys(rows.region for rows in tables.values()))
-    (columns,) = next(_column_tables([cfg], (np.arange(1, n_max + 1), regions)))
-    cols = dict(zip(regions, columns))
+    N = np.arange(1, n_max + 1)
+    Om = _column_ladder(N, cfg)
+    cols = {region: _on_ladder(_geometry(region, N, cfg), Om)
+            for region in dict.fromkeys(rows.region for rows in tables.values())}
     W = max(np.max(rows.om, initial=0.0) for rows in tables.values())
-    split = int(np.searchsorted(columns[0].Om, _WICK_FAR_FACTOR * W))
+    split = int(np.searchsorted(Om, _WICK_FAR_FACTOR * W))
 
     def fill(lo, hi, stacks):
         filled = {}
@@ -746,7 +744,7 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     if split < n_max:
         # with no far column the near sums stand as they are, bit for bit
         # those of the explicit rows
-        _far_grams(sums, sides, [_column_slice(c, split, n_max) for c in columns], W)
+        _far_grams(sums, sides, [_column_slice(c, split, n_max) for c in cols.values()], W)
     return _grams(sums, split, n_max - split)
 
 

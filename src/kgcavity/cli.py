@@ -239,6 +239,17 @@ def _record_tail(run: _Run, label: str, tail: float, l: int, flag: str) -> None:
                     label, l, flag, _resonance_cutoff(Region.LEFT, l, run.cfg))
 
 
+def _warn_truncated(at: str, values, tails, names: list) -> None:
+    """One warning for the sums over N <= n_max of one scan value (``at``)
+    when any is truncation-dominated, its tail bound beyond the cutoff
+    exceeding it: the warning names the first such sum and --nmax."""
+    over = np.flatnonzero(tails > values)
+    if over.size:
+        i = over[0]
+        log.warning("at %s the tail bound %.3g of %s exceeds its value %.3g (%d of %d); "
+                    "raise --nmax", at, tails[i], names[i], values[i], over.size, len(values))
+
+
 # ── subcommands ─────────────────────────────────────────────────────────────
 
 def cmd_modes(args, run: _Run) -> None:
@@ -277,14 +288,7 @@ def cmd_spectrum(args, run: _Run) -> None:
         oms.append(region.omega(ls, cfg_mu))
         specs.append(spec)
         run.tails[f"mu={mu:.17g}"] = float(np.max(spec.tail_bound))
-        # the sum over N <= n_max is truncation-dominated where the tail
-        # beyond it exceeds it: one warning per mass, at the first such row
-        over = np.flatnonzero(spec.tail_bound > spec.values)
-        if over.size:
-            l = over[0]
-            log.warning("at mu=%.17g the tail bound %.3g of mode %d exceeds its n_l %.3g "
-                        "(%d of %d modes); raise --nmax", mu, spec.tail_bound[l], l + 1,
-                        spec.values[l], over.size, lmax)
+        _warn_truncated(f"mu={mu:.17g}", spec.values, spec.tail_bound, [f"mode {l}" for l in ls])
     run.csv("spectrum.csv", [f"region={args.region}"],
             ["mu", "l", "omega_l", "n_l", "tail_bound"],
             [np.repeat(mus, lmax), np.tile(ls, len(mus)), np.ravel(oms),
@@ -300,13 +304,7 @@ def cmd_rscan(args, run: _Run) -> None:
     table = limit_scan(args.kind, args.values, probes, cfg, trunc, M_fixed=args.M_fixed)
     for value, n_m, tails in zip(table.values, table.n_per_probe, table.tail_per_probe):
         run.tails[f"value={value:.17g}"] = {f"n_m{m}": tail for (m, _), tail in zip(probes, tails)}
-        # as in spectrum: one warning per scan value, at the first such probe
-        over = np.flatnonzero(tails > n_m)
-        if over.size:
-            ip = over[0]
-            log.warning("at %s=%.17g the tail bound %.3g of n_m%d exceeds its value %.3g "
-                        "(%d of %d probes); raise --nmax", args.kind, value, tails[ip],
-                        probes[ip][0], n_m[ip], over.size, len(probes))
+        _warn_truncated(f"{args.kind}={value:.17g}", n_m, tails, [f"n_m{m}" for m, _ in probes])
     names, columns = ["value"], [table.values]
     for ip, (m, N) in enumerate(probes):
         names += [f"n_m{m}", f"alpha_m{m}_N{N}", f"beta_m{m}_N{N}"]
@@ -335,8 +333,9 @@ def cmd_correlations(args, run: _Run) -> None:
                report.cov.ravel(), report.corr.ravel()]
     if args.paper_norm:
         # over each side's summed spectrum sum_{l <= m_max} <n_l>, which grows with the cutoff
-        ls, Ns = np.arange(1, trunc.m_max_local + 1), np.arange(1, trunc.n_max_global + 1)
-        left_n, right_n = (beta_sq_total(side, ls, Ns, cfg) for side in (Region.LEFT, Region.RIGHT))
+        ls = np.arange(1, trunc.m_max_local + 1)
+        left_n, right_n = (beta_sq_total(side, ls, cfg, trunc.n_max_global)
+                           for side in (Region.LEFT, Region.RIGHT))
         norm = math.sqrt(left_n) * math.sqrt(right_n)
         if norm == 0.0:
             raise DomainError(f"--paper-norm has a zero normalization: the summed spectra are "

@@ -185,11 +185,20 @@ def _sine_series(
     return value, tderiv
 
 
-def _check_time(t: float) -> None:
-    """DomainError unless t is finite: the series phases at t = +-inf or
-    NaN are NaN on every grid point."""
+def _check_time(t: float, cfg: CavityConfig, n_max: int) -> None:
+    """DomainError unless the series on N = 1..n_max resolves its phases at
+    time t: t must be finite (at t = +-inf or NaN every phase is NaN), and
+    the largest phase Omega_{n_max} |t| below 2^52, from where one ulp of it
+    is a radian or more, so that even a finite cell is noise (and past
+    double range the phases are NaN)."""
     if not np.isfinite(t):
         raise DomainError(f"time must be finite, got {t}")
+    # a Python float product: past double range it is inf, with no warning
+    phase = float(_global_omega(n_max, cfg)) * abs(t)
+    if phase >= 2.0**52:
+        raise DomainError(f"time t={t:g} is unresolved at n_max={n_max}: the largest phase "
+                          f"Omega_N |t| is {phase:.3g}, at least 2^52, where one ulp of it is a "
+                          f"radian or more")
 
 
 def _row_series(a_row: np.ndarray, b_row: np.ndarray, grid: np.ndarray, t: float,
@@ -237,7 +246,7 @@ def evolve_local_mode(
     """
     if not 1 <= m <= trunc.m_max_local:
         raise DomainError(f"local index m={m} outside block with {trunc.m_max_local} rows")
-    _check_time(t)
+    _check_time(t, cfg, trunc.n_max_global)
     block = build_block(region, cfg, None, replace(trunc, m_max_local=m))
     mode = _row_series(block.alpha[m - 1], block.beta[m - 1], grid, t, cfg)
     if t == 0.0:

@@ -179,7 +179,7 @@ def quasilocal_wavepacket(
     ``_row_series`` as ``evolve_local_mode``, which also gives its tail
     estimate.
     """
-    _check_time(t)
+    _check_time(t, cfg, trunc.n_max_global)
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg)
     a_row = alpha[0] / np.sqrt(1.0 + float(np.sum(beta[0] ** 2)))

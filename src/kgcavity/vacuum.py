@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import (BogoliubovBlock, Grams, _beta_sq_sums, _beta_sq_total, _column_slice,
-                         _column_tables, _columns, _grid, _indices, _row_grams, _rows, beta_sq_sums,
-                         coeff_grid, gram)
+from .bogoliubov import (BogoliubovBlock, Grams, _beta_sq_sums, _beta_sq_total, _column_ladder,
+                         _column_slice, _columns, _geometry, _grid, _indices, _on_ladder, _row_grams,
+                         _rows, beta_sq_sums, coeff_grid, gram)
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
                      validate_config)
 
@@ -484,8 +484,14 @@ def limit_scan(
         cfgs = [validate_config(cfg.R, cfg.r, v / cfg.R) for v in values]
     else:
         cfgs = [validate_config(cfg.R, v * cfg.R, cfg.mu) for v in values]
-    tables = _column_tables(cfgs, (n_idx, (Region.LEFT, Region.RIGHT)), (probe_Ns, (Region.LEFT,)))
-    for k, (cfg_k, ((left, right), (probe_cols,))) in enumerate(zip(cfgs, tables)):
+    for k, cfg_k in enumerate(cfgs):
+        if k == 0 or kind == "partition-size":
+            # a mass scan keeps r/R, and with it every column geometry
+            geometry = [_geometry(region, N, cfg_k) for region, N in
+                        ((Region.LEFT, n_idx), (Region.RIGHT, n_idx), (Region.LEFT, probe_Ns))]
+        Om = _column_ladder(n_idx, cfg_k)
+        left, right = (_on_ladder(geo, Om) for geo in geometry[:2])
+        probe_cols = _on_ladder(geometry[2], _column_ladder(probe_Ns, cfg_k))
         s_left[k] = _beta_sq_total(_rows(Region.LEFT, m_sum, cfg_k), left)
         s_both[k] = s_left[k] + _beta_sq_total(_rows(Region.RIGHT, m_sum, cfg_k), right)
         probe_rows = _rows(Region.LEFT, probe_ms, cfg_k)

@@ -465,30 +465,25 @@ def test_beta_sq_sums_rows_independent_of_the_call_property(r, mu, right, m_list
 
 @st.composite
 def _total_requests(draw):
-    """(kind, cfg, region, m_idx, N_idx) for ``beta_sq_total``, one of:
+    """(kind, cfg, region, m_idx, n_max) for ``beta_sq_total``, one of:
     'split', a column exactly at Omega_N = 4 max omega_m (mu = 0 and a
     width 2^-j make the two products exact); 'near', no far column;
-    'single', one row; 'scrambled', unsorted and repeated N; 'wide', a long
-    ascending range that is mostly far."""
-    kind = draw(st.sampled_from(["split", "near", "single", "scrambled", "wide"]))
+    'single', one row; 'wide', a long range that is mostly far."""
+    kind = draw(st.sampled_from(["split", "near", "single", "wide"]))
     right = draw(st.booleans())
     region = RG if right else L
     if kind == "split":
         j, M = draw(st.integers(1, 3)), draw(st.integers(1, 40))
         cfg = kg.validate_config(1.0, 1.0 - 2.0**-j if right else 2.0**-j, 0.0)
         top = 2 ** (j + 2) * M                       # Omega_top = 4 omega_M
-        return kind, cfg, region, np.arange(1, M + 1), np.arange(1, top + draw(st.integers(1, 500)))
+        return kind, cfg, region, np.arange(1, M + 1), top + draw(st.integers(1, 500)) - 1
     cfg = kg.validate_config(1.0, draw(_fractions), draw(_masses))
     M = 1 if kind == "single" else draw(st.integers(1, 60))
     if kind == "near":
         # Omega_N < 4 omega_1 <= 4 max omega_m for every N < 4 / w
         width = region.reduced_width(cfg)
-        return kind, cfg, region, np.arange(1, M + 1), np.arange(1, math.ceil(4.0 / width))
-    if kind == "scrambled":
-        N_idx = np.array(draw(st.lists(st.integers(1, 3000), min_size=1, max_size=300)))
-        assume(len(N_idx) > 1 and np.any(np.diff(N_idx) <= 0))
-        return kind, cfg, region, np.arange(1, M + 1), N_idx
-    return kind, cfg, region, np.arange(1, M + 1), np.arange(1, draw(st.integers(1, 4000)) + 1)
+        return kind, cfg, region, np.arange(1, M + 1), math.ceil(4.0 / width) - 1
+    return kind, cfg, region, np.arange(1, M + 1), draw(st.integers(1, 4000))
 
 
 @settings(max_examples=60, deadline=None)
@@ -496,7 +491,8 @@ def _total_requests(draw):
 def test_beta_sq_total_matches_fsum_property(request):
     # the near columns summed directly and the far ones by the 31-term
     # series agree with the exactly rounded sum of coeff_grid's beta^2
-    kind, cfg, region, m_idx, N_idx = request
+    kind, cfg, region, m_idx, n_max = request
+    N_idx = np.arange(1, n_max + 1)
     om = bogoliubov._rows(region, m_idx, cfg).om
     Om = bogoliubov._columns(region, N_idx, cfg).Om
     far = Om >= bogoliubov._FAR_FACTOR * om.max()
@@ -506,11 +502,10 @@ def test_beta_sq_total_matches_fsum_property(request):
         assert not far.any()
     _, B = kg.coeff_grid(region, m_idx, N_idx, cfg)
     want = math.fsum((B * B).ravel())
-    got = kg.beta_sq_total(region, m_idx, N_idx, cfg)
+    got = kg.beta_sq_total(region, m_idx, cfg, n_max)
     assert abs(got - want) <= 1e-14 * want
-    if not far.any() and np.all(np.diff(N_idx) >= 0):
-        # with no far column and no reordering the total is the sum of the
-        # row sums
+    if not far.any():
+        # with no far column the total is the sum of the row sums
         assert got == float(np.sum(kg.beta_sq_sums(region, m_idx, N_idx, cfg)))
 
 
@@ -520,13 +515,13 @@ def test_beta_sq_total_matches_fsum_property(request):
 def test_beta_sq_total_scale_covariant_property(r, mu, k, right, M, n_cols):
     # the total depends on (r/R, mu R) alone, which R -> 2^k R keeps exactly
     region = RG if right else L
-    m_idx, N_idx = np.arange(1, M + 1), np.arange(1, n_cols + 1)
+    m_idx = np.arange(1, M + 1)
     base = kg.validate_config(1.0, r, mu)
     scaled = kg.validate_config(2.0**k, 2.0**k * r, mu / 2.0**k)
     # exact unless mu / 2^k leaves the normal range
     assume((scaled.r_tilde, scaled.mu_tilde) == (base.r_tilde, base.mu_tilde))
-    want = kg.beta_sq_total(region, m_idx, N_idx, base)
-    assert kg.beta_sq_total(region, m_idx, N_idx, scaled).hex() == want.hex()
+    want = kg.beta_sq_total(region, m_idx, base, n_cols)
+    assert kg.beta_sq_total(region, m_idx, scaled, n_cols).hex() == want.hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -540,9 +535,9 @@ def test_beta_sq_total_left_right_mirror_property(x, mu, k, M, n_cols):
     left = kg.validate_config(R, R * x, mu)
     mirror = kg.validate_config(R, R - R * x, mu)
     assert L.reduced_width(left) == RG.reduced_width(mirror)
-    m_idx, N_idx = np.arange(1, M + 1), np.arange(1, n_cols + 1)
-    want = kg.beta_sq_total(L, m_idx, N_idx, left)
-    assert kg.beta_sq_total(RG, m_idx, N_idx, mirror).hex() == want.hex()
+    m_idx = np.arange(1, M + 1)
+    want = kg.beta_sq_total(L, m_idx, left, n_cols)
+    assert kg.beta_sq_total(RG, m_idx, mirror, n_cols).hex() == want.hex()
 
 
 @settings(max_examples=30, deadline=None)
@@ -551,13 +546,19 @@ def test_beta_sq_total_left_right_mirror_property(x, mu, k, M, n_cols):
 def test_beta_sq_total_survives_tiny_widths_property(r, M, far):
     # the squares ~ (r/R)^4 would underflow without the power-of-two scaling
     # of b_N; columns N ~ 1e82 reach Omega_N >= 4 omega_M, so the far series
-    # runs on scaled squares too
+    # runs on scaled squares too (through the kernel: no cutoff N = 1..n_max
+    # reaches them)
     cfg = kg.validate_config(1.0, r, 0.0)
     m_idx = np.arange(1, M + 1)
     N_idx = np.concatenate([np.arange(1, 2001), np.sort(far)])
     want = math.fsum(kg.beta_sq_sums(L, m_idx, N_idx, cfg))
     assert want > 0
-    assert abs(kg.beta_sq_total(L, m_idx, N_idx, cfg) - want) <= 1e-13 * want
+    total = bogoliubov._beta_sq_total(bogoliubov._rows(L, m_idx, cfg),
+                                      bogoliubov._columns(L, N_idx, cfg))
+    assert abs(total - want) <= 1e-13 * want
+    if not far:
+        # the same columns as the public kernel's N = 1..2000
+        assert kg.beta_sq_total(L, m_idx, cfg, 2000) == total
 
 
 @pytest.mark.parametrize("r, mu", [(0.5, 0.0), (0.37, 3.0), (1e-90, 0.0)])
@@ -571,7 +572,7 @@ def test_shared_tables_give_the_bits_of_fresh_ones(r, mu):
         rows = bogoliubov._rows(region, m_idx, cfg)
         cols = bogoliubov._columns(region, N_idx, cfg)
         want_sums = kg.beta_sq_sums(region, m_idx, N_idx, cfg)
-        want_total = kg.beta_sq_total(region, m_idx, N_idx, cfg)
+        want_total = kg.beta_sq_total(region, m_idx, cfg, len(N_idx))
         want_grid = kg.coeff_grid(region, m_idx, N_idx, cfg)
         for _ in range(2):
             assert bogoliubov._beta_sq_sums(rows, cols).tobytes() == want_sums.tobytes()
@@ -771,6 +772,54 @@ def test_gram_matches_explicit_rows_on_mixed_stacks_property(request):
     for field in ("a_dots", "b_dots", "QP", "PQ", "QQ", "PP"):
         ref = getattr(want, field)
         assert np.max(np.abs(getattr(got, field) - ref)) <= 1e-13 * np.max(np.abs(ref)), field
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=_fractions, mu=st.floats(0.0, 20.0), right=st.booleans(), M=st.integers(1, 100),
+       extra=st.integers(1, 5000))
+@example(r=0.3, mu=2.0, right=False, M=100, extra=10_000 - 2667)   # n_max = 1e4
+def test_gram_far_beta_series_is_the_summed_spectrum_series_property(r, mu, right, M, extra):
+    # one far-field series: a beta row against itself under gram's metric
+    # is beta_sq_total's series term for term, so summed over the rows the
+    # beta^2 dots of one family against itself give the summed spectrum,
+    # each kernel with far columns of its own (gram's split at 8 max omega
+    # lies above beta_sq_total's at 4)
+    cfg = kg.validate_config(1.0, r, mu)
+    region = RG if right else L
+    rows = np.arange(1, M + 1)
+    top = region.omega(M, cfg)
+    # the first N with Omega_N >= 8 omega_M (at R = 1), then some far columns
+    n_max = math.ceil(math.sqrt(64.0 * top * top - mu * mu) / math.pi) + extra
+    g = bogoliubov.gram(((region, rows),), ((region, rows),), cfg, n_max)
+    assert g.far > 0
+    total = kg.beta_sq_total(region, rows, cfg, n_max)
+    assert abs(math.fsum(g.a_dots[2]) - total) <= 1e-15 * total
+
+
+def test_each_split_takes_the_smallest_order_meeting_the_bound(cfg_half, monkeypatch):
+    # the far series drops its orders p >= T, sum_{p>=T} (p + 1) z^p of the
+    # leading term at z = 1/factor; each split keeps the fewest orders that
+    # leave at most 2^-56 (summed here term by term, not by the closed form)
+    def dropped(T, z):
+        return math.fsum((p + 1) * z**p for p in range(T, T + 400))
+
+    for factor, want in ((bogoliubov._FAR_FACTOR, 31), (bogoliubov._WICK_FAR_FACTOR, 21)):
+        T = bogoliubov._series_order(factor)
+        assert T == want
+        assert dropped(T, 1.0 / factor) <= 2.0**-56 < dropped(T - 1, 1.0 / factor)
+    # gram's far part reads T column moments per family pair, beta_sq_total's
+    # its T of one family
+    moments = bogoliubov._column_moments
+    calls = []
+
+    def spy(Om, g, W, n_terms):
+        calls.append((g.shape[:-1], n_terms))
+        return moments(Om, g, W, n_terms)
+
+    monkeypatch.setattr(bogoliubov, "_column_moments", spy)
+    kg.identity_residuals(cfg_half, 4000, 10)
+    kg.beta_sq_total(L, np.arange(1, 11), cfg_half, 4000)
+    assert calls == [((3,), 21), ((), 31)]
 
 
 def test_diagonal_identity_converges_to_one(blocks_half):

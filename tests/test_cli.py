@@ -563,7 +563,8 @@ def test_causality_without_times_writes_header_and_empty_plot(tmp_path):
     (["spectrum", "--nmax", "200", "--lmax", "2", "--mu-list", ""], "spectrum.csv"),
     (["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "0",
       "--taus", ""], "commutators.csv"),
-], ids=["identities", "spectrum", "causality"])
+    (["diverge", "--N-list", "", "--M-list", "10,100", "--n-list", "100"], "diverge.csv"),
+], ids=["identities", "spectrum", "causality", "diverge"])
 def test_explicit_empty_list_flag_writes_a_header_only_table(tmp_path, argv, name):
     # an empty list is a request for no rows, not for the default ones
     out = tmp_path / "e"
@@ -705,6 +706,23 @@ def test_refused_request_writes_nothing(tmp_path, capsys, argv):
     # the later --grid of a case overrides the base one
     assert main([argv[0], *_BASE[argv[0]], *argv[1:], "--out-dir", str(out)]) == 2
     assert set(_one_json_error(capsys)) == {"error", "message"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--nmax", "200", "--mmax", "4", "--grid", "9", "--times", "1e306"],
+    ["causality", "--nmax", "200", "--mmax", "4", "--grid", "65", "--times", "1e306",
+     "--taus", "1e306"],
+    ["quasilocal", "--nmax", "200", "--mmax", "4", "--grid", "9", "--l-list", "1",
+     "--wavepacket-m", "1", "--t", "1e306"],
+], ids=["modes", "causality", "quasilocal"])
+def test_unresolvable_time_is_refused(tmp_path, capsys, argv):
+    # Omega_N t overflows at t = 1e306, and from 2^52 on one ulp of a phase
+    # is a radian or more: refused, where the cells used to be NaN or noise
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "DomainError" and "2^52" in err["message"]
     assert not out.exists()
 
 

@@ -237,6 +237,29 @@ def test_evolve_rejects_rows_outside_the_block(narrow, monkeypatch):
             kg.evolve_local_mode(L, m, grid, 0.0, cfg, trunc)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_time_past_the_phase_resolution_is_refused(monkeypatch, sign):
+    # from Omega_{n_max} |t| = 2^52 on, one ulp of the largest phase is a
+    # radian or more: the series is refused before any block is built
+    cfg = kg.validate_config(1.0, 0.5, 3.0)
+    trunc = kg.Truncation(n_max_global=200, m_max_local=2, grid_points=9)
+    grid = kg.uniform_grid(cfg, 9)
+    t_max = 2.0**52 / np.sqrt((200 * np.pi) ** 2 + 9.0)
+    u = kg.evolve_local_mode(L, 1, grid, sign * t_max * (1 - 1e-9), cfg, trunc)
+    assert np.all(np.isfinite(u.value))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("built a block before the time check")
+
+    monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    for t in (sign * t_max * (1 + 1e-9), sign * 1e306, sign * 1.7e308):
+        with pytest.raises(kg.DomainError, match=r"2\^52"):
+            kg.evolve_local_mode(L, 1, grid, t, cfg, trunc)
+        with pytest.raises(kg.DomainError, match=r"2\^52"):
+            kg.quasilocal_wavepacket(1, grid, t, cfg, trunc)
+
+
 @settings(max_examples=30, deadline=None)
 @given(r=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True), mu=st.floats(0.0, 50.0),
        right=st.booleans(), n_max=st.integers(1, 400), t=st.floats(0.0, 2.0),

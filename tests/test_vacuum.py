@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import kgcavity as kg
-from kgcavity import bogoliubov
 from kgcavity.vacuum import _coeff_sq_tail, _resonance_cutoff
 
 L = kg.Region.LEFT
@@ -705,8 +704,8 @@ def test_limit_scan_matches_the_public_kernels_property(scan):
     for k, v in enumerate(values):
         cfg_k = (kg.validate_config(cfg.R, cfg.r, v / cfg.R) if kind == "mass"
                  else kg.validate_config(cfg.R, v * cfg.R, cfg.mu))
-        left = kg.beta_sq_total(L, rows, cols, cfg_k)
-        both = left + kg.beta_sq_total(RG, rows, cols, cfg_k)
+        left = kg.beta_sq_total(L, rows, cfg_k, n_max)
+        both = left + kg.beta_sq_total(RG, rows, cfg_k, n_max)
         assert (table.sum_left[k].hex(), table.sum_both[k].hex()) == (left.hex(), both.hex())
         assert table.n_per_probe[k].tobytes() == kg.beta_sq_sums(L, ms, cols, cfg_k).tobytes()
         a, b = kg.coeff_grid(L, ms, Ns, cfg_k)
@@ -719,7 +718,7 @@ def test_limit_scans_build_the_column_vectors_once(monkeypatch):
     # left family's on the probes' two columns, is built once for all five
     # values; a partition-size scan builds them per value; either computes
     # Omega_N once per value for both families
-    geometry, ladder = bogoliubov._geometry, bogoliubov._column_ladder
+    geometry, ladder = kg.vacuum._geometry, kg.vacuum._column_ladder
     built, ladders = [], []
 
     def geometry_spy(region, N_indices, cfg):
@@ -730,8 +729,8 @@ def test_limit_scans_build_the_column_vectors_once(monkeypatch):
         ladders.append((cfg.mu_tilde, len(N)))
         return ladder(N, cfg)
 
-    monkeypatch.setattr(bogoliubov, "_geometry", geometry_spy)
-    monkeypatch.setattr(bogoliubov, "_column_ladder", ladder_spy)
+    monkeypatch.setattr(kg.vacuum, "_geometry", geometry_spy)
+    monkeypatch.setattr(kg.vacuum, "_column_ladder", ladder_spy)
     cfg = kg.validate_config(1.0, 0.37, 1.0)
     trunc = kg.Truncation(n_max_global=2000, m_max_local=1)
     probes = [(1, 1), (150, 3)]
