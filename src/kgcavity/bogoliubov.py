@@ -56,7 +56,8 @@ Omega_N = ladder(N, 1, mu R) is the same for both families
 table is built where it is used: ``gram`` builds Omega_N once per call and
 each family's table on it (``_on_ladder``), and a mass scan
 (``vacuum.limit_scan``) builds each family's geometry once for all its
-values. Both tables refuse a bad index through one check (``_indices``).
+values. Both tables refuse a bad index through ``config._indices``, the
+one check of every mode index and cutoff.
 ``coeff_grid``, ``beta_sq_sums``, ``beta_sq_total`` and ``gram`` are
 public wrappers over the table kernels ``_grid``, ``_beta_sq_sums``,
 ``_beta_sq_total`` and ``_add_grams``; no kernel writes into a table.
@@ -117,10 +118,20 @@ T multiply-adds a column (the moments h_p) instead of one division per
 row; rounding costs a few ulps (measured: within 4.1e-16 of the exactly
 rounded sum of ``coeff_grid``'s beta^2).
 
-Every other sum over N of products of coefficient rows is a Gram matrix,
-and ``gram`` is its one kernel. Each of the two sides a and b is a stack
-of (family, rows) pairs, and with P, Q = alpha, beta rows (primed: side
-b) the kernel returns
+The cross-row sums over N = 1..n_max of the Wick moments and of the
+completeness residuals are Gram matrices, and ``gram`` is their kernel.
+Four readers sum products of rows they hold and do not go through it:
+``quasilocal.quasilocal_energy`` reads the held row of the state that
+``quasilocal.overlap_distribution`` built, and
+``quasilocal.steering_shift`` dots that row with the other family's
+``coeff_grid`` rows on the same columns; ``vacuum.wick_moments`` sums
+explicit rows, as the reference ``gram`` is tested against; and
+``vacuum.mode_sum_convergence`` takes the partial sums of one full row at
+each of its cutoffs.
+
+Each of the two sides a and b of ``gram`` is a stack of (family, rows)
+pairs, and with P, Q = alpha, beta rows (primed: side b) the kernel
+returns
 
     row dots  sum p^2, sum p q, sum q^2          (each row of each side)
     Grams     P P'^T, P Q'^T, Q P'^T, Q Q'^T     (a rows x b rows)
@@ -161,7 +172,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, FrequencyTables, Region, Truncation, ladder
+from .config import CavityConfig, FrequencyTables, Region, Truncation, _index, _indices, ladder
 
 __all__ = [
     "BogoliubovBlock",
@@ -334,16 +345,6 @@ def _frozen(*arrays: np.ndarray) -> None:
     reads it, so none may write into it."""
     for x in arrays:
         x.setflags(write=False)
-
-
-def _indices(name: str, values) -> np.ndarray:
-    """The mode indices as a new float64 array; DomainError unless every one
-    is a finite integer >= 1. The one index check of both tables."""
-    idx = np.array(values, dtype=np.float64)
-    bad = idx[~(np.isfinite(idx) & (idx >= 1) & (idx == np.rint(idx)))]
-    if bad.size:
-        raise DomainError(f"mode indices must be integers >= 1, got {name}={bad[0]:g}")
-    return idx
 
 
 def _rows(region: Region, m_indices, cfg: CavityConfig) -> _Rows:
@@ -528,8 +529,8 @@ def _beta_sq_sums(rows: _Rows, cols: _Columns) -> np.ndarray:
 def beta_sq_total(region: Region, m_indices: np.ndarray, cfg: CavityConfig, n_max: int) -> float:
     """sum over m in m_indices and N = 1..n_max of beta_mN^2, without the
     per-row sums: ``_beta_sq_total`` on fresh row and column tables."""
-    return _beta_sq_total(_rows(region, m_indices, cfg),
-                          _columns(region, np.arange(1, n_max + 1), cfg))
+    N = np.arange(1, _index("n_max", n_max) + 1)
+    return _beta_sq_total(_rows(region, m_indices, cfg), _columns(region, N, cfg))
 
 
 def _series_order(factor: float) -> int:
@@ -708,11 +709,10 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     ``Grams`` once, at the end. With no far column the sums are those of
     ``_row_grams`` on the full rows, bit for bit. Otherwise a row's sums
     depend, in their last bits, on the rows requested with it, through W
-    and the split it sets. DomainError unless n_max >= 1 and every index
-    is an integer >= 1.
+    and the split it sets. DomainError unless n_max and every index is an
+    integer >= 1.
     """
-    if n_max < 1:
-        raise DomainError(f"the global cutoff must be >= 1, got n_max={n_max}")
+    n_max = _index("n_max", n_max)
     tables = {}
 
     def table(region, m):
@@ -839,9 +839,7 @@ def identity_residuals(cfg: CavityConfig, n_max: int, upto: int) -> IdentityResi
     right rows: the left block of its Grams gives D1 and D2, the right block
     D1_cross and D2_cross.
     """
-    if upto < 1 or n_max < 1:
-        raise DomainError(
-            f"identity residuals need upto >= 1 and n_max >= 1, got upto={upto}, n_max={n_max}")
+    upto = _index("upto", upto)   # gram checks n_max
     rows = np.arange(1, upto + 1)
     g = gram(((Region.LEFT, rows),), ((Region.LEFT, rows), (Region.RIGHT, rows)), cfg, n_max)
     same, cross = slice(None, upto), slice(upto, None)

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, GridMismatch, Region, Truncation, validate_config
+from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, _index,
+                     validate_config)
 from .modes import SampledMode, conjugate_mode, eval_local_initial, evolve_local_mode, uniform_grid
 from .quadrature import kg_inner
 
@@ -79,10 +80,9 @@ def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSp
         raise DomainError(f"probe needs r < r_tilde < R, got r_tilde={r_tilde}")
     if not 0 <= tau < np.inf:
         raise DomainError(f"probe time must be finite and >= 0, got {tau}")
-    if n < 1:
-        raise DomainError(f"probe index must be >= 1, got {n}")
+    n = _index("n", n)
     _probe_config(r_tilde, cfg)   # the split box must be a valid configuration
-    return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=int(n))
+    return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=n)
 
 
 def eval_probe_initial(probe: ProbeSpec, grid: np.ndarray, cfg: CavityConfig) -> SampledMode:

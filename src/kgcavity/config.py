@@ -14,6 +14,13 @@ units of R, mass mu R) divided by R, so no square leaves double range
 however small the box. ``Region`` names a local family and is the one
 place that knows its geometry: its interval, reduced width, partner family
 and ladder. ``frequencies`` tabulates the three ladders for reporting.
+
+Every mode index (m, N, l, n) and every cutoff (n_max, upto, M, the
+``Truncation`` counts) is a finite integer >= 1, and this module is the
+one place that says so: ``_indices`` checks an array of them and
+``_index`` one, returning it as a Python int. Every public entry that
+takes one calls either before any work and uses what it returns, so 1.5,
+0, nan and inf are a DomainError, and 3.0 or np.int64(3) stand for 3.
 """
 
 from __future__ import annotations
@@ -71,6 +78,24 @@ class DimensionError(KgCavityError, ValueError):
     """Raised when a truncated Fock space would exceed the configured memory budget."""
 
 
+# ── mode indices and cutoffs ────────────────────────────────────────────────
+
+def _indices(name: str, values) -> np.ndarray:
+    """The mode indices or cutoffs as a new float64 array; DomainError
+    unless every one is a finite integer >= 1."""
+    idx = np.array(values, dtype=np.float64)
+    bad = idx[~(np.isfinite(idx) & (idx >= 1) & (idx == np.rint(idx)))]
+    if bad.size:
+        raise DomainError(f"{name} must be >= 1 and whole: mode indices and cutoffs are "
+                          f"integers >= 1, got {name}={bad[0]:g}")
+    return idx
+
+
+def _index(name: str, value) -> int:
+    """One mode index or cutoff, checked by ``_indices``, as a Python int."""
+    return int(_indices(name, value))
+
+
 # ── configuration types ─────────────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -96,7 +121,8 @@ class CavityConfig:
 @dataclass(frozen=True)
 class Truncation:
     """Series/grid cutoffs: global modes N, local modes m per family, and
-    spatial grid points. A computation reads only the ones it needs."""
+    spatial grid points, each checked by ``_index`` and stored as a Python
+    int. A computation reads only the ones it needs."""
 
     n_max_global: int = 10_000
     m_max_local: int = 1_000
@@ -104,8 +130,7 @@ class Truncation:
 
     def __post_init__(self) -> None:
         for name in ("n_max_global", "m_max_local", "grid_points"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
 
 
 class FrequencyTables(NamedTuple):

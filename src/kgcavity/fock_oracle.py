@@ -13,6 +13,7 @@ math.fsum, so cap 2 and cap 3 agree bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,11 +39,11 @@ class TruncatedFock:
     max_occupation: int = 2
 
     def __post_init__(self) -> None:
-        if self.n_modes < 1 or self.max_occupation < 2:
+        n, cap = self.n_modes, self.max_occupation
+        if not (isinstance(n, numbers.Integral) and isinstance(cap, numbers.Integral)
+                and n >= 1 and cap >= 2):
             raise DimensionError(
-                f"need n_modes >= 1 and max_occupation >= 2, got "
-                f"{self.n_modes}/{self.max_occupation}"
-            )
+                f"need integers n_modes >= 1 and max_occupation >= 2, got {n}/{cap}")
         if self.n_modes > _MAX_MODES or self.dimension > _MAX_DIMENSION:
             raise DimensionError(
                 f"{self.n_modes} modes at occupation cap {self.max_occupation} "

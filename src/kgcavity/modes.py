@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bogoliubov import build_block
-from .config import CavityConfig, DomainError, GridMismatch, Region, Truncation, _global_omega
+from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, _global_omega,
+                     _index)
 
 __all__ = [
     "SampledMode",
@@ -67,7 +68,7 @@ class SampledMode:
 
 def uniform_grid(cfg: CavityConfig, n_points: int) -> np.ndarray:
     """Uniform grid on [0, R] including both endpoints."""
-    return np.linspace(0.0, cfg.R, n_points)
+    return np.linspace(0.0, cfg.R, _index("n_points", n_points))
 
 
 def conjugate_mode(mode: SampledMode) -> SampledMode:
@@ -89,8 +90,7 @@ def eval_global_mode(
     cfg: CavityConfig,
 ) -> SampledMode:
     """U_N sampled on ``grid`` at time ``t``; endpoints exactly zero."""
-    if N < 1:
-        raise DomainError(f"global index N must be >= 1, got {N}")
+    N = _index("N", N)
     grid = np.asarray(grid, dtype=np.float64)
     Om = _global_omega(N, cfg)
     s = np.sin(np.pi * N * grid / cfg.R) / np.sqrt(cfg.R * Om)
@@ -112,8 +112,7 @@ def eval_local_initial(
     Zero outside the open region, including at the partition point x = r
     itself (measure-zero convention; the series does not converge there).
     """
-    if m < 1:
-        raise DomainError(f"local index m must be >= 1, got {m}")
+    m = _index("m", m)
     grid = np.asarray(grid, dtype=np.float64)
     lo, hi, width = region.interval(cfg)
     support = (grid > lo) & (grid < hi)
@@ -246,6 +245,7 @@ def evolve_local_mode(
     """
     if not 1 <= m <= trunc.m_max_local:
         raise DomainError(f"local index m={m} outside block with {trunc.m_max_local} rows")
+    m = _index("m", m)   # 1.5 lies in the block's range; the index rule refuses it
     _check_time(t, cfg, trunc.n_max_global)
     block = build_block(region, cfg, None, replace(trunc, m_max_local=m))
     mode = _row_series(block.alpha[m - 1], block.beta[m - 1], grid, t, cfg)

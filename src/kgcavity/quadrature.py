@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CavityConfig, DomainError, GridMismatch, Region
+from .config import CavityConfig, GridMismatch, Region, _index
 from .modes import SampledMode
 
 __all__ = ["InnerProduct", "kg_inner", "overlap_V"]
@@ -109,8 +109,7 @@ def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
     doubled once and twice; the two refined levels are Richardson-combined,
     giving ~1e-11 relative accuracy for indices into the hundreds.
     """
-    if m < 1 or N < 1:
-        raise DomainError(f"indices must be >= 1, got m={m}, N={N}")
+    m, N = _index("m", m), _index("N", N)
     a, b, width = region.interval(cfg)
     Om = np.sqrt((np.pi * N / cfg.R) ** 2 + cfg.mu**2)
     om = np.sqrt((np.pi * m / width) ** 2 + cfg.mu**2)

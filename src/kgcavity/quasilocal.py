@@ -241,9 +241,8 @@ def steering_shift(dist: OverlapDistribution, l_range, cfg: CavityConfig) -> Ste
     only through the completeness identities, so their gap is a live check
     that the truncated dictionary behaves.
     """
-    l_idx = np.array([int(l) for l in l_range], dtype=np.int64)
     a_m, b_m = dist.alpha, dist.beta
-    a_l, b_l = coeff_grid(dist.region.other, l_idx, np.arange(1, len(a_m) + 1), cfg)
+    a_l, b_l = coeff_grid(dist.region.other, list(l_range), np.arange(1, len(a_m) + 1), cfg)
     B_m = float(np.dot(b_m, b_m))
 
     X1 = a_l @ a_m

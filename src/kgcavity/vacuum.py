@@ -40,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import (BogoliubovBlock, Grams, _beta_sq_sums, _beta_sq_total, _column_ladder,
-                         _column_slice, _columns, _geometry, _grid, _indices, _on_ladder, _row_grams,
-                         _rows, beta_sq_sums, coeff_grid, gram)
-from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, ladder,
-                     validate_config)
+                         _column_slice, _columns, _geometry, _grid, _on_ladder, _row_grams, _rows,
+                         beta_sq_sums, coeff_grid, gram)
+from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, _index, _indices,
+                     ladder, validate_config)
 
 __all__ = [
     "SpectrumResult",
@@ -193,10 +193,8 @@ def _divergence_request(N_list, M_list) -> tuple[np.ndarray, np.ndarray]:
     DomainError unless every N is an integer >= 1 and M_list holds two
     distinct values, all >= 1 (a log M fit needs two points)."""
     N_arr = _indices("N", list(N_list))
-    M_arr = np.asarray(sorted(int(M) for M in M_list))
-    if M_arr.size == 0 or M_arr[0] < 1:
-        raise DomainError(f"M_list needs values >= 1, got {M_arr.tolist()}")
-    if M_arr[0] == M_arr[-1]:
+    M_arr = np.asarray(sorted(_index("M", M) for M in M_list))
+    if M_arr.size == 0 or M_arr[0] == M_arr[-1]:
         raise DomainError(f"the log M fit needs two distinct M values, got {M_arr.tolist()}")
     return N_arr, M_arr
 
@@ -308,9 +306,9 @@ def _fit(N: int, M_arr: np.ndarray, partial: np.ndarray) -> DivergenceScan:
 def mode_sum_convergence(region: Region, m: int, cfg: CavityConfig, n_list) -> ModeSumConvergence:
     """Fixed local index m, growing global cutoff: sum_N alpha^2 and
     sum_N beta^2 both converge (the asymmetry opposite the m-scan)."""
-    n_arr = np.asarray(sorted(int(n) for n in n_list))
-    if n_arr.size == 0 or n_arr[0] < 1:
-        raise DomainError(f"the cutoffs must be >= 1, got n_list={n_arr.tolist()}")
+    n_arr = np.asarray(sorted(_index("n", n) for n in n_list))
+    if n_arr.size == 0:
+        raise DomainError("the cutoff list n_list is empty")
     N_idx = np.arange(1, n_arr[-1] + 1)
     alpha, beta = coeff_grid(region, np.array([m]), N_idx, cfg)
     a2 = np.cumsum(alpha[0] ** 2)[n_arr - 1]
@@ -400,13 +398,13 @@ def wick_moments(
     """
     if left_block.alpha.shape[1] != right_block.alpha.shape[1]:
         raise GridMismatch("left/right blocks disagree on the global cutoff")
-    m_range = tuple(int(m) for m in m_range)
-    n_range = tuple(int(n) for n in n_range)
+    m_range = tuple(map(int, _indices("m", list(m_range))))
+    n_range = tuple(map(int, _indices("n", list(n_range))))
     for m in m_range:
-        if not 1 <= m <= left_block.alpha.shape[0]:
+        if m > left_block.alpha.shape[0]:
             raise DomainError(f"m={m} outside the left block")
     for n in n_range:
-        if not 1 <= n <= right_block.alpha.shape[0]:
+        if n > right_block.alpha.shape[0]:
             raise DomainError(f"n={n} outside the right block")
 
     sums = _row_grams(*_block_rows(left_block, m_range), *_block_rows(right_block, n_range))
@@ -462,12 +460,8 @@ def limit_scan(
     if kind not in ("mass", "partition-size"):
         raise DomainError(f"unknown scan kind {kind!r}")
     values = np.asarray(list(values), dtype=np.float64)
-    probes = tuple((int(m), int(N)) for m, N in probe_indices)
-    for m, N in probes:
-        if m < 1 or N < 1:
-            raise DomainError(f"probe (m, N) = ({m}, {N}) needs m >= 1 and N >= 1")
-    if M_fixed < 1:
-        raise DomainError(f"M_fixed must be >= 1, got {M_fixed}")
+    probes = tuple((_index("m", m), _index("N", N)) for m, N in probe_indices)
+    M_fixed = _index("M_fixed", M_fixed)
     n_idx = np.arange(1, trunc.n_max_global + 1)
     m_sum = np.arange(1, M_fixed + 1)
     probe_ms = np.array([m for m, _ in probes], dtype=np.int64)

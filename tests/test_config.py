@@ -1,5 +1,9 @@
 """Parameter validation, frequency tables, and the flat config-file parser."""
 
+import math
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -133,3 +137,81 @@ def test_load_config_file_rejects_bad_value(tmp_path):
     p.write_text("r = half\n")
     with pytest.raises(kg.DomainError, match="bad value"):
         kg.load_config_file(str(p))
+
+
+# ── the index rule: every mode index and cutoff is an integer >= 1 ────────────
+
+_L, _RG = kg.Region.LEFT, kg.Region.RIGHT
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """What the entries below share, built once."""
+    cfg = kg.validate_config(1.0, 0.4, 2.0)
+    trunc = kg.Truncation(n_max_global=300, m_max_local=4, grid_points=33)
+    return SimpleNamespace(
+        cfg=cfg, trunc=trunc, grid=kg.uniform_grid(cfg, 33),
+        blocks=[kg.build_block(region, cfg, None, trunc) for region in (_L, _RG)],
+        dist=kg.overlap_distribution(1, cfg, trunc))
+
+
+# (id, a good value, call): call(c, v) runs one public entry with v in the
+# one place of a mode index or a cutoff
+_ENTRIES = [
+    ("Truncation-n_max_global", 300, lambda c, v: kg.Truncation(n_max_global=v)),
+    ("Truncation-m_max_local", 4, lambda c, v: kg.Truncation(m_max_local=v)),
+    ("Truncation-grid_points", 33, lambda c, v: kg.Truncation(grid_points=v)),
+    ("gram-n_max", 300, lambda c, v: kg.gram(((_L, [1, 2]),), ((_RG, [1]),), c.cfg, v)),
+    ("identity_residuals-n_max", 300, lambda c, v: kg.identity_residuals(c.cfg, v, 3)),
+    ("identity_residuals-upto", 3, lambda c, v: kg.identity_residuals(c.cfg, 300, v)),
+    ("beta_sq_total-n_max", 300, lambda c, v: kg.beta_sq_total(_L, [1, 2], c.cfg, v)),
+    ("eval_global_mode-N", 3, lambda c, v: kg.eval_global_mode(v, c.grid, 0.3, c.cfg)),
+    ("eval_local_initial-m", 2, lambda c, v: kg.eval_local_initial(_RG, v, c.grid, c.cfg)),
+    ("evolve_local_mode-m", 2,
+     lambda c, v: kg.evolve_local_mode(_L, v, c.grid, 0.3, c.cfg, c.trunc)),
+    ("uniform_grid-n_points", 33, lambda c, v: kg.uniform_grid(c.cfg, v)),
+    ("make_probe-n", 2, lambda c, v: kg.make_probe(0.7, 0.1, v, c.cfg)),
+    ("overlap_V-m", 2, lambda c, v: kg.overlap_V(v, 3, _L, c.cfg)),
+    ("overlap_V-N", 3, lambda c, v: kg.overlap_V(2, v, _L, c.cfg)),
+    ("steering_shift-l", 2, lambda c, v: kg.steering_shift(c.dist, [1, v], c.cfg)),
+    ("divergence_scan-N", 2, lambda c, v: kg.divergence_scan([1, v], c.cfg, [10, 100])),
+    ("divergence_scan-M", 100, lambda c, v: kg.divergence_scan([1, 2], c.cfg, [10, v])),
+    ("mode_sum_convergence-n", 100,
+     lambda c, v: kg.mode_sum_convergence(_L, 1, c.cfg, [50, v])),
+    ("wick_moments-m", 2, lambda c, v: kg.wick_moments([1, v], [1], *c.blocks)),
+    ("wick_moments-n", 2, lambda c, v: kg.wick_moments([1], [v, 1], *c.blocks)),
+    ("limit_scan-probe_m", 2,
+     lambda c, v: kg.limit_scan("mass", [1.0, 3.0], [(1, 2), (v, 1)], c.cfg, c.trunc)),
+    ("limit_scan-probe_N", 3,
+     lambda c, v: kg.limit_scan("partition-size", [0.3, 0.6], [(v, 1), (1, v)], c.cfg, c.trunc)),
+    ("limit_scan-M_fixed", 5,
+     lambda c, v: kg.limit_scan("mass", [1.0, 3.0], [(1, 2)], c.cfg, c.trunc, M_fixed=v)),
+]
+
+# every computation an entry could start before its index check, by the
+# name it is looked up under
+_WORK = ["kgcavity.config.ladder", "kgcavity.bogoliubov.ladder", "kgcavity.vacuum.ladder",
+         "kgcavity.bogoliubov._geometry", "kgcavity.vacuum._geometry", "kgcavity.bogoliubov._grid",
+         "kgcavity.vacuum._grid", "kgcavity.vacuum._beta_sq_sums", "kgcavity.vacuum._row_grams",
+         "kgcavity.modes.build_block", "kgcavity.modes._row_series",
+         "kgcavity.quadrature._simpson", "kgcavity.causality._probe_config"]
+
+
+@pytest.mark.parametrize("good, call", [entry[1:] for entry in _ENTRIES],
+                         ids=[entry[0] for entry in _ENTRIES])
+def test_every_index_and_cutoff_obeys_the_one_rule(ctx, monkeypatch, good, call):
+    # config's check is the only one: 0, -1, 1.5, nan and inf are a
+    # DomainError before any work, and an integer-valued float or a numpy
+    # integer stands for the int, down to the last bit of the result
+    want = pickle.dumps(call(ctx, good))
+    for same in (float(good), np.int64(good)):
+        assert pickle.dumps(call(ctx, same)) == want, same
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before the index check")
+
+    for target in _WORK:
+        monkeypatch.setattr(target, refuse)
+    for bad in (0, -1, 1.5, math.nan, math.inf):
+        with pytest.raises(kg.DomainError):
+            call(ctx, bad)

@@ -1,5 +1,5 @@
-"""Every name a kgcavity module exports in ``__all__`` resolves, and every
-name a module imports is used.
+"""Every name a kgcavity module exports in ``__all__`` resolves, every
+name a module imports is used, and README's library quick start runs.
 
 A deletion that leaves its name in an ``__all__`` list breaks
 ``from kgcavity import *`` and the documented surface; this catches it.
@@ -65,3 +65,17 @@ def test_every_imported_name_is_used_or_exported(name):
     exported = getattr(module, "__all__", [])
     unused = [n for n in _imported_names(tree) if n not in used and n not in exported]
     assert unused == []
+
+
+def _quick_start() -> str:
+    """The python block of README's library quick start."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    """The documented library example runs as printed, and its first
+    printed value is the <n_1> its comment quotes."""
+    exec(compile(_quick_start(), "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("0.053963")

@@ -27,6 +27,16 @@ def test_space_bookkeeping():
     assert vac[0] == 1.0 and np.count_nonzero(vac) == 1
 
 
+@pytest.mark.parametrize("n_modes, max_occupation", [
+    (2.5, 2), (2, 2.5), (3.0, 2), (2, float("nan")), (float("inf"), 2)])
+def test_non_integer_sizes_are_refused(n_modes, max_occupation):
+    # 2.5 modes once passed as a space of dimension 3^2.5 = 15.59, and 3.0
+    # as one whose basis could not be enumerated
+    with pytest.raises(kg.DimensionError, match="integers"):
+        TruncatedFock(n_modes=n_modes, max_occupation=max_occupation)
+    assert TruncatedFock(n_modes=np.int64(2), max_occupation=np.int64(3)).dimension == 16
+
+
 def test_dimension_budget_enforced():
     with pytest.raises(kg.DimensionError):
         TruncatedFock(n_modes=0)

@@ -17,6 +17,7 @@ import dataclasses
 import decimal
 import functools
 import math
+import pickle
 import tracemalloc
 from decimal import Decimal
 
@@ -276,6 +277,49 @@ def test_spectrum_is_bit_identical_under_R_to_2k_R(R, r, mu, k, n_max, m_max):
         want, got = (kg.vacuum_spectrum(region, cfg, trunc) for cfg in (base, scaled))
         assert got.values.tobytes() == want.values.tobytes()
         assert got.tail_bound.tobytes() == want.tail_bound.tobytes()
+
+
+def _scaled_pair(R, r, mu, k):
+    """The configuration (R, r R, mu) and its image under R -> 2^k R,
+    r -> 2^k r, mu -> mu / 2^k, which scales every width and frequency by
+    a power of two, exactly."""
+    s = 2.0**k
+    return kg.validate_config(R, r * R, mu), kg.validate_config(s * R, s * (r * R), mu / s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(R=st.floats(0.5, 4.0), r=_FRACTIONS, mu=_MASSES, k=st.integers(-8, 8),
+       n_max=st.integers(1, 1500), rows=st.integers(1, 8),
+       N_list=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+       M_list=st.lists(st.integers(1, 3000), min_size=2, max_size=4, unique=True))
+def test_moments_residuals_and_divergence_are_bit_identical_under_R_to_2k_R(
+        R, r, mu, k, n_max, rows, N_list, M_list):
+    # each is a function of r/R and mu R alone, computed at R = 1
+    want, got = ((kg.vacuum_moments(range(1, rows + 1), range(1, rows + 2), cfg, n_max),
+                  kg.identity_residuals(cfg, n_max, rows),
+                  kg.divergence_scan(N_list, cfg, M_list))
+                 for cfg in _scaled_pair(R, r, mu, k))
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(R=st.floats(0.5, 4.0), r=_FRACTIONS, mu=_MASSES, k=st.integers(-8, 8),
+       n_max=st.integers(1, 1500), M_fixed=st.integers(1, 60), m=st.integers(1, 30),
+       n_list=st.lists(st.integers(1, 1500), min_size=1, max_size=3),
+       masses=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=3),
+       widths=st.lists(_FRACTIONS, min_size=1, max_size=3))
+def test_limit_scans_and_mode_sums_are_bit_identical_under_R_to_2k_R(
+        R, r, mu, k, n_max, M_fixed, m, n_list, masses, widths):
+    # a scan value is mu R or r/R, so both boxes scan the same reduced
+    # configurations
+    trunc = kg.Truncation(n_max_global=n_max)
+    probes = [(1, 1), (m, 2), (2, m)]
+    want, got = ((kg.limit_scan("mass", masses, probes, cfg, trunc, M_fixed=M_fixed),
+                  kg.limit_scan("partition-size", widths, probes, cfg, trunc, M_fixed=M_fixed),
+                  kg.mode_sum_convergence(L, m, cfg, n_list),
+                  kg.mode_sum_convergence(RG, m, cfg, n_list))
+                 for cfg in _scaled_pair(R, r, mu, k))
+    assert pickle.dumps(got) == pickle.dumps(want)
 
 
 def test_mode_sum_convergence_is_cauchy(cfg_half):
