@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DimensionError
+from .config import DimensionError, DomainError
 
 __all__ = ["TruncatedFock", "OracleMoments", "oracle_moments"]
 
@@ -76,23 +76,44 @@ class TruncatedFock:
         return vec
 
     def apply_ladder_sum(self, vec: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """(sum_N p_N A_N + q_N A_N^dagger) applied to vec, mode by mode."""
+        """(sum_N p_N A_N + q_N A_N^dagger) applied to vec.
+
+        Only the occupied support of vec is visited, every mode at once.
+        The terms are added in the order of a dense sweep, mode by mode
+        and annihilation before creation, with one np.add.at; within one
+        (mode, kind) group each destination occurs once. So every entry of
+        the result takes the same additions as in the dense sweep, less the
+        terms of zero entries of vec, which only ever added +-0. That
+        holds for finite p and q alone: a non-finite entry is refused.
+        """
         if len(p) != self.n_modes or len(q) != self.n_modes:
             raise DimensionError(
                 f"coefficient rows must have {self.n_modes} entries, got {len(p)}/{len(q)}"
             )
+        p, q = np.asarray(p), np.asarray(q)
+        _check_finite(p, q)
+        src = np.flatnonzero(vec)
+        stride = self.base ** np.arange(self.n_modes)[:, None]
+        d = (src // stride) % self.base                         # (mode, source)
+        dst = np.stack([src - stride, src + stride], axis=1)    # (mode, kind, source)
+        coef = np.stack([p[:, None] * np.sqrt(d), q[:, None] * np.sqrt(d + 1.0)], axis=1)
+        keep = np.stack([(d >= 1) & (p != 0)[:, None],
+                         (d < self.max_occupation) & (q != 0)[:, None]], axis=1)
+        # numpy may round a complex product differently (with or without a
+        # fused multiply-add) under broadcasting than on two contiguous
+        # arrays, so coefficient and amplitude meet as two contiguous arrays,
+        # as in a dense sweep; the broadcast product above has a real factor,
+        # which both roundings treat alike
+        amp = np.broadcast_to(vec[src], keep.shape)[keep]
         out = np.zeros_like(vec)
-        idx = np.arange(self.dimension)
-        for k in range(self.n_modes):
-            stride = self.base**k
-            d = (idx // stride) % self.base
-            if p[k] != 0:
-                src = d >= 1
-                out[idx[src] - stride] += p[k] * np.sqrt(d[src]) * vec[src]
-            if q[k] != 0:
-                src = d < self.max_occupation
-                out[idx[src] + stride] += q[k] * np.sqrt(d[src] + 1.0) * vec[src]
+        np.add.at(out, dst[keep], coef[keep] * amp)
         return out
+
+
+def _check_finite(*rows: np.ndarray) -> None:
+    for row in rows:
+        if not np.all(np.isfinite(row)):
+            raise DomainError(f"ladder coefficients must be finite, got {row}")
 
 
 class OracleMoments(NamedTuple):
@@ -130,6 +151,7 @@ def oracle_moments(
     """
     p, q = (np.asarray(c, dtype=np.complex128) for c in left_row)
     pb, qb = (np.asarray(c, dtype=np.complex128) for c in right_row)
+    _check_finite(p, q, pb, qb)
     vac = fock.vacuum()
 
     u = fock.apply_ladder_sum(vac, p, q)

@@ -128,50 +128,59 @@ def line_plot(
     _write(path, parts + ["</svg>"])
 
 
-_STOPS = [
+_STOPS = np.array([
     (0.267, 0.005, 0.329),
     (0.229, 0.322, 0.546),
     (0.128, 0.567, 0.551),
     (0.369, 0.789, 0.383),
     (0.993, 0.906, 0.144),
-]
+])
+_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
+_NONFINITE = "#999999"
 
 
-def _color(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    pos = v * (len(_STOPS) - 1)
-    i = min(int(pos), len(_STOPS) - 2)
-    f = pos - i
-    rgb = [(_STOPS[i][c] * (1 - f) + _STOPS[i + 1][c] * f) for c in range(3)]
-    return "#{:02x}{:02x}{:02x}".format(*(int(round(255 * c)) for c in rgb))
+def _colors(v: np.ndarray) -> np.ndarray:
+    """'#rrggbb' of each value in v (an object array of v's shape), clipped
+    to [0, 1] and linearly interpolated between the 5 stops."""
+    pos = np.clip(v, 0.0, 1.0) * (len(_STOPS) - 1)
+    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
+    f = (pos - i)[..., None]
+    # rint rounds half to even as round() does; the codes are >= 0
+    codes = np.rint(255 * (_STOPS[i] * (1 - f) + _STOPS[i + 1] * f)).astype(int)
+    hexes = _HEX[codes]
+    return "#" + hexes[..., 0] + hexes[..., 1] + hexes[..., 2]
 
 
 def heatmap(path: str, matrix, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Matrix cells colored on a 5-stop map; row 0 at the top."""
+    """Matrix cells colored on a 5-stop map; row 0 at the top. NaN and
+    +-inf cells are drawn in grey and left out of the color range; a matrix
+    with no finite cell is all grey, with 'nan' at both ends of the bar."""
     M = np.asarray(matrix, dtype=float)
-    lo, hi = float(np.nanmin(M)), float(np.nanmax(M))
+    finite = np.isfinite(M)
+    vals = M[finite]
+    lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (math.nan, math.nan)
     span = hi - lo if hi > lo else 1.0
     rows, cols = M.shape
     cw = (_W - _ML - _MR - 40) / cols
     ch = (_H - _MT - _MB) / rows
+    fills = np.where(finite, _colors(np.where(finite, (M - lo) / span, 0.0)), _NONFINITE).tolist()
+    xs = [f"{_ML + j * cw:.2f}" for j in range(cols)]
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
     parts = _frame(title)
-    for i in range(rows):
-        for j in range(cols):
-            parts.append(
-                f'<rect x="{_ML + j * cw:.2f}" y="{_MT + i * ch:.2f}" width="{cw + 0.5:.2f}" '
-                f'height="{ch + 0.5:.2f}" fill="{_color((M[i, j] - lo) / span)}"/>'
-            )
+    for i, row in enumerate(fills):
+        y = f"{_MT + i * ch:.2f}"
+        parts += [f'<rect x="{x}" y="{y}" {size} fill="{fill}"/>' for x, fill in zip(xs, row)]
     step_i = max(1, rows // 8)
     for i in range(0, rows, step_i):
         parts.append(f'<text x="{_ML - 6}" y="{_MT + (i + 0.5) * ch + 4:.2f}" text-anchor="end">{i + 1}</text>')
     step_j = max(1, cols // 8)
     for j in range(0, cols, step_j):
         parts.append(f'<text x="{_ML + (j + 0.5) * cw:.2f}" y="{_H - _MB + 16}" text-anchor="middle">{j + 1}</text>')
-    for k in range(101):
+    for k, fill in enumerate(_colors(np.arange(101) / 100)):
         y = _H - _MB - (k / 100) * (_H - _MT - _MB)
         parts.append(
             f'<rect x="{_W - _MR - 26}" y="{y - (_H - _MT - _MB) / 100:.2f}" width="14" '
-            f'height="{(_H - _MT - _MB) / 100 + 0.5:.2f}" fill="{_color(k / 100)}"/>'
+            f'height="{(_H - _MT - _MB) / 100 + 0.5:.2f}" fill="{fill}"/>'
         )
     parts.append(f'<text x="{_W - _MR - 30}" y="{_H - _MB + 4}" text-anchor="end">{lo:.3g}</text>')
     parts.append(f'<text x="{_W - _MR - 30}" y="{_MT + 10}" text-anchor="end">{hi:.3g}</text>')

@@ -2,8 +2,12 @@
 
 For operators linear in the ladder algebra, vacuum fourth moments never
 populate occupations past 2: the cap-2 oracle is exact, and raising the cap
-must not change a single bit.
+must not change a single bit. The oracle visits only the occupied support
+of a vector; the dense per-mode sweep over every basis state it replaced is
+kept here as the reference it must match bit for bit.
 """
+
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -13,6 +17,36 @@ from hypothesis import strategies as st
 
 import kgcavity as kg
 from kgcavity.fock_oracle import TruncatedFock, oracle_moments
+
+# the r/R, mu R pairs of the benchmark's moments workload, whose oracle op
+# reads 4 rows a side on 8 global modes
+MOMENTS_CONFIGS = [(0.5, 0.0), (0.3, 2.0), (0.42, 1.0)]
+
+
+def _dense_apply(self, vec, p, q):
+    """(sum_N p_N A_N + q_N A_N^dagger) vec by a sweep of every basis
+    state, mode by mode, annihilation before creation: the reference."""
+    out = np.zeros_like(vec)
+    idx = np.arange(self.dimension)
+    for k in range(self.n_modes):
+        stride = self.base**k
+        d = (idx // stride) % self.base
+        if p[k] != 0:
+            src = d >= 1
+            out[idx[src] - stride] += p[k] * np.sqrt(d[src]) * vec[src]
+        if q[k] != 0:
+            src = d < self.max_occupation
+            out[idx[src] + stride] += q[k] * np.sqrt(d[src] + 1.0) * vec[src]
+    return out
+
+
+def _dense_moments(left_row, right_row, fock):
+    with mock.patch.object(TruncatedFock, "apply_ladder_sum", _dense_apply):
+        return oracle_moments(left_row, right_row, fock)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
 
 
 def test_space_bookkeeping():
@@ -165,3 +199,69 @@ def test_oracle_against_real_dictionary_rows(cfg_half, blocks_half):
     p, q = left.alpha[0, :6], left.beta[0, :6]
     assert mom.mean_m == pytest.approx(np.sum(q * q), rel=1e-13, abs=0)
     assert mom.mean_n == pytest.approx(np.sum(right.beta[0, :6] ** 2), rel=1e-13, abs=0)
+
+
+@st.composite
+def _ladder_cases(draw):
+    """A Fock space of 1-6 modes at cap 2-4, four complex coefficient rows
+    with some exact zeros, and a vector: a random dense one with some zero
+    entries, or |0>, a|0> or a^dagger a|0> of the first two rows.
+
+    The entries come from a seeded generator rather than from hypothesis's
+    floats, whose simple values (0.5, 1.0, 2.0) multiply exactly and so
+    cannot tell apart two roundings of one complex product.
+    """
+    fock = TruncatedFock(draw(st.integers(1, 6)), draw(st.integers(2, 4)))
+    kind = draw(st.sampled_from(["dense", "vacuum", "once", "twice"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = gen.normal(size=(4, fock.n_modes)) + 1j * gen.normal(size=(4, fock.n_modes))
+    rows[gen.uniform(size=rows.shape) < 0.25] = 0
+    if kind == "dense":
+        vec = gen.normal(size=fock.dimension) + 1j * gen.normal(size=fock.dimension)
+        vec[gen.uniform(size=fock.dimension) < 0.3] = 0
+    else:
+        vec = fock.vacuum()
+        if kind != "vacuum":
+            vec = _dense_apply(fock, vec, rows[0], rows[1])
+        if kind == "twice":
+            vec = _dense_apply(fock, vec, np.conj(rows[1]), np.conj(rows[0]))
+    return fock, rows, vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ladder_cases())
+def test_support_walk_is_the_dense_sweep_bit_for_bit(case):
+    fock, (p, q, pb, qb), vec = case
+    assert _bits(fock.apply_ladder_sum(vec, p, q)) == _bits(_dense_apply(fock, vec, p, q))
+    assert _bits(fock.apply_ladder_sum(vec, pb.real, qb.real)) == _bits(
+        _dense_apply(fock, vec, pb.real, qb.real))
+    assert _bits(oracle_moments((p, q), (pb, qb), fock)) == _bits(
+        _dense_moments((p, q), (pb, qb), fock))
+
+
+@pytest.mark.parametrize("r, mu", MOMENTS_CONFIGS)
+def test_benchmark_oracle_rows_match_the_dense_sweep(r, mu):
+    cfg = kg.validate_config(1.0, r, mu)
+    m, n = np.arange(1, 5), np.arange(1, 9)
+    left = kg.coeff_grid(kg.Region.LEFT, m, n, cfg)
+    right = kg.coeff_grid(kg.Region.RIGHT, m, n, cfg)
+    fk = TruncatedFock(n_modes=8)
+    for i in range(4):
+        for j in range(4):
+            rows = (left[0][i], left[1][i]), (right[0][j], right[1][j])
+            assert _bits(oracle_moments(*rows, fk)) == _bits(_dense_moments(*rows, fk))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_non_finite_coefficients_are_refused(bad):
+    # an inf once multiplied the zero entries of the vector too and spread
+    # NaN over the result; the support walk never sees those entries
+    fk = TruncatedFock(n_modes=3)
+    row = np.array([0.5, bad, 0.0])
+    z = np.zeros(3)
+    with pytest.raises(kg.DomainError, match="finite"):
+        fk.apply_ladder_sum(fk.vacuum(), row, z)
+    with pytest.raises(kg.DomainError, match="finite"):
+        fk.apply_ladder_sum(fk.vacuum(), z, row)
+    with pytest.raises(kg.DomainError, match="finite"):
+        oracle_moments((z, z + 1), (z, row), fk)

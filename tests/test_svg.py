@@ -1,0 +1,65 @@
+"""The SVG heatmap: pinned bytes, and cells that are NaN or infinite.
+
+The pinned digests are of the per-cell renderer the array pass replaced;
+the matrices are built from integer arithmetic and one division, so their
+bits do not depend on the platform's libm.
+"""
+
+import hashlib
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from kgcavity import svg
+
+_I, _J = np.indices((60, 40))
+PINNED = [
+    (((_I * 37 + _J * 11) % 101) / 13.0 - 3.5, ("corr <m n>", "n", "m"),
+     "35707cf62c02c65d6eacfc254e693985bed14c80cd46cfc22cd171fc08ecff2e"),
+    (np.zeros((3, 3)), ("", "", ""),
+     "1ae9f8e3b554ae0fe6ad33ef92d455061a9270d10dcaacd6eff5f1cfe1fb51b5"),
+    (np.arange(125 * 125).reshape(125, 125) / 7.0 + 2.0, ("ramp & more", "j", "i"),
+     "73585b8edb7e83dd5b5ed24e59a9b536f8e4d800c517e62b4928f5ec46335165"),
+]
+
+
+def _render(tmp_path, matrix, labels=("", "", "")) -> str:
+    path = tmp_path / "map.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        svg.heatmap(str(path), matrix, *labels)
+    return path.read_text(encoding="utf-8")
+
+
+def _cell_fills(text: str, n_cells: int) -> list[str]:
+    """The fills of the matrix cells, in row-major order (the color bar's
+    101 rects follow them)."""
+    fills = re.findall(r'<rect x="[^"]+" y="[^"]+" width="[^"]+" height="[^"]+" fill="(#[0-9a-f]{6})"/>', text)
+    return fills[:n_cells]
+
+
+@pytest.mark.parametrize("matrix, labels, digest", PINNED)
+def test_heatmap_bytes_are_pinned(tmp_path, matrix, labels, digest):
+    text = _render(tmp_path, matrix, labels)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cells_are_grey_and_out_of_range(tmp_path, bad):
+    # a NaN cell once raised "cannot convert float NaN to integer"
+    matrix = np.array([[0.1, bad], [0.3, 0.5]])
+    text = _render(tmp_path, matrix)
+    fills = _cell_fills(text, 4)
+    assert fills[1] == svg._NONFINITE
+    # the finite cells keep the colors they have with the bad cell at lo
+    ref = _cell_fills(_render(tmp_path, np.array([[0.1, 0.1], [0.3, 0.5]])), 4)
+    assert fills[0] == ref[0] and fills[2:] == ref[2:]
+    assert ">0.1</text>" in text and ">0.5</text>" in text
+
+
+def test_matrix_without_finite_cells_is_all_grey(tmp_path):
+    text = _render(tmp_path, np.array([[np.nan, np.inf], [np.nan, np.nan]]))
+    assert _cell_fills(text, 4) == [svg._NONFINITE] * 4
+    assert text.count(">nan</text>") == 2
