@@ -121,9 +121,10 @@ rounded sum of ``coeff_grid``'s beta^2).
 The cross-row sums over N = 1..n_max of the Wick moments and of the
 completeness residuals are Gram matrices, and ``gram`` is their kernel.
 Four readers sum products of rows they hold and do not go through it:
-``quasilocal.quasilocal_energy`` reads the held row of the state that
-``quasilocal.overlap_distribution`` built, and
-``quasilocal.steering_shift`` dots that row with the other family's
+``quasilocal.overlap_distribution`` is the one read of a quasi-local
+state's row, and ``quasilocal.quasilocal_energy`` sums that held row
+(as ``quasilocal_wavepacket`` evolves it, with no row read of its own),
+and ``quasilocal.steering_shift`` dots it with the other family's
 ``coeff_grid`` rows on the same columns; ``vacuum.wick_moments`` sums
 explicit rows, as the reference ``gram`` is tested against; and
 ``vacuum.mode_sum_convergence`` takes the partial sums of one full row at

@@ -74,12 +74,20 @@ def _probe_config(r_tilde: float, cfg: CavityConfig) -> CavityConfig:
     return validate_config(cfg.R, r_tilde, cfg.mu)
 
 
+def _finite_nonnegative(name: str, value: float) -> None:
+    """DomainError unless ``value`` (a time, a probe time or an edge
+    margin) is finite and >= 0."""
+    if not 0 <= value < np.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+
+
 def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSpec:
-    """Validated ProbeSpec, refused before any evolution runs."""
+    """Validated ProbeSpec, refused before any evolution runs: the one
+    check of a probe, which ``eval_probe_initial`` and ``commutator_pair``
+    also pass theirs through."""
     if not cfg.r < r_tilde < cfg.R:
         raise DomainError(f"probe needs r < r_tilde < R, got r_tilde={r_tilde}")
-    if not 0 <= tau < np.inf:
-        raise DomainError(f"probe time must be finite and >= 0, got {tau}")
+    _finite_nonnegative("probe time", tau)
     n = _index("n", n)
     _probe_config(r_tilde, cfg)   # the split box must be a valid configuration
     return ProbeSpec(r_tilde=float(r_tilde), tau=float(tau), n=n)
@@ -88,6 +96,7 @@ def make_probe(r_tilde: float, tau: float, n: int, cfg: CavityConfig) -> ProbeSp
 def eval_probe_initial(probe: ProbeSpec, grid: np.ndarray, cfg: CavityConfig) -> SampledMode:
     """Probe Cauchy data at its own localization time tau: the t = 0 data of
     right mode n of the box split at r_tilde, stamped with time tau."""
+    probe = make_probe(probe.r_tilde, probe.tau, probe.n, cfg)
     mode = eval_local_initial(Region.RIGHT, probe.n, grid, _probe_config(probe.r_tilde, cfg))
     mode.time = probe.tau
     return mode
@@ -102,13 +111,14 @@ def commutator_pair(
     """(c1, c2) = (|(u_tilde_n|u_m)|, |(u_tilde_n|u_m*)|) at t = tau.
 
     u_m is evolved to tau through the truncated global series and paired
-    with the probe's Cauchy data by KG quadrature on a shared grid;
-    GridMismatch first unless that grid has a point inside (r_tilde, R).
+    with the probe's Cauchy data by KG quadrature on a shared grid. Before
+    u_m is evolved, ``eval_probe_initial`` refuses a probe ``make_probe``
+    refuses, and GridMismatch a grid without a point inside (r_tilde, R).
     """
     grid = uniform_grid(cfg, trunc.grid_points)
+    probe_mode = eval_probe_initial(probe, grid, cfg)
     _check_probe_grid(probe.r_tilde, grid, cfg)
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc)
-    probe_mode = eval_probe_initial(probe, grid, cfg)
     p1 = kg_inner(probe_mode, u_m)
     p2 = kg_inner(probe_mode, conjugate_mode(u_m))
     return Commutators(c1=abs(p1), c2=abs(p2), mode=u_m,
@@ -134,12 +144,6 @@ def outside_cone_mass(mode: SampledMode, cone: tuple[float, float],
         if np.count_nonzero(side) >= 2:
             outside += float(np.trapezoid(rho[side], x[side]))
     return outside, total
-
-
-def _check_edge_margin(edge_margin: float) -> None:
-    """DomainError unless the margin is finite and >= 0."""
-    if not 0 <= edge_margin < np.inf:
-        raise DomainError(f"edge margin must be finite and >= 0, got {edge_margin}")
 
 
 def _check_probe_grid(r_tilde: float, grid: np.ndarray, cfg: CavityConfig) -> None:
@@ -178,9 +182,8 @@ def lightcone_leakage(
     This is the one place a cone is computed: every other out-of-cone
     measurement reads ``Leakage.cone``.
     """
-    if not 0 <= t < np.inf:
-        raise DomainError(f"time must be finite and >= 0, got {t}")
-    _check_edge_margin(edge_margin)
+    _finite_nonnegative("time", t)
+    _finite_nonnegative("edge margin", edge_margin)
     _check_cone_grid(trunc.grid_points)
     grid = uniform_grid(cfg, trunc.grid_points)
     u = evolve_local_mode(region, m, grid, t, cfg, trunc)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import svg as svgmod
 from .bogoliubov import beta_sq_total, build_block, identity_residuals
-from .causality import (_check_edge_margin, _check_probe_grid, commutator_pair,
+from .causality import (_check_probe_grid, _finite_nonnegative, commutator_pair,
                         lightcone_leakage, make_probe)
 from .config import (
     DomainError,
@@ -32,10 +32,12 @@ from .config import (
     Region,
     ThresholdUnreachable,
     Truncation,
+    _index,
+    _local_index,
     load_config_file,
     validate_config,
 )
-from .modes import SampledMode, evolve_local_mode, uniform_grid
+from .modes import SampledMode, _check_time, evolve_local_mode, uniform_grid
 from .output import write_csv, write_manifest, write_sidecar
 from .quasilocal import (
     bandwidth,
@@ -132,13 +134,6 @@ def _resolve(args) -> tuple:
     trunc = Truncation(**{key: int(pick(getattr(args, flag), key, getattr(Truncation, key)))
                           for flag, key in _CUTOFFS.items() if hasattr(args, flag)})
     return cfg, trunc
-
-
-def _check_local(trunc, flag: str, *indices: int) -> None:
-    """DomainError unless every local-mode index lies in 1..m_max_local."""
-    for i in indices:
-        if not 1 <= i <= trunc.m_max_local:
-            raise DomainError(f"{flag} {i} outside 1..{trunc.m_max_local} (--mmax)")
 
 
 def _scanned(args) -> tuple:
@@ -254,7 +249,9 @@ def _warn_truncated(at: str, values, tails, names: list) -> None:
 
 def cmd_modes(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
-    _check_local(trunc, "--m", args.m)
+    _local_index("--m", args.m, trunc)
+    for t in args.times:
+        _check_time(t, cfg, trunc.n_max_global)
     region = Region(args.region)
     grid = uniform_grid(cfg, trunc.grid_points)
     series = []
@@ -273,9 +270,7 @@ def cmd_modes(args, run: _Run) -> None:
 
 
 def cmd_spectrum(args, run: _Run) -> None:
-    lmax = args.lmax
-    if lmax < 1:
-        raise DomainError(f"--lmax {lmax} must be >= 1")
+    lmax = _index("--lmax", args.lmax)
     # the l column carries the local cutoff
     cfg, trunc = run.cfg, dataclasses.replace(run.trunc, m_max_local=lmax)
     region = Region(args.region)
@@ -320,8 +315,8 @@ def cmd_rscan(args, run: _Run) -> None:
 
 def cmd_correlations(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
-    _check_local(trunc, "--mrows", args.mrows)
-    _check_local(trunc, "--nrows", args.nrows)
+    _local_index("--mrows", args.mrows, trunc)
+    _local_index("--nrows", args.nrows, trunc)
     report = vacuum_moments(range(1, args.mrows + 1), range(1, args.nrows + 1), cfg,
                             trunc.n_max_global)
     run.counters["near_columns"] = report.near_columns
@@ -355,14 +350,18 @@ def cmd_correlations(args, run: _Run) -> None:
 def cmd_quasilocal(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     l_list = args.l_list
-    _check_local(trunc, "--l-list", *l_list)
-    _check_local(trunc, "--steer-m", args.steer_m)
+    states = [("--l-list", l) for l in l_list] + [("--steer-m", args.steer_m)]
     if args.wavepacket_m is not None:
-        _check_local(trunc, "--wavepacket-m", args.wavepacket_m)
-    dists, widths, energies = {}, [], []
-    overlap_series = []
+        states.append(("--wavepacket-m", args.wavepacket_m))
+        _finite_nonnegative("time", args.t)
+        _check_time(args.t, cfg, trunc.n_max_global)
+    for flag, l in states:
+        _local_index(flag, l, trunc)
+    # one distribution, and so one read of its row, per distinct state
+    dists = {l: overlap_distribution(l, cfg, trunc) for l in dict.fromkeys(l for _, l in states)}
+    widths, energies, overlap_series = [], [], []
     for l in l_list:
-        dist = overlap_distribution(l, cfg, trunc)
+        dist = dists[l]
         keep = dist.p > 0
         run.csv(
             f"overlap_l{l}.csv",
@@ -377,24 +376,21 @@ def cmd_quasilocal(args, run: _Run) -> None:
             dO = float("nan")
         energy = quasilocal_energy(dist, cfg)
         _record_tail(run, f"energy_tail_l={l}", energy.tail_bound, l, "--nmax")
-        dists[l] = dist
         widths.append(dO)
         energies.append(energy)
         overlap_series.append((dist.Omega[keep], dist.p[keep], f"l={l}"))
     run.csv("bandwidth.csv", [f"threshold={args.threshold:.17g}"],
             ["l", "omega_l", "delta_Omega", "norm_captured",
              "energy_raw", "energy_normalized", "energy_annihilator"],
-            [l_list, [d.omega_l for d in dists.values()], widths,
-             [d.norm_captured for d in dists.values()],
+            [l_list, [dists[l].omega_l for l in l_list], widths,
+             [dists[l].norm_captured for l in l_list],
              [e.raw for e in energies], [e.normalized for e in energies],
              [e.annihilator_normalized for e in energies]])
-    # a --steer-m state that is also in --l-list reuses its distribution
-    steer = dists[args.steer_m] if args.steer_m in dists else overlap_distribution(args.steer_m, cfg, trunc)
-    shift = steering_shift(steer, l_list, cfg)
+    shift = steering_shift(dists[args.steer_m], l_list, cfg)
     run.csv("steering.csv", [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
-    if args.wavepacket_m:
-        comp = wavepacket_comparison(args.wavepacket_m, args.t, cfg, trunc)
+    if args.wavepacket_m is not None:
+        comp = wavepacket_comparison(dists[args.wavepacket_m], args.t, cfg, trunc)
         u = comp.leak.mode
         run.tails["psi_outside_fraction"] = comp.psi_outside_fraction
         run.tails["u_outside_fraction"] = comp.leak.fraction
@@ -414,14 +410,18 @@ def cmd_quasilocal(args, run: _Run) -> None:
 
 def cmd_causality(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
-    _check_local(trunc, "--m", args.m)
-    _check_edge_margin(args.edge_margin)
+    _local_index("--m", args.m, trunc)
+    _finite_nonnegative("edge margin", args.edge_margin)
     r_tilde = args.rtilde if args.rtilde is not None else cfg.r + 0.4 * (cfg.R - cfg.r)
     gap = r_tilde - cfg.r
     taus = args.taus if args.taus is not None else [0.5 * gap, 2.0 * gap]
-    # make_probe refuses a bad probe, and the grid check a grid that misses
-    # the probe's support, before any evolution runs
+    # make_probe refuses a bad probe, the time checks a time before 0 or
+    # one the series cannot resolve, and the grid check a grid that misses
+    # the probe's support, all before any evolution runs
     probes = [make_probe(r_tilde, tau, args.probe_n, cfg) for tau in taus]
+    for t in [*args.times, *taus]:
+        _finite_nonnegative("time", t)
+        _check_time(t, cfg, trunc.n_max_global)
     if probes:
         _check_probe_grid(r_tilde, uniform_grid(cfg, trunc.grid_points), cfg)
 

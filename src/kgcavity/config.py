@@ -21,6 +21,8 @@ one place that says so: ``_indices`` checks an array of them and
 ``_index`` one, returning it as a Python int. Every public entry that
 takes one calls either before any work and uses what it returns, so 1.5,
 0, nan and inf are a DomainError, and 3.0 or np.int64(3) stand for 3.
+``_local_index`` is the one check that a local-mode index also lies in
+the rows 1..m_max_local a ``Truncation`` allows.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class ThresholdUnreachable(KgCavityError, RuntimeError):
 
 
 class DimensionError(KgCavityError, ValueError):
-    """Raised when a truncated Fock space would exceed the configured memory budget."""
+    """Raised when an array has a shape the operation cannot take: a
+    truncated Fock space past the memory budget, or a heatmap matrix that
+    is not 2-D with rows and columns."""
 
 
 # ── mode indices and cutoffs ────────────────────────────────────────────────
@@ -131,6 +135,16 @@ class Truncation:
     def __post_init__(self) -> None:
         for name in ("n_max_global", "m_max_local", "grid_points"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
+
+
+def _local_index(name: str, value, trunc: Truncation) -> int:
+    """One local-mode index, as a Python int: DomainError unless it lies in
+    the block of rows 1..trunc.m_max_local and obeys ``_index``'s rule
+    (1.5 lies inside the range; the rule refuses it)."""
+    if not 1 <= value <= trunc.m_max_local:
+        raise DomainError(f"local index {name}={value} outside block of rows "
+                          f"1..{trunc.m_max_local} (m_max_local, --mmax)")
+    return _index(name, value)
 
 
 class FrequencyTables(NamedTuple):

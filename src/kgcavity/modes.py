@@ -27,7 +27,7 @@ import numpy as np
 
 from .bogoliubov import build_block
 from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, _global_omega,
-                     _index)
+                     _index, _local_index)
 
 __all__ = [
     "SampledMode",
@@ -243,9 +243,7 @@ def evolve_local_mode(
     of the family's coefficients. At t = 0 the snapshot also reports its
     Gibbs overshoot against the exact sup of chi_m.
     """
-    if not 1 <= m <= trunc.m_max_local:
-        raise DomainError(f"local index m={m} outside block with {trunc.m_max_local} rows")
-    m = _index("m", m)   # 1.5 lies in the block's range; the index rule refuses it
+    m = _local_index("m", m, trunc)
     _check_time(t, cfg, trunc.n_max_global)
     block = build_block(region, cfg, None, replace(trunc, m_max_local=m))
     mode = _row_series(block.alpha[m - 1], block.beta[m - 1], grid, t, cfg)

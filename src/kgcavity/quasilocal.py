@@ -13,6 +13,12 @@ the truncation deficit), peaks at the global frequency nearest omega_l,
 and carries exponential tails outside [0, r] — the state is quasi-local,
 not strictly local, and the steering shift quantifies exactly how the
 right region notices it.
+
+A state is read once: ``overlap_distribution`` fetches its family's
+coefficient row with ``coeff_grid`` and holds it with <n_l>, and every
+other operation here (bandwidth, energies, steering, wavepacket) takes
+that ``OverlapDistribution``, reads the row, the family and <n_l> from
+it, and fetches no row of the state again.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 
 from .bogoliubov import coeff_grid
 from .causality import Leakage, lightcone_leakage, outside_cone_mass
-from .config import CavityConfig, DomainError, Region, ThresholdUnreachable, Truncation, _global_omega
+from .config import (CavityConfig, DomainError, GridMismatch, Region, ThresholdUnreachable,
+                     Truncation, _global_omega)
 from .modes import SampledMode, _check_time, _row_series
 from .vacuum import _coeff_sq_tail
 
@@ -99,10 +106,10 @@ class Steering(NamedTuple):
 
 @dataclass(frozen=True)
 class WavepacketComparison:
-    """psi_m against the true local mode u_m at one time, both measured
-    against the left light cone: ``leak`` is u_m's ``Leakage`` (the evolved
-    mode, its out-of-cone fraction and the cone), and psi is sampled on
-    ``leak.mode.grid``."""
+    """psi_l against the true local mode u_l at one time, both measured
+    against the light cone of the state's family: ``leak`` is u_l's
+    ``Leakage`` (the evolved mode, its out-of-cone fraction and the cone),
+    and psi is sampled on ``leak.mode.grid``."""
 
     psi: SampledMode
     leak: Leakage
@@ -118,7 +125,8 @@ def overlap_distribution(
     region: Region = Region.LEFT,
 ) -> OverlapDistribution:
     """Distribution of psi_l over global one-particle states, and its peak:
-    the one reader of the state's coefficient row."""
+    the one reader of the state's coefficient row, which every other
+    operation on the state reads from the result."""
     N_idx = np.arange(1, trunc.n_max_global + 1)
     alpha, beta = coeff_grid(region, np.array([l]), N_idx, cfg)
     mean_occ = float(np.sum(beta[0] ** 2))
@@ -166,42 +174,46 @@ def bandwidth(dist: OverlapDistribution, threshold: float = 0.95) -> float:
 
 
 def quasilocal_wavepacket(
-    m: int,
+    dist: OverlapDistribution,
     grid: np.ndarray,
     t: float,
     cfg: CavityConfig,
     trunc: Truncation,
 ) -> SampledMode:
-    """psi_m(x, t) = sum_N alpha_mN U_N(x, t) / sqrt(1 + <n_m>).
+    """psi_l(x, t) = sum_N alpha_lN U_N(x, t) / sqrt(1 + <n_l>) of the
+    state of ``dist``.
 
-    The positive-frequency content of the left mode u_m: same alpha
-    amplitudes, no conjugate branch, renormalized, summed by the same
-    ``_row_series`` as ``evolve_local_mode``, which also gives its tail
-    estimate.
+    The positive-frequency content of the mode u_l of ``dist.region``:
+    the held alpha row, no conjugate branch, renormalized by the held
+    <n_l>, summed by the same ``_row_series`` as ``evolve_local_mode``,
+    which also gives its tail estimate. GridMismatch unless the row has
+    ``trunc.n_max_global`` columns, those of a u_l evolved at ``trunc``.
     """
+    if len(dist.alpha) != trunc.n_max_global:
+        raise GridMismatch(f"the row of state l={dist.l} has {len(dist.alpha)} columns, "
+                           f"not n_max_global = {trunc.n_max_global}")
     _check_time(t, cfg, trunc.n_max_global)
-    N_idx = np.arange(1, trunc.n_max_global + 1)
-    alpha, beta = coeff_grid(Region.LEFT, np.array([m]), N_idx, cfg)
-    a_row = alpha[0] / np.sqrt(1.0 + float(np.sum(beta[0] ** 2)))
+    a_row = dist.alpha / np.sqrt(1.0 + dist.mean_occupation)
     return _row_series(a_row, np.zeros_like(a_row), grid, t, cfg)
 
 
 def wavepacket_comparison(
-    m: int,
+    dist: OverlapDistribution,
     t: float,
     cfg: CavityConfig,
     trunc: Truncation,
 ) -> WavepacketComparison:
-    """psi_m against the evolved u_m: the out-of-light-cone mass of each at
-    equal truncation, on the ``trunc.grid_points`` grid.
+    """psi_l, the state of ``dist``, against the evolved u_l of its family:
+    the out-of-light-cone mass of each at equal truncation, on the
+    ``trunc.grid_points`` grid.
 
-    u_m is exactly zero outside [0, r + t]; whatever the truncated series
-    leaves there is pure reconstruction residue. psi_m's out-of-cone mass is
+    u_l is exactly zero outside its cone; whatever the truncated series
+    leaves there is pure reconstruction residue. psi_l's out-of-cone mass is
     physical (exponential tails) and sits far above that residue.
     """
-    leak = lightcone_leakage(Region.LEFT, m, t, cfg, trunc)
-    psi = quasilocal_wavepacket(m, leak.mode.grid, t, cfg, trunc)
-    psi_out, psi_tot = outside_cone_mass(psi, leak.cone, Region.LEFT.omega(m, cfg))
+    leak = lightcone_leakage(dist.region, dist.l, t, cfg, trunc)
+    psi = quasilocal_wavepacket(dist, leak.mode.grid, t, cfg, trunc)
+    psi_out, psi_tot = outside_cone_mass(psi, leak.cone, dist.omega_l)
     return WavepacketComparison(psi=psi, leak=leak, psi_outside_fraction=psi_out / psi_tot)
 
 

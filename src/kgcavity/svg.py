@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .config import DimensionError
+
 __all__ = ["line_plot", "heatmap"]
 
 _W, _H = 800, 520
@@ -154,8 +156,13 @@ def _colors(v: np.ndarray) -> np.ndarray:
 def heatmap(path: str, matrix, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Matrix cells colored on a 5-stop map; row 0 at the top. NaN and
     +-inf cells are drawn in grey and left out of the color range; a matrix
-    with no finite cell is all grey, with 'nan' at both ends of the bar."""
+    with no finite cell is all grey, with 'nan' at both ends of the bar.
+    A matrix that is not 2-D or has no rows or no columns is a
+    DimensionError, raised before the file is opened."""
     M = np.asarray(matrix, dtype=float)
+    if M.ndim != 2 or 0 in M.shape:
+        raise DimensionError(f"a heatmap needs a 2-D matrix with rows and columns, "
+                             f"got shape {M.shape}")
     finite = np.isfinite(M)
     vals = M[finite]
     lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (math.nan, math.nan)

@@ -155,11 +155,13 @@ def test_leakage_rejects_negative_time(cfg_half, trunc_10k):
 
 
 @pytest.mark.parametrize("call", [
-    lambda cfg, trunc, bad: kg.lightcone_leakage(L, 1, bad, cfg, trunc),
-    lambda cfg, trunc, bad: kg.lightcone_leakage(L, 1, 0.1, cfg, trunc, edge_margin=bad),
-    lambda cfg, trunc, bad: kg.evolve_local_mode(L, 1, kg.uniform_grid(cfg, 9), bad, cfg, trunc),
-    lambda cfg, trunc, bad: kg.quasilocal_wavepacket(1, kg.uniform_grid(cfg, 9), bad, cfg, trunc),
-    lambda cfg, trunc, bad: kg.make_probe(0.7, bad, 1, cfg),
+    lambda cfg, trunc, bad, dist: kg.lightcone_leakage(L, 1, bad, cfg, trunc),
+    lambda cfg, trunc, bad, dist: kg.lightcone_leakage(L, 1, 0.1, cfg, trunc, edge_margin=bad),
+    lambda cfg, trunc, bad, dist: kg.evolve_local_mode(L, 1, kg.uniform_grid(cfg, 9), bad, cfg,
+                                                       trunc),
+    lambda cfg, trunc, bad, dist: kg.quasilocal_wavepacket(dist, kg.uniform_grid(cfg, 9), bad,
+                                                           cfg, trunc),
+    lambda cfg, trunc, bad, dist: kg.make_probe(0.7, bad, 1, cfg),
 ], ids=["leakage-t", "leakage-margin", "evolve", "wavepacket", "probe-tau"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_time_is_refused_before_any_coefficient(cfg_half, trunc_10k, monkeypatch,
@@ -167,10 +169,13 @@ def test_non_finite_time_is_refused_before_any_coefficient(cfg_half, trunc_10k, 
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the time check")
 
+    # the wavepacket's state is read before the refusal it is checked for
+    dist = kg.overlap_distribution(1, cfg_half, trunc_10k)
     monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    monkeypatch.setattr("kgcavity.quasilocal._row_series", no_compute)
     with pytest.raises(kg.DomainError):
-        call(cfg_half, trunc_10k, bad)
+        call(cfg_half, trunc_10k, bad, dist)
 
 
 @pytest.mark.parametrize("region", [L, RG])
@@ -284,6 +289,29 @@ def test_commutators_refuse_a_grid_that_misses_the_probe(cfg_half, monkeypatch, 
     trunc = kg.Truncation(n_max_global=2_000, m_max_local=4, grid_points=points)
     with pytest.raises(kg.GridMismatch):
         kg.commutator_pair(kg.make_probe(r_tilde, 0.6, 1, cfg_half), 1, cfg_half, trunc)
+
+
+@pytest.mark.parametrize("probe, words", [
+    (kg.ProbeSpec(0.3, 0.1, 1), "r_tilde"),     # overlaps the left box [0, 0.5]
+    (kg.ProbeSpec(0.7, -0.2, 1), "probe time"),
+    (kg.ProbeSpec(0.7, 0.1, 0), "got n=0"),     # named as the probe's index
+], ids=["inside-left-box", "negative-tau", "n0"])
+@pytest.mark.parametrize("entry", ["commutator_pair", "eval_probe_initial"])
+def test_probe_entries_refuse_a_probe_make_probe_refuses(cfg_half, monkeypatch, probe, words,
+                                                          entry):
+    # a ProbeSpec built by hand passes through make_probe, before any
+    # evolution or sampling
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the probe was refused")
+
+    monkeypatch.setattr("kgcavity.causality.evolve_local_mode", no_compute)
+    monkeypatch.setattr("kgcavity.causality.eval_local_initial", no_compute)
+    trunc = kg.Truncation(n_max_global=200, m_max_local=4, grid_points=65)
+    call = {"commutator_pair": lambda: kg.commutator_pair(probe, 1, cfg_half, trunc),
+            "eval_probe_initial": lambda: kg.eval_probe_initial(
+                probe, kg.uniform_grid(cfg_half, 65), cfg_half)}[entry]
+    with pytest.raises(kg.DomainError, match=words):
+        call()
 
 
 def test_commutators_carry_the_larger_quadrature_error(cfg_narrow):

@@ -316,12 +316,18 @@ def test_quasilocal_products(tmp_path):
 @pytest.mark.parametrize("argv, calls, entries", [
     (["--r", "0.3", "--mu", "2.0", "--l-list", "2,5,9", "--steer-m", "2"], 4, 60_000),
     ([], 3, 30_000),
-], ids=["steering-op", "default"])
+    (["--nmax", "10000", "--grid", "65", "--l-list", "1", "--steer-m", "1",
+      "--wavepacket-m", "1"], 2, 20_000),
+    (["--nmax", "10000", "--grid", "65", "--l-list", "2,5,9", "--steer-m", "2",
+      "--wavepacket-m", "5"], 4, 60_000),
+    (["--nmax", "10000", "--grid", "65", "--l-list", "1,2", "--steer-m", "2",
+      "--wavepacket-m", "3"], 4, 50_000),
+], ids=["steering-op", "default", "one-state", "wavepacket-in-list", "wavepacket-apart"])
 def test_quasilocal_reads_each_state_row_once(argv, calls, entries, tmp_path, monkeypatch):
-    # one row per --l-list state, one for the --steer-m state unless the
-    # list has it, and the far rows of the steering, at the default n_max
-    # of 10^4; the energies and the steering read the state's row from its
-    # distribution
+    # one row per distinct state of --l-list, --steer-m and --wavepacket-m,
+    # and the far rows of the steering, at the default n_max of 10^4; the
+    # energies, the steering and the wavepacket read the state's row from
+    # its distribution
     grid = bogoliubov.coeff_grid
     seen = []
 
@@ -727,6 +733,35 @@ def test_unresolvable_time_is_refused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["modes", "--times", "0.1,inf"],
+    ["modes", "--times", "0.1,1e306"],
+    ["causality", "--times", "0.1,-1", "--taus", "0.1"],
+    ["causality", "--times", "0.1", "--taus", "0.1,1e306"],
+    ["quasilocal", "--l-list", "1", "--wavepacket-m", "1", "--t", "-1"],
+], ids=["modes-inf", "modes-unresolved", "causality-negative", "causality-tau-unresolved",
+        "wavepacket-negative"])
+def test_evolution_times_are_refused_before_any_row(tmp_path, capsys, monkeypatch, argv):
+    # every time of the request passes its checks before the first
+    # evolution, so no row is computed (from a cold memo) and no series
+    # warning is logged for the times before the bad one
+    rows = []
+    grid = bogoliubov.coeff_grid
+
+    def spy(*args, **kwargs):
+        rows.append(args)
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
+    monkeypatch.setattr(bogoliubov, "coeff_grid", spy)
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", spy)
+    out = tmp_path / "o"
+    assert main([argv[0], *_BASE[argv[0]], *argv[1:], "--out-dir", str(out)]) == 2
+    assert _one_json_error(capsys)["error"] == "DomainError"
+    assert rows == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["rscan", "--probes", ""],
     ["rscan", "--probes", "1-1"],
     ["rscan", "--probes", "1:1,1:1,1:3"],
@@ -1033,6 +1068,21 @@ def test_out_of_range_local_index_is_a_domain_error(tmp_path, capsys, argv):
     assert set(doc) == {"error", "message"} and doc["error"] == "DomainError"
     assert not (out / "manifest.json").exists()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["modes", "--m", "5000"], "--m"),
+    (["correlations", "--nrows", "11"], "--nrows"),
+    (["quasilocal", "--l-list", "1", "--steer-m", "11"], "--steer-m"),
+    (["quasilocal", "--l-list", "1", "--wavepacket-m", "0"], "--wavepacket-m"),
+    (["causality", "--m", "11"], "--m"),
+])
+def test_out_of_range_local_index_names_its_flag(tmp_path, capsys, argv, flag):
+    # the CLI checks its index flags with the library's one local-cutoff
+    # check, naming the flag
+    assert main([*argv, "--mmax", "10", "--out-dir", str(tmp_path / "o")]) == 2
+    message = _one_json_error(capsys)["message"]
+    assert f"local index {flag}=" in message and "outside block of rows 1..10" in message
 
 
 # ── start-up ────────────────────────────────────────────────────────────────

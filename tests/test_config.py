@@ -215,3 +215,20 @@ def test_every_index_and_cutoff_obeys_the_one_rule(ctx, monkeypatch, good, call)
     for bad in (0, -1, 1.5, math.nan, math.inf):
         with pytest.raises(kg.DomainError):
             call(ctx, bad)
+
+
+def test_local_index_is_the_one_local_cutoff_check():
+    # the library's evolutions and the CLI's index flags share one check:
+    # a local-mode index lies in the rows 1..m_max_local and obeys the
+    # index rule, and comes back as a Python int
+    from kgcavity.config import _local_index
+
+    trunc = kg.Truncation(m_max_local=4)
+    for good in (1, 4, 3.0, np.int64(2)):
+        got = _local_index("m", good, trunc)
+        assert got == good and type(got) is int
+    for bad in (0, -1, 5, math.nan, math.inf):
+        with pytest.raises(kg.DomainError, match=r"local index m=.* outside block of rows 1\.\.4"):
+            _local_index("m", bad, trunc)
+    with pytest.raises(kg.DomainError, match="whole"):
+        _local_index("m", 1.5, trunc)

@@ -247,6 +247,7 @@ def test_time_past_the_phase_resolution_is_refused(monkeypatch, sign):
     t_max = 2.0**52 / np.sqrt((200 * np.pi) ** 2 + 9.0)
     u = kg.evolve_local_mode(L, 1, grid, sign * t_max * (1 - 1e-9), cfg, trunc)
     assert np.all(np.isfinite(u.value))
+    dist = kg.overlap_distribution(1, cfg, trunc)
 
     def no_compute(*args, **kwargs):
         raise AssertionError("built a block before the time check")
@@ -257,7 +258,7 @@ def test_time_past_the_phase_resolution_is_refused(monkeypatch, sign):
         with pytest.raises(kg.DomainError, match=r"2\^52"):
             kg.evolve_local_mode(L, 1, grid, t, cfg, trunc)
         with pytest.raises(kg.DomainError, match=r"2\^52"):
-            kg.quasilocal_wavepacket(1, grid, t, cfg, trunc)
+            kg.quasilocal_wavepacket(dist, grid, t, cfg, trunc)
 
 
 @settings(max_examples=30, deadline=None)

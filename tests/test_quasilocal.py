@@ -106,7 +106,7 @@ def test_wavepacket_tails_dwarf_series_residue():
     # leaves only reconstruction residue there. Nine decades apart at 1e4.
     cfg = kg.validate_config(1.0, 0.21, 1.0 / 0.21)
     trunc = kg.Truncation(n_max_global=10_000, m_max_local=8, grid_points=4097)
-    comp = kg.wavepacket_comparison(1, 0.0, cfg, trunc)
+    comp = kg.wavepacket_comparison(kg.overlap_distribution(1, cfg, trunc), 0.0, cfg, trunc)
     assert comp.leak.cone[1] == pytest.approx(0.21)
     assert comp.psi_outside_fraction == pytest.approx(0.0267101, rel=5e-2, abs=0)
     assert comp.leak.fraction < 1e-9
@@ -122,7 +122,8 @@ def test_wavepacket_fractions_are_finite_in_a_tiny_box():
     trunc = kg.Truncation(n_max_global=50, m_max_local=4, grid_points=9)
 
     def fractions(R):
-        comp = kg.wavepacket_comparison(1, 0.1 * R, kg.validate_config(R, 0.5 * R, 0.0), trunc)
+        cfg = kg.validate_config(R, 0.5 * R, 0.0)
+        comp = kg.wavepacket_comparison(kg.overlap_distribution(1, cfg, trunc), 0.1 * R, cfg, trunc)
         return comp.psi_outside_fraction, comp.leak.fraction
 
     tiny, base = fractions(1e-200), fractions(1.0)
@@ -136,7 +137,8 @@ def test_wavepacket_carries_its_own_tail_estimate(cfg_half):
     # beta's, so its c / n_max envelope sits below u's
     trunc = kg.Truncation(n_max_global=1_000, m_max_local=4)
     grid = kg.uniform_grid(cfg_half, 257)
-    psi = kg.quasilocal_wavepacket(1, grid, 0.1, cfg_half, trunc)
+    psi = kg.quasilocal_wavepacket(kg.overlap_distribution(1, cfg_half, trunc), grid, 0.1,
+                                   cfg_half, trunc)
     u = kg.evolve_local_mode(L, 1, grid, 0.1, cfg_half, trunc)
     assert np.isfinite(psi.tail_estimate)
     assert 0 < psi.tail_estimate < u.tail_estimate
@@ -148,18 +150,59 @@ def test_wavepacket_comparison_refuses_grids_without_interior_points(
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the grid check")
 
+    dist = kg.overlap_distribution(1, cfg_half, trunc_10k)
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
     monkeypatch.setattr("kgcavity.modes.build_block", no_compute)
     trunc = dataclasses.replace(trunc_10k, grid_points=points)
     with pytest.raises(kg.GridMismatch):
-        kg.wavepacket_comparison(1, 0.1, cfg_half, trunc)
+        kg.wavepacket_comparison(dist, 0.1, cfg_half, trunc)
+
+
+def test_wavepacket_reads_the_distributions_row(cfg_half, monkeypatch):
+    # psi is the held alpha row over sqrt(1 + the held <n>), to the bit of
+    # the row coeff_grid gives, and no row is fetched again
+    trunc = kg.Truncation(n_max_global=500, m_max_local=4)
+    grid = kg.uniform_grid(cfg_half, 65)
+    alpha, beta = kg.coeff_grid(L, [2], np.arange(1, 501), cfg_half)
+    a_row = alpha[0] / np.sqrt(1.0 + float(np.sum(beta[0] ** 2)))
+    want = kg.modes._row_series(a_row, np.zeros_like(a_row), grid, 0.2, cfg_half)
+    dist = kg.overlap_distribution(2, cfg_half, trunc)
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("fetched a row the distribution holds")
+
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_compute)
+    psi = kg.quasilocal_wavepacket(dist, grid, 0.2, cfg_half, trunc)
+    assert psi.value.tobytes() == want.value.tobytes()
+    assert psi.tderiv.tobytes() == want.tderiv.tobytes()
+    assert psi.tail_estimate == want.tail_estimate
 
 
 @pytest.mark.parametrize("call", [
+    lambda dist, trunc, cfg: kg.quasilocal_wavepacket(dist, kg.uniform_grid(cfg, 9), 0.1, cfg,
+                                                      trunc),
+    lambda dist, trunc, cfg: kg.wavepacket_comparison(dist, 0.1, cfg, trunc),
+], ids=["quasilocal_wavepacket", "wavepacket_comparison"])
+@pytest.mark.parametrize("n_max", [100, 300])
+def test_wavepacket_refuses_a_row_of_another_truncation(cfg_half, monkeypatch, call, n_max):
+    # psi and u are compared at equal truncation: a row of 200 columns
+    # against n_max 100 or 300 is refused before psi's series is summed
+    dist = kg.overlap_distribution(1, cfg_half, kg.Truncation(n_max_global=200, m_max_local=4))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("summed psi before the row check")
+
+    monkeypatch.setattr("kgcavity.quasilocal._row_series", no_compute)
+    with pytest.raises(kg.GridMismatch, match="columns"):
+        call(dist, kg.Truncation(n_max_global=n_max, m_max_local=4, grid_points=9), cfg_half)
+
+
+# a wavepacket takes the distribution of its state, whose index
+# overlap_distribution checks (the first case)
+@pytest.mark.parametrize("call", [
     lambda cfg, trunc, dist: kg.overlap_distribution(0, cfg, trunc),
-    lambda cfg, trunc, dist: kg.quasilocal_wavepacket(0, kg.uniform_grid(cfg, 9), 0.0, cfg, trunc),
     lambda cfg, trunc, dist: kg.steering_shift(dist, [0, 2], cfg),
-], ids=["overlap_distribution", "quasilocal_wavepacket", "steering_shift-l"])
+], ids=["overlap_distribution", "steering_shift-l"])
 def test_local_indices_below_one_are_refused_before_any_compute(cfg_half, monkeypatch, call):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the index check")
@@ -174,7 +217,8 @@ def test_local_indices_below_one_are_refused_before_any_compute(cfg_half, monkey
 
 def test_wavepacket_norm_and_shape(cfg_half, trunc_10k):
     grid = kg.uniform_grid(cfg_half, 1025)
-    psi = kg.quasilocal_wavepacket(1, grid, 0.0, cfg_half, trunc_10k)
+    psi = kg.quasilocal_wavepacket(kg.overlap_distribution(1, cfg_half, trunc_10k), grid, 0.0,
+                                   cfg_half, trunc_10k)
     assert psi.value[0] == 0.0 and psi.value[-1] == 0.0
     # KG norm of the normalized state is 1 (up to truncation + quadrature)
     norm = kg.kg_inner(psi, psi)
@@ -328,3 +372,22 @@ def test_quasilocal_quantities_mirror_under_r_to_R_minus_r(r, muR, n_max, l, reg
     for name in ("raw", "annihilator_raw", "normalized", "annihilator_normalized",
                  "tail_bound"):
         assert getattr(e_m, name) == pytest.approx(getattr(e, name), rel=1e-12, abs=0), name
+
+
+@settings(deadline=None)
+@given(r=_R_FRACTION, muR=st.floats(0.0, 50.0), n_max=st.integers(50, 1_000),
+       l=st.integers(1, 8), t=st.floats(0.0, 1.0))
+def test_wavepacket_mirrors_under_r_to_R_minus_r(r, muR, n_max, l, t):
+    # the right state l at r is the left state l at R - r seen through
+    # x -> R - x: |psi| reverses on the grid, and the out-of-cone fraction
+    # of psi, measured against its own family's cone, is the same
+    trunc = kg.Truncation(n_max_global=n_max, m_max_local=8, grid_points=65)
+    cfg = kg.validate_config(1.0, r, muR)
+    mirror = kg.validate_config(1.0, 1.0 - r, muR)
+    right = kg.wavepacket_comparison(
+        kg.overlap_distribution(l, cfg, trunc, region=kg.Region.RIGHT), t, cfg, trunc)
+    left = kg.wavepacket_comparison(kg.overlap_distribution(l, mirror, trunc), t, mirror, trunc)
+    abs_right, abs_left = np.abs(right.psi.value), np.abs(left.psi.value)[::-1]
+    assert np.max(np.abs(abs_right - abs_left)) <= 1e-12 * np.max(abs_left)
+    assert right.psi_outside_fraction == pytest.approx(left.psi_outside_fraction,
+                                                       rel=1e-12, abs=0)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from kgcavity import svg
+from kgcavity.config import DimensionError
 
 _I, _J = np.indices((60, 40))
 PINNED = [
@@ -63,3 +64,15 @@ def test_matrix_without_finite_cells_is_all_grey(tmp_path):
     text = _render(tmp_path, np.array([[np.nan, np.inf], [np.nan, np.nan]]))
     assert _cell_fills(text, 4) == [svg._NONFINITE] * 4
     assert text.count(">nan</text>") == 2
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(3),
+                                    np.zeros((2, 2, 2)), np.float64(1.0)],
+                         ids=["no-rows", "no-columns", "1-D", "3-D", "0-D"])
+def test_matrix_that_is_not_a_grid_of_cells_is_a_dimension_error(tmp_path, matrix):
+    # refused before the file is opened, with the shape named; an empty
+    # axis once raised ZeroDivisionError and a 1-D array ValueError
+    path = tmp_path / "map.svg"
+    with pytest.raises(DimensionError, match=re.escape(str(np.shape(matrix)))):
+        svg.heatmap(str(path), matrix)
+    assert not path.exists()
