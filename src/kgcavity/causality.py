@@ -113,11 +113,12 @@ def commutator_pair(
     u_m is evolved to tau through the truncated global series and paired
     with the probe's Cauchy data by KG quadrature on a shared grid. Before
     u_m is evolved, ``eval_probe_initial`` refuses a probe ``make_probe``
-    refuses, and GridMismatch a grid without a point inside (r_tilde, R).
+    refuses, and GridMismatch a grid with fewer points inside
+    (r_tilde, R) than the probe has half-waves.
     """
     grid = uniform_grid(cfg, trunc.grid_points)
     probe_mode = eval_probe_initial(probe, grid, cfg)
-    _check_probe_grid(probe.r_tilde, grid, cfg)
+    _check_probe_grid(probe.r_tilde, probe.n, grid, cfg)
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc)
     p1 = kg_inner(probe_mode, u_m)
     p2 = kg_inner(probe_mode, conjugate_mode(u_m))
@@ -146,13 +147,17 @@ def outside_cone_mass(mode: SampledMode, cone: tuple[float, float],
     return outside, total
 
 
-def _check_probe_grid(r_tilde: float, grid: np.ndarray, cfg: CavityConfig) -> None:
-    """GridMismatch unless a grid point lies inside the probe's support
-    (r_tilde, R): the probe vanishes on every other point, so both
-    commutators would read an exact 0 whatever the evolved mode."""
-    if not np.any((grid > r_tilde) & (grid < cfg.R)):
-        raise GridMismatch(f"no point of the {len(grid)}-point grid lies inside the probe's "
-                           f"support ({r_tilde:.17g}, {cfg.R:.17g})")
+def _check_probe_grid(r_tilde: float, n: int, grid: np.ndarray, cfg: CavityConfig) -> None:
+    """GridMismatch unless the grid has at least n points inside the
+    support (r_tilde, R) of probe n, one per half-wave: the probe vanishes
+    on every other point, so with none inside both commutators would read
+    an exact 0 whatever the evolved mode, and with fewer than its half-waves
+    the grid aliases the probe and the KG quadrature reads noise."""
+    inside = np.count_nonzero((grid > r_tilde) & (grid < cfg.R))
+    if inside < n:
+        raise GridMismatch(f"{inside} points of the {len(grid)}-point grid lie inside the "
+                           f"support ({r_tilde:.17g}, {cfg.R:.17g}) of probe {n}, fewer than "
+                           f"its {n} half-waves")
 
 
 def _check_cone_grid(n_points: int) -> None:

@@ -297,14 +297,21 @@ def cmd_rscan(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     probes = args.probes
     table = limit_scan(args.kind, args.values, probes, cfg, trunc, M_fixed=args.M_fixed)
-    for value, n_m, tails in zip(table.values, table.n_per_probe, table.tail_per_probe):
-        run.tails[f"value={value:.17g}"] = {f"n_m{m}": tail for (m, _), tail in zip(probes, tails)}
-        _warn_truncated(f"{args.kind}={value:.17g}", n_m, tails, [f"n_m{m}" for m, _ in probes])
+    cells = [f"n_m{m}" for m, _ in probes]
+    sums = [f"sum_left_M{args.M_fixed}", f"sum_both_M{args.M_fixed}"]
+    sum_values = np.column_stack((table.sum_left, table.sum_both))
+    sum_tails = np.column_stack((table.tail_sum_left, table.tail_sum_both))
+    for k, value in enumerate(table.values):
+        at = f"{args.kind}={value:.17g}"
+        run.tails[f"value={value:.17g}"] = dict(zip(cells + sums,
+                                                    [*table.tail_per_probe[k], *sum_tails[k]]))
+        _warn_truncated(at, table.n_per_probe[k], table.tail_per_probe[k], cells)
+        _warn_truncated(at, sum_values[k], sum_tails[k], sums)
     names, columns = ["value"], [table.values]
     for ip, (m, N) in enumerate(probes):
         names += [f"n_m{m}", f"alpha_m{m}_N{N}", f"beta_m{m}_N{N}"]
         columns += [table.n_per_probe[:, ip], table.alpha_mag[:, ip], table.beta_mag[:, ip]]
-    names += [f"sum_left_M{args.M_fixed}", f"sum_both_M{args.M_fixed}"]
+    names += sums
     columns += [table.sum_left, table.sum_both]
     run.csv("rscan.csv", [f"kind={args.kind}"], names, columns)
     series = [(table.values, table.n_per_probe[:, ip], f"m={m}")
@@ -351,10 +358,13 @@ def cmd_quasilocal(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     l_list = args.l_list
     states = [("--l-list", l) for l in l_list] + [("--steer-m", args.steer_m)]
+    if args.t is not None and args.wavepacket_m is None:
+        raise DomainError("--t is the wavepacket's time and needs --wavepacket-m")
+    t = 0.0 if args.t is None else args.t
     if args.wavepacket_m is not None:
         states.append(("--wavepacket-m", args.wavepacket_m))
-        _finite_nonnegative("time", args.t)
-        _check_time(args.t, cfg, trunc.n_max_global)
+        _finite_nonnegative("time", t)
+        _check_time(t, cfg, trunc.n_max_global)
     for flag, l in states:
         _local_index(flag, l, trunc)
     # one distribution, and so one read of its row, per distinct state
@@ -390,7 +400,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
     run.csv("steering.csv", [f"m={args.steer_m}"],
             ["l", "shift_wick", "shift_direct"], [l_list, shift.wick, shift.direct])
     if args.wavepacket_m is not None:
-        comp = wavepacket_comparison(dists[args.wavepacket_m], args.t, cfg, trunc)
+        comp = wavepacket_comparison(dists[args.wavepacket_m], t, cfg, trunc)
         u = comp.leak.mode
         run.tails["psi_outside_fraction"] = comp.psi_outside_fraction
         run.tails["u_outside_fraction"] = comp.leak.fraction
@@ -399,7 +409,7 @@ def cmd_quasilocal(args, run: _Run) -> None:
         abs_psi, abs_u = np.abs(comp.psi.value), np.abs(u.value)
         run.csv(
             f"wavepacket_m{args.wavepacket_m}.csv",
-            [f"t={args.t:.17g} cone_edge={comp.leak.cone[1]:.17g}"],
+            [f"t={t:.17g} cone_edge={comp.leak.cone[1]:.17g}"],
             ["x", "abs_psi", "abs_u", "abs_diff"],
             [u.grid, abs_psi, abs_u, abs_psi - abs_u],
         )
@@ -416,14 +426,14 @@ def cmd_causality(args, run: _Run) -> None:
     gap = r_tilde - cfg.r
     taus = args.taus if args.taus is not None else [0.5 * gap, 2.0 * gap]
     # make_probe refuses a bad probe, the time checks a time before 0 or
-    # one the series cannot resolve, and the grid check a grid that misses
-    # the probe's support, all before any evolution runs
+    # one the series cannot resolve, and the grid check a grid that
+    # aliases the probe, all before any evolution runs
     probes = [make_probe(r_tilde, tau, args.probe_n, cfg) for tau in taus]
     for t in [*args.times, *taus]:
         _finite_nonnegative("time", t)
         _check_time(t, cfg, trunc.n_max_global)
     if probes:
-        _check_probe_grid(r_tilde, uniform_grid(cfg, trunc.grid_points), cfg)
+        _check_probe_grid(r_tilde, args.probe_n, uniform_grid(cfg, trunc.grid_points), cfg)
 
     leaks = []
     for t in args.times:
@@ -559,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=0.95)
     sp.add_argument("--steer-m", type=int, default=1)
     sp.add_argument("--wavepacket-m", type=int, default=None)
-    sp.add_argument("--t", type=float, default=0.0)
+    sp.add_argument("--t", type=float, default=None,
+                    help="the wavepacket's time (default 0); only with --wavepacket-m")
     sp.set_defaults(func=cmd_quasilocal)
 
     sp = sub.add_parser("causality", parents=[common, nmax, mmax, grid], help="light-cone and commutator checks")

@@ -34,7 +34,6 @@ row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +131,8 @@ class TrendTable:
     beta_mag: np.ndarray         # |beta_mN| per (scan value, probe)
     sum_left: np.ndarray         # sum_{m<=M} <n_m>
     sum_both: np.ndarray         # sum_{m<=M} (<n_m> + <n_bar_m>)
+    tail_sum_left: np.ndarray    # the sum of the tails of the rows of sum_left
+    tail_sum_both: np.ndarray    # the sum of the tails of the rows of sum_both
 
 
 # ── helpers ─────────────────────────────────────────────────────────────────
@@ -150,42 +151,54 @@ _GL_X = (_GL_X + 1.0) / 2.0
 _GL_W = _GL_W / 2.0
 
 
-def _tail_quad(f, start: float, scales) -> float:
-    """Integral of the vectorised f over [start, inf) by one fixed rule.
+def _tail_quad(f, start: float, scales: np.ndarray) -> np.ndarray:
+    """Integral of the vectorised f over [start, inf) by one fixed rule, for
+    every row at once. Row i of ``scales`` holds, in increasing order, the
+    points where row i's integrand changes its power law; f maps an array
+    of nodes whose first axis is the row (of length 1 where every row
+    shares them) to the summands of every row there.
 
-    The range is cut at each of ``scales`` above ``start``, the points
-    where the integrand changes its power law. Each finite panel [a, b]
-    gets 48-point Gauss-Legendre in log N (N = a (b/a)^x, dN = N log(b/a)
-    dx), over which the summands vary smoothly however long the panel is;
-    the last panel [c, inf) is mapped onto (0, 1] by N = c / x and gets the
-    same 48 nodes, where its integrand is smooth down to x = 0 for every
-    summand decaying like N^-2 or faster. The nodes depend on ``start``
-    and ``scales`` only, so a dimensionless f gives dimensionless bits.
+    Each scale, clipped at ``start``, ends one panel: [start, s_1],
+    [s_1, s_2] and so on, so a scale at or below ``start`` gives an empty
+    panel of zero weight, and a panel empty in every row is left out. Each
+    finite panel [a, b] gets 48-point Gauss-Legendre in log N
+    (N = a (b/a)^x, dN = N log(b/a) dx), over which the summands vary
+    smoothly however long the panel is; the last panel [c, inf) is mapped
+    onto (0, 1] by N = c / x and gets the same 48 nodes, where its
+    integrand is smooth down to x = 0 for every summand decaying like N^-2
+    or faster. A row's nodes and weights depend on ``start`` and its own
+    scales only, and its panel sums are added in panel order, where a
+    panel left out would have added an exact 0: its integral has the same
+    bits alone or among other rows, and a dimensionless f gives
+    dimensionless bits.
 
     Against 30-digit mpmath on mu R in {0, 4.7, 1e3, 1e4, 1e5, 1e6},
     start in {1, 10, 200, 1e4, 1e5}, widths {0.05, 0.5, 0.95} R and l in
     {1, 50}, for both tails with and without the energy weight, the worst
-    relative error is 6.4e-15.
+    relative error is 6.5e-15, each row alone or among the others.
     """
-    cuts = [start] + sorted(c for c in scales if c > start)
-    nodes, weights = [], []
-    for a, b in zip(cuts, cuts[1:]):
-        log_a, span = math.log(a), math.log(b) - math.log(a)
-        N = np.exp(log_a + span * _GL_X)
-        nodes.append(N)
-        weights.append(span * _GL_W * N)
-    last = cuts[-1]
-    nodes.append(last / _GL_X)
-    weights.append(_GL_W * last / (_GL_X * _GL_X))
-    return float(np.dot(np.concatenate(weights), f(np.concatenate(nodes))))
+    cuts = np.maximum(start, np.concatenate((np.full((len(scales), 1), start), scales), axis=1))
+    # rows whose panels agree share one set of nodes and weights
+    cuts = cuts[:1] if (cuts == cuts[:1]).all() else cuts
+    log_c = np.log(cuts)
+    span = log_c[:, 1:] - log_c[:, :-1]
+    live = span.any(axis=0)
+    lo, span = log_c[:, :-1][:, live, None], span[:, live, None]
+    N = np.exp(lo + span * _GL_X)
+    last = cuts[:, -1:, None]
+    nodes = np.concatenate([N, last / _GL_X], axis=1)
+    weights = np.concatenate([span * _GL_W * N, _GL_W * last / (_GL_X * _GL_X)], axis=1)
+    return np.vecdot(weights, f(nodes)).sum(axis=1)
 
 
-def _resonance_cutoff(region: Region, l: int, cfg: CavityConfig) -> int:
+def _resonance_cutoff(region: Region, l, cfg: CavityConfig):
     """The index nearest 2 omega_l R / pi, twice the resonance pole Omega_N =
     omega_l at mu = 0: from it on the alpha^2 summands fall monotonically.
-    Computed at R = 1, where omega_l R is omega_l. Rounding keeps it fixed
-    under r -> R - r, which moves omega_l by ulps."""
-    return round(2.0 * float(ladder(l, region.reduced_width(cfg), cfg.mu_tilde)) / np.pi)
+    Computed at R = 1, where omega_l R is omega_l, for one l (an int) or an
+    array of them. Rounding, half to even, keeps it fixed under r -> R - r,
+    which moves omega_l by ulps."""
+    cut = np.rint(2.0 * ladder(l, region.reduced_width(cfg), cfg.mu_tilde) / np.pi)
+    return cut if np.ndim(cut) else int(cut)
 
 
 def _divergence_request(N_list, M_list) -> tuple[np.ndarray, np.ndarray]:
@@ -199,36 +212,52 @@ def _divergence_request(N_list, M_list) -> tuple[np.ndarray, np.ndarray]:
     return N_arr, M_arr
 
 
-def _coeff_sq_tail(region: Region, l: int, cfg: CavityConfig, n_from: int,
-                   sign: float, energy: bool = False) -> float:
+def _coeff_sq_tail(region: Region, l, cfg: CavityConfig, n_from: int,
+                   sign: float, energy: bool = False):
     """Integral-test tail beyond N = n_from of sum_N beta_lN^2 (sign = +1) or
     sum_N alpha_lN^2 (sign = -1), each term weighted by Omega_N with
-    ``energy``; sin^2 -> 1/2 makes the summand pref / (Om (Om + sign om)^2),
-    times Om with ``energy``. The alpha tail is inf below
-    ``_resonance_cutoff``, where it would skip the resonance peak.
+    ``energy``, of ``region``'s rows at cfg: for one local index l a float,
+    for an array of them an array, each row with the bits it has alone. The
+    alpha tail is inf below ``_resonance_cutoff``, where it would skip the
+    resonance peak.
 
-    The sum runs at R = 1 (widths r/R, frequencies omega R, mass mu R), so
-    no dimensional prefactor can underflow, and the energy tail is divided
-    by R at the end: a tail is a function of r/R and mu R alone (times 1/R
-    for energy). Squares are products, never ``pow``, so R -> 2^k R keeps
-    every bit. The summand divides factor by factor and forms no product
-    of frequencies, which would leave double range at the nodes past
-    Omega ~ 1e102 that widths below about 1e-98 and mu R above about 1e99
-    reach."""
-    if sign < 0 and n_from < _resonance_cutoff(region, l, cfg):
-        return math.inf
-    w = region.reduced_width(cfg)
-    mu = cfg.mu_tilde
-    om_l = float(ladder(l, w, mu))
-    pref = l**2 * np.pi**2 / (2.0 * w * w * w * om_l)
+    The sum runs at R = 1 (``_row_tails``), so no dimensional prefactor can
+    underflow, and the energy tail is divided by R at the end: a tail is a
+    function of r/R and mu R alone (times 1/R for energy)."""
+    ls = np.atleast_1d(l)
+    # the rows whose tail is a bound; the others never reach the integrand,
+    # whose alpha denominator can vanish below the resonance cutoff
+    bound = slice(None) if sign > 0 else n_from >= _resonance_cutoff(region, ls, cfg)
+    tails = np.full(ls.shape, np.inf)
+    tails[bound] = _row_tails(ls[bound], region.reduced_width(cfg), cfg.mu_tilde, n_from, sign,
+                              energy) / (cfg.R if energy else 1.0)
+    return tails if np.ndim(l) else float(tails[0])
+
+
+def _row_tails(l: np.ndarray, w, mu, n_from: int, sign: float,
+               energy: bool = False) -> np.ndarray:
+    """The tails of ``_coeff_sq_tail`` at R = 1 of rows l, each of reduced
+    width w (r/R or 1 - r/R) and mass mu (mu R), each given once for every
+    row or once per row, from one ``_tail_quad`` call.
+
+    sin^2 -> 1/2 makes the summand pref / (Om (Om + sign om)^2), times Om
+    with ``energy``. Squares are products, never ``pow``, so R -> 2^k R
+    keeps every bit. The summand divides factor by factor and forms no
+    product of frequencies, which would leave double range at the nodes
+    past Omega ~ 1e102 that widths below about 1e-98 and mu R above about
+    1e99 reach."""
+    om_l = ladder(l, w, mu)
+    # l^2 in doubles: an int64 square wraps from l ~ 3e9 on
+    pref = (np.square(l, dtype=np.float64) * np.pi**2 / (2.0 * w * w * w * om_l))[:, None, None]
+    s_om, mu_row = sign * om_l[:, None, None], np.reshape(mu, (-1, 1, 1))
 
     def integrand(N: np.ndarray) -> np.ndarray:
-        Om = ladder(N, 1.0, mu)
-        d = Om + sign * om_l
+        Om = ladder(N, 1.0, mu_row)
+        d = Om + s_om
         return (pref / d if energy else pref / Om / d) / d
 
-    tail = _tail_quad(integrand, float(n_from), (mu / np.pi, om_l / np.pi))
-    return tail / cfg.R if energy else tail
+    scales = np.column_stack((np.broadcast_to(mu, om_l.shape), om_l)) / np.pi
+    return _tail_quad(integrand, float(n_from), scales)
 
 
 # ── operations ──────────────────────────────────────────────────────────────
@@ -241,10 +270,7 @@ def vacuum_spectrum(
     """<n_l> = sum_N beta_lN^2 for l = 1..m_max_local, plus tail estimates."""
     l_idx = np.arange(1, trunc.m_max_local + 1)
     values = beta_sq_sums(region, l_idx, np.arange(1, trunc.n_max_global + 1), cfg)
-    tails = np.array(
-        [_coeff_sq_tail(region, l, cfg, trunc.n_max_global, 1.0)
-         for l in range(1, trunc.m_max_local + 1)]
-    )
+    tails = _coeff_sq_tail(region, l_idx, cfg, trunc.n_max_global, 1.0)
     return SpectrumResult(region=region, values=values, tail_bound=tails)
 
 
@@ -439,7 +465,8 @@ def limit_scan(
     M_fixed: int = 100,
 ) -> TrendTable:
     """Trends of <n_m>, |alpha_mN|, |beta_mN| and sum_{m<=M} <n_m> along a
-    scan, with each probe's <n_m> tail bound beyond n_max.
+    scan, with the tail bound beyond n_max of each probe's <n_m> and of
+    each summed column, the sum of its rows' tails.
 
     kind = "mass": values are mu*R, partition fixed at cfg.r.
     kind = "partition-size": values are r/R, mass fixed at cfg.mu.
@@ -455,7 +482,9 @@ def limit_scan(
     and the left family's on the probes' columns, once per scan for a mass
     scan (r/R is fixed) and once per value for a partition-size scan, and
     Omega_N once per value for both families. The probe rows' table serves
-    both their sums and their diagonal.
+    both their sums and their diagonal. One ``_row_tails`` call gives
+    every tail of the scan, each row with the bits ``_coeff_sq_tail`` gives
+    it at its value.
     """
     if kind not in ("mass", "partition-size"):
         raise DomainError(f"unknown scan kind {kind!r}")
@@ -468,7 +497,6 @@ def limit_scan(
     probe_Ns = np.array([N for _, N in probes], dtype=np.int64)
 
     n_per = np.empty((len(values), len(probes)))
-    tails = np.empty_like(n_per)
     a_mag = np.empty_like(n_per)
     b_mag = np.empty_like(n_per)
     s_left = np.empty(len(values))
@@ -490,22 +518,33 @@ def limit_scan(
         s_both[k] = s_left[k] + _beta_sq_total(_rows(Region.RIGHT, m_sum, cfg_k), right)
         probe_rows = _rows(Region.LEFT, probe_ms, cfg_k)
         n_per[k] = _beta_sq_sums(probe_rows, left)
-        tails[k] = [_coeff_sq_tail(Region.LEFT, m, cfg_k, trunc.n_max_global, 1.0)
-                    for m, _ in probes]
         # probe ip's (m, N) entry is the diagonal of the probes' m x N grid
         a, b = _grid(probe_rows, probe_cols)
         a_mag[k] = np.abs(np.diagonal(a))
         b_mag[k] = np.abs(np.diagonal(b))
 
+    # per value, the tails of the left probe rows and rows 1..M_fixed, then
+    # of the right rows 1..M_fixed, at that value's widths and mass
+    P = len(probes)
+    widths = np.array([[Region.LEFT.reduced_width(c), Region.RIGHT.reduced_width(c)]
+                       for c in cfgs]).reshape(-1, 2)
+    widths = np.repeat(widths, [P + M_fixed, M_fixed], axis=1)
+    rows = np.broadcast_to(np.concatenate([probe_ms, m_sum, m_sum]), widths.shape)
+    masses = np.broadcast_to(np.array([c.mu_tilde for c in cfgs])[:, None], widths.shape)
+    row_tails = _row_tails(rows.ravel(), widths.ravel(), masses.ravel(), trunc.n_max_global,
+                           1.0).reshape(widths.shape)
+    t_left = np.sum(row_tails[:, P:P + M_fixed], axis=1)
     return TrendTable(
         kind=kind,
         values=values,
         probe_indices=probes,
         M_fixed=M_fixed,
         n_per_probe=n_per,
-        tail_per_probe=tails,
+        tail_per_probe=row_tails[:, :P],
         alpha_mag=a_mag,
         beta_mag=b_mag,
         sum_left=s_left,
         sum_both=s_both,
+        tail_sum_left=t_left,
+        tail_sum_both=t_left + np.sum(row_tails[:, P + M_fixed:], axis=1),
     )

@@ -291,6 +291,26 @@ def test_commutators_refuse_a_grid_that_misses_the_probe(cfg_half, monkeypatch, 
         kg.commutator_pair(kg.make_probe(r_tilde, 0.6, 1, cfg_half), 1, cfg_half, trunc)
 
 
+@pytest.mark.parametrize("n, refused", [(19, False), (20, True), (5000, True)])
+def test_commutators_refuse_a_grid_that_aliases_the_probe(cfg_half, monkeypatch, n, refused):
+    # 19 of the 65 grid points lie inside (0.7, 1): probe n has n half-waves
+    # there, so from n = 20 on the grid cannot resolve it and the KG
+    # quadrature would read noise (6.8e-6 for both commutators at n = 5000);
+    # refused before any evolution
+    class Evolved(Exception):
+        pass
+
+    def evolve(*_args):
+        raise Evolved
+
+    monkeypatch.setattr("kgcavity.causality.evolve_local_mode", evolve)
+    trunc = kg.Truncation(n_max_global=200, m_max_local=4, grid_points=65)
+    grid = kg.uniform_grid(cfg_half, 65)
+    assert np.count_nonzero((grid > 0.7) & (grid < 1.0)) == 19
+    with pytest.raises(kg.GridMismatch if refused else Evolved):
+        kg.commutator_pair(kg.make_probe(0.7, 0.1, n, cfg_half), 1, cfg_half, trunc)
+
+
 @pytest.mark.parametrize("probe, words", [
     (kg.ProbeSpec(0.3, 0.1, 1), "r_tilde"),     # overlaps the left box [0, 0.5]
     (kg.ProbeSpec(0.7, -0.2, 1), "probe time"),

@@ -142,12 +142,14 @@ def test_spectrum_warns_where_the_tail_exceeds_the_sum(tmp_path, caplog):
 
 def test_rscan_warns_where_a_probe_tail_exceeds_its_cell(tmp_path, caplog):
     # at mu R = 1e5 the sum over N <= 10^4 of beta_1N^2 is 9.56e-16 against
-    # a tail bound of 3.23e-15: one warning, at that scan value only, names
-    # --nmax; every probe's tail at every value reaches the manifest and
-    # the sidecar, never the CSV
+    # a tail bound of 3.23e-15: one warning for the probes, at that scan
+    # value only, names --nmax (the summed columns get their own, below);
+    # every probe's tail at every value reaches the manifest and the
+    # sidecar, never the CSV
     out = tmp_path / "r"
     assert main(["rscan", "--kind", "mass", "--values", "1,1e3,1e5", "--out-dir", str(out)]) == 0
-    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelname == "WARNING" and "sum_" not in r.getMessage()]
     assert len(warned) == 1
     assert "mass=100000 " in warned[0] and "n_m1 " in warned[0] and "--nmax" in warned[0]
     header, *rows = [line.split(",") for line in (out / "rscan.csv").read_text().splitlines()
@@ -158,9 +160,33 @@ def test_rscan_warns_where_a_probe_tail_exceeds_its_cell(tmp_path, caplog):
     for doc in (_read_json(out / "manifest.json"), _read_json(out / "rscan.json")):
         tails = doc["tail_bounds"]
         assert list(tails) == ["value=1", "value=1000", "value=100000"]
-        assert all(list(probe) == ["n_m1", "n_m2"] for probe in tails.values())
+        assert all(list(probe)[:2] == ["n_m1", "n_m2"] for probe in tails.values())
         assert tails["value=100000"]["n_m1"] > float(rows[2][1])
         assert tails["value=1000"]["n_m1"] < float(rows[1][1])
+
+
+def test_rscan_bounds_its_summed_columns(tmp_path, caplog):
+    # sum_{m<=100} <n_m> is truncation-dominated at mu R = 1e5 (3.2e-10
+    # against a bound of 1.1e-9) and not at mu R = 1: each summed column's
+    # bound, the sum of its rows' tails, reaches the manifest beside the
+    # probes' and a warning names it; rscan.csv keeps its columns
+    out = tmp_path / "r"
+    assert main(["rscan", "--kind", "mass", "--values", "1,1e3,1e5", "--out-dir", str(out)]) == 0
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelname == "WARNING" and "sum_" in r.getMessage()]
+    assert len(warned) == 1
+    assert "mass=100000 " in warned[0] and "sum_left_M100 " in warned[0] and "(2 of 2)" in warned[0]
+    table = kg.limit_scan("mass", [1.0, 1e3, 1e5], [(1, 1), (2, 3)],
+                          kg.validate_config(1.0, 0.5, 0.0), kg.Truncation())
+    header, *rows = [line.split(",") for line in (out / "rscan.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    assert header[-2:] == ["sum_left_M100", "sum_both_M100"]
+    for doc in (_read_json(out / "manifest.json"), _read_json(out / "rscan.json")):
+        for k, value in enumerate(["value=1", "value=1000", "value=100000"]):
+            tails = doc["tail_bounds"][value]
+            assert tails["sum_left_M100"] == table.tail_sum_left[k]
+            assert tails["sum_both_M100"] == table.tail_sum_both[k]
+            assert (tails["sum_left_M100"] > float(rows[k][-2])) == (k == 2)
 
 
 @pytest.mark.parametrize("lmax", ["0", "-3"])
@@ -957,8 +983,8 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0]) == {
         "error": "GridMismatch",
-        "message": "no point of the 1-point grid lies inside the probe's support "
-                   "(0.69999999999999996, 1)"}
+        "message": "0 points of the 1-point grid lie inside the support "
+                   "(0.69999999999999996, 1) of probe 1, fewer than its 1 half-waves"}
 
 
 def test_paper_norm_survives_large_mass(tmp_path):
@@ -1035,6 +1061,47 @@ def test_grid_missing_the_probe_is_a_grid_mismatch(tmp_path, capsys, monkeypatch
     assert main(["causality", *argv, "--out-dir", str(out)]) == 2
     assert _one_json_error(capsys)["error"] == "GridMismatch"
     assert not out.exists()
+
+
+def test_aliased_probe_is_refused_before_any_evolution(tmp_path, capsys, monkeypatch):
+    # probe 5000 on the 19 grid points of (0.7, 1) wrote c1 = c2 = 6.8e-6
+    # with exit 0; the grid check now takes the probe's index
+    def refuse(*_args, **_kw):
+        raise AssertionError("evolved before the grid was refused")
+
+    monkeypatch.setattr("kgcavity.cli.lightcone_leakage", refuse)
+    monkeypatch.setattr("kgcavity.cli.commutator_pair", refuse)
+    out = tmp_path / "o"
+    assert main(["causality", "--nmax", "200", "--mmax", "4", "--grid", "65", "--times", "0",
+                 "--rtilde", "0.7", "--taus", "0.1", "--probe-n", "5000",
+                 "--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "GridMismatch" and "probe 5000" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l-list", "1", "--t", "nan"],
+    ["--l-list", "1", "--t", "0.1"],
+    ["--l-list", "1", "--steer-m", "2", "--t", "0"],
+], ids=["nan", "finite", "zero"])
+def test_time_without_a_wavepacket_is_refused(tmp_path, capsys, argv):
+    # --t is read only with --wavepacket-m: alone it used to be ignored
+    # with exit 0, whatever its value
+    out = tmp_path / "q"
+    assert main(["quasilocal", "--nmax", "200", "--mmax", "4", *argv, "--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "DomainError" and "--wavepacket-m" in err["message"]
+    assert not out.exists()
+
+
+def test_wavepacket_time_defaults_to_zero(tmp_path):
+    outs = [tmp_path / "default", tmp_path / "zero"]
+    for out, t in zip(outs, ([], ["--t", "0"])):
+        assert main(["quasilocal", "--nmax", "200", "--mmax", "4", "--grid", "65", "--l-list", "1",
+                     "--wavepacket-m", "1", *t, "--out-dir", str(out)]) == 0
+    got, want = ((out / "wavepacket_m1.csv").read_bytes() for out in outs)
+    assert got == want and b"# t=0 " in got
 
 
 def test_two_point_grid_is_a_grid_mismatch(tmp_path, capsys):

@@ -177,6 +177,8 @@ _SIGNS = st.sampled_from([1.0, -1.0])
 @settings(deadline=None)
 @given(r=st.floats(0.02, 0.98), region=_REGIONS, l=st.integers(1, 80),
        n_from=st.integers(1, 10**7), sign=_SIGNS, energy=st.booleans())
+# l^2 past the int64 range
+@example(r=0.5, region=L, l=4_000_000_000, n_from=10**7, sign=1.0, energy=False)
 def test_tails_match_the_massless_closed_form(r, region, l, n_from, sign, energy):
     # at mu = 0 and R = 1 (k = pi N, om = pi l / w) the tails are elementary:
     #   pref/pi int_k0^inf dk / (k (k + s om)^2)
@@ -217,27 +219,81 @@ def test_tails_match_the_massless_closed_form(r, region, l, n_from, sign, energy
     (1e5, 10, 4.187803229499635e-15),
 ])
 def test_heavy_mass_tails_match_30_digit_references(muR, n_max, want):
+    # row 1 alone, and among 400 rows whose omega_l R / pi passes n_max from
+    # l = 5 on (mu R = 1e4) or l = 28 on (1e5), so that each has panels of its own
     cfg = kg.validate_config(1.0, 0.5, muR)
-    trunc = kg.Truncation(n_max_global=n_max, m_max_local=1)
-    got = kg.vacuum_spectrum(L, cfg, trunc).tail_bound[0]
-    assert abs(got - want) <= 1e-13 * want
+    for rows in (1, 400):
+        trunc = kg.Truncation(n_max_global=n_max, m_max_local=rows)
+        got = kg.vacuum_spectrum(L, cfg, trunc).tail_bound[0]
+        assert abs(got - want) <= 1e-13 * want
+
+
+_ROWS = st.lists(st.integers(1, 3000), min_size=1, max_size=40)
 
 
 @settings(deadline=None)
 @given(r=st.floats(0.02, 0.98), muR=st.floats(0.0, 1e6), region=_REGIONS,
-       l=st.integers(1, 80), n_from=st.integers(1, 10**6), k=st.integers(-8, 8),
+       l=st.integers(1, 80), rows=_ROWS, n_from=st.integers(1, 10**6), k=st.integers(-8, 8),
        sign=_SIGNS, energy=st.booleans())
-def test_tails_are_exactly_covariant_under_R_to_2k_R(r, muR, region, l, n_from, k, sign,
+def test_tails_are_exactly_covariant_under_R_to_2k_R(r, muR, region, l, rows, n_from, k, sign,
                                                      energy):
     # R -> 2^k R with mu -> mu / 2^k: the rule's cuts mu R / pi and
     # omega_l R / pi keep their bits and the integrand scales by a power of
-    # two, so the tail keeps its bits (times R with the energy weight)
+    # two, so the tail keeps its bits (times R with the energy weight), one
+    # row or many
     s = 2.0 ** k
     base = kg.validate_config(1.0, r, muR)
     scaled = kg.validate_config(s, s * r, muR / s)
-    want = _coeff_sq_tail(region, l, base, n_from, sign, energy)
-    got = _coeff_sq_tail(region, l, scaled, n_from, sign, energy)
-    assert (s * got if energy else got) == want
+    for ls in (l, np.array(rows)):
+        want = _coeff_sq_tail(region, ls, base, n_from, sign, energy)
+        got = _coeff_sq_tail(region, ls, scaled, n_from, sign, energy)
+        assert np.array(s * got if energy else got).tobytes() == np.array(want).tobytes()
+
+
+@settings(deadline=None)
+@given(r=st.floats(0.02, 0.98), muR=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+       region=_REGIONS, l=st.integers(1, 3000), others=_ROWS, at=st.integers(0, 40),
+       n_from=st.integers(1, 10**5), sign=_SIGNS, energy=st.booleans())
+# rows whose omega_l R / pi lies above n_from have panels of their own
+@example(r=0.5, muR=0.0, l=1, others=[3000, 2, 700], at=1, region=L, n_from=10, sign=1.0,
+         energy=False)
+@example(r=0.3, muR=4e4, l=40, others=[1, 2000], at=2, region=RG, n_from=10**4, sign=-1.0,
+         energy=True)
+def test_a_rows_tail_has_the_same_bits_alone_and_among_others(r, muR, region, l, others, at,
+                                                             n_from, sign, energy):
+    # a row's nodes and weights depend on n_from and its own scales only,
+    # and its panel sums are added in one order whatever other rows share
+    # the call; an inf (an alpha tail below the resonance cutoff) stays inf
+    cfg = kg.validate_config(1.0, r, muR)
+    rows = np.array(others[:at] + [l] + others[at:])
+    alone = _coeff_sq_tail(region, l, cfg, n_from, sign, energy)
+    among = _coeff_sq_tail(region, rows, cfg, n_from, sign, energy)
+    assert type(alone) is float and among.shape == rows.shape
+    assert np.array([alone]).tobytes() == among[rows == l][:1].tobytes()
+    assert _coeff_sq_tail(region, rows[:0], cfg, n_from, sign, energy).shape == (0,)
+
+
+def test_one_tail_quadrature_per_spectrum_and_scan_value(tmp_path, monkeypatch):
+    # every row of a request shares one _tail_quad call: one per mass of
+    # `spectrum --mu-list`, and one per limit scan, holding per value the
+    # left probe rows and rows 1..M_fixed and the right rows 1..M_fixed
+    from kgcavity.cli import main
+
+    calls = []
+    quad = kg.vacuum._tail_quad
+
+    def spy(f, start, scales):
+        calls.append(len(scales))
+        return quad(f, start, scales)
+
+    monkeypatch.setattr(kg.vacuum, "_tail_quad", spy)
+    assert main(["spectrum", "--nmax", "200", "--lmax", "20", "--mu-list", "0,5,10",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    assert calls == [20, 20, 20]
+    calls.clear()
+    kg.limit_scan("mass", [0.5, 2.0, 8.0], [(1, 1), (2, 3)], kg.validate_config(1.0, 0.4, 0.0),
+                  kg.Truncation(n_max_global=500), M_fixed=30)
+    assert calls == [3 * (2 + 30 + 30)]
 
 
 _FRACTIONS = st.floats(0.01, 0.99)
@@ -755,6 +811,24 @@ def test_limit_scan_matches_the_public_kernels_property(scan):
         a, b = kg.coeff_grid(L, ms, Ns, cfg_k)
         assert table.alpha_mag[k].tobytes() == np.abs(np.diagonal(a)).tobytes()
         assert table.beta_mag[k].tobytes() == np.abs(np.diagonal(b)).tobytes()
+        probe, left, right = (_coeff_sq_tail(region, m, cfg_k, n_max, 1.0)
+                              for region, m in ((L, ms), (L, rows), (RG, rows)))
+        assert table.tail_per_probe[k].tobytes() == probe.tobytes()
+        assert table.tail_sum_left[k].hex() == np.sum(left).hex()
+        assert table.tail_sum_both[k].hex() == (np.sum(left) + np.sum(right)).hex()
+
+
+def test_limit_scan_bounds_sum_the_one_row_tails():
+    # each summed column's bound is the sum of its rows' tails beyond
+    # n_max, each row's tail as a one-row call computes it
+    cfg, trunc = kg.validate_config(1.0, 0.5, 0.0), kg.Truncation()
+    table = kg.limit_scan("mass", [1.0, 1e3, 1e5], [(1, 1), (2, 3)], cfg, trunc)
+    for k, v in enumerate(table.values):
+        cfg_k = kg.validate_config(1.0, 0.5, v)
+        left, right = (np.array([_coeff_sq_tail(region, m, cfg_k, 10_000, 1.0)
+                                 for m in range(1, 101)]) for region in (L, RG))
+        assert table.tail_sum_left[k] == np.sum(left)
+        assert table.tail_sum_both[k] == np.sum(left) + np.sum(right)
 
 
 def test_limit_scans_build_the_column_vectors_once(monkeypatch):
