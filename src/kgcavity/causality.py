@@ -12,6 +12,14 @@ spacelike), so any probe-region observable commutes with the left-mode
 ladder operators there. With truncated series "zero" is a floor set by the
 t = 0 reconstruction residue; the criteria compare against that floor
 rather than absolute zero.
+
+The truncated series' commutators are also sums over the coefficient rows,
+with no grid: with (P~, Q~) the probe's row and (P, Q) that of u_m,
+
+    c1 = |sum_N (P~_N P_N e^{-i Omega_N tau} - Q~_N Q_N e^{+i Omega_N tau})| ,
+
+and c2 the same with P and Q swapped on u_m's row. ``commutator_pair``
+returns both routes; the distance between them measures the quadrature.
 """
 
 from __future__ import annotations
@@ -21,8 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, _index,
-                     validate_config)
+from .bogoliubov import coeff_grid
+from .config import (CavityConfig, DomainError, GridMismatch, Region, Truncation, _global_omega,
+                     _index, validate_config)
 from .modes import SampledMode, conjugate_mode, eval_local_initial, evolve_local_mode, uniform_grid
 from .quadrature import kg_inner
 
@@ -58,15 +67,13 @@ class Leakage(NamedTuple):
 
 
 class Commutators(NamedTuple):
-    """(c1, c2), the evolved mode u_m they pair with the probe, and the
-    larger of the two KG quadratures' error estimates: an estimate, not a
-    bound (on the default grid a Simpson-vs-trapezoid bracket, which can
-    understate the error)."""
+    """(c1, c2) by KG quadrature, the evolved mode u_m they pair with the
+    probe, and ``sums``, the same (c1, c2) as grid-free coefficient sums."""
 
     c1: float
     c2: float
     mode: SampledMode
-    error_estimate: float
+    sums: tuple[float, float]
 
 
 def _probe_config(r_tilde: float, cfg: CavityConfig) -> CavityConfig:
@@ -114,7 +121,8 @@ def commutator_pair(
     with the probe's Cauchy data by KG quadrature on a shared grid. Before
     u_m is evolved, ``eval_probe_initial`` refuses a probe ``make_probe``
     refuses, and GridMismatch a grid with fewer points inside
-    (r_tilde, R) than the probe has half-waves.
+    (r_tilde, R) than the probe has half-waves. ``sums`` are the module
+    docstring's coefficient sums over N = 1..n_max.
     """
     grid = uniform_grid(cfg, trunc.grid_points)
     probe_mode = eval_probe_initial(probe, grid, cfg)
@@ -122,8 +130,14 @@ def commutator_pair(
     u_m = evolve_local_mode(Region.LEFT, m, grid, probe.tau, cfg, trunc)
     p1 = kg_inner(probe_mode, u_m)
     p2 = kg_inner(probe_mode, conjugate_mode(u_m))
-    return Commutators(c1=abs(p1), c2=abs(p2), mode=u_m,
-                       error_estimate=max(p1.error_estimate, p2.error_estimate))
+
+    N = np.arange(1, trunc.n_max_global + 1)
+    (Pt,), (Qt,) = coeff_grid(Region.RIGHT, [probe.n], N, _probe_config(probe.r_tilde, cfg))
+    (P,), (Q,) = coeff_grid(Region.LEFT, [m], N, cfg)
+    phase = np.exp(-1j * _global_omega(N, cfg) * probe.tau)
+    sums = tuple(float(abs(np.sum(Pt * a * phase - Qt * b * np.conj(phase))))
+                 for a, b in ((P, Q), (Q, P)))
+    return Commutators(c1=abs(p1), c2=abs(p2), mode=u_m, sums=sums)
 
 
 def outside_cone_mass(mode: SampledMode, cone: tuple[float, float],

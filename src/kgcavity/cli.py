@@ -66,7 +66,9 @@ log = logging.getLogger("kgcavity")
 # ── flag-value parsing ──────────────────────────────────────────────────────
 
 def parse_float_list(text: str) -> list[float]:
-    """'10:50:10' -> [10,20,30,40,50] (inclusive range); '1,2,3' -> [1,2,3]."""
+    """'10:50:10' -> [10,20,30,40,50] (inclusive range); '1,2,3' -> [1,2,3].
+    Every list holds at least one value: an empty item ('', '1,,2') and a
+    range that ends before it starts ('5:1:1') are refused."""
     text = text.strip()
     try:
         if ":" in text:
@@ -77,9 +79,11 @@ def parse_float_list(text: str) -> list[float]:
             start, stop, step = (Decimal(p) for p in parts)
             if step <= 0:
                 raise argparse.ArgumentTypeError("range step must be positive")
+            if stop < start:
+                raise argparse.ArgumentTypeError(f"range {text!r} ends before it starts")
             count = math.floor((stop - start) / step) + 1
             return [float(start + k * step) for k in range(count)]
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [float(p) for p in text.split(",")]
     except (ArithmeticError, ValueError):    # decimal's InvalidOperation is an ArithmeticError
         raise argparse.ArgumentTypeError(f"not a number list: {text!r}") from None
 
@@ -156,10 +160,11 @@ class _Run:
 
     A command records each CSV with ``csv`` and each SVG with ``svg``, and
     puts its diagnostics in ``tails`` and its work counts in ``counters``,
-    which only the manifest carries. ``finish`` creates ``out_dir``,
-    writes the CSVs and their sidecars, then the SVGs (only with --svg),
-    each in the order recorded, and then the manifest. A command that
-    raises leaves nothing behind, not even the directory.
+    which only the manifest carries. ``finish`` creates ``out_dir`` (a
+    DomainError naming it where it cannot), writes the CSVs and their
+    sidecars, then the SVGs (only with --svg), each in the order recorded,
+    and then the manifest. A command that raises leaves nothing behind,
+    not even the directory.
     """
 
     def __init__(self, args, cfg, trunc):
@@ -190,7 +195,10 @@ class _Run:
 
     def finish(self) -> int:
         out_dir = self.args.out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"{out_dir}: cannot create directory ({type(exc).__name__})") from exc
         record = {**self.record, "tail_bounds": self.tails}
         outputs = []
         for name, comments, names, columns in self.csvs:
@@ -432,8 +440,7 @@ def cmd_causality(args, run: _Run) -> None:
     for t in [*args.times, *taus]:
         _finite_nonnegative("time", t)
         _check_time(t, cfg, trunc.n_max_global)
-    if probes:
-        _check_probe_grid(r_tilde, args.probe_n, uniform_grid(cfg, trunc.grid_points), cfg)
+    _check_probe_grid(r_tilde, args.probe_n, uniform_grid(cfg, trunc.grid_points), cfg)
 
     leaks = []
     for t in args.times:
@@ -449,7 +456,9 @@ def cmd_causality(args, run: _Run) -> None:
     for tau, probe in zip(taus, probes):
         comm = commutator_pair(probe, args.m, cfg, trunc)
         _record_series(run, f"commutator_tau={tau:.17g}", comm.mode)
-        run.tails[f"commutator_error_tau={tau:.17g}"] = comm.error_estimate
+        c1, c2 = comm.sums
+        run.tails[f"commutator_sums_tau={tau:.17g}"] = {"c1": c1, "c2": c2}
+        run.tails[f"commutator_error_tau={tau:.17g}"] = max(abs(comm.c1 - c1), abs(comm.c2 - c2))
         comms.append(comm)
     taus = np.asarray(taus, dtype=float)
     run.csv("commutators.csv", [f"m={args.m} probe_n={args.probe_n}"],

@@ -6,10 +6,10 @@ The KG product between two solutions sampled at equal time is
 
 It is time independent on exact solutions, conjugate symmetric,
 and flips sign (conjugated) when both arguments are conjugated. ``kg_inner``
-evaluates it by composite Simpson and attaches an error estimate: a
-Richardson estimate only when (n - 1) % 4 == 0 for n grid points, and
-otherwise, as on the default 2048-point grid, a Simpson-vs-trapezoid
-bracket. Either is an estimate, not a bound.
+evaluates it by composite Simpson. Its accuracy is measured, not estimated:
+the ``causality`` command writes the distance of its commutators from the
+grid-free coefficient sums of ``causality.commutator_pair`` to the manifest
+as ``commutator_error_tau=<tau>``.
 
 ``overlap_V`` integrates the raw mode-overlap
 
@@ -29,25 +29,10 @@ import numpy as np
 from .config import CavityConfig, GridMismatch, Region, _index
 from .modes import SampledMode
 
-__all__ = ["InnerProduct", "kg_inner", "overlap_V"]
-
-
-class InnerProduct(complex):
-    """A complex inner-product value carrying a quadrature error estimate."""
-
-    error_estimate: float
-
-    def __new__(cls, value: complex, error_estimate: float = 0.0) -> "InnerProduct":
-        obj = super().__new__(cls, value)
-        obj.error_estimate = float(error_estimate)
-        return obj
+__all__ = ["kg_inner", "overlap_V"]
 
 
 # ── quadrature rules on uniform samples ─────────────────────────────────────
-
-def _trapezoid(y: np.ndarray, h: float) -> complex:
-    """Composite trapezoid; only the fallback error bracket of ``kg_inner``."""
-    return h * (np.sum(y[1:-1]) + 0.5 * (y[0] + y[-1]))
 
 def _simpson(y: np.ndarray, h: float) -> complex:
     """Composite Simpson on a uniform grid; odd interval counts get the
@@ -68,14 +53,12 @@ def _simpson(y: np.ndarray, h: float) -> complex:
 
 # ── operations ──────────────────────────────────────────────────────────────
 
-def kg_inner(f: SampledMode, g: SampledMode) -> InnerProduct:
-    """(f|g) by composite Simpson, with an error estimate attached.
+def kg_inner(f: SampledMode, g: SampledMode) -> complex:
+    """(f|g) by composite Simpson.
 
     Requires identical grids and snapshot times, and a uniform, increasing
     grid (every step equal to the first within a relative 1e-9); raises
-    GridMismatch otherwise. The error estimate compares the full grid
-    against its 2x-coarsened subsample (Richardson) when (n - 1) % 4 == 0
-    and n >= 5, and is a Simpson-vs-trapezoid bracket otherwise.
+    GridMismatch otherwise.
     """
     if f.time != g.time:
         raise GridMismatch(f"snapshot times differ: {f.time} vs {g.time}")
@@ -88,14 +71,7 @@ def kg_inner(f: SampledMode, g: SampledMode) -> InnerProduct:
     if not (h > 0 and np.all(np.abs(np.diff(x) - h) <= 1e-9 * h)):
         raise GridMismatch("kg_inner needs a uniform, increasing grid")
     y = 1j * (np.conj(f.value) * g.tderiv - np.conj(f.tderiv) * g.value)
-
-    full = _simpson(y, h)
-    n = len(y)
-    if (n - 1) % 4 == 0 and n >= 5:
-        est = abs(full - _simpson(y[::2], 2.0 * h)) / 15.0
-    else:
-        est = abs(full - _trapezoid(y, h))
-    return InnerProduct(full, est)
+    return complex(_simpson(y, h))
 
 
 def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig) -> float:

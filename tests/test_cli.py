@@ -54,6 +54,11 @@ def test_parse_int_and_probe_lists():
     (parse_float_list, "abc"),
     (parse_float_list, "1:2:x"),
     (parse_float_list, "1:2:0"),
+    (parse_float_list, ""),             # a list flag asks for at least one row
+    (parse_float_list, ","),
+    (parse_float_list, "1,,2"),
+    (parse_float_list, "5:1:1"),        # a range that ends before it starts
+    (parse_int_list, ""),
     (parse_int_list, "1:2"),
     (parse_int_list, "1.5,2.5"),        # not rounded to [2, 2]
     (parse_int_list, "2.7"),            # not rounded to 3
@@ -431,8 +436,14 @@ def test_causality_records_series_diagnostics(tmp_path, caplog):
     tails = _read_json(os.path.join(out, "manifest.json"))["tail_bounds"]
     assert set(tails) == {"leakage_t=0", "leakage_t=0.10000000000000001",
                           "gibbs_overshoot_leakage_t=0", "commutator_tau=0.10000000000000001",
+                          "commutator_sums_tau=0.10000000000000001",
                           "commutator_error_tau=0.10000000000000001"}
-    assert all(v > 0 for k, v in tails.items() if not k.startswith("gibbs"))
+    assert all(v > 0 for k, v in tails.items() if not k.startswith(("gibbs", "commutator_sums")))
+    # the error is the measured distance of the CSV's commutators from the sums
+    sums = tails["commutator_sums_tau=0.10000000000000001"]
+    c1, c2 = map(float, Path(out, "commutators.csv").read_text().splitlines()[4].split(",")[2:4])
+    assert tails["commutator_error_tau=0.10000000000000001"] == max(abs(c1 - sums["c1"]),
+                                                                     abs(c2 - sums["c2"]))
     assert _read_json(os.path.join(out, "leakage.json"))["tail_bounds"] == tails
     assert _read_json(os.path.join(out, "commutators.json"))["tail_bounds"] == tails
     # ... and never the CSVs
@@ -578,31 +589,25 @@ def test_identities_reads_rows_without_blocks(tmp_path, monkeypatch):
     assert len(bogoliubov._BLOCK_MEMO) == 0
 
 
-def test_causality_without_times_writes_header_and_empty_plot(tmp_path):
-    out = tmp_path / "cz"
-    rc = main(["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "",
-               "--taus", "0.1", "--svg", "--out-dir", str(out)])
-    assert rc == 0
-    leak = (out / "leakage.csv").read_text().splitlines()
-    assert leak[3:] == ["t,cone_edge,outside_fraction"]
-    assert "<polyline" not in (out / "causality.svg").read_text()
-    names = [o["path"] for o in _read_json(out / "manifest.json")["outputs"]]
-    assert names == ["leakage.csv", "commutators.csv", "causality.svg"]
-
-
-@pytest.mark.parametrize("argv, name", [
-    (["identities", "--nmax", "", "--upto", "3"], "identities.csv"),
-    (["spectrum", "--nmax", "200", "--lmax", "2", "--mu-list", ""], "spectrum.csv"),
-    (["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "0",
-      "--taus", ""], "commutators.csv"),
-    (["diverge", "--N-list", "", "--M-list", "10,100", "--n-list", "100"], "diverge.csv"),
-], ids=["identities", "spectrum", "causality", "diverge"])
-def test_explicit_empty_list_flag_writes_a_header_only_table(tmp_path, argv, name):
-    # an empty list is a request for no rows, not for the default ones
+@pytest.mark.parametrize("argv", [
+    ["identities", "--nmax", "", "--upto", "3"],
+    ["spectrum", "--nmax", "200", "--lmax", "2", "--mu-list", ""],
+    ["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "0", "--taus", ""],
+    ["diverge", "--N-list", "", "--M-list", "10,100", "--n-list", "100"],
+    ["rscan", "--nmax", "200", "--values", ""],
+    ["modes", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", ""],
+    ["causality", "--nmax", "200", "--mmax", "2", "--grid", "65", "--times", "", "--taus", "0.1"],
+], ids=["identities", "spectrum", "causality", "diverge", "rscan", "modes", "causality-times"])
+def test_explicit_empty_list_flag_is_refused(tmp_path, capsys, argv):
+    # an empty list would ask for no rows; the parser refuses it rather
+    # than fall back on the default rows or write a header-only table
     out = tmp_path / "e"
-    assert main(argv + ["--out-dir", str(out)]) == 0
-    lines = (out / name).read_text().splitlines()
-    assert [line for line in lines if not line.startswith("#")] == [lines[-1]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not a number list: ''" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_svg_outputs_land_in_manifest(tmp_path):
@@ -705,6 +710,16 @@ def test_unreadable_config_file_is_a_domain_error(tmp_path, capsys):
         doc = _one_json_error(capsys)
         assert doc["error"] == "DomainError" and str(path) in doc["message"]
         assert not out.exists()
+
+
+def test_uncreatable_out_dir_is_a_domain_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):          # an existing file; a path under it
+        assert main(["identities", "--nmax", "100", "--upto", "2", "--out-dir", str(out)]) == 2
+        doc = _one_json_error(capsys)
+        assert doc["error"] == "DomainError" and str(out) in doc["message"]
+    assert taken.read_text() == ""
 
 
 # the cutoffs each command reads; `identities` takes --nmax as a list of its own
@@ -924,7 +939,7 @@ def test_diverge_with_one_M_is_a_domain_error(tmp_path, capsys, monkeypatch):
     ["quasilocal", "--wavepacket-m", "1", "--t", "-0.1"],
     ["causality", "--edge-margin", "nan", "--times", "0.1"],
     ["causality", "--edge-margin", "-5", "--times", "0"],
-    ["causality", "--edge-margin", "-5", "--times", ""],
+    ["causality", "--edge-margin", "-5", "--times", "0"],
     ["causality", "--taus", "nan"],
 ], ids=["modes-nan", "modes-inf", "wavepacket-inf", "wavepacket-negative", "margin-nan",
         "margin-negative", "margin-negative-no-times", "tau-nan"])
@@ -975,7 +990,7 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
         assert issubclass(cls, kg.KgCavityError)
     # a one-point grid has no point inside the probe's support:
     # GridMismatch, not a traceback
-    rc = main(["causality", "--nmax", "50", "--mmax", "2", "--grid", "1", "--times", "",
+    rc = main(["causality", "--nmax", "50", "--mmax", "2", "--grid", "1", "--times", "0",
                "--taus", "0.1", "--out-dir", str(tmp_path / "g")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -93,6 +93,7 @@ def _snapshot(N, cfg, n_pts=4097, t=0.0):
 def test_global_modes_are_kg_orthonormal(cfg_half):
     f1 = _snapshot(1, cfg_half)
     f2 = _snapshot(2, cfg_half)
+    assert type(kg.kg_inner(f1, f2)) is complex
     assert kg.kg_inner(f1, f1) == pytest.approx(1.0, abs=5e-10)
     assert kg.kg_inner(f2, f2) == pytest.approx(1.0, abs=5e-10)
     assert abs(kg.kg_inner(f1, f2)) < 5e-10
@@ -169,13 +170,3 @@ def test_simpson_converges_at_fourth_order(cfg_half):
             f = _exponential_mode(cfg_half, n_pts)
             errs.append(abs(kg.kg_inner(f, f) - exact))
         assert errs[1] < errs[0] / 8.0
-
-
-def test_error_estimate_is_attached_and_small(cfg_half):
-    # 4097 points take the Richardson estimate; the CLI's default 2048-point
-    # grid has an odd interval count and takes the Simpson-vs-trapezoid one
-    for n_pts in (4097, 2048):
-        f = _snapshot(2, cfg_half, n_pts=n_pts)
-        ip = kg.kg_inner(f, f)
-        assert ip.error_estimate >= 0.0
-        assert ip.error_estimate < 1e-6
