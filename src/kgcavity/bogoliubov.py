@@ -1,8 +1,8 @@
 """Closed-form Bogoliubov coefficients between local and global mode families.
 
-With V_mN = integral U_N chi_m dx (see ``kgcavity.quadrature.overlap_V``),
-the dictionary between the family of local modes u_m and the global modes
-U_N is
+With the mode overlap V_mN = integral U_N chi_m dx (the test suite
+integrates it by quadrature, independently of this module), the dictionary
+between the family of local modes u_m and the global modes U_N is
 
     alpha_mN = (U_N | u_m)  = (omega_m + Omega_N) V_mN ,
     beta_mN  = -(U_N*| u_m) = (Omega_N - omega_m) V_mN ,
@@ -178,8 +178,6 @@ from .config import CavityConfig, FrequencyTables, Region, Truncation, _index, _
 __all__ = [
     "BogoliubovBlock",
     "IdentityResiduals",
-    "coeff_pair",
-    "closed_overlap",
     "coeff_grid",
     "beta_sq_sums",
     "beta_sq_total",
@@ -252,16 +250,8 @@ class IdentityResiduals:
     far_columns: int
 
     @property
-    def max_same(self) -> float:
-        return float(max(self.D1.max(), self.D2.max()))
-
-    @property
-    def max_cross(self) -> float:
-        return float(max(self.D1_cross.max(), self.D2_cross.max()))
-
-    @property
     def max_residual(self) -> float:
-        return max(self.max_same, self.max_cross)
+        return float(max(self.D1.max(), self.D2.max(), self.D1_cross.max(), self.D2_cross.max()))
 
 
 class Grams(NamedTuple):
@@ -747,19 +737,6 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
         # those of the explicit rows
         _far_grams(sums, sides, [_column_slice(c, split, n_max) for c in cols.values()], W)
     return _grams(sums, split, n_max - split)
-
-
-def coeff_pair(region: Region, m: int, N: int, cfg: CavityConfig) -> tuple[float, float]:
-    """(alpha_mN, beta_mN) for one index pair (both real)."""
-    alpha, beta = coeff_grid(region, np.array([m]), np.array([N]), cfg)
-    return float(alpha[0, 0]), float(beta[0, 0])
-
-
-def closed_overlap(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
-    """Closed-form V_mN in the caller's units (scales as R), for oracle checks."""
-    rows, cols = _rows(region, [m], cfg), _columns(region, [N], cfg)
-    alpha, _ = _grid(rows, cols)
-    return float(alpha[0, 0] / (rows.om[0] + cols.Om[0])) * cfg.R
 
 
 # ── block construction and memo ──────────────────────────────────────────────

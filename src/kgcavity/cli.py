@@ -9,8 +9,10 @@ for the subcommand tour.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import glob
 import hashlib
 import json
 import logging
@@ -161,10 +163,14 @@ class _Run:
     A command records each CSV with ``csv`` and each SVG with ``svg``, and
     puts its diagnostics in ``tails`` and its work counts in ``counters``,
     which only the manifest carries. ``finish`` creates ``out_dir`` (a
-    DomainError naming it where it cannot), writes the CSVs and their
+    DomainError naming it where it cannot) and writes the CSVs and their
     sidecars, then the SVGs (only with --svg), each in the order recorded,
-    and then the manifest. A command that raises leaves nothing behind,
-    not even the directory.
+    under a temporary name in ``out_dir``. Only once all are written does it
+    rename each into place, then it writes the manifest. A command that
+    raises leaves nothing behind, not even a directory it created: a
+    product that cannot be written or renamed into place is a DomainError
+    naming it, and the run removes what it wrote and puts back the earlier
+    files its products replaced. No other file in ``out_dir`` is touched.
     """
 
     def __init__(self, args, cfg, trunc):
@@ -195,28 +201,68 @@ class _Run:
 
     def finish(self) -> int:
         out_dir = self.args.out_dir
+        created = not os.path.exists(out_dir)
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise DomainError(f"{out_dir}: cannot create directory ({type(exc).__name__})") from exc
+        # the products are written under this prefix, then renamed into place
+        tag = os.path.join(out_dir, f".kgcavity-{os.getpid()}-")
         record = {**self.record, "tail_bounds": self.tails}
-        outputs = []
-        for name, comments, names, columns in self.csvs:
-            path = os.path.join(out_dir, name)
-            digest = write_csv(path, comments, names, columns)
-            write_sidecar(path, record, digest)
-            outputs.append((name, digest))
-        for name, render, args, kw in self.svgs:
-            path = os.path.join(out_dir, name)
-            render(path, *args, **kw)
-            with open(path, "rb") as fh:
-                outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
-        if self.counters:
-            record["counters"] = self.counters
-        write_manifest(out_dir, record, outputs, time.perf_counter() - self.t0)
+        outputs, staged, placed, kept, name = [], [], [], [], ""
+
+        def set_aside(name):
+            # an earlier file of the name is kept until the run has succeeded
+            if os.path.isfile(os.path.join(out_dir, name)):
+                os.replace(os.path.join(out_dir, name), f"{tag}~{name}")
+                kept.append(name)
+
+        try:
+            for name, comments, names, columns in self.csvs:
+                digest = write_csv(tag + name, comments, names, columns)
+                staged += [name, write_sidecar(tag + name, record, digest)[len(tag):]]
+                outputs.append((name, digest))
+            for name, render, args, kw in self.svgs:
+                render(tag + name, *args, **kw)
+                staged.append(name)
+                with open(tag + name, "rb") as fh:
+                    outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
+            for name in staged:
+                set_aside(name)
+                os.replace(tag + name, os.path.join(out_dir, name))
+                placed.append(name)
+            if self.counters:
+                record["counters"] = self.counters
+            name = "manifest.json"
+            set_aside(name)
+            placed.append(name)
+            write_manifest(out_dir, record, outputs, time.perf_counter() - self.t0)
+        except BaseException as exc:
+            for done in placed:
+                _quietly(os.remove, os.path.join(out_dir, done))
+            for done in kept:
+                _quietly(os.replace, f"{tag}~{done}", os.path.join(out_dir, done))
+            # what is left under the prefix: products not yet renamed, a partial one
+            for left in glob.glob(glob.escape(tag) + "*"):
+                _quietly(os.remove, left)
+            if created:
+                _quietly(os.rmdir, out_dir)
+            if isinstance(exc, OSError):
+                raise DomainError(f"{os.path.join(out_dir, name)}: cannot write "
+                                  f"({type(exc).__name__})") from exc
+            raise
+        for name in kept:
+            os.remove(f"{tag}~{name}")
         for name, digest in outputs:
             log.info("wrote %s (sha256 %s…)", name, digest[:12])
         return 0
+
+
+def _quietly(step, *paths) -> None:
+    """``step(*paths)`` while undoing a failed run: an OSError (a path that
+    is gone or cannot be removed) stops no other step."""
+    with contextlib.suppress(OSError):
+        step(*paths)
 
 
 def _record_series(run: _Run, label: str, mode: SampledMode) -> None:
@@ -479,6 +525,14 @@ def cmd_diverge(args, run: _Run) -> None:
     scans = divergence_scan(args.N_list, cfg, args.M_list)
     for scan in scans:
         run.tails[f"fit_N={scan.N}"] = {"slope": scan.fit_slope, "r2": scan.fit_r2}
+        # the slope over the last M interval against the exact asymptotic one
+        (M0, M1), (S0, S1) = scan.M_list[-2:], scan.partial_sums[-2:]
+        run.tails[f"slope_exact_N={scan.N}"] = scan.slope_exact
+        run.tails[f"slope_error_N={scan.N}"] = float((S1 - S0) / math.log(M1 / M0)
+                                                     - scan.slope_exact)
+        if not scan.partial_sums.any():
+            log.warning("every partial sum of N=%d is exactly 0, as on a node "
+                        "sin(pi N r/R) = 0: this scan certifies no divergence", scan.N)
     counts = [len(s.M_list) for s in scans]
     run.csv("diverge.csv", [],
             ["N", "M", "partial_sum", "fit_slope", "fit_r2"],

@@ -58,18 +58,6 @@ class TruncatedFock:
     def dimension(self) -> int:
         return self.base**self.n_modes
 
-    def basis(self) -> list[tuple[int, ...]]:
-        """Occupation tuples in index order."""
-        out = []
-        for i in range(self.dimension):
-            occ = []
-            v = i
-            for _ in range(self.n_modes):
-                occ.append(v % self.base)
-                v //= self.base
-            out.append(tuple(occ))
-        return out
-
     def vacuum(self) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.complex128)
         vec[0] = 1.0

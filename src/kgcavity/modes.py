@@ -1,4 +1,4 @@
-"""Mode evaluation: global stationary modes, local Cauchy data, evolved local modes.
+"""Mode evaluation: local Cauchy data and evolved local modes.
 
 Global modes of the box [0, R] (Dirichlet at both walls):
 
@@ -33,7 +33,6 @@ __all__ = [
     "SampledMode",
     "uniform_grid",
     "conjugate_mode",
-    "eval_global_mode",
     "eval_local_initial",
     "evolve_local_mode",
 ]
@@ -82,24 +81,6 @@ def conjugate_mode(mode: SampledMode) -> SampledMode:
 
 
 # ── evaluation ──────────────────────────────────────────────────────────────
-
-def eval_global_mode(
-    N: int,
-    grid: np.ndarray,
-    t: float,
-    cfg: CavityConfig,
-) -> SampledMode:
-    """U_N sampled on ``grid`` at time ``t``; endpoints exactly zero."""
-    N = _index("N", N)
-    grid = np.asarray(grid, dtype=np.float64)
-    Om = _global_omega(N, cfg)
-    s = np.sin(np.pi * N * grid / cfg.R) / np.sqrt(cfg.R * Om)
-    # sin(pi N) in floats is ~1e-16, not 0; Dirichlet walls are exact by construction
-    s[grid <= 0.0] = 0.0
-    s[grid >= cfg.R] = 0.0
-    value = s * np.exp(-1j * Om * t)
-    return SampledMode(grid=grid, value=value, tderiv=-1j * Om * value, time=float(t))
-
 
 def eval_local_initial(
     region: Region,

@@ -1,4 +1,4 @@
-"""Klein-Gordon inner product on sampled modes, and the overlap-integral oracle.
+"""Klein-Gordon inner product on sampled modes.
 
 The KG product between two solutions sampled at equal time is
 
@@ -10,26 +10,16 @@ evaluates it by composite Simpson. Its accuracy is measured, not estimated:
 the ``causality`` command writes the distance of its commutators from the
 grid-free coefficient sums of ``causality.commutator_pair`` to the manifest
 as ``commutator_error_tau=<tau>``.
-
-``overlap_V`` integrates the raw mode-overlap
-
-    V_mN = integral_region  U_N(x) chi_m(x) dx ,
-
-by composite Simpson on a base grid doubled once and twice, Richardson
-extrapolated. It is kept deliberately independent of the closed forms in
-``kgcavity.bogoliubov``: this function is the ground truth the closed
-forms are tested against, including at resonances Omega_N = omega_m where
-the generic closed form is 0/0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import CavityConfig, GridMismatch, Region, _index
+from .config import GridMismatch
 from .modes import SampledMode
 
-__all__ = ["kg_inner", "overlap_V"]
+__all__ = ["kg_inner"]
 
 
 # ── quadrature rules on uniform samples ─────────────────────────────────────
@@ -72,32 +62,3 @@ def kg_inner(f: SampledMode, g: SampledMode) -> complex:
         raise GridMismatch("kg_inner needs a uniform, increasing grid")
     y = 1j * (np.conj(f.value) * g.tderiv - np.conj(f.tderiv) * g.value)
     return complex(_simpson(y, h))
-
-
-def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
-    """Quadrature oracle for the overlap V_mN = integral U_N(x) chi_m(x) dx.
-
-    U_N(x) = sin(pi N x/R)/sqrt(R Omega_N); chi_m is the region-confined
-    sine with its 1/sqrt(width * omega_m) normalization, so the integral
-    runs only over the support [0, r] (Left) or [r, R] (Right).
-
-    Composite Simpson on a base grid resolving ~64 points per half-wave,
-    doubled once and twice; the two refined levels are Richardson-combined,
-    giving ~1e-11 relative accuracy for indices into the hundreds.
-    """
-    m, N = _index("m", m), _index("N", N)
-    a, b, width = region.interval(cfg)
-    Om = np.sqrt((np.pi * N / cfg.R) ** 2 + cfg.mu**2)
-    om = np.sqrt((np.pi * m / width) ** 2 + cfg.mu**2)
-    norm = 1.0 / np.sqrt(cfg.R * Om * width * om)
-
-    cycles = N * width / cfg.R + m
-    n0 = 1 << max(13, int(np.ceil(np.log2(64.0 * cycles))))
-
-    def level(n_intervals: int) -> float:
-        x = np.linspace(a, b, n_intervals + 1)
-        y = np.sin(np.pi * N * x / cfg.R) * np.sin(np.pi * m * (x - a) / width)
-        return float(np.real(_simpson(y, (b - a) / n_intervals)))
-
-    richardson = (16.0 * level(n0 << 2) - level(n0 << 1)) / 15.0
-    return richardson * norm

@@ -76,6 +76,13 @@ class DivergenceScan:
 
     A log-divergent S(M) (b > 0 with a good a + b log M fit) certifies that
     the two quantizations cannot be unitarily connected.
+
+    ``slope_exact`` is the exact slope of S against ln M,
+    s_N = 2 sin^2(pi N r/R) / (pi R Omega_N): for m >> N w each family's
+    summand is sin^2(pi N r/R) / (pi R Omega_N m) (1 + O(1/m)), whatever its
+    width w, so S(M) = s_N ln M + c_N + O(1/M). On a node, sin(pi N r/R) = 0,
+    the global mode is a local mode of each side: every summand, and s_N,
+    is exactly 0.
     """
 
     N: int
@@ -84,6 +91,7 @@ class DivergenceScan:
     fit_slope: float
     fit_intercept: float
     fit_r2: float
+    slope_exact: float
 
 
 @dataclass(frozen=True)
@@ -308,11 +316,15 @@ def divergence_scan(N_list, cfg: CavityConfig, M_list) -> tuple[DivergenceScan, 
             sums = np.cumsum(summand)
             running[j] = sums[-1]
             partial[j, first:last] = sums[offsets]
-    return tuple(_fit(int(N), M_arr, S) for N, S in zip(N_arr, partial))
+    # s_N at R = 1 from the left column table, whose sin(pi N r/R) is an
+    # exact 0 on a node
+    slopes = 2.0 * left.s * left.s / (np.pi * left.Om)
+    return tuple(_fit(int(N), M_arr, S, float(s_N)) for N, S, s_N in zip(N_arr, partial, slopes))
 
 
-def _fit(N: int, M_arr: np.ndarray, partial: np.ndarray) -> DivergenceScan:
-    """The scan at N with its a + b log M least-squares fit."""
+def _fit(N: int, M_arr: np.ndarray, partial: np.ndarray, slope_exact: float) -> DivergenceScan:
+    """The scan at N with its a + b log M least-squares fit and its exact
+    slope."""
     logM = np.log(M_arr.astype(np.float64))
     slope, intercept = np.polyfit(logM, partial, 1)
     fitted = slope * logM + intercept
@@ -326,6 +338,7 @@ def _fit(N: int, M_arr: np.ndarray, partial: np.ndarray) -> DivergenceScan:
         fit_slope=float(slope),
         fit_intercept=float(intercept),
         fit_r2=r2,
+        slope_exact=slope_exact,
     )
 
 

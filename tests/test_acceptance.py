@@ -25,6 +25,7 @@ import pytest
 import kgcavity as kg
 from kgcavity.cli import main
 from kgcavity.fock_oracle import TruncatedFock, oracle_moments
+from oracles import overlap_V
 
 SEED = 20260815
 L = kg.Region.LEFT
@@ -53,9 +54,9 @@ def test_criterion_01_closed_form_vs_quadrature_200_samples():
         N = int(rng.integers(1, 301))
         om = (tables.omega if region is L else tables.omega_bar)[m - 1]
         Om = tables.Omega[N - 1]
-        vc = kg.closed_overlap(m, N, region, cfg)
-        vq = kg.overlap_V(m, N, region, cfg)
-        ac, bc = kg.coeff_pair(region, m, N, cfg)
+        ac, bc = (c.item() for c in kg.coeff_grid(region, [m], [N], cfg))
+        vc = ac / (om + Om)
+        vq = overlap_V(m, N, region, cfg)
         for closed, oracle in ((vc, vq), (ac, (om + Om) * vq), (bc, (Om - om) * vq)):
             if abs(oracle) < 1e-10:
                 assert abs(closed) < 1e-9
@@ -67,10 +68,10 @@ def test_criterion_01_closed_form_vs_quadrature_200_samples():
 
 
 def test_criterion_02_resonance_example(cfg_half, tables_half):
-    a, b = kg.coeff_pair(L, 1, 2, cfg_half)
+    a, b = (c.item() for c in kg.coeff_grid(L, [1], [2], cfg_half))
     assert a == pytest.approx(1 / np.sqrt(2), rel=1e-12, abs=0)
     assert b == 0.0
-    vq = kg.overlap_V(1, 2, L, cfg_half)
+    vq = overlap_V(1, 2, L, cfg_half)
     om, Om = tables_half.omega[0], tables_half.Omega[1]
     assert (om + Om) * vq == pytest.approx(1 / np.sqrt(2), rel=1e-8, abs=0)
     assert abs((Om - om) * vq) <= 1e-8

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import kgcavity as kg
 from kgcavity import bogoliubov
+from oracles import overlap_V
 
 L = kg.Region.LEFT
 RG = kg.Region.RIGHT
@@ -34,30 +35,32 @@ RG = kg.Region.RIGHT
 # ── frozen coefficient values ────────────────────────────────────────────────
 
 def test_coeff_pair_hand_values(cfg_half):
-    a, b = kg.coeff_pair(L, 1, 1, cfg_half)
+    a, b = (c.item() for c in kg.coeff_grid(L, [1], [1], cfg_half))
     assert a == pytest.approx(2.0 / np.pi, rel=1e-14, abs=0)
     assert b == pytest.approx(-2.0 / (3.0 * np.pi), rel=1e-14, abs=0)
 
 
 def test_coeff_pair_resonance(cfg_half):
-    a, b = kg.coeff_pair(L, 1, 2, cfg_half)
+    a, b = (c.item() for c in kg.coeff_grid(L, [1], [2], cfg_half))
     assert a == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12, abs=0)
     assert b == 0.0
 
 
 def test_kronecker_zeros_are_exact(cfg_half):
     # r = R/2 puts sin(N pi r/R) at an exact zero for every even N; the
-    # closed form must return 0.0, not ~1e-16 * N.
+    # closed form must return V = alpha / (om + Om) = 0.0, not ~1e-16 * N.
     for m, N in [(3, 2), (1, 4), (5, 8)]:
-        assert kg.closed_overlap(m, N, L, cfg_half) == 0.0
-        assert kg.closed_overlap(m, N, RG, cfg_half) == 0.0
+        for region in (L, RG):
+            alpha, _ = kg.coeff_grid(region, [m], [N], cfg_half)
+            assert alpha.item() == 0.0
 
 
-def test_right_region_sign_toggle(cfg_half):
+def test_right_region_sign_toggle(cfg_half, tables_half):
     # (-1)^(N+m) relative to the left family, fixed by the direct integral.
-    v = kg.closed_overlap(2, 1, RG, cfg_half)
+    alpha, _ = kg.coeff_grid(RG, [2], [1], cfg_half)
+    v = alpha.item() / (tables_half.omega_bar[1] + tables_half.Omega[0])
     assert v == pytest.approx(4.0 / (15.0 * np.sqrt(2.0) * np.pi**2), rel=1e-12, abs=0)
-    assert v == pytest.approx(kg.overlap_V(2, 1, RG, cfg_half), rel=1e-10, abs=0)
+    assert v == pytest.approx(overlap_V(2, 1, RG, cfg_half), rel=1e-10, abs=0)
 
 
 def test_beta_strictly_smaller_than_alpha(blocks_half):
@@ -71,26 +74,26 @@ def test_beta_strictly_smaller_than_alpha(blocks_half):
 
 
 def test_coefficients_scale_invariant_overlap_carries_length():
-    # alpha, beta depend on (r/R, mu R) only; V itself carries one power of
-    # the box size (the frequency prefactors cancel it).
+    # alpha, beta depend on (r/R, mu R) only; V = alpha / (om + Om) carries
+    # one power of the box size (the frequency prefactors cancel it).
     small = kg.validate_config(1.0, 0.3, 7.0)
     big = kg.validate_config(5.0, 1.5, 1.4)
     for m, N in [(1, 1), (2, 5), (4, 9)]:
-        a_s, b_s = kg.coeff_pair(L, m, N, small)
-        a_b, b_b = kg.coeff_pair(L, m, N, big)
+        (a_s, b_s), (a_b, b_b) = ((c.item() for c in kg.coeff_grid(L, [m], [N], cfg))
+                                  for cfg in (small, big))
         assert a_s == pytest.approx(a_b, rel=1e-13, abs=0)
         assert b_s == pytest.approx(b_b, rel=1e-13, abs=0)
-        assert kg.closed_overlap(m, N, L, big) == pytest.approx(
-            5.0 * kg.closed_overlap(m, N, L, small), rel=1e-13, abs=0
-        )
+        v_s, v_b = (a / (L.omega(m, cfg) + kg.ladder(N, cfg.R, cfg.mu))
+                    for a, cfg in ((a_s, small), (a_b, big)))
+        assert v_b == pytest.approx(5.0 * v_s, rel=1e-13, abs=0)
 
 
 def test_r_to_R_limit_approaches_identity():
     # As r -> R the left modes become the global modes: alpha_mm -> 1,
     # everything else -> 0.
     cfg = kg.validate_config(1.0, 1.0 - 1e-9, 0.0)
-    a33, b33 = kg.coeff_pair(L, 3, 3, cfg)
-    a35, b35 = kg.coeff_pair(L, 3, 5, cfg)
+    alpha, beta = kg.coeff_grid(L, [3], [3, 5], cfg)
+    (a33, a35), (b33, _) = alpha[0], beta[0]
     assert a33 == pytest.approx(1.0, abs=1e-6)
     assert abs(b33) < 1e-6
     assert abs(a35) < 1e-6
@@ -109,8 +112,9 @@ def test_closed_form_matches_quadrature_on_random_samples(rng):
         region = L if rng.random() < 0.5 else RG
         m = int(rng.integers(1, 41))
         N = int(rng.integers(1, 301))
-        vc = kg.closed_overlap(m, N, region, cfg)
-        vq = kg.overlap_V(m, N, region, cfg)
+        alpha, _ = kg.coeff_grid(region, [m], [N], cfg)
+        vc = alpha.item() / (region.omega(m, cfg) + kg.ladder(N, cfg.R, cfg.mu))
+        vq = overlap_V(m, N, region, cfg)
         if abs(vq) < 1e-13:
             assert abs(vc) < 1e-12
             continue
@@ -120,12 +124,13 @@ def test_closed_form_matches_quadrature_on_random_samples(rng):
 
 
 def test_coeff_grid_matches_coeff_pair(cfg_half):
+    # each entry of a grid has the value of its own one-entry grid
     m_idx = np.arange(1, 7)
     N_idx = np.arange(1, 26)
     A, B = kg.coeff_grid(L, m_idx, N_idx, cfg_half, 1e-8)
     for i, m in enumerate(m_idx):
         for j, N in enumerate(N_idx):
-            a, b = kg.coeff_pair(L, int(m), int(N), cfg_half)
+            a, b = (c.item() for c in kg.coeff_grid(L, [m], [N], cfg_half))
             assert A[i, j] == pytest.approx(a, rel=1e-14, abs=1e-300)
             assert B[i, j] == pytest.approx(b, rel=1e-14, abs=1e-300)
 
@@ -141,8 +146,9 @@ def test_closed_form_matches_quadrature_near_resonances(r, mu, m, N):
     # half a mode away at mu R = 1e5, N w - m = 4.5e-5 at r = 0.6250056 and
     # 355/pi = 113.0000096; measured <= 6.2e-16
     cfg = kg.validate_config(1.0, r, mu)
-    vq = kg.overlap_V(m, N, L, cfg)
-    assert abs(kg.closed_overlap(m, N, L, cfg) - vq) <= 1e-12 * abs(vq)
+    alpha, _ = kg.coeff_grid(L, [m], [N], cfg)
+    vq = overlap_V(m, N, L, cfg)
+    assert abs(alpha.item() / (L.omega(m, cfg) + kg.ladder(N, cfg.R, cfg.mu)) - vq) <= 1e-12 * abs(vq)
 
 
 # ── factored kernel vs the unfactored sinc closed form ──────────────────────

@@ -495,6 +495,21 @@ def test_diverge_and_rscan_products(tmp_path):
     assert len(lines) == 4 + 2
 
 
+def test_diverge_records_the_exact_slopes_and_warns_on_a_node(tmp_path, caplog):
+    # r = 1/2 puts N = 2 on a node: its row is exact zeros with fit_r2 = 1,
+    # which certifies nothing, so a warning names it
+    out = tmp_path / "d"
+    assert main(["diverge", "--N-list", "1,2", "--M-list", "10000,100000", "--n-list", "100",
+                 "--out-dir", str(out)]) == 0
+    tails = _read_json(out / "manifest.json")["tail_bounds"]
+    assert tails["slope_exact_N=1"] == pytest.approx(2.0 / np.pi**2, rel=1e-15)
+    # measured -1.19e-5, the 1/M lag of the last decade
+    assert -2e-5 < tails["slope_error_N=1"] < -1e-5
+    assert tails["slope_exact_N=2"] == tails["slope_error_N=2"] == 0.0
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1 and "N=2" in warned[0] and "node" in warned[0]
+
+
 def test_rscan_sums_each_family_once_per_scan_value(tmp_path, monkeypatch):
     # the summed columns take one total-kernel call per family and scan
     # value over the rows 1..M_fixed, never the per-row sums; only the
@@ -720,6 +735,52 @@ def test_uncreatable_out_dir_is_a_domain_error(tmp_path, capsys):
         doc = _one_json_error(capsys)
         assert doc["error"] == "DomainError" and str(out) in doc["message"]
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["identities", "--nmax", "100", "--upto", "2"], "identities.csv"),
+    # the third product: the first two are written before it fails
+    (["correlations", "--nmax", "200", "--mmax", "4", "--mrows", "2", "--nrows", "2"],
+     "moments.csv"),
+    # the manifest, written in place once every other product is
+    (["identities", "--nmax", "100", "--upto", "2"], "manifest.json"),
+], ids=["identities", "correlations", "manifest"])
+def test_unwritable_product_is_a_domain_error_and_leaves_no_product(tmp_path, capsys,
+                                                                     argv, blocked):
+    # a directory where a product goes was an IsADirectoryError traceback,
+    # and the products written before it stayed
+    (tmp_path / blocked).mkdir()
+    (tmp_path / "other.txt").write_text("kept")
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    doc = _one_json_error(capsys)
+    assert doc["error"] == "DomainError" and str(tmp_path / blocked) in doc["message"]
+    assert {p.name for p in tmp_path.iterdir()} == {blocked, "other.txt"}
+    assert (tmp_path / "other.txt").read_text() == "kept"
+    # once the path is free the run writes its products and nothing else
+    (tmp_path / blocked).rmdir()
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    products = {o["path"] for o in json.loads((tmp_path / "manifest.json").read_text())["outputs"]}
+    sidecars = {os.path.splitext(p)[0] + ".json" for p in products}
+    assert {p.name for p in tmp_path.iterdir()} == products | sidecars | {"manifest.json",
+                                                                          "other.txt"}
+    # a failed rerun puts back every file of the earlier run it had replaced
+    (tmp_path / blocked).unlink()
+    (tmp_path / blocked).mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_failed_write_removes_the_directory_it_created(tmp_path, capsys, monkeypatch):
+    def disk_full(*_args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("kgcavity.cli.write_manifest", disk_full)
+    out = tmp_path / "new"
+    assert main(["identities", "--nmax", "100", "--upto", "2", "--out-dir", str(out)]) == 2
+    doc = _one_json_error(capsys)
+    assert doc["error"] == "DomainError" and str(out / "manifest.json") in doc["message"]
+    assert not out.exists()
 
 
 # the cutoffs each command reads; `identities` takes --nmax as a list of its own

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kgcavity as kg
+from oracles import eval_global_mode, overlap_V
 
 
 def test_validate_config_accepts_interior_partition():
@@ -165,14 +166,14 @@ _ENTRIES = [
     ("identity_residuals-n_max", 300, lambda c, v: kg.identity_residuals(c.cfg, v, 3)),
     ("identity_residuals-upto", 3, lambda c, v: kg.identity_residuals(c.cfg, 300, v)),
     ("beta_sq_total-n_max", 300, lambda c, v: kg.beta_sq_total(_L, [1, 2], c.cfg, v)),
-    ("eval_global_mode-N", 3, lambda c, v: kg.eval_global_mode(v, c.grid, 0.3, c.cfg)),
+    ("eval_global_mode-N", 3, lambda c, v: eval_global_mode(v, c.grid, 0.3, c.cfg)),
     ("eval_local_initial-m", 2, lambda c, v: kg.eval_local_initial(_RG, v, c.grid, c.cfg)),
     ("evolve_local_mode-m", 2,
      lambda c, v: kg.evolve_local_mode(_L, v, c.grid, 0.3, c.cfg, c.trunc)),
     ("uniform_grid-n_points", 33, lambda c, v: kg.uniform_grid(c.cfg, v)),
     ("make_probe-n", 2, lambda c, v: kg.make_probe(0.7, 0.1, v, c.cfg)),
-    ("overlap_V-m", 2, lambda c, v: kg.overlap_V(v, 3, _L, c.cfg)),
-    ("overlap_V-N", 3, lambda c, v: kg.overlap_V(2, v, _L, c.cfg)),
+    ("overlap_V-m", 2, lambda c, v: overlap_V(v, 3, _L, c.cfg)),
+    ("overlap_V-N", 3, lambda c, v: overlap_V(2, v, _L, c.cfg)),
     ("steering_shift-l", 2, lambda c, v: kg.steering_shift(c.dist, [1, v], c.cfg)),
     ("divergence_scan-N", 2, lambda c, v: kg.divergence_scan([1, v], c.cfg, [10, 100])),
     ("divergence_scan-M", 100, lambda c, v: kg.divergence_scan([1, 2], c.cfg, [10, v])),

@@ -1,5 +1,6 @@
 """Every name a kgcavity module exports in ``__all__`` resolves, every
-name a module imports is used, and README's library quick start runs.
+name a module imports is used, every public function has a reader, and
+README's library quick start runs.
 
 A deletion that leaves its name in an ``__all__`` list breaks
 ``from kgcavity import *`` and the documented surface; this catches it.
@@ -9,6 +10,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,36 @@ def test_readme_quick_start_runs(capsys):
     printed value is the <n_1> its comment quotes."""
     exec(compile(_quick_start(), "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("0.053963")
+
+
+# Public functions that neither the package nor README's quick start reads:
+# the benchmark calls or traces each of them, so each stays until ROADMAP
+# item 4 moves the benchmark onto the package's own spans.
+_BENCHMARK_ONLY = ["clear_memo", "frequencies", "oracle_moments", "wick_moments"]
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _read_outside_own_def(tree: ast.Module) -> set[str]:
+    """The names read in ``tree``, less a function's reads of itself."""
+    reads = _reads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            reads[node.name] -= _reads(node)[node.name]
+    return {name for name, count in reads.items() if count > 0}
+
+
+def test_every_public_function_has_a_reader():
+    """A public function is read somewhere in the package or in README's
+    quick start: the package ships what its commands and its documented
+    example need, and the test-only oracles live in ``tests/oracles.py``."""
+    sources = [p.read_text(encoding="utf-8") for p in Path(kgcavity.__file__).parent.glob("*.py")]
+    read = set().union(*(_read_outside_own_def(ast.parse(text))
+                         for text in sources + [_quick_start()]))
+    unread = sorted(name for name in kgcavity.__all__
+                    if inspect.isfunction(getattr(kgcavity, name)) and name not in read)
+    assert unread == _BENCHMARK_ONLY

