@@ -351,25 +351,31 @@ def cmd_rscan(args, run: _Run) -> None:
     cfg, trunc = run.cfg, run.trunc
     probes = args.probes
     table = limit_scan(args.kind, args.values, probes, cfg, trunc, M_fixed=args.M_fixed)
-    cells = [f"n_m{m}" for m, _ in probes]
+    # <n_m> depends on m alone: each distinct m's column is its first probe's
+    first = {}
+    for ip, (m, _) in enumerate(probes):
+        first.setdefault(m, ip)
+    cells, keep = [f"n_m{m}" for m in first], list(first.values())
     sums = [f"sum_left_M{args.M_fixed}", f"sum_both_M{args.M_fixed}"]
     sum_values = np.column_stack((table.sum_left, table.sum_both))
     sum_tails = np.column_stack((table.tail_sum_left, table.tail_sum_both))
     for k, value in enumerate(table.values):
         at = f"{args.kind}={value:.17g}"
         run.tails[f"value={value:.17g}"] = dict(zip(cells + sums,
-                                                    [*table.tail_per_probe[k], *sum_tails[k]]))
-        _warn_truncated(at, table.n_per_probe[k], table.tail_per_probe[k], cells)
+                                                    [*table.tail_per_probe[k, keep], *sum_tails[k]]))
+        _warn_truncated(at, table.n_per_probe[k, keep], table.tail_per_probe[k, keep], cells)
         _warn_truncated(at, sum_values[k], sum_tails[k], sums)
     names, columns = ["value"], [table.values]
     for ip, (m, N) in enumerate(probes):
-        names += [f"n_m{m}", f"alpha_m{m}_N{N}", f"beta_m{m}_N{N}"]
-        columns += [table.n_per_probe[:, ip], table.alpha_mag[:, ip], table.beta_mag[:, ip]]
+        if first[m] == ip:
+            names.append(f"n_m{m}")
+            columns.append(table.n_per_probe[:, ip])
+        names += [f"alpha_m{m}_N{N}", f"beta_m{m}_N{N}"]
+        columns += [table.alpha_mag[:, ip], table.beta_mag[:, ip]]
     names += sums
     columns += [table.sum_left, table.sum_both]
     run.csv("rscan.csv", [f"kind={args.kind}"], names, columns)
-    series = [(table.values, table.n_per_probe[:, ip], f"m={m}")
-              for ip, (m, N) in enumerate(probes)]
+    series = [(table.values, table.n_per_probe[:, ip], f"m={m}") for m, ip in first.items()]
     run.svg("rscan.svg", svgmod.line_plot, series, title=f"{args.kind} scan",
             xlabel=args.kind, ylabel="<n_m>", logy=True)
 
@@ -672,7 +678,8 @@ def main(argv=None) -> int:
         run = _Run(args, *_resolve(args))
         args.func(args, run)
         return run.finish()
-    except KgCavityError as exc:
+    except (KgCavityError, MemoryError) as exc:
+        # a request too large to allocate is refused like any other
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
 

@@ -113,56 +113,35 @@ _DENSE_CHUNK = 256
 _TAIL_TOL = 1e-6
 
 
-def _sine_series(
-    grid: np.ndarray,
-    R: float,
-    cv: np.ndarray,
-    cd: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_N c_N sin(pi N x / R) on ``grid`` for the coefficient rows cv and
-    cd (N = 1..len(cv)), exactly zero on the walls.
+def _sine_series(grid: np.ndarray, R: float, rows: np.ndarray) -> np.ndarray:
+    """sum_N rows[:, N-1] sin(pi N x / R) on ``grid`` for a stack of real
+    coefficient rows (N = 1..rows.shape[1]), one output row each, exactly
+    zero on the walls.
 
     On the uniform grid x_j = j R / K (K = G - 1, the exact output of
-    ``uniform_grid``) sin(pi N j / K) has period 2K in N and is odd under
-    N -> 2K - N, so the coefficients fold into the bins n = 1..K-1 (bins 0
-    and K vanish on every grid point) and one DST-I gives every interior
-    value: O(N + G log G). The DST-I is the real FFT of the odd extension
-    (0, b, 0, -b reversed) of length 2K, whose bin j is -2i sum_n b_n
-    sin(pi n j / K). Any other grid takes the dense O(G N) sum.
+    ``uniform_grid``) sin(pi N j / K) has period 2K in N, so each row sums
+    into its residues C_n = sum_{N = n mod 2K} c_N by one reshape, and every
+    interior value is sum_n C_n sin(pi n j / K) = -Im rfft(C)_j:
+    O(N + G log G). Any other grid takes the dense O(G N) sum, one matrix
+    product per block of points.
     """
     G = len(grid)
-    value = np.zeros(G, dtype=np.complex128)
-    tderiv = np.zeros(G, dtype=np.complex128)
+    k, n_max = rows.shape
+    out = np.zeros((k, G))
     if G >= 3 and np.array_equal(grid, np.linspace(0.0, R, G)):
         K = G - 1
-        n = np.arange(1, len(cv) + 1) % (2 * K)
-        upper = n > K
-        bins = np.where(upper, 2 * K - n, n)
-        sign = np.where(upper, -1.0, 1.0)
-        folded = np.array([
-            np.bincount(bins, weights=w, minlength=K + 1)[1:K]
-            for c in (cv, cd)
-            for w in (sign * c.real, sign * c.imag)
-        ])
-        odd = np.zeros((4, 2 * K))
-        odd[:, 1:K] = folded
-        odd[:, K + 1:] = -folded[:, ::-1]
-        interior = np.fft.rfft(odd, axis=1).imag[:, 1:K] / -2.0
-        value[1:K] = interior[0] + 1j * interior[1]
-        tderiv[1:K] = interior[2] + 1j * interior[3]
-        return value, tderiv
+        # column N holds c_N: a zero column for N = 0, zeros to whole periods
+        padded = np.pad(rows, ((0, 0), (1, -(n_max + 1) % (2 * K))))
+        residues = padded.reshape(k, -1, 2 * K).sum(axis=1)
+        out[:, 1:K] = -np.fft.rfft(residues, axis=1).imag[:, 1:K]
+        return out
 
-    n_idx = np.arange(1, len(cv) + 1, dtype=np.float64)
+    n_idx = np.arange(1, n_max + 1, dtype=np.float64)
     for lo in range(0, G, _DENSE_CHUNK):
-        hi = min(lo + _DENSE_CHUNK, G)
-        # (points, N) layout keeps the N-reduction on the contiguous axis
-        sines = np.sin(np.outer(grid[lo:hi], n_idx) * (np.pi / R))
-        value[lo:hi] = np.sum(sines * cv, axis=1)
-        tderiv[lo:hi] = np.sum(sines * cd, axis=1)
-    wall = (grid <= 0.0) | (grid >= R)
-    value[wall] = 0.0
-    tderiv[wall] = 0.0
-    return value, tderiv
+        out[:, lo:lo + _DENSE_CHUNK] = rows @ np.sin(
+            np.outer(n_idx, grid[lo:lo + _DENSE_CHUNK]) * (np.pi / R))
+    out[:, (grid <= 0.0) | (grid >= R)] = 0.0
+    return out
 
 
 def _check_time(t: float, cfg: CavityConfig, n_max: int) -> None:
@@ -184,8 +163,12 @@ def _check_time(t: float, cfg: CavityConfig, n_max: int) -> None:
 def _row_series(a_row: np.ndarray, b_row: np.ndarray, grid: np.ndarray, t: float,
                 cfg: CavityConfig) -> SampledMode:
     """The solution sum_N (a_N e^{-i Omega_N t} + b_N e^{+i Omega_N t}) U_N(x)
-    of one coefficient row (N = 1..len(a_row)) at time t, with its termwise
-    time derivative, summed by ``_sine_series``.
+    of one real coefficient row (N = 1..len(a_row)) at time t, with its
+    termwise time derivative. With s_N = (a_N + b_N) / sqrt(R Omega_N) and
+    d_N = (a_N - b_N) / sqrt(R Omega_N) the value's coefficients are
+    s cos(Omega t) - i d sin(Omega t) and the derivative's
+    -Omega [s sin(Omega t) + i d cos(Omega t)]: four real rows, summed by
+    ``_sine_series``.
 
     The tail estimate is the c/n_max envelope of the last terms; above
     _TAIL_TOL it sets ``truncation_warning``.
@@ -193,12 +176,11 @@ def _row_series(a_row: np.ndarray, b_row: np.ndarray, grid: np.ndarray, t: float
     grid = np.asarray(grid, dtype=np.float64)
     n_idx = np.arange(1, len(a_row) + 1, dtype=np.float64)
     Om = _global_omega(n_idx, cfg)
-
-    phase_neg = np.exp(-1j * Om * t)
     norm = 1.0 / np.sqrt(cfg.R * Om)
-    cv = (a_row * phase_neg + b_row * np.conj(phase_neg)) * norm
-    cd = (-1j * Om) * (a_row * phase_neg - b_row * np.conj(phase_neg)) * norm
-    value, tderiv = _sine_series(grid, cfg.R, cv, cd)
+    s, d = (a_row + b_row) * norm, (a_row - b_row) * norm
+    cos, sin = np.cos(Om * t), np.sin(Om * t)
+    out = _sine_series(grid, cfg.R, np.array([s * cos, -d * sin, -Om * s * sin, -Om * d * cos]))
+    value, tderiv = out[::2] + 1j * out[1::2]
 
     # Tail envelope: |term| <= (|a|+|b|)/sqrt(R Omega) ~ c/N^2; the
     # neglected sum is then ~ c/n_max by the integral test.

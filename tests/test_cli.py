@@ -510,6 +510,23 @@ def test_diverge_records_the_exact_slopes_and_warns_on_a_node(tmp_path, caplog):
     assert len(warned) == 1 and "N=2" in warned[0] and "node" in warned[0]
 
 
+def test_rscan_writes_each_m_column_once(tmp_path):
+    # <n_m> depends on m alone: two probes of one m share one n_m column,
+    # written before the first probe's alpha and beta, one tail key per m
+    # and one plotted series per m
+    out = tmp_path / "r"
+    assert main(["rscan", "--nmax", "500", "--kind", "mass", "--values", "0.5,2",
+                 "--probes", "1:1,1:3,2:3", "--svg", "--out-dir", str(out)]) == 0
+    names = next(line for line in (out / "rscan.csv").read_text().splitlines()
+                 if not line.startswith("#")).split(",")
+    assert len(set(names)) == len(names)
+    assert names == ["value", "n_m1", "alpha_m1_N1", "beta_m1_N1", "alpha_m1_N3", "beta_m1_N3",
+                     "n_m2", "alpha_m2_N3", "beta_m2_N3", "sum_left_M100", "sum_both_M100"]
+    for tails in _read_json(out / "manifest.json")["tail_bounds"].values():
+        assert sorted(tails) == ["n_m1", "n_m2", "sum_both_M100", "sum_left_M100"]
+    assert (out / "rscan.svg").read_text().count("<polyline") == 2
+
+
 def test_rscan_sums_each_family_once_per_scan_value(tmp_path, monkeypatch):
     # the summed columns take one total-kernel call per family and scan
     # value over the rows 1..M_fixed, never the per-row sums; only the
@@ -1061,6 +1078,21 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
         "error": "GridMismatch",
         "message": "0 points of the 1-point grid lie inside the support "
                    "(0.69999999999999996, 1) of probe 1, fewer than its 1 half-waves"}
+
+
+def test_oversized_request_reports_json_and_exit_2(tmp_path, capsys, monkeypatch):
+    # a request too large to allocate (identities --upto 100000 asks the Gram
+    # accumulator for hundreds of GiB) is refused like a library error, with
+    # nothing written
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 596. GiB for an array with shape (200000, 400000)")
+
+    monkeypatch.setattr("kgcavity.cli.identity_residuals", oversized)
+    out = tmp_path / "i"
+    assert main(["identities", "--nmax", "1", "--upto", "100000", "--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "MemoryError" and "596. GiB" in err["message"]
+    assert not out.exists()
 
 
 def test_paper_norm_survives_large_mass(tmp_path):

@@ -133,13 +133,21 @@ def test_evolution_preserves_kg_norm(narrow):
     assert abs(kg.kg_inner(uf, uf).real - 1.0) < abs(norm.real - 1.0)
 
 
-# ── fold-and-DST fast path against the dense sum ─────────────────────────────
+# ── residue-folded FFT against the dense sum ─────────────────────────────────
 
-def _dense_reference(grid, R, cv, cd):
+def _dense_reference(grid, R, rows):
     # the reversed grid is not the output of uniform_grid, so the same points
     # go through the dense O(G N) fallback
-    value, tderiv = _sine_series(grid[::-1], R, cv, cd)
-    return value[::-1], tderiv[::-1]
+    return _sine_series(grid[::-1], R, rows)[:, ::-1]
+
+
+def _complex_rows(cv, cd):
+    # a value and a derivative row as the kernel's stack of real rows
+    return np.array([cv.real, cv.imag, cd.real, cd.imag])
+
+
+def _as_complex(out):
+    return out[::2] + 1j * out[1::2]
 
 
 def _assert_matches_dense(fast, dense, rel=1e-12):
@@ -149,9 +157,9 @@ def _assert_matches_dense(fast, dense, rel=1e-12):
 
 @pytest.mark.parametrize("G, n_max", [
     (65, 40),         # N < G - 1
-    (65, 64),         # N = K: last term sits on the dropped fold bin K
-    (65, 128),        # N = 2K: wraps onto the dropped bin 0
-    (257, 10_000),    # N >> G: every bin collects ~20 terms
+    (65, 64),         # N = K: last term sits on residue K, zero on the grid
+    (65, 128),        # N = 2K: wraps onto residue 0, zero on the grid
+    (257, 10_000),    # N >> G: every residue collects ~20 terms
 ])
 @pytest.mark.parametrize("t", [0.0, 0.3])
 def test_fast_series_matches_dense_fallback(G, n_max, t):
@@ -183,8 +191,8 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 def test_fast_series_equals_dense_sum_property(G, R, coeffs):
     cv, cd = coeffs
     grid = np.linspace(0.0, R, G)
-    fast = _sine_series(grid, R, cv, cd)
-    dense = _dense_reference(grid, R, cv, cd)
+    fast = _as_complex(_sine_series(grid, R, _complex_rows(cv, cd)))
+    dense = _as_complex(_dense_reference(grid, R, _complex_rows(cv, cd)))
     # rounding in either route is bounded by the coefficients' l1 norm, and
     # by one subnormal per term in each of the real and imaginary parts
     for got, want, c in zip(fast, dense, (cv, cd)):
@@ -197,18 +205,19 @@ def test_non_uniform_grid_takes_the_dense_path(monkeypatch):
     rng = np.random.default_rng(7)
     cv = rng.normal(size=300) + 1j * rng.normal(size=300)
     cd = rng.normal(size=300) + 1j * rng.normal(size=300)
+    rows = _complex_rows(cv, cd)
     grid = np.linspace(0.0, 1.0, 129)
-    fast = _sine_series(grid, 1.0, cv, cd)
+    fast = _as_complex(_sine_series(grid, 1.0, rows))
     nudged = grid.copy()
     nudged[40] += 1e-3
 
-    def no_dst(*args, **kwargs):
-        raise AssertionError("np.fft.rfft of the fold-and-dst called")
+    def no_fft(*args, **kwargs):
+        raise AssertionError("np.fft.rfft of the residue fold called")
 
-    monkeypatch.setattr(np.fft, "rfft", no_dst)
-    with pytest.raises(AssertionError, match="dst called"):
-        _sine_series(grid, 1.0, cv, cd)         # the uniform grid does take it
-    dense = _sine_series(nudged, 1.0, cv, cd)
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    with pytest.raises(AssertionError, match="residue fold called"):
+        _sine_series(grid, 1.0, rows)           # the uniform grid does take it
+    dense = _as_complex(_sine_series(nudged, 1.0, rows))
     keep = np.arange(len(grid)) != 40
     _assert_matches_dense((fast[0][keep], fast[1][keep]), (dense[0][keep], dense[1][keep]))
 
@@ -285,6 +294,26 @@ def test_evolution_does_not_depend_on_the_memo_state_property(r, mu, right, n_ma
         assert warm.value.tobytes() == cold.value.tobytes()
         assert warm.tderiv.tobytes() == cold.tderiv.tobytes()
         assert warm.tail_estimate == cold.tail_estimate
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True), mu=st.floats(0.0, 50.0),
+       right=st.booleans(), n_max=st.integers(1, 400), t=st.floats(0.0, 2.0),
+       m=st.integers(1, 8),
+       grid=st.one_of(st.integers(3, 65).map(lambda G: np.linspace(0.0, 1.0, G)),
+                      hnp.arrays(np.float64, st.integers(1, 65), elements=st.floats(0.0, 1.0))))
+def test_time_reversal_conjugates_the_mode_property(r, mu, right, n_max, t, m, grid):
+    # u(x, -t) = u(x, t)* and u_dot(x, -t) = -u_dot(x, t)*, bit for bit on
+    # the uniform grid's FFT and on the dense sum of any other grid: the real
+    # coefficient rows carrying sin(Omega t) change sign exactly, those
+    # carrying cos(Omega t) keep their bits, and both sums are linear
+    cfg = kg.validate_config(1.0, r, mu)
+    region = RG if right else L
+    trunc = kg.Truncation(n_max, 12)
+    fwd = kg.evolve_local_mode(region, m, grid, t, cfg, trunc)
+    back = kg.evolve_local_mode(region, m, grid, -t, cfg, trunc)
+    assert np.all(back.value == np.conj(fwd.value))
+    assert np.all(back.tderiv == -np.conj(fwd.tderiv))
 
 
 def test_gibbs_overshoot_is_reported(narrow):
