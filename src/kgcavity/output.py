@@ -16,11 +16,13 @@ one by one) or with a signed integer outside [-2**53, 2**53]. A larger one
 whose columns are all 1-D floats of at most 64 bits or signed integers
 within +-2**53 goes through the column encoder, which reads every cell as
 a double (exact for each of them) and prints it in four 8-byte words, byte
-for byte as ``fmt17`` does. An integer of at most 2**53 has at most 16
-digits, so its %.17g text has no point and no exponent: it is its %d text.
-A cell x is printed from the correctly rounded 17-digit significand D of
-|x| 10**(16-e), with e the decimal exponent, and that product is computed
-so that its rounding can be certified:
+for byte as ``fmt17`` does; its digits, and how many of them are printed,
+are read from one table of the four-digit groups 0000..9999. An integer
+of at most 2**53 has at most 16 digits, so its %.17g text has no point and
+no exponent: it is its %d text. A cell x is printed from the correctly
+rounded 17-digit significand D of |x| 10**(16-e), with e the decimal
+exponent, and that product is computed so that its rounding can be
+certified:
 
 - 10**k comes from a table built on first use as hi + lo, hi the double
   nearest 10**k and lo the double nearest 10**k - hi. Since
@@ -131,11 +133,13 @@ def _column(c) -> np.ndarray:
 # A cell and its separator fill four 8-byte words, little-endian, so byte j
 # of a word is bits 8j..8j+7. A slot the cell does not print holds _PAD; one
 # bytes.translate per chunk deletes every pad. The words are built with
-# whole-column integer arithmetic and tables read by index (take); only a
-# cell off the fast path is formatted on its own, by fmt17.
+# whole-column integer arithmetic and tables read by index (take). A
+# significand's digits after the first are four groups of four, and one
+# table of the groups 0000..9999 gives each its ASCII word and its trailing
+# zeros, so both the digits and how many of them are printed are read, not
+# computed. Only a cell off the fast path is formatted on its own, by fmt17.
 
 _PAD = 0xFF             # no ASCII byte is 0xFF
-_ZEROS = 0x3030_3030_3030_3030     # eight ASCII "0"
 
 
 def _encodable(col: np.ndarray) -> bool:
@@ -161,36 +165,6 @@ def _encoded_rows(cols: list[np.ndarray], n_rows: int):
         words = _float_words(part[:n].ravel()).reshape(n, len(cols), 4)
         words[:, :, 3] ^= seps
         yield words.tobytes().translate(None, b"\xff")
-
-
-def _ascii8(v: np.ndarray) -> np.ndarray:
-    """uint64 ``v`` < 10**8 as eight ASCII digits, leading zeros included,
-    the first digit in the lowest byte: two 4-digit lanes, each split into
-    two 2-digit lanes and those into tens and ones, with multiply-shift
-    divisions exact in their range."""
-    hi = v // 10_000
-    x = v - hi * 10_000
-    x <<= 32
-    x |= hi
-    y = x * 10_486
-    y >>= 20
-    y &= 0x0000_007F_0000_007F      # lane // 100
-    x -= y * 100
-    x <<= 16
-    x |= y
-    y = x * 103
-    y >>= 10
-    y &= 0x000F_000F_000F_000F      # lane // 10
-    x -= y * 10
-    x <<= 8
-    x |= y
-    x += _ZEROS
-    return x
-
-
-def _nonzero_bytes(word: np.ndarray) -> np.ndarray:
-    """Bit 8j + 7 set where ASCII-digit byte j of ``word`` is not "0"."""
-    return ((word ^ _ZEROS) + 0x7F7F_7F7F_7F7F_7F7F) & 0x8080_8080_8080_8080
 
 
 # ── doubles: sign, "0.000" lead, 18 digit-or-point slots, "e+XXX", 3 pads ──
@@ -258,9 +232,20 @@ def _body_masks():
     return masks
 
 
+def _groups():
+    """Per four-digit group g in 0000..9999: its ASCII word, the first digit
+    in the lowest byte, and its trailing zeros (4 for 0000)."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+    word = (digit[:, None, None, None] | digit[:, None, None] << 8 | digit[:, None] << 16
+            | digit << 24)
+    g = np.arange(10_000)
+    # zeros as uint8: as int64 the encoder took about 10 % longer on 2 vCPU
+    return word.ravel(), sum(g % 10**k == 0 for k in range(1, 5)).astype(np.uint8)
+
+
 @functools.cache
 def _float_tables():
-    return _powers_of_ten(), _layouts(), _body_masks()
+    return _powers_of_ten(), _layouts(), _body_masks(), _groups()
 
 
 def _significands(w: np.ndarray, e: np.ndarray):
@@ -273,7 +258,7 @@ def _significands(w: np.ndarray, e: np.ndarray):
     exact and so is a tie; otherwise d is certain only more than 2**-30
     from a tie.
     """
-    (hi, lo, hh, hl), _, _ = _float_tables()
+    (hi, lo, hh, hl), *_ = _float_tables()
     i = 16 - e - _K_MIN
     h, l, a, b = hi.take(i), lo.take(i), hh.take(i), hl.take(i)
     ph = w * h
@@ -292,7 +277,7 @@ def _significands(w: np.ndarray, e: np.ndarray):
 
 def _float_words(x: np.ndarray) -> np.ndarray:
     """(n, 4) uint64 ``%.17g`` cells of a float64 array."""
-    _, (first, last, q_of, kint_of), body_masks = _float_tables()
+    _, (first, last, q_of, kint_of), body_masks, (group, zeros) = _float_tables()
     ax = np.abs(x)
     fast = (ax > 1e-280) & (ax < 1e280)
     w = np.where(fast, ax, 1.0)
@@ -313,22 +298,25 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     d[zero] = 0
     fallback = np.flatnonzero(~(fast & sure) & ~zero)
     X = e - _X_MIN
-    # the digits: d0, then A and B, eight each
-    d = d.astype(np.uint64)
-    d0 = d // 10**16
-    rest = d - d0 * 10**16
-    halves = np.empty((2, len(x)), np.uint64)
-    np.floor_divide(rest, 10**8, out=halves[0])
-    np.subtract(rest, halves[0] * 10**8, out=halves[1])
-    A, B = digits = _ascii8(halves)
+    # the digits: d0, then the four-digit groups g1..g4, two to a word
+    halves = np.empty((2, len(x)), np.int64)
+    np.floor_divide(d, 10**8, out=halves[0])
+    np.subtract(d, halves[0] * 10**8, out=halves[1])
+    d0 = halves[0] // 10**8
+    halves[0] -= d0 * 10**8
+    g1, g3 = tops = halves // 10**4
+    g2, g4 = halves - tops * 10**4
+    A = group.take(g1) | group.take(g2) << 32
+    B = group.take(g3) | group.take(g4) << 32
     # K digits are printed: through the last nonzero one, and at least kint
-    _, (top_a, top_b) = np.frexp(_nonzero_bytes(digits).astype(np.float64))
-    K = np.maximum(np.maximum(top_a // 8 + 1, (top_b // 8 + 9) * (top_b > 0)), kint_of.take(X))
+    z1, z2, z3, z4 = (zeros.take(g) for g in (g1, g2, g3, g4))
+    tz = z4 + (g4 == 0) * (z3 + (g3 == 0) * (z2 + (g2 == 0) * z1))
+    K = np.maximum(17 - tz, kint_of.take(X))
     q = q_of.take(X)
     # slot s < q holds digit s, slot q the point, slot s > q digit s - 1
     code = 19 * q + K + (K > q)     # a point is printed with a digit after it
     out = np.empty((len(x), 4), np.uint64)
-    words = ((d0 + ord("0")) << 48, A, B)
+    words = ((d0.astype(np.uint64) + ord("0")) << 48, A, B)
     moved = ((A & 0xFF) << 56, (A >> 8) | (B << 56), B >> 8)
     for k, (word, shifted, (m_moved, m_kept, m_fixed)) in enumerate(zip(words, moved, body_masks)):
         out[:, k] = ((shifted & m_moved.take(code)) | (word & m_kept.take(code))

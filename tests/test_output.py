@@ -253,6 +253,63 @@ def test_write_csv_fast_path_formats_almost_every_float(tmp_path, rng, monkeypat
     assert len(calls) <= 10
 
 
+def test_group_table_spells_every_four_digit_group():
+    # each group g as its %04d text read as a little-endian word, and the
+    # zeros that text ends in
+    word, zeros = output._groups()
+    texts = [f"{g:04d}" for g in range(10_000)]
+    assert word.dtype == np.uint64 and word.shape == zeros.shape == (10_000,)
+    assert word.tolist() == [int.from_bytes(t.encode(), "little") for t in texts]
+    assert zeros.tolist() == [len(t) - len(t.rstrip("0")) for t in texts]
+
+
+def _layout_and_count(text: str) -> tuple[str, int]:
+    """The layout of a %.17g text and how many significant digits it prints."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    layout = ("exponent-" if exponent.startswith("-") else "exponent+" if exponent
+              else "0.000d" if mantissa.startswith("0.") else "d.ddd" if "." in mantissa
+              else "integer")
+    return layout, len(mantissa.replace(".", "").strip("0"))
+
+
+def test_write_csv_encoder_prints_every_digit_count_in_every_layout(tmp_path, rng, monkeypatch):
+    # a 17-digit significand ending in 0 is a group boundary that random
+    # cells rarely reach: here each layout prints every count of significant
+    # digits it can (a point needs at least 2), found among short decimals
+    # at decimal exponents X, with both signs, across a chunk boundary, as
+    # floats and, up to 2**53, as ints
+    exponents = [-300, -100, -17, -5, -4, -3, -2, -1, *range(17), 17, 22, 23, 100, 279]
+    cells = []
+    for X in exponents:
+        for k in range(1, 18):
+            for _ in range(200):
+                digits = int(rng.integers(10**(k - 1), 10**k)) // 10 * 10 + int(rng.integers(1, 10))
+                x = float(f"{digits}e{X - k + 1}")
+                if _layout_and_count(fmt17(x))[1] == k:
+                    cells.append(x)
+                    break
+    found = {_layout_and_count(fmt17(x)) for x in cells}
+    for layout in ("exponent-", "0.000d", "d.ddd", "integer", "exponent+"):
+        counts = {k for lay, k in found if lay == layout}
+        assert counts == set(range(2 if layout == "d.ddd" else 1, 18)), layout
+    x = np.resize(np.concatenate([cells, np.negative(cells)]), output._CHUNK_CELLS + 123)
+    ints = np.array([v for v in cells if v.is_integer() and v <= 2**53], np.int64)
+    ints = np.resize(np.concatenate([ints, -ints, [2**53, -2**53]]), len(x))
+    assert {_layout_and_count(str(v))[1] for v in ints} == set(range(1, 17))
+    encode, encoded = output._encoded_rows, []
+
+    def spy(cols, n_rows):
+        encoded.append(n_rows)
+        return encode(cols, n_rows)
+
+    monkeypatch.setattr(output, "_ENCODE_MIN_CELLS", 0)
+    monkeypatch.setattr(output, "_encoded_rows", spy)
+    path = tmp_path / "t.csv"
+    write_csv(str(path), [], ["x", "i"], [x, ints])
+    assert encoded == [len(x)]
+    assert path.read_bytes() == b"x,i\n" + _fmt17_rows([x.tolist(), ints.tolist()])
+
+
 def _slot_mask(first: int, pred, value: int = output._PAD) -> np.ndarray:
     """A word whose byte j holds slot first + j, by code c = 19 q + L:
     ``value`` in the bytes of the body slots 0..17 with pred(slot, q, L),
