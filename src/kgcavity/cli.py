@@ -9,15 +9,11 @@ for the subcommand tour.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
-import glob
-import hashlib
 import json
 import logging
 import math
-import os
 import sys
 import time
 from decimal import Decimal
@@ -40,7 +36,7 @@ from .config import (
     validate_config,
 )
 from .modes import SampledMode, _check_time, evolve_local_mode, uniform_grid
-from .output import write_csv, write_manifest, write_sidecar
+from .output import write_run
 from .quasilocal import (
     bandwidth,
     overlap_distribution,
@@ -162,15 +158,9 @@ class _Run:
 
     A command records each CSV with ``csv`` and each SVG with ``svg``, and
     puts its diagnostics in ``tails`` and its work counts in ``counters``,
-    which only the manifest carries. ``finish`` creates ``out_dir`` (a
-    DomainError naming it where it cannot) and writes the CSVs and their
-    sidecars, then the SVGs (only with --svg), each in the order recorded,
-    under a temporary name in ``out_dir``. Only once all are written does it
-    rename each into place, then it writes the manifest. A command that
-    raises leaves nothing behind, not even a directory it created: a
-    product that cannot be written or renamed into place is a DomainError
-    naming it, and the run removes what it wrote and puts back the earlier
-    files its products replaced. No other file in ``out_dir`` is touched.
+    which only the manifest carries. A command that raises writes nothing;
+    ``finish`` hands the products, in the order recorded, to
+    ``output.write_run``, which alone writes them to ``--out-dir``.
     """
 
     def __init__(self, args, cfg, trunc):
@@ -195,74 +185,14 @@ class _Run:
         self.csvs.append((name, self.header + comments, names, columns))
 
     def svg(self, name: str, render, *args, **kw) -> None:
-        """Record ``render(path, *args, **kw)`` for ``finish``; nothing without --svg."""
+        """Record the text of ``render(*args, **kw)``; nothing, and no
+        rendering, without --svg."""
         if self.args.svg:
-            self.svgs.append((name, render, args, kw))
+            self.svgs.append((name, render(*args, **kw)))
 
-    def finish(self) -> int:
-        out_dir = self.args.out_dir
-        created = not os.path.exists(out_dir)
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise DomainError(f"{out_dir}: cannot create directory ({type(exc).__name__})") from exc
-        # the products are written under this prefix, then renamed into place
-        tag = os.path.join(out_dir, f".kgcavity-{os.getpid()}-")
-        record = {**self.record, "tail_bounds": self.tails}
-        outputs, staged, placed, kept, name = [], [], [], [], ""
-
-        def set_aside(name):
-            # an earlier file of the name is kept until the run has succeeded
-            if os.path.isfile(os.path.join(out_dir, name)):
-                os.replace(os.path.join(out_dir, name), f"{tag}~{name}")
-                kept.append(name)
-
-        try:
-            for name, comments, names, columns in self.csvs:
-                digest = write_csv(tag + name, comments, names, columns)
-                staged += [name, write_sidecar(tag + name, record, digest)[len(tag):]]
-                outputs.append((name, digest))
-            for name, render, args, kw in self.svgs:
-                render(tag + name, *args, **kw)
-                staged.append(name)
-                with open(tag + name, "rb") as fh:
-                    outputs.append((name, hashlib.sha256(fh.read()).hexdigest()))
-            for name in staged:
-                set_aside(name)
-                os.replace(tag + name, os.path.join(out_dir, name))
-                placed.append(name)
-            if self.counters:
-                record["counters"] = self.counters
-            name = "manifest.json"
-            set_aside(name)
-            placed.append(name)
-            write_manifest(out_dir, record, outputs, time.perf_counter() - self.t0)
-        except BaseException as exc:
-            for done in placed:
-                _quietly(os.remove, os.path.join(out_dir, done))
-            for done in kept:
-                _quietly(os.replace, f"{tag}~{done}", os.path.join(out_dir, done))
-            # what is left under the prefix: products not yet renamed, a partial one
-            for left in glob.glob(glob.escape(tag) + "*"):
-                _quietly(os.remove, left)
-            if created:
-                _quietly(os.rmdir, out_dir)
-            if isinstance(exc, OSError):
-                raise DomainError(f"{os.path.join(out_dir, name)}: cannot write "
-                                  f"({type(exc).__name__})") from exc
-            raise
-        for name in kept:
-            os.remove(f"{tag}~{name}")
-        for name, digest in outputs:
-            log.info("wrote %s (sha256 %s…)", name, digest[:12])
-        return 0
-
-
-def _quietly(step, *paths) -> None:
-    """``step(*paths)`` while undoing a failed run: an OSError (a path that
-    is gone or cannot be removed) stops no other step."""
-    with contextlib.suppress(OSError):
-        step(*paths)
+    def finish(self) -> None:
+        write_run(self.args.out_dir, self.csvs, self.svgs, {**self.record, "tail_bounds": self.tails},
+                  self.counters, self.t0)
 
 
 def _record_series(run: _Run, label: str, mode: SampledMode) -> None:
@@ -677,7 +607,8 @@ def main(argv=None) -> int:
     try:
         run = _Run(args, *_resolve(args))
         args.func(args, run)
-        return run.finish()
+        run.finish()
+        return 0
     except (KgCavityError, MemoryError) as exc:
         # a request too large to allocate is refused like any other
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")

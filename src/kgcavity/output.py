@@ -1,4 +1,6 @@
-"""Deterministic CSV/JSON writers and the per-run manifest.
+"""Deterministic CSV/JSON writers, the per-run manifest, and ``write_run``,
+the one writer of a run's products: no other module creates, renames or
+removes a file under ``--out-dir``.
 
 CSV is the numeric contract: a table is a list of columns, each printed in
 the one format of its dtype (17-significant-digit decimals for floats), in
@@ -43,17 +45,24 @@ certified:
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import glob
 import hashlib
 import json
+import logging
 import os
 import time
 
 import numpy as np
 
+from .config import DomainError
+
 VERSION = "0.1.0"
 
-__all__ = ["VERSION", "fmt17", "write_csv", "write_sidecar", "write_manifest"]
+__all__ = ["VERSION", "fmt17", "write_csv", "write_sidecar", "write_manifest", "write_run"]
+
+log = logging.getLogger("kgcavity")
 
 
 def fmt17(v) -> str:
@@ -361,3 +370,81 @@ def write_manifest(out_dir: str, provenance: dict, outputs, wall_time_s: float) 
         "written": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     })
     return path
+
+
+def write_run(out_dir: str, tables, svgs, record: dict, counters: dict, t0: float) -> None:
+    """Write one run's products into ``out_dir``, creating it (a DomainError
+    naming it where it cannot).
+
+    ``tables`` holds (name, comments, names, columns) per CSV, each written
+    by ``write_csv`` with its sidecar; ``svgs`` holds (name, text) per SVG,
+    whose digest is that of the bytes written. Each goes under a temporary
+    name in ``out_dir``, in the order given, and only once all are written
+    is each renamed into place; the manifest, which alone adds
+    ``counters`` (when there are any) to ``record``, comes last, with the
+    wall time since ``t0``. A product that cannot be written or renamed is
+    a DomainError naming it, and the run leaves nothing behind, not even a
+    directory it created: it removes what it placed and puts back the
+    earlier files its products replaced. No other file in ``out_dir`` is
+    touched.
+    """
+    created = not os.path.exists(out_dir)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"{out_dir}: cannot create directory ({type(exc).__name__})") from exc
+    # the products are written under this prefix, then renamed into place
+    tag = os.path.join(out_dir, f".kgcavity-{os.getpid()}-")
+    outputs, staged, placed, kept, name = [], [], [], [], ""
+
+    def set_aside(name):
+        # an earlier file of the name is kept until the run has succeeded
+        if os.path.isfile(os.path.join(out_dir, name)):
+            os.replace(os.path.join(out_dir, name), f"{tag}~{name}")
+            kept.append(name)
+
+    try:
+        for name, comments, names, columns in tables:
+            digest = write_csv(tag + name, comments, names, columns)
+            staged += [name, write_sidecar(tag + name, record, digest)[len(tag):]]
+            outputs.append((name, digest))
+        for name, text in svgs:
+            data = text.encode("utf-8")
+            with open(tag + name, "wb") as fh:
+                fh.write(data)
+            staged.append(name)
+            outputs.append((name, hashlib.sha256(data).hexdigest()))
+        for name in staged:
+            set_aside(name)
+            os.replace(tag + name, os.path.join(out_dir, name))
+            placed.append(name)
+        name = "manifest.json"
+        set_aside(name)
+        placed.append(name)
+        write_manifest(out_dir, {**record, "counters": counters} if counters else record,
+                       outputs, time.perf_counter() - t0)
+    except BaseException as exc:
+        for done in placed:
+            _quietly(os.remove, os.path.join(out_dir, done))
+        for done in kept:
+            _quietly(os.replace, f"{tag}~{done}", os.path.join(out_dir, done))
+        # what is left under the prefix: products not yet renamed, a partial one
+        for left in glob.glob(glob.escape(tag) + "*"):
+            _quietly(os.remove, left)
+        if created:
+            _quietly(os.rmdir, out_dir)
+        if isinstance(exc, OSError):
+            raise DomainError(f"{os.path.join(out_dir, name)}: cannot write "
+                              f"({type(exc).__name__})") from exc
+        raise
+    for name in kept:
+        os.remove(f"{tag}~{name}")
+    for name, digest in outputs:
+        log.info("wrote %s (sha256 %s…)", name, digest[:12])
+
+
+def _quietly(step, *paths) -> None:
+    """``step(*paths)`` while undoing a failed run: an OSError (a path that
+    is gone or cannot be removed) stops no other step."""
+    with contextlib.suppress(OSError):
+        step(*paths)

@@ -2,6 +2,8 @@
 
 Line plots and heatmaps only, no external plotting dependency; the CSV
 files are the contract and these renderings are a convenience view of them.
+Each renderer returns the SVG text, its parts one per line, each ending in
+'\\n'; it opens no file (``output.write_run`` writes it).
 """
 
 from __future__ import annotations
@@ -55,26 +57,18 @@ def _axis_labels(xlabel: str, ylabel: str) -> list[str]:
     ]
 
 
-def _write(path: str, parts: list[str]) -> None:
-    """The parts one per line, each ending in '\\n'."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
 def line_plot(
-    path: str,
     series: list,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
     logx: bool = False,
     logy: bool = False,
-) -> None:
+) -> str:
     """series: list of (x_array, y_array, label)."""
     def tx(v, log):
         return math.log10(v) if log else v
 
-    xs_all, ys_all = [], []
     clean = []
     for x, y, label in series:
         x = np.asarray(x, dtype=float)
@@ -87,15 +81,12 @@ def line_plot(
         x, y = x[keep], y[keep]
         if len(x):
             clean.append((x, y, label))
-            xs_all.append(x)
-            ys_all.append(y)
     if not clean:
-        _write(path, ['<svg xmlns="http://www.w3.org/2000/svg"/>'])
-        return
-    x_lo = min(float(np.min(x)) for x in xs_all)
-    x_hi = max(float(np.max(x)) for x in xs_all)
-    y_lo = min(float(np.min(y)) for y in ys_all)
-    y_hi = max(float(np.max(y)) for y in ys_all)
+        return '<svg xmlns="http://www.w3.org/2000/svg"/>\n'
+    x_lo = min(float(np.min(x)) for x, _, _ in clean)
+    x_hi = max(float(np.max(x)) for x, _, _ in clean)
+    y_lo = min(float(np.min(y)) for _, y, _ in clean)
+    y_hi = max(float(np.max(y)) for _, y, _ in clean)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -127,7 +118,7 @@ def line_plot(
             ly = _MT + 16 + 16 * i
             parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" x2="{_W - _MR - 120}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{_W - _MR - 114}" y="{ly}">{_esc(str(label))}</text>')
-    _write(path, parts + ["</svg>"])
+    return "\n".join(parts + ["</svg>"]) + "\n"
 
 
 _STOPS = np.array([
@@ -153,12 +144,12 @@ def _colors(v: np.ndarray) -> np.ndarray:
     return "#" + hexes[..., 0] + hexes[..., 1] + hexes[..., 2]
 
 
-def heatmap(path: str, matrix, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+def heatmap(matrix, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Matrix cells colored on a 5-stop map; row 0 at the top. NaN and
     +-inf cells are drawn in grey and left out of the color range; a matrix
     with no finite cell is all grey, with 'nan' at both ends of the bar.
     A matrix that is not 2-D or has no rows or no columns is a
-    DimensionError, raised before the file is opened."""
+    DimensionError."""
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or 0 in M.shape:
         raise DimensionError(f"a heatmap needs a 2-D matrix with rows and columns, "
@@ -191,4 +182,4 @@ def heatmap(path: str, matrix, title: str = "", xlabel: str = "", ylabel: str = 
         )
     parts.append(f'<text x="{_W - _MR - 30}" y="{_H - _MB + 4}" text-anchor="end">{lo:.3g}</text>')
     parts.append(f'<text x="{_W - _MR - 30}" y="{_MT + 10}" text-anchor="end">{hi:.3g}</text>')
-    _write(path, parts + _axis_labels(xlabel, ylabel) + ["</svg>"])
+    return "\n".join(parts + _axis_labels(xlabel, ylabel) + ["</svg>"]) + "\n"

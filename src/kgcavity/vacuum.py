@@ -396,8 +396,11 @@ def _moment_report(m_range: tuple, n_range: tuple, sums: Grams) -> MomentReport:
     # uncorrelated.
     denom = np.outer(_sd(pp, pq, mean_left), _sd(ppb, pqb, mean_right))
     corr = np.where(denom >= _TINY, cov / np.where(denom >= _TINY, denom, 1.0), 0.0)
-    if np.any(np.abs(corr) > 1.0 + 1e-9):
-        raise AssertionError("correlation coefficient left (-1, 1) beyond numerical slack")
+    bad = np.argwhere(np.abs(corr) > 1.0 + 1e-9)
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(f"corr(n_{m_range[i]}, n_bar_{n_range[j]}) = {corr[i, j]:.6g} breaks "
+                          f"Cauchy-Schwarz beyond numerical slack; raise --nmax")
 
     return MomentReport(
         m_range=m_range,
@@ -462,7 +465,8 @@ def vacuum_moments(m_range, n_range, cfg: CavityConfig, n_max: int) -> MomentRep
     the split): row 1 alone and among rows 1..125 differ by at most 1.0e-15
     of each moment (cov: of sqrt(var_m var_n)) at the benchmark's
     configurations. DomainError unless n_max >= 1 and every index is an
-    integer >= 1.
+    integer >= 1, and where a correlation leaves [-1, 1] beyond rounding
+    (it names the row pair).
     """
     m_range, n_range = tuple(m_range), tuple(n_range)
     sums = gram(((Region.LEFT, m_range),), ((Region.RIGHT, n_range),), cfg, n_max)

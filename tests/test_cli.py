@@ -643,17 +643,22 @@ def test_explicit_empty_list_flag_is_refused(tmp_path, capsys, argv):
 
 
 def test_svg_outputs_land_in_manifest(tmp_path):
-    out = str(tmp_path / "s")
-    rc = main(["spectrum", "--nmax", "500", "--lmax", "3", "--svg",
-               "--out-dir", out])
-    assert rc == 0
-    man = _read_json(os.path.join(out, "manifest.json"))
-    names = [o["path"] for o in man["outputs"]]
-    assert "spectrum.svg" in names
-    svg_entry = next(o for o in man["outputs"] if o["path"] == "spectrum.svg")
-    payload = Path(out, "spectrum.svg").read_bytes()
-    assert payload.startswith(b"<?xml") or payload.startswith(b"<svg")
-    assert hashlib.sha256(payload).hexdigest() == svg_entry["digest"]
+    # each renderer's manifest digest is that of the bytes on disk
+    for argv, name in [
+        (["spectrum", "--nmax", "500", "--lmax", "3"], "spectrum.svg"),
+        (["correlations", "--nmax", "300", "--mmax", "5", "--mrows", "3", "--nrows", "3"],
+         "correlations.svg"),
+    ]:
+        out = str(tmp_path / name)
+        rc = main([*argv, "--svg", "--out-dir", out])
+        assert rc == 0
+        man = _read_json(os.path.join(out, "manifest.json"))
+        names = [o["path"] for o in man["outputs"]]
+        assert name in names
+        svg_entry = next(o for o in man["outputs"] if o["path"] == name)
+        payload = Path(out, name).read_bytes()
+        assert payload.startswith(b"<?xml") or payload.startswith(b"<svg")
+        assert hashlib.sha256(payload).hexdigest() == svg_entry["digest"]
 
 
 def test_short_log_axis_labels_both_ends(tmp_path):
@@ -792,7 +797,7 @@ def test_failed_write_removes_the_directory_it_created(tmp_path, capsys, monkeyp
     def disk_full(*_args):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr("kgcavity.cli.write_manifest", disk_full)
+    monkeypatch.setattr("kgcavity.output.write_manifest", disk_full)
     out = tmp_path / "new"
     assert main(["identities", "--nmax", "100", "--upto", "2", "--out-dir", str(out)]) == 2
     doc = _one_json_error(capsys)
@@ -1078,6 +1083,27 @@ def test_any_library_error_reports_json_and_exit_2(tmp_path, capsys):
         "error": "GridMismatch",
         "message": "0 points of the 1-point grid lie inside the support "
                    "(0.69999999999999996, 1) of probe 1, fewer than its 1 half-waves"}
+
+
+def test_correlation_past_cauchy_schwarz_reports_json_and_exit_2(tmp_path, capsys,
+                                                                  monkeypatch):
+    # Grams whose covariance exceeds the product of the standard deviations
+    # (var = 1 on both sides, cov = 2 * 2 + 2 * 2 = 8) are refused with the
+    # JSON error, not a traceback
+    two = np.full((1, 1), 2.0)
+    dots = np.array([[1.0], [0.0], [1.0]])    # sum p^2, sum p q, sum q^2 per row
+
+    def broken(*args, **kwargs):
+        return bogoliubov.Grams(dots, dots, two, two, two, two, near=1, far=0)
+
+    monkeypatch.setattr(vacuum, "gram", broken)
+    out = tmp_path / "c"
+    assert main(["correlations", "--nmax", "50", "--mmax", "1", "--mrows", "1", "--nrows", "1",
+                 "--out-dir", str(out)]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "DomainError"
+    assert "corr(n_1, n_bar_1) = 8" in err["message"] and "--nmax" in err["message"]
+    assert not out.exists()
 
 
 def test_oversized_request_reports_json_and_exit_2(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
-"""The SVG heatmap: pinned bytes, and cells that are NaN or infinite.
+"""The SVG renderers: text returned, no file opened; the heatmap's pinned
+bytes, and cells that are NaN or infinite.
 
 The pinned digests are of the per-cell renderer the array pass replaced;
 the matrices are built from integer arithmetic and one division, so their
 bits do not depend on the platform's libm.
 """
 
+import builtins
 import hashlib
 import re
 import warnings
@@ -26,12 +28,10 @@ PINNED = [
 ]
 
 
-def _render(tmp_path, matrix, labels=("", "", "")) -> str:
-    path = tmp_path / "map.svg"
+def _render(matrix, labels=("", "", "")) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        svg.heatmap(str(path), matrix, *labels)
-    return path.read_text(encoding="utf-8")
+        return svg.heatmap(matrix, *labels)
 
 
 def _cell_fills(text: str, n_cells: int) -> list[str]:
@@ -42,26 +42,26 @@ def _cell_fills(text: str, n_cells: int) -> list[str]:
 
 
 @pytest.mark.parametrize("matrix, labels, digest", PINNED)
-def test_heatmap_bytes_are_pinned(tmp_path, matrix, labels, digest):
-    text = _render(tmp_path, matrix, labels)
+def test_heatmap_bytes_are_pinned(matrix, labels, digest):
+    text = _render(matrix, labels)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_cells_are_grey_and_out_of_range(tmp_path, bad):
+def test_non_finite_cells_are_grey_and_out_of_range(bad):
     # a NaN cell once raised "cannot convert float NaN to integer"
     matrix = np.array([[0.1, bad], [0.3, 0.5]])
-    text = _render(tmp_path, matrix)
+    text = _render(matrix)
     fills = _cell_fills(text, 4)
     assert fills[1] == svg._NONFINITE
     # the finite cells keep the colors they have with the bad cell at lo
-    ref = _cell_fills(_render(tmp_path, np.array([[0.1, 0.1], [0.3, 0.5]])), 4)
+    ref = _cell_fills(_render(np.array([[0.1, 0.1], [0.3, 0.5]])), 4)
     assert fills[0] == ref[0] and fills[2:] == ref[2:]
     assert ">0.1</text>" in text and ">0.5</text>" in text
 
 
-def test_matrix_without_finite_cells_is_all_grey(tmp_path):
-    text = _render(tmp_path, np.array([[np.nan, np.inf], [np.nan, np.nan]]))
+def test_matrix_without_finite_cells_is_all_grey():
+    text = _render(np.array([[np.nan, np.inf], [np.nan, np.nan]]))
     assert _cell_fills(text, 4) == [svg._NONFINITE] * 4
     assert text.count(">nan</text>") == 2
 
@@ -69,10 +69,26 @@ def test_matrix_without_finite_cells_is_all_grey(tmp_path):
 @pytest.mark.parametrize("matrix", [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(3),
                                     np.zeros((2, 2, 2)), np.float64(1.0)],
                          ids=["no-rows", "no-columns", "1-D", "3-D", "0-D"])
-def test_matrix_that_is_not_a_grid_of_cells_is_a_dimension_error(tmp_path, matrix):
-    # refused before the file is opened, with the shape named; an empty
-    # axis once raised ZeroDivisionError and a 1-D array ValueError
-    path = tmp_path / "map.svg"
+def test_matrix_that_is_not_a_grid_of_cells_is_a_dimension_error(matrix):
+    # refused with the shape named; an empty axis once raised
+    # ZeroDivisionError and a 1-D array ValueError
     with pytest.raises(DimensionError, match=re.escape(str(np.shape(matrix)))):
-        svg.heatmap(str(path), matrix)
-    assert not path.exists()
+        svg.heatmap(matrix)
+
+
+@pytest.mark.parametrize("render, args", [
+    (svg.line_plot, ([([1.0, 2.0, 3.0], [1.0, 0.1, 0.01], "a")],)),
+    (svg.line_plot, ([([np.nan], [1.0], "no finite point")],)),
+    (svg.heatmap, ([[0.1, 0.2], [0.3, 0.4]],)),
+], ids=["line-plot", "empty-line-plot", "heatmap"])
+def test_renderers_return_text_and_open_no_file(tmp_path, monkeypatch, render, args):
+    # output.write_run alone writes products: a file a renderer opened would
+    # escape its staging, its digest and its rollback
+    def refuse(*_args, **_kw):
+        raise AssertionError("a renderer opened a file")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(builtins, "open", refuse)
+    text = render(*args, title="t")
+    assert text.startswith("<svg") and text.endswith(("</svg>\n", "/>\n")), text
+    assert list(tmp_path.iterdir()) == []
