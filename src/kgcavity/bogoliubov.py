@@ -100,17 +100,17 @@ the dropped orders are within
     tau_T = sum_{p>=T} (p + 1) z^p = z^T (T + 1 - T z) / (1 - z)^2,   z = 1/F,
 
 of |X_m0 Y_n0| sum_N |g_N g'_N|, itself within (1 + 1/F)^2 of a beta
-product's value. Each split takes the smallest T with tau_T <= 2^-56
-(``_series_order``): T = 31 at F = 4 (tau 9.3e-18), T = 21 at F = 8
-(2.7e-18). The far columns thus cost O(T) each instead of O(rows), and
-no full row is ever built.
+product's value. Both kernels split at F = _FAR_FACTOR = 4 and keep
+T = _FAR_ORDER = 31 orders, the smallest with tau_T <= 2^-56
+(``_series_order``; tau_31 = 9.3e-18). The far columns thus cost O(T)
+each instead of O(rows), and no full row is ever built.
 
 The paper's summed local occupation sum_{m<=M} <n_m> comes from
-``beta_sq_total`` without the per-row sums, split at F = _FAR_FACTOR = 4:
-the near columns go through the same row-chunk pass as ``beta_sq_sums``,
-and in the far ones the rows are one family's beta rows, each against
-itself. Its terms of order p are X_mj X_mk = A_m^2 (-s_m)^p, p + 1 of
-them, so summed over m the far part is
+``beta_sq_total`` without the per-row sums: the near columns go through
+the same row-chunk pass as ``beta_sq_sums``, and in the far ones the rows
+are one family's beta rows, each against itself. Its terms of order p are
+X_mj X_mk = A_m^2 (-s_m)^p, p + 1 of them, so summed over m the far part
+is
 
     sum_{p<T} (p + 1) (-1)^p mu_p h_p,   mu_p = sum_m A_m^2 s_m^p,
 
@@ -141,12 +141,17 @@ Its two callers are the Wick moments of the cross-partition number
 correlations (``vacuum.vacuum_moments``: left rows against right rows)
 and the completeness residuals (``identity_residuals``: left rows against
 [left; right] rows). ``gram`` reads one column table per family on
-N = 1..n_max and splits them at F = _WICK_FAR_FACTOR = 8, with W the
-largest omega over every requested row. Both parts go through one
-accumulator, ``_add_grams``: given each side's stack S = [P; Q] on some
-columns and a metric M, it adds G += S_a M S_b^T, whose four blocks are
-the Grams, and each row's p M p, p M q and q M q (one ``np.vecdot`` per
-row), and the Grams are cut from G once, at the end.
+N = 1..n_max and splits them at the same F as ``beta_sq_total``, with W
+the largest omega over every requested row. The cross alpha Gram P P'^T
+cancels (from O(1) to 2e-6 at r/R = 1/pi, mu R = 1000, 10 x 40 rows), and
+there it is 2.3e-11 of its largest entry off ``math.fsum`` over
+``coeff_grid`` rows at F = 2, 4, 8 and 16 alike, as on the full explicit
+rows: the rounding of the cancelling near terms, which no wider split
+removes. Both parts go through one accumulator, ``_add_grams``: given
+each side's stack S = [P; Q] on some columns and a metric M, it adds
+G += S_a M S_b^T, whose four blocks are the Grams, and each row's p M p,
+p M q and q M q (one ``np.vecdot`` per row), and the Grams are cut from G
+once, at the end.
 
 The near columns are walked in chunks of _GRAM_COLUMNS global indices,
 cut at its multiples and at the split, so the chunks do not depend on
@@ -200,19 +205,14 @@ _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 # this is a chunk of its own.
 _CHUNK_ENTRIES = 2**17
 
-# ``beta_sq_total`` sums the columns with Omega_N >= _FAR_FACTOR max omega_m
-# by the far-field series of the module docstring.
+# ``beta_sq_total`` and ``gram`` sum the columns with
+# Omega_N >= _FAR_FACTOR max omega_m by the far-field series of the module
+# docstring, to order _FAR_ORDER.
 _FAR_FACTOR = 4.0
-
-# ``gram`` splits at a wider factor: the cross alpha Grams cancel
-# (from O(1) to 2e-6 at r/R = 1/pi, mu R = 1000), and at a factor of 4 the
-# rounding of the near GEMM's partial sum alone left 1.1e-11 of the
-# cancelled value, against 8.4e-13 at 8.
-_WICK_FAR_FACTOR = 8.0
 
 # ``gram`` walks its near columns in chunks of this many global indices, so
 # its buffers hold 2 x rows x _GRAM_COLUMNS entries a side, not the full
-# near rows (17 MB at 156 + 100 rows and 4160 near columns).
+# near rows (34 MB at 312 + 200 rows and 4160 near columns).
 _GRAM_COLUMNS = 512
 
 
@@ -533,6 +533,9 @@ def _series_order(factor: float) -> int:
     return next(T for T in range(1, 1000) if z**T * (T + 1 - T * z) / (1.0 - z) ** 2 <= 2.0**-56)
 
 
+_FAR_ORDER = _series_order(_FAR_FACTOR)
+
+
 def _beta_sq_total(rows: _Rows, cols: _Columns) -> float:
     """sum_m sum_N beta_mN^2 over the rows and columns of the tables, the
     columns in ascending Omega_N (as ascending N are).
@@ -540,11 +543,10 @@ def _beta_sq_total(rows: _Rows, cols: _Columns) -> float:
     With W = max omega_m, the near columns, Omega_N < _FAR_FACTOR W, go
     through ``_row_sq_sums`` and the row factors c_m = a_beta_m^2. The far
     columns, a suffix, take the module docstring's series to order
-    T = ``_series_order(_FAR_FACTOR)``: sum_p d_p h_p, with d_p from the row
-    moments and h_p the column moments of ``_column_moments``. The
-    power-of-two scaling of b_N is shared by both parts and undone at the
-    end. A call with no far column costs and returns what
-    ``np.sum(_beta_sq_sums(...))`` does.
+    T = _FAR_ORDER: sum_p d_p h_p, with d_p from the row moments and h_p
+    the column moments of ``_column_moments``. The power-of-two scaling of
+    b_N is shared by both parts and undone at the end. A call with no far
+    column costs and returns what ``np.sum(_beta_sq_sums(...))`` does.
     """
     b, e = _scaled_b(rows, cols)
     om, c, Om = rows.om, rows.a_beta * rows.a_beta, cols.Om
@@ -552,7 +554,7 @@ def _beta_sq_total(rows: _Rows, cols: _Columns) -> float:
     split = int(np.searchsorted(Om, _FAR_FACTOR * W))
     total = np.sum(_row_sq_sums(om, Om[:split], b[:split]) * c)
     if split < len(Om):
-        T = _series_order(_FAR_FACTOR)
+        T = _FAR_ORDER
         p = np.arange(T)
         # d_p = (p + 1) (-1)^p mu_p, mu_p = sum_m c_m (omega_m / W)^p
         d = (c @ np.vander(om / W, T, increasing=True)) * ((p + 1) * _parity(p))
@@ -649,17 +651,18 @@ def _row_grams(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> 
 
 
 def _far_grams(sums: list, sides: list, cols: list, W: float) -> None:
-    """Add the far columns, all with Omega_N >= _WICK_FAR_FACTOR W, to
+    """Add the far columns, all with Omega_N >= _FAR_FACTOR W, to
     ``sums`` by the module docstring's series: ``sides`` holds each side's
     row tables and ``cols`` each family's column table on the far columns.
 
-    Each side's far stack has T = ``_series_order(_WICK_FAR_FACTOR)``
-    virtual columns per family, holding A_m (+-omega_m / W)^j (alpha: +,
-    beta: -) in its family's columns and zeros elsewhere; the metric
-    M[(f, j), (f', k)] = h^ff'_{j+k}, 0 from total order T on, takes one
-    pass of T column moments over the family pairs.
+    Each side's far stack has T = _FAR_ORDER virtual columns per family,
+    holding A_m (+-omega_m / W)^j (alpha: +, beta: -) in its family's
+    columns and zeros elsewhere; the metric M[(f, j), (f', k)] =
+    h^ff'_{j+k}, 0 from total order T on, takes one pass of T column
+    moments over the family pairs: the order and the split of
+    ``_beta_sq_total``, whose series a beta row against itself reproduces.
     """
-    T = _series_order(_WICK_FAR_FACTOR)
+    T = _FAR_ORDER
     regions = [c.region for c in cols]
     g = [c.b / c.Om for c in cols]
     pairs = [(f, e) for f in range(len(g)) for e in range(f, len(g))]
@@ -689,19 +692,20 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     Each side is a sequence of (region, rows) pairs, its rows stacked in
     order; each distinct pair gets one row table, and each family one
     column table on N = 1..n_max, both on one Omega_N. The near columns,
-    Omega_N < _WICK_FAR_FACTOR W with W the largest omega of every
-    requested row, are walked by ``_chunk_grams`` in chunks of
-    _GRAM_COLUMNS columns, cut at multiples of it and at the split, so they
-    do not depend on which rows are requested: per chunk ``_grid`` fills
-    each row table once, on that chunk of its family's table, into the
-    side's stack (a table named again is copied). ``_far_grams`` adds the
-    far columns through the same accumulator, ``_add_grams``, as T virtual
-    columns per family under the moment metric; the sums are cut into
-    ``Grams`` once, at the end. With no far column the sums are those of
-    ``_row_grams`` on the full rows, bit for bit. Otherwise a row's sums
-    depend, in their last bits, on the rows requested with it, through W
-    and the split it sets. DomainError unless n_max and every index is an
-    integer >= 1.
+    Omega_N < _FAR_FACTOR W with W the largest omega of every requested
+    row (the split of ``beta_sq_total``), are walked by ``_chunk_grams`` in
+    chunks of _GRAM_COLUMNS columns, cut at multiples of it and at the
+    split, so they do not depend on which rows are requested: per chunk
+    ``_grid`` fills each row table once, on that chunk of its family's
+    table, into the side's stack (a table named again is copied). Their
+    cost, the fills and one GEMM a chunk, grows with the near columns.
+    ``_far_grams`` adds the far columns through the same accumulator,
+    ``_add_grams``, as T virtual columns per family under the moment
+    metric; the sums are cut into ``Grams`` once, at the end. With no far
+    column the sums are those of ``_row_grams`` on the full rows, bit for
+    bit. Otherwise a row's sums depend, in their last bits, on the rows
+    requested with it, through W and the split it sets. DomainError unless
+    n_max and every index is an integer >= 1.
     """
     n_max = _index("n_max", n_max)
     tables = {}
@@ -719,7 +723,7 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     cols = {region: _on_ladder(_geometry(region, N, cfg), Om)
             for region in dict.fromkeys(rows.region for rows in tables.values())}
     W = max(np.max(rows.om, initial=0.0) for rows in tables.values())
-    split = int(np.searchsorted(Om, _WICK_FAR_FACTOR * W))
+    split = int(np.searchsorted(Om, _FAR_FACTOR * W))
 
     def fill(lo, hi, stacks):
         filled = {}

@@ -462,7 +462,7 @@ def vacuum_moments(m_range, n_range, cfg: CavityConfig, n_max: int) -> MomentRep
     With no far column the report has the bits of ``wick_moments`` on full
     rows. Otherwise a row's values depend, in their last bits, on the rows
     requested with it (through the largest requested frequency, which sets
-    the split): row 1 alone and among rows 1..125 differ by at most 1.0e-15
+    the split): row 1 alone and among rows 1..125 differ by at most 1.3e-15
     of each moment (cov: of sqrt(var_m var_n)) at the benchmark's
     configurations. DomainError unless n_max >= 1 and every index is an
     integer >= 1, and where a correlation leaves [-1, 1] beyond rounding

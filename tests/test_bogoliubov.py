@@ -685,6 +685,26 @@ def test_identity_residuals_match_fsum_reference(r, mu, upto, n_max):
         assert np.max(np.abs(getattr(res, name) - want)) <= 1e-13, name
 
 
+def test_gram_cancelling_cross_grams_match_fsum():
+    # criterion 8's configuration: the cross alpha Gram P P'^T of 10 left
+    # rows against 40 right rows cancels from O(1) summands to 2.0e-6, and
+    # most columns (8746 of 1e4) go by the far series. Against math.fsum
+    # over coeff_grid rows, measured at the split factors 4 and 8 alike:
+    # PP 2.3e-11 of its largest entry (the rounding of the cancelling near
+    # terms, as on the full explicit rows), PQ 1.0e-14, QP 6.0e-15 and
+    # QQ 6.3e-16; the bounds leave margins of 4 and 10
+    cfg = kg.validate_config(1.0, 1.0 / math.pi, 1000.0)
+    left, right, cols = np.arange(1, 11), np.arange(1, 41), np.arange(1, 10_001)
+    P, Q = kg.coeff_grid(L, left, cols, cfg)
+    Pb, Qb = kg.coeff_grid(RG, right, cols, cfg)
+    g = bogoliubov.gram(((L, left),), ((RG, right),), cfg, 10_000)
+    assert g.far > g.near > 0
+    for name, X, Y, bound in (("PP", P, Pb, 1e-10), ("PQ", P, Qb, 1e-13),
+                              ("QP", Q, Pb, 1e-13), ("QQ", Q, Qb, 1e-13)):
+        want = np.array([[math.fsum(x * y) for y in Y] for x in X])
+        assert np.max(np.abs(getattr(g, name) - want)) <= bound * np.max(np.abs(want)), name
+
+
 @settings(max_examples=30, deadline=None)
 @given(r=_fractions, mu=st.floats(0.0, 1000.0), upto=st.integers(1, 10),
        n_max=st.integers(100, 2000))
@@ -701,8 +721,9 @@ def test_identity_residuals_cross_mirror_property(r, mu, upto, n_max):
 def test_identity_residuals_read_near_rows_once_per_family(cfg_half, monkeypatch):
     # one Gram call: the near kernel fills each family's rows once per chunk
     # of at most 512 columns, chunks ending at multiples of 512 or at the
-    # split (Omega_N < 8 omega_upto: N < 160 for 10 rows, N < 640 for 40),
-    # the left rows serving both sides; the far columns go by the series
+    # split (Omega_N = pi N < F omega_upto = 2 F pi upto: N < 80 for 10
+    # rows and N < 640 for 80, across a chunk boundary, at F = 4), the left
+    # rows serving both sides; the far columns go by the series
     grid = bogoliubov._grid
     calls = []
 
@@ -712,14 +733,15 @@ def test_identity_residuals_read_near_rows_once_per_family(cfg_half, monkeypatch
 
     monkeypatch.setattr(bogoliubov, "_grid", spy)
     monkeypatch.setattr(bogoliubov, "_BLOCK_MEMO", OrderedDict())
-    res = kg.identity_residuals(cfg_half, 4000, 10)
-    assert calls == [(L, 10, 1, 159), (RG, 10, 1, 159)]
-    assert (res.near_columns, res.far_columns) == (159, 3841)
-    calls.clear()
-    res = kg.identity_residuals(cfg_half, 4000, 40)
-    assert calls == [(region, 40, lo, hi) for lo, hi in ((1, 512), (513, 639))
-                     for region in (L, RG)]
-    assert (res.near_columns, res.far_columns) == (639, 3361)
+    chunks = []
+    for upto in (10, 80):
+        near = int(2 * bogoliubov._FAR_FACTOR * upto) - 1
+        calls.clear()
+        res = kg.identity_residuals(cfg_half, 4000, upto)
+        chunks.append([(lo + 1, min(lo + 512, near)) for lo in range(0, near, 512)])
+        assert calls == [(region, upto, lo, hi) for lo, hi in chunks[-1] for region in (L, RG)]
+        assert (res.near_columns, res.far_columns) == (near, 4000 - near)
+    assert [len(c) for c in chunks] == [1, 2]
     assert len(bogoliubov._BLOCK_MEMO) == 0
 
 
@@ -783,19 +805,18 @@ def test_gram_matches_explicit_rows_on_mixed_stacks_property(request):
 @settings(max_examples=40, deadline=None)
 @given(r=_fractions, mu=st.floats(0.0, 20.0), right=st.booleans(), M=st.integers(1, 100),
        extra=st.integers(1, 5000))
-@example(r=0.3, mu=2.0, right=False, M=100, extra=10_000 - 2667)   # n_max = 1e4
+@example(r=0.3, mu=2.0, right=False, M=100, extra=10_000 - 1334)   # n_max = 1e4
 def test_gram_far_beta_series_is_the_summed_spectrum_series_property(r, mu, right, M, extra):
     # one far-field series: a beta row against itself under gram's metric
     # is beta_sq_total's series term for term, so summed over the rows the
-    # beta^2 dots of one family against itself give the summed spectrum,
-    # each kernel with far columns of its own (gram's split at 8 max omega
-    # lies above beta_sq_total's at 4)
+    # beta^2 dots of one family against itself give the summed spectrum;
+    # both kernels split at F max omega
     cfg = kg.validate_config(1.0, r, mu)
     region = RG if right else L
     rows = np.arange(1, M + 1)
-    top = region.omega(M, cfg)
-    # the first N with Omega_N >= 8 omega_M (at R = 1), then some far columns
-    n_max = math.ceil(math.sqrt(64.0 * top * top - mu * mu) / math.pi) + extra
+    top = bogoliubov._FAR_FACTOR * region.omega(M, cfg)
+    # the first N with Omega_N >= F omega_M (at R = 1), then some far columns
+    n_max = math.ceil(math.sqrt(top * top - mu * mu) / math.pi) + extra
     g = bogoliubov.gram(((region, rows),), ((region, rows),), cfg, n_max)
     assert g.far > 0
     total = kg.beta_sq_total(region, rows, cfg, n_max)
@@ -804,17 +825,16 @@ def test_gram_far_beta_series_is_the_summed_spectrum_series_property(r, mu, righ
 
 def test_each_split_takes_the_smallest_order_meeting_the_bound(cfg_half, monkeypatch):
     # the far series drops its orders p >= T, sum_{p>=T} (p + 1) z^p of the
-    # leading term at z = 1/factor; each split keeps the fewest orders that
-    # leave at most 2^-56 (summed here term by term, not by the closed form)
+    # leading term at z = 1/F; the split keeps the fewest orders that leave
+    # at most 2^-56 (summed here term by term, not by the closed form)
     def dropped(T, z):
         return math.fsum((p + 1) * z**p for p in range(T, T + 400))
 
-    for factor, want in ((bogoliubov._FAR_FACTOR, 31), (bogoliubov._WICK_FAR_FACTOR, 21)):
-        T = bogoliubov._series_order(factor)
-        assert T == want
-        assert dropped(T, 1.0 / factor) <= 2.0**-56 < dropped(T - 1, 1.0 / factor)
-    # gram's far part reads T column moments per family pair, beta_sq_total's
-    # its T of one family
+    F, T = bogoliubov._FAR_FACTOR, bogoliubov._FAR_ORDER
+    assert T == bogoliubov._series_order(F) == 31
+    assert dropped(T, 1.0 / F) <= 2.0**-56 < dropped(T - 1, 1.0 / F)
+    # gram's far part reads the T column moments of each family pair,
+    # beta_sq_total's those of its one family
     moments = bogoliubov._column_moments
     calls = []
 
@@ -825,7 +845,7 @@ def test_each_split_takes_the_smallest_order_meeting_the_bound(cfg_half, monkeyp
     monkeypatch.setattr(bogoliubov, "_column_moments", spy)
     kg.identity_residuals(cfg_half, 4000, 10)
     kg.beta_sq_total(L, np.arange(1, 11), cfg_half, 4000)
-    assert calls == [((3,), 21), ((), 31)]
+    assert calls == [((3,), T), ((), T)]
 
 
 def test_diagonal_identity_converges_to_one(blocks_half):

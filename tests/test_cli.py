@@ -263,8 +263,9 @@ def _csv_rows(path):
 def test_correlations_with_verification_columns(tmp_path, monkeypatch):
     # the near kernel fills only the rows asked for, --mrows 3 on the left
     # and --nrows 2 on the right, never --mmax 4, once each, on the one
-    # chunk of near columns, N < 48 (Omega_N = pi N below 8 omega_3 =
-    # 48 pi); no block is built
+    # chunk of near columns, Omega_N = pi N below F omega_3 = 6 F pi (N < 24
+    # at F = 4); no block is built
+    near = int(6 * bogoliubov._FAR_FACTOR) - 1
     built = []
     grid = bogoliubov._grid
 
@@ -278,11 +279,11 @@ def test_correlations_with_verification_columns(tmp_path, monkeypatch):
     rc = main(["correlations", "--nmax", "500", "--mmax", "4",
                "--mrows", "3", "--nrows", "2", "--paper-norm", "--out-dir", out])
     assert rc == 0
-    assert built == [("left", 3, 1, 47), ("right", 2, 1, 47)]
+    assert built == [("left", 3, 1, near), ("right", 2, 1, near)]
     assert len(bogoliubov._BLOCK_MEMO) == 0
     # the column split reaches the manifest only
-    assert _read_json(Path(out, "manifest.json"))["counters"] == {"near_columns": 47,
-                                                                  "far_columns": 453}
+    assert _read_json(Path(out, "manifest.json"))["counters"] == {"near_columns": near,
+                                                                  "far_columns": 500 - near}
     assert "counters" not in _read_json(Path(out, "correlations.json"))
     cfg = kg.validate_config(1.0, 0.5, 0.0)
     report = kg.vacuum_moments(range(1, 4), range(1, 3), cfg, 500)
@@ -576,11 +577,12 @@ def test_identities_multi_cutoff(tmp_path):
     assert lines[:2] == ["# R=1 r=0.5 mu=0", "# upto=3"]
     for doc in (_read_json(Path(out, "identities.json")), _read_json(Path(out, "manifest.json"))):
         assert doc["truncation"] == {}
-    # each cutoff's column split (Omega_N < 8 omega_3 = 48 pi) reaches the
-    # manifest only
+    # each cutoff's column split (Omega_N = pi N < F omega_3 = 6 F pi)
+    # reaches the manifest only
+    near = int(6 * bogoliubov._FAR_FACTOR) - 1
     assert _read_json(Path(out, "manifest.json"))["counters"] == {
-        "n_max=500": {"near_columns": 47, "far_columns": 453},
-        "n_max=1000": {"near_columns": 47, "far_columns": 953}}
+        "n_max=500": {"near_columns": near, "far_columns": 500 - near},
+        "n_max=1000": {"near_columns": near, "far_columns": 1000 - near}}
     assert "counters" not in _read_json(Path(out, "identities.json"))
 
 

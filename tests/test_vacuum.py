@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import kgcavity as kg
+from kgcavity import bogoliubov
 from kgcavity.vacuum import _coeff_sq_tail, _resonance_cutoff
 
 L = kg.Region.LEFT
@@ -640,9 +641,11 @@ def _assert_moments_close(got, want, bound):
 @st.composite
 def _moment_requests(draw):
     """(kind, cfg, m_rows, n_rows, n_max): "near" has no far column; "split"
-    (r = R/2, mu = 0) has a column exactly at Omega_N = 8 W, N = 16 M with M
-    the larger row count; "half" puts r at R/2, where the left and right
-    frequencies coincide; "single" has one left row."""
+    (r = R/2, mu = 0) has a column exactly at Omega_N = F W, N = 2 F M with
+    F the split factor and M the larger row count; "half" puts r at R/2,
+    where the left and right frequencies coincide; "single" has one left
+    row."""
+    F = bogoliubov._FAR_FACTOR
     kind = draw(st.sampled_from(["general", "near", "split", "half", "single"]))
     R = draw(st.floats(0.5, 4.0))
     r = 0.5 if kind in ("split", "half") else draw(_FRACTIONS)
@@ -651,10 +654,10 @@ def _moment_requests(draw):
     n_rows = draw(st.integers(1, 40))
     n_max = draw(st.integers(1, 3000))
     if kind == "near":
-        # Omega_N < 8 omega_M for every N <= 7.9 M / w
-        n_max = max(1, min(n_max, int(7.9 * m_rows / r)))
+        # Omega_N < F omega_M for every N <= (F - 0.1) M / w
+        n_max = max(1, min(n_max, int((F - 0.1) * m_rows / r)))
     if kind == "split":
-        n_max = max(n_max, 16 * max(m_rows, n_rows))
+        n_max = max(n_max, int(2 * F) * max(m_rows, n_rows))
     return kind, kg.validate_config(R, r * R, mu), m_rows, n_rows, n_max
 
 
@@ -676,7 +679,7 @@ def test_vacuum_moments_match_the_explicit_rows_property(request):
         assert got.far_columns == 0
     if kind == "split":
         W = float(kg.config.ladder(max(m_rows, n_rows), 0.5, 0.0))
-        assert kg.config.ladder(got.near_columns + 1, 1.0, 0.0) == 8.0 * W
+        assert kg.config.ladder(got.near_columns + 1, 1.0, 0.0) == bogoliubov._FAR_FACTOR * W
     if got.far_columns == 0:
         for field in _MOMENTS:
             assert np.array_equal(getattr(got, field), getattr(want, field))
@@ -702,9 +705,10 @@ def test_vacuum_moments_left_right_mirror_property(R, r, mu, n_max, m_rows, n_ro
 
 
 def test_vacuum_moments_survive_large_mass_with_the_block_bits():
-    # at r = R/2 and n_max = 200 every Omega_N lies below 8 omega_1 from
-    # mu R ~ 79 on, so the large-mass moments have no far column and keep
-    # the block path's bits, up to the mu R ~ 1e77 of README and beyond
+    # at r = R/2 and n_max = 200 every Omega_N lies below 4 omega_1 (the
+    # split) from mu R ~ 162 on, so the large-mass moments have no far
+    # column and keep the block path's bits, up to the mu R ~ 1e77 of
+    # README and beyond
     trunc = kg.Truncation(n_max_global=200, m_max_local=3)
     for muR in (1e30, 1e60, 1e75, 1e100):
         cfg = kg.validate_config(1.0, 0.5, muR)
@@ -719,9 +723,9 @@ def test_vacuum_moments_survive_large_mass_with_the_block_bits():
 @pytest.mark.parametrize("r, mu", [(0.5, 0.0), (0.3, 2.0), (0.42, 1.0), (1 / np.pi, 1000.0)])
 def test_vacuum_moments_row_one_alone_and_among_125(r, mu):
     # a row's bits depend on the request through W, the largest requested
-    # frequency, which sets the split (15 near columns for row 1 alone at
-    # r = R/2, 1999 among 125 rows). Measured over these configurations and
-    # (0.21, 4.7619), (0.05, 0), (0.95, 30): at most 1.0e-15, so 1e-14
+    # frequency, which sets the split (7 near columns for row 1 alone at
+    # r = R/2, 999 among 125 rows). Measured over these configurations and
+    # (0.21, 4.7619), (0.05, 0), (0.95, 30): at most 1.3e-15, so 1e-14
     cfg = kg.validate_config(1.0, r, mu)
     alone = kg.vacuum_moments([1], [1], cfg, 10_000)
     among = kg.vacuum_moments(range(1, 126), range(1, 126), cfg, 10_000)
@@ -741,7 +745,7 @@ def test_vacuum_moments_row_one_alone_and_among_125(r, mu):
 @example(r=0.5, log_mu=30.0, n_max=200, m_rows=[3, 1, 2], n_rows=[2, 2])
 def test_vacuum_moments_rows_keep_their_bits_in_any_request_property(
         r, log_mu, n_max, m_rows, n_rows):
-    # from mu R ~ 1e30 on every Omega_N up to n_max lies below 8 omega_1,
+    # from mu R ~ 1e30 on every Omega_N up to n_max lies below 4 omega_1,
     # so no column is far and the split is n_max whatever the request: the
     # near chunks fall at the same global indices, and each row's dots are
     # reduced one row at a time, so a row alone and among others (in any
@@ -763,16 +767,17 @@ def test_vacuum_moments_hold_column_chunks_not_near_rows():
     # the near pass holds each side's rows on one chunk of 512 columns at a
     # time, never on all 4160 near columns at once: the traced peak stays
     # below half of the rows x near-columns payload of alpha and beta
-    # (17.0 MB); with the full near rows it was 19.9 MB, in chunks 5.6 MB
+    # (34.1 MB, so 17.0 MB); in chunks it is 11.6 MB, and with the full near
+    # rows (_GRAM_COLUMNS = n_max) 41.3 MB
     cfg = kg.validate_config(1, 0.3, 2)
     tracemalloc.start()
     try:
-        rep = kg.vacuum_moments(range(1, 157), range(1, 101), cfg, 10**4)
+        rep = kg.vacuum_moments(range(1, 313), range(1, 201), cfg, 10**4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.near_columns == 4160
-    assert peak < (156 + 100) * rep.near_columns * 2 * 8 / 2
+    assert peak < (312 + 200) * rep.near_columns * 2 * 8 / 2
 
 
 # ── limit scans ──────────────────────────────────────────────────────────────
