@@ -118,17 +118,15 @@ T multiply-adds a column (the moments h_p) instead of one division per
 row; rounding costs a few ulps (measured: within 4.1e-16 of the exactly
 rounded sum of ``coeff_grid``'s beta^2).
 
-The cross-row sums over N = 1..n_max of the Wick moments and of the
-completeness residuals are Gram matrices, and ``gram`` is their kernel.
-Four readers sum products of rows they hold and do not go through it:
-``quasilocal.overlap_distribution`` is the one read of a quasi-local
-state's row, and ``quasilocal.quasilocal_energy`` sums that held row
-(as ``quasilocal_wavepacket`` evolves it, with no row read of its own),
-and ``quasilocal.steering_shift`` dots it with the other family's
-``coeff_grid`` rows on the same columns; ``vacuum.wick_moments`` sums
-explicit rows, as the reference ``gram`` is tested against; and
-``vacuum.mode_sum_convergence`` takes the partial sums of one full row at
-each of its cutoffs.
+The cross-row sums over N = 1..n_max of the Wick moments, of the
+completeness residuals and of the steering shift are Gram matrices, and
+``gram`` is their kernel. Three readers sum products of rows they hold and
+do not go through it: ``quasilocal.overlap_distribution`` is the one read
+of a quasi-local state's row, and ``quasilocal.quasilocal_energy`` sums
+that held row (as ``quasilocal_wavepacket`` evolves it, with no row read
+of its own); ``vacuum.wick_moments`` sums explicit rows, as the reference
+``gram`` is tested against; and ``vacuum.mode_sum_convergence`` takes the
+partial sums of one full row at each of its cutoffs.
 
 Each of the two sides a and b of ``gram`` is a stack of (family, rows)
 pairs, and with P, Q = alpha, beta rows (primed: side b) the kernel
@@ -137,10 +135,11 @@ returns
     row dots  sum p^2, sum p q, sum q^2          (each row of each side)
     Grams     P P'^T, P Q'^T, Q P'^T, Q Q'^T     (a rows x b rows)
 
-Its two callers are the Wick moments of the cross-partition number
-correlations (``vacuum.vacuum_moments``: left rows against right rows)
-and the completeness residuals (``identity_residuals``: left rows against
-[left; right] rows). ``gram`` reads one column table per family on
+Its three callers are the Wick moments of the cross-partition number
+correlations (``vacuum.vacuum_moments``: left rows against right rows),
+the completeness residuals (``identity_residuals``: left rows against
+[left; right] rows) and the steering shift (``quasilocal.steering_shift``:
+a state's row against the other family's rows). ``gram`` reads one column table per family on
 N = 1..n_max and splits them at the same F as ``beta_sq_total``, with W
 the largest omega over every requested row. The cross alpha Gram P P'^T
 cancels (from O(1) to 2e-6 at r/R = 1/pi, mu R = 1000, 10 x 40 rows), and

@@ -16,9 +16,12 @@ right region notices it.
 
 A state is read once: ``overlap_distribution`` fetches its family's
 coefficient row with ``coeff_grid`` and holds it with <n_l>, and every
-other operation here (bandwidth, energies, steering, wavepacket) takes
-that ``OverlapDistribution``, reads the row, the family and <n_l> from
-it, and fetches no row of the state again.
+other operation here takes that ``OverlapDistribution`` and fetches no
+row of the state again. The bandwidth, the energies and the wavepacket
+read the held row, the family and <n_l> from it; the steering shift reads
+no row at all, only the family, the index and the cutoff, and takes its
+sums over the state's row and the other family's rows from one
+``bogoliubov.gram`` call.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bogoliubov import coeff_grid
+from .bogoliubov import coeff_grid, gram
 from .causality import Leakage, lightcone_leakage, outside_cone_mass
 from .config import (CavityConfig, DomainError, GridMismatch, Region, ThresholdUnreachable,
-                     Truncation, _global_omega)
+                     Truncation, _global_omega, _indices)
 from .modes import SampledMode, _check_time, _row_series
 from .vacuum import _coeff_sq_tail
 
@@ -249,19 +252,21 @@ def steering_shift(dist: OverlapDistribution, l_range, cfg: CavityConfig) -> Ste
 
     ``wick`` evaluates the covariance route; ``direct`` expands the
     four-operator expectation <0|a_m n_bar_l a_m^dagger|0> explicitly. Both
-    read the same rows. They coincide exactly in the untruncated theory and
-    only through the completeness identities, so their gap is a live check
-    that the truncated dictionary behaves.
+    read the entries of one ``gram`` call of row m against the far rows at
+    the row's n_max, and no row: with a, b = alpha, beta, X1 = a_l.a_m
+    (PP), X2 = b_l.a_m (PQ), a_l.b_m (QP), b_l.b_m (QQ) and the row dots
+    A_m = a_m.a_m, B_m = b_m.b_m and B_l = b_l.b_l. The routes coincide
+    exactly in the untruncated theory and only through the completeness
+    identities, so their gap is a live check that the truncated dictionary
+    behaves. DomainError unless every l is an integer >= 1, before any
+    compute.
     """
-    a_m, b_m = dist.alpha, dist.beta
-    a_l, b_l = coeff_grid(dist.region.other, list(l_range), np.arange(1, len(a_m) + 1), cfg)
-    B_m = float(np.dot(b_m, b_m))
-
-    X1 = a_l @ a_m
-    X2 = b_l @ a_m
-    cov = (a_l @ b_m) * X2 + (b_l @ b_m) * X1
-    B_l = np.vecdot(b_l, b_l)
-    A_m = float(np.dot(a_m, a_m))
+    l_range = _indices("l", l_range)
+    g = gram(((dist.region, [dist.l]),), ((dist.region.other, l_range),), cfg, len(dist.alpha))
+    A_m, _, B_m = g.a_dots[:, 0]
+    X1, X2 = g.PP[0], g.PQ[0]
+    cov = g.QP[0] * X2 + g.QQ[0] * X1
+    B_l = g.b_dots[2]
     return Steering(
         wick=cov / (1.0 + B_m),
         direct=(X1 * X1 + X2 * X2 + B_l * A_m) / (1.0 + B_m) - B_l,

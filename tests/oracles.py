@@ -15,6 +15,11 @@ form is 0/0. The closed form's V is alpha_mN / (omega_m + Omega_N).
 ``eval_global_mode`` samples the global box mode U_N, the reference the KG
 inner product and the series evolution are tested on, and ``basis`` lists
 a ``TruncatedFock`` space's occupation tuples in index order.
+
+``steering_rows`` is the steering shift's explicit-row route: it reads the
+far rows with ``coeff_grid`` and dots them with the state's held row. It is
+the reference that ``quasilocal.steering_shift``'s one ``gram`` call is
+tested against.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from kgcavity import quadrature
+from kgcavity.bogoliubov import coeff_grid
 from kgcavity.config import CavityConfig, Region, _global_omega, _index
 from kgcavity.fock_oracle import TruncatedFock
 from kgcavity.modes import SampledMode
+from kgcavity.quasilocal import OverlapDistribution, Steering
 
 
 def overlap_V(m: int, N: int, region: Region, cfg: CavityConfig) -> float:
@@ -85,3 +92,22 @@ def basis(fock: TruncatedFock) -> list[tuple[int, ...]]:
             v //= fock.base
         out.append(tuple(occ))
     return out
+
+
+def steering_rows(dist: OverlapDistribution, l_range, cfg: CavityConfig) -> Steering:
+    """``steering_shift``'s two routes from explicit rows: the far rows l
+    of the other family on the held row's columns, dotted with the held
+    row (a, b = alpha, beta)."""
+    a_m, b_m = dist.alpha, dist.beta
+    a_l, b_l = coeff_grid(dist.region.other, list(l_range), np.arange(1, len(a_m) + 1), cfg)
+    B_m = float(np.dot(b_m, b_m))
+
+    X1 = a_l @ a_m
+    X2 = b_l @ a_m
+    cov = (a_l @ b_m) * X2 + (b_l @ b_m) * X1
+    B_l = np.vecdot(b_l, b_l)
+    A_m = float(np.dot(a_m, a_m))
+    return Steering(
+        wick=cov / (1.0 + B_m),
+        direct=(X1 * X1 + X2 * X2 + B_l * A_m) / (1.0 + B_m) - B_l,
+    )

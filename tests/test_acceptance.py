@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import kgcavity as kg
+from kgcavity.bogoliubov import _row_grams
 from kgcavity.cli import main
 from kgcavity.fock_oracle import TruncatedFock, oracle_moments
 from oracles import overlap_V
@@ -285,8 +286,15 @@ def test_criterion_13_steering_contrast(cfg_half, trunc_10k, blocks_half, monkey
             a[i, col - 1] = 1.0
         return a, np.zeros_like(a)
 
+    def one_hot_gram(a, b, cfg, n_max):
+        N = np.arange(1, n_max + 1)
+        (ra, ma), = a
+        (rb, mb), = b
+        return _row_grams(*one_hot_grid(ra, ma, N, cfg), *one_hot_grid(rb, mb, N, cfg))
+
     with monkeypatch.context() as mp:
         mp.setattr("kgcavity.quasilocal.coeff_grid", one_hot_grid)
+        mp.setattr("kgcavity.quasilocal.gram", one_hot_gram)
         small = kg.Truncation(n_max_global=64, m_max_local=8)
         for shifts in kg.steering_shift(kg.overlap_distribution(1, cfg_half, small),
                                         range(1, 6), cfg_half):

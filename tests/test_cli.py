@@ -346,20 +346,20 @@ def test_quasilocal_products(tmp_path):
 
 
 @pytest.mark.parametrize("argv, calls, entries", [
-    (["--r", "0.3", "--mu", "2.0", "--l-list", "2,5,9", "--steer-m", "2"], 4, 60_000),
-    ([], 3, 30_000),
+    (["--r", "0.3", "--mu", "2.0", "--l-list", "2,5,9", "--steer-m", "2"], 3, 30_000),
+    ([], 2, 20_000),
     (["--nmax", "10000", "--grid", "65", "--l-list", "1", "--steer-m", "1",
-      "--wavepacket-m", "1"], 2, 20_000),
+      "--wavepacket-m", "1"], 1, 10_000),
     (["--nmax", "10000", "--grid", "65", "--l-list", "2,5,9", "--steer-m", "2",
-      "--wavepacket-m", "5"], 4, 60_000),
+      "--wavepacket-m", "5"], 3, 30_000),
     (["--nmax", "10000", "--grid", "65", "--l-list", "1,2", "--steer-m", "2",
-      "--wavepacket-m", "3"], 4, 50_000),
+      "--wavepacket-m", "3"], 3, 30_000),
 ], ids=["steering-op", "default", "one-state", "wavepacket-in-list", "wavepacket-apart"])
 def test_quasilocal_reads_each_state_row_once(argv, calls, entries, tmp_path, monkeypatch):
     # one row per distinct state of --l-list, --steer-m and --wavepacket-m,
-    # and the far rows of the steering, at the default n_max of 10^4; the
-    # energies, the steering and the wavepacket read the state's row from
-    # its distribution
+    # at the default n_max of 10^4, and no other; the energies and the
+    # wavepacket read the state's row from its distribution, and the
+    # steering reads the far rows' sums from one gram call
     grid = bogoliubov.coeff_grid
     seen = []
 

@@ -9,6 +9,7 @@ Frozen regressions (R = 1 throughout):
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgcavity as kg
+from kgcavity import bogoliubov
+from oracles import steering_rows
 
 L = kg.Region.LEFT
+_REGIONS = st.sampled_from([kg.Region.LEFT, kg.Region.RIGHT])
+_R_FRACTION = st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)
 
 
 # ── overlap distribution ─────────────────────────────────────────────────────
@@ -276,6 +281,10 @@ def test_steering_matches_covariance_route(cfg_half, trunc_10k, blocks_half):
     rep = kg.wick_moments([1], lr, left, right)
     expected = rep.cov[0] / (1.0 + rep.mean_left[0])
     assert np.allclose(shifts, expected, rtol=1e-12)
+    # the same gram call as vacuum_moments' row 1 against lr, so its
+    # covariance row over 1 + <n_1>, bit for bit
+    rep_g = kg.vacuum_moments([1], lr, cfg_half, trunc_10k.n_max_global)
+    assert np.array_equal(shifts, rep_g.cov[0] / (1.0 + rep_g.mean_left[0]))
     # equivalently: shift = corr * sqrt(var var_bar) / (1 + <n_m>) — the
     # stated positive proportionality, exact per l
     factor = np.sqrt(rep.var_left[0] * rep.var_right) / (1.0 + rep.mean_left[0])
@@ -295,17 +304,101 @@ def test_steering_vanishes_for_local_vacuum_analogue(cfg_half, monkeypatch):
             a[i, col - 1] = 1.0
         return a, np.zeros_like(a)
 
+    def one_hot_gram(a, b, cfg, n_max):
+        # the Grams of the same one-hot rows, summed as gram sums rows
+        N = np.arange(1, n_max + 1)
+        (ra, ma), = a
+        (rb, mb), = b
+        return bogoliubov._row_grams(*one_hot_grid(ra, ma, N, cfg),
+                                     *one_hot_grid(rb, mb, N, cfg))
+
     monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", one_hot_grid)
+    monkeypatch.setattr("kgcavity.quasilocal.gram", one_hot_gram)
     trunc = kg.Truncation(n_max_global=64, m_max_local=8)
     for shifts in kg.steering_shift(kg.overlap_distribution(1, cfg_half, trunc), range(1, 6),
                                     cfg_half):
         assert np.all(shifts == 0.0)
 
 
-# ── invariances ──────────────────────────────────────────────────────────────
+def test_steering_reads_one_gram_call_and_no_row(cfg_half, monkeypatch):
+    dist = kg.overlap_distribution(2, cfg_half, kg.Truncation(n_max_global=3_000, m_max_local=4))
+    calls = []
 
-_REGIONS = st.sampled_from([kg.Region.LEFT, kg.Region.RIGHT])
-_R_FRACTION = st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)
+    def spy(*args):
+        calls.append(args)
+        return bogoliubov.gram(*args)
+
+    def no_row(*args, **kwargs):
+        raise AssertionError("steering read a coefficient row")
+
+    monkeypatch.setattr("kgcavity.quasilocal.gram", spy)
+    monkeypatch.setattr("kgcavity.quasilocal.coeff_grid", no_row)
+    monkeypatch.setattr("kgcavity.bogoliubov.coeff_grid", no_row)
+    kg.steering_shift(dist, range(1, 8), cfg_half)
+    assert len(calls) == 1
+    (a, b, cfg, n_max), = calls
+    assert [(region, list(m)) for region, m in a] == [(L, [2])]
+    assert [(region, list(m)) for region, m in b] == [(kg.Region.RIGHT, list(range(1, 8)))]
+    assert cfg is cfg_half and n_max == 3_000
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=_R_FRACTION, muR=st.floats(0.0, 50.0), n_max=st.integers(50, 2_000),
+       m=st.integers(1, 30), region=_REGIONS,
+       l_range=st.lists(st.integers(1, 40), min_size=1, max_size=12))
+def test_steering_gram_route_matches_the_explicit_rows(r, muR, n_max, m, region, l_range):
+    # one gram call against the far rows read in full and dotted with the
+    # held row. wick adds two products; direct subtracts <n_bar_l> from a
+    # term of its size, so its rounding scales with the larger of the shift
+    # and <n_bar_l>. Worst of 2800 random draws: 1.6e-13 (wick) and 3.3e-15
+    # (direct) of that scale
+    cfg = kg.validate_config(1.0, r, muR)
+    dist = kg.overlap_distribution(m, cfg, kg.Truncation(n_max_global=n_max, m_max_local=30),
+                                   region=region)
+    got = kg.steering_shift(dist, l_range, cfg)
+    want = steering_rows(dist, l_range, cfg)
+    scale = np.max(np.abs(want.wick))
+    far_n = bogoliubov.beta_sq_sums(region.other, l_range, np.arange(1, n_max + 1), cfg)
+    assert np.max(np.abs(got.wick - want.wick)) <= 1e-12 * scale
+    assert np.max(np.abs(got.direct - want.direct)) <= 1e-12 * max(scale, np.max(far_n))
+
+
+@pytest.mark.parametrize("r, muR, n_max, m, l_max, region", [
+    (0.5, 0.0, 2_000, 1, 5, L),
+    (0.5, 0.0, 10_000, 1, 5, L),
+    (0.5, 0.0, 2_000, 3, 40, L),
+    (0.3, 2.0, 10_000, 2, 12, L),
+    (0.42, 1.0, 40_000, 1, 50, L),
+    (0.7, 5.0, 4_000, 3, 8, kg.Region.RIGHT),
+    (1.0 / np.pi, 10.0, 20_000, 2, 10, L),
+])
+def test_steering_route_gap_is_within_the_completeness_residual(r, muR, n_max, m, l_max,
+                                                                 region):
+    # the routes agree only through the completeness identities, so their
+    # gap is bounded by those identities' residual on the same rows and
+    # cutoff (measured: at most 0.019 of it)
+    cfg = kg.validate_config(1.0, r, muR)
+    dist = kg.overlap_distribution(m, cfg, kg.Truncation(n_max_global=n_max, m_max_local=m),
+                                   region=region)
+    shift = kg.steering_shift(dist, range(1, l_max + 1), cfg)
+    residual = kg.identity_residuals(cfg, n_max, max(m, l_max)).max_residual
+    assert 0 < np.max(np.abs(shift.wick - shift.direct)) <= residual
+
+
+def test_steering_holds_column_chunks_not_far_rows():
+    # 50 far rows at n_max 4e4: the explicit rows alone are 32 MB (measured
+    # peak 36.5 MB through them); gram's chunks and tables peak at 7.0 MB
+    cfg = kg.validate_config(1.0, 0.42, 1.0)
+    dist = kg.overlap_distribution(1, cfg, kg.Truncation(n_max_global=40_000, m_max_local=1))
+    tracemalloc.start()
+    try:
+        kg.steering_shift(dist, range(1, 51), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+# ── invariances ──────────────────────────────────────────────────────────────
 
 
 @settings(deadline=None)

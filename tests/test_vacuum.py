@@ -91,6 +91,20 @@ def test_divergence_scan_is_logarithmic():
     assert scan.fit_r2 > 0.99
 
 
+def test_divergence_fit_r2_is_the_least_squares_coefficient_of_determination():
+    # fit_r2 = 1 - SS_res / SS_tot of the a + b log M fit, against an
+    # independent least-squares solve on the columns [1, log M]
+    cfg = kg.validate_config(1.0, 1 / np.pi, 10.0)
+    M_list = [100, 1_000, 10_000, 100_000]
+    for scan in kg.divergence_scan([1, 2, 3], cfg, M_list=M_list):
+        A = np.column_stack([np.ones(len(M_list)), np.log(M_list)])
+        coef, *_ = np.linalg.lstsq(A, scan.partial_sums, rcond=None)
+        ss_res = np.sum((scan.partial_sums - A @ coef) ** 2)
+        ss_tot = np.sum((scan.partial_sums - scan.partial_sums.mean()) ** 2)
+        assert 0.0 <= scan.fit_r2 <= 1.0
+        assert scan.fit_r2 == pytest.approx(1.0 - ss_res / ss_tot, rel=0, abs=1e-12)
+
+
 def test_divergence_scan_rejects_indices_below_one(cfg_half):
     for N, M_list in ((1, [0, 10]), (0, [10, 100]), (1, [])):
         with pytest.raises(kg.DomainError):
@@ -210,6 +224,9 @@ _SIGNS = st.sampled_from([1.0, -1.0])
        n_from=st.integers(1, 10**7), sign=_SIGNS, energy=st.booleans())
 # l^2 past the int64 range
 @example(r=0.5, region=L, l=4_000_000_000, n_from=10**7, sign=1.0, energy=False)
+# the alpha tail exactly at its resonance cut, to which n_from = 1 is
+# lifted: finite from the cut on, inf only below it
+@example(r=0.5, region=L, l=3, n_from=1, sign=-1.0, energy=False)
 def test_tails_match_the_massless_closed_form(r, region, l, n_from, sign, energy):
     # at mu = 0 and R = 1 (k = pi N, om = pi l / w) the tails are elementary:
     #   pref/pi int_k0^inf dk / (k (k + s om)^2)
