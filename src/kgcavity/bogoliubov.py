@@ -137,9 +137,10 @@ returns
 
 Its three callers are the Wick moments of the cross-partition number
 correlations (``vacuum.vacuum_moments``: left rows against right rows),
-the completeness residuals (``identity_residuals``: left rows against
-[left; right] rows) and the steering shift (``quasilocal.steering_shift``:
-a state's row against the other family's rows). ``gram`` reads one column table per family on
+the completeness residuals (``identity_residuals``: the stacked
+[left; right] rows against themselves, one side named twice) and the
+steering shift (``quasilocal.steering_shift``: a state's row against the
+other family's rows). ``gram`` reads one column table per family on
 N = 1..n_max and splits them at the same F as ``beta_sq_total``, with W
 the largest omega over every requested row. The cross alpha Gram P P'^T
 cancels (from O(1) to 2e-6 at r/R = 1/pi, mu R = 1000, 10 x 40 rows), and
@@ -150,14 +151,17 @@ removes. Both parts go through one accumulator, ``_add_grams``: given
 each side's stack S = [P; Q] on some columns and a metric M, it adds
 G += S_a M S_b^T, whose four blocks are the Grams, and each row's p M p,
 p M q and q M q (one ``np.vecdot`` per row), and the Grams are cut from G
-once, at the end.
+once, at the end. Its sums are [a dots, b dots, G]. A side named twice
+(``b is a``) is one stack S: G += S M S^T, and its sums are [dots, G],
+the dots serving both sides; with no metric S S^T is one symmetric BLAS
+product, so the near Grams are exactly symmetric.
 
 The near columns are walked in chunks of _GRAM_COLUMNS global indices,
 cut at its multiples and at the split, so the chunks do not depend on
-which rows are requested. In each chunk ``_grid`` fills each side's
-stacked rows into one reused buffer, each distinct (family, rows) pair
-once, on a slice of its family's table, and M is the identity, never
-multiplied. The buffers hold 2 x rows x _GRAM_COLUMNS entries a side,
+which rows are requested. In each chunk ``_grid`` fills each stack's
+rows into one reused buffer, each (family, rows) pair of the stack once,
+on a slice of its family's table, and M is the identity, never
+multiplied. The buffers hold 2 x rows x _GRAM_COLUMNS entries a stack,
 whatever the number of near columns. The far columns, slices of the same
 tables, enter as T virtual columns (f, j) per family f: a row of family f
 holds X_mj in its family's T columns and zeros elsewhere, and the metric
@@ -210,7 +214,7 @@ _CHUNK_ENTRIES = 2**17
 _FAR_FACTOR = 4.0
 
 # ``gram`` walks its near columns in chunks of this many global indices, so
-# its buffers hold 2 x rows x _GRAM_COLUMNS entries a side, not the full
+# its buffers hold 2 x rows x _GRAM_COLUMNS entries a stack, not the full
 # near rows (34 MB at 312 + 200 rows and 4160 near columns).
 _GRAM_COLUMNS = 512
 
@@ -590,36 +594,37 @@ def _stack_rows(S: np.ndarray, side: list):
 
 
 def _add_grams(sums: list, stacks: list, metric: np.ndarray | None = None) -> None:
-    """Add one set of columns to ``sums`` = [a dots, b dots, G, GEMM buffer].
+    """Add one set of columns to ``sums`` = [the dots of each stack, G].
 
-    Each side's stack S = [P; Q] holds its rows on the columns, and with M
+    ``stacks`` holds each side's stack S = [P; Q], its rows on the columns:
+    two, S_a and S_b, or one S when both sides are the same rows. With M
     the metric, G += S_a M S_b^T (whose blocks are P M P'^T, P M Q'^T,
-    Q M P'^T and Q M Q'^T) and each row's dots p M p, p M q and q M q. A
-    row's dots each come from one ``np.vecdot`` call reducing that row
-    alone, so they have the same bits whichever rows share the call. With
-    no metric M is the identity and is never multiplied: the near chunks.
+    Q M P'^T and Q M Q'^T), or S M S^T, and each stack's rows gain their
+    dots p M p, p M q and q M q. A row's dots each come from one
+    ``np.vecdot`` call reducing that row alone, so they have the same bits
+    whichever rows share the call. With no metric M is the identity and is
+    never multiplied: the near chunks, where one stack's S S^T is a
+    symmetric product (BLAS syrk), exactly symmetric.
     """
-    *dots, G, prod = sums
+    *dots, G = sums
     weighted = [S if metric is None else S @ metric for S in stacks]
     for d, S, SM in zip(dots, stacks, weighted):
         k = len(S) // 2
         d += np.vecdot(SM[:k], S[:k]), np.vecdot(SM[:k], S[k:]), np.vecdot(SM[k:], S[k:])
-    G += np.matmul(weighted[0], stacks[1].T, out=prod)
+    G += weighted[0] @ stacks[-1].T
 
 
-def _chunk_grams(sizes: tuple[int, int], n_cols: int, fill) -> list:
+def _chunk_grams(sizes: tuple[int, ...], n_cols: int, fill) -> list:
     """The sums of ``_add_grams`` over the columns 0..n_cols-1, walked in
     chunks of _GRAM_COLUMNS columns whose boundaries fall at its multiples.
 
-    ``sizes`` holds each side's row count k, and fill(lo, hi, stacks) writes
-    each side's rows on columns lo:hi into its stack [P; Q] (2k rows, one
-    buffer per side, reused from chunk to chunk, as is the GEMM's output).
-    The GEMMs are BLAS matrix products, deterministic for a fixed BLAS
-    thread count.
+    ``sizes`` holds the row count k of each stack (one or two), and
+    fill(lo, hi, stacks) writes each side's rows on columns lo:hi into its
+    stack [P; Q] (2k rows, one buffer a stack, reused from chunk to chunk).
+    The products are BLAS calls, deterministic for a fixed BLAS thread
+    count.
     """
-    ka, kb = sizes
-    sums = [np.zeros((3, ka)), np.zeros((3, kb)), np.zeros((2 * ka, 2 * kb)),
-            np.empty((2 * ka, 2 * kb))]
+    sums = [np.zeros((3, k)) for k in sizes] + [np.zeros((2 * sizes[0], 2 * sizes[-1]))]
     bufs = [np.empty((2 * k, min(_GRAM_COLUMNS, n_cols))) for k in sizes]
     for lo in range(0, n_cols, _GRAM_COLUMNS):
         hi = min(lo + _GRAM_COLUMNS, n_cols)
@@ -630,8 +635,10 @@ def _chunk_grams(sizes: tuple[int, int], n_cols: int, fill) -> list:
 
 
 def _grams(sums: list, near: int, far: int) -> Grams:
-    """``Grams`` cut from the sums of ``_add_grams``."""
-    a_dots, b_dots, G, _ = sums
+    """``Grams`` cut from the sums of ``_add_grams``; one stack's dots are
+    those of both sides."""
+    *dots, G = sums
+    a_dots, b_dots = dots[0], dots[-1]
     ka, kb = len(a_dots[0]), len(b_dots[0])
     return Grams(a_dots, b_dots, G[ka:, :kb], G[:ka, kb:], G[ka:, kb:], G[:ka, :kb], near, far)
 
@@ -651,10 +658,11 @@ def _row_grams(P: np.ndarray, Q: np.ndarray, Pb: np.ndarray, Qb: np.ndarray) -> 
 
 def _far_grams(sums: list, sides: list, cols: list, W: float) -> None:
     """Add the far columns, all with Omega_N >= _FAR_FACTOR W, to
-    ``sums`` by the module docstring's series: ``sides`` holds each side's
-    row tables and ``cols`` each family's column table on the far columns.
+    ``sums`` by the module docstring's series: ``sides`` holds each stack's
+    row tables (one stack or two) and ``cols`` each family's column table
+    on the far columns.
 
-    Each side's far stack has T = _FAR_ORDER virtual columns per family,
+    Each far stack has T = _FAR_ORDER virtual columns per family,
     holding A_m (+-omega_m / W)^j (alpha: +, beta: -) in its family's
     columns and zeros elsewhere; the metric M[(f, j), (f', k)] =
     h^ff'_{j+k}, 0 from total order T on, takes one pass of T column
@@ -689,50 +697,40 @@ def gram(a, b, cfg: CavityConfig, n_max: int) -> Grams:
     ``b`` over the global modes N = 1..n_max, without building a full row.
 
     Each side is a sequence of (region, rows) pairs, its rows stacked in
-    order; each distinct pair gets one row table, and each family one
-    column table on N = 1..n_max, both on one Omega_N. The near columns,
-    Omega_N < _FAR_FACTOR W with W the largest omega of every requested
-    row (the split of ``beta_sq_total``), are walked by ``_chunk_grams`` in
-    chunks of _GRAM_COLUMNS columns, cut at multiples of it and at the
-    split, so they do not depend on which rows are requested: per chunk
-    ``_grid`` fills each row table once, on that chunk of its family's
-    table, into the side's stack (a table named again is copied). Their
-    cost, the fills and one GEMM a chunk, grows with the near columns.
-    ``_far_grams`` adds the far columns through the same accumulator,
-    ``_add_grams``, as T virtual columns per family under the moment
-    metric; the sums are cut into ``Grams`` once, at the end. With no far
-    column the sums are those of ``_row_grams`` on the full rows, bit for
-    bit. Otherwise a row's sums depend, in their last bits, on the rows
-    requested with it, through W and the split it sets. DomainError unless
-    n_max and every index is an integer >= 1.
+    order; each pair gets one row table, and each family one column table
+    on N = 1..n_max, both on one Omega_N. When ``b is a`` the side is one
+    stack S and the Grams are S S^T, with b_dots the sums of a_dots;
+    otherwise each side has its own stack, and a pair named on both is
+    filled on each. The near columns, Omega_N < _FAR_FACTOR W with W the
+    largest omega of every requested row (the split of ``beta_sq_total``),
+    are walked by ``_chunk_grams`` in chunks of _GRAM_COLUMNS columns, cut
+    at multiples of it and at the split, so they do not depend on which
+    rows are requested: per chunk ``_grid`` fills each pair once, on that
+    chunk of its family's table, into its stack. Their cost, the fills and
+    one BLAS product a chunk, grows with the near columns. ``_far_grams``
+    adds the far columns through the same accumulator, ``_add_grams``, as
+    T virtual columns per family under the moment metric; the sums are cut
+    into ``Grams`` once, at the end. With no far column the sums of two
+    stacks are those of ``_row_grams`` on the full rows, bit for bit, and
+    one stack's PP and QQ are exactly symmetric, with PQ = QP^T. Otherwise
+    a row's sums depend, in their last bits, on the rows requested with it,
+    through W and the split it sets. DomainError unless n_max and every
+    index is an integer >= 1.
     """
     n_max = _index("n_max", n_max)
-    tables = {}
-
-    def table(region, m):
-        m = np.asarray(m, dtype=np.float64)
-        key = (region, m.tobytes())
-        if key not in tables:
-            tables[key] = _rows(region, m, cfg)
-        return tables[key]
-
-    sides = [[table(region, m) for region, m in side] for side in (a, b)]
+    sides = [[_rows(region, m, cfg) for region, m in side] for side in ((a,) if b is a else (a, b))]
+    tables = [rows for side in sides for rows in side]
     N = np.arange(1, n_max + 1)
     Om = _column_ladder(N, cfg)
     cols = {region: _on_ladder(_geometry(region, N, cfg), Om)
-            for region in dict.fromkeys(rows.region for rows in tables.values())}
-    W = max(np.max(rows.om, initial=0.0) for rows in tables.values())
+            for region in dict.fromkeys(rows.region for rows in tables)}
+    W = max(np.max(rows.om, initial=0.0) for rows in tables)
     split = int(np.searchsorted(Om, _FAR_FACTOR * W))
 
     def fill(lo, hi, stacks):
-        filled = {}
         for S, side in zip(stacks, sides):
             for rows, P, Q in _stack_rows(S, side):
-                if id(rows) in filled:
-                    P[...], Q[...] = filled[id(rows)]
-                else:
-                    chunk = _column_slice(cols[rows.region], lo, hi)
-                    filled[id(rows)] = _grid(rows, chunk, out=(P, Q))
+                _grid(rows, _column_slice(cols[rows.region], lo, hi), out=(P, Q))
 
     sums = _chunk_grams(tuple(sum(len(rows.m) for rows in side) for side in sides), split, fill)
     if split < n_max:
@@ -816,19 +814,20 @@ def identity_residuals(cfg: CavityConfig, n_max: int, upto: int) -> IdentityResi
         D1 = |P P^T - Q Q^T - I|     D1_cross = |P P'^T - Q Q'^T|
         D2 = |P Q^T - Q P^T|         D2_cross = |P Q'^T - Q P'^T|
 
-    all from one ``gram`` call of the left rows against the stacked left and
-    right rows: the left block of its Grams gives D1 and D2, the right block
-    D1_cross and D2_cross.
+    all from one ``gram`` call with the left and right rows stacked as one
+    side, named twice: one stack S whose Grams are S S^T. Their left block
+    gives D1 and D2, and their left-right block D1_cross and D2_cross.
     """
     upto = _index("upto", upto)   # gram checks n_max
     rows = np.arange(1, upto + 1)
-    g = gram(((Region.LEFT, rows),), ((Region.LEFT, rows), (Region.RIGHT, rows)), cfg, n_max)
-    same, cross = slice(None, upto), slice(upto, None)
+    side = ((Region.LEFT, rows), (Region.RIGHT, rows))
+    g = gram(side, side, cfg, n_max)
+    same, cross = np.s_[:upto, :upto], np.s_[:upto, upto:]
     return IdentityResiduals(
-        D1=np.abs(g.PP[:, same] - g.QQ[:, same] - np.eye(upto)),
-        D2=np.abs(g.PQ[:, same] - g.QP[:, same]),
-        D1_cross=np.abs(g.PP[:, cross] - g.QQ[:, cross]),
-        D2_cross=np.abs(g.PQ[:, cross] - g.QP[:, cross]),
+        D1=np.abs(g.PP[same] - g.QQ[same] - np.eye(upto)),
+        D2=np.abs(g.PQ[same] - g.QP[same]),
+        D1_cross=np.abs(g.PP[cross] - g.QQ[cross]),
+        D2_cross=np.abs(g.PQ[cross] - g.QP[cross]),
         near_columns=g.near,
         far_columns=g.far,
     )

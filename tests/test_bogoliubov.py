@@ -723,7 +723,8 @@ def test_identity_residuals_read_near_rows_once_per_family(cfg_half, monkeypatch
     # of at most 512 columns, chunks ending at multiples of 512 or at the
     # split (Omega_N = pi N < F omega_upto = 2 F pi upto: N < 80 for 10
     # rows and N < 640 for 80, across a chunk boundary, at F = 4), the left
-    # rows serving both sides; the far columns go by the series
+    # and right rows stacked as one side serving both sides; the far
+    # columns go by the series
     grid = bogoliubov._grid
     calls = []
 
@@ -743,6 +744,47 @@ def test_identity_residuals_read_near_rows_once_per_family(cfg_half, monkeypatch
         assert (res.near_columns, res.far_columns) == (near, 4000 - near)
     assert [len(c) for c in chunks] == [1, 2]
     assert len(bogoliubov._BLOCK_MEMO) == 0
+
+
+def test_identity_residuals_make_one_gram_call_on_one_side(cfg_half, monkeypatch):
+    # the left and right rows 1..upto, stacked as one side and named twice
+    real = bogoliubov.gram
+    calls = []
+
+    def spy(a, b, cfg, n_max):
+        calls.append((a, b, n_max))
+        return real(a, b, cfg, n_max)
+
+    monkeypatch.setattr(bogoliubov, "gram", spy)
+    kg.identity_residuals(cfg_half, 1000, 4)
+    assert len(calls) == 1
+    a, b, n_max = calls[0]
+    assert b is a and n_max == 1000
+    assert [(region, list(rows)) for region, rows in a] == [(L, [1, 2, 3, 4]), (RG, [1, 2, 3, 4])]
+
+
+def test_a_side_named_twice_fills_each_pair_once_per_chunk(cfg_half, monkeypatch):
+    # one stack: each (family, rows) pair is filled once a chunk, where the
+    # same pairs as two sides are filled once a side. At r = R/2, mu = 0 the
+    # split is pi N < F omega_80 = 2 F pi 80 (N < 640 at F = 4): two chunks
+    grid = bogoliubov._grid
+    calls = []
+
+    def spy(rows, cols, *rest, **kwargs):
+        calls.append((rows.region, len(rows.m), int(cols.N[0]), int(cols.N[-1])))
+        return grid(rows, cols, *rest, **kwargs)
+
+    monkeypatch.setattr(bogoliubov, "_grid", spy)
+    side = ((L, np.arange(1, 81)), (RG, [3, 7]))
+    near = int(2 * bogoliubov._FAR_FACTOR * 80) - 1
+    chunks = [(1, 512), (513, near)]
+    g = bogoliubov.gram(side, side, cfg_half, 4000)
+    assert (g.near, g.far) == (near, 4000 - near)
+    assert calls == [(region, k, lo, hi) for lo, hi in chunks for region, k in ((L, 80), (RG, 2))]
+    calls.clear()
+    bogoliubov.gram(side, list(side), cfg_half, 4000)
+    assert calls == [(region, k, lo, hi) for lo, hi in chunks for _ in "ab"
+                     for region, k in ((L, 80), (RG, 2))]
 
 
 def test_gram_computes_the_global_ladder_once(cfg_half, monkeypatch):
@@ -800,6 +842,52 @@ def test_gram_matches_explicit_rows_on_mixed_stacks_property(request):
     for field in ("a_dots", "b_dots", "QP", "PQ", "QQ", "PP"):
         ref = getattr(want, field)
         assert np.max(np.abs(getattr(got, field) - ref)) <= 1e-13 * np.max(np.abs(ref)), field
+
+
+@st.composite
+def _one_side_requests(draw):
+    """(cfg, side, n_max): 1-40 left rows and 0-40 right rows (no right
+    pair at 0), r/R and mu R <= 50, and n_max <= 4000 drawn either at or
+    below gram's split, every column near, or past it, some far."""
+    cfg = kg.validate_config(1.0, draw(_fractions), draw(st.floats(0.0, 50.0)))
+    left = draw(st.lists(st.integers(1, 60), min_size=1, max_size=40))
+    right = draw(st.lists(st.integers(1, 60), max_size=40))
+    side = ((L, left),) + (((RG, right),) if right else ())
+    # the first N with Omega_N >= F W (at R = 1) is gram's split
+    W = max(region.omega(max(rows), cfg) for region, rows in side)
+    split = int(np.searchsorted(kg.ladder(np.arange(1, 4001), 1.0, cfg.mu_tilde),
+                                bogoliubov._FAR_FACTOR * W))
+    if split < 4000 and draw(st.booleans()):
+        return cfg, side, draw(st.integers(split + 1, 4000))
+    return cfg, side, draw(st.integers(1, min(split, 4000)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(request=_one_side_requests())
+@example(request=(kg.validate_config(1.0, 0.5, 0.0), ((L, range(1, 11)), (RG, range(1, 11))), 4000))
+@example(request=(kg.validate_config(1.0, 0.5, 0.0), ((L, range(1, 11)), (RG, range(1, 11))), 79))
+def test_a_side_named_twice_is_one_stack_property(request):
+    # gram(side, side) sums S S^T over one stack; the same pairs as two
+    # sides sum S_a S_b^T. The dots are the same row reductions, bit for
+    # bit; the Grams may round differently where BLAS takes syrk for S S^T
+    # and gemm for S_a S_b^T: over 1000 random draws over these ranges the
+    # worst was 17 ulps of the Gram's max|.| (204 draws bit-identical),
+    # bounded here at 64, a margin of about 4.
+    # With every column near, S S^T is exactly symmetric. The examples:
+    # identity_residuals' 10 rows a family at n_max 4000, and at 79, where
+    # every column is near
+    cfg, side, n_max = request
+    one = bogoliubov.gram(side, side, cfg, n_max)
+    two = bogoliubov.gram(side, list(side), cfg, n_max)
+    assert (one.near, one.far) == (two.near, two.far) and one.near + one.far == n_max
+    for field in ("a_dots", "b_dots"):
+        assert getattr(one, field).tobytes() == getattr(two, field).tobytes(), field
+    for field in ("QP", "PQ", "QQ", "PP"):
+        got, want = getattr(one, field), getattr(two, field)
+        assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(np.abs(want)), field
+    if one.far == 0:
+        assert np.array_equal(one.PP, one.PP.T) and np.array_equal(one.QQ, one.QQ.T)
+        assert np.array_equal(one.PQ, one.QP.T)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -181,6 +181,27 @@ def test_divergence_scan_on_a_node_is_exactly_zero(r, N):
     (scan,) = kg.divergence_scan([N], kg.validate_config(1.0, r, 3.0), [10, 1000])
     assert np.all(scan.partial_sums == 0.0)
     assert scan.slope_exact == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(0.01, 0.99), muR=st.floats(0.0, 50.0), u=st.floats(-20.0, 20.0),
+       N_list=st.lists(st.integers(1, 39), min_size=1, max_size=3))
+@example(r=0.25, muR=3.0, u=1.0, N_list=[4, 1, 39])   # a node, N = 4
+def test_exact_slope_is_invariant_under_R_to_lambda_R_property(r, muR, u, N_list):
+    # s_N = 2 sin^2(pi N r/R) / (pi R Omega_N) depends on r/R and mu R
+    # alone. At a factor lambda = e^u that is no power of two the box's
+    # r/R and mu R round off by an ulp or two, which moves sin^2 by up to
+    # about pi N 2^-52 = 2.7e-14 at N = 39: measured within 2.2e-14 of the
+    # scale 2 / (pi R Omega_N) over 2000 random draws, bounded here at
+    # 1e-13, a margin of about 4.5. The scale, not s_N, since s_N is 0 on a
+    # node
+    lam = math.exp(u)
+    assume(math.frexp(lam)[0] != 0.5)
+    base = kg.divergence_scan(N_list, kg.validate_config(1.0, r, muR), [1, 2])
+    scaled = kg.divergence_scan(N_list, kg.validate_config(lam, r * lam, muR / lam), [1, 2])
+    for N, want, got in zip(N_list, base, scaled):
+        scale = 2.0 / (math.pi * kg.ladder(N, 1.0, muR))
+        assert abs(got.slope_exact - want.slope_exact) <= 1e-13 * scale, N
 
 
 def test_divergence_scan_memory_does_not_grow_with_M(cfg_half):
