@@ -61,20 +61,23 @@ one check of every mode index and cutoff.
 ``coeff_grid``, ``beta_sq_sums``, ``beta_sq_total`` and ``gram`` are
 public wrappers over the table kernels ``_grid``, ``_beta_sq_sums``,
 ``_beta_sq_total`` and ``_add_grams``; no kernel writes into a table.
+``_beta_sq_sums`` is the one beta row kernel: ``_beta_sq_total`` sums its
+near columns through it.
 
 The paper's two beta-only results are row sums: the local occupations
 <n_m> = sum_N beta_mN^2 and, one column at a time, the log-divergent
-sum_m beta_mN^2 of the inequivalence argument. ``beta_sq_sums`` computes
-them from the same row and column vectors as ``coeff_grid``. It walks
-chunks of full rows, about _CHUNK_ENTRIES entries each as in
-``coeff_grid``, forms t = b_N / (Omega_N + omega_m) in each and reduces
-each row with one ``np.vecdot``; the row factor ((pi/w)^2 a_m)^2 is
-applied after the sum. b_N is scaled by a power of two so that the
-largest t is about 1, and the scaling is undone after the row factor:
-exact, and t^2 does not underflow at widths below about 1e-78, where
-t ~ w^2. A row's sum thus has the same bits whichever rows share the
-call, and the kernel never builds alpha, never runs the resonance search
-and never holds a len(m) x len(N) array.
+sum_m beta_mN^2 of the inequivalence argument; the summed spectrum
+sum_{m<=M} <n_m> (below) adds the rows up. ``_beta_sq_sums`` computes
+every one of them from the same row and column vectors as ``coeff_grid``,
+and it is the only function that forms t = b_N / (Omega_N + omega_m). It
+walks chunks of full rows, about _CHUNK_ENTRIES entries each as in
+``coeff_grid``, forms t in each and reduces each row with one
+``np.vecdot``; the row factor ((pi/w)^2 a_m)^2 is applied after the sum.
+b_N is scaled by a power of two so that the largest t is about 1, and the
+scaling is undone after the row factor: exact, and t^2 does not underflow
+at widths below about 1e-78, where t ~ w^2. A row's sum thus has the same
+bits whichever rows share the call, and the kernel never builds alpha,
+never runs the resonance search and never holds a len(m) x len(N) array.
 
 The two kernels that sum over the global modes N = 1..n_max read the
 columns far above the requested rows by one series. With
@@ -106,9 +109,9 @@ T = _FAR_ORDER = 31 orders, the smallest with tau_T <= 2^-56
 each instead of O(rows), and no full row is ever built.
 
 The paper's summed local occupation sum_{m<=M} <n_m> comes from
-``beta_sq_total`` without the per-row sums: the near columns go through
-the same row-chunk pass as ``beta_sq_sums``, and in the far ones the rows
-are one family's beta rows, each against itself. Its terms of order p are
+``beta_sq_total``: its near columns are the ``np.sum`` of their
+``_beta_sq_sums``, and in the far ones the rows are one family's beta
+rows, each against itself. Its terms of order p are
 X_mj X_mk = A_m^2 (-s_m)^p, p + 1 of them, so summed over m the far part
 is
 
@@ -116,7 +119,9 @@ is
 
 T multiply-adds a column (the moments h_p) instead of one division per
 row; rounding costs a few ulps (measured: within 4.1e-16 of the exactly
-rounded sum of ``coeff_grid``'s beta^2).
+rounded sum of ``coeff_grid``'s beta^2). The far part scales g_N by a
+power of two of its own, as ``_beta_sq_sums`` scales b_N: g_N^2 underflows
+at tiny widths and huge masses (r/R = 1e-100, mu R = 1e110).
 
 The cross-row sums over N = 1..n_max of the Wick moments, of the
 completeness residuals and of the steering shift are Gram matrices, and
@@ -203,7 +208,7 @@ _MEMO_BYTES = 2**30
 
 _BLOCK_MEMO: OrderedDict[str, BogoliubovBlock] = OrderedDict()
 
-# Entries per row chunk of ``coeff_grid`` and ``_row_sq_sums``: the few
+# Entries per row chunk of ``coeff_grid`` and ``_beta_sq_sums``: the few
 # chunk-sized temporaries (1 MB each) stay in cache; a row longer than
 # this is a chunk of its own.
 _CHUNK_ENTRIES = 2**17
@@ -455,45 +460,6 @@ def _grid(rows: _Rows, cols: _Columns, out=None) -> tuple[np.ndarray, np.ndarray
     return alpha, beta
 
 
-def _scaled_b(rows: _Rows, cols: _Columns) -> tuple[np.ndarray, int]:
-    """b_N scaled by 2^-e, as a new array, and e.
-
-    max t <= max|b_N| / (min omega_m + min Omega_N) ~ 2^e, so the scaled t
-    is at most about 1 and t^2 does not underflow where t ~ w^2 (widths
-    below ~1e-78); powers of two are exact, so a sum keeps its bits
-    wherever t^2 is normal, and the caller undoes the scaling with
-    ``ldexp(..., 2 e)`` after the row factor.
-    """
-    b = cols.b
-    _, e_b = np.frexp(max(b.max(initial=0.0), -b.min(initial=0.0)))
-    _, e_d = np.frexp(np.min(rows.om, initial=np.inf) + np.min(cols.Om, initial=np.inf))
-    e = int(e_b - e_d)
-    return np.ldexp(b, -e), e
-
-
-def _row_sq_sums(om: np.ndarray, Om: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_N t_mN^2, t_mN = b_N / (Omega_N + omega_m), one value per row.
-
-    Walks chunks of full rows, max(1, _CHUNK_ENTRIES // len(Om)) rows each,
-    as ``coeff_grid`` does: each chunk forms t in one reused buffer and
-    takes each row's sum as one ``np.vecdot(t, t)``, which reduces every
-    row in its own call (a one-column row is squared directly: the same
-    bits), so a row's sum has the same bits whichever other rows share the
-    call and wherever the chunks fall.
-    """
-    n_rows, n_cols = len(om), len(Om)
-    sums = np.empty(n_rows)
-    step = max(1, _CHUNK_ENTRIES // max(n_cols, 1))
-    buf = np.empty((min(step, n_rows), n_cols))
-    for lo in range(0, n_rows, step):
-        rows = slice(lo, lo + step)
-        t = np.add(om[rows, None], Om, out=buf[:min(step, n_rows - lo)])
-        np.divide(b, t, out=t)
-        # a length-1 vecdot per row costs more than the square it computes
-        sums[rows] = t[:, 0] * t[:, 0] if n_cols == 1 else np.vecdot(t, t)
-    return sums
-
-
 def beta_sq_sums(
     region: Region,
     m_indices: np.ndarray,
@@ -506,17 +472,40 @@ def beta_sq_sums(
 
 
 def _beta_sq_sums(rows: _Rows, cols: _Columns) -> np.ndarray:
-    """sum_N beta_mN^2 over the columns of ``cols``, one value per row.
+    """sum_N beta_mN^2 over the columns of ``cols``, one value per row: the
+    one kernel that forms t_mN = b_N / (Omega_N + omega_m).
 
-    With beta_mN = a_beta_m t_mN, t_mN = b_N / (Omega_N + omega_m), the
-    row sums of t^2 come from ``_row_sq_sums`` on the power-of-two scaled
-    b_N of ``_scaled_b``; the row factor a_beta_m^2 multiplies each sum
-    after it. A row's sum therefore has the same bits whichever rows share
-    the call. Neither alpha, nor the resonance search (beta has no
-    resonance branch), nor a len(m) x len(N) array is ever built.
+    With beta_mN = a_beta_m t_mN, the kernel walks chunks of full rows,
+    max(1, _CHUNK_ENTRIES // len(N)) rows each, as ``coeff_grid`` does:
+    each chunk forms t in one reused buffer and takes each row's sum as one
+    ``np.vecdot(t, t)``, which reduces every row in its own call (a
+    one-column row is squared directly: the same bits), so a row's sum has
+    the same bits whichever other rows share the call and wherever the
+    chunks fall. The row factor a_beta_m^2 multiplies each sum after it.
+
+    b_N is first scaled by 2^-e: max t <= max|b_N| / (min omega_m +
+    min Omega_N) ~ 2^e, so the scaled t is at most about 1 and t^2 does not
+    underflow where t ~ w^2 (widths below ~1e-78). Powers of two are exact,
+    so a sum keeps its bits wherever t^2 is normal, and ``ldexp(..., 2 e)``
+    undoes the scaling after the row factor. Neither alpha, nor the
+    resonance search (beta has no resonance branch), nor a len(m) x len(N)
+    array is ever built.
     """
-    b, e = _scaled_b(rows, cols)
-    sums = _row_sq_sums(rows.om, cols.Om, b)
+    om, Om, b = rows.om, cols.Om, cols.b
+    _, e_b = np.frexp(max(b.max(initial=0.0), -b.min(initial=0.0)))
+    _, e_d = np.frexp(np.min(om, initial=np.inf) + np.min(Om, initial=np.inf))
+    e = int(e_b - e_d)
+    b = np.ldexp(b, -e)
+    n_rows, n_cols = len(om), len(Om)
+    sums = np.empty(n_rows)
+    step = max(1, _CHUNK_ENTRIES // max(n_cols, 1))
+    buf = np.empty((min(step, n_rows), n_cols))
+    for lo in range(0, n_rows, step):
+        chunk = slice(lo, lo + step)
+        t = np.add(om[chunk, None], Om, out=buf[:min(step, n_rows - lo)])
+        np.divide(b, t, out=t)
+        # a length-1 vecdot per row costs more than the square it computes
+        sums[chunk] = t[:, 0] * t[:, 0] if n_cols == 1 else np.vecdot(t, t)
     return np.ldexp(sums * (rows.a_beta * rows.a_beta), 2 * e)
 
 
@@ -543,27 +532,32 @@ def _beta_sq_total(rows: _Rows, cols: _Columns) -> float:
     """sum_m sum_N beta_mN^2 over the rows and columns of the tables, the
     columns in ascending Omega_N (as ascending N are).
 
-    With W = max omega_m, the near columns, Omega_N < _FAR_FACTOR W, go
-    through ``_row_sq_sums`` and the row factors c_m = a_beta_m^2. The far
-    columns, a suffix, take the module docstring's series to order
-    T = _FAR_ORDER: sum_p d_p h_p, with d_p from the row moments and h_p
-    the column moments of ``_column_moments``. The power-of-two scaling of
-    b_N is shared by both parts and undone at the end. A call with no far
-    column costs and returns what ``np.sum(_beta_sq_sums(...))`` does.
+    With W = max omega_m, the near columns, Omega_N < _FAR_FACTOR W, are
+    ``np.sum`` of their ``_beta_sq_sums``, so a call with no far column
+    returns what ``np.sum(_beta_sq_sums(...))`` does. The far columns, a
+    suffix, take the module docstring's series to order T = _FAR_ORDER:
+    sum_p d_p h_p, with d_p from the row moments of c_m = a_beta_m^2 and
+    h_p the column moments of ``_column_moments``. g_N = b_N / Omega_N is
+    scaled by a power of two of its own, taken from max|g_N| and undone
+    after the contraction: g^2 ~ w^4 / Omega^3 underflows where widths are
+    tiny or masses huge (at r/R = 1e-100, mu R = 1e110 the far part would
+    read 0).
     """
-    b, e = _scaled_b(rows, cols)
-    om, c, Om = rows.om, rows.a_beta * rows.a_beta, cols.Om
+    om, Om = rows.om, cols.Om
     W = np.max(om, initial=0.0)
     split = int(np.searchsorted(Om, _FAR_FACTOR * W))
-    total = np.sum(_row_sq_sums(om, Om[:split], b[:split]) * c)
+    total = np.sum(_beta_sq_sums(rows, _column_slice(cols, 0, split)))
     if split < len(Om):
         T = _FAR_ORDER
         p = np.arange(T)
+        c = rows.a_beta * rows.a_beta
         # d_p = (p + 1) (-1)^p mu_p, mu_p = sum_m c_m (omega_m / W)^p
         d = (c @ np.vander(om / W, T, increasing=True)) * ((p + 1) * _parity(p))
-        g = b[split:] / Om[split:]
-        total += np.dot(d, _column_moments(Om[split:], g * g, W, T))
-    return float(np.ldexp(total, 2 * e))
+        g = cols.b[split:] / Om[split:]
+        _, e = np.frexp(max(g.max(), -g.min()))
+        np.ldexp(g, -e, out=g)
+        total += np.ldexp(np.dot(d, _column_moments(Om[split:], g * g, W, T)), 2 * e)
+    return float(total)
 
 
 def _column_moments(Om: np.ndarray, g: np.ndarray, W: float, n_terms: int) -> np.ndarray:

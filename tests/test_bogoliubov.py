@@ -567,6 +567,31 @@ def test_beta_sq_total_survives_tiny_widths_property(r, M, far):
         assert kg.beta_sq_total(L, m_idx, cfg, 2000) == total
 
 
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from([1e-80, 1e-90, 1e-100]), mu=st.sampled_from([0.0, 1e50, 1e100, 1e110]),
+       M=st.integers(1, 5), far=st.lists(st.floats(1.1, 10.0), min_size=1, max_size=3))
+@example(r=1e-100, mu=1e110, M=1, far=[1.3, 2.9, 9.7])
+def test_beta_sq_total_far_series_keeps_its_digits_property(r, mu, M, far):
+    # at tiny widths and huge masses g_N^2 = (b_N / Omega_N)^2 ~ w^4 / Omega^3
+    # underflows (at r/R = 1e-100, mu R = 1e110 the far part would read 0),
+    # so the far series scales g_N by a power of two of its own; the total
+    # keeps the digits of the row sums over the same columns. The far
+    # columns sit at 1.1-10 x 4 omega_M / pi, where Omega_N >= pi N >=
+    # 4.4 omega_M. Past N w = 2^53 every sin(pi N w) is an exact 0 (and
+    # from 2^63 the column parity's integer cast is out of range), so
+    # those draws are dropped
+    cfg = kg.validate_config(1.0, r, mu)
+    base = 4.0 * bogoliubov._rows(L, [M], cfg).om[0] / math.pi
+    N_idx = np.concatenate([np.arange(1, 2001), np.sort([float(round(k * base)) for k in far])])
+    assume(N_idx[-1] * r < 2.0**53)
+    m_idx = np.arange(1, M + 1)
+    want = math.fsum(kg.beta_sq_sums(L, m_idx, N_idx, cfg))
+    assert want > 0
+    total = bogoliubov._beta_sq_total(bogoliubov._rows(L, m_idx, cfg),
+                                      bogoliubov._columns(L, N_idx, cfg))
+    assert abs(total - want) <= 1e-13 * want
+
+
 @pytest.mark.parametrize("r, mu", [(0.5, 0.0), (0.37, 3.0), (1e-90, 0.0)])
 def test_shared_tables_give_the_bits_of_fresh_ones(r, mu):
     # the kernels read one shared pair of tables in turn, twice over; none

@@ -204,6 +204,25 @@ def test_exact_slope_is_invariant_under_R_to_lambda_R_property(r, muR, u, N_list
         assert abs(got.slope_exact - want.slope_exact) <= 1e-13 * scale, N
 
 
+@pytest.mark.parametrize("r, muR", [(0.5, 0.0), (0.3, 2.0)])
+def test_summed_spectrum_grows_like_log_M_squared(r, muR):
+    # sum_{m<=M} <n_m> of one family grows like (ln M)^2 / (4 pi^2): each
+    # <n_m> ~ ln(m) / (2 pi^2 m) from the fixed-N slopes s_N summed over
+    # N, so its second difference per doubling of M tends to
+    # 2 (ln 2)^2 / (4 pi^2) = (ln 2)^2 / (2 pi^2) from above as the O(1/M)
+    # terms die. Measured on M = 10 .. 1280: 0.02547 down to 0.02444 at
+    # (1/2, 0) and 0.02550 down to 0.02443 at (0.3, 2), both ending at
+    # 1.004 of the limit; the 1 % bound leaves a margin of about 2.4
+    limit = math.log(2.0) ** 2 / (2.0 * math.pi**2)
+    cfg = kg.validate_config(1.0, r, muR)
+    S = np.array([kg.beta_sq_total(L, np.arange(1, 10 * 2**k + 1), cfg, 100_000)
+                  for k in range(8)])
+    second = np.diff(S, 2)
+    assert np.all(np.diff(second) < 0.0)
+    assert np.all(second > limit)
+    assert second[-1] <= 1.01 * limit
+
+
 def test_divergence_scan_memory_does_not_grow_with_M(cfg_half):
     # a full-length summand table alone is 8 MB per family at M = 1e6
     tracemalloc.start()
